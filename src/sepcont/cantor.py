@@ -186,9 +186,6 @@ def partition_at_depth(d: int) -> list[Cylinder]:
 # or a pair (zero-branch, one-branch).  Normalisation collapses (True, True)
 # and (False, False), which makes the representation canonical, so structural
 # equality of tries is equality of sets.
-_Trie = object
-
-
 def _node(z, o):
     if z is True and o is True:
         return True

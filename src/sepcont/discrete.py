@@ -11,7 +11,6 @@ exact membership verification from m on.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,6 +21,7 @@ from sepcont.cantor import (
     basis_index,
     partition_at_depth,
 )
+from sepcont.config import depth_cap
 from sepcont.errors import RefinementExhaustedError, UnsupportedStructureError
 from sepcont.functions import (
     SepFunction,
@@ -30,12 +30,6 @@ from sepcont.functions import (
     in_subbasic,
 )
 from sepcont.groups import GroupElement
-
-DEFAULT_DEPTH_CAP = 16
-
-
-def depth_cap() -> int:
-    return int(os.environ.get("SEPCONT_MAX_DEPTH", DEFAULT_DEPTH_CAP))
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,3 @@ class QuantizerConditionError(SepcontError):
 class RefinementExhaustedError(SepcontError):
     """Cell refinement hit the depth cap (CLI exit 3)."""
 
-
-class CertificateError(SepcontError):
-    """A convergence certificate was violated after its computed stage."""
-
-
-class ScheduleViolationError(SepcontError):
-    """A closure-probe stage missed its distance schedule."""

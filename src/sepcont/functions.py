@@ -14,7 +14,8 @@ answers structural queries:
   when possible, so products of quantized copies of one base stay exact.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
-singleton) and the grid-based layer-wise / uniform distances.
+singleton), the grid-values kernel behind every grid sweep, and the
+grid-based layer-wise / uniform distances.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ class SepFunction:
     def section_depth(self, axis: Axis, fixed: CantorPoint) -> int:
         return max((s.depth() for s in self.section_partition(axis, fixed).values()), default=0)
 
+    def _grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
+        """Values on xs x ys in row-major order; ``grid_values`` caches them."""
+        return [memo.intern(self.eval(x, y)) for x in xs for y in ys]
+
 
 def _dedupe(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     seen: dict[GroupElement, None] = {}
@@ -114,6 +119,9 @@ class Constant(SepFunction):
 
     def locally_constant_depth(self) -> int | None:
         return 0
+
+    def _grid_values(self, xs, ys, memo):
+        return [self.value] * (len(xs) * len(ys))
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,18 @@ class TableFunction(SepFunction):
 
     def locally_constant_depth(self) -> int | None:
         return self.depth
+
+    def _grid_values(self, xs, ys, memo):
+        cols = [self._index(y) for y in ys]
+        rows: dict[int, list[GroupElement]] = {}
+        out: list[GroupElement] = []
+        for x in xs:
+            i = self._index(x)
+            if i not in rows:
+                row = [memo.intern(v) for v in self.values[i]]
+                rows[i] = [row[j] for j in cols]
+            out.extend(rows[i])
+        return out
 
 
 @dataclass(frozen=True)
@@ -435,6 +455,11 @@ class PostCompose(SepFunction):
             return base, {z: self.mapping[w] for z, w in inner_map.items()}
         return self.inner, dict(self.mapping)
 
+    def _grid_values(self, xs, ys, memo):
+        inner = grid_values(self.inner, xs, ys, memo)
+        image = {id(w): memo.intern(self.mapping[w]) for w in distinct(inner)}
+        return [image[id(w)] for w in inner]
+
 
 @dataclass(frozen=True)
 class PointwiseInverse(SepFunction):
@@ -466,6 +491,9 @@ class PointwiseInverse(SepFunction):
             base, inner_map = deeper
             return base, {z: self.group.inv(w) for z, w in inner_map.items()}
         return self.inner, {z: self.group.inv(z) for z in self.inner.declared_image()}
+
+    def _grid_values(self, xs, ys, memo):
+        return memo.inverses(grid_values(self.inner, xs, ys, memo))
 
 
 def _map_over(fn: SepFunction, base: SepFunction) -> dict[GroupElement, GroupElement] | None:
@@ -568,6 +596,11 @@ class PointwiseProduct(SepFunction):
                 return base, {z: self.group.mul(lm[z], rm[z]) for z in base.declared_image()}
         return None
 
+    def _grid_values(self, xs, ys, memo):
+        return memo.products(
+            grid_values(self.left, xs, ys, memo), grid_values(self.right, xs, ys, memo)
+        )
+
 
 def product_chain(funcs: list[SepFunction]) -> SepFunction:
     """Ordered pointwise product f_0 * f_1 * ... * f_k."""
@@ -577,6 +610,100 @@ def product_chain(funcs: list[SepFunction]) -> SepFunction:
     for f in funcs[1:]:
         out = PointwiseProduct(out, f)
     return out
+
+
+def distinct(values: Iterable) -> Iterable:
+    """The distinct objects among values (by identity), in first-seen order."""
+    values = list(values)
+    return dict(zip(map(id, values), values)).values()
+
+
+class GridMemo:
+    """Memo tables for the grid sweeps over one group.
+
+    A sweep meets only a few distinct group elements, so ``mul``, ``inv``
+    and ``dist`` are memoised on them; ``grid_values`` keeps each
+    function's values per pair of point lists, and ``grid_points`` hands
+    out one point tuple per depth so those values are found again.  A memo
+    lives on one pipeline or one call and is never shared across jobs.
+
+    Tables are keyed on object identity, which hashes at C speed, and hold
+    their key objects so that no id is reused while the memo lives.  Values
+    entering the memo are interned, so equal values are mostly one object;
+    equal values that are distinct objects get entries of their own, which
+    costs a recomputation, never a wrong value.
+    """
+
+    def __init__(self, group: GroupSpec):
+        self.group = group
+        self.function_values: dict[tuple[int, int, int], tuple] = {}
+        self._grids: dict[int, tuple[CantorPoint, ...]] = {}
+        self._canon: dict[object, object] = {}
+        self._inv: dict[int, GroupElement] = {}
+        self._mul: dict[tuple[int, int], GroupElement] = {}
+        self._dist: dict[tuple[int, int], Fraction] = {}
+        self._held: list[object] = []
+
+    def grid_points(self, depth: int) -> tuple[CantorPoint, ...]:
+        if depth not in self._grids:
+            self._grids[depth] = ProbeGrid.at_depth(depth).points
+        return self._grids[depth]
+
+    def intern(self, value):
+        """The memo's one object equal to value."""
+        return self._canon.setdefault(value, value)
+
+    def inverses(self, values: Iterable[GroupElement]) -> list[GroupElement]:
+        table, inv, held = self._inv, self.group.inv, self._held
+        out = []
+        for a in values:
+            b = table.get(id(a))
+            if b is None:
+                b = table[id(a)] = self.intern(inv(a))
+                held.append(a)
+            out.append(b)
+        return out
+
+    def products(self, left: Iterable[GroupElement], right: Iterable[GroupElement]) -> list[GroupElement]:
+        return self._pairwise(self._mul, self.group.mul, left, right)
+
+    def dists(self, left: Iterable[GroupElement], right: Iterable[GroupElement]) -> list[Fraction]:
+        return self._pairwise(self._dist, self.group.dist, left, right)
+
+    def _pairwise(self, table: dict, op, left, right) -> list:
+        held = self._held
+        out = []
+        for a, b in zip(left, right):
+            key = (id(a), id(b))
+            c = table.get(key)
+            if c is None:
+                c = table[key] = self.intern(op(a, b))
+                held.append((a, b))
+            out.append(c)
+        return out
+
+
+def grid_values(
+    fn: SepFunction,
+    xs: tuple[CantorPoint, ...],
+    ys: tuple[CantorPoint, ...],
+    memo: GridMemo | None = None,
+) -> list[GroupElement]:
+    """Values of fn on xs x ys in row-major order (x outer, y inner).
+
+    Computed bottom-up, once per (function, point lists) and memo: tables
+    index each axis once, products, inverses and maps work elementwise on
+    their children's values, anything else is evaluated per point.  Every
+    lowering mirrors the combinator's ``eval``, so the values are exactly
+    the pointwise ones.  The returned list is shared: do not mutate it.
+    """
+    memo = memo if memo is not None else GridMemo(fn.group)
+    key = (id(fn), id(xs), id(ys))
+    entry = memo.function_values.get(key)
+    if entry is None:
+        # The entry holds fn, xs and ys, so their ids stay unique while it lives.
+        entry = memo.function_values[key] = (fn, xs, ys, fn._grid_values(xs, ys, memo))
+    return entry[3]
 
 
 @dataclass(frozen=True)
@@ -647,22 +774,44 @@ def layerwise_dist(
     return DistResult(best, exact, grid_depth, witness)
 
 
-def uniform_dist(f: SepFunction, g: SepFunction, side: Literal["l", "r"], grid_depth: int = 6) -> DistResult:
-    """Grid sup of d(1, f^-1 g) (side l) or d(1, g f^-1) (side r)."""
-    group = f.group
-    one = group.identity()
-    best = Fraction(0)
+def indices_where(values: list, pred) -> list[int]:
+    """Indices of the values satisfying pred; pred runs once per distinct object."""
+    hits = {id(v) for v in distinct(values) if pred(v)}
+    return [k for k, v in enumerate(values) if id(v) in hits]
+
+
+def grid_sup_dist(
+    f: SepFunction,
+    g: SepFunction,
+    xs: tuple[CantorPoint, ...],
+    ys: tuple[CantorPoint, ...],
+    memo: GridMemo,
+) -> Fraction:
+    """max of d(f, g) over xs x ys; 0 on an empty rectangle."""
+    dists = memo.dists(grid_values(f, xs, ys, memo), grid_values(g, xs, ys, memo))
+    return max(distinct(dists), default=Fraction(0))
+
+
+def uniform_dist(
+    f: SepFunction,
+    g: SepFunction,
+    side: Literal["l", "r"],
+    grid_depth: int = 6,
+    memo: GridMemo | None = None,
+) -> DistResult:
+    """Grid sup of d(1, f^-1 g) (side l) or d(1, g f^-1) (side r); the
+    witness is the first grid point, x-major, that attains it."""
+    memo = memo if memo is not None else GridMemo(f.group)
+    points = memo.grid_points(grid_depth)
+    f_inv = memo.inverses(grid_values(f, points, points, memo))
+    gv = grid_values(g, points, points, memo)
+    shifts = memo.products(f_inv, gv) if side == "l" else memo.products(gv, f_inv)
+    dists = memo.dists([f.group.identity()] * len(shifts), shifts)
+    best = max(distinct(dists))
     witness = None
-    points = ProbeGrid.at_depth(grid_depth).points
-    for x in points:
-        for y in points:
-            fv, gv = f.eval(x, y), g.eval(x, y)
-            if side == "l":
-                d = group.dist(one, group.mul(group.inv(fv), gv))
-            else:
-                d = group.dist(one, group.mul(gv, group.inv(fv)))
-            if d > best:
-                best, witness = d, (x, y)
+    if best > 0:
+        i, j = divmod(indices_where(dists, lambda d: d == best)[0], len(points))
+        witness = (points[i], points[j])
     dl, dg = f.locally_constant_depth(), g.locally_constant_depth()
     exact = dl is not None and dg is not None and max(dl, dg) <= grid_depth
     return DistResult(best, exact, grid_depth, witness)
@@ -715,7 +864,7 @@ def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint
 
 def grid_image(f: SepFunction, grid_depth: int) -> tuple[GroupElement, ...]:
     points = ProbeGrid.at_depth(grid_depth).points
-    return _dedupe(f.eval(x, y) for x in points for y in points)
+    return _dedupe(distinct(grid_values(f, points, points)))
 
 
 def validate_declared_image(f: SepFunction, grid_depth: int = 4) -> bool:

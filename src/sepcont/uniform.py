@@ -16,8 +16,12 @@ from typing import Literal, Sequence
 
 from sepcont.cantor import CantorPoint, ProbeGrid
 from sepcont.functions import (
+    GridMemo,
     SepFunction,
     SubbasicNbhd,
+    distinct,
+    grid_sup_dist,
+    grid_values,
     separate_continuity_certificate,
     side_sample,
     uniform_dist,
@@ -126,18 +130,19 @@ def closure_probe(
     if len(stages) != len(schedule):
         raise ValueError("one schedule radius per stage")
     certs = list(stage_certificates) if stage_certificates is not None else [True] * len(stages)
+    memo = GridMemo(f.group)
     rows = []
     failed: int | None = None
     for k, (g, eps) in enumerate(zip(stages, schedule)):
-        dl = uniform_dist(f, g, "l", grid_depth).value
-        dr = uniform_dist(f, g, "r", grid_depth).value
+        dl = uniform_dist(f, g, "l", grid_depth, memo).value
+        dr = uniform_dist(f, g, "r", grid_depth, memo).value
         within = dl <= eps and dr <= eps
         rows.append(ClosureStageRow(k, eps, dl, dr, within, certs[k]))
         if failed is None and not (within and certs[k]):
             failed = k
     if failed is not None:
         return ClosureReport(tuple(rows), failed, False, False)
-    diag_ok = _stage_diagonal_check(f, stages, probes, levels, grid_depth)
+    diag_ok = _stage_diagonal_check(f, stages, probes, levels, grid_depth, memo)
     return ClosureReport(tuple(rows), None, diag_ok, diag_ok)
 
 
@@ -147,20 +152,14 @@ def _stage_diagonal_check(
     probes: list[SubbasicNbhd],
     levels: list[int],
     grid_depth: int,
+    memo: GridMemo,
 ) -> bool:
     """Layer-wise convergence of the stage sequence on every probe: for
     each requested level l there must be a stage from which the probe
     rectangle stays within 2^-l of f through the last stage."""
     for probe in probes:
-        pairs = [
-            (x, y)
-            for x in side_sample(probe.kx, grid_depth)
-            for y in side_sample(probe.ky, grid_depth)
-        ]
-        sups = [
-            max((f.group.dist(f.eval(x, y), g.eval(x, y)) for x, y in pairs), default=Fraction(0))
-            for g in stages
-        ]
+        xs, ys = side_sample(probe.kx, grid_depth), side_sample(probe.ky, grid_depth)
+        sups = [grid_sup_dist(f, g, xs, ys, memo) for g in stages]
         for l in levels:
             tol = Fraction(1, 2**l)
             if not any(
@@ -199,16 +198,16 @@ def problem3_check(
     probe_pts = ProbeGrid.at_depth(min(grid_depth, 3)).points
     if not separate_continuity_certificate(g, probe_pts):
         raise ValueError("candidate lacks a separate-continuity certificate")
-    points = ProbeGrid.at_depth(grid_depth).points
-    sup_raw = Fraction(0)
-    sup_metric = Fraction(0)
+    memo = GridMemo(f.group)
+    points = memo.grid_points(grid_depth)
+    fv, gv = grid_values(f, points, points, memo), grid_values(g, points, points, memo)
+    raws = [abs(a.payload - b.payload) for a, b in zip(fv, gv)]
+    sup_raw = max(raws)
     witness = None
-    for x in points:
-        for y in points:
-            raw = abs(f.eval(x, y).payload - g.eval(x, y).payload)
-            if raw > sup_raw:
-                sup_raw, witness = raw, (x, y)
-            sup_metric = max(sup_metric, f.group.dist(f.eval(x, y), g.eval(x, y)))
+    if sup_raw > 0:
+        i, j = divmod(raws.index(sup_raw), len(points))
+        witness = (points[i], points[j])
+    sup_metric = max(distinct(memo.dists(fv, gv)))
     image = g.declared_image()
     values = sorted(z.payload for z in image)
     gaps = [b - a for a, b in zip(values, values[1:]) if b != a]

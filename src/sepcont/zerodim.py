@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from sepcont.cantor import CantorPoint, ProbeGrid
 from sepcont.errors import (
     CoverConstructionError,
     NetMaximalityError,
@@ -27,12 +26,17 @@ from sepcont.errors import (
 )
 from sepcont.functions import (
     DistResult,
+    GridMemo,
     PointwiseInverse,
     PointwiseProduct,
     PostCompose,
     SepFunction,
     SubbasicNbhd,
+    distinct,
     grid_image,
+    grid_sup_dist,
+    grid_values,
+    indices_where,
     product_chain,
     side_sample,
 )
@@ -264,6 +268,9 @@ class ZerodimPipeline:
         self.tower = build_quantizer_tower(self.group, self.sample, self.covers, self.nets)
         self._factor_cache: dict[int, SepFunction] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}
+        self._tail_cache: dict[tuple[int, int], bool] = {}
+        self._memo = GridMemo(self.group)
+        self._grid = self._memo.grid_points(grid_depth)
 
     def condition_rows(self) -> list[ConditionRow]:
         return quantizer_conditions(self.group, self.sample, self.tower, self.nets)
@@ -297,12 +304,10 @@ class ZerodimPipeline:
         """Grid sup of d(f_n, f); bounded by 2^-n through condition (2)."""
         from sepcont.functions import uniform_dist
 
-        return uniform_dist(self.quantized(n), self.f, "l", self.grid_depth)
+        return uniform_dist(self.quantized(n), self.f, "l", self.grid_depth, self._memo)
 
     def factor_values_on_grid(self, n: int) -> set[GroupElement]:
-        g = self.factor(n)
-        pts = ProbeGrid.at_depth(self.grid_depth).points
-        return {g.eval(x, y) for x in pts for y in pts}
+        return set(distinct(grid_values(self.factor(n), self._grid, self._grid, self._memo)))
 
     def factor_discreteness(self, n: int) -> bool:
         return self.factor_values_on_grid(n) <= set(self.nets[n].elements)
@@ -310,14 +315,13 @@ class ZerodimPipeline:
     def telescoping_ok(self, grid_depth: int | None = None) -> bool:
         """g_0 g_1 ... g_n == f_{n+1} pointwise on the grid, exactly."""
         d = grid_depth if grid_depth is not None else min(self.grid_depth, 4)
-        pts = ProbeGrid.at_depth(d).points
+        pts = self._memo.grid_points(d)
+        prod: list[GroupElement] | None = None
         for n in range(self.n_max + 1):
-            prod = product_chain([self.factor(k) for k in range(n + 1)])
-            f_next = self.quantized(n + 1)
-            for x in pts:
-                for y in pts:
-                    if prod.eval(x, y) != f_next.eval(x, y):
-                        return False
+            g_n = grid_values(self.factor(n), pts, pts, self._memo)
+            prod = g_n if prod is None else self._memo.products(prod, g_n)
+            if prod != grid_values(self.quantized(n + 1), pts, pts, self._memo):
+                return False
         return True
 
     def factor_approximator(self, k: int) -> DiscreteApproximator:
@@ -342,9 +346,13 @@ class ZerodimPipeline:
         d(f, f_{n,n}) < 2^-(l-2) there for n >= m(l), and the tail-product
         containment in B[2^-l] at every grid point."""
         n_max = self.n_max
+        memo = self._memo
         results = []
         stage_of_level: dict[int, int | None] = {}
-        grid_pts = ProbeGrid.at_depth(self.grid_depth).points
+        sides = [
+            (side_sample(p.kx, self.grid_depth), side_sample(p.ky, self.grid_depth))
+            for p in probes
+        ]
         diagonals = [self.stage_function(n, n) for n in range(n_max + 1)]
         for l in levels:
             if l + 1 > self.n_max + 1:
@@ -353,15 +361,11 @@ class ZerodimPipeline:
             tol = Fraction(1, 2**l)
             budget = Fraction(4, 2**l)
             level_stage: int | None = None
-            for probe in probes:
-                pairs = _rect_pairs(probe, self.grid_depth)
-                sup_at = {}
-                for n in range(l, n_max + 1):
-                    f_ln = self.stage_function(l, n)
-                    sup_at[n] = max(
-                        (self.group.dist(f_ln.eval(x, y), target.eval(x, y)) for x, y in pairs),
-                        default=Fraction(0),
-                    )
+            for probe, (xs, ys) in zip(probes, sides):
+                sup_at = {
+                    n: grid_sup_dist(self.stage_function(l, n), target, xs, ys, memo)
+                    for n in range(l, n_max + 1)
+                }
                 m_l = None
                 for m in range(l, n_max + 1):
                     if all(sup_at[n] <= tol for n in range(m, n_max + 1)):
@@ -372,15 +376,16 @@ class ZerodimPipeline:
                 final_ok = tail_ok = False
                 if m_l is not None:
                     final_ok = True
+                    f_vals = grid_values(self.f, xs, ys, memo)
                     for n in range(m_l, n_max + 1):
-                        for x, y in pairs:
-                            d = self.group.dist(self.f.eval(x, y), diagonals[n].eval(x, y))
-                            if d > final_sup:
-                                final_sup = d
-                            if d >= budget:
-                                final_ok = False
-                                witness = f"n={n} ({x},{y})"
-                    tail_ok = self._tail_containment(l, max(m_l, l + 1), grid_pts)
+                        dists = memo.dists(f_vals, grid_values(diagonals[n], xs, ys, memo))
+                        final_sup = max([final_sup, *distinct(dists)])
+                        failing = indices_where(dists, lambda d: d >= budget)
+                        if failing:
+                            final_ok = False
+                            i, j = divmod(failing[-1], len(ys))
+                            witness = f"n={n} ({xs[i]},{ys[j]})"
+                    tail_ok = self._tail_containment(l, max(m_l, l + 1))
                     level_stage = m_l if level_stage is None else max(level_stage, m_l)
                 results.append(
                     DiagonalLevelResult(
@@ -390,37 +395,30 @@ class ZerodimPipeline:
                 )
             stage_of_level[l] = level_stage
         stage_sups = []
-        for n in range(n_max + 1):
-            sup = Fraction(0)
-            for x in grid_pts:
-                for y in grid_pts:
-                    sup = max(sup, self.group.dist(self.f.eval(x, y), diagonals[n].eval(x, y)))
-            for probe in probes:
-                for x, y in _rect_pairs(probe, self.grid_depth):
-                    sup = max(sup, self.group.dist(self.f.eval(x, y), diagonals[n].eval(x, y)))
+        for n, diag in enumerate(diagonals):
+            sup = grid_sup_dist(self.f, diag, self._grid, self._grid, memo)
+            for xs, ys in sides:
+                sup = max(sup, grid_sup_dist(self.f, diag, xs, ys, memo))
             stage_sups.append((n, sup))
         passed = all(r.layer_ok and r.final_ok and r.tail_ok for r in results)
         return DiagonalReport(tuple(results), tuple(stage_sups), stage_of_level, passed)
 
-    def _tail_containment(self, l: int, start: int, grid_pts) -> bool:
-        """prod_{k=l+1..n} g_{k,n}(p) stays in B[2^-l] at every grid point, exactly."""
-        one = self.group.identity()
-        tol = Fraction(1, 2**l)
-        for n in range(start, self.n_max + 1):
-            if n < l + 1:
-                continue
-            stages = [self.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)]
-            for x in grid_pts:
-                for y in grid_pts:
-                    acc = one
-                    for g in stages:
-                        acc = self.group.mul(acc, g.eval(x, y))
-                    if self.group.dist(one, acc) > tol:
-                        return False
-        return True
-
-
-def _rect_pairs(nbhd: SubbasicNbhd, grid_depth: int) -> list[tuple[CantorPoint, CantorPoint]]:
-    xs = side_sample(nbhd.kx, grid_depth)
-    ys = side_sample(nbhd.ky, grid_depth)
-    return [(x, y) for x in xs for y in ys]
+    def _tail_containment(self, l: int, start: int) -> bool:
+        """prod_{k=l+1..n} g_{k,n}(p) stays in B[2^-l] at every grid point,
+        exactly.  The result depends on (l, start) alone, so it is memoised."""
+        if (l, start) not in self._tail_cache:
+            memo, grid = self._memo, self._grid
+            one = self.group.identity()
+            ones = [one] * (len(grid) * len(grid))
+            tol = Fraction(1, 2**l)
+            ok = True
+            for n in range(max(start, l + 1), self.n_max + 1):
+                acc = ones
+                for k in range(l + 1, n + 1):
+                    stage = self.factor_approximator(k).approximant(n)
+                    acc = memo.products(acc, grid_values(stage, grid, grid, memo))
+                if any(d > tol for d in distinct(memo.dists(ones, acc))):
+                    ok = False
+                    break
+            self._tail_cache[(l, start)] = ok
+        return self._tail_cache[(l, start)]

@@ -1,0 +1,239 @@
+"""The grid-values kernel against pointwise evaluation.
+
+``grid_values`` lowers a combinator tree onto a product of point lists;
+every sweep in the zerodim and uniform layers reads it.  The brute-force
+loops below evaluate pointwise, the way the sweeps did before the kernel,
+and are kept as the reference.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, ProbeGrid
+from sepcont.config import load_experiment
+from sepcont.functions import (
+    Constant,
+    DiagonalIndicator,
+    GridMemo,
+    PointwiseInverse,
+    PointwiseProduct,
+    PostCompose,
+    SubbasicNbhd,
+    TableFunction,
+    grid_values,
+    side_sample,
+    uniform_dist,
+)
+from sepcont.groups import get_group, symmetric_group_3
+from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+DYADIC = get_group("dyadic")
+S3 = symmetric_group_3()
+POOLS = (
+    tuple(DYADIC.parse_element(t) for t in ["(0)", "1(0)", "01(0)", "11(0)", "(1)"]),
+    tuple(S3.parse_element(t) for t in ["e", "r", "rr", "s", "sr"]),
+)
+FAMILY_PREFIXES = (("0", "10"), ("11",), ("01", "001", "11"))
+OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)", "110(0)"])
+
+
+def _table(pool):
+    def build(depth, cells):
+        n = 2**depth
+        return TableFunction(depth, tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n)))
+
+    return st.integers(0, 3).flatmap(
+        lambda d: st.lists(st.sampled_from(pool), min_size=4**d, max_size=4**d).map(
+            lambda cells: build(d, cells)
+        )
+    )
+
+
+def _family(pool):
+    return st.sampled_from(FAMILY_PREFIXES).flatmap(
+        lambda prefixes: st.lists(
+            st.sampled_from(pool), min_size=len(prefixes), max_size=len(prefixes)
+        ).map(lambda vals: DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), vals)))
+    )
+
+
+def _postcompose(pool, inner):
+    image = inner.declared_image()
+    return st.lists(st.sampled_from(pool), min_size=len(image), max_size=len(image)).map(
+        lambda vals: PostCompose(inner, dict(zip(image, vals)))
+    )
+
+
+def _functions(pool):
+    leaves = st.one_of(
+        _table(pool),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(DiagonalIndicator.ones_schema),
+        _family(pool),
+        st.sampled_from(pool).map(Constant),
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.tuples(kids, kids).map(lambda lr: PointwiseProduct(*lr)),
+            kids.map(PointwiseInverse),
+            kids.flatmap(lambda f: _postcompose(pool, f)),
+        ),
+        max_leaves=4,
+    )
+
+
+functions = st.sampled_from(POOLS).flatmap(_functions)
+function_pairs = st.sampled_from(POOLS).flatmap(
+    lambda pool: st.tuples(_functions(pool), _functions(pool))
+)
+point_lists = st.integers(0, 4).map(lambda d: ProbeGrid.at_depth(d).points + OFF_GRID)
+
+
+def brute_values(f, xs, ys):
+    return [f.eval(x, y) for x in xs for y in ys]
+
+
+def brute_uniform_dist(f, g, side, grid_depth):
+    group = f.group
+    one = group.identity()
+    best, witness = Fraction(0), None
+    points = ProbeGrid.at_depth(grid_depth).points
+    for x in points:
+        for y in points:
+            fv, gv = f.eval(x, y), g.eval(x, y)
+            if side == "l":
+                d = group.dist(one, group.mul(group.inv(fv), gv))
+            else:
+                d = group.dist(one, group.mul(gv, group.inv(fv)))
+            if d > best:
+                best, witness = d, (x, y)
+    return best, witness
+
+
+def brute_tail_containment(pipe, l, start, grid_pts):
+    one = pipe.group.identity()
+    tol = Fraction(1, 2**l)
+    for n in range(start, pipe.n_max + 1):
+        if n < l + 1:
+            continue
+        stages = [pipe.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)]
+        for x in grid_pts:
+            for y in grid_pts:
+                acc = one
+                for g in stages:
+                    acc = pipe.group.mul(acc, g.eval(x, y))
+                if pipe.group.dist(one, acc) > tol:
+                    return False
+    return True
+
+
+def brute_diagonal(pipe, probes, levels):
+    """ZerodimPipeline.diagonal evaluated point by point."""
+    group, n_max, f = pipe.group, pipe.n_max, pipe.f
+    grid_pts = ProbeGrid.at_depth(pipe.grid_depth).points
+    rects = [
+        [(x, y) for x in side_sample(p.kx, pipe.grid_depth) for y in side_sample(p.ky, pipe.grid_depth)]
+        for p in probes
+    ]
+    diagonals = [pipe.stage_function(n, n) for n in range(n_max + 1)]
+    results, stage_of_level = [], {}
+    for l in levels:
+        target = pipe.quantized(l + 1)
+        tol, budget = Fraction(1, 2**l), Fraction(4, 2**l)
+        level_stage = None
+        for probe, pairs in zip(probes, rects):
+            sup_at = {}
+            for n in range(l, n_max + 1):
+                f_ln = pipe.stage_function(l, n)
+                sup_at[n] = max(
+                    (group.dist(f_ln.eval(x, y), target.eval(x, y)) for x, y in pairs),
+                    default=Fraction(0),
+                )
+            m_l = next(
+                (m for m in range(l, n_max + 1) if all(sup_at[n] <= tol for n in range(m, n_max + 1))),
+                None,
+            )
+            witness, final_sup, final_ok, tail_ok = "", Fraction(0), False, False
+            if m_l is not None:
+                final_ok = True
+                for n in range(m_l, n_max + 1):
+                    for x, y in pairs:
+                        d = group.dist(f.eval(x, y), diagonals[n].eval(x, y))
+                        final_sup = max(final_sup, d)
+                        if d >= budget:
+                            final_ok = False
+                            witness = f"n={n} ({x},{y})"
+                tail_ok = brute_tail_containment(pipe, l, max(m_l, l + 1), grid_pts)
+                level_stage = m_l if level_stage is None else max(level_stage, m_l)
+            results.append(
+                DiagonalLevelResult(
+                    l, probe.probe_id, m_l, m_l is not None, final_sup, budget,
+                    final_ok, tail_ok, witness,
+                )
+            )
+        stage_of_level[l] = level_stage
+    stage_sups = []
+    for n in range(n_max + 1):
+        pairs = [(x, y) for x in grid_pts for y in grid_pts] + [p for r in rects for p in r]
+        sup = max(group.dist(f.eval(x, y), diagonals[n].eval(x, y)) for x, y in pairs)
+        stage_sups.append((n, sup))
+    passed = all(r.layer_ok and r.final_ok and r.tail_ok for r in results)
+    return DiagonalReport(tuple(results), tuple(stage_sups), stage_of_level, passed)
+
+
+class TestGridValues:
+    @given(functions, point_lists, point_lists)
+    def test_equals_pointwise_eval(self, f, xs, ys):
+        assert grid_values(f, xs, ys) == brute_values(f, xs, ys)
+
+    @given(function_pairs, point_lists)
+    def test_shared_memo_keeps_values_apart(self, fg, pts):
+        f, g = fg
+        memo = GridMemo(f.group)
+        prod = PointwiseProduct(f, g)
+        assert grid_values(prod, pts, OFF_GRID, memo) == brute_values(prod, pts, OFF_GRID)
+        assert grid_values(f, pts, OFF_GRID, memo) == brute_values(f, pts, OFF_GRID)
+        assert grid_values(g, OFF_GRID, pts, memo) == brute_values(g, OFF_GRID, pts)
+
+    def test_values_computed_once_per_memo(self):
+        f = DiagonalIndicator.ones_schema(POOLS[0][1:3])
+        memo = GridMemo(f.group)
+        pts = memo.grid_points(3)
+        assert memo.grid_points(3) is pts
+        assert grid_values(f, pts, pts, memo) is grid_values(f, pts, pts, memo)
+
+
+class TestSweepsMatchBruteForce:
+    @given(function_pairs, st.sampled_from(["l", "r"]), st.integers(0, 3))
+    def test_uniform_dist_value_and_witness(self, fg, side, depth):
+        f, g = fg
+        got = uniform_dist(f, g, side, depth)
+        assert (got.value, got.witness) == brute_uniform_dist(f, g, side, depth)
+
+    def test_diagonal_on_shipped_config(self):
+        exp = load_experiment(CONFIGS / "diag-dyadic.cfg")
+        pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
+        reference = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
+        assert pipe.diagonal(exp.probes, exp.levels) == brute_diagonal(
+            reference, exp.probes, exp.levels
+        )
+
+    def test_diagonal_with_failing_levels(self):
+        # Probes through single family members and off-grid points: nonzero
+        # final sups, levels without a stage m(l) and failed tail checks.
+        f = DiagonalIndicator.ones_schema(POOLS[0][1:4])
+        whole = ClopenSet.whole()
+        probes = [
+            SubbasicNbhd(p, whole, frozenset(), f"x{p}") for p in OFF_GRID
+        ] + [SubbasicNbhd(whole, p, frozenset(), f"y{p}") for p in OFF_GRID]
+        levels = [1, 2, 3, 4]
+        rep = ZerodimPipeline(f, 4, 4).diagonal(probes, levels)
+        assert not rep.passed
+        assert any(r.m_l is None for r in rep.results)
+        assert any(r.final_sup > 0 for r in rep.results)
+        assert rep == brute_diagonal(ZerodimPipeline(f, 4, 4), probes, levels)
