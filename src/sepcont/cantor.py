@@ -235,6 +235,21 @@ def _depth(a) -> int:
     return 1 + max(_depth(a[0]), _depth(a[1]))
 
 
+def _cell_indices(a, levels: int, index: int, out: list[int]) -> bool:
+    """Append, ascending, the indices of the cells ``levels`` below the node
+    at ``index`` that lie in ``a``; False when ``a`` is deeper than that."""
+    if a is True:
+        out.extend(range(index << levels, (index + 1) << levels))
+        return True
+    if a is False:
+        return True
+    if levels == 0:
+        return False
+    return _cell_indices(a[0], levels - 1, 2 * index, out) and _cell_indices(
+        a[1], levels - 1, 2 * index + 1, out
+    )
+
+
 def _leaves(a, path: str, out: list[str]) -> None:
     if a is True:
         out.append(path)
@@ -322,18 +337,17 @@ class ClopenSet:
         _leaves(self.trie, "", out)
         return tuple(Cylinder(p) for p in sorted(out, key=lambda p: (len(p), p)))
 
+    def cell_indices(self, d: int) -> list[int]:
+        """Ascending indices ``int(prefix, 2)`` of the depth-d cylinders
+        contained in the set; requires d >= depth()."""
+        out: list[int] = []
+        if not _cell_indices(self.trie, d, 0, out):
+            raise ValueError(f"cells at depth {d} need depth >= {self.depth()}")
+        return out
+
     def cells_at_depth(self, d: int) -> tuple[Cylinder, ...]:
         """The depth-d cylinders contained in the set; requires d >= depth()."""
-        if d < self.depth():
-            raise ValueError(f"cells_at_depth({d}) needs depth >= {self.depth()}")
-        cells: list[str] = []
-        for c in self.cylinders():
-            pad = d - len(c.prefix)
-            if pad == 0:
-                cells.append(c.prefix)
-            else:
-                cells.extend(c.prefix + format(i, f"0{pad}b") for i in range(2**pad))
-        return tuple(Cylinder(p) for p in sorted(cells))
+        return tuple(Cylinder(format(i, f"0{d}b") if d else "") for i in self.cell_indices(d))
 
     def __or__(self, other: "ClopenSet") -> "ClopenSet":
         return self.union(other)

@@ -83,10 +83,6 @@ class ClosedPatch:
             for a, b in self.rects
         )
 
-    def covers_cell(self, u: Cylinder, v: Cylinder) -> bool:
-        cu, cv = ClopenSet.from_cylinder(u), ClopenSet.from_cylinder(v)
-        return any(cu.is_subset_of(a) and cv.is_subset_of(b) for a, b in self.rects)
-
     def intersects(self, other: "ClosedPatch") -> bool:
         return any(
             not a1.intersect(a2).is_empty() and not b1.intersect(b2).is_empty()
@@ -95,19 +91,38 @@ class ClosedPatch:
         )
 
 
-def compute_strips(f: SepFunction, z: GroupElement, k: int, working_depth: int) -> StripSets:
-    """Strips at working depth: a depth-D cell u joins X(z,k) iff f is
-    certified constant z on u x V_k (never decided by sampling alone)."""
+StripCells = tuple[dict[GroupElement, list[str]], dict[GroupElement, list[str]]]
+
+
+def strip_cells(f: SepFunction, k: int, working_depth: int) -> StripCells:
+    """The depth-D cells u grouped by the certified constant value of f on
+    u x V_k (x side) and on V_k x u (y side); uncertified cells are left out.
+    One pass serves the strips of every target value z."""
     v = basis_cylinder(k)
-    x_cells, y_cells = [], []
+    x_cells: dict[GroupElement, list[str]] = {}
+    y_cells: dict[GroupElement, list[str]] = {}
     for u in partition_at_depth(working_depth):
         cx = f.constant_value_on(u, v)
-        if cx == z:
-            x_cells.append(u.prefix)
+        if cx is not None:
+            x_cells.setdefault(cx, []).append(u.prefix)
         cy = f.constant_value_on(v, u)
-        if cy == z:
-            y_cells.append(u.prefix)
-    return StripSets(z, k, ClopenSet.from_prefixes(x_cells), ClopenSet.from_prefixes(y_cells))
+        if cy is not None:
+            y_cells.setdefault(cy, []).append(u.prefix)
+    return x_cells, y_cells
+
+
+def strips_from_cells(z: GroupElement, k: int, cells: StripCells) -> StripSets:
+    """A depth-D cell u joins X(z,k) iff f is certified constant z on u x V_k
+    (never decided by sampling alone); likewise for the y strip."""
+    x_cells, y_cells = cells
+    return StripSets(
+        z, k, ClopenSet.from_prefixes(x_cells.get(z, ())), ClopenSet.from_prefixes(y_cells.get(z, ()))
+    )
+
+
+def compute_strips(f: SepFunction, z: GroupElement, k: int, working_depth: int) -> StripSets:
+    """Strips X(z,k) and Y(z,k) at working depth D."""
+    return strips_from_cells(z, k, strip_cells(f, k, working_depth))
 
 
 def build_patch(f: SepFunction, z: GroupElement, n: int, strips: list[StripSets]) -> ClosedPatch:
@@ -142,17 +157,19 @@ class DiscreteApproximator:
         self.f = f
         self.group = f.group
         self.filtration = filtration or ImageFiltration.for_function(f)
+        self._cells_cache: dict[tuple[int, int], StripCells] = {}
         self._strip_cache: dict[tuple[GroupElement, int, int], StripSets] = {}
         self._gn_cache: dict[int, TableFunction] = {}
 
     def working_depth(self, n: int) -> int:
         """Max basis-cylinder depth through index n (at least 1).
 
-        At this depth every cell is contained in or disjoint from each strip
-        rectangle, so a cell meets at most one patch; the patches are
-        disjoint because f is single-valued.
+        Basis cylinder k has depth floor(log2(k + 1)), so the max over k <= n
+        is floor(log2(n + 1)).  At this depth every cell is contained in or
+        disjoint from each strip rectangle, so a cell meets at most one patch;
+        the patches are disjoint because f is single-valued.
         """
-        d = max(1, max(basis_cylinder(k).depth() for k in range(n + 1)))
+        d = max(1, (n + 1).bit_length() - 1)
         if d > depth_cap():
             raise RefinementExhaustedError(
                 f"working depth {d} exceeds cap {depth_cap()} (set SEPCONT_MAX_DEPTH to raise)"
@@ -162,7 +179,10 @@ class DiscreteApproximator:
     def strips(self, z: GroupElement, k: int, working_depth: int) -> StripSets:
         key = (z, k, working_depth)
         if key not in self._strip_cache:
-            self._strip_cache[key] = compute_strips(self.f, z, k, working_depth)
+            cells_key = (k, working_depth)
+            if cells_key not in self._cells_cache:
+                self._cells_cache[cells_key] = strip_cells(self.f, k, working_depth)
+            self._strip_cache[key] = strips_from_cells(z, k, self._cells_cache[cells_key])
         return self._strip_cache[key]
 
     def patch(self, z: GroupElement, n: int) -> ClosedPatch:
@@ -171,7 +191,10 @@ class DiscreteApproximator:
 
     def approximant(self, n: int) -> TableFunction:
         """g_n: constant z on cells meeting the z-patch, f at the cell's
-        limit representative elsewhere; locally constant by construction."""
+        limit representative elsewhere; locally constant by construction.
+
+        Each patch rectangle is a union of depth-d cells, so it is painted
+        cell by cell; a cell painted with two values is an overlap."""
         if n in self._gn_cache:
             return self._gn_cache[n]
         d = self.working_depth(n)
@@ -179,23 +202,27 @@ class DiscreteApproximator:
             (z, self.patch(z, n)) for z in self.filtration.level(n)
         ]
         patches = [(z, p) for z, p in patches if not p.is_empty()]
-        cells = partition_at_depth(d)
-        rows = []
-        for u in cells:
-            row = []
-            for v in cells:
-                hits = [z for z, p in patches if p.meets_cell(u, v)]
-                if len(hits) > 1:
-                    raise RefinementExhaustedError(
-                        f"cell {u.prefix} x {v.prefix} meets patches of "
-                        f"{[str(h) for h in hits]} at depth {d}"
-                    )
-                if hits:
-                    row.append(hits[0])
-                else:
-                    row.append(self.f.eval(u.limit_representative(), v.limit_representative()))
-            rows.append(tuple(row))
-        g = TableFunction(d, tuple(rows))
+        size = 2**d
+        grid: list[list[GroupElement | None]] = [[None] * size for _ in range(size)]
+        for z, p in patches:
+            for a, b in p.rects:
+                columns = b.cell_indices(d)
+                for i in a.cell_indices(d):
+                    row = grid[i]
+                    for j in columns:
+                        if row[j] is None:
+                            row[j] = z
+                        elif row[j] != z:
+                            raise _overlap_error(patches, d)
+        reps = [u.limit_representative() for u in partition_at_depth(d)]
+        rows = tuple(
+            tuple(
+                self.f.eval(reps[i], reps[j]) if val is None else val
+                for j, val in enumerate(row)
+            )
+            for i, row in enumerate(grid)
+        )
+        g = TableFunction(d, rows)
         self._gn_cache[n] = g
         return g
 
@@ -266,3 +293,17 @@ class DiscreteApproximator:
                 if patches[i].intersects(patches[j]):
                     return False
         return True
+
+
+def _overlap_error(patches: list[tuple[GroupElement, ClosedPatch]], d: int) -> RefinementExhaustedError:
+    """The error for the first cell, row-major, that meets two patches."""
+    cells = partition_at_depth(d)
+    for u in cells:
+        for v in cells:
+            hits = [z for z, p in patches if p.meets_cell(u, v)]
+            if len(hits) > 1:
+                return RefinementExhaustedError(
+                    f"cell {u.prefix} x {v.prefix} meets patches of "
+                    f"{[str(h) for h in hits]} at depth {d}"
+                )
+    raise AssertionError("unreachable: a cell painted twice meets two patches")

@@ -157,17 +157,25 @@ class TableFunction(SepFunction):
     def declared_image(self) -> tuple[GroupElement, ...]:
         return _dedupe(v for row in self.values for v in row)
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
+    def _section(self, axis: Axis, fixed: CantorPoint) -> tuple[GroupElement, ...] | list[GroupElement]:
+        """The values along the row (axis 'x') or column at ``fixed``, by cell index."""
         i = self._index(fixed)
-        line = [self.values[i][j] for j in range(2**self.depth)] if axis == "x" else [
-            self.values[j][i] for j in range(2**self.depth)
-        ]
-        prefixes = [
-            format(j, f"0{self.depth}b") if self.depth else ""
-            for j, val in enumerate(line)
-            if val == z
-        ]
-        return ClopenSet.from_prefixes(prefixes)
+        return self.values[i] if axis == "x" else [row[i] for row in self.values]
+
+    def _cell_prefix(self, j: int) -> str:
+        return format(j, f"0{self.depth}b") if self.depth else ""
+
+    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
+        return ClopenSet.from_prefixes(
+            self._cell_prefix(j) for j, val in enumerate(self._section(axis, fixed)) if val == z
+        )
+
+    def section_partition(self, axis: Axis, fixed: CantorPoint) -> dict[GroupElement, ClopenSet]:
+        """One pass over the section, keyed in canonical order like the base method."""
+        cells: dict[GroupElement, list[str]] = {}
+        for j, val in enumerate(self._section(axis, fixed)):
+            cells.setdefault(val, []).append(self._cell_prefix(j))
+        return {z: ClopenSet.from_prefixes(cells[z]) for z in self.group.sort_canonically(cells)}
 
     def values_on_rect(self, u, v):
         vals = frozenset(

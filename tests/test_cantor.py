@@ -206,6 +206,15 @@ class TestClopenSet:
         with pytest.raises(ValueError):
             ClopenSet.parse("{110}").cells_at_depth(1)
 
+    @given(clopens, st.integers(0, 2))
+    def test_cell_indices_by_membership(self, a, extra):
+        d = a.depth() + extra
+        cells = partition_at_depth(d)
+        assert a.cell_indices(d) == [i for i, c in enumerate(cells) if a.contains(c.representative())]
+        if a.depth() > 0:
+            with pytest.raises(ValueError):
+                a.cell_indices(a.depth() - 1)
+
 
 class TestRepresentatives:
     def test_zero_tail(self):

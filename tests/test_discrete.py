@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepcont.cantor import (
     ALL_ONES,
@@ -12,18 +14,27 @@ from sepcont.cantor import (
     basis_index,
     partition_at_depth,
 )
-from sepcont.discrete import DiscreteApproximator, ImageFiltration, compute_strips
+from sepcont.discrete import (
+    DiscreteApproximator,
+    ImageFiltration,
+    StripSets,
+    build_patch,
+    compute_strips,
+)
+from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
     Constant,
     DiagonalIndicator,
+    SepFunction,
     SubbasicNbhd,
     TableFunction,
     in_subbasic,
 )
-from sepcont.groups import get_group
+from sepcont.groups import get_group, symmetric_group_3
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
+S3 = symmetric_group_3()
 E = DYADIC.identity()
 A = DYADIC.parse_element("1(0)")
 DIAG = DiagonalIndicator.ones_schema([A])
@@ -208,8 +219,6 @@ class TestCertificates:
 
 class TestDepthCap:
     def test_refinement_exhausted_under_low_cap(self, monkeypatch):
-        from sepcont.errors import RefinementExhaustedError
-
         monkeypatch.setenv("SEPCONT_MAX_DEPTH", "1")
         engine = DiscreteApproximator(DIAG)
         with pytest.raises(RefinementExhaustedError):
@@ -235,3 +244,146 @@ class TestC3Tables:
             g = engine.approximant(6)
             for x, y in product(ProbeGrid.at_depth(2).points, repeat=2):
                 assert g.eval(x, y) == f.eval(x, y), (mask, str(x), str(y))
+
+
+# Reference construction of g_n, kept as the oracle for the painted one: the
+# strips swept once per target value z, the working depth as a max over the
+# basis cylinders, and every depth-d cell tested against every patch rectangle.
+def brute_working_depth(n):
+    return max(1, max(basis_cylinder(k).depth() for k in range(n + 1)))
+
+
+def brute_strips(f, z, k, d):
+    v = basis_cylinder(k)
+    cells = partition_at_depth(d)
+    x_cells = [u.prefix for u in cells if f.constant_value_on(u, v) == z]
+    y_cells = [u.prefix for u in cells if f.constant_value_on(v, u) == z]
+    return StripSets(z, k, ClopenSet.from_prefixes(x_cells), ClopenSet.from_prefixes(y_cells))
+
+
+def brute_approximant(f, n):
+    d = brute_working_depth(n)
+    patches = [
+        (z, build_patch(f, z, n, [brute_strips(f, z, k, d) for k in range(n + 1)]))
+        for z in ImageFiltration.for_function(f).level(n)
+    ]
+    patches = [(z, p) for z, p in patches if not p.is_empty()]
+    cells = partition_at_depth(d)
+    rows = []
+    for u in cells:
+        row = []
+        for v in cells:
+            hits = [z for z, p in patches if p.meets_cell(u, v)]
+            if len(hits) > 1:
+                raise RefinementExhaustedError(
+                    f"cell {u.prefix} x {v.prefix} meets patches of "
+                    f"{[str(h) for h in hits]} at depth {d}"
+                )
+            if hits:
+                row.append(hits[0])
+            else:
+                row.append(f.eval(u.limit_representative(), v.limit_representative()))
+        rows.append(tuple(row))
+    return TableFunction(d, tuple(rows))
+
+
+DYADIC_POOL = tuple(DYADIC.parse_element(t) for t in ["(0)", "1(0)", "01(0)", "11(0)", "(1)"])
+C3_POOL = tuple(C3.element(i) for i in range(3))
+S3_POOL = tuple(S3.parse_element(t) for t in ["e", "r", "rr", "s", "sr"])
+OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)", "110(0)"])
+
+_schedules = st.lists(st.sampled_from(DYADIC_POOL), min_size=1, max_size=3, unique=True)
+_cyl_prefixes = st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda length: st.lists(
+            st.sampled_from([format(i, f"0{length}b") for i in range(2**length)]),
+            min_size=1, max_size=3, unique=True,
+        )
+    ),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True).map(
+        lambda ns: ["1" * n + "0" for n in sorted(ns)]
+    ),
+)
+dyadic_families = st.one_of(
+    _schedules.map(DiagonalIndicator.ones_schema),
+    _schedules.map(lambda vals: DiagonalIndicator.ones_schema(vals, cycle=False)),
+    _cyl_prefixes.flatmap(
+        lambda prefixes: st.lists(
+            st.sampled_from(DYADIC_POOL), min_size=len(prefixes), max_size=len(prefixes)
+        ).map(lambda vals: DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), vals)))
+    ),
+)
+
+
+def tables(pool, max_depth):
+    def build(depth, cells):
+        n = 2**depth
+        return TableFunction(depth, tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n)))
+
+    return st.integers(0, max_depth).flatmap(
+        lambda d: st.lists(st.sampled_from(pool), min_size=4**d, max_size=4**d).map(
+            lambda cells: build(d, cells)
+        )
+    )
+
+
+class TestPaintedApproximants:
+    @given(st.one_of(dyadic_families, tables(C3_POOL, 2), tables(S3_POOL, 2)))
+    def test_painting_matches_cell_by_patch_oracle(self, f):
+        engine = DiscreteApproximator(f)
+        for n in range(13):
+            assert engine.approximant(n) == brute_approximant(f, n), n
+
+    def test_working_depth_closed_form(self):
+        engine = DiscreteApproximator(DIAG)
+        for n in range(201):
+            assert engine.working_depth(n) == brute_working_depth(n), n
+
+
+class _OverlappingClaims(SepFunction):
+    """Certifies a constant on each listed rectangle and nothing elsewhere,
+    whether or not the claims agree: overlapping claims of two values make
+    strips that no single-valued function has."""
+
+    group = DYADIC
+
+    def __init__(self, claims):
+        self.claims = claims
+
+    def eval(self, x, y):
+        return E
+
+    def declared_image(self):
+        return (E, A)
+
+    def values_on_rect(self, u, v):
+        z = self.claims.get((u.prefix, v.prefix))
+        return (frozenset((z,)) if z is not None else frozenset((E, A))), True
+
+
+class TestOverlappingPatches:
+    def test_first_overlapping_cell_row_major_is_reported(self):
+        # At n = 3 (depth 2) the E patch is [] x [11] (k = 0, y strip) and the
+        # A patch is [11] x [1] (k = 2) then [00] x [11] (k = 3): painting
+        # meets the overlap at 11 x 11 first, but 00 x 11 comes first row-major.
+        f = _OverlappingClaims({("", "11"): E, ("11", "1"): A, ("00", "11"): A})
+        expected = "cell 00 x 11 meets patches of ['(0)', '1(0)'] at depth 2"
+        with pytest.raises(RefinementExhaustedError) as oracle:
+            brute_approximant(f, 3)
+        assert str(oracle.value) == expected
+        with pytest.raises(RefinementExhaustedError) as painted:
+            DiscreteApproximator(f).approximant(3)
+        assert str(painted.value) == expected
+
+
+class TestTableSectionPartition:
+    @given(
+        st.one_of(tables(DYADIC_POOL, 3), tables(C3_POOL, 3), tables(S3_POOL, 3)),
+        st.integers(0, 3).flatmap(lambda d: st.sampled_from(ProbeGrid.at_depth(d).points + OFF_GRID)),
+        st.sampled_from(["x", "y"]),
+    )
+    def test_one_pass_matches_per_value_preimages(self, f, fixed, axis):
+        fast = f.section_partition(axis, fixed)
+        slow = SepFunction.section_partition(f, axis, fixed)
+        assert list(fast) == list(slow)
+        assert list(fast.values()) == list(slow.values())
