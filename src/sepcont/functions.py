@@ -21,6 +21,7 @@ grid-based layer-wise / uniform distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Literal
 
@@ -334,10 +335,13 @@ class FiniteCylinderFamily(CylinderFamily):
     def all_values(self) -> tuple[GroupElement, ...]:
         return _dedupe(val for _, val in self.members)
 
+    @cached_property
+    def _union(self) -> ClopenSet:
+        return ClopenSet.from_prefixes([m.prefix for m, _ in self.members])
+
     def profile(self, c: Cylinder) -> _Profile:
         hit = frozenset(n for n, (m, _) in enumerate(self.members) if m.overlaps(c))
-        union = ClopenSet.from_prefixes([m.prefix for m, _ in self.members])
-        out = not ClopenSet.from_cylinder(c).is_subset_of(union)
+        out = not ClopenSet.from_cylinder(c).is_subset_of(self._union)
         return _Profile(indices=hit, out=out)
 
     def tail_values(self, start: int) -> frozenset[GroupElement]:
@@ -413,6 +417,22 @@ class DiagonalIndicator(SepFunction):
 
     def locally_constant_depth(self) -> int | None:
         return self.family.max_depth()
+
+    def _grid_values(self, xs, ys, memo):
+        identity = memo.intern(self.group.identity())
+        cols = [loc[0] if loc is not None else None for loc in map(self.family.locate, ys)]
+        rows: dict[int, list[GroupElement]] = {}
+        out: list[GroupElement] = []
+        for loc in map(self.family.locate, xs):
+            if loc is None:
+                out.extend([identity] * len(ys))
+                continue
+            n, val = loc
+            if n not in rows:
+                val = memo.intern(val)
+                rows[n] = [val if m == n else identity for m in cols]
+            out.extend(rows[n])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,10 +720,11 @@ def grid_values(
     """Values of fn on xs x ys in row-major order (x outer, y inner).
 
     Computed bottom-up, once per (function, point lists) and memo: tables
-    index each axis once, products, inverses and maps work elementwise on
-    their children's values, anything else is evaluated per point.  Every
-    lowering mirrors the combinator's ``eval``, so the values are exactly
-    the pointwise ones.  The returned list is shared: do not mutate it.
+    and diagonal indicators read each axis once, products, inverses and
+    maps work elementwise on their children's values, anything else is
+    evaluated per point.  Every lowering mirrors the combinator's ``eval``,
+    so the values are exactly the pointwise ones.  The returned list is
+    shared: do not mutate it.
     """
     memo = memo if memo is not None else GridMemo(fn.group)
     key = (id(fn), id(xs), id(ys))
@@ -762,24 +783,36 @@ def layerwise_dist(
 ) -> DistResult:
     """Max distance between the fixed-coordinate sections of f and g over the
     grid points of ``region``; a certified lower bound on the true sup, exact
-    when both section partitions resolve within the grid depth."""
+    when both section partitions resolve within the grid depth.  The witness
+    is the first cell representative that attains it."""
     region = region if region is not None else ClopenSet.whole()
     if region.depth() > grid_depth:
         raise ValueError("grid_depth must cover the region's cylinders")
-    group = f.group
-    best = Fraction(0)
-    witness: tuple[CantorPoint, CantorPoint] | None = None
-    for c in region.cells_at_depth(grid_depth):
-        t = c.representative()
-        fx, fy = (fixed, t) if axis == "x" else (t, fixed)
-        d = group.dist(f.eval(fx, fy), g.eval(fx, fy))
-        if d > best:
-            best, witness = d, (fx, fy)
+    memo = GridMemo(f.group)
+    ts = side_sample(region, grid_depth)
+    xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
+    dists = memo.dists(grid_values(f, xs, ys, memo), grid_values(g, xs, ys, memo))
+    best = max(distinct(dists), default=Fraction(0))
+    witness = None
+    if best > 0:
+        t = ts[indices_where(dists, lambda d: d == best)[0]]
+        witness = (fixed, t) if axis == "x" else (t, fixed)
     exact = (
         max(f.section_depth(axis, fixed), g.section_depth(axis, fixed), region.depth())
         <= grid_depth
     )
     return DistResult(best, exact, grid_depth, witness)
+
+
+def pairwise(op, left: list, right: list) -> list:
+    """op(a, b) for each zipped pair, run once per distinct (id(a), id(b)).
+
+    The lists hold their elements for the whole call, so no id is reused.
+    """
+    keys = list(zip(map(id, left), map(id, right)))
+    pairs = dict(zip(keys, zip(left, right)))
+    results = {key: op(a, b) for key, (a, b) in pairs.items()}
+    return list(map(results.__getitem__, keys))
 
 
 def indices_where(values: list, pred) -> list[int]:

@@ -22,6 +22,7 @@ from sepcont.functions import (
     distinct,
     grid_sup_dist,
     grid_values,
+    pairwise,
     separate_continuity_certificate,
     side_sample,
     uniform_dist,
@@ -63,36 +64,40 @@ def ball_membership(q: BallQuery) -> BallResult:
 
     l: d(1, f^-1 g) < eps everywhere; r: with g f^-1; lr: both; rl: some
     u, u' with d(1, u), d(1, u') < eps and g = u f u', searched exactly
-    over enumerated elements at resolution eps/2.
+    over enumerated elements at resolution eps/2.  The test runs once per
+    distinct pair of center and candidate values; the witness is the first
+    failing grid point, x-major.
     """
     group = q.center.group
     one = group.identity()
-    points = ProbeGrid.at_depth(q.grid_depth).points
+    memo = GridMemo(group)
+    points = memo.grid_points(q.grid_depth)
     if q.side == "rl":
         candidates = [
             u
             for u in group.dense_enumeration(_resolution_depth(group, q.eps))
             if group.dist(one, u) < q.eps
         ]
-    for x in points:
-        for y in points:
-            fv, gv = q.center.eval(x, y), q.candidate.eval(x, y)
-            if q.side in ("l", "lr"):
-                if group.dist(one, group.mul(group.inv(fv), gv)) >= q.eps:
-                    return BallResult(q, False, (x, y))
-            if q.side in ("r", "lr"):
-                if group.dist(one, group.mul(gv, group.inv(fv))) >= q.eps:
-                    return BallResult(q, False, (x, y))
-            if q.side == "rl":
-                ok = False
-                for u in candidates:
-                    rest = group.mul(group.inv(group.mul(u, fv)), gv)
-                    if group.dist(one, rest) < q.eps:
-                        ok = True
-                        break
-                if not ok:
-                    return BallResult(q, False, (x, y))
-    return BallResult(q, True, None)
+
+    def near(a) -> bool:
+        return group.dist(one, a) < q.eps
+
+    def inside(fv, gv) -> bool:
+        if q.side == "rl":
+            return any(near(group.mul(group.inv(group.mul(u, fv)), gv)) for u in candidates)
+        if q.side != "r" and not near(group.mul(group.inv(fv), gv)):
+            return False
+        return q.side == "l" or near(group.mul(gv, group.inv(fv)))
+
+    verdicts = pairwise(
+        inside,
+        grid_values(q.center, points, points, memo),
+        grid_values(q.candidate, points, points, memo),
+    )
+    if all(verdicts):
+        return BallResult(q, True, None)
+    i, j = divmod(verdicts.index(False), len(points))
+    return BallResult(q, False, (points[i], points[j]))
 
 
 @dataclass(frozen=True)
@@ -201,8 +206,8 @@ def problem3_check(
     memo = GridMemo(f.group)
     points = memo.grid_points(grid_depth)
     fv, gv = grid_values(f, points, points, memo), grid_values(g, points, points, memo)
-    raws = [abs(a.payload - b.payload) for a, b in zip(fv, gv)]
-    sup_raw = max(raws)
+    raws = pairwise(lambda a, b: abs(a.payload - b.payload), fv, gv)
+    sup_raw = max(distinct(raws))
     witness = None
     if sup_raw > 0:
         i, j = divmod(raws.index(sup_raw), len(points))

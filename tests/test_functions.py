@@ -8,6 +8,7 @@ from sepcont.errors import UnsupportedStructureError
 from sepcont.functions import (
     Constant,
     DiagonalIndicator,
+    FiniteCylinderFamily,
     PointwiseInverse,
     PointwiseProduct,
     PostCompose,
@@ -20,6 +21,7 @@ from sepcont.functions import (
     separate_continuity_certificate,
     uniform_dist,
     validate_declared_image,
+    _Profile,
 )
 from sepcont.groups import get_group, symmetric_group_3
 
@@ -193,6 +195,21 @@ class TestValuesOnRect:
         assert base is DIAG
         vals, exact = g.values_on_rect(Cylinder(""), Cylinder(""))
         assert vals == frozenset(DIAG.declared_image())
+
+    def test_finite_family_profile(self):
+        # The members' union is built once per family; every profile still
+        # equals the one read off a freshly built union.
+        family = FiniteCylinderFamily(
+            ((Cylinder("01"), A), (Cylinder("001"), B), (Cylinder("11"), A))
+        )
+        union = ClopenSet.from_prefixes(["01", "001", "11"])
+        for depth in range(5):
+            for bits in product("01", repeat=depth):
+                c = Cylinder("".join(bits))
+                hit = frozenset(n for n, (m, _) in enumerate(family.members) if m.overlaps(c))
+                out = not ClopenSet.from_cylinder(c).is_subset_of(union)
+                assert family.profile(c) == _Profile(indices=hit, out=out)
+        assert family._union is family._union
 
     def test_constant_value_on(self):
         assert DIAG.constant_value_on(Cylinder("110"), Cylinder("110")) == A

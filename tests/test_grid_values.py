@@ -2,14 +2,14 @@
 
 ``grid_values`` lowers a combinator tree onto a product of point lists;
 every sweep in the zerodim and uniform layers reads it.  The brute-force
-loops below evaluate pointwise, the way the sweeps did before the kernel,
-and are kept as the reference.
+loops below evaluate pointwise, the way the sweeps did before the kernel
+(ball membership with its early exit), and are kept as the reference.
 """
 
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, ProbeGrid
@@ -24,22 +24,46 @@ from sepcont.functions import (
     SubbasicNbhd,
     TableFunction,
     grid_values,
+    layerwise_dist,
     side_sample,
     uniform_dist,
 )
-from sepcont.groups import get_group, symmetric_group_3
+from sepcont.groups import FiniteTableGroup, get_group, symmetric_group_3
+from sepcont.uniform import BallQuery, BallResult, _resolution_depth, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 DYADIC = get_group("dyadic")
 S3 = symmetric_group_3()
+C3 = get_group("cyclic:3")
+REAL = get_group("real")
+
+
+class LeftInvariantS3(FiniteTableGroup):
+    """S3 with a left-invariant metric that is not right-invariant: d(a, b)
+    is 1/8 when a^-1 b is the reflection s, else 1/2 (0 on the diagonal).
+    The shipped groups are bi-invariant, so only here do the l and r
+    tests of a ball query disagree."""
+
+    def _dist(self, a: int, b: int) -> Fraction:
+        c = self._mul(self._inv(a), b)
+        if c == self._identity:
+            return Fraction(0)
+        return Fraction(1, 8) if self._labels[c] == "s" else Fraction(1, 2)
+
+
+S3_LEFT = LeftInvariantS3("sym:3-left", S3._table, S3._labels)
 POOLS = (
     tuple(DYADIC.parse_element(t) for t in ["(0)", "1(0)", "01(0)", "11(0)", "(1)"]),
     tuple(S3.parse_element(t) for t in ["e", "r", "rr", "s", "sr"]),
+    tuple(C3.element(i) for i in range(3)),
+    tuple(S3_LEFT.parse_element(t) for t in ["e", "r", "s", "sr", "srr"]),
 )
+REAL_POOL = tuple(REAL.parse_element(t) for t in ["0/2^0", "1/2^1", "-3/2^2", "3/2^0", "-1/2^3"])
 FAMILY_PREFIXES = (("0", "10"), ("11",), ("01", "001", "11"))
 OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)", "110(0)"])
+REGIONS = tuple(ClopenSet.parse(t) for t in ["!{}", "{}", "{0}", "{10,111}", "{0011,01}"])
 
 
 def _table(pool):
@@ -73,6 +97,9 @@ def _functions(pool):
     leaves = st.one_of(
         _table(pool),
         st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(DiagonalIndicator.ones_schema),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(
+            lambda vals: DiagonalIndicator.ones_schema(vals, cycle=False)
+        ),
         _family(pool),
         st.sampled_from(pool).map(Constant),
     )
@@ -91,6 +118,20 @@ functions = st.sampled_from(POOLS).flatmap(_functions)
 function_pairs = st.sampled_from(POOLS).flatmap(
     lambda pool: st.tuples(_functions(pool), _functions(pool))
 )
+
+
+def _perturbed(pool):
+    """A center and the center times a family indicator: the two agree off
+    the family's diagonal blocks, so a failing ball query can fail past the
+    first grid point."""
+
+    def pair(f, h, h_first):
+        return f, PointwiseProduct(h, f) if h_first else PointwiseProduct(f, h)
+
+    return st.builds(pair, _functions(pool), _family(pool), st.booleans())
+
+
+perturbed_pairs = st.sampled_from(POOLS).flatmap(_perturbed)
 point_lists = st.integers(0, 4).map(lambda d: ProbeGrid.at_depth(d).points + OFF_GRID)
 
 
@@ -113,6 +154,58 @@ def brute_uniform_dist(f, g, side, grid_depth):
             if d > best:
                 best, witness = d, (x, y)
     return best, witness
+
+
+def brute_ball_membership(q):
+    """Ball membership as it was decided before the kernel: eval at every
+    grid point, x-major, stopping at the first failing one."""
+    group = q.center.group
+    one = group.identity()
+    points = ProbeGrid.at_depth(q.grid_depth).points
+    if q.side == "rl":
+        candidates = [
+            u
+            for u in group.dense_enumeration(_resolution_depth(group, q.eps))
+            if group.dist(one, u) < q.eps
+        ]
+    for x in points:
+        for y in points:
+            fv, gv = q.center.eval(x, y), q.candidate.eval(x, y)
+            if q.side in ("l", "lr"):
+                if group.dist(one, group.mul(group.inv(fv), gv)) >= q.eps:
+                    return BallResult(q, False, (x, y))
+            if q.side in ("r", "lr"):
+                if group.dist(one, group.mul(gv, group.inv(fv))) >= q.eps:
+                    return BallResult(q, False, (x, y))
+            if q.side == "rl":
+                ok = False
+                for u in candidates:
+                    rest = group.mul(group.inv(group.mul(u, fv)), gv)
+                    if group.dist(one, rest) < q.eps:
+                        ok = True
+                        break
+                if not ok:
+                    return BallResult(q, False, (x, y))
+    return BallResult(q, True, None)
+
+
+def brute_layerwise_dist(f, g, axis, fixed, region, grid_depth):
+    group = f.group
+    best, witness = Fraction(0), None
+    for c in region.cells_at_depth(grid_depth):
+        t = c.representative()
+        fx, fy = (fixed, t) if axis == "x" else (t, fixed)
+        d = group.dist(f.eval(fx, fy), g.eval(fx, fy))
+        if d > best:
+            best, witness = d, (fx, fy)
+    return best, witness
+
+
+def brute_raw_sup(f, g, grid_depth):
+    points = ProbeGrid.at_depth(grid_depth).points
+    pairs = [(x, y) for x in points for y in points]
+    raws = [abs(f.eval(x, y).payload - g.eval(x, y).payload) for x, y in pairs]
+    return max(raws), pairs[raws.index(max(raws))]
 
 
 def brute_tail_containment(pipe, l, start, grid_pts):
@@ -200,6 +293,27 @@ class TestGridValues:
         assert grid_values(f, pts, OFF_GRID, memo) == brute_values(f, pts, OFF_GRID)
         assert grid_values(g, OFF_GRID, pts, memo) == brute_values(g, OFF_GRID, pts)
 
+    @given(
+        st.sampled_from(POOLS),
+        st.sampled_from(FAMILY_PREFIXES),
+        st.booleans(),
+        st.sampled_from(OFF_GRID + (CantorPoint.parse("(0)"), CantorPoint.parse("10(1)"))),
+    )
+    def test_diagonal_reads_each_axis_once(self, pool, prefixes, ones, y):
+        # The diagonal lowering locates every x and every y once, however
+        # many points share the row or column.
+        if ones:
+            f = DiagonalIndicator.ones_schema(pool[: len(prefixes)], cycle=False)
+        else:
+            f = DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), pool))
+        calls = []
+        locate = f.family.locate
+        object.__setattr__(f.family, "locate", lambda p: calls.append(p) or locate(p))
+        xs, ys = ProbeGrid.at_depth(3).points, (y,) + OFF_GRID
+        values = grid_values(f, xs, ys)
+        assert len(calls) == len(xs) + len(ys)
+        assert values == brute_values(f, xs, ys)
+
     def test_values_computed_once_per_memo(self):
         f = DiagonalIndicator.ones_schema(POOLS[0][1:3])
         memo = GridMemo(f.group)
@@ -237,3 +351,51 @@ class TestSweepsMatchBruteForce:
         assert any(r.m_l is None for r in rep.results)
         assert any(r.final_sup > 0 for r in rep.results)
         assert rep == brute_diagonal(ZerodimPipeline(f, 4, 4), probes, levels)
+
+
+class TestUniformChecksMatchBruteForce:
+    @settings(max_examples=150)
+    @given(
+        st.one_of(function_pairs, perturbed_pairs),
+        st.sampled_from(["l", "r", "lr", "rl"]),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 4)]),
+        st.integers(0, 4),
+    )
+    def test_ball_membership_member_and_witness(self, fg, side, eps, depth):
+        q = BallQuery(*fg, side, eps, depth)
+        assert ball_membership(q) == brute_ball_membership(q)
+
+    def test_ball_sides_apart_on_a_left_invariant_metric(self):
+        # f^-1 g = s everywhere, so g is in the l-ball; g f^-1 is the
+        # reflection r s r^-1 on [1] x [1], so it is not in the r-ball.
+        r, s = (S3_LEFT.parse_element(t) for t in ("r", "s"))
+        f = DiagonalIndicator.from_pairs([(Cylinder("1"), r)])
+        g = PointwiseProduct(f, Constant(s))
+        got = {}
+        for side in ("l", "r", "lr", "rl"):
+            q = BallQuery(f, g, side, Fraction(1, 4), 2)
+            got[side] = ball_membership(q)
+            assert got[side] == brute_ball_membership(q)
+        assert got["l"].member and got["rl"].member
+        assert not got["r"].member and got["lr"].witness == got["r"].witness
+        assert got["r"].witness == ProbeGrid.at_depth(2).points[2:3] * 2
+
+    @given(
+        function_pairs,
+        st.sampled_from(["x", "y"]),
+        st.sampled_from(OFF_GRID + ProbeGrid.at_depth(2).points),
+        st.sampled_from(REGIONS),
+        st.integers(0, 4),
+    )
+    def test_layerwise_dist_value_and_witness(self, fg, axis, fixed, region, depth):
+        f, g = fg
+        depth = max(depth, region.depth())
+        got = layerwise_dist(f, g, axis, fixed, region, depth)
+        assert (got.value, got.witness) == brute_layerwise_dist(f, g, axis, fixed, region, depth)
+
+    @given(_table(REAL_POOL), _table(REAL_POOL), st.integers(0, 4))
+    def test_problem3_raw_sup_and_witness(self, f, g, depth):
+        rep = problem3_check(f, g, depth, Fraction(1, 2))
+        sup_raw, witness = brute_raw_sup(f, g, depth)
+        assert rep.sup_raw == sup_raw
+        assert rep.witness == (None if sup_raw <= Fraction(1, 2) else witness)
