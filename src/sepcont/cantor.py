@@ -11,8 +11,10 @@ where x and y differ.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 _POINT_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
@@ -149,6 +151,16 @@ class Cylinder:
     def overlaps(self, other: "Cylinder") -> bool:
         return self.prefix.startswith(other.prefix) or other.prefix.startswith(self.prefix)
 
+    def cell_range(self, d: int) -> range:
+        """Indices ``int(prefix, 2)`` of the depth-d cells meeting the cylinder:
+        the cells inside it, or the one cell containing it when it is deeper."""
+        if len(self.prefix) >= d:
+            i = int(self.prefix[:d], 2) if d else 0
+            return range(i, i + 1)
+        shift = d - len(self.prefix)
+        start = int(self.prefix, 2) << shift if self.prefix else 0
+        return range(start, start + (1 << shift))
+
     def __str__(self) -> str:
         return self.prefix
 
@@ -250,6 +262,20 @@ def _cell_indices(a, levels: int, index: int, out: list[int]) -> bool:
     )
 
 
+def _from_cells(cells: list[int], levels: int, index: int):
+    """The trie of ``cells``, ascending and distinct, all among the cells
+    ``levels`` below the node at ``index``."""
+    if not cells:
+        return False
+    if len(cells) == 1 << levels:
+        return True
+    mid = bisect_left(cells, (2 * index + 1) << (levels - 1))
+    return _node(
+        _from_cells(cells[:mid], levels - 1, 2 * index),
+        _from_cells(cells[mid:], levels - 1, 2 * index + 1),
+    )
+
+
 def _leaves(a, path: str, out: list[str]) -> None:
     if a is True:
         out.append(path)
@@ -281,6 +307,15 @@ class ClopenSet:
             _check_bits(p, "prefix")
             t = _union(t, _from_prefix(p))
         return ClopenSet(t)
+
+    @staticmethod
+    def from_cells(indices, d: int) -> "ClopenSet":
+        """The union of the depth-d cylinders with indices ``int(prefix, 2)``;
+        the inverse of ``cell_indices(d)``."""
+        cells = sorted(set(indices))
+        if cells and (cells[0] < 0 or cells[-1] >= 1 << d):
+            raise ValueError(f"cell indices at depth {d} lie in [0, {1 << d})")
+        return ClopenSet(_from_cells(cells, d, 0))
 
     @staticmethod
     def from_cylinder(c: Cylinder) -> "ClopenSet":
@@ -344,6 +379,12 @@ class ClopenSet:
         if not _cell_indices(self.trie, d, 0, out):
             raise ValueError(f"cells at depth {d} need depth >= {self.depth()}")
         return out
+
+    @cached_property
+    def own_cells(self) -> tuple[int, tuple[int, ...]]:
+        """``(depth(), cell_indices(depth()))``, computed once per set."""
+        d = self.depth()
+        return d, tuple(self.cell_indices(d))
 
     def cells_at_depth(self, d: int) -> tuple[Cylinder, ...]:
         """The depth-d cylinders contained in the set; requires d >= depth()."""

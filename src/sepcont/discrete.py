@@ -91,38 +91,41 @@ class ClosedPatch:
         )
 
 
-StripCells = tuple[dict[GroupElement, list[str]], dict[GroupElement, list[str]]]
+StripCells = tuple[dict[GroupElement, list[int]], dict[GroupElement, list[int]]]
 
 
 def strip_cells(f: SepFunction, k: int, working_depth: int) -> StripCells:
-    """The depth-D cells u grouped by the certified constant value of f on
-    u x V_k (x side) and on V_k x u (y side); uncertified cells are left out.
-    One pass serves the strips of every target value z."""
+    """The indices of the depth-D cells u grouped by the certified constant
+    value of f on u x V_k (x side) and on V_k x u (y side); uncertified cells
+    are left out.  One pass serves the strips of every target value z."""
     v = basis_cylinder(k)
-    x_cells: dict[GroupElement, list[str]] = {}
-    y_cells: dict[GroupElement, list[str]] = {}
-    for u in partition_at_depth(working_depth):
+    x_cells: dict[GroupElement, list[int]] = {}
+    y_cells: dict[GroupElement, list[int]] = {}
+    for i, u in enumerate(partition_at_depth(working_depth)):
         cx = f.constant_value_on(u, v)
         if cx is not None:
-            x_cells.setdefault(cx, []).append(u.prefix)
+            x_cells.setdefault(cx, []).append(i)
         cy = f.constant_value_on(v, u)
         if cy is not None:
-            y_cells.setdefault(cy, []).append(u.prefix)
+            y_cells.setdefault(cy, []).append(i)
     return x_cells, y_cells
 
 
-def strips_from_cells(z: GroupElement, k: int, cells: StripCells) -> StripSets:
+def strips_from_cells(z: GroupElement, k: int, working_depth: int, cells: StripCells) -> StripSets:
     """A depth-D cell u joins X(z,k) iff f is certified constant z on u x V_k
     (never decided by sampling alone); likewise for the y strip."""
     x_cells, y_cells = cells
     return StripSets(
-        z, k, ClopenSet.from_prefixes(x_cells.get(z, ())), ClopenSet.from_prefixes(y_cells.get(z, ()))
+        z,
+        k,
+        ClopenSet.from_cells(x_cells.get(z, ()), working_depth),
+        ClopenSet.from_cells(y_cells.get(z, ()), working_depth),
     )
 
 
 def compute_strips(f: SepFunction, z: GroupElement, k: int, working_depth: int) -> StripSets:
     """Strips X(z,k) and Y(z,k) at working depth D."""
-    return strips_from_cells(z, k, strip_cells(f, k, working_depth))
+    return strips_from_cells(z, k, working_depth, strip_cells(f, k, working_depth))
 
 
 def build_patch(f: SepFunction, z: GroupElement, n: int, strips: list[StripSets]) -> ClosedPatch:
@@ -176,13 +179,17 @@ class DiscreteApproximator:
             )
         return d
 
+    def _strip_cells(self, k: int, working_depth: int) -> StripCells:
+        key = (k, working_depth)
+        if key not in self._cells_cache:
+            self._cells_cache[key] = strip_cells(self.f, k, working_depth)
+        return self._cells_cache[key]
+
     def strips(self, z: GroupElement, k: int, working_depth: int) -> StripSets:
         key = (z, k, working_depth)
         if key not in self._strip_cache:
-            cells_key = (k, working_depth)
-            if cells_key not in self._cells_cache:
-                self._cells_cache[cells_key] = strip_cells(self.f, k, working_depth)
-            self._strip_cache[key] = strips_from_cells(z, k, self._cells_cache[cells_key])
+            cells = self._strip_cells(k, working_depth)
+            self._strip_cache[key] = strips_from_cells(z, k, working_depth, cells)
         return self._strip_cache[key]
 
     def patch(self, z: GroupElement, n: int) -> ClosedPatch:
@@ -193,27 +200,28 @@ class DiscreteApproximator:
         """g_n: constant z on cells meeting the z-patch, f at the cell's
         limit representative elsewhere; locally constant by construction.
 
-        Each patch rectangle is a union of depth-d cells, so it is painted
-        cell by cell; a cell painted with two values is an overlap."""
+        Each patch rectangle is a union of depth-d cells: x-strip cells times
+        the cells of V_k, or the cells of V_k times y-strip cells.  It is
+        painted straight from the cached strip cells; a cell painted with
+        two values is an overlap."""
         if n in self._gn_cache:
             return self._gn_cache[n]
         d = self.working_depth(n)
-        patches = [
-            (z, self.patch(z, n)) for z in self.filtration.level(n)
-        ]
-        patches = [(z, p) for z, p in patches if not p.is_empty()]
+        level = self.filtration.level(n)
         size = 2**d
         grid: list[list[GroupElement | None]] = [[None] * size for _ in range(size)]
-        for z, p in patches:
-            for a, b in p.rects:
-                columns = b.cell_indices(d)
-                for i in a.cell_indices(d):
-                    row = grid[i]
-                    for j in columns:
-                        if row[j] is None:
-                            row[j] = z
-                        elif row[j] != z:
-                            raise _overlap_error(patches, d)
+        for k in range(n + 1):
+            band = basis_cylinder(k).cell_range(d)
+            x_cells, y_cells = self._strip_cells(k, d)
+            for z in level:
+                for rows, columns in ((x_cells.get(z, ()), band), (band, y_cells.get(z, ()))):
+                    for i in rows:
+                        row = grid[i]
+                        for j in columns:
+                            if row[j] is None:
+                                row[j] = z
+                            elif row[j] != z:
+                                raise _overlap_error([(w, self.patch(w, n)) for w in level], d)
         reps = [u.limit_representative() for u in partition_at_depth(d)]
         rows = tuple(
             tuple(

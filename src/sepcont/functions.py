@@ -144,14 +144,6 @@ class TableFunction(SepFunction):
     def _index(self, p: CantorPoint) -> int:
         return int(p.prefix(self.depth), 2) if self.depth else 0
 
-    def _rows_for(self, c: Cylinder) -> range:
-        if len(c.prefix) >= self.depth:
-            i = int(c.prefix[: self.depth], 2) if self.depth else 0
-            return range(i, i + 1)
-        pad = self.depth - len(c.prefix)
-        base = int(c.prefix, 2) << pad if c.prefix else 0
-        return range(base, base + 2**pad)
-
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.values[self._index(x)][self._index(y)]
 
@@ -163,26 +155,36 @@ class TableFunction(SepFunction):
         i = self._index(fixed)
         return self.values[i] if axis == "x" else [row[i] for row in self.values]
 
-    def _cell_prefix(self, j: int) -> str:
-        return format(j, f"0{self.depth}b") if self.depth else ""
-
     def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        return ClopenSet.from_prefixes(
-            self._cell_prefix(j) for j, val in enumerate(self._section(axis, fixed)) if val == z
+        return ClopenSet.from_cells(
+            [j for j, val in enumerate(self._section(axis, fixed)) if val == z], self.depth
         )
 
     def section_partition(self, axis: Axis, fixed: CantorPoint) -> dict[GroupElement, ClopenSet]:
         """One pass over the section, keyed in canonical order like the base method."""
-        cells: dict[GroupElement, list[str]] = {}
+        cells: dict[GroupElement, list[int]] = {}
         for j, val in enumerate(self._section(axis, fixed)):
-            cells.setdefault(val, []).append(self._cell_prefix(j))
-        return {z: ClopenSet.from_prefixes(cells[z]) for z in self.group.sort_canonically(cells)}
+            cells.setdefault(val, []).append(j)
+        return {
+            z: ClopenSet.from_cells(cells[z], self.depth) for z in self.group.sort_canonically(cells)
+        }
+
+    def section_maps_into(
+        self, axis: Axis, fixed: CantorPoint, region: ClopenSet, allowed: frozenset[GroupElement]
+    ) -> bool:
+        """Whether the section at ``fixed`` maps ``region`` into ``allowed``,
+        read cell by cell at depth max(table depth, region depth)."""
+        ok = [val in allowed for val in self._section(axis, fixed)]
+        depth, cells = region.own_cells
+        if depth >= self.depth:
+            shift = depth - self.depth
+            return all(ok[j >> shift] for j in cells)
+        shift = self.depth - depth
+        return all(all(ok[j << shift : (j + 1) << shift]) for j in cells)
 
     def values_on_rect(self, u, v):
-        vals = frozenset(
-            self.values[i][j] for i in self._rows_for(u) for j in self._rows_for(v)
-        )
-        return vals, True
+        rows, cols = u.cell_range(self.depth), v.cell_range(self.depth)
+        return frozenset(self.values[i][j] for i in rows for j in cols), True
 
     def locally_constant_depth(self) -> int | None:
         return self.depth
@@ -399,8 +401,19 @@ class DiagonalIndicator(SepFunction):
             return member.complement()
         return ClopenSet.empty()
 
+    @cached_property
+    def _profiles(self) -> dict[str, _Profile]:
+        """The family profiles asked for so far, by cylinder prefix."""
+        return {}
+
+    def _profile(self, c: Cylinder) -> _Profile:
+        p = self._profiles.get(c.prefix)
+        if p is None:
+            p = self._profiles[c.prefix] = self.family.profile(c)
+        return p
+
     def values_on_rect(self, u, v):
-        pu, pv = self.family.profile(u), self.family.profile(v)
+        pu, pv = self._profile(u), self._profile(v)
         identity = self.group.identity()
         matched: set[GroupElement] = set()
         matched.update(self.family.value_at(n) for n in pu.indices & pv.indices)
@@ -862,7 +875,9 @@ def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd, grid_depth: int = 6) -> Memb
     """Exact membership of f in [K_X x K_Y, U] via section preimages.
 
     The singleton side is evaluated exactly; on the other side the section
-    partition is clopen, so containment reduces to exact set algebra.
+    partition is clopen, so containment reduces to exact set algebra.  A
+    table's section is read cell by cell instead; the set algebra then only
+    runs to find the witness of a failure.
     """
     axis = nbhd.singleton_axis()
     fixed = nbhd.kx if axis == "x" else nbhd.ky
@@ -874,6 +889,8 @@ def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd, grid_depth: int = 6) -> Memb
             return MembershipResult(True, True)
         pair = (fixed, other) if axis == "x" else (other, fixed)
         return MembershipResult(False, True, (pair[0], pair[1], val))
+    if isinstance(f, TableFunction) and f.section_maps_into(axis, fixed, other, nbhd.allowed):
+        return MembershipResult(True, True)
     parts = f.section_partition(axis, fixed)
     allowed_region = ClopenSet.empty()
     for z, pre in parts.items():

@@ -12,9 +12,10 @@ group of dyadic rationals with the metric min(|a - b|, 1/2).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Any, Iterable
 
@@ -28,6 +29,14 @@ class GroupElement:
 
     group: "GroupSpec"
     payload: Any
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.payload))
+
+    def __hash__(self) -> int:
+        # The dataclass hash, computed once: elements key many dicts and sets.
+        return self._hash
 
     def __str__(self) -> str:
         return self.group.format_element(self)
@@ -83,6 +92,17 @@ class GroupSpec:
 
     def parse_element(self, text: str) -> GroupElement:
         raise NotImplementedError
+
+    def greedy_separated(
+        self, candidates: Iterable[GroupElement], separation: Fraction
+    ) -> list[GroupElement]:
+        """The candidates, in order, that a greedy scan keeps: each one at
+        least ``separation`` away from every candidate kept before it."""
+        kept: list[GroupElement] = []
+        for cand in candidates:
+            if all(self.dist(cand, e) >= separation for e in kept):
+                kept.append(cand)
+        return kept
 
     def cover_key(self, a: GroupElement, level: int):
         """Hashable class key giving a diameter <= 2^-(level+1) partition, or None.
@@ -157,6 +177,16 @@ class DyadicGroup(GroupSpec):
 
     def parse_element(self, text: str) -> GroupElement:
         return self.element(CantorPoint.parse(text))
+
+    def greedy_separated(self, candidates, separation):
+        # The metric is an ultrametric: d(a, b) >= 2^-m exactly when the first
+        # m bits differ, so the scan keeps the first candidate of each m-bit
+        # prefix, m = floor(log2(1 / separation)).
+        m = (separation.denominator // separation.numerator).bit_length() - 1
+        first: dict[str, GroupElement] = {}
+        for cand in candidates:
+            first.setdefault(cand.payload.prefix(m), cand)
+        return list(first.values())
 
     def cover_key(self, a: GroupElement, level: int):
         # Same first level+1 coordinates => distance <= 2^-(level+2).
@@ -278,6 +308,24 @@ class RealBoundedGroup(GroupSpec):
     def _dist(self, a: Fraction, b: Fraction) -> Fraction:
         return min(abs(a - b), Fraction(1, 2))
 
+    def greedy_separated(self, candidates, separation):
+        # For separation <= 1/2, min(|a - b|, 1/2) >= separation exactly when
+        # |a - b| >= separation, and the nearest kept values on either side
+        # are the closest kept ones.
+        if separation > Fraction(1, 2):
+            return super().greedy_separated(candidates, separation)
+        kept: list[GroupElement] = []
+        line: list[Fraction] = []  # the kept payloads, ascending
+        for cand in candidates:
+            a = cand.payload
+            i = bisect_left(line, a)
+            if (i == 0 or a - line[i - 1] >= separation) and (
+                i == len(line) or line[i] - a >= separation
+            ):
+                line.insert(i, a)
+                kept.append(cand)
+        return kept
+
     def _enumerate(self, depth: int) -> list[Fraction]:
         vals = [Fraction(j, 2**depth) for j in range(-(2**depth), 2**depth + 1)]
         return sorted(vals, key=self._key)
@@ -377,8 +425,8 @@ def ball_net(group: GroupSpec, k: int, enumeration_depth: int) -> SeparatedNet:
 
     Scans the dense enumeration in canonical order, keeping every candidate
     inside the ball that is at least the separation away from all kept
-    elements; greedy exhaustion makes the result maximal relative to the
-    enumeration depth.
+    elements (``GroupSpec.greedy_separated``); greedy exhaustion makes the
+    result maximal relative to the enumeration depth.
     """
     radius = Fraction(1, 2**k)
     separation = Fraction(1, 2 ** (k + 2))
@@ -386,10 +434,6 @@ def ball_net(group: GroupSpec, k: int, enumeration_depth: int) -> SeparatedNet:
     if not candidates:
         raise ValueError("dense enumeration is empty")
     one = group.identity()
-    kept: list[GroupElement] = []
-    for cand in candidates:
-        if group.dist(one, cand) > radius:
-            continue
-        if all(group.dist(cand, e) >= separation for e in kept):
-            kept.append(cand)
+    in_ball = [cand for cand in candidates if group.dist(one, cand) <= radius]
+    kept = group.greedy_separated(in_ball, separation)
     return SeparatedNet(group, k, radius, separation, tuple(kept), enumeration_depth)

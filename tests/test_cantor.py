@@ -216,6 +216,35 @@ class TestClopenSet:
                 a.cell_indices(a.depth() - 1)
 
 
+    @given(clopens, st.integers(0, 2))
+    def test_from_cells_inverts_cell_indices(self, a, extra):
+        # oracle: the same cells as depth-d prefixes, through from_prefixes
+        d = a.depth() + extra
+        cells = a.cell_indices(d)
+        prefixes = [format(i, f"0{d}b") if d else "" for i in cells]
+        assert ClopenSet.from_cells(cells, d) == ClopenSet.from_prefixes(prefixes) == a
+        assert ClopenSet.from_cells(reversed(cells + cells), d) == a
+
+    def test_from_cells_rejects_indices_out_of_range(self):
+        with pytest.raises(ValueError):
+            ClopenSet.from_cells([4], 2)
+        with pytest.raises(ValueError):
+            ClopenSet.from_cells([-1], 2)
+        assert ClopenSet.from_cells([], 0).is_empty()
+        assert ClopenSet.from_cells([0], 0).is_whole()
+
+    @given(clopens)
+    def test_own_cells(self, a):
+        assert a.own_cells == (a.depth(), tuple(a.cell_indices(a.depth())))
+        assert a.own_cells is a.own_cells
+
+    @given(bits, st.integers(0, 6))
+    def test_cell_range_by_overlap(self, prefix, d):
+        c = Cylinder(prefix)
+        cells = partition_at_depth(d)
+        assert list(c.cell_range(d)) == [i for i, u in enumerate(cells) if u.overlaps(c)]
+
+
 class TestRepresentatives:
     def test_zero_tail(self):
         assert Cylinder("110").representative() == CantorPoint("110", "0")

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcont.cantor import (
@@ -25,6 +25,7 @@ from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
     Constant,
     DiagonalIndicator,
+    MembershipResult,
     SepFunction,
     SubbasicNbhd,
     TableFunction,
@@ -387,3 +388,84 @@ class TestTableSectionPartition:
         slow = SepFunction.section_partition(f, axis, fixed)
         assert list(fast) == list(slow)
         assert list(fast.values()) == list(slow.values())
+
+
+# Reference membership test, kept as the oracle for the table path of
+# in_subbasic: the allowed part of the section is assembled as a clopen set
+# from the cells whose value is allowed, and the witness is the first
+# cylinder of the region minus that set.
+def trie_in_subbasic(f, nbhd):
+    axis = nbhd.singleton_axis()
+    fixed, region = (nbhd.kx, nbhd.ky) if axis == "x" else (nbhd.ky, nbhd.kx)
+    at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
+    allowed_region = ClopenSet.from_prefixes(
+        u.prefix for u in partition_at_depth(f.depth) if at(u.representative()) in nbhd.allowed
+    )
+    violating = region.minus(allowed_region)
+    if violating.is_empty():
+        return MembershipResult(True, True)
+    t = violating.cylinders()[0].representative()
+    fx, fy = (fixed, t) if axis == "x" else (t, fixed)
+    return MembershipResult(False, True, (fx, fy, f.eval(fx, fy)))
+
+
+_prefix_sets = st.integers(0, 5).flatmap(
+    lambda d: st.lists(
+        st.integers(0, 2**d - 1).map(lambda i: format(i, f"0{d}b") if d else ""), max_size=4
+    )
+).map(ClopenSet.from_prefixes)
+regions = st.one_of(
+    st.just(ClopenSet.empty()),
+    st.just(ClopenSet.whole()),
+    _prefix_sets,
+    _prefix_sets.map(ClopenSet.complement),
+)
+tables_with_pool = st.sampled_from([DYADIC_POOL, C3_POOL, S3_POOL]).flatmap(
+    lambda pool: st.tuples(tables(pool, 3), st.just(pool))
+)
+
+
+class TestTableMembership:
+    @settings(max_examples=300)
+    @given(
+        tables_with_pool,
+        regions,
+        st.integers(0, 3).flatmap(lambda d: st.sampled_from(ProbeGrid.at_depth(d).points + OFF_GRID)),
+        st.sampled_from(["x", "y"]),
+        st.data(),
+    )
+    def test_row_read_matches_set_algebra(self, table_pool, region, fixed, axis, data):
+        f, pool = table_pool
+        # U is the section's values on the region (a member), those less
+        # one value (a near miss), or a random set.
+        cells = region.cells_at_depth(max(f.depth, region.depth()))
+        at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
+        hit = frozenset(at(c.representative()) for c in cells)
+        near = [hit - {z} for z in sorted(hit, key=str)]
+        allowed = data.draw(
+            st.one_of(
+                st.just(hit),
+                st.sampled_from(near) if near else st.just(hit),
+                st.sets(st.sampled_from(pool)).map(frozenset),
+            )
+        )
+        nbhd = SubbasicNbhd(fixed, region, allowed) if axis == "x" else SubbasicNbhd(region, fixed, allowed)
+        expected = trie_in_subbasic(f, nbhd)
+        assert in_subbasic(f, nbhd) == expected
+        assert f.section_maps_into(axis, fixed, region, allowed) == expected.member
+
+    def test_region_cells_read_once_per_certificate(self, monkeypatch):
+        # Every stage reads the probe region's cells; they are computed once.
+        reads = []
+        cell_indices = ClopenSet.cell_indices
+
+        def counting(self, d):
+            reads.append(self)
+            return cell_indices(self, d)
+
+        monkeypatch.setattr(ClopenSet, "cell_indices", counting)
+        engine = DiscreteApproximator(DIAG)
+        region = ClopenSet.parse("{0, 11}")
+        cert = engine.certificate(SubbasicNbhd(CantorPoint.parse("10(0)"), region, frozenset()), 12)
+        assert cert.passed and len(cert.checks) > 1
+        assert sum(r is region for r in reads) == 1

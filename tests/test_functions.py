@@ -211,6 +211,27 @@ class TestValuesOnRect:
                 assert family.profile(c) == _Profile(indices=hit, out=out)
         assert family._union is family._union
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            DIAG.family,
+            DiagonalIndicator.ones_schema([A, B], cycle=False).family,
+            FiniteCylinderFamily(((Cylinder("01"), A), (Cylinder("001"), B), (Cylinder("11"), A))),
+        ],
+        ids=["ones", "ones-finite", "cyl"],
+    )
+    def test_profile_memo_matches_family(self, family):
+        # Asked twice per cylinder: the memo's miss and its hit both equal
+        # the family's own profile.
+        f = DiagonalIndicator(family)
+        for _ in range(2):
+            for depth in range(6):
+                for bits in product("01", repeat=depth):
+                    c = Cylinder("".join(bits))
+                    assert f._profile(c) == family.profile(c)
+        assert len(f._profiles) == 2**6 - 1
+        assert DiagonalIndicator(family)._profiles == {}
+
     def test_constant_value_on(self):
         assert DIAG.constant_value_on(Cylinder("110"), Cylinder("110")) == A
         assert DIAG.constant_value_on(Cylinder("0"), Cylinder("1")) == E

@@ -192,6 +192,65 @@ class TestBallNet:
             assert DYADIC.dist(one, acc) <= Fraction(1, 2**l)
 
 
+# The greedy scan as ball_net ran it before each group had its own
+# separation step, kept as the oracle: every candidate in the ball is kept
+# when it is at least the separation away from every element kept so far.
+def brute_ball_net_elements(group, k, enumeration_depth):
+    radius, separation = Fraction(1, 2**k), Fraction(1, 2 ** (k + 2))
+    one = group.identity()
+    kept = []
+    for cand in group.dense_enumeration(enumeration_depth):
+        if group.dist(one, cand) > radius:
+            continue
+        if all(group.dist(cand, e) >= separation for e in kept):
+            kept.append(cand)
+    return tuple(kept)
+
+
+def brute_greedy_separated(group, candidates, separation):
+    kept = []
+    for cand in candidates:
+        if all(group.dist(cand, e) >= separation for e in kept):
+            kept.append(cand)
+    return kept
+
+
+separations = st.one_of(
+    st.integers(0, 7).map(lambda j: Fraction(1, 2**j)),
+    st.tuples(st.integers(1, 40), st.integers(1, 64)).map(lambda t: Fraction(*t)),
+)
+
+
+class TestGreedySeparation:
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("k", range(6))
+    def test_ball_net_matches_greedy_loop(self, group, k):
+        for depth in {group.net_enumeration_depth(k, ()), k + 2}:
+            net = ball_net(group, k, depth)
+            assert net.elements == brute_ball_net_elements(group, k, depth), depth
+            assert net.check_maximality()
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+    @given(data=st.data(), separation=separations)
+    def test_any_candidate_order_and_separation(self, group, data, separation):
+        pool = group.dense_enumeration(5)
+        candidates = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+        assert group.greedy_separated(candidates, separation) == brute_greedy_separated(
+            group, candidates, separation
+        )
+
+
+class TestElementHash:
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+    def test_hash_is_the_field_hash_and_text_is_unchanged(self, group):
+        for e in group.dense_enumeration(3):
+            twin = group.element(e.payload)
+            assert hash(e) == hash(twin) == hash((group, e.payload))
+            assert e == twin and e is not twin
+            assert repr(e) == f"<{group.name}:{e}>" and str(e) == group.format_element(e)
+            assert {e: 1}[twin] == 1
+
+
 class TestRealGroup:
     def test_metric_cap(self):
         a, b = REAL.parse_element("1/2^0"), REAL.parse_element("-1/2^0")
