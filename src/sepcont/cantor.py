@@ -407,13 +407,7 @@ class ClopenSet:
         return "{" + ",".join(c.prefix for c in self.cylinders()) + "}"
 
 
-@dataclass(frozen=True)
-class ProbeGrid:
-    """All 2^depth canonical points (depth-d prefix + zero tail)."""
-
-    depth: int
-    points: tuple[CantorPoint, ...]
-
-    @staticmethod
-    def at_depth(d: int) -> "ProbeGrid":
-        return ProbeGrid(d, tuple(c.representative() for c in partition_at_depth(d)))
+def grid_points(d: int) -> tuple[CantorPoint, ...]:
+    """The 2^d canonical grid points: the representative (depth-d prefix +
+    zero tail) of each depth-d cell, in cell-index order."""
+    return tuple(c.representative() for c in partition_at_depth(d))

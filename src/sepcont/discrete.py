@@ -3,18 +3,19 @@ discrete image.
 
 From f it builds locally constant (hence jointly continuous) table
 functions g_n and certifies layer-wise convergence through an explicit
-finite stage: strips X(z,k) = {x : {x} x V_k inside f^-1(z)} computed as
-exact clopen under-approximations at a working depth, patch regions
-assembled from strips, and a per-neighbourhood certificate stage m with
-exact membership verification from m on.
+finite stage: strips X(z,k) = {x : {x} x V_k inside f^-1(z)} recorded as
+the indices of the working-depth cells on which f is certified constant z,
+patches painted cell by cell from those strips, and a per-neighbourhood
+certificate stage m with exact membership verification from m on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from sepcont.cantor import (
+    CantorPoint,
     ClopenSet,
     Cylinder,
     basis_cylinder,
@@ -54,54 +55,19 @@ class ImageFiltration:
         return max((self.entry_index(z) for z in values), default=0)
 
 
-@dataclass(frozen=True)
-class StripSets:
-    """x/y strips at scale k: clopen sets whose product with the k-th basis
-    cylinder lies inside f^-1(z), certified structurally cell by cell."""
-
-    z: GroupElement
-    k: int
-    x_strip: ClopenSet
-    y_strip: ClopenSet
-
-
-@dataclass(frozen=True)
-class ClosedPatch:
-    """Union of strip rectangles inside f^-1(z), assembled over k <= n."""
-
-    z: GroupElement
-    n: int
-    rects: tuple[tuple[ClopenSet, ClopenSet], ...]
-
-    def is_empty(self) -> bool:
-        return not self.rects
-
-    def meets_cell(self, u: Cylinder, v: Cylinder) -> bool:
-        cu, cv = ClopenSet.from_cylinder(u), ClopenSet.from_cylinder(v)
-        return any(
-            not cu.intersect(a).is_empty() and not cv.intersect(b).is_empty()
-            for a, b in self.rects
-        )
-
-    def intersects(self, other: "ClosedPatch") -> bool:
-        return any(
-            not a1.intersect(a2).is_empty() and not b1.intersect(b2).is_empty()
-            for a1, b1 in self.rects
-            for a2, b2 in other.rects
-        )
-
-
 StripCells = tuple[dict[GroupElement, list[int]], dict[GroupElement, list[int]]]
 
 
-def strip_cells(f: SepFunction, k: int, working_depth: int) -> StripCells:
-    """The indices of the depth-D cells u grouped by the certified constant
-    value of f on u x V_k (x side) and on V_k x u (y side); uncertified cells
-    are left out.  One pass serves the strips of every target value z."""
+def strip_cells(f: SepFunction, k: int, cells: Sequence[Cylinder]) -> StripCells:
+    """The indices of the depth-D cells u (``cells`` is the depth-D
+    partition) grouped by the certified constant value of f on u x V_k
+    (x side) and on V_k x u (y side); uncertified cells are left out.  The
+    x-strip X(z,k) is the union of the x-side cells of z, the y-strip
+    Y(z,k) that of the y-side cells.  One pass serves every target value z."""
     v = basis_cylinder(k)
     x_cells: dict[GroupElement, list[int]] = {}
     y_cells: dict[GroupElement, list[int]] = {}
-    for i, u in enumerate(partition_at_depth(working_depth)):
+    for i, u in enumerate(cells):
         cx = f.constant_value_on(u, v)
         if cx is not None:
             x_cells.setdefault(cx, []).append(i)
@@ -109,34 +75,6 @@ def strip_cells(f: SepFunction, k: int, working_depth: int) -> StripCells:
         if cy is not None:
             y_cells.setdefault(cy, []).append(i)
     return x_cells, y_cells
-
-
-def strips_from_cells(z: GroupElement, k: int, working_depth: int, cells: StripCells) -> StripSets:
-    """A depth-D cell u joins X(z,k) iff f is certified constant z on u x V_k
-    (never decided by sampling alone); likewise for the y strip."""
-    x_cells, y_cells = cells
-    return StripSets(
-        z,
-        k,
-        ClopenSet.from_cells(x_cells.get(z, ()), working_depth),
-        ClopenSet.from_cells(y_cells.get(z, ()), working_depth),
-    )
-
-
-def compute_strips(f: SepFunction, z: GroupElement, k: int, working_depth: int) -> StripSets:
-    """Strips X(z,k) and Y(z,k) at working depth D."""
-    return strips_from_cells(z, k, working_depth, strip_cells(f, k, working_depth))
-
-
-def build_patch(f: SepFunction, z: GroupElement, n: int, strips: list[StripSets]) -> ClosedPatch:
-    rects: list[tuple[ClopenSet, ClopenSet]] = []
-    for s in strips:
-        v = ClopenSet.from_cylinder(basis_cylinder(s.k))
-        if not s.x_strip.is_empty():
-            rects.append((s.x_strip, v))
-        if not s.y_strip.is_empty():
-            rects.append((v, s.y_strip))
-    return ClosedPatch(z, n, tuple(rects))
 
 
 @dataclass(frozen=True)
@@ -160,8 +98,8 @@ class DiscreteApproximator:
         self.f = f
         self.group = f.group
         self.filtration = filtration or ImageFiltration.for_function(f)
+        self._partitions: dict[int, tuple[list[Cylinder], list[CantorPoint]]] = {}
         self._cells_cache: dict[tuple[int, int], StripCells] = {}
-        self._strip_cache: dict[tuple[GroupElement, int, int], StripSets] = {}
         self._gn_cache: dict[int, TableFunction] = {}
 
     def working_depth(self, n: int) -> int:
@@ -179,50 +117,53 @@ class DiscreteApproximator:
             )
         return d
 
-    def _strip_cells(self, k: int, working_depth: int) -> StripCells:
-        key = (k, working_depth)
+    def _partition(self, d: int) -> tuple[list[Cylinder], list[CantorPoint]]:
+        """The depth-d cells and their limit representatives."""
+        if d not in self._partitions:
+            cells = partition_at_depth(d)
+            self._partitions[d] = cells, [u.limit_representative() for u in cells]
+        return self._partitions[d]
+
+    def _strip_cells(self, k: int, d: int) -> StripCells:
+        key = (k, d)
         if key not in self._cells_cache:
-            self._cells_cache[key] = strip_cells(self.f, k, working_depth)
+            self._cells_cache[key] = strip_cells(self.f, k, self._partition(d)[0])
         return self._cells_cache[key]
 
-    def strips(self, z: GroupElement, k: int, working_depth: int) -> StripSets:
-        key = (z, k, working_depth)
-        if key not in self._strip_cache:
-            cells = self._strip_cells(k, working_depth)
-            self._strip_cache[key] = strips_from_cells(z, k, working_depth, cells)
-        return self._strip_cache[key]
-
-    def patch(self, z: GroupElement, n: int) -> ClosedPatch:
-        d = self.working_depth(n)
-        return build_patch(self.f, z, n, [self.strips(z, k, d) for k in range(n + 1)])
+    def _rectangles(self, n: int, d: int):
+        """The patch rectangles of g_n as (z, rows, columns) of depth-d cell
+        indices: the x-strip cells of z times the cells of V_k, and the cells
+        of V_k times the y-strip cells of z, for every k <= n and every z in
+        filtration level n."""
+        level = self.filtration.level(n)
+        for k in range(n + 1):
+            band = basis_cylinder(k).cell_range(d)
+            x_cells, y_cells = self._strip_cells(k, d)
+            for z in level:
+                yield z, x_cells.get(z, ()), band
+                yield z, band, y_cells.get(z, ())
 
     def approximant(self, n: int) -> TableFunction:
         """g_n: constant z on cells meeting the z-patch, f at the cell's
         limit representative elsewhere; locally constant by construction.
 
-        Each patch rectangle is a union of depth-d cells: x-strip cells times
-        the cells of V_k, or the cells of V_k times y-strip cells.  It is
-        painted straight from the cached strip cells; a cell painted with
-        two values is an overlap."""
+        Every patch rectangle is a union of depth-d cells, so it is painted
+        straight from the cached strip cells; a cell painted with two values
+        is an overlap."""
         if n in self._gn_cache:
             return self._gn_cache[n]
         d = self.working_depth(n)
-        level = self.filtration.level(n)
         size = 2**d
         grid: list[list[GroupElement | None]] = [[None] * size for _ in range(size)]
-        for k in range(n + 1):
-            band = basis_cylinder(k).cell_range(d)
-            x_cells, y_cells = self._strip_cells(k, d)
-            for z in level:
-                for rows, columns in ((x_cells.get(z, ()), band), (band, y_cells.get(z, ()))):
-                    for i in rows:
-                        row = grid[i]
-                        for j in columns:
-                            if row[j] is None:
-                                row[j] = z
-                            elif row[j] != z:
-                                raise _overlap_error([(w, self.patch(w, n)) for w in level], d)
-        reps = [u.limit_representative() for u in partition_at_depth(d)]
+        for z, rows, columns in self._rectangles(n, d):
+            for i in rows:
+                row = grid[i]
+                for j in columns:
+                    if row[j] is None:
+                        row[j] = z
+                    elif row[j] != z:
+                        raise self._overlap_error(n, d)
+        reps = self._partition(d)[1]
         rows = tuple(
             tuple(
                 self.f.eval(reps[i], reps[j]) if val is None else val
@@ -233,6 +174,30 @@ class DiscreteApproximator:
         g = TableFunction(d, rows)
         self._gn_cache[n] = g
         return g
+
+    def _overlap_error(self, n: int, d: int) -> RefinementExhaustedError:
+        """The error for the first cell, row-major, that two patches paint.
+
+        A depth-d cell meets a patch exactly when the patch paints it, so the
+        values that paint each cell are the patches it meets."""
+        size = 2**d
+        painters: list[list[set[GroupElement]]] = [
+            [set() for _ in range(size)] for _ in range(size)
+        ]
+        for z, rows, columns in self._rectangles(n, d):
+            for i in rows:
+                for j in columns:
+                    painters[i][j].add(z)
+        cells = self._partition(d)[0]
+        for i, row in enumerate(painters):
+            for j, hits in enumerate(row):
+                if len(hits) > 1:
+                    names = [str(z) for z in self.filtration.level(n) if z in hits]
+                    return RefinementExhaustedError(
+                        f"cell {cells[i].prefix} x {cells[j].prefix} meets patches of "
+                        f"{names} at depth {d}"
+                    )
+        raise AssertionError("unreachable: a cell painted twice has two painters")
 
     def target_values(self, nbhd: SubbasicNbhd) -> tuple[GroupElement, ...]:
         """W = f(K_X x K_Y), exact via the section partition on the singleton side."""
@@ -281,37 +246,3 @@ class DiscreteApproximator:
                 note = f"({wx},{wy})->{val}"
             checks.append((n, res.member, note))
         return ConvergenceCertificate(nbhd, w, cover, m, tuple(checks), passed)
-
-    def patch_soundness(self, n: int, grid_depth: int) -> bool:
-        """Every grid point of every patch region evaluates to the patch value."""
-        for z in self.filtration.level(n):
-            patch = self.patch(z, n)
-            for a, b in patch.rects:
-                for cu in a.cells_at_depth(max(grid_depth, a.depth())):
-                    for cv in b.cells_at_depth(max(grid_depth, b.depth())):
-                        if self.f.eval(cu.representative(), cv.representative()) != z:
-                            return False
-        return True
-
-    def patches_disjoint(self, n: int) -> bool:
-        zs = self.filtration.level(n)
-        patches = [self.patch(z, n) for z in zs]
-        for i in range(len(patches)):
-            for j in range(i + 1, len(patches)):
-                if patches[i].intersects(patches[j]):
-                    return False
-        return True
-
-
-def _overlap_error(patches: list[tuple[GroupElement, ClosedPatch]], d: int) -> RefinementExhaustedError:
-    """The error for the first cell, row-major, that meets two patches."""
-    cells = partition_at_depth(d)
-    for u in cells:
-        for v in cells:
-            hits = [z for z, p in patches if p.meets_cell(u, v)]
-            if len(hits) > 1:
-                return RefinementExhaustedError(
-                    f"cell {u.prefix} x {v.prefix} meets patches of "
-                    f"{[str(h) for h in hits]} at depth {d}"
-                )
-    raise AssertionError("unreachable: a cell painted twice meets two patches")

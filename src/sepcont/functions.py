@@ -25,7 +25,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, ProbeGrid
+from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.errors import UnsupportedStructureError
 from sepcont.groups import GroupElement, GroupSpec
 
@@ -687,7 +687,7 @@ class GridMemo:
 
     def grid_points(self, depth: int) -> tuple[CantorPoint, ...]:
         if depth not in self._grids:
-            self._grids[depth] = ProbeGrid.at_depth(depth).points
+            self._grids[depth] = grid_points(depth)
         return self._grids[depth]
 
     def intern(self, value):
@@ -921,7 +921,7 @@ def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint
 
 
 def grid_image(f: SepFunction, grid_depth: int) -> tuple[GroupElement, ...]:
-    points = ProbeGrid.at_depth(grid_depth).points
+    points = grid_points(grid_depth)
     return _dedupe(distinct(grid_values(f, points, points)))
 
 

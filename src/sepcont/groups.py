@@ -49,12 +49,18 @@ class GroupSpec:
     """A metric group; subclasses implement the payload-level operations."""
 
     name: str = "abstract"
+    _identity_payload: Any  # set by each group
 
     def element(self, payload) -> GroupElement:
         return GroupElement(self, payload)
 
     def identity(self) -> GroupElement:
-        raise NotImplementedError
+        """The identity element: one object per group, made on first use."""
+        return self._identity_element
+
+    @cached_property
+    def _identity_element(self) -> GroupElement:
+        return self.element(self._identity_payload)
 
     def _require(self, *elements: GroupElement) -> None:
         for e in elements:
@@ -146,9 +152,7 @@ class DyadicGroup(GroupSpec):
     """(Z/2)^omega under coordinatewise XOR; d(a, b) = 2^-(i+1) at the first differing bit."""
 
     name = "dyadic"
-
-    def identity(self) -> GroupElement:
-        return self.element(ALL_ZEROS)
+    _identity_payload = ALL_ZEROS
 
     def _mul(self, a: CantorPoint, b: CantorPoint) -> CantorPoint:
         return _xor_points(a, b)
@@ -205,7 +209,7 @@ class FiniteTableGroup(GroupSpec):
         self.name = name
         self._table = tuple(tuple(row) for row in table)
         self._labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
-        self._identity = self._find_identity()
+        self._identity_payload = self._find_identity()
         self._inverse = self._find_inverses()
         self._check_associativity()
 
@@ -220,7 +224,7 @@ class FiniteTableGroup(GroupSpec):
         n = len(self._table)
         inv = []
         for x in range(n):
-            ys = [y for y in range(n) if self._table[x][y] == self._identity]
+            ys = [y for y in range(n) if self._table[x][y] == self._identity_payload]
             if len(ys) != 1:
                 raise ValueError(f"element {x} has no unique inverse")
             inv.append(ys[0])
@@ -237,9 +241,6 @@ class FiniteTableGroup(GroupSpec):
 
     def order(self) -> int:
         return len(self._table)
-
-    def identity(self) -> GroupElement:
-        return self.element(self._identity)
 
     def _mul(self, a: int, b: int) -> int:
         return self._table[a][b]
@@ -289,9 +290,7 @@ class RealBoundedGroup(GroupSpec):
     """(dyadic rationals, +) with metric min(|a - b|, 1/2)."""
 
     name = "real"
-
-    def identity(self) -> GroupElement:
-        return self.element(Fraction(0))
+    _identity_payload = Fraction(0)
 
     @staticmethod
     def _check_dyadic(q: Fraction) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from sepcont.cantor import CantorPoint, ProbeGrid
+from sepcont.cantor import CantorPoint, grid_points
 from sepcont.functions import (
     GridMemo,
     SepFunction,
@@ -200,7 +200,7 @@ def problem3_check(
 
     if not isinstance(f.group, RealBoundedGroup):
         raise ValueError("candidate verifier runs over the bounded-real group")
-    probe_pts = ProbeGrid.at_depth(min(grid_depth, 3)).points
+    probe_pts = grid_points(min(grid_depth, 3))
     if not separate_continuity_certificate(g, probe_pts):
         raise ValueError("candidate lacks a separate-continuity certificate")
     memo = GridMemo(f.group)

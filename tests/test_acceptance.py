@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, ProbeGrid
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, grid_points
 from sepcont.cli import main
 from sepcont.discrete import DiscreteApproximator
 from sepcont.functions import (
@@ -167,7 +167,7 @@ def test_criterion_5_convergence_certificates():
 def test_criterion_6_brute_force_oracle():
     t0 = time.perf_counter()
     e, a = C3.identity(), C3.element(1)
-    grid = ProbeGrid.at_depth(2).points
+    grid = grid_points(2)
     failures = 0
     # 2^16 two-valued depth-2 tables, subsampled deterministically to 512
     for mask in range(0, 1 << 16, 128):

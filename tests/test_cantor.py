@@ -9,10 +9,10 @@ from sepcont.cantor import (
     CantorPoint,
     ClopenSet,
     Cylinder,
-    ProbeGrid,
     basis_cylinder,
     basis_index,
     first_difference,
+    grid_points,
     partition_at_depth,
     point_dist,
 )
@@ -135,7 +135,7 @@ class TestPartition:
         assert len(cells) == 2**d
         assert len({c.prefix for c in cells}) == len(cells)  # pairwise disjoint
         by_prefix = {c.prefix: 0 for c in cells}
-        for p in ProbeGrid.at_depth(d).points:
+        for p in grid_points(d):
             by_prefix[p.prefix(d)] += 1  # exactly one cell contains p
         assert all(count == 1 for count in by_prefix.values())
 
@@ -148,10 +148,10 @@ class TestPartition:
 
     @pytest.mark.parametrize("d", range(8))
     def test_probe_grid_hits_every_shallow_cylinder(self, d):
-        grid = ProbeGrid.at_depth(d)
+        grid = grid_points(d)
         for k in range(2 ** (d + 1) - 1):
             c = basis_cylinder(k)
-            assert any(c.contains(p) for p in grid.points)
+            assert any(c.contains(p) for p in grid)
 
 
 class TestClopenSet:

@@ -9,18 +9,12 @@ from sepcont.cantor import (
     CantorPoint,
     ClopenSet,
     Cylinder,
-    ProbeGrid,
     basis_cylinder,
     basis_index,
+    grid_points,
     partition_at_depth,
 )
-from sepcont.discrete import (
-    DiscreteApproximator,
-    ImageFiltration,
-    StripSets,
-    build_patch,
-    compute_strips,
-)
+from sepcont.discrete import DiscreteApproximator, ImageFiltration, strip_cells
 from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
     Constant,
@@ -57,59 +51,99 @@ class TestFiltration:
         assert filt.entry_index(E) == 3
 
 
+def strip_sets(f, k, d):
+    """X(z,k) and Y(z,k) of every certified value z, read off strip_cells."""
+    x_cells, y_cells = strip_cells(f, k, partition_at_depth(d))
+    return (
+        {z: ClopenSet.from_cells(cells, d) for z, cells in x_cells.items()},
+        {z: ClopenSet.from_cells(cells, d) for z, cells in y_cells.items()},
+    )
+
+
+def patch_cells(f, z, n, d):
+    """The (i, j) depth-d cells of the z-patch of g_n: x-strip cells times the
+    cells of V_k and the cells of V_k times y-strip cells, over k <= n."""
+    out = set()
+    for k in range(n + 1):
+        band = basis_cylinder(k).cell_range(d)
+        x_cells, y_cells = strip_cells(f, k, partition_at_depth(d))
+        out |= {(i, j) for i in x_cells.get(z, ()) for j in band}
+        out |= {(i, j) for i in band for j in y_cells.get(z, ())}
+    return out
+
+
 class TestStrips:
     def test_constant_whole_space(self):
-        strips = compute_strips(Constant(A), A, 0, 1)
-        assert strips.x_strip.is_whole() and strips.y_strip.is_whole()
+        x_sets, y_sets = strip_sets(Constant(A), 0, 1)
+        assert set(x_sets) == set(y_sets) == {A}
+        assert x_sets[A].is_whole() and y_sets[A].is_whole()
 
     def test_diag_value_strip(self):
-        strips = compute_strips(DIAG, A, basis_index("110"), 4)
-        assert strips.x_strip == ClopenSet.parse("{110}")
-        assert strips.y_strip == ClopenSet.parse("{110}")
+        x_sets, y_sets = strip_sets(DIAG, basis_index("110"), 4)
+        assert x_sets[A] == ClopenSet.parse("{110}")
+        assert y_sets[A] == ClopenSet.parse("{110}")
 
     def test_diag_identity_strip(self):
-        strips = compute_strips(DIAG, E, basis_index("0"), 2)
-        assert strips.x_strip == ClopenSet.parse("{1}")
+        x_sets, y_sets = strip_sets(DIAG, basis_index("0"), 2)
+        assert x_sets[E] == ClopenSet.parse("{1}")
+        assert y_sets[E] == ClopenSet.parse("{1}")
 
     def test_strip_soundness_by_sampling(self):
-        # every (x, y) in x_strip x V_k evaluates to z, including limit points
+        # every (x, y) in X(z,k) x V_k and in V_k x Y(z,k) evaluates to z,
+        # including limit points
         for k in range(7):
-            for z in DIAG.declared_image():
-                strips = compute_strips(DIAG, z, k, 3)
-                v = basis_cylinder(k)
-                if strips.x_strip.is_empty():
-                    continue
-                xs = [c.representative() for c in strips.x_strip.cells_at_depth(4)]
-                xs += [c.limit_representative() for c in strips.x_strip.cells_at_depth(4)]
-                ys = [c.representative() for c in ClopenSet.from_cylinder(v).cells_at_depth(4)]
-                ys += [Cylinder(v.prefix + "1" * 3).limit_representative()]
-                for x in xs:
-                    for y in ys:
-                        assert DIAG.eval(x, y) == z
+            v = basis_cylinder(k)
+            vs = [c.representative() for c in ClopenSet.from_cylinder(v).cells_at_depth(4)]
+            vs += [Cylinder(v.prefix + "1" * 3).limit_representative()]
+            x_sets, y_sets = strip_sets(DIAG, k, 3)
+            for strips, at in ((x_sets, DIAG.eval), (y_sets, lambda u, w: DIAG.eval(w, u))):
+                for z, strip in strips.items():
+                    us = [c.representative() for c in strip.cells_at_depth(4)]
+                    us += [c.limit_representative() for c in strip.cells_at_depth(4)]
+                    for u in us:
+                        for w in vs:
+                            assert at(u, w) == z
 
 
 class TestPatches:
     def test_all_strips_empty_gives_empty_patch(self):
         # the diagonal value never fills a whole-space strip
-        engine = DiscreteApproximator(DIAG)
-        patch = engine.patch(A, 0)
-        assert patch.is_empty()
+        assert patch_cells(DIAG, A, 0, 1) == set()
 
     def test_patches_disjoint(self):
         engine = DiscreteApproximator(DIAG)
         for n in [2, 6, 12]:
-            assert engine.patches_disjoint(n)
+            d = engine.working_depth(n)
+            patches = [patch_cells(DIAG, z, n, d) for z in engine.filtration.level(n)]
+            assert any(patches)
+            for i in range(len(patches)):
+                for j in range(i + 1, len(patches)):
+                    assert not patches[i] & patches[j], (n, i, j)
 
     def test_patch_contains_matched_square(self):
         engine = DiscreteApproximator(DIAG)
         n = basis_index("110")
-        patch = engine.patch(A, n)
-        u = ClopenSet.parse("{110}")
-        assert any(u.is_subset_of(a) and u.is_subset_of(b) for a, b in patch.rects)
+        d = engine.working_depth(n)
+        square = set(product(Cylinder("110").cell_range(d), repeat=2))
+        assert square and square <= patch_cells(DIAG, A, n, d)
+        g = engine.approximant(n)
+        assert all(g.values[i][j] == A for i, j in square)
 
     def test_patch_soundness(self):
+        # every grid point of every cell painted for z evaluates to z under
+        # f and under g_n
         engine = DiscreteApproximator(DIAG)
-        assert engine.patch_soundness(6, 4)
+        grid = grid_points(4)
+        for n in [6, 12]:
+            d = engine.working_depth(n)
+            g = engine.approximant(n)
+            cells = partition_at_depth(d)
+            for z in engine.filtration.level(n):
+                for i, j in patch_cells(DIAG, z, n, d):
+                    for a in cells[i].cell_range(4):
+                        for b in cells[j].cell_range(4):
+                            assert DIAG.eval(grid[a], grid[b]) == z
+                            assert g.eval(grid[a], grid[b]) == z
 
 
 class TestApproximants:
@@ -121,7 +155,7 @@ class TestApproximants:
         f = TableFunction(2, rows)
         engine = DiscreteApproximator(f)
         g = engine.approximant(6)
-        for x, y in product(ProbeGrid.at_depth(2).points, repeat=2):
+        for x, y in product(grid_points(2), repeat=2):
             assert g.eval(x, y) == f.eval(x, y)
 
     def test_empty_filtration_level_default_branch(self):
@@ -142,7 +176,7 @@ class TestApproximants:
         engine = DiscreteApproximator(DIAG)
         for n in [0, 3, 8, 12]:
             g = engine.approximant(n)
-            for y in ProbeGrid.at_depth(4).points:
+            for y in grid_points(4):
                 assert g.eval(ALL_ONES, y) == E
             assert g.eval(ALL_ONES, ALL_ONES) == E
 
@@ -243,7 +277,7 @@ class TestC3Tables:
             f = TableFunction(2, rows)
             engine = DiscreteApproximator(f)
             g = engine.approximant(6)
-            for x, y in product(ProbeGrid.at_depth(2).points, repeat=2):
+            for x, y in product(grid_points(2), repeat=2):
                 assert g.eval(x, y) == f.eval(x, y), (mask, str(x), str(y))
 
 
@@ -257,24 +291,42 @@ def brute_working_depth(n):
 def brute_strips(f, z, k, d):
     v = basis_cylinder(k)
     cells = partition_at_depth(d)
-    x_cells = [u.prefix for u in cells if f.constant_value_on(u, v) == z]
-    y_cells = [u.prefix for u in cells if f.constant_value_on(v, u) == z]
-    return StripSets(z, k, ClopenSet.from_prefixes(x_cells), ClopenSet.from_prefixes(y_cells))
+    x_strip = ClopenSet.from_prefixes(u.prefix for u in cells if f.constant_value_on(u, v) == z)
+    y_strip = ClopenSet.from_prefixes(u.prefix for u in cells if f.constant_value_on(v, u) == z)
+    return x_strip, y_strip
+
+
+def brute_patch(f, z, n, d):
+    """The z-patch of g_n as a tuple of nonempty (x side, y side) clopen
+    rectangles: X(z,k) x V_k and V_k x Y(z,k) for k <= n."""
+    rects = []
+    for k in range(n + 1):
+        x_strip, y_strip = brute_strips(f, z, k, d)
+        v = ClopenSet.from_cylinder(basis_cylinder(k))
+        if not x_strip.is_empty():
+            rects.append((x_strip, v))
+        if not y_strip.is_empty():
+            rects.append((v, y_strip))
+    return tuple(rects)
+
+
+def brute_meets(rects, u, v):
+    cu, cv = ClopenSet.from_cylinder(u), ClopenSet.from_cylinder(v)
+    return any(
+        not cu.intersect(a).is_empty() and not cv.intersect(b).is_empty() for a, b in rects
+    )
 
 
 def brute_approximant(f, n):
     d = brute_working_depth(n)
-    patches = [
-        (z, build_patch(f, z, n, [brute_strips(f, z, k, d) for k in range(n + 1)]))
-        for z in ImageFiltration.for_function(f).level(n)
-    ]
-    patches = [(z, p) for z, p in patches if not p.is_empty()]
+    patches = [(z, brute_patch(f, z, n, d)) for z in ImageFiltration.for_function(f).level(n)]
+    patches = [(z, p) for z, p in patches if p]
     cells = partition_at_depth(d)
     rows = []
     for u in cells:
         row = []
         for v in cells:
-            hits = [z for z, p in patches if p.meets_cell(u, v)]
+            hits = [z for z, p in patches if brute_meets(p, u, v)]
             if len(hits) > 1:
                 raise RefinementExhaustedError(
                     f"cell {u.prefix} x {v.prefix} meets patches of "
@@ -380,7 +432,7 @@ class TestOverlappingPatches:
 class TestTableSectionPartition:
     @given(
         st.one_of(tables(DYADIC_POOL, 3), tables(C3_POOL, 3), tables(S3_POOL, 3)),
-        st.integers(0, 3).flatmap(lambda d: st.sampled_from(ProbeGrid.at_depth(d).points + OFF_GRID)),
+        st.integers(0, 3).flatmap(lambda d: st.sampled_from(grid_points(d) + OFF_GRID)),
         st.sampled_from(["x", "y"]),
     )
     def test_one_pass_matches_per_value_preimages(self, f, fixed, axis):
@@ -430,7 +482,7 @@ class TestTableMembership:
     @given(
         tables_with_pool,
         regions,
-        st.integers(0, 3).flatmap(lambda d: st.sampled_from(ProbeGrid.at_depth(d).points + OFF_GRID)),
+        st.integers(0, 3).flatmap(lambda d: st.sampled_from(grid_points(d) + OFF_GRID)),
         st.sampled_from(["x", "y"]),
         st.data(),
     )

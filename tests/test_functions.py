@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, ProbeGrid
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.errors import UnsupportedStructureError
 from sepcont.functions import (
     Constant,
@@ -41,7 +41,7 @@ PROBE_POINTS = [CantorPoint.parse(s) for s in ["(0)", "(1)", "10(0)", "110(0)", 
 def brute_section_values(f: SepFunction, axis, fixed, depth=5):
     """Oracle: sample the section on a deep grid."""
     out = {}
-    for p in ProbeGrid.at_depth(depth).points:
+    for p in grid_points(depth):
         val = f.eval(fixed, p) if axis == "x" else f.eval(p, fixed)
         out[p] = val
     return out
@@ -169,15 +169,15 @@ class TestValuesOnRect:
             u, v = Cylinder(pu), Cylinder(pv)
             vals, exact = DIAG.values_on_rect(u, v)
             seen = set()
-            for x in ProbeGrid.at_depth(6).points:
+            for x in grid_points(6):
                 if not u.contains(x):
                     continue
-                for y in ProbeGrid.at_depth(6).points:
+                for y in grid_points(6):
                     if v.contains(y):
                         seen.add(DIAG.eval(x, y))
             # include the accumulation-point rows not on the zero-tail grid
             if all(c == "1" for c in pu):
-                for y in ProbeGrid.at_depth(6).points:
+                for y in grid_points(6):
                     if v.contains(y):
                         seen.add(DIAG.eval(ALL_ONES, y))
                 if all(c == "1" for c in pv):
@@ -297,7 +297,7 @@ class TestUniformDist:
         # left-invariance: d(1, f^-1 g) == d(f, g) pointwise
         depth = 3
         got = uniform_dist(DIAG, MULTI, "l", depth).value
-        pts = ProbeGrid.at_depth(depth).points
+        pts = grid_points(depth)
         direct = max(
             DYADIC.dist(DIAG.eval(x, y), MULTI.eval(x, y)) for x in pts for y in pts
         )
@@ -347,7 +347,7 @@ class TestInSubbasic:
                     nb = SubbasicNbhd(fixed, ClopenSet.whole(), allowed)
                     exact = in_subbasic(f, nb, 5).member
                     sweep = all(
-                        f.eval(fixed, y) in allowed for y in ProbeGrid.at_depth(5).points
+                        f.eval(fixed, y) in allowed for y in grid_points(5)
                     ) and f.eval(fixed, ALL_ONES) in allowed
                     assert exact == sweep
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, ProbeGrid
+from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.config import load_experiment
 from sepcont.functions import (
     Constant,
@@ -48,7 +48,7 @@ class LeftInvariantS3(FiniteTableGroup):
 
     def _dist(self, a: int, b: int) -> Fraction:
         c = self._mul(self._inv(a), b)
-        if c == self._identity:
+        if c == self.identity().payload:
             return Fraction(0)
         return Fraction(1, 8) if self._labels[c] == "s" else Fraction(1, 2)
 
@@ -132,7 +132,7 @@ def _perturbed(pool):
 
 
 perturbed_pairs = st.sampled_from(POOLS).flatmap(_perturbed)
-point_lists = st.integers(0, 4).map(lambda d: ProbeGrid.at_depth(d).points + OFF_GRID)
+point_lists = st.integers(0, 4).map(lambda d: grid_points(d) + OFF_GRID)
 
 
 def brute_values(f, xs, ys):
@@ -143,7 +143,7 @@ def brute_uniform_dist(f, g, side, grid_depth):
     group = f.group
     one = group.identity()
     best, witness = Fraction(0), None
-    points = ProbeGrid.at_depth(grid_depth).points
+    points = grid_points(grid_depth)
     for x in points:
         for y in points:
             fv, gv = f.eval(x, y), g.eval(x, y)
@@ -161,7 +161,7 @@ def brute_ball_membership(q):
     grid point, x-major, stopping at the first failing one."""
     group = q.center.group
     one = group.identity()
-    points = ProbeGrid.at_depth(q.grid_depth).points
+    points = grid_points(q.grid_depth)
     if q.side == "rl":
         candidates = [
             u
@@ -202,7 +202,7 @@ def brute_layerwise_dist(f, g, axis, fixed, region, grid_depth):
 
 
 def brute_raw_sup(f, g, grid_depth):
-    points = ProbeGrid.at_depth(grid_depth).points
+    points = grid_points(grid_depth)
     pairs = [(x, y) for x in points for y in points]
     raws = [abs(f.eval(x, y).payload - g.eval(x, y).payload) for x, y in pairs]
     return max(raws), pairs[raws.index(max(raws))]
@@ -228,7 +228,7 @@ def brute_tail_containment(pipe, l, start, grid_pts):
 def brute_diagonal(pipe, probes, levels):
     """ZerodimPipeline.diagonal evaluated point by point."""
     group, n_max, f = pipe.group, pipe.n_max, pipe.f
-    grid_pts = ProbeGrid.at_depth(pipe.grid_depth).points
+    grid_pts = grid_points(pipe.grid_depth)
     rects = [
         [(x, y) for x in side_sample(p.kx, pipe.grid_depth) for y in side_sample(p.ky, pipe.grid_depth)]
         for p in probes
@@ -309,7 +309,7 @@ class TestGridValues:
         calls = []
         locate = f.family.locate
         object.__setattr__(f.family, "locate", lambda p: calls.append(p) or locate(p))
-        xs, ys = ProbeGrid.at_depth(3).points, (y,) + OFF_GRID
+        xs, ys = grid_points(3), (y,) + OFF_GRID
         values = grid_values(f, xs, ys)
         assert len(calls) == len(xs) + len(ys)
         assert values == brute_values(f, xs, ys)
@@ -378,12 +378,12 @@ class TestUniformChecksMatchBruteForce:
             assert got[side] == brute_ball_membership(q)
         assert got["l"].member and got["rl"].member
         assert not got["r"].member and got["lr"].witness == got["r"].witness
-        assert got["r"].witness == ProbeGrid.at_depth(2).points[2:3] * 2
+        assert got["r"].witness == grid_points(2)[2:3] * 2
 
     @given(
         function_pairs,
         st.sampled_from(["x", "y"]),
-        st.sampled_from(OFF_GRID + ProbeGrid.at_depth(2).points),
+        st.sampled_from(OFF_GRID + grid_points(2)),
         st.sampled_from(REGIONS),
         st.integers(0, 4),
     )

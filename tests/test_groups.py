@@ -251,6 +251,34 @@ class TestElementHash:
             assert {e: 1}[twin] == 1
 
 
+class TestIdentity:
+    # Each group's identity payload and its text.
+    EXPECTED = [
+        (DYADIC, CantorPoint("", "0"), "(0)"),
+        (REAL, Fraction(0), "0/2^0"),
+        (C3, 0, "0"),
+        (get_group("cyclic:5"), 0, "0"),
+        (S3, 0, "e"),
+    ]
+
+    @pytest.mark.parametrize(
+        "group, payload, text", EXPECTED, ids=lambda v: getattr(v, "name", None)
+    )
+    def test_one_identity_object_per_group(self, group, payload, text):
+        e = group.identity()
+        assert e is group.identity()
+        assert e.group is group
+        twin = group.element(payload)
+        assert e == twin and hash(e) == hash(twin) == hash((group, payload))
+        assert str(e) == text and repr(e) == f"<{group.name}:{text}>"
+        assert group.mul(e, e) == e
+
+    def test_groups_do_not_share_an_identity(self):
+        c5 = get_group("cyclic:5")
+        assert C3.identity() is not c5.identity()
+        assert C3.identity().group is C3 and c5.identity().group is c5
+
+
 class TestRealGroup:
     def test_metric_cap(self):
         a, b = REAL.parse_element("1/2^0"), REAL.parse_element("-1/2^0")

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, ProbeGrid
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, grid_points
 from sepcont.errors import CoverConstructionError
 from sepcont.functions import Constant, DiagonalIndicator, SubbasicNbhd, TableFunction
 from sepcont.groups import ball_net, get_group
@@ -146,7 +146,7 @@ class TestPipeline:
 
     def test_constant_function_factors_trivial(self):
         pipe = ZerodimPipeline(Constant(A), n_max=3, grid_depth=3)
-        pts = ProbeGrid.at_depth(3).points
+        pts = grid_points(3)
         for n in range(1, 4):
             g = pipe.factor(n)
             assert all(g.eval(x, y) == E for x, y in product(pts, repeat=2))
@@ -155,7 +155,7 @@ class TestPipeline:
         # r_0 is constant identity, so the first factor equals f_1 pointwise
         pipe = ZerodimPipeline(MULTI, n_max=3, grid_depth=4)
         g0, f1 = pipe.factor(0), pipe.quantized(1)
-        pts = ProbeGrid.at_depth(4).points
+        pts = grid_points(4)
         assert all(g0.eval(x, y) == f1.eval(x, y) for x, y in product(pts, repeat=2))
 
     def test_telescoping(self):
@@ -202,7 +202,7 @@ class TestDiagonal:
         pipe.diagonal(STANDARD_PROBES[:1], [1])
         l = 1
         one = DYADIC.identity()
-        pts = ProbeGrid.at_depth(4).points
+        pts = grid_points(4)
         for n in range(l + 1, 5):
             stages = [pipe.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)]
             for x in pts:
@@ -211,6 +211,47 @@ class TestDiagonal:
                     for g in stages:
                         acc = DYADIC.mul(acc, g.eval(x, y))
                     assert DYADIC.dist(one, acc) <= Fraction(1, 2**l)
+
+    @staticmethod
+    def _diagonal_with_wrong_factor(monkeypatch, l, wrong_k):
+        # At l = 3 the budget 4 * 2^-l is 1/2, so a stage value at distance
+        # 1/2 from the true one must fail it.  Only this pipeline's
+        # approximator of factor wrong_k is altered: every stage table is
+        # multiplied by A, which flips the first bit of each value.
+        pipe = ZerodimPipeline(MULTI, n_max=5, grid_depth=4)
+        approx = pipe.factor_approximator(wrong_k)
+        correct, wrong = approx.approximant, {}
+
+        def flipped(n):
+            if n not in wrong:
+                g = correct(n)
+                wrong[n] = TableFunction(
+                    g.depth, tuple(tuple(DYADIC.mul(v, A) for v in row) for row in g.values)
+                )
+            return wrong[n]
+
+        monkeypatch.setattr(approx, "approximant", flipped)
+        return pipe.diagonal(STANDARD_PROBES, [l])
+
+    def test_budget_and_tail_pass_before_the_substitution(self):
+        rep = ZerodimPipeline(MULTI, n_max=5, grid_depth=4).diagonal(STANDARD_PROBES, [3])
+        assert rep.passed
+        assert all(r.budget == Fraction(1, 2) and r.final_ok and r.tail_ok for r in rep.results)
+
+    def test_wrong_late_factor_fails_final_budget(self, monkeypatch):
+        rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
+        assert not rep.passed
+        for r in rep.results:
+            assert r.layer_ok and r.m_l == 3  # factors k <= l are untouched
+            assert r.budget == Fraction(1, 2) == r.final_sup
+            assert not r.final_ok
+            assert r.witness.startswith("n=")
+
+    def test_wrong_late_factor_fails_tail_containment(self, monkeypatch):
+        rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
+        assert not rep.passed
+        for r in rep.results:
+            assert r.layer_ok and not r.tail_ok
 
     def test_table_function_diagonal(self):
         rows = tuple(tuple(A if (i ^ j) & 1 else E for j in range(4)) for i in range(4))
