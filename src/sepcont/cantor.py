@@ -73,7 +73,8 @@ class CantorPoint:
         return int(self.period[(i - len(self.preperiod)) % len(self.period)])
 
     def prefix(self, n: int) -> str:
-        return "".join(str(self.bit(i)) for i in range(n))
+        reps = -(-(n - len(self.preperiod)) // len(self.period))
+        return (self.preperiod + self.period * reps)[:n]
 
     def starts_with(self, prefix: str) -> bool:
         return self.prefix(len(prefix)) == prefix

@@ -306,20 +306,23 @@ _HANDLERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand; the subcommand is a positional choice."""
     parser = argparse.ArgumentParser(
         prog="sepcont",
         description="Finite-resolution approximation of separately continuous functions "
         "on Cantor-space products, with exact certificates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", help="report directory (default: config's out)")
-        p.add_argument("--grid-depth", type=int, help="override grid depth")
-        p.add_argument("--seed", type=int, default=0, help="seed for random probe generation")
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", help="report directory (default: config's out)")
+    parser.add_argument("--grid-depth", type=int, help="override grid depth")
+    parser.add_argument("--seed", type=int, default=0, help="seed for random probe generation")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         exp = load_experiment(args.config, args.out, args.grid_depth, args.seed)
         exp.out.mkdir(parents=True, exist_ok=True)

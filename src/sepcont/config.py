@@ -146,7 +146,6 @@ def parse_probe(name: str, text: str) -> SubbasicNbhd:
 class Experiment:
     group: GroupSpec
     function: SepFunction
-    function_text: str
     grid_depth: int
     n_max: int
     levels: list[int]
@@ -155,7 +154,6 @@ class Experiment:
     raw: configparser.ConfigParser
     text: str
     base_dir: Path
-    seed: int = 0
 
     def section(self, name: str) -> dict[str, str]:
         if self.raw.has_section(name):
@@ -236,7 +234,6 @@ def load_experiment(
     return Experiment(
         group=group,
         function=function,
-        function_text=exp["function"],
         grid_depth=grid_depth,
         n_max=n_max,
         levels=levels,
@@ -245,7 +242,6 @@ def load_experiment(
         raw=parser,
         text=text,
         base_dir=path.parent,
-        seed=seed,
     )
 
 

@@ -10,8 +10,6 @@ answers structural queries:
 * ``values_on_rect`` — a finite superset of the values on a rectangle of
   cylinders, flagged exact when the structure certifies it.  A singleton
   superset certifies constancy on the rectangle even when inexact.
-* ``postcomposition`` — rewrites the tree as (base function, finite map)
-  when possible, so products of quantized copies of one base stay exact.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
 singleton), the grid-values kernel behind every grid sweep, and the
@@ -68,10 +66,6 @@ class SepFunction:
     def locally_constant_depth(self) -> int | None:
         """A depth d such that f is constant on every d-cell rectangle, or None."""
         raise NotImplementedError
-
-    def postcomposition(self) -> tuple["SepFunction", dict[GroupElement, GroupElement]] | None:
-        """(base, map) with self == map o base, when the structure provides one."""
-        return None
 
     def section_partition(self, axis: Axis, fixed: CantorPoint) -> dict[GroupElement, ClopenSet]:
         """Nonempty section preimages over the declared image."""
@@ -489,13 +483,6 @@ class PostCompose(SepFunction):
     def locally_constant_depth(self) -> int | None:
         return self.inner.locally_constant_depth()
 
-    def postcomposition(self):
-        deeper = self.inner.postcomposition()
-        if deeper is not None:
-            base, inner_map = deeper
-            return base, {z: self.mapping[w] for z, w in inner_map.items()}
-        return self.inner, dict(self.mapping)
-
     def _grid_values(self, xs, ys, memo):
         inner = grid_values(self.inner, xs, ys, memo)
         image = {id(w): memo.intern(self.mapping[w]) for w in distinct(inner)}
@@ -526,41 +513,16 @@ class PointwiseInverse(SepFunction):
     def locally_constant_depth(self) -> int | None:
         return self.inner.locally_constant_depth()
 
-    def postcomposition(self):
-        deeper = self.inner.postcomposition()
-        if deeper is not None:
-            base, inner_map = deeper
-            return base, {z: self.group.inv(w) for z, w in inner_map.items()}
-        return self.inner, {z: self.group.inv(z) for z in self.inner.declared_image()}
-
     def _grid_values(self, xs, ys, memo):
         return memo.inverses(grid_values(self.inner, xs, ys, memo))
 
 
-def _map_over(fn: SepFunction, base: SepFunction) -> dict[GroupElement, GroupElement] | None:
-    """Express fn as a finite map over base's declared image, or None."""
-    if fn is base:
-        return {z: z for z in base.declared_image()}
-    if isinstance(fn, Constant):
-        return {z: fn.value for z in base.declared_image()}
-    pc = fn.postcomposition()
-    if pc is not None and pc[0] is base:
-        return pc[1]
-    return None
-
-
 @dataclass(frozen=True)
 class PointwiseProduct(SepFunction):
-    """(x, y) -> left(x, y) * right(x, y).
-
-    ``image_override`` narrows the declared image when the construction
-    guarantees correlated factors (e.g. both are maps of one base); it is
-    revalidated against grid sampling by the pipelines that use it.
-    """
+    """(x, y) -> left(x, y) * right(x, y)."""
 
     left: SepFunction
     right: SepFunction
-    image_override: tuple[GroupElement, ...] | None = None
 
     @property
     def group(self) -> GroupSpec:
@@ -570,12 +532,6 @@ class PointwiseProduct(SepFunction):
         return self.group.mul(self.left.eval(x, y), self.right.eval(x, y))
 
     def declared_image(self) -> tuple[GroupElement, ...]:
-        if self.image_override is not None:
-            return self.image_override
-        pc = self.postcomposition()
-        if pc is not None:
-            base, mapping = pc
-            return _dedupe(mapping[z] for z in base.declared_image())
         return _dedupe(
             self.group.mul(a, b)
             for a in self.left.declared_image()
@@ -583,14 +539,6 @@ class PointwiseProduct(SepFunction):
         )
 
     def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        pc = self.postcomposition()
-        if pc is not None:
-            base, mapping = pc
-            out = ClopenSet.empty()
-            for w in base.declared_image():
-                if mapping[w] == z:
-                    out = out.union(base.section_preimage(axis, fixed, w))
-            return out
         out = ClopenSet.empty()
         for a in self.left.declared_image():
             b = self.group.mul(self.group.inv(a), z)
@@ -601,11 +549,6 @@ class PointwiseProduct(SepFunction):
         return out
 
     def values_on_rect(self, u, v):
-        pc = self.postcomposition()
-        if pc is not None:
-            base, mapping = pc
-            vals, exact = base.values_on_rect(u, v)
-            return frozenset(mapping[w] for w in vals), exact
         lv, lex = self.left.values_on_rect(u, v)
         rv, rex = self.right.values_on_rect(u, v)
         vals = frozenset(self.group.mul(a, b) for a in lv for b in rv)
@@ -617,25 +560,6 @@ class PointwiseProduct(SepFunction):
         if dl is None or dr is None:
             return None
         return max(dl, dr)
-
-    def _candidate_bases(self) -> list[SepFunction]:
-        out: list[SepFunction] = []
-        for child in (self.left, self.right):
-            node = child
-            while node is not None:
-                if not isinstance(node, Constant):
-                    out.append(node)
-                pc = node.postcomposition()
-                node = pc[0] if pc is not None and pc[0] is not node else None
-        return out
-
-    def postcomposition(self):
-        for base in self._candidate_bases():
-            lm = _map_over(self.left, base)
-            rm = _map_over(self.right, base)
-            if lm is not None and rm is not None:
-                return base, {z: self.group.mul(lm[z], rm[z]) for z in base.declared_image()}
-        return None
 
     def _grid_values(self, xs, ys, memo):
         return memo.products(

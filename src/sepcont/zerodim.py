@@ -27,8 +27,6 @@ from sepcont.errors import (
 from sepcont.functions import (
     DistResult,
     GridMemo,
-    PointwiseInverse,
-    PointwiseProduct,
     PostCompose,
     SepFunction,
     SubbasicNbhd,
@@ -281,24 +279,14 @@ class ZerodimPipeline:
         return PostCompose(self.f, mapping, label=f"r{n}")
 
     def factor(self, n: int) -> SepFunction:
-        """g_n = f_n^-1 * f_{n+1}, with image inside net(n) by construction."""
+        """g_n = f_n^-1 * f_{n+1}, built as one finite map of f: g_n = phi_n o f
+        with phi_n(z) = r_n(z)^-1 r_{n+1}(z); its image lies in net(n) by construction."""
         if n not in self._factor_cache:
-            f_n, f_n1 = self.quantized(n), self.quantized(n + 1)
-            override = tuple(
-                self.group.sort_canonically(
-                    {
-                        self.group.mul(self.group.inv(self.tower[n].apply(z)), self.tower[n + 1].apply(z))
-                        for z in self.sample
-                    }
-                )
-            )
-            self._factor_cache[n] = PointwiseProduct(
-                PointwiseInverse(f_n), f_n1, image_override=override
-            )
+            domain = self.f.declared_image()
+            r_n, r_n1 = self.tower[n].mapping(domain), self.tower[n + 1].mapping(domain)
+            phi = {z: self.group.mul(self.group.inv(r_n[z]), r_n1[z]) for z in domain}
+            self._factor_cache[n] = PostCompose(self.f, phi, label=f"g{n}")
         return self._factor_cache[n]
-
-    def factors(self) -> list[SepFunction]:
-        return [self.factor(n) for n in range(self.n_max + 1)]
 
     def uniform_rate(self, n: int) -> DistResult:
         """Grid sup of d(f_n, f); bounded by 2^-n through condition (2)."""

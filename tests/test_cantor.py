@@ -23,6 +23,11 @@ points = st.builds(CantorPoint, bits, nonempty_bits)
 clopens = st.lists(bits, max_size=4).map(ClopenSet.from_prefixes)
 
 
+def bitwise_prefix(p: CantorPoint, n: int) -> str:
+    """Oracle for ``CantorPoint.prefix``: the first n bits read one by one."""
+    return "".join(str(p.bit(i)) for i in range(n))
+
+
 class TestCantorPoint:
     def test_canonical_trailing_zeros(self):
         assert CantorPoint("110", "0") == CantorPoint("11", "0")
@@ -49,6 +54,16 @@ class TestCantorPoint:
             CantorPoint("12", "0")
         with pytest.raises(ValueError):
             CantorPoint("0", "")
+
+    @given(
+        st.text(alphabet="01", max_size=12),
+        st.text(alphabet="01", min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_prefix_matches_bitwise_oracle(self, preperiod, period, n):
+        p = CantorPoint(preperiod, period)
+        assert p.prefix(n) == bitwise_prefix(p, n)
+        assert len(p.prefix(n)) == n
 
     @given(points)
     def test_canonical_preserves_bits(self, p):

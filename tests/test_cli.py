@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from sepcont.cantor import CantorPoint, ClopenSet
-from sepcont.cli import main
+from sepcont.cli import build_parser, main
 from sepcont.config import load_experiment, parse_function, parse_probe
 from sepcont.errors import ConfigError
 from sepcont.functions import PointwiseProduct
@@ -97,6 +97,31 @@ class TestConfigParsing:
         (tmp_path / "t.csv").write_text("(0),1(0)\n1(0),(0)\n", encoding="utf-8")
         f = parse_function("table 1 t.csv", DYADIC, tmp_path)
         assert f.depth == 1
+
+
+class TestArgumentParser:
+    @pytest.mark.parametrize(
+        "command", ["nets", "approx-discrete", "approx-zerodim", "ball", "closure-probe", "problem3"]
+    )
+    def test_each_subcommand_parses(self, command):
+        args = build_parser().parse_args(
+            [command, "--config", "a.cfg", "--out", "rep", "--grid-depth", "3", "--seed", "7"]
+        )
+        assert (args.command, args.config, args.out, args.grid_depth, args.seed) == (
+            command, "a.cfg", "rep", 3, 7,
+        )
+        defaults = build_parser().parse_args([command, "--config", "a.cfg"])
+        assert (defaults.out, defaults.grid_depth, defaults.seed) == (None, None, 0)
+
+    def test_unknown_command_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["approx-everything", "--config", "a.cfg"])
+        assert exc.value.code == 2
+
+    def test_missing_config_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["nets"])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:

@@ -186,16 +186,6 @@ class TestValuesOnRect:
             if exact and len(pu) >= 3 and len(pv) >= 3:
                 assert seen == set(vals)
 
-    def test_fused_product_has_no_cross_terms(self):
-        im = DIAG.declared_image()
-        f0 = PostCompose(DIAG, {z: E for z in im}, "r0")
-        f1 = PostCompose(DIAG, {z: z for z in im}, "r1")
-        g = PointwiseProduct(PointwiseInverse(f0), f1)
-        base, mapping = g.postcomposition()
-        assert base is DIAG
-        vals, exact = g.values_on_rect(Cylinder(""), Cylinder(""))
-        assert vals == frozenset(DIAG.declared_image())
-
     def test_finite_family_profile(self):
         # The members' union is built once per family; every profile still
         # equals the one read off a freshly built union.

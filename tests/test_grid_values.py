@@ -4,9 +4,12 @@
 every sweep in the zerodim and uniform layers reads it.  The brute-force
 loops below evaluate pointwise, the way the sweeps did before the kernel
 (ball membership with its early exit), and are kept as the reference.
+The same random combinator trees also check that a product with a
+constant answers structural queries as the finite map it equals.
 """
 
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -133,6 +136,11 @@ def _perturbed(pool):
 
 perturbed_pairs = st.sampled_from(POOLS).flatmap(_perturbed)
 point_lists = st.integers(0, 4).map(lambda d: grid_points(d) + OFF_GRID)
+# A dyadic or S3 tree and a constant value from the same pool.
+constant_products = st.sampled_from(POOLS[:2]).flatmap(
+    lambda pool: st.tuples(_functions(pool), st.sampled_from(pool))
+)
+CYLINDERS_TO_2 = tuple(Cylinder("".join(bits)) for d in range(3) for bits in product("01", repeat=d))
 
 
 def brute_values(f, xs, ys):
@@ -399,3 +407,23 @@ class TestUniformChecksMatchBruteForce:
         sup_raw, witness = brute_raw_sup(f, g, depth)
         assert rep.sup_raw == sup_raw
         assert rep.witness == (None if sup_raw <= Fraction(1, 2) else witness)
+
+
+class TestConstantProducts:
+    @given(constant_products, st.booleans(), st.sampled_from(OFF_GRID + grid_points(2)))
+    def test_product_with_constant_is_a_finite_map(self, gc, const_first, fixed):
+        # prod(const c, g) is z -> c z of g, and prod(g, const c) is z -> z c.
+        g, c = gc
+        mul, image = g.group.mul, g.declared_image()
+        if const_first:
+            prod = PointwiseProduct(Constant(c), g)
+            mapped = PostCompose(g, {z: mul(c, z) for z in image})
+        else:
+            prod = PointwiseProduct(g, Constant(c))
+            mapped = PostCompose(g, {z: mul(z, c) for z in image})
+        assert prod.declared_image() == mapped.declared_image()
+        for u, v in product(CYLINDERS_TO_2, repeat=2):
+            assert prod.values_on_rect(u, v) == mapped.values_on_rect(u, v)
+        for axis in ("x", "y"):
+            for z in mapped.declared_image():
+                assert prod.section_preimage(axis, fixed, z) == mapped.section_preimage(axis, fixed, z)

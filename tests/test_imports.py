@@ -1,7 +1,11 @@
-"""Every name a module under src/sepcont imports is used in that module.
+"""Every name a module under src/sepcont imports is used in that module,
+and every function, class and method it defines is referenced somewhere.
 
 Names listed in a module's ``__all__`` count as used: the package
-re-exports its public names that way.
+re-exports its public names that way.  A definition counts as referenced
+when its name appears as a name, an attribute or a string constant in
+src/, tests/ or perfbench/ (the benchmark wraps methods by name); dunder
+methods are called by the language and are not checked.
 """
 
 import ast
@@ -9,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "sepcont"
+REPO = Path(__file__).parent.parent
+SRC = REPO / "src" / "sepcont"
 MODULES = sorted(SRC.glob("*.py"))
+REFERENCE_FILES = sorted(p for d in ("src", "tests", "perfbench") for p in (REPO / d).rglob("*.py"))
 
 
 def imported_names(tree):
@@ -65,3 +71,62 @@ def test_all_counts_as_use():
 
 def test_modules_found():
     assert {"discrete.py", "cantor.py", "__init__.py"} <= {p.name for p in MODULES}
+
+
+def definitions(tree):
+    """(name, line) for each function, class and method, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+
+
+def references(tree):
+    """Every name, attribute name and string constant in the module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unreferenced_definitions(defining, referencing):
+    """(name, line) for each non-dunder definition in the source ``defining``
+    whose name no source in ``referencing`` mentions."""
+    refs = set().union(*(references(ast.parse(src)) for src in referencing))
+    return [
+        (name, line)
+        for name, line in definitions(ast.parse(defining))
+        if name not in refs and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+@pytest.fixture(scope="module")
+def reference_sources():
+    return [p.read_text() for p in REFERENCE_FILES]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_nothing_unreferenced(path, reference_sources):
+    assert unreferenced_definitions(path.read_text(), reference_sources) == []
+
+
+def test_unreferenced_definition_is_reported():
+    defining = (
+        "class Used:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def called(self):\n"
+        "        def helper():\n"
+        "            pass\n"
+        "        return helper\n"
+        "    def wrapped(self):\n"
+        "        pass\n"
+        "def orphan():\n"
+        "    pass\n"
+    )
+    referencing = [defining, "Used().called()\n", "PATCH = ('Used', 'wrapped')\n"]
+    assert unreferenced_definitions(defining, referencing) == [("orphan", 10)]

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, grid_points
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.errors import CoverConstructionError
 from sepcont.functions import Constant, DiagonalIndicator, SubbasicNbhd, TableFunction
 from sepcont.groups import ball_net, get_group
@@ -23,6 +23,8 @@ DIAG = DiagonalIndicator.ones_schema([A])
 MULTI = DiagonalIndicator.ones_schema(
     [A, DYADIC.parse_element("01(0)"), DYADIC.parse_element("001(0)")]
 )
+C5 = get_group("cyclic:5")
+C5_CYCLE = DiagonalIndicator.ones_schema([C5.element(1), C5.element(3), C5.element(2)])
 WHOLE = ClopenSet.whole()
 
 STANDARD_PROBES = [
@@ -169,6 +171,67 @@ class TestPipeline:
         assert pipe.sample_complete  # both values appear on the grid
         rows = pipe.condition_rows()
         assert all(r.cond2_ok and r.cond3 for r in rows)
+
+
+def _phi(pipe, n, z):
+    """r_n(z)^-1 r_{n+1}(z), read off the quantizer tower."""
+    group = pipe.group
+    return group.mul(group.inv(pipe.tower[n].apply(z)), pipe.tower[n + 1].apply(z))
+
+
+# The diag ones 1(0) family, the diag-multi.cfg family at its n_max, and a cyclic:5 family.
+FACTOR_CASES = [(DIAG, 4), (MULTI, 6), (C5_CYCLE, 4)]
+CYLINDERS_TO_3 = [Cylinder("".join(bits)) for d in range(4) for bits in product("01", repeat=d)]
+
+
+@pytest.fixture(scope="module", params=FACTOR_CASES, ids=["diag", "diag-multi", "cyclic5"])
+def factor_pipe(request):
+    f, n_max = request.param
+    return ZerodimPipeline(f, n_max=n_max, grid_depth=4)
+
+
+class TestFactorAsMap:
+    """g_n is one finite map of f; each check runs for every n <= n_max."""
+
+    def test_eval_is_quotient_of_quantized(self, factor_pipe):
+        pipe, group = factor_pipe, factor_pipe.group
+        pts = grid_points(4)
+        pairs = [*product(pts, repeat=2), *((ALL_ONES, p) for p in pts),
+                 *((p, ALL_ONES) for p in pts), (ALL_ONES, ALL_ONES)]
+        for n in range(pipe.n_max + 1):
+            g, f_n, f_n1 = pipe.factor(n), pipe.quantized(n), pipe.quantized(n + 1)
+            for x, y in pairs:
+                assert g.eval(x, y) == group.mul(group.inv(f_n.eval(x, y)), f_n1.eval(x, y))
+
+    def test_declared_image_is_phi_of_sample(self, factor_pipe):
+        pipe = factor_pipe
+        for n in range(pipe.n_max + 1):
+            expected = tuple(pipe.group.sort_canonically({_phi(pipe, n, z) for z in pipe.sample}))
+            assert pipe.factor(n).declared_image() == expected
+
+    def test_values_on_rect_are_phi_of_f_values(self, factor_pipe):
+        pipe = factor_pipe
+        for n in range(pipe.n_max + 1):
+            g = pipe.factor(n)
+            for u, v in product(CYLINDERS_TO_3, repeat=2):
+                f_vals, f_exact = pipe.f.values_on_rect(u, v)
+                vals, exact = g.values_on_rect(u, v)
+                assert vals == frozenset(_phi(pipe, n, w) for w in f_vals)
+                assert exact == f_exact
+                if len(f_vals) == 1:
+                    assert len(vals) == 1
+
+    def test_grid_sample_mode_lists_identity_off_sample(self):
+        # A depth-2 table read on the depth-0 grid samples only A; the
+        # off-sample value B maps to itself at every level, so phi_n(B) is
+        # the identity, which g_0 takes on B's cell, so it is declared.
+        b = DYADIC.parse_element("01(0)")
+        f = TableFunction(2, ((A,) * 4, (A,) * 4, (A,) * 4, (A, A, A, b)))
+        pipe = ZerodimPipeline(f, n_max=1, grid_depth=0, sample_source="grid")
+        assert pipe.sample == (A,) and not pipe.sample_complete
+        g0 = pipe.factor(0)
+        assert g0.eval(CantorPoint.parse("11(0)"), CantorPoint.parse("11(0)")) == E
+        assert g0.declared_image() == tuple(DYADIC.sort_canonically({E, _phi(pipe, 0, A)}))
 
 
 class TestDiagonal:
