@@ -2,7 +2,8 @@
 
 Subcommands: nets, approx-discrete, approx-zerodim, ball, closure-probe,
 problem3.  Exit codes: 0 all certificates pass, 1 certificate failure
-(witness in the report), 2 config error, 3 resource/output error.
+(witness in the report) or internal error, 2 config error, 3 resource/output
+error.
 Reports are byte-identical across runs of the same config; wall-clock
 timings live only in manifest.json.
 """
@@ -12,16 +13,17 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import sepcont
 from sepcont.cantor import CantorPoint
-from sepcont.config import Experiment, load_experiment, parse_eps, parse_function
+from sepcont.config import Experiment, load_experiment, parse_eps, parse_function, parse_int
 from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import ConfigError, RefinementExhaustedError, SepcontError
 from sepcont.functions import Constant, SepFunction
-from sepcont.groups import ball_net
+from sepcont.groups import RealBoundedGroup, ball_net
 from sepcont.reports import (
     build_manifest,
     dyadic_str,
@@ -231,7 +233,11 @@ def _fault_constant(exp: Experiment) -> SepFunction:
 def cmd_closure_probe(exp: Experiment) -> int:
     timer = _Timer()
     section = exp.section("closure")
-    fault_at = int(section["inject_fault_at"]) if "inject_fault_at" in section else None
+    fault_at = (
+        parse_int(section["inject_fault_at"], "inject_fault_at")
+        if "inject_fault_at" in section
+        else None
+    )
     if fault_at is not None and not 0 <= fault_at <= exp.n_max:
         raise ConfigError(f"inject_fault_at must be a stage in [0, {exp.n_max}]")
     with timer.stage("stages"):
@@ -275,6 +281,8 @@ def cmd_problem3(exp: Experiment) -> int:
     section = exp.section("problem3")
     if "candidate" not in section:
         raise ConfigError("[problem3] needs a candidate function")
+    if not isinstance(exp.group, RealBoundedGroup):
+        raise ConfigError("[problem3] runs over the real group")
     candidate = parse_function(section["candidate"], exp.group, exp.base_dir)
     bound = parse_eps(section["bound"]) if "bound" in section else Fraction(1)
     with timer.stage("problem3"):
@@ -327,13 +335,18 @@ def main(argv: list[str] | None = None) -> int:
         exp = load_experiment(args.config, args.out, args.grid_depth, args.seed)
         exp.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](exp)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (RefinementExhaustedError, OSError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
     except SepcontError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # An internal fault, not a certificate outcome: keep its traceback.
+        traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

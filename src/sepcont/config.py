@@ -37,7 +37,14 @@ MAX_N = 12
 
 
 def depth_cap() -> int:
-    return int(os.environ.get("SEPCONT_MAX_DEPTH", 16))
+    return parse_int(os.environ.get("SEPCONT_MAX_DEPTH", "16"), "SEPCONT_MAX_DEPTH")
+
+
+def parse_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, not {text!r}") from None
 
 
 def _split_args(text: str) -> list[str]:
@@ -203,8 +210,12 @@ def load_experiment(
         group = get_group(exp["group"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    grid_depth = grid_depth_override if grid_depth_override is not None else int(exp.get("grid_depth", 6))
-    n_max = int(exp.get("n_max", 3))
+    grid_depth = (
+        grid_depth_override
+        if grid_depth_override is not None
+        else parse_int(exp.get("grid_depth", "6"), "grid_depth")
+    )
+    n_max = parse_int(exp.get("n_max", "3"), "n_max")
     if grid_depth < 0 or grid_depth > depth_cap():
         raise ConfigError(f"grid_depth must be in [0, {depth_cap()}]")
     if n_max < 0 or n_max > MAX_N:
@@ -221,7 +232,7 @@ def load_experiment(
     if parser.has_section("probes"):
         for name, value in parser.items("probes"):
             if name == "random":
-                probes.extend(_random_probes(int(value), seed))
+                probes.extend(_random_probes(parse_int(value, "random"), seed))
             else:
                 probes.append(parse_probe(name, value))
     for p in probes:
@@ -246,7 +257,10 @@ def load_experiment(
 
 
 def parse_eps(text: str) -> Fraction:
-    eps = parse_dyadic(text)
+    try:
+        eps = parse_dyadic(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if eps <= 0:
         raise ConfigError(f"radius must be positive: {text!r}")
     return eps

@@ -85,6 +85,12 @@ class GroupSpec:
         """Finite enumeration, monotone in depth and dense at resolution 2^-(depth+1)."""
         return tuple(self.element(p) for p in self._enumerate(depth))
 
+    def ball_enumeration(self, k: int, depth: int) -> tuple[GroupElement, ...]:
+        """The sublist of ``dense_enumeration(depth)``, in its order, that lies
+        in the closed ball B[2^-k] around the identity."""
+        one, radius = self.identity(), Fraction(1, 2**k)
+        return tuple(u for u in self.dense_enumeration(depth) if self.dist(one, u) <= radius)
+
     def canonical_key(self, a: GroupElement):
         """Deterministic total order used for greedy scans and tie-breaking."""
         self._require(a)
@@ -170,6 +176,19 @@ class DyadicGroup(GroupSpec):
             for bits in iter_product("01", repeat=d - 1):
                 out.append(CantorPoint("".join(bits) + "1", "0"))
         return out
+
+    def ball_enumeration(self, k, depth):
+        # d(1, a) = 2^-(i+1) at the first 1-bit i, so B[2^-k] holds the
+        # identity and the points whose first k-1 bits are 0; the metric's
+        # bound of 1/2 puts every point in the ball for k <= 1.
+        if k <= 1:
+            return self.dense_enumeration(depth)
+        zeros = "0" * (k - 1)
+        return (self.identity(),) + tuple(
+            self.element(CantorPoint(zeros + "".join(bits) + "1", "0"))
+            for d in range(k, depth + 1)
+            for bits in iter_product("01", repeat=d - k)
+        )
 
     def _key(self, a: CantorPoint):
         if a.period == "0":
@@ -326,8 +345,20 @@ class RealBoundedGroup(GroupSpec):
         return kept
 
     def _enumerate(self, depth: int) -> list[Fraction]:
-        vals = [Fraction(j, 2**depth) for j in range(-(2**depth), 2**depth + 1)]
+        return self._sorted_multiples(2**depth, depth)
+
+    def _sorted_multiples(self, bound: int, depth: int) -> list[Fraction]:
+        """j / 2^depth for |j| <= bound, in canonical order."""
+        vals = [Fraction(j, 2**depth) for j in range(-bound, bound + 1)]
         return sorted(vals, key=self._key)
+
+    def ball_enumeration(self, k, depth):
+        # For k >= 2, d(0, a) <= 2^-k means |a| <= 2^-k, i.e. |j| <= 2^(depth-k);
+        # the metric's bound of 1/2 puts every enumerated value in the ball for k <= 1.
+        if k <= 1:
+            return self.dense_enumeration(depth)
+        bound = 2 ** (depth - k) if depth >= k else 0
+        return tuple(self.element(p) for p in self._sorted_multiples(bound, depth))
 
     def _key(self, a: Fraction):
         e = a.denominator.bit_length() - 1
@@ -400,10 +431,7 @@ class SeparatedNet:
 
     def check_maximality(self) -> bool:
         """No enumerated ball element is >= separation away from every net element."""
-        one = self.group.identity()
-        for cand in self.group.dense_enumeration(self.enumeration_depth):
-            if self.group.dist(one, cand) > self.radius:
-                continue
+        for cand in self.group.ball_enumeration(self.scale_index, self.enumeration_depth):
             if all(self.group.dist(cand, e) >= self.separation for e in self.elements):
                 return False
         return True
@@ -422,17 +450,26 @@ class SeparatedNet:
 def ball_net(group: GroupSpec, k: int, enumeration_depth: int) -> SeparatedNet:
     """Greedy maximal 2^-(k+2)-separated subset of B[2^-k].
 
-    Scans the dense enumeration in canonical order, keeping every candidate
-    inside the ball that is at least the separation away from all kept
-    elements (``GroupSpec.greedy_separated``); greedy exhaustion makes the
-    result maximal relative to the enumeration depth.
+    Scans the ball's part of the dense enumeration in canonical order,
+    keeping every candidate that is at least the separation away from all
+    kept elements (``GroupSpec.greedy_separated``); greedy exhaustion makes
+    the result maximal relative to the enumeration depth.
+
+    The scan stops at depth min(enumeration_depth, k + 2) and still gives
+    the net of the full-depth scan.  Every shipped group enumerates each
+    point of resolution 2^-(k+2) before any finer point, and those points
+    are pairwise at least the separation apart, so the scan keeps all of
+    them.  Every finer point of the ball then lies within 2^-(k+3) of one
+    of them and is dropped: for the dyadic group its (k+2)-bit truncation,
+    for the reals the nearest multiple of 2^-(k+2), which lies in the ball
+    because the ball's ends are multiples.  Finite groups enumerate every
+    element at every depth.  ``SeparatedNet.check_maximality`` still scans
+    the ball at the full enumeration depth.
     """
+    if not group.dense_enumeration(0):
+        raise ValueError("dense enumeration is empty")
     radius = Fraction(1, 2**k)
     separation = Fraction(1, 2 ** (k + 2))
-    candidates = group.dense_enumeration(enumeration_depth)
-    if not candidates:
-        raise ValueError("dense enumeration is empty")
-    one = group.identity()
-    in_ball = [cand for cand in candidates if group.dist(one, cand) <= radius]
-    kept = group.greedy_separated(in_ball, separation)
+    candidates = group.ball_enumeration(k, min(enumeration_depth, k + 2))
+    kept = group.greedy_separated(candidates, separation)
     return SeparatedNet(group, k, radius, separation, tuple(kept), enumeration_depth)

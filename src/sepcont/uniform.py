@@ -73,9 +73,11 @@ def ball_membership(q: BallQuery) -> BallResult:
     memo = GridMemo(group)
     points = memo.grid_points(q.grid_depth)
     if q.side == "rl":
+        # 2^-k >= eps (or the ball is the whole group), so B[2^-k] holds the open ball.
+        k = max(0, (q.eps.denominator // q.eps.numerator).bit_length() - 1)
         candidates = [
             u
-            for u in group.dense_enumeration(_resolution_depth(group, q.eps))
+            for u in group.ball_enumeration(k, _resolution_depth(group, q.eps))
             if group.dist(one, u) < q.eps
         ]
 

@@ -268,7 +268,6 @@ class ZerodimPipeline:
         self._approx_cache: dict[int, DiscreteApproximator] = {}
         self._tail_cache: dict[tuple[int, int], bool] = {}
         self._memo = GridMemo(self.group)
-        self._grid = self._memo.grid_points(grid_depth)
 
     def condition_rows(self) -> list[ConditionRow]:
         return quantizer_conditions(self.group, self.sample, self.tower, self.nets)
@@ -295,7 +294,8 @@ class ZerodimPipeline:
         return uniform_dist(self.quantized(n), self.f, "l", self.grid_depth, self._memo)
 
     def factor_values_on_grid(self, n: int) -> set[GroupElement]:
-        return set(distinct(grid_values(self.factor(n), self._grid, self._grid, self._memo)))
+        grid = self._memo.grid_points(self.grid_depth)
+        return set(distinct(grid_values(self.factor(n), grid, grid, self._memo)))
 
     def factor_discreteness(self, n: int) -> bool:
         return self.factor_values_on_grid(n) <= set(self.nets[n].elements)
@@ -383,8 +383,9 @@ class ZerodimPipeline:
                 )
             stage_of_level[l] = level_stage
         stage_sups = []
+        grid = memo.grid_points(self.grid_depth)
         for n, diag in enumerate(diagonals):
-            sup = grid_sup_dist(self.f, diag, self._grid, self._grid, memo)
+            sup = grid_sup_dist(self.f, diag, grid, grid, memo)
             for xs, ys in sides:
                 sup = max(sup, grid_sup_dist(self.f, diag, xs, ys, memo))
             stage_sups.append((n, sup))
@@ -395,7 +396,8 @@ class ZerodimPipeline:
         """prod_{k=l+1..n} g_{k,n}(p) stays in B[2^-l] at every grid point,
         exactly.  The result depends on (l, start) alone, so it is memoised."""
         if (l, start) not in self._tail_cache:
-            memo, grid = self._memo, self._grid
+            memo = self._memo
+            grid = memo.grid_points(self.grid_depth)
             one = self.group.identity()
             ones = [one] * (len(grid) * len(grid))
             tol = Fraction(1, 2**l)

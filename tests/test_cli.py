@@ -169,6 +169,44 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main(["closure-probe", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("nets", MINIMAL.replace("grid_depth = 2", "grid_depth = x")),
+            ("nets", MINIMAL.replace("n_max = 2", "n_max = two")),
+            ("nets", MINIMAL + "random = x\n"),
+            ("ball", MINIMAL + "[ball]\nb = side=l; eps=zz; candidate=const 1(0)\n"),
+            ("closure-probe", MINIMAL + "[closure]\ninject_fault_at = x\n"),
+            ("problem3", MINIMAL + "[problem3]\ncandidate = const 1(0)\n"),
+            (
+                "problem3",
+                MINIMAL.replace("dyadic", "real").replace("1(0)", "1/2^1")
+                + "[problem3]\ncandidate = const 0/2^0\nbound = 1/3\n",
+            ),
+        ],
+    )
+    def test_bad_setting_exits_two(self, tmp_path, command, text, capsys):
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_bad_depth_cap_env_exits_two(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "deep")
+        cfg = write_config(tmp_path, MINIMAL)
+        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+
+    def test_internal_value_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        import sepcont.cli as cli
+
+        def broken(exp):
+            raise ValueError("internal fault")
+
+        monkeypatch.setitem(cli._HANDLERS, "nets", broken)
+        cfg = write_config(tmp_path, MINIMAL)
+        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert "error: internal fault" in err and "config error" not in err
+
     def test_depth_cap_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEPCONT_MAX_DEPTH", "4")
         cfg = write_config(tmp_path, MINIMAL.replace("grid_depth = 2", "grid_depth = 6"))

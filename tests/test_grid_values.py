@@ -373,6 +373,26 @@ class TestUniformChecksMatchBruteForce:
         q = BallQuery(*fg, side, eps, depth)
         assert ball_membership(q) == brute_ball_membership(q)
 
+    @settings(max_examples=100)
+    @given(
+        st.one_of(
+            st.sampled_from(POOLS[:2]).flatmap(
+                lambda pool: st.tuples(_functions(pool), _functions(pool))
+            ),
+            st.tuples(_table(REAL_POOL), _table(REAL_POOL)),
+        ),
+        st.integers(1, 7),
+        st.integers(0, 5),
+        st.integers(0, 3),
+    )
+    def test_rl_ball_membership_over_dyadic_radii(self, fg, m, e, depth):
+        # eps = m / 2^e runs past 1, where the closed ball B[2^-0] is the whole
+        # group.  On the dyadic group the identity alone decides rl (the metric
+        # is an ultrametric), so the reals and S3 are the ones that test the
+        # candidate list.
+        q = BallQuery(*fg, "rl", Fraction(m, 2**e), depth)
+        assert ball_membership(q) == brute_ball_membership(q)
+
     def test_ball_sides_apart_on_a_left_invariant_metric(self):
         # f^-1 g = s everywhere, so g is in the l-ball; g f^-1 is the
         # reflection r s r^-1 on [1] x [1], so it is not in the r-ball.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -124,6 +125,25 @@ class TestEnumeration:
         assert any(DYADIC.dist(p, q) <= Fraction(1, 32) for q in enum)
 
 
+@lru_cache(maxsize=None)
+def _dense(group, depth):
+    return group.dense_enumeration(depth)
+
+
+class TestBallEnumeration:
+    # The filtered dense enumeration is the oracle.
+    @pytest.mark.parametrize(
+        "group", [DYADIC, REAL, get_group("cyclic:5"), S3], ids=lambda g: g.name
+    )
+    @pytest.mark.parametrize("k", range(9))
+    def test_is_the_ball_part_of_the_dense_enumeration(self, group, k):
+        one, radius = group.identity(), Fraction(1, 2**k)
+        top = min(k + 6, 14) if group is DYADIC else k + 6
+        for depth in range(top + 1):
+            expected = tuple(u for u in _dense(group, depth) if group.dist(one, u) <= radius)
+            assert group.ball_enumeration(k, depth) == expected, depth
+
+
 class TestBallNet:
     def test_dyadic_k1_depth6_has_8_elements(self):
         net = ball_net(DYADIC, 1, 6)
@@ -225,10 +245,25 @@ class TestGreedySeparation:
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
     @pytest.mark.parametrize("k", range(6))
     def test_ball_net_matches_greedy_loop(self, group, k):
-        for depth in {group.net_enumeration_depth(k, ()), k + 2}:
+        for depth in {group.net_enumeration_depth(k, ()), k + 2, k + 6}:
             net = ball_net(group, k, depth)
             assert net.elements == brute_ball_net_elements(group, k, depth), depth
             assert net.check_maximality()
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_real_net_at_a_sample_depth(self, k):
+        # A sample value 1/2^9 raises the real group's enumeration depth to 11.
+        depth = REAL.net_enumeration_depth(k, (REAL.element(Fraction(1, 2**9)),))
+        assert depth == 11
+        net = ball_net(REAL, k, depth)
+        assert net.elements == brute_ball_net_elements(REAL, k, depth)
+        assert net.enumeration_depth == depth and net.check_maximality()
+
+    def test_deep_dyadic_net_is_the_shallow_ball(self):
+        net = ball_net(DYADIC, 12, 16)
+        assert net.elements == DYADIC.ball_enumeration(12, 14)
+        assert len(net.elements) == 8
+        assert net.check_maximality()
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
     @given(data=st.data(), separation=separations)
