@@ -122,6 +122,9 @@ def cmd_approx_discrete(exp: Experiment) -> int:
 
 
 def cmd_approx_zerodim(exp: Experiment) -> int:
+    too_deep = [l for l in exp.levels if l > exp.n_max] if exp.probes else []
+    if too_deep:
+        raise ConfigError(f"level {too_deep[0]} needs factors up to {too_deep[0]}; raise n_max")
     timer = _Timer()
     with timer.stage("tower"):
         pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)

@@ -225,6 +225,8 @@ def load_experiment(
         levels = [int(v) for v in levels_text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"bad levels list {levels_text!r}") from None
+    if any(l < 0 for l in levels):
+        raise ConfigError(f"levels must be nonnegative: {levels_text!r}")
     if "function" not in exp:
         raise ConfigError(f"{path}: [experiment] needs a function")
     function = parse_function(exp["function"], group, path.parent)

@@ -12,8 +12,8 @@ answers structural queries:
   superset certifies constancy on the rectangle even when inexact.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
-singleton), the grid-values kernel behind every grid sweep, and the
-grid-based layer-wise / uniform distances.
+singleton), the grid-values kernel and the ``grid_sup`` reduction behind
+every grid sweep, and the grid-based layer-wise / uniform distances.
 """
 
 from __future__ import annotations
@@ -484,9 +484,7 @@ class PostCompose(SepFunction):
         return self.inner.locally_constant_depth()
 
     def _grid_values(self, xs, ys, memo):
-        inner = grid_values(self.inner, xs, ys, memo)
-        image = {id(w): memo.intern(self.mapping[w]) for w in distinct(inner)}
-        return [image[id(w)] for w in inner]
+        return memo.image(self.mapping.__getitem__, grid_values(self.inner, xs, ys, memo))
 
 
 @dataclass(frozen=True)
@@ -514,7 +512,7 @@ class PointwiseInverse(SepFunction):
         return self.inner.locally_constant_depth()
 
     def _grid_values(self, xs, ys, memo):
-        return memo.inverses(grid_values(self.inner, xs, ys, memo))
+        return memo.image(self.group.inv, grid_values(self.inner, xs, ys, memo))
 
 
 @dataclass(frozen=True)
@@ -562,9 +560,8 @@ class PointwiseProduct(SepFunction):
         return max(dl, dr)
 
     def _grid_values(self, xs, ys, memo):
-        return memo.products(
-            grid_values(self.left, xs, ys, memo), grid_values(self.right, xs, ys, memo)
-        )
+        left, right = grid_values(self.left, xs, ys, memo), grid_values(self.right, xs, ys, memo)
+        return memo.pairwise(self.group.mul, left, right)
 
 
 def product_chain(funcs: list[SepFunction]) -> SepFunction:
@@ -586,11 +583,14 @@ def distinct(values: Iterable) -> Iterable:
 class GridMemo:
     """Memo tables for the grid sweeps over one group.
 
-    A sweep meets only a few distinct group elements, so ``mul``, ``inv``
-    and ``dist`` are memoised on them; ``grid_values`` keeps each
-    function's values per pair of point lists, and ``grid_points`` hands
-    out one point tuple per depth so those values are found again.  A memo
-    lives on one pipeline or one call and is never shared across jobs.
+    A sweep meets only a few distinct group elements, so every binary
+    operation a sweep runs (group ``mul``, ``dist``, a ball test) goes
+    through ``pairwise``, which keeps one table per operation and runs it
+    once per distinct pair of value objects; ``image`` maps a value list
+    once per distinct object.  ``grid_values`` keeps each function's values
+    per pair of point lists, and ``grid_points`` hands out one point tuple
+    per depth so those values are found again.  A memo lives on one
+    pipeline or one call and is never shared across jobs.
 
     Tables are keyed on object identity, which hashes at C speed, and hold
     their key objects so that no id is reused while the memo lives.  Values
@@ -604,9 +604,7 @@ class GridMemo:
         self.function_values: dict[tuple[int, int, int], tuple] = {}
         self._grids: dict[int, tuple[CantorPoint, ...]] = {}
         self._canon: dict[object, object] = {}
-        self._inv: dict[int, GroupElement] = {}
-        self._mul: dict[tuple[int, int], GroupElement] = {}
-        self._dist: dict[tuple[int, int], Fraction] = {}
+        self._tables: dict[object, dict[tuple[int, int], object]] = {}
         self._held: list[object] = []
 
     def grid_points(self, depth: int) -> tuple[CantorPoint, ...]:
@@ -618,24 +616,15 @@ class GridMemo:
         """The memo's one object equal to value."""
         return self._canon.setdefault(value, value)
 
-    def inverses(self, values: Iterable[GroupElement]) -> list[GroupElement]:
-        table, inv, held = self._inv, self.group.inv, self._held
-        out = []
-        for a in values:
-            b = table.get(id(a))
-            if b is None:
-                b = table[id(a)] = self.intern(inv(a))
-                held.append(a)
-            out.append(b)
-        return out
+    def image(self, fn, values: list) -> list:
+        """fn(w) for each w, run once per distinct object in values."""
+        image = {id(w): self.intern(fn(w)) for w in distinct(values)}
+        return [image[id(w)] for w in values]
 
-    def products(self, left: Iterable[GroupElement], right: Iterable[GroupElement]) -> list[GroupElement]:
-        return self._pairwise(self._mul, self.group.mul, left, right)
-
-    def dists(self, left: Iterable[GroupElement], right: Iterable[GroupElement]) -> list[Fraction]:
-        return self._pairwise(self._dist, self.group.dist, left, right)
-
-    def _pairwise(self, table: dict, op, left, right) -> list:
+    def pairwise(self, op, left: Iterable, right: Iterable) -> list:
+        """op(a, b) for each zipped pair, run once per distinct (id(a), id(b))
+        for as long as the memo lives; each op has its own table."""
+        table = self._tables.setdefault(op, {})
         held = self._held
         out = []
         for a, b in zip(left, right):
@@ -657,11 +646,11 @@ def grid_values(
     """Values of fn on xs x ys in row-major order (x outer, y inner).
 
     Computed bottom-up, once per (function, point lists) and memo: tables
-    and diagonal indicators read each axis once, products, inverses and
-    maps work elementwise on their children's values, anything else is
-    evaluated per point.  Every lowering mirrors the combinator's ``eval``,
-    so the values are exactly the pointwise ones.  The returned list is
-    shared: do not mutate it.
+    and diagonal indicators read each axis once, products run
+    ``memo.pairwise(mul)`` and inverses and maps ``memo.image`` on their
+    children's values, anything else is evaluated per point.  Every
+    lowering mirrors the combinator's ``eval``, so the values are exactly
+    the pointwise ones.  The returned list is shared: do not mutate it.
     """
     memo = memo if memo is not None else GridMemo(fn.group)
     key = (id(fn), id(xs), id(ys))
@@ -710,6 +699,27 @@ class MembershipResult:
     witness: tuple[CantorPoint, CantorPoint, GroupElement] | None = None
 
 
+def grid_sup(
+    op,
+    f: SepFunction,
+    g: SepFunction,
+    xs: tuple[CantorPoint, ...],
+    ys: tuple[CantorPoint, ...],
+    memo: GridMemo,
+) -> tuple:
+    """The max of op(f(p), g(p)) over p in xs x ys and the first point p,
+    x-major, that attains it; (0, None) on an empty rectangle.  op runs
+    through ``memo.pairwise``."""
+    values = memo.pairwise(op, grid_values(f, xs, ys, memo), grid_values(g, xs, ys, memo))
+    if not values:
+        return Fraction(0), None
+    seen = distinct(values)
+    best = max(seen)
+    top = {id(v) for v in seen if v == best}
+    i, j = divmod(next(k for k, v in enumerate(values) if id(v) in top), len(ys))
+    return best, (xs[i], ys[j])
+
+
 def layerwise_dist(
     f: SepFunction,
     g: SepFunction,
@@ -725,49 +735,14 @@ def layerwise_dist(
     region = region if region is not None else ClopenSet.whole()
     if region.depth() > grid_depth:
         raise ValueError("grid_depth must cover the region's cylinders")
-    memo = GridMemo(f.group)
     ts = side_sample(region, grid_depth)
     xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
-    dists = memo.dists(grid_values(f, xs, ys, memo), grid_values(g, xs, ys, memo))
-    best = max(distinct(dists), default=Fraction(0))
-    witness = None
-    if best > 0:
-        t = ts[indices_where(dists, lambda d: d == best)[0]]
-        witness = (fixed, t) if axis == "x" else (t, fixed)
+    best, point = grid_sup(f.group.dist, f, g, xs, ys, GridMemo(f.group))
     exact = (
         max(f.section_depth(axis, fixed), g.section_depth(axis, fixed), region.depth())
         <= grid_depth
     )
-    return DistResult(best, exact, grid_depth, witness)
-
-
-def pairwise(op, left: list, right: list) -> list:
-    """op(a, b) for each zipped pair, run once per distinct (id(a), id(b)).
-
-    The lists hold their elements for the whole call, so no id is reused.
-    """
-    keys = list(zip(map(id, left), map(id, right)))
-    pairs = dict(zip(keys, zip(left, right)))
-    results = {key: op(a, b) for key, (a, b) in pairs.items()}
-    return list(map(results.__getitem__, keys))
-
-
-def indices_where(values: list, pred) -> list[int]:
-    """Indices of the values satisfying pred; pred runs once per distinct object."""
-    hits = {id(v) for v in distinct(values) if pred(v)}
-    return [k for k, v in enumerate(values) if id(v) in hits]
-
-
-def grid_sup_dist(
-    f: SepFunction,
-    g: SepFunction,
-    xs: tuple[CantorPoint, ...],
-    ys: tuple[CantorPoint, ...],
-    memo: GridMemo,
-) -> Fraction:
-    """max of d(f, g) over xs x ys; 0 on an empty rectangle."""
-    dists = memo.dists(grid_values(f, xs, ys, memo), grid_values(g, xs, ys, memo))
-    return max(distinct(dists), default=Fraction(0))
+    return DistResult(best, exact, grid_depth, point if best > 0 else None)
 
 
 def uniform_dist(
@@ -778,21 +753,15 @@ def uniform_dist(
     memo: GridMemo | None = None,
 ) -> DistResult:
     """Grid sup of d(1, f^-1 g) (side l) or d(1, g f^-1) (side r); the
-    witness is the first grid point, x-major, that attains it."""
+    witness is the first grid point, x-major, that attains it.  The metric
+    is left-invariant, so these are d(f, g) and d(g^-1, f^-1)."""
     memo = memo if memo is not None else GridMemo(f.group)
     points = memo.grid_points(grid_depth)
-    f_inv = memo.inverses(grid_values(f, points, points, memo))
-    gv = grid_values(g, points, points, memo)
-    shifts = memo.products(f_inv, gv) if side == "l" else memo.products(gv, f_inv)
-    dists = memo.dists([f.group.identity()] * len(shifts), shifts)
-    best = max(distinct(dists))
-    witness = None
-    if best > 0:
-        i, j = divmod(indices_where(dists, lambda d: d == best)[0], len(points))
-        witness = (points[i], points[j])
+    pair = (f, g) if side == "l" else (PointwiseInverse(g), PointwiseInverse(f))
+    best, point = grid_sup(f.group.dist, *pair, points, points, memo)
     dl, dg = f.locally_constant_depth(), g.locally_constant_depth()
     exact = dl is not None and dg is not None and max(dl, dg) <= grid_depth
-    return DistResult(best, exact, grid_depth, witness)
+    return DistResult(best, exact, grid_depth, point if best > 0 else None)
 
 
 def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd, grid_depth: int = 6) -> MembershipResult:

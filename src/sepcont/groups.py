@@ -1,8 +1,9 @@
 """Pluggable metric groups with a bounded left-invariant metric.
 
 Every group ships exact element arithmetic, a metric valued in dyadic
-rationals and bounded by 1/2, a monotone dense enumeration, and greedy
-maximal separated nets inside closed balls around the identity.
+rationals and bounded by 1/2, a monotone dense enumeration, its part
+inside closed balls around the identity, and greedy maximal separated
+nets there.
 
 Shipped instances: the dyadic group (coordinatewise XOR on eventually
 periodic bit sequences, bi-invariant first-difference metric), finite
@@ -12,7 +13,6 @@ group of dyadic rationals with the metric min(|a - b|, 1/2).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -105,17 +105,6 @@ class GroupSpec:
     def parse_element(self, text: str) -> GroupElement:
         raise NotImplementedError
 
-    def greedy_separated(
-        self, candidates: Iterable[GroupElement], separation: Fraction
-    ) -> list[GroupElement]:
-        """The candidates, in order, that a greedy scan keeps: each one at
-        least ``separation`` away from every candidate kept before it."""
-        kept: list[GroupElement] = []
-        for cand in candidates:
-            if all(self.dist(cand, e) >= separation for e in kept):
-                kept.append(cand)
-        return kept
-
     def cover_key(self, a: GroupElement, level: int):
         """Hashable class key giving a diameter <= 2^-(level+1) partition, or None.
 
@@ -200,16 +189,6 @@ class DyadicGroup(GroupSpec):
 
     def parse_element(self, text: str) -> GroupElement:
         return self.element(CantorPoint.parse(text))
-
-    def greedy_separated(self, candidates, separation):
-        # The metric is an ultrametric: d(a, b) >= 2^-m exactly when the first
-        # m bits differ, so the scan keeps the first candidate of each m-bit
-        # prefix, m = floor(log2(1 / separation)).
-        m = (separation.denominator // separation.numerator).bit_length() - 1
-        first: dict[str, GroupElement] = {}
-        for cand in candidates:
-            first.setdefault(cand.payload.prefix(m), cand)
-        return list(first.values())
 
     def cover_key(self, a: GroupElement, level: int):
         # Same first level+1 coordinates => distance <= 2^-(level+2).
@@ -326,24 +305,6 @@ class RealBoundedGroup(GroupSpec):
     def _dist(self, a: Fraction, b: Fraction) -> Fraction:
         return min(abs(a - b), Fraction(1, 2))
 
-    def greedy_separated(self, candidates, separation):
-        # For separation <= 1/2, min(|a - b|, 1/2) >= separation exactly when
-        # |a - b| >= separation, and the nearest kept values on either side
-        # are the closest kept ones.
-        if separation > Fraction(1, 2):
-            return super().greedy_separated(candidates, separation)
-        kept: list[GroupElement] = []
-        line: list[Fraction] = []  # the kept payloads, ascending
-        for cand in candidates:
-            a = cand.payload
-            i = bisect_left(line, a)
-            if (i == 0 or a - line[i - 1] >= separation) and (
-                i == len(line) or line[i] - a >= separation
-            ):
-                line.insert(i, a)
-                kept.append(cand)
-        return kept
-
     def _enumerate(self, depth: int) -> list[Fraction]:
         return self._sorted_multiples(2**depth, depth)
 
@@ -448,28 +409,29 @@ class SeparatedNet:
 
 
 def ball_net(group: GroupSpec, k: int, enumeration_depth: int) -> SeparatedNet:
-    """Greedy maximal 2^-(k+2)-separated subset of B[2^-k].
+    """Greedy maximal 2^-(k+2)-separated subset of B[2^-k], relative to the
+    enumeration depth: the ball's part of the enumeration at depth
+    min(enumeration_depth, k + 2).
 
-    Scans the ball's part of the dense enumeration in canonical order,
-    keeping every candidate that is at least the separation away from all
-    kept elements (``GroupSpec.greedy_separated``); greedy exhaustion makes
-    the result maximal relative to the enumeration depth.
-
-    The scan stops at depth min(enumeration_depth, k + 2) and still gives
-    the net of the full-depth scan.  Every shipped group enumerates each
-    point of resolution 2^-(k+2) before any finer point, and those points
-    are pairwise at least the separation apart, so the scan keeps all of
-    them.  Every finer point of the ball then lies within 2^-(k+3) of one
-    of them and is dropped: for the dyadic group its (k+2)-bit truncation,
-    for the reals the nearest multiple of 2^-(k+2), which lies in the ball
-    because the ball's ends are multiples.  Finite groups enumerate every
-    element at every depth.  ``SeparatedNet.check_maximality`` still scans
-    the ball at the full enumeration depth.
+    A greedy scan of the ball in canonical order keeps every candidate at
+    least the separation away from all kept ones.  Every shipped group
+    enumerates each point of resolution 2^-(k+2) before any finer point,
+    and those points are pairwise at least the separation apart, so the
+    scan keeps all of them.  Every finer point of the ball then lies within
+    2^-(k+3) of one of them and is dropped: for the dyadic group its
+    (k+2)-bit truncation, for the reals the nearest multiple of 2^-(k+2),
+    which lies in the ball because the ball's ends are multiples.  Finite
+    groups enumerate every element at every depth, 1/2 apart.
+    ``SeparatedNet.check_pairwise_separation`` and ``check_maximality``
+    still check the result, the latter at the full enumeration depth.
     """
     if not group.dense_enumeration(0):
         raise ValueError("dense enumeration is empty")
-    radius = Fraction(1, 2**k)
-    separation = Fraction(1, 2 ** (k + 2))
-    candidates = group.ball_enumeration(k, min(enumeration_depth, k + 2))
-    kept = group.greedy_separated(candidates, separation)
-    return SeparatedNet(group, k, radius, separation, tuple(kept), enumeration_depth)
+    return SeparatedNet(
+        group,
+        k,
+        Fraction(1, 2**k),
+        Fraction(1, 2 ** (k + 2)),
+        group.ball_enumeration(k, min(enumeration_depth, k + 2)),
+        enumeration_depth,
+    )

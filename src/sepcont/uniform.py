@@ -6,6 +6,12 @@ Ball membership is decided on a grid with strict inequalities; the
 two-sided system B_rl is decided by an exact search over enumerated
 group elements at resolution eps/2, which is complete for the shipped
 groups relative to the declared enumeration depth.
+
+The metric is left-invariant, so every test reads a distance between
+values instead of forming a product: d(1, f^-1 g) = d(f, g) and
+d(1, g f^-1) = d(g^-1, f^-1).  Each check runs on the two grid
+primitives of ``sepcont.functions``: ``GridMemo.pairwise`` (one test per
+distinct pair of values) and ``grid_sup`` (a max with its first witness).
 """
 
 from __future__ import annotations
@@ -19,10 +25,8 @@ from sepcont.functions import (
     GridMemo,
     SepFunction,
     SubbasicNbhd,
-    distinct,
-    grid_sup_dist,
+    grid_sup,
     grid_values,
-    pairwise,
     separate_continuity_certificate,
     side_sample,
     uniform_dist,
@@ -69,29 +73,29 @@ def ball_membership(q: BallQuery) -> BallResult:
     failing grid point, x-major.
     """
     group = q.center.group
-    one = group.identity()
     memo = GridMemo(group)
     points = memo.grid_points(q.grid_depth)
     if q.side == "rl":
         # 2^-k >= eps (or the ball is the whole group), so B[2^-k] holds the open ball.
         k = max(0, (q.eps.denominator // q.eps.numerator).bit_length() - 1)
+        one = group.identity()
         candidates = [
             u
             for u in group.ball_enumeration(k, _resolution_depth(group, q.eps))
             if group.dist(one, u) < q.eps
         ]
+    dist, inv, mul = group.dist, group.inv, group.mul
 
-    def near(a) -> bool:
-        return group.dist(one, a) < q.eps
-
+    # By left invariance d(1, f^-1 g) = d(f, g), d(1, g f^-1) = d(g^-1, f^-1)
+    # and d(1, (u f)^-1 g) = d(u f, g).
     def inside(fv, gv) -> bool:
         if q.side == "rl":
-            return any(near(group.mul(group.inv(group.mul(u, fv)), gv)) for u in candidates)
-        if q.side != "r" and not near(group.mul(group.inv(fv), gv)):
+            return any(dist(mul(u, fv), gv) < q.eps for u in candidates)
+        if q.side != "r" and not dist(fv, gv) < q.eps:
             return False
-        return q.side == "l" or near(group.mul(gv, group.inv(fv)))
+        return q.side == "l" or dist(inv(gv), inv(fv)) < q.eps
 
-    verdicts = pairwise(
+    verdicts = memo.pairwise(
         inside,
         grid_values(q.center, points, points, memo),
         grid_values(q.candidate, points, points, memo),
@@ -166,7 +170,7 @@ def _stage_diagonal_check(
     rectangle stays within 2^-l of f through the last stage."""
     for probe in probes:
         xs, ys = side_sample(probe.kx, grid_depth), side_sample(probe.ky, grid_depth)
-        sups = [grid_sup_dist(f, g, xs, ys, memo) for g in stages]
+        sups = [grid_sup(f.group.dist, f, g, xs, ys, memo)[0] for g in stages]
         for l in levels:
             tol = Fraction(1, 2**l)
             if not any(
@@ -207,14 +211,10 @@ def problem3_check(
         raise ValueError("candidate lacks a separate-continuity certificate")
     memo = GridMemo(f.group)
     points = memo.grid_points(grid_depth)
-    fv, gv = grid_values(f, points, points, memo), grid_values(g, points, points, memo)
-    raws = pairwise(lambda a, b: abs(a.payload - b.payload), fv, gv)
-    sup_raw = max(distinct(raws))
-    witness = None
-    if sup_raw > 0:
-        i, j = divmod(raws.index(sup_raw), len(points))
-        witness = (points[i], points[j])
-    sup_metric = max(distinct(memo.dists(fv, gv)))
+    sup_raw, witness = grid_sup(
+        lambda a, b: abs(a.payload - b.payload), f, g, points, points, memo
+    )
+    sup_metric, _ = grid_sup(f.group.dist, f, g, points, points, memo)
     image = g.declared_image()
     values = sorted(z.payload for z in image)
     gaps = [b - a for a, b in zip(values, values[1:]) if b != a]

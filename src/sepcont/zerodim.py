@@ -25,6 +25,7 @@ from sepcont.errors import (
     QuantizerConditionError,
 )
 from sepcont.functions import (
+    Constant,
     DistResult,
     GridMemo,
     PostCompose,
@@ -32,9 +33,8 @@ from sepcont.functions import (
     SubbasicNbhd,
     distinct,
     grid_image,
-    grid_sup_dist,
+    grid_sup,
     grid_values,
-    indices_where,
     product_chain,
     side_sample,
 )
@@ -307,7 +307,7 @@ class ZerodimPipeline:
         prod: list[GroupElement] | None = None
         for n in range(self.n_max + 1):
             g_n = grid_values(self.factor(n), pts, pts, self._memo)
-            prod = g_n if prod is None else self._memo.products(prod, g_n)
+            prod = g_n if prod is None else self._memo.pairwise(self.group.mul, prod, g_n)
             if prod != grid_values(self.quantized(n + 1), pts, pts, self._memo):
                 return False
         return True
@@ -335,6 +335,7 @@ class ZerodimPipeline:
         containment in B[2^-l] at every grid point."""
         n_max = self.n_max
         memo = self._memo
+        dist = self.group.dist
         results = []
         stage_of_level: dict[int, int | None] = {}
         sides = [
@@ -351,7 +352,7 @@ class ZerodimPipeline:
             level_stage: int | None = None
             for probe, (xs, ys) in zip(probes, sides):
                 sup_at = {
-                    n: grid_sup_dist(self.stage_function(l, n), target, xs, ys, memo)
+                    n: grid_sup(dist, self.stage_function(l, n), target, xs, ys, memo)[0]
                     for n in range(l, n_max + 1)
                 }
                 m_l = None
@@ -366,12 +367,13 @@ class ZerodimPipeline:
                     final_ok = True
                     f_vals = grid_values(self.f, xs, ys, memo)
                     for n in range(m_l, n_max + 1):
-                        dists = memo.dists(f_vals, grid_values(diagonals[n], xs, ys, memo))
+                        dists = memo.pairwise(dist, f_vals, grid_values(diagonals[n], xs, ys, memo))
                         final_sup = max([final_sup, *distinct(dists)])
-                        failing = indices_where(dists, lambda d: d >= budget)
-                        if failing:
+                        over = {id(d) for d in distinct(dists) if d >= budget}
+                        if over:
                             final_ok = False
-                            i, j = divmod(failing[-1], len(ys))
+                            last = max(k for k, d in enumerate(dists) if id(d) in over)
+                            i, j = divmod(last, len(ys))
                             witness = f"n={n} ({xs[i]},{ys[j]})"
                     tail_ok = self._tail_containment(l, max(m_l, l + 1))
                     level_stage = m_l if level_stage is None else max(level_stage, m_l)
@@ -382,15 +384,13 @@ class ZerodimPipeline:
                     )
                 )
             stage_of_level[l] = level_stage
-        stage_sups = []
-        grid = memo.grid_points(self.grid_depth)
-        for n, diag in enumerate(diagonals):
-            sup = grid_sup_dist(self.f, diag, grid, grid, memo)
-            for xs, ys in sides:
-                sup = max(sup, grid_sup_dist(self.f, diag, xs, ys, memo))
-            stage_sups.append((n, sup))
+        rects = [(memo.grid_points(self.grid_depth),) * 2, *sides]
+        stage_sups = tuple(
+            (n, max(grid_sup(dist, self.f, diag, xs, ys, memo)[0] for xs, ys in rects))
+            for n, diag in enumerate(diagonals)
+        )
         passed = all(r.layer_ok and r.final_ok and r.tail_ok for r in results)
-        return DiagonalReport(tuple(results), tuple(stage_sups), stage_of_level, passed)
+        return DiagonalReport(tuple(results), stage_sups, stage_of_level, passed)
 
     def _tail_containment(self, l: int, start: int) -> bool:
         """prod_{k=l+1..n} g_{k,n}(p) stays in B[2^-l] at every grid point,
@@ -398,16 +398,14 @@ class ZerodimPipeline:
         if (l, start) not in self._tail_cache:
             memo = self._memo
             grid = memo.grid_points(self.grid_depth)
-            one = self.group.identity()
-            ones = [one] * (len(grid) * len(grid))
+            one = Constant(self.group.identity())
             tol = Fraction(1, 2**l)
             ok = True
             for n in range(max(start, l + 1), self.n_max + 1):
-                acc = ones
-                for k in range(l + 1, n + 1):
-                    stage = self.factor_approximator(k).approximant(n)
-                    acc = memo.products(acc, grid_values(stage, grid, grid, memo))
-                if any(d > tol for d in distinct(memo.dists(ones, acc))):
+                tail = product_chain(
+                    [self.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)]
+                )
+                if grid_sup(self.group.dist, one, tail, grid, grid, memo)[0] > tol:
                     ok = False
                     break
             self._tail_cache[(l, start)] = ok

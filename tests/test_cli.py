@@ -190,6 +190,33 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["nets", "approx-zerodim", "closure-probe"])
+    def test_negative_level_exits_two(self, tmp_path, command, capsys):
+        cfg = write_config(tmp_path, MINIMAL.replace("levels = 1", "levels = 1,-1"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert "config error: levels must be nonnegative: '1,-1'" in capsys.readouterr().err
+
+    def test_level_above_n_max_exits_two_before_the_tower(self, tmp_path, monkeypatch, capsys):
+        import sepcont.cli as cli
+
+        def no_tower(*args, **kwargs):
+            raise AssertionError("the tower is built before the levels are checked")
+
+        cfg = write_config(tmp_path, MINIMAL.replace("levels = 1", "levels = 1,3"))
+        out = tmp_path / "rep"
+        with monkeypatch.context() as m:
+            m.setattr(cli, "ZerodimPipeline", no_tower)
+            assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: level 3 needs factors up to 3; raise n_max" in err
+        # Only the diagonal reads levels against n_max: without probes, and
+        # for nets and closure-probe, the same levels run.
+        no_probes = write_config(tmp_path, MINIMAL.replace("levels = 1", "levels = 1,3")
+                                 .replace("p0 = (0) ; !{}\n", ""), "no-probes.cfg")
+        assert main(["approx-zerodim", "--config", str(no_probes), "--out", str(out)]) == 0
+        for command in ("nets", "closure-probe"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_bad_depth_cap_env_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEPCONT_MAX_DEPTH", "deep")
         cfg = write_config(tmp_path, MINIMAL)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from sepcont.functions import (
     PostCompose,
     SubbasicNbhd,
     TableFunction,
+    grid_sup,
     grid_values,
     layerwise_dist,
     side_sample,
@@ -328,6 +330,83 @@ class TestGridValues:
         pts = memo.grid_points(3)
         assert memo.grid_points(3) is pts
         assert grid_values(f, pts, pts, memo) is grid_values(f, pts, pts, memo)
+
+
+def raw_diff(a, b):
+    return abs(a.payload - b.payload)
+
+
+def brute_sup(op, f, g, xs, ys):
+    """max of op over xs x ys with the first point, x-major, attaining it."""
+    best, witness = Fraction(0), None
+    for x in xs:
+        for y in ys:
+            v = op(f.eval(x, y), g.eval(x, y))
+            if witness is None or v > best:
+                best, witness = v, (x, y)
+    return best, witness
+
+
+# Element sets on which uniform distances are read through left invariance.
+INVARIANCE_SETS = (
+    DYADIC.dense_enumeration(4) + (DYADIC.parse_element("(1)"), DYADIC.parse_element("1(10)")),
+    REAL.dense_enumeration(3) + REAL_POOL,
+    C3.dense_enumeration(0),
+    get_group("cyclic:5").dense_enumeration(0),
+    S3.dense_enumeration(0),
+    S3_LEFT.dense_enumeration(0),
+)
+small_rects = st.lists(st.sampled_from(grid_points(2) + OFF_GRID), max_size=5).map(tuple)
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "elements", INVARIANCE_SETS, ids=lambda els: els[0].group.name
+    )
+    def test_left_invariance_identities(self, elements):
+        group = elements[0].group
+        one, inv, mul, dist = group.identity(), group.inv, group.mul, group.dist
+        for f in elements:
+            for g in elements:
+                assert dist(one, mul(inv(f), g)) == dist(f, g)
+                assert dist(one, mul(g, inv(f))) == dist(inv(g), inv(f))
+
+    def test_pairwise_runs_each_op_once_per_distinct_pair(self):
+        a, b, c = POOLS[0][:3]
+        twin = DYADIC.element(a.payload)  # equal to a, another object
+        memo = GridMemo(DYADIC)
+        calls = {"mul": [], "dist": []}
+
+        def counted(name, op):
+            return lambda x, y: calls[name].append((x, y)) or op(x, y)
+
+        mul, dist = counted("mul", DYADIC.mul), counted("dist", DYADIC.dist)
+        sweeps = [([a, b, a, a, c], [b, b, b, c, c]), ([c, twin, a, b], [c, b, b, a])]
+        for left, right in sweeps:
+            assert memo.pairwise(mul, left, right) == list(map(DYADIC.mul, left, right))
+        pairs = {(id(x), id(y)) for left, right in sweeps for x, y in zip(left, right)}
+        assert len(calls["mul"]) == len(pairs) == 6
+        # A second op on the same lists has a table of its own.
+        for left, right in sweeps:
+            assert memo.pairwise(dist, left, right) == list(map(DYADIC.dist, left, right))
+        assert len(calls["dist"]) == len(pairs)
+        assert len(calls["mul"]) == len(pairs)
+
+    @given(function_pairs, small_rects, small_rects)
+    def test_grid_sup_of_dist_is_the_brute_max(self, fg, xs, ys):
+        f, g = fg
+        memo = GridMemo(f.group)
+        got = grid_sup(f.group.dist, f, g, xs, ys, memo)
+        assert got == brute_sup(f.group.dist, f, g, xs, ys)
+        if not (xs and ys):
+            assert got == (0, None)
+
+    @given(_table(REAL_POOL), _table(REAL_POOL), small_rects, small_rects)
+    def test_grid_sup_of_raw_difference_is_the_brute_max(self, f, g, xs, ys):
+        memo = GridMemo(REAL)
+        # The dist sweep first: both ops then share the memo's interned values.
+        grid_sup(REAL.dist, f, g, xs, ys, memo)
+        assert grid_sup(raw_diff, f, g, xs, ys, memo) == brute_sup(raw_diff, f, g, xs, ys)
 
 
 class TestSweepsMatchBruteForce:

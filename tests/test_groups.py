@@ -212,14 +212,15 @@ class TestBallNet:
             assert DYADIC.dist(one, acc) <= Fraction(1, 2**l)
 
 
-# The greedy scan as ball_net ran it before each group had its own
-# separation step, kept as the oracle: every candidate in the ball is kept
-# when it is at least the separation away from every element kept so far.
+# The greedy scan as ball_net ran it before it returned the ball
+# enumeration at depth k + 2, kept as the oracle: every candidate in the ball
+# is kept when it is at least the separation away from every element kept
+# so far.
 def brute_ball_net_elements(group, k, enumeration_depth):
     radius, separation = Fraction(1, 2**k), Fraction(1, 2 ** (k + 2))
     one = group.identity()
     kept = []
-    for cand in group.dense_enumeration(enumeration_depth):
+    for cand in _dense(group, enumeration_depth):
         if group.dist(one, cand) > radius:
             continue
         if all(group.dist(cand, e) >= separation for e in kept):
@@ -227,28 +228,19 @@ def brute_ball_net_elements(group, k, enumeration_depth):
     return tuple(kept)
 
 
-def brute_greedy_separated(group, candidates, separation):
-    kept = []
-    for cand in candidates:
-        if all(group.dist(cand, e) >= separation for e in kept):
-            kept.append(cand)
-    return kept
-
-
-separations = st.one_of(
-    st.integers(0, 7).map(lambda j: Fraction(1, 2**j)),
-    st.tuples(st.integers(1, 40), st.integers(1, 64)).map(lambda t: Fraction(*t)),
-)
-
-
 class TestGreedySeparation:
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("k", range(13))
     def test_ball_net_matches_greedy_loop(self, group, k):
-        for depth in {group.net_enumeration_depth(k, ()), k + 2, k + 6}:
+        # Depths up to k + 2 for every k; the default depth and k + 6 only
+        # while the full enumeration stays small (2^(k+6) dyadic points).
+        depths = {k - 1, k, k + 1, k + 2}
+        if k < 6:
+            depths |= {group.net_enumeration_depth(k, ()), k + 3, k + 6}
+        for depth in sorted(d for d in depths if d >= 0):
             net = ball_net(group, k, depth)
             assert net.elements == brute_ball_net_elements(group, k, depth), depth
-            assert net.check_maximality()
+            assert net.check_pairwise_separation() and net.check_maximality()
 
     @pytest.mark.parametrize("k", range(4))
     def test_real_net_at_a_sample_depth(self, k):
@@ -264,15 +256,6 @@ class TestGreedySeparation:
         assert net.elements == DYADIC.ball_enumeration(12, 14)
         assert len(net.elements) == 8
         assert net.check_maximality()
-
-    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-    @given(data=st.data(), separation=separations)
-    def test_any_candidate_order_and_separation(self, group, data, separation):
-        pool = group.dense_enumeration(5)
-        candidates = data.draw(st.lists(st.sampled_from(pool), max_size=30))
-        assert group.greedy_separated(candidates, separation) == brute_greedy_separated(
-            group, candidates, separation
-        )
 
 
 class TestElementHash:
