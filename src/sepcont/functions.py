@@ -12,8 +12,19 @@ answers structural queries:
   superset certifies constancy on the rectangle even when inexact.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
-singleton), the grid-values kernel and the ``grid_sup`` reduction behind
-every grid sweep, and the grid-based layer-wise / uniform distances.
+singleton), the grid-based layer-wise / uniform distances and the grid
+kernel behind them:
+
+* ``grid_values`` — a function's values on a product of point lists,
+  computed bottom up once per memo;
+* ``GridMemo.classes`` and ``SepFunction.class_values`` — the points of
+  a rectangle grouped into classes on which the functions of a check are
+  constant (one depth-D cell, D the deepest table leaf, and one value
+  object of every other leaf), and each function's value per class;
+* ``grid_sup`` — the max of an operation over a rectangle, run once per
+  class, with its first x-major witness;
+* ``product_chain`` — ordered products, with products of tables folded
+  into one table.
 """
 
 from __future__ import annotations
@@ -30,6 +41,11 @@ from sepcont.groups import GroupElement, GroupSpec
 Axis = Literal["x", "y"]
 
 _WHOLE = Cylinder("")
+
+
+def _cell(p: CantorPoint, depth: int) -> int:
+    """The index ``int(prefix, 2)`` of the depth-``depth`` cell holding p."""
+    return int(p.prefix(depth), 2) if depth else 0
 
 
 class SepFunction:
@@ -83,6 +99,20 @@ class SepFunction:
         """Values on xs x ys in row-major order; ``grid_values`` caches them."""
         return [memo.intern(self.eval(x, y)) for x in xs for y in ys]
 
+    def _leaves(self) -> tuple["SepFunction", ...]:
+        """The leaves of the combinator tree, left to right."""
+        return (self,)
+
+    def class_values(self, classes: "GridClasses", memo: "GridMemo") -> list[GroupElement]:
+        """The value on each class of ``classes``, in class order.
+
+        The classes come from ``memo.classes`` over a list of functions that
+        includes this one, so the function is constant on each class.  A leaf
+        other than a table or a constant reads its cached grid values at the
+        classes' first points."""
+        values = grid_values(self, classes.xs, classes.ys, memo)
+        return [values[k] for k in classes.firsts]
+
 
 def _dedupe(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     seen: dict[GroupElement, None] = {}
@@ -118,6 +148,9 @@ class Constant(SepFunction):
     def _grid_values(self, xs, ys, memo):
         return [self.value] * (len(xs) * len(ys))
 
+    def class_values(self, classes, memo):
+        return [self.value] * len(classes.firsts)
+
 
 @dataclass(frozen=True)
 class TableFunction(SepFunction):
@@ -135,18 +168,15 @@ class TableFunction(SepFunction):
     def group(self) -> GroupSpec:
         return self.values[0][0].group
 
-    def _index(self, p: CantorPoint) -> int:
-        return int(p.prefix(self.depth), 2) if self.depth else 0
-
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
-        return self.values[self._index(x)][self._index(y)]
+        return self.values[_cell(x, self.depth)][_cell(y, self.depth)]
 
     def declared_image(self) -> tuple[GroupElement, ...]:
         return _dedupe(v for row in self.values for v in row)
 
     def _section(self, axis: Axis, fixed: CantorPoint) -> tuple[GroupElement, ...] | list[GroupElement]:
         """The values along the row (axis 'x') or column at ``fixed``, by cell index."""
-        i = self._index(fixed)
+        i = _cell(fixed, self.depth)
         return self.values[i] if axis == "x" else [row[i] for row in self.values]
 
     def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
@@ -184,16 +214,20 @@ class TableFunction(SepFunction):
         return self.depth
 
     def _grid_values(self, xs, ys, memo):
-        cols = [self._index(y) for y in ys]
+        cols = [_cell(y, self.depth) for y in ys]
         rows: dict[int, list[GroupElement]] = {}
         out: list[GroupElement] = []
         for x in xs:
-            i = self._index(x)
+            i = _cell(x, self.depth)
             if i not in rows:
                 row = [memo.intern(v) for v in self.values[i]]
                 rows[i] = [row[j] for j in cols]
             out.extend(rows[i])
         return out
+
+    def class_values(self, classes, memo):
+        shift, values = classes.depth - self.depth, self.values
+        return [memo.intern(values[i >> shift][j >> shift]) for i, j in classes.cells]
 
 
 @dataclass(frozen=True)
@@ -486,6 +520,12 @@ class PostCompose(SepFunction):
     def _grid_values(self, xs, ys, memo):
         return memo.image(self.mapping.__getitem__, grid_values(self.inner, xs, ys, memo))
 
+    def _leaves(self):
+        return self.inner._leaves()
+
+    def class_values(self, classes, memo):
+        return memo.image(self.mapping.__getitem__, self.inner.class_values(classes, memo))
+
 
 @dataclass(frozen=True)
 class PointwiseInverse(SepFunction):
@@ -513,6 +553,12 @@ class PointwiseInverse(SepFunction):
 
     def _grid_values(self, xs, ys, memo):
         return memo.image(self.group.inv, grid_values(self.inner, xs, ys, memo))
+
+    def _leaves(self):
+        return self.inner._leaves()
+
+    def class_values(self, classes, memo):
+        return memo.image(self.group.inv, self.inner.class_values(classes, memo))
 
 
 @dataclass(frozen=True)
@@ -563,14 +609,38 @@ class PointwiseProduct(SepFunction):
         left, right = grid_values(self.left, xs, ys, memo), grid_values(self.right, xs, ys, memo)
         return memo.pairwise(self.group.mul, left, right)
 
+    def _leaves(self):
+        return self.left._leaves() + self.right._leaves()
 
-def product_chain(funcs: list[SepFunction]) -> SepFunction:
-    """Ordered pointwise product f_0 * f_1 * ... * f_k."""
+    def class_values(self, classes, memo):
+        left, right = self.left.class_values(classes, memo), self.right.class_values(classes, memo)
+        return memo.pairwise(self.group.mul, left, right)
+
+
+def _table_product(a: TableFunction, b: TableFunction, memo: "GridMemo") -> TableFunction:
+    """a * b as one table at the larger depth, cell by cell, multiplied
+    through ``memo.pairwise``."""
+    depth = max(a.depth, b.depth)
+    n = 2**depth
+    sa, sb = depth - a.depth, depth - b.depth
+    left = [memo.intern(a.values[i >> sa][j >> sa]) for i in range(n) for j in range(n)]
+    right = [memo.intern(b.values[i >> sb][j >> sb]) for i in range(n) for j in range(n)]
+    cells = memo.pairwise(a.group.mul, left, right)
+    return TableFunction(depth, tuple(tuple(cells[k : k + n]) for k in range(0, n * n, n)))
+
+
+def product_chain(funcs: list[SepFunction], memo: "GridMemo") -> SepFunction:
+    """Ordered pointwise product f_0 * f_1 * ... * f_k, left to right.
+    While the product so far and the next factor are both tables, they are
+    folded into one table, their values multiplied through ``memo.pairwise``."""
     if not funcs:
         raise ValueError("product of no functions")
     out = funcs[0]
     for f in funcs[1:]:
-        out = PointwiseProduct(out, f)
+        if isinstance(out, TableFunction) and isinstance(f, TableFunction):
+            out = _table_product(out, f, memo)
+        else:
+            out = PointwiseProduct(out, f)
     return out
 
 
@@ -588,9 +658,10 @@ class GridMemo:
     through ``pairwise``, which keeps one table per operation and runs it
     once per distinct pair of value objects; ``image`` maps a value list
     once per distinct object.  ``grid_values`` keeps each function's values
-    per pair of point lists, and ``grid_points`` hands out one point tuple
-    per depth so those values are found again.  A memo lives on one
-    pipeline or one call and is never shared across jobs.
+    per pair of point lists, ``classes`` each class list of a rectangle, and
+    ``grid_points`` hands out one point tuple per depth so those are found
+    again.  A memo lives on one pipeline or one call and is never shared
+    across jobs.
 
     Tables are keyed on object identity, which hashes at C speed, and hold
     their key objects so that no id is reused while the memo lives.  Values
@@ -603,9 +674,10 @@ class GridMemo:
         self.group = group
         self.function_values: dict[tuple[int, int, int], tuple] = {}
         self._grids: dict[int, tuple[CantorPoint, ...]] = {}
-        self._canon: dict[object, object] = {}
+        self._canon: dict[tuple[type, object], object] = {}
         self._tables: dict[object, dict[tuple[int, int], object]] = {}
         self._held: list[object] = []
+        self._classes: dict[tuple, tuple] = {}
 
     def grid_points(self, depth: int) -> tuple[CantorPoint, ...]:
         if depth not in self._grids:
@@ -613,8 +685,10 @@ class GridMemo:
         return self._grids[depth]
 
     def intern(self, value):
-        """The memo's one object equal to value."""
-        return self._canon.setdefault(value, value)
+        """The memo's one object of value's type equal to value.  The type is
+        part of the key because values of different types can be equal, as
+        ``False == Fraction(0)`` is."""
+        return self._canon.setdefault((type(value), value), value)
 
     def image(self, fn, values: list) -> list:
         """fn(w) for each w, run once per distinct object in values."""
@@ -635,6 +709,48 @@ class GridMemo:
                 held.append((a, b))
             out.append(c)
         return out
+
+    def classes(self, fns: Iterable[SepFunction], xs, ys) -> "GridClasses":
+        """A partition of xs x ys on which every function in fns is constant.
+
+        Two points share a class when they lie in one depth-D cell, D the
+        depth of the deepest table among the leaves of fns, and every leaf
+        that is neither a table nor a constant has the same value object at
+        both.  Built once per (such leaves, D, xs, ys) for as long as the
+        memo lives, in one pass over those leaves' grid values."""
+        leaves = {id(leaf): leaf for fn in fns for leaf in fn._leaves()}.values()
+        depth = max((t.depth for t in leaves if isinstance(t, TableFunction)), default=0)
+        others = [v for v in leaves if not isinstance(v, (TableFunction, Constant))]
+        key = (tuple(sorted(map(id, others))), depth, id(xs), id(ys))
+        if key not in self._classes:
+            # The entry holds the leaves, xs and ys, so their ids stay unique.
+            self._classes[key] = others, self._build_classes(others, depth, xs, ys)
+        return self._classes[key][1]
+
+    def _build_classes(self, others, depth: int, xs, ys) -> "GridClasses":
+        # A point's cell pair (a, b) is coded as the one int a * 2^depth + b.
+        cx, cy = [_cell(x, depth) << depth for x in xs], [_cell(y, depth) for y in ys]
+        codes = [a + b for a in cx for b in cy]
+        ids = [map(id, reversed(grid_values(v, xs, ys, self))) for v in others]
+        keys = zip(reversed(codes), *ids) if ids else reversed(codes)
+        # Assigned from the last point back, each key keeps its first index.
+        first = dict(zip(keys, range(len(codes) - 1, -1, -1)))
+        firsts = sorted(first.values())
+        cells = [divmod(codes[k], 2**depth) for k in firsts]
+        return GridClasses(xs, ys, depth, firsts, cells)
+
+
+@dataclass(frozen=True)
+class GridClasses:
+    """Classes of xs x ys (see ``GridMemo.classes``) in x-major order of
+    their first points: ``firsts`` holds each class's first x-major index
+    into xs x ys, ``cells`` its (x, y) cell indices at ``depth``."""
+
+    xs: tuple[CantorPoint, ...]
+    ys: tuple[CantorPoint, ...]
+    depth: int
+    firsts: list[int]
+    cells: list[tuple[int, int]]
 
 
 def grid_values(
@@ -708,15 +824,17 @@ def grid_sup(
     memo: GridMemo,
 ) -> tuple:
     """The max of op(f(p), g(p)) over p in xs x ys and the first point p,
-    x-major, that attains it; (0, None) on an empty rectangle.  op runs
-    through ``memo.pairwise``."""
-    values = memo.pairwise(op, grid_values(f, xs, ys, memo), grid_values(g, xs, ys, memo))
+    x-major, that attains it; (0, None) on an empty rectangle.
+
+    f and g are constant on each of ``memo.classes((f, g), xs, ys)``, so op
+    runs once per class, through ``memo.pairwise``, and the witness is the
+    first point of the first class, in x-major order, that attains the max."""
+    classes = memo.classes((f, g), xs, ys)
+    values = memo.pairwise(op, f.class_values(classes, memo), g.class_values(classes, memo))
     if not values:
         return Fraction(0), None
-    seen = distinct(values)
-    best = max(seen)
-    top = {id(v) for v in seen if v == best}
-    i, j = divmod(next(k for k, v in enumerate(values) if id(v) in top), len(ys))
+    best = max(values)
+    i, j = divmod(classes.firsts[values.index(best)], len(ys))
     return best, (xs[i], ys[j])
 
 
@@ -813,9 +931,13 @@ def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint
     return True
 
 
-def grid_image(f: SepFunction, grid_depth: int) -> tuple[GroupElement, ...]:
-    points = grid_points(grid_depth)
-    return _dedupe(distinct(grid_values(f, points, points)))
+def grid_image(
+    f: SepFunction, grid_depth: int, memo: GridMemo | None = None
+) -> tuple[GroupElement, ...]:
+    """The distinct values of f on the depth-``grid_depth`` grid, in canonical order."""
+    memo = memo if memo is not None else GridMemo(f.group)
+    points = memo.grid_points(grid_depth)
+    return _dedupe(f.class_values(memo.classes((f,), points, points), memo))
 
 
 def validate_declared_image(f: SepFunction, grid_depth: int = 4) -> bool:

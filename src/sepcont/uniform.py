@@ -9,9 +9,9 @@ groups relative to the declared enumeration depth.
 
 The metric is left-invariant, so every test reads a distance between
 values instead of forming a product: d(1, f^-1 g) = d(f, g) and
-d(1, g f^-1) = d(g^-1, f^-1).  Each check runs on the two grid
-primitives of ``sepcont.functions``: ``GridMemo.pairwise`` (one test per
-distinct pair of values) and ``grid_sup`` (a max with its first witness).
+d(1, g f^-1) = d(g^-1, f^-1).  Each check is a ``grid_sup`` of
+``sepcont.functions``: a max with its first witness, run once per class of
+grid points on which both functions are constant.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from sepcont.functions import (
     SepFunction,
     SubbasicNbhd,
     grid_sup,
-    grid_values,
     separate_continuity_certificate,
     side_sample,
     uniform_dist,
@@ -69,7 +68,7 @@ def ball_membership(q: BallQuery) -> BallResult:
     l: d(1, f^-1 g) < eps everywhere; r: with g f^-1; lr: both; rl: some
     u, u' with d(1, u), d(1, u') < eps and g = u f u', searched exactly
     over enumerated elements at resolution eps/2.  The test runs once per
-    distinct pair of center and candidate values; the witness is the first
+    value class of the grid (see ``grid_sup``); the witness is the first
     failing grid point, x-major.
     """
     group = q.center.group
@@ -95,15 +94,12 @@ def ball_membership(q: BallQuery) -> BallResult:
             return False
         return q.side == "l" or dist(inv(gv), inv(fv)) < q.eps
 
-    verdicts = memo.pairwise(
-        inside,
-        grid_values(q.center, points, points, memo),
-        grid_values(q.candidate, points, points, memo),
+    # True > False, so the max is True when some point fails, and the
+    # witness is the first failing point.
+    outside, witness = grid_sup(
+        lambda fv, gv: not inside(fv, gv), q.center, q.candidate, points, points, memo
     )
-    if all(verdicts):
-        return BallResult(q, True, None)
-    i, j = divmod(verdicts.index(False), len(points))
-    return BallResult(q, False, (points[i], points[j]))
+    return BallResult(q, False, witness) if outside else BallResult(q, True, None)
 
 
 @dataclass(frozen=True)

@@ -251,9 +251,10 @@ class ZerodimPipeline:
         self.n_max = n_max
         self.grid_depth = grid_depth
         self.sample_source = sample_source
+        self._memo = GridMemo(self.group)
         declared = tuple(self.group.sort_canonically(f.declared_image()))
         if sample_source == "grid":
-            self.sample = grid_image(f, grid_depth)
+            self.sample = grid_image(f, grid_depth, self._memo)
         else:
             self.sample = declared
         self.sample_complete = set(self.sample) >= set(declared)
@@ -267,7 +268,7 @@ class ZerodimPipeline:
         self._factor_cache: dict[int, SepFunction] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}
         self._tail_cache: dict[tuple[int, int], bool] = {}
-        self._memo = GridMemo(self.group)
+        self._stage_cache: dict[tuple[int, int], SepFunction] = {}
 
     def condition_rows(self) -> list[ConditionRow]:
         return quantizer_conditions(self.group, self.sample, self.tower, self.nets)
@@ -294,8 +295,7 @@ class ZerodimPipeline:
         return uniform_dist(self.quantized(n), self.f, "l", self.grid_depth, self._memo)
 
     def factor_values_on_grid(self, n: int) -> set[GroupElement]:
-        grid = self._memo.grid_points(self.grid_depth)
-        return set(distinct(grid_values(self.factor(n), grid, grid, self._memo)))
+        return set(grid_image(self.factor(n), self.grid_depth, self._memo))
 
     def factor_discreteness(self, n: int) -> bool:
         return self.factor_values_on_grid(n) <= set(self.nets[n].elements)
@@ -320,8 +320,13 @@ class ZerodimPipeline:
         return self._approx_cache[k]
 
     def stage_function(self, n: int, m: int) -> SepFunction:
-        """f_{n,m} = g_{0,m} * ... * g_{n,m} (each factor's stage-m approximant)."""
-        return product_chain([self.factor_approximator(k).approximant(m) for k in range(n + 1)])
+        """f_{n,m} = g_{0,m} * ... * g_{n,m} (each factor's stage-m approximant),
+        folded into one table and kept."""
+        if (n, m) not in self._stage_cache:
+            self._stage_cache[(n, m)] = product_chain(
+                [self.factor_approximator(k).approximant(m) for k in range(n + 1)], self._memo
+            )
+        return self._stage_cache[(n, m)]
 
     def diagonal(
         self,
@@ -403,7 +408,7 @@ class ZerodimPipeline:
             ok = True
             for n in range(max(start, l + 1), self.n_max + 1):
                 tail = product_chain(
-                    [self.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)]
+                    [self.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)], memo
                 )
                 if grid_sup(self.group.dist, one, tail, grid, grid, memo)[0] > tol:
                     ok = False

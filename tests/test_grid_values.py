@@ -5,7 +5,10 @@ every sweep in the zerodim and uniform layers reads it.  The brute-force
 loops below evaluate pointwise, the way the sweeps did before the kernel
 (ball membership with its early exit), and are kept as the reference.
 The same random combinator trees also check that a product with a
-constant answers structural queries as the finite map it equals.
+constant answers structural queries as the finite map it equals, that
+``grid_sup``'s sweep over value classes gives the pointwise max and
+witness, and that ``product_chain``'s folded tables equal the unfolded
+product chains.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepcont import functions as functions_module
 from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.config import load_experiment
 from sepcont.functions import (
@@ -28,6 +32,7 @@ from sepcont.functions import (
     SubbasicNbhd,
     TableFunction,
     grid_sup,
+    product_chain,
     grid_values,
     layerwise_dist,
     side_sample,
@@ -71,12 +76,12 @@ OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)",
 REGIONS = tuple(ClopenSet.parse(t) for t in ["!{}", "{}", "{0}", "{10,111}", "{0011,01}"])
 
 
-def _table(pool):
+def _table(pool, max_depth=3):
     def build(depth, cells):
         n = 2**depth
         return TableFunction(depth, tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n)))
 
-    return st.integers(0, 3).flatmap(
+    return st.integers(0, max_depth).flatmap(
         lambda d: st.lists(st.sampled_from(pool), min_size=4**d, max_size=4**d).map(
             lambda cells: build(d, cells)
         )
@@ -98,9 +103,9 @@ def _postcompose(pool, inner):
     )
 
 
-def _functions(pool):
+def _functions(pool, max_table_depth=3):
     leaves = st.one_of(
-        _table(pool),
+        _table(pool, max_table_depth),
         st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(DiagonalIndicator.ones_schema),
         st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(
             lambda vals: DiagonalIndicator.ones_schema(vals, cycle=False)
@@ -137,6 +142,34 @@ def _perturbed(pool):
 
 
 perturbed_pairs = st.sampled_from(POOLS).flatmap(_perturbed)
+
+
+def _two_indicators(pool):
+    """f holds a finite-family and a ones-schema indicator around a random
+    tree, so its value classes are keyed on two leaf values; g is any tree."""
+
+    def pair(t, d1, vals, g):
+        d2 = DiagonalIndicator.ones_schema(vals)
+        return PointwiseProduct(PointwiseProduct(d1, t), PointwiseInverse(d2)), g
+
+    tree = _functions(pool, 4)
+    return st.builds(pair, tree, _family(pool), st.lists(st.sampled_from(pool), min_size=1, max_size=3), tree)
+
+
+def _sweep_pairs(pool):
+    """Trees with tables of depth 0-4, deeper than some of the grids below."""
+    return st.one_of(st.tuples(_functions(pool, 4), _functions(pool, 4)), _two_indicators(pool))
+
+
+def _rectangles(depth):
+    grid = grid_points(depth)
+    points = st.sampled_from(OFF_GRID + grid)
+    return st.one_of(
+        st.just((grid, grid)),
+        points.map(lambda p: ((p,), grid)),
+        points.map(lambda p: (grid, (p,))),
+        st.sampled_from([((), grid), (grid, ())]),
+    )
 point_lists = st.integers(0, 4).map(lambda d: grid_points(d) + OFF_GRID)
 # A dyadic or S3 tree and a constant value from the same pool.
 constant_products = st.sampled_from(POOLS[:2]).flatmap(
@@ -357,6 +390,15 @@ INVARIANCE_SETS = (
     S3_LEFT.dense_enumeration(0),
 )
 small_rects = st.lists(st.sampled_from(grid_points(2) + OFF_GRID), max_size=5).map(tuple)
+# Small point lists, full grids of depth 0-3, probe rectangles with a
+# singleton side and empty rectangles.
+rectangles = st.one_of(st.tuples(small_rects, small_rects), st.integers(0, 3).flatmap(_rectangles))
+sweep_pairs = st.sampled_from(POOLS).flatmap(
+    lambda pool: st.one_of(st.tuples(_functions(pool), _functions(pool)), _sweep_pairs(pool))
+)
+real_sweep_pairs = st.one_of(
+    st.tuples(_table(REAL_POOL), _table(REAL_POOL)), _sweep_pairs(REAL_POOL)
+)
 
 
 class TestKernel:
@@ -392,17 +434,33 @@ class TestKernel:
         assert len(calls["dist"]) == len(pairs)
         assert len(calls["mul"]) == len(pairs)
 
-    @given(function_pairs, small_rects, small_rects)
-    def test_grid_sup_of_dist_is_the_brute_max(self, fg, xs, ys):
+    @pytest.mark.parametrize("bool_first", [True, False])
+    def test_intern_keeps_equal_values_of_two_types_apart(self, bool_first):
+        # False == Fraction(0), so an intern table keyed on the value alone
+        # hands one op's result to the other.
+        e = DYADIC.identity()
+        memo = GridMemo(DYADIC)
+        ops = [(lambda a, b: False, False), (DYADIC.dist, Fraction(0))]
+        for op, want in ops if bool_first else ops[::-1]:
+            got = memo.pairwise(op, [e], [e])
+            assert got == [want] and type(got[0]) is type(want)
+
+    @settings(max_examples=200)
+    @given(sweep_pairs, rectangles)
+    def test_grid_sup_of_dist_is_the_brute_max(self, fg, rect):
         f, g = fg
+        xs, ys = rect
         memo = GridMemo(f.group)
         got = grid_sup(f.group.dist, f, g, xs, ys, memo)
         assert got == brute_sup(f.group.dist, f, g, xs, ys)
         if not (xs and ys):
             assert got == (0, None)
 
-    @given(_table(REAL_POOL), _table(REAL_POOL), small_rects, small_rects)
-    def test_grid_sup_of_raw_difference_is_the_brute_max(self, f, g, xs, ys):
+    @settings(max_examples=150)
+    @given(real_sweep_pairs, rectangles)
+    def test_grid_sup_of_raw_difference_is_the_brute_max(self, fg, rect):
+        f, g = fg
+        xs, ys = rect
         memo = GridMemo(REAL)
         # The dist sweep first: both ops then share the memo's interned values.
         grid_sup(REAL.dist, f, g, xs, ys, memo)
@@ -506,6 +564,92 @@ class TestUniformChecksMatchBruteForce:
         sup_raw, witness = brute_raw_sup(f, g, depth)
         assert rep.sup_raw == sup_raw
         assert rep.witness == (None if sup_raw <= Fraction(1, 2) else witness)
+
+
+def _chain_items(pool):
+    """Tables of depth 0-3, now and then a constant or an indicator."""
+    return st.one_of(
+        _table(pool), _table(pool), _table(pool), st.sampled_from(pool).map(Constant), _family(pool)
+    )
+
+
+chains = st.sampled_from(POOLS).flatmap(
+    lambda pool: st.lists(_chain_items(pool), min_size=1, max_size=3)
+)
+
+
+def unfolded_chain(funcs):
+    out = funcs[0]
+    for f in funcs[1:]:
+        out = PointwiseProduct(out, f)
+    return out
+
+
+class TestFoldedProducts:
+    @settings(max_examples=200)
+    @given(chains, st.sampled_from(OFF_GRID + grid_points(2)))
+    def test_folded_chain_equals_the_unfolded_chain(self, funcs, fixed):
+        folded, chain = product_chain(funcs, GridMemo(funcs[0].group)), unfolded_chain(funcs)
+        if all(isinstance(f, TableFunction) for f in funcs):
+            assert isinstance(folded, TableFunction)
+            assert folded.depth == max(f.depth for f in funcs)
+        elif len(funcs) > 1:
+            assert isinstance(folded, PointwiseProduct)
+        points = grid_points(3) + OFF_GRID
+        assert brute_values(folded, points, points) == brute_values(chain, points, points)
+        assert folded.locally_constant_depth() == chain.locally_constant_depth()
+        for axis in ("x", "y"):
+            assert folded.section_partition(axis, fixed) == chain.section_partition(axis, fixed)
+        # A product declares every product of its factors' declared values,
+        # a table only the values it holds; both cover the values taken.
+        declared = folded.declared_image()
+        assert set(declared) <= set(chain.declared_image())
+        if isinstance(folded, TableFunction):
+            held = {v for row in folded.values for v in row}
+            assert set(declared) == held == set(brute_values(chain, points, points))
+
+
+class TestWorkCounts:
+    def test_diagonal_builds_classes_once_per_depth_and_folds_once_per_pair(self, monkeypatch):
+        exp = load_experiment(CONFIGS / "diag-multi.cfg")
+        pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
+        for n in range(exp.n_max + 1):
+            pipe.factor(n)  # its finite map phi_n multiplies once, before the diagonal
+        grid = pipe._memo.grid_points(exp.grid_depth)
+        builds, folds = [], []
+        mul_calls = [0]
+        build, fold, mul = GridMemo._build_classes, functions_module._table_product, type(pipe.group).mul
+
+        def counted_build(memo, others, depth, xs, ys):
+            if xs is grid and ys is grid and any(v is pipe.f for v in others):
+                builds.append(depth)
+            return build(memo, others, depth, xs, ys)
+
+        def counted_fold(a, b, memo):
+            depth = max(a.depth, b.depth)
+            pairs = {
+                (a.values[i >> (depth - a.depth)][j >> (depth - a.depth)],
+                 b.values[i >> (depth - b.depth)][j >> (depth - b.depth)])
+                for i in range(2**depth)
+                for j in range(2**depth)
+            }
+            before = mul_calls[0]
+            out = fold(a, b, memo)
+            folds.append((len(pairs), mul_calls[0] - before))
+            return out
+
+        def counted_mul(group, x, y):
+            mul_calls[0] += 1
+            return mul(group, x, y)
+
+        monkeypatch.setattr(GridMemo, "_build_classes", counted_build)
+        monkeypatch.setattr(functions_module, "_table_product", counted_fold)
+        monkeypatch.setattr(type(pipe.group), "mul", counted_mul)
+        pipe.diagonal(exp.probes, exp.levels)
+        assert builds and len(builds) == len(set(builds))
+        assert folds and all(calls <= pairs for pairs, calls in folds)
+        # Every mul of the diagonal runs inside a fold, never per grid point.
+        assert mul_calls[0] == sum(calls for _, calls in folds) < len(grid) ** 2
 
 
 class TestConstantProducts:
