@@ -16,7 +16,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepcont import functions as functions_module
@@ -32,9 +32,9 @@ from sepcont.functions import (
     SubbasicNbhd,
     TableFunction,
     grid_sup,
-    product_chain,
     grid_values,
     layerwise_dist,
+    product_chain,
     side_sample,
     uniform_dist,
 )
@@ -153,7 +153,8 @@ def _two_indicators(pool):
         return PointwiseProduct(PointwiseProduct(d1, t), PointwiseInverse(d2)), g
 
     tree = _functions(pool, 4)
-    return st.builds(pair, tree, _family(pool), st.lists(st.sampled_from(pool), min_size=1, max_size=3), tree)
+    values = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    return st.builds(pair, tree, _family(pool), values, tree)
 
 
 def _sweep_pairs(pool):
@@ -170,6 +171,8 @@ def _rectangles(depth):
         points.map(lambda p: (grid, (p,))),
         st.sampled_from([((), grid), (grid, ())]),
     )
+
+
 point_lists = st.integers(0, 4).map(lambda d: grid_points(d) + OFF_GRID)
 # A dyadic or S3 tree and a constant value from the same pool.
 constant_products = st.sampled_from(POOLS[:2]).flatmap(
@@ -585,9 +588,14 @@ def unfolded_chain(funcs):
     return out
 
 
+S3_R, S3_S = S3.parse_element("r"), S3.parse_element("s")
+
+
 class TestFoldedProducts:
     @settings(max_examples=200)
     @given(chains, st.sampled_from(OFF_GRID + grid_points(2)))
+    # r s != s r in S3, so this one catches a fold that multiplies the wrong way round.
+    @example([TableFunction(1, ((S3_R, S3_S), (S3_S, S3_R))), TableFunction(0, ((S3_S,),))], OFF_GRID[0])
     def test_folded_chain_equals_the_unfolded_chain(self, funcs, fixed):
         folded, chain = product_chain(funcs, GridMemo(funcs[0].group)), unfolded_chain(funcs)
         if all(isinstance(f, TableFunction) for f in funcs):
@@ -618,7 +626,8 @@ class TestWorkCounts:
         grid = pipe._memo.grid_points(exp.grid_depth)
         builds, folds = [], []
         mul_calls = [0]
-        build, fold, mul = GridMemo._build_classes, functions_module._table_product, type(pipe.group).mul
+        build, fold = GridMemo._build_classes, functions_module._table_product
+        mul = type(pipe.group).mul
 
         def counted_build(memo, others, depth, xs, ys):
             if xs is grid and ys is grid and any(v is pipe.f for v in others):
