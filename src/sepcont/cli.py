@@ -103,7 +103,7 @@ def cmd_approx_discrete(exp: Experiment) -> int:
     ok = True
     with timer.stage("certificates"):
         for probe in exp.probes:
-            cert = engine.certificate(probe, exp.n_max, exp.grid_depth)
+            cert = engine.certificate(probe, exp.n_max)
             stage_of_probe[probe.probe_id] = cert.m
             ok = ok and cert.passed
             for n, member, witness in cert.checks:

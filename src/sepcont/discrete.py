@@ -213,7 +213,7 @@ class DiscreteApproximator:
             ]
         return tuple(self.group.sort_canonically(set(vals)))
 
-    def certificate(self, nbhd: SubbasicNbhd, n_max: int, grid_depth: int = 6) -> ConvergenceCertificate:
+    def certificate(self, nbhd: SubbasicNbhd, n_max: int) -> ConvergenceCertificate:
         """Stage recipe: per target value z, cover K ∩ section^-1(z) by basis
         cylinders inside the preimage; m caps the filtration entry of the
         target set and all cover indices; then verify membership exactly for
@@ -238,7 +238,7 @@ class DiscreteApproximator:
         passed = True
         for n in range(m, n_max + 1):
             probe = SubbasicNbhd(nbhd.kx, nbhd.ky, allowed, nbhd.probe_id)
-            res = in_subbasic(self.approximant(n), probe, grid_depth)
+            res = in_subbasic(self.approximant(n), probe)
             note = ""
             if not res.member:
                 passed = False

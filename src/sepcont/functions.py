@@ -15,12 +15,14 @@ Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
 singleton), the grid-based layer-wise / uniform distances and the grid
 kernel behind them:
 
-* ``grid_values`` — a function's values on a product of point lists,
-  computed bottom up once per memo;
 * ``GridMemo.classes`` and ``SepFunction.class_values`` — the points of
   a rectangle grouped into classes on which the functions of a check are
   constant (one depth-D cell, D the deepest table leaf, and one value
-  object of every other leaf), and each function's value per class;
+  object of every other leaf), and each function's value per class, the
+  one lowering of a combinator tree onto a grid;
+* ``grid_values`` — the values of a leaf other than a table or a
+  constant on a product of point lists, cached per memo, from which the
+  classes are built;
 * ``grid_sup`` — the max of an operation over a rectangle, run once per
   class, with its first x-major witness;
 * ``product_chain`` — ordered products, with products of tables folded
@@ -96,7 +98,7 @@ class SepFunction:
         return max((s.depth() for s in self.section_partition(axis, fixed).values()), default=0)
 
     def _grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
-        """Values on xs x ys in row-major order; ``grid_values`` caches them."""
+        """Values on xs x ys in row-major order, point by point; ``grid_values`` caches them."""
         return [memo.intern(self.eval(x, y)) for x in xs for y in ys]
 
     def _leaves(self) -> tuple["SepFunction", ...]:
@@ -144,9 +146,6 @@ class Constant(SepFunction):
 
     def locally_constant_depth(self) -> int | None:
         return 0
-
-    def _grid_values(self, xs, ys, memo):
-        return [self.value] * (len(xs) * len(ys))
 
     def class_values(self, classes, memo):
         return [self.value] * len(classes.firsts)
@@ -212,18 +211,6 @@ class TableFunction(SepFunction):
 
     def locally_constant_depth(self) -> int | None:
         return self.depth
-
-    def _grid_values(self, xs, ys, memo):
-        cols = [_cell(y, self.depth) for y in ys]
-        rows: dict[int, list[GroupElement]] = {}
-        out: list[GroupElement] = []
-        for x in xs:
-            i = _cell(x, self.depth)
-            if i not in rows:
-                row = [memo.intern(v) for v in self.values[i]]
-                rows[i] = [row[j] for j in cols]
-            out.extend(rows[i])
-        return out
 
     def class_values(self, classes, memo):
         shift, values = classes.depth - self.depth, self.values
@@ -517,9 +504,6 @@ class PostCompose(SepFunction):
     def locally_constant_depth(self) -> int | None:
         return self.inner.locally_constant_depth()
 
-    def _grid_values(self, xs, ys, memo):
-        return memo.image(self.mapping.__getitem__, grid_values(self.inner, xs, ys, memo))
-
     def _leaves(self):
         return self.inner._leaves()
 
@@ -550,9 +534,6 @@ class PointwiseInverse(SepFunction):
 
     def locally_constant_depth(self) -> int | None:
         return self.inner.locally_constant_depth()
-
-    def _grid_values(self, xs, ys, memo):
-        return memo.image(self.group.inv, grid_values(self.inner, xs, ys, memo))
 
     def _leaves(self):
         return self.inner._leaves()
@@ -605,10 +586,6 @@ class PointwiseProduct(SepFunction):
             return None
         return max(dl, dr)
 
-    def _grid_values(self, xs, ys, memo):
-        left, right = grid_values(self.left, xs, ys, memo), grid_values(self.right, xs, ys, memo)
-        return memo.pairwise(self.group.mul, left, right)
-
     def _leaves(self):
         return self.left._leaves() + self.right._leaves()
 
@@ -644,12 +621,6 @@ def product_chain(funcs: list[SepFunction], memo: "GridMemo") -> SepFunction:
     return out
 
 
-def distinct(values: Iterable) -> Iterable:
-    """The distinct objects among values (by identity), in first-seen order."""
-    values = list(values)
-    return dict(zip(map(id, values), values)).values()
-
-
 class GridMemo:
     """Memo tables for the grid sweeps over one group.
 
@@ -657,8 +628,8 @@ class GridMemo:
     operation a sweep runs (group ``mul``, ``dist``, a ball test) goes
     through ``pairwise``, which keeps one table per operation and runs it
     once per distinct pair of value objects; ``image`` maps a value list
-    once per distinct object.  ``grid_values`` keeps each function's values
-    per pair of point lists, ``classes`` each class list of a rectangle, and
+    once per distinct object.  ``grid_values`` keeps each leaf's values per
+    pair of point lists, ``classes`` each class list of a rectangle, and
     ``grid_points`` hands out one point tuple per depth so those are found
     again.  A memo lives on one pipeline or one call and is never shared
     across jobs.
@@ -692,7 +663,8 @@ class GridMemo:
 
     def image(self, fn, values: list) -> list:
         """fn(w) for each w, run once per distinct object in values."""
-        image = {id(w): self.intern(fn(w)) for w in distinct(values)}
+        objects = {id(w): w for w in values}
+        image = {key: self.intern(fn(w)) for key, w in objects.items()}
         return [image[id(w)] for w in values]
 
     def pairwise(self, op, left: Iterable, right: Iterable) -> list:
@@ -761,12 +733,12 @@ def grid_values(
 ) -> list[GroupElement]:
     """Values of fn on xs x ys in row-major order (x outer, y inner).
 
-    Computed bottom-up, once per (function, point lists) and memo: tables
-    and diagonal indicators read each axis once, products run
-    ``memo.pairwise(mul)`` and inverses and maps ``memo.image`` on their
-    children's values, anything else is evaluated per point.  Every
-    lowering mirrors the combinator's ``eval``, so the values are exactly
-    the pointwise ones.  The returned list is shared: do not mutate it.
+    Computed once per (function, point lists) and memo.  The grid sweeps
+    ask for it only on leaves that are neither tables nor constants, which
+    ``class_values`` cannot read off a cell: a diagonal indicator reads
+    each axis once, anything else is evaluated per point.  Combinator trees
+    are lowered by ``class_values`` instead.  The values are exactly the
+    pointwise ones.  The returned list is shared: do not mutate it.
     """
     memo = memo if memo is not None else GridMemo(fn.group)
     key = (id(fn), id(xs), id(ys))
@@ -882,7 +854,7 @@ def uniform_dist(
     return DistResult(best, exact, grid_depth, point if best > 0 else None)
 
 
-def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd, grid_depth: int = 6) -> MembershipResult:
+def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:
     """Exact membership of f in [K_X x K_Y, U] via section preimages.
 
     The singleton side is evaluated exactly; on the other side the section
@@ -915,11 +887,11 @@ def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd, grid_depth: int = 6) -> Memb
     return MembershipResult(False, True, (fx, fy, f.eval(fx, fy)))
 
 
-def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint], axis_list=("x", "y")) -> bool:
+def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint]) -> bool:
     """Check the partition property of all section preimages at the probes:
     preimages over the declared image are disjoint and cover the space."""
     for fixed in probes:
-        for axis in axis_list:
+        for axis in ("x", "y"):
             parts = f.section_partition(axis, fixed)
             total = ClopenSet.empty()
             for z, pre in parts.items():

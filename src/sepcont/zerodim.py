@@ -31,10 +31,8 @@ from sepcont.functions import (
     PostCompose,
     SepFunction,
     SubbasicNbhd,
-    distinct,
     grid_image,
     grid_sup,
-    grid_values,
     product_chain,
     side_sample,
 )
@@ -147,7 +145,6 @@ class Quantizer:
 
 def build_quantizer_tower(
     group: GroupSpec,
-    sample: tuple[GroupElement, ...],
     covers: list[ImageCover],
     nets: list[SeparatedNet],
 ) -> list[Quantizer]:
@@ -264,8 +261,8 @@ class ZerodimPipeline:
             ball_net(self.group, k, self.group.net_enumeration_depth(k, self.sample))
             for k in range(levels)
         ]
-        self.tower = build_quantizer_tower(self.group, self.sample, self.covers, self.nets)
-        self._factor_cache: dict[int, SepFunction] = {}
+        self.tower = build_quantizer_tower(self.group, self.covers, self.nets)
+        self._factor_cache: dict[int, PostCompose] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}
         self._tail_cache: dict[tuple[int, int], bool] = {}
         self._stage_cache: dict[tuple[int, int], SepFunction] = {}
@@ -278,7 +275,7 @@ class ZerodimPipeline:
         mapping = self.tower[n].mapping(self.f.declared_image())
         return PostCompose(self.f, mapping, label=f"r{n}")
 
-    def factor(self, n: int) -> SepFunction:
+    def factor(self, n: int) -> PostCompose:
         """g_n = f_n^-1 * f_{n+1}, built as one finite map of f: g_n = phi_n o f
         with phi_n(z) = r_n(z)^-1 r_{n+1}(z); its image lies in net(n) by construction."""
         if n not in self._factor_cache:
@@ -300,15 +297,16 @@ class ZerodimPipeline:
     def factor_discreteness(self, n: int) -> bool:
         return self.factor_values_on_grid(n) <= set(self.nets[n].elements)
 
-    def telescoping_ok(self, grid_depth: int | None = None) -> bool:
-        """g_0 g_1 ... g_n == f_{n+1} pointwise on the grid, exactly."""
-        d = grid_depth if grid_depth is not None else min(self.grid_depth, 4)
-        pts = self._memo.grid_points(d)
-        prod: list[GroupElement] | None = None
+    def telescoping_ok(self) -> bool:
+        """g_0 g_1 ... g_n == f_{n+1} as finite maps of f, exactly:
+        phi_0(z) ... phi_n(z) = r_{n+1}(z) at every declared value z of f,
+        so at every point, not only on a grid."""
+        domain = self.f.declared_image()
+        prod = {z: self.group.identity() for z in domain}
         for n in range(self.n_max + 1):
-            g_n = grid_values(self.factor(n), pts, pts, self._memo)
-            prod = g_n if prod is None else self._memo.pairwise(self.group.mul, prod, g_n)
-            if prod != grid_values(self.quantized(n + 1), pts, pts, self._memo):
+            phi = self.factor(n).mapping
+            prod = {z: self.group.mul(prod[z], phi[z]) for z in domain}
+            if prod != self.tower[n + 1].mapping(domain):
                 return False
         return True
 
@@ -369,17 +367,18 @@ class ZerodimPipeline:
                 final_sup = Fraction(0)
                 final_ok = tail_ok = False
                 if m_l is not None:
-                    final_ok = True
-                    f_vals = grid_values(self.f, xs, ys, memo)
                     for n in range(m_l, n_max + 1):
-                        dists = memo.pairwise(dist, f_vals, grid_values(diagonals[n], xs, ys, memo))
-                        final_sup = max([final_sup, *distinct(dists)])
-                        over = {id(d) for d in distinct(dists) if d >= budget}
-                        if over:
-                            final_ok = False
-                            last = max(k for k, d in enumerate(dists) if id(d) in over)
-                            i, j = divmod(last, len(ys))
-                            witness = f"n={n} ({xs[i]},{ys[j]})"
+                        sup = grid_sup(dist, self.f, diagonals[n], xs, ys, memo)[0]
+                        final_sup = max(final_sup, sup)
+                        if sup >= budget:
+                            # The witness is the last failing point, x-major:
+                            # the first one with both axes reversed.
+                            _, (x, y) = grid_sup(
+                                lambda a, b: dist(a, b) >= budget,
+                                self.f, diagonals[n], xs[::-1], ys[::-1], memo,
+                            )
+                            witness = f"n={n} ({x},{y})"
+                    final_ok = final_sup < budget
                     tail_ok = self._tail_containment(l, max(m_l, l + 1))
                     level_stage = m_l if level_stage is None else max(level_stage, m_l)
                 results.append(

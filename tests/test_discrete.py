@@ -211,7 +211,7 @@ class TestCertificates:
         # x = 110..., K_Y = [11]: the certificate needs the depth-3 cylinders
         engine = DiscreteApproximator(DIAG)
         nb = SubbasicNbhd(CantorPoint.parse("110(0)"), ClopenSet.parse("{11}"), frozenset())
-        cert = engine.certificate(nb, 16, grid_depth=6)
+        cert = engine.certificate(nb, 16)
         assert set(cert.target_values) == {E, A}
         assert cert.m == 14  # covers [110] (index 13) and [111] (index 14)
         assert cert.passed
@@ -245,9 +245,7 @@ class TestCertificates:
         cert = engine.certificate(nb, 8)
         for n, member, _ in cert.checks:
             again = in_subbasic(
-                engine.approximant(n),
-                SubbasicNbhd(nb.kx, nb.ky, frozenset(cert.target_values)),
-                6,
+                engine.approximant(n), SubbasicNbhd(nb.kx, nb.ky, frozenset(cert.target_values))
             )
             assert member == again.member
 

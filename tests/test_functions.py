@@ -303,27 +303,27 @@ class TestUniformDist:
 class TestInSubbasic:
     def test_whole_image_always_member(self):
         nb = SubbasicNbhd(PROBE_POINTS[0], ClopenSet.whole(), frozenset(DIAG.declared_image()))
-        assert in_subbasic(DIAG, nb, 4).member
+        assert in_subbasic(DIAG, nb).member
 
     def test_accumulation_row_identity(self):
         nb = SubbasicNbhd(ALL_ONES, ClopenSet.whole(), frozenset([E]))
-        res = in_subbasic(DIAG, nb, 4)
+        res = in_subbasic(DIAG, nb)
         assert res.member and res.exact
 
     def test_violation_with_witness(self):
         nb = SubbasicNbhd(CantorPoint.parse("110(0)"), ClopenSet.whole(), frozenset([E]))
-        res = in_subbasic(DIAG, nb, 4)
+        res = in_subbasic(DIAG, nb)
         assert not res.member
         wx, wy, val = res.witness
         assert val == A and Cylinder("110").contains(wy)
 
     def test_singleton_both_sides(self):
         nb = SubbasicNbhd(CantorPoint.parse("0(0)"), CantorPoint.parse("0(0)"), frozenset([A]))
-        assert in_subbasic(DIAG, nb, 4).member
+        assert in_subbasic(DIAG, nb).member
 
     def test_y_singleton_side(self):
         nb = SubbasicNbhd(ClopenSet.parse("{1}"), CantorPoint.parse("0(0)"), frozenset([E]))
-        assert in_subbasic(DIAG, nb, 4).member
+        assert in_subbasic(DIAG, nb).member
 
     def test_requires_singleton(self):
         with pytest.raises(ValueError):
@@ -335,7 +335,7 @@ class TestInSubbasic:
             for fixed in PROBE_POINTS[:4]:
                 for allowed in [frozenset([E]), frozenset([E, A])]:
                     nb = SubbasicNbhd(fixed, ClopenSet.whole(), allowed)
-                    exact = in_subbasic(f, nb, 5).member
+                    exact = in_subbasic(f, nb).member
                     sweep = all(
                         f.eval(fixed, y) in allowed for y in grid_points(5)
                     ) and f.eval(fixed, ALL_ONES) in allowed

@@ -1,14 +1,17 @@
-"""The grid-values kernel against pointwise evaluation.
+"""The grid kernel against pointwise evaluation.
 
-``grid_values`` lowers a combinator tree onto a product of point lists;
-every sweep in the zerodim and uniform layers reads it.  The brute-force
-loops below evaluate pointwise, the way the sweeps did before the kernel
-(ball membership with its early exit), and are kept as the reference.
-The same random combinator trees also check that a product with a
+Every sweep in the zerodim and uniform layers is a ``grid_sup`` over value
+classes, which lowers a combinator tree through ``class_values``;
+``grid_values`` gives the values of the leaves the classes are built from
+(a diagonal indicator reads each axis once, any other function is
+evaluated per point).  The brute-force loops below evaluate pointwise, the
+way the sweeps did before the kernel (ball membership with its early exit,
+the diagonal's final budget with its last failing point as witness), and
+are kept as the reference.  The same random combinator trees also check
+that ``grid_values`` equals pointwise evaluation, that a product with a
 constant answers structural queries as the finite map it equals, that
-``grid_sup``'s sweep over value classes gives the pointwise max and
-witness, and that ``product_chain``'s folded tables equal the unfolded
-product chains.
+``grid_sup`` gives the pointwise max and witness, and that
+``product_chain``'s folded tables equal the unfolded product chains.
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepcont import functions as functions_module
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.config import load_experiment
 from sepcont.functions import (
     Constant,
@@ -499,6 +502,41 @@ class TestSweepsMatchBruteForce:
         assert any(r.m_l is None for r in rep.results)
         assert any(r.final_sup > 0 for r in rep.results)
         assert rep == brute_diagonal(ZerodimPipeline(f, 4, 4), probes, levels)
+
+    def test_diagonal_with_a_wrong_late_factor(self):
+        # The injected-factor control of test_zerodim: factor 4's stage tables
+        # multiplied by A fail the level-3 final budget at several points of
+        # each probe; the witness is the last of them, x-major, at the last
+        # failing stage.
+        a, b, c = (DYADIC.parse_element(t) for t in ["1(0)", "01(0)", "001(0)"])
+        f = DiagonalIndicator.ones_schema([a, b, c])
+        whole = ClopenSet.whole()
+        probes = [
+            SubbasicNbhd(ALL_ONES, whole, frozenset(), "acc_x"),
+            SubbasicNbhd(CantorPoint.parse("(0)"), whole, frozenset(), "zero_x"),
+            SubbasicNbhd(whole, ALL_ONES, frozenset(), "acc_y"),
+        ]
+
+        def with_wrong_factor():
+            pipe = ZerodimPipeline(f, 5, 4)
+            approx = pipe.factor_approximator(4)
+            correct, wrong = approx.approximant, {}
+
+            def flipped(n):
+                if n not in wrong:
+                    g = correct(n)
+                    rows = tuple(tuple(DYADIC.mul(v, a) for v in row) for row in g.values)
+                    wrong[n] = TableFunction(g.depth, rows)
+                return wrong[n]
+
+            approx.approximant = flipped
+            return pipe
+
+        rep = with_wrong_factor().diagonal(probes, [3])
+        assert rep == brute_diagonal(with_wrong_factor(), probes, [3])
+        assert [r.witness for r in rep.results] == [
+            "n=5 ((1),1111(0))", "n=5 ((0),1111(0))", "n=5 (1111(0),(1))"
+        ]
 
 
 class TestUniformChecksMatchBruteForce:

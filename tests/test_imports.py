@@ -1,5 +1,6 @@
 """Every name a module under src/sepcont imports is used in that module,
-and every function, class and method it defines is referenced somewhere.
+and every function, class and method it defines is referenced somewhere;
+every parameter of a module-level function is read in its body.
 
 Names listed in a module's ``__all__`` count as used: the package
 re-exports its public names that way.  A definition counts as referenced
@@ -130,3 +131,46 @@ def test_unreferenced_definition_is_reported():
     )
     referencing = [defining, "Used().called()\n", "PATCH = ('Used', 'wrapped')\n"]
     assert unreferenced_definitions(defining, referencing) == [("orphan", 10)]
+
+
+def unread_parameters(source):
+    """(function, parameter) for each parameter of a module-level function
+    that its body never reads.  Methods are exempt: an override keeps the
+    signature of the method it overrides, read or not."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            out += [(node.name, p.arg) for p in params if p.arg not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_functions_read_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_reported():
+    source = (
+        "def reads_all(a, /, b, *rest, c=1, **named):\n"
+        "    return a, b, rest, c, named\n"
+        "def overwrites(a, depth=6):\n"
+        "    depth = 2\n"
+        "    return a\n"
+        "def nested(a, b):\n"
+        "    def inner():\n"
+        "        return a\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def method(self, unused):\n"
+        "        return self\n"
+    )
+    assert unread_parameters(source) == [("overwrites", "depth"), ("nested", "b")]

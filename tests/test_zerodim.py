@@ -5,7 +5,14 @@ import pytest
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.errors import CoverConstructionError
-from sepcont.functions import Constant, DiagonalIndicator, SubbasicNbhd, TableFunction
+from sepcont.functions import (
+    Constant,
+    DiagonalIndicator,
+    PostCompose,
+    SubbasicNbhd,
+    TableFunction,
+    grid_image,
+)
 from sepcont.groups import ball_net, get_group
 from sepcont.zerodim import (
     ZerodimPipeline,
@@ -79,7 +86,7 @@ class TestQuantizerTower:
             ball_net(group, k, group.net_enumeration_depth(k, sample))
             for k in range(levels)
         ]
-        tower = build_quantizer_tower(group, sample, covers, nets)
+        tower = build_quantizer_tower(group, covers, nets)
         return tower, nets
 
     def test_r0_is_identity_map(self):
@@ -118,7 +125,7 @@ class TestQuantizerTower:
         sample = tuple(C3.element(i) for i in range(3))
         covers = build_covers(C3, sample, 3)
         nets = [ball_net(C3, k, 0) for k in range(3)]
-        tower = build_quantizer_tower(C3, sample, covers, nets)
+        tower = build_quantizer_tower(C3, covers, nets)
         rows = quantizer_conditions(C3, sample, tower, nets)
         for r in rows:
             assert r.cond1 and r.cond2_sup <= r.cond2_bound and r.cond3
@@ -164,6 +171,20 @@ class TestPipeline:
         for f in [DIAG, MULTI]:
             pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
             assert pipe.telescoping_ok()
+
+    def test_telescoping_fails_on_a_factor_altered_off_the_grid(self, monkeypatch):
+        # b is declared but taken only on [11111] x [11111], which no point of
+        # the depth-4 grid reaches; the identity of finite maps still sees a
+        # factor map altered at b.
+        b = DYADIC.parse_element("01(0)")
+        f = DiagonalIndicator.from_pairs([(Cylinder("0"), A), (Cylinder("11111"), b)])
+        pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
+        assert b in f.declared_image() and b not in grid_image(f, 4)
+        assert pipe.telescoping_ok()
+        factor, g2 = pipe.factor, pipe.factor(2)
+        altered = PostCompose(f, {**g2.mapping, b: DYADIC.mul(g2.mapping[b], A)})
+        monkeypatch.setattr(pipe, "factor", lambda n: altered if n == 2 else factor(n))
+        assert not pipe.telescoping_ok()
 
     def test_grid_sample_mode_reports_completeness(self):
         pipe = ZerodimPipeline(DIAG, n_max=2, grid_depth=4, sample_source="grid")
@@ -349,4 +370,4 @@ class TestErrorPaths:
         covers = build_covers(REAL, sample, 2)
         shallow_nets = [ball_net(REAL, k, 0) for k in range(2)]
         with pytest.raises(NetMaximalityError):
-            build_quantizer_tower(REAL, sample, covers, shallow_nets)
+            build_quantizer_tower(REAL, covers, shallow_nets)
