@@ -2,8 +2,10 @@
 recorded exit code and byte-identical reports.
 
 ``shipped_reports.json`` holds, per ``<config>/<subcommand>``, the exit
-code and the sha256 of every report file except ``manifest.json`` (which
-carries wall-clock timings).  A deliberate report change re-records it:
+code, the sha256 of every report file except ``manifest.json`` (which
+carries wall-clock timings) and the sha256 of the manifest's deterministic
+``summary`` (``null`` when no manifest is written).  A deliberate report
+change re-records it:
 
     PYTHONPATH=src python tests/test_shipped_reports.py --record
 """
@@ -37,7 +39,12 @@ def run_case(case: str, out: Path) -> dict:
         for p in sorted(out.iterdir())
         if p.name != "manifest.json"
     }
-    return {"exit": code, "reports": reports}
+    manifest = out / "manifest.json"
+    summary = None
+    if manifest.exists():
+        text = json.dumps(json.loads(manifest.read_text(encoding="utf-8"))["summary"], sort_keys=True)
+        summary = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return {"exit": code, "reports": reports, "summary": summary}
 
 
 @pytest.mark.parametrize("case", CASES)
