@@ -901,17 +901,3 @@ def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint
             if not total.is_whole():
                 return False
     return True
-
-
-def grid_image(
-    f: SepFunction, grid_depth: int, memo: GridMemo | None = None
-) -> tuple[GroupElement, ...]:
-    """The distinct values of f on the depth-``grid_depth`` grid, in canonical order."""
-    memo = memo if memo is not None else GridMemo(f.group)
-    points = memo.grid_points(grid_depth)
-    return _dedupe(f.class_values(memo.classes((f,), points, points), memo))
-
-
-def validate_declared_image(f: SepFunction, grid_depth: int = 4) -> bool:
-    declared = set(f.declared_image())
-    return all(v in declared for v in grid_image(f, grid_depth))

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Any, Iterable
 
-from sepcont.cantor import ALL_ZEROS, CantorPoint, first_difference
+from sepcont.cantor import ALL_ZEROS, CantorPoint, point_dist
 from sepcont.errors import GroupMismatchError, NetMaximalityError
 
 
@@ -156,8 +156,7 @@ class DyadicGroup(GroupSpec):
         return a  # every element is an involution
 
     def _dist(self, a: CantorPoint, b: CantorPoint) -> Fraction:
-        i = first_difference(a, b)
-        return Fraction(0) if i is None else Fraction(1, 2 ** (i + 1))
+        return point_dist(a, b)
 
     def _enumerate(self, depth: int) -> list[CantorPoint]:
         out = [ALL_ZEROS]

@@ -6,7 +6,10 @@ exact error budget.
 Conventions (recorded in every run manifest): cover level n has cell
 diameter <= 2^-(n+1); net(k) is the greedy maximal 2^-(k+2)-separated
 subset of B[2^-k]; the quantizer step n -> n+1 draws its increment from
-net(n).  The quantizer conditions certified per level n are
+net(n).  The image sample is f's declared image, a finite superset of
+f(X x Y), so each quantizer r_n is one finite map on it and every check
+below is exact at every point.  The quantizer conditions certified per
+level n are
 
 * (1) the quantizer is constant on each cover cell (by representation);
 * (2) sup over the image sample of d(r_n(z), z) <= 2^-n, exactly;
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from functools import cached_property
+from typing import Iterable
 
 from sepcont.errors import (
     CoverConstructionError,
@@ -31,10 +35,10 @@ from sepcont.functions import (
     PostCompose,
     SepFunction,
     SubbasicNbhd,
-    grid_image,
     grid_sup,
     product_chain,
     side_sample,
+    uniform_dist,
 )
 from sepcont.discrete import DiscreteApproximator, ImageFiltration
 from sepcont.groups import GroupElement, GroupSpec, SeparatedNet, ball_net
@@ -130,17 +134,10 @@ class Quantizer:
     cover: ImageCover
     values: tuple[GroupElement, ...]
 
-    def apply(self, z: GroupElement) -> GroupElement:
-        return self.values[self.cover.cell_index_of(z)]
-
-    def mapping(self, domain: Iterable[GroupElement]) -> dict[GroupElement, GroupElement]:
-        """Point map over ``domain``; elements outside the sample map to themselves
-        (only reachable in grid-sampled mode, reported by the pipeline)."""
-        out = {}
-        sampled = {z for cell in self.cover.cells for z in cell}
-        for z in domain:
-            out[z] = self.apply(z) if z in sampled else z
-        return out
+    @cached_property
+    def mapping(self) -> dict[GroupElement, GroupElement]:
+        """r_n as one finite map: every sample point to its cell's value."""
+        return {z: v for cell, v in zip(self.cover.cells, self.values) for z in cell}
 
 
 def build_quantizer_tower(
@@ -160,7 +157,7 @@ def build_quantizer_tower(
         values = []
         for cell in child.cells:
             z_child = cell[0]
-            g_w = prev.values[covers[n].cell_index_of(z_child)]
+            g_w = prev.mapping[z_child]
             shifted = group.mul(group.inv(g_w), z_child)
             if group.dist(one, shifted) > Fraction(1, 2**n):
                 raise QuantizerConditionError(
@@ -196,14 +193,14 @@ def quantizer_conditions(
     rows = []
     for n, q in enumerate(tower):
         cond1 = True  # one stored value per cell: constant by representation
-        sup = max((group.dist(q.apply(z), z) for z in sample), default=Fraction(0))
+        sup = max((group.dist(q.mapping[z], z) for z in sample), default=Fraction(0))
         bound = Fraction(1, 2**n)
         cond3 = True
         if n >= 1:
             prev = tower[n - 1]
             net_elements = set(nets[n - 1].elements)
             for z in sample:
-                eps = group.mul(group.inv(prev.apply(z)), q.apply(z))
+                eps = group.mul(group.inv(prev.mapping[z]), q.mapping[z])
                 if eps not in net_elements:
                     cond3 = False
                     break
@@ -233,28 +230,16 @@ class DiagonalReport:
 
 
 class ZerodimPipeline:
-    """End-to-end construction for one function: sample, covers, nets,
-    quantizer tower, factors, and the diagonal sequence."""
+    """End-to-end construction for one function: sample (f's declared
+    image), covers, nets, quantizer tower, factors, and the diagonal sequence."""
 
-    def __init__(
-        self,
-        f: SepFunction,
-        n_max: int,
-        grid_depth: int = 6,
-        sample_source: Literal["declared", "grid"] = "declared",
-    ):
+    def __init__(self, f: SepFunction, n_max: int, grid_depth: int = 6):
         self.f = f
         self.group = f.group
         self.n_max = n_max
         self.grid_depth = grid_depth
-        self.sample_source = sample_source
         self._memo = GridMemo(self.group)
-        declared = tuple(self.group.sort_canonically(f.declared_image()))
-        if sample_source == "grid":
-            self.sample = grid_image(f, grid_depth, self._memo)
-        else:
-            self.sample = declared
-        self.sample_complete = set(self.sample) >= set(declared)
+        self.sample = tuple(self.group.sort_canonically(f.declared_image()))
         levels = n_max + 1
         self.covers = build_covers(self.group, self.sample, levels)
         self.nets = [
@@ -272,41 +257,35 @@ class ZerodimPipeline:
 
     def quantized(self, n: int) -> SepFunction:
         """f_n = r_n o f."""
-        mapping = self.tower[n].mapping(self.f.declared_image())
-        return PostCompose(self.f, mapping, label=f"r{n}")
+        return PostCompose(self.f, self.tower[n].mapping, label=f"r{n}")
 
     def factor(self, n: int) -> PostCompose:
         """g_n = f_n^-1 * f_{n+1}, built as one finite map of f: g_n = phi_n o f
         with phi_n(z) = r_n(z)^-1 r_{n+1}(z); its image lies in net(n) by construction."""
         if n not in self._factor_cache:
-            domain = self.f.declared_image()
-            r_n, r_n1 = self.tower[n].mapping(domain), self.tower[n + 1].mapping(domain)
-            phi = {z: self.group.mul(self.group.inv(r_n[z]), r_n1[z]) for z in domain}
+            r_n, r_n1 = self.tower[n].mapping, self.tower[n + 1].mapping
+            phi = {z: self.group.mul(self.group.inv(r_n[z]), r_n1[z]) for z in self.sample}
             self._factor_cache[n] = PostCompose(self.f, phi, label=f"g{n}")
         return self._factor_cache[n]
 
     def uniform_rate(self, n: int) -> DistResult:
         """Grid sup of d(f_n, f); bounded by 2^-n through condition (2)."""
-        from sepcont.functions import uniform_dist
-
         return uniform_dist(self.quantized(n), self.f, "l", self.grid_depth, self._memo)
 
-    def factor_values_on_grid(self, n: int) -> set[GroupElement]:
-        return set(grid_image(self.factor(n), self.grid_depth, self._memo))
-
     def factor_discreteness(self, n: int) -> bool:
-        return self.factor_values_on_grid(n) <= set(self.nets[n].elements)
+        """g_n takes its values in net(n), exactly: its declared image,
+        phi_n of f's, is a superset of every value it takes."""
+        return set(self.factor(n).declared_image()) <= set(self.nets[n].elements)
 
     def telescoping_ok(self) -> bool:
         """g_0 g_1 ... g_n == f_{n+1} as finite maps of f, exactly:
         phi_0(z) ... phi_n(z) = r_{n+1}(z) at every declared value z of f,
         so at every point, not only on a grid."""
-        domain = self.f.declared_image()
-        prod = {z: self.group.identity() for z in domain}
+        prod = {z: self.group.identity() for z in self.sample}
         for n in range(self.n_max + 1):
             phi = self.factor(n).mapping
-            prod = {z: self.group.mul(prod[z], phi[z]) for z in domain}
-            if prod != self.tower[n + 1].mapping(domain):
+            prod = {z: self.group.mul(prod[z], phi[z]) for z in self.sample}
+            if prod != self.tower[n + 1].mapping:
                 return False
         return True
 

@@ -72,7 +72,7 @@ def test_criterion_1_quantizer_conditions():
     worst = ""
     ok = True
     for name, f, _, _ in SHIPPED[:2]:
-        pipe = ZerodimPipeline(f, n_max=3, grid_depth=6, sample_source="grid")
+        pipe = ZerodimPipeline(f, n_max=3, grid_depth=6)
         for row in pipe.condition_rows():
             if row.level > 3:
                 continue
@@ -85,7 +85,7 @@ def test_criterion_1_quantizer_conditions():
         1,
         ok and elapsed < 5,
         "quantizer cell-constancy / 2^-n approximation / net-increment conditions "
-        f"exact for n=0..3 on grid-6 samples ({elapsed:.2f}s)"
+        f"exact for n=0..3 on the declared image ({elapsed:.2f}s)"
         f"{' worst: ' + worst if worst else ''}",
     )
 

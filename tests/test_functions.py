@@ -15,12 +15,10 @@ from sepcont.functions import (
     SepFunction,
     SubbasicNbhd,
     TableFunction,
-    grid_image,
     in_subbasic,
     layerwise_dist,
     separate_continuity_certificate,
     uniform_dist,
-    validate_declared_image,
     _Profile,
 )
 from sepcont.groups import get_group, symmetric_group_3
@@ -107,7 +105,8 @@ class TestDeclaredImage:
         ids=["const", "diag", "multi", "finite", "prod", "inv"],
     )
     def test_grid_values_in_declared(self, f):
-        assert validate_declared_image(f, 4)
+        pts = grid_points(4)
+        assert {f.eval(x, y) for x, y in product(pts, repeat=2)} <= set(f.declared_image())
 
     def test_postcompose_requires_total_mapping(self):
         with pytest.raises(UnsupportedStructureError):
@@ -341,7 +340,3 @@ class TestInSubbasic:
                     ) and f.eval(fixed, ALL_ONES) in allowed
                     assert exact == sweep
 
-
-class TestGridImage:
-    def test_diag_grid_image(self):
-        assert set(grid_image(DIAG, 4)) == {E, A}

@@ -11,7 +11,6 @@ from sepcont.functions import (
     PostCompose,
     SubbasicNbhd,
     TableFunction,
-    grid_image,
 )
 from sepcont.groups import ball_net, get_group
 from sepcont.zerodim import (
@@ -93,13 +92,13 @@ class TestQuantizerTower:
         sample = (E, A)
         tower, _ = self.make(sample, 3)
         for z in sample:
-            assert tower[0].apply(z) == E
+            assert tower[0].mapping[z] == E
 
     def test_identity_image_stays_identity(self):
         sample = (E,)
         tower, nets = self.make(sample, 4)
         for q in tower:
-            assert q.apply(E) == E
+            assert q.mapping[E] == E
         rows = quantizer_conditions(DYADIC, sample, tower, nets)
         assert all(r.cond2_sup == 0 for r in rows[1:])
 
@@ -131,7 +130,7 @@ class TestQuantizerTower:
             assert r.cond1 and r.cond2_sup <= r.cond2_bound and r.cond3
         # by level 1 the discrete metric forces exact reproduction
         for z in sample:
-            assert tower[1].apply(z) == z
+            assert tower[1].mapping[z] == z
 
 
 class TestPipeline:
@@ -148,10 +147,26 @@ class TestPipeline:
 
     def test_factor_declared_image_validated_on_grid(self):
         pipe = ZerodimPipeline(MULTI, n_max=3, grid_depth=5)
+        pts = grid_points(5)
         for n in range(4):
             g = pipe.factor(n)
             declared = set(g.declared_image())
-            assert pipe.factor_values_on_grid(n) <= declared
+            assert {g.eval(x, y) for x, y in product(pts, repeat=2)} <= declared
+
+    def test_factor_discreteness_sees_a_factor_altered_off_the_grid(self, monkeypatch):
+        # b is declared but taken only on [11111] x [11111], which no point of
+        # the depth-4 grid reaches; the declared image of the altered factor
+        # still shows the value A, which is not in net(2).
+        b = DYADIC.parse_element("01(0)")
+        f = DiagonalIndicator.from_pairs([(Cylinder("0"), A), (Cylinder("11111"), b)])
+        pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
+        pts = grid_points(4)
+        assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
+        assert pipe.factor_discreteness(2) and A not in pipe.nets[2].elements
+        factor, g2 = pipe.factor, pipe.factor(2)
+        altered = PostCompose(f, {**g2.mapping, b: A})
+        monkeypatch.setattr(pipe, "factor", lambda n: altered if n == 2 else factor(n))
+        assert not pipe.factor_discreteness(2)
 
     def test_constant_function_factors_trivial(self):
         pipe = ZerodimPipeline(Constant(A), n_max=3, grid_depth=3)
@@ -179,25 +194,20 @@ class TestPipeline:
         b = DYADIC.parse_element("01(0)")
         f = DiagonalIndicator.from_pairs([(Cylinder("0"), A), (Cylinder("11111"), b)])
         pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
-        assert b in f.declared_image() and b not in grid_image(f, 4)
+        pts = grid_points(4)
+        assert b in f.declared_image()
+        assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
         assert pipe.telescoping_ok()
         factor, g2 = pipe.factor, pipe.factor(2)
         altered = PostCompose(f, {**g2.mapping, b: DYADIC.mul(g2.mapping[b], A)})
         monkeypatch.setattr(pipe, "factor", lambda n: altered if n == 2 else factor(n))
         assert not pipe.telescoping_ok()
 
-    def test_grid_sample_mode_reports_completeness(self):
-        pipe = ZerodimPipeline(DIAG, n_max=2, grid_depth=4, sample_source="grid")
-        assert pipe.sample_source == "grid"
-        assert pipe.sample_complete  # both values appear on the grid
-        rows = pipe.condition_rows()
-        assert all(r.cond2_ok and r.cond3 for r in rows)
-
 
 def _phi(pipe, n, z):
     """r_n(z)^-1 r_{n+1}(z), read off the quantizer tower."""
     group = pipe.group
-    return group.mul(group.inv(pipe.tower[n].apply(z)), pipe.tower[n + 1].apply(z))
+    return group.mul(group.inv(pipe.tower[n].mapping[z]), pipe.tower[n + 1].mapping[z])
 
 
 # The diag ones 1(0) family, the diag-multi.cfg family at its n_max, and a cyclic:5 family.
@@ -241,18 +251,6 @@ class TestFactorAsMap:
                 assert exact == f_exact
                 if len(f_vals) == 1:
                     assert len(vals) == 1
-
-    def test_grid_sample_mode_lists_identity_off_sample(self):
-        # A depth-2 table read on the depth-0 grid samples only A; the
-        # off-sample value B maps to itself at every level, so phi_n(B) is
-        # the identity, which g_0 takes on B's cell, so it is declared.
-        b = DYADIC.parse_element("01(0)")
-        f = TableFunction(2, ((A,) * 4, (A,) * 4, (A,) * 4, (A, A, A, b)))
-        pipe = ZerodimPipeline(f, n_max=1, grid_depth=0, sample_source="grid")
-        assert pipe.sample == (A,) and not pipe.sample_complete
-        g0 = pipe.factor(0)
-        assert g0.eval(CantorPoint.parse("11(0)"), CantorPoint.parse("11(0)")) == E
-        assert g0.declared_image() == tuple(DYADIC.sort_canonically({E, _phi(pipe, 0, A)}))
 
 
 class TestDiagonal:
