@@ -47,24 +47,15 @@ def parse_int(text: str, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, not {text!r}") from None
 
 
-def _split_args(text: str) -> list[str]:
-    """Split on top-level commas (respecting parentheses)."""
-    parts: list[str] = []
-    buf: list[str] = []
+def _top_level_commas(text: str) -> list[int]:
+    """The positions of the commas outside parentheses."""
+    commas: list[int] = []
     depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            parts.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        parts.append("".join(buf).strip())
-    return parts
+            commas.append(i)
+    return commas
 
 
 def parse_function(text: str, group: GroupSpec, base_dir: Path) -> SepFunction:
@@ -79,23 +70,37 @@ def parse_function(text: str, group: GroupSpec, base_dir: Path) -> SepFunction:
 
 def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
     if s.startswith("prod(") and s.endswith(")"):
-        args = _split_args(s[len("prod(") : -1])
-        if len(args) != 2:
-            raise ConfigError(f"prod takes two functions: {s!r}")
-        return PointwiseProduct(
-            _parse_function(args[0], group, base_dir),
-            _parse_function(args[1], group, base_dir),
-        )
+        # A value list holds commas too, so try every top-level comma and
+        # keep the one split at which both sides parse.  A wrong split may
+        # name a table file that does not exist.
+        body = s[len("prod(") : -1]
+        splits, errors = [], []
+        for i in _top_level_commas(body):
+            try:
+                left = _parse_function(body[:i].strip(), group, base_dir)
+                right = _parse_function(body[i + 1 :].strip(), group, base_dir)
+            except (ConfigError, ValueError, OSError) as exc:
+                errors.append(f"; {exc}")
+                continue
+            splits.append(PointwiseProduct(left, right))
+        if not splits:
+            raise ConfigError(f"prod takes two functions: no comma of {s!r} splits it into "
+                              f"two that parse{''.join(errors)}")
+        if len(splits) > 1:
+            raise ConfigError(f"prod takes two functions: more than one comma of {s!r} splits it")
+        return splits[0]
     if s.startswith("inv(") and s.endswith(")"):
         return PointwiseInverse(_parse_function(s[len("inv(") : -1], group, base_dir))
     if s.startswith("quant(") and s.endswith(")"):
-        args = _split_args(s[len("quant(") : -1])
-        if len(args) != 2:
+        # The level has no comma, so it follows the last top-level one.
+        body = s[len("quant(") : -1]
+        commas = _top_level_commas(body)
+        if not commas:
             raise ConfigError(f"quant takes a function and a level: {s!r}")
         from sepcont.zerodim import ZerodimPipeline
 
-        inner = _parse_function(args[0], group, base_dir)
-        n = int(args[1])
+        inner = _parse_function(body[: commas[-1]].strip(), group, base_dir)
+        n = int(body[commas[-1] + 1 :])
         return ZerodimPipeline(inner, n_max=n, grid_depth=4).quantized(n)
     head, _, rest = s.partition(" ")
     rest = rest.strip()

@@ -12,8 +12,8 @@ answers structural queries:
   superset certifies constancy on the rectangle even when inexact.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
-singleton), the grid-based layer-wise / uniform distances and the grid
-kernel behind them:
+singleton), the grid-based uniform distance and the grid kernel behind
+every grid check:
 
 * ``GridMemo.classes`` and ``SepFunction.class_values`` — the points of
   a rectangle grouped into classes on which the functions of a check are
@@ -24,15 +24,16 @@ kernel behind them:
   constant on a product of point lists, cached per memo, from which the
   classes are built;
 * ``grid_sup`` — the max of an operation over a rectangle, run once per
-  class, with its first x-major witness;
-* ``product_chain`` — ordered products, with products of tables folded
-  into one table.
+  class, with its first x-major witness; a layer-wise sup is one over a
+  probe rectangle, whose one side is a singleton;
+* ``product_chain`` — the ordered product of tables, folded into one
+  table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Iterable, Literal
 
@@ -93,9 +94,6 @@ class SepFunction:
             if not pre.is_empty():
                 out[z] = out[z].union(pre) if z in out else pre
         return out
-
-    def section_depth(self, axis: Axis, fixed: CantorPoint) -> int:
-        return max((s.depth() for s in self.section_partition(axis, fixed).values()), default=0)
 
     def _grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
         """Values on xs x ys in row-major order, point by point; ``grid_values`` caches them."""
@@ -606,19 +604,11 @@ def _table_product(a: TableFunction, b: TableFunction, memo: "GridMemo") -> Tabl
     return TableFunction(depth, tuple(tuple(cells[k : k + n]) for k in range(0, n * n, n)))
 
 
-def product_chain(funcs: list[SepFunction], memo: "GridMemo") -> SepFunction:
-    """Ordered pointwise product f_0 * f_1 * ... * f_k, left to right.
-    While the product so far and the next factor are both tables, they are
-    folded into one table, their values multiplied through ``memo.pairwise``."""
-    if not funcs:
-        raise ValueError("product of no functions")
-    out = funcs[0]
-    for f in funcs[1:]:
-        if isinstance(out, TableFunction) and isinstance(f, TableFunction):
-            out = _table_product(out, f, memo)
-        else:
-            out = PointwiseProduct(out, f)
-    return out
+def product_chain(tables: list[TableFunction], memo: "GridMemo") -> TableFunction:
+    """Ordered pointwise product t_0 * t_1 * ... * t_k of tables, left to
+    right, folded into one table, the values multiplied through
+    ``memo.pairwise``."""
+    return reduce(lambda a, b: _table_product(a, b, memo), tables)
 
 
 class GridMemo:
@@ -808,31 +798,6 @@ def grid_sup(
     best = max(values)
     i, j = divmod(classes.firsts[values.index(best)], len(ys))
     return best, (xs[i], ys[j])
-
-
-def layerwise_dist(
-    f: SepFunction,
-    g: SepFunction,
-    axis: Axis,
-    fixed: CantorPoint,
-    region: ClopenSet | None = None,
-    grid_depth: int = 6,
-) -> DistResult:
-    """Max distance between the fixed-coordinate sections of f and g over the
-    grid points of ``region``; a certified lower bound on the true sup, exact
-    when both section partitions resolve within the grid depth.  The witness
-    is the first cell representative that attains it."""
-    region = region if region is not None else ClopenSet.whole()
-    if region.depth() > grid_depth:
-        raise ValueError("grid_depth must cover the region's cylinders")
-    ts = side_sample(region, grid_depth)
-    xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
-    best, point = grid_sup(f.group.dist, f, g, xs, ys, GridMemo(f.group))
-    exact = (
-        max(f.section_depth(axis, fixed), g.section_depth(axis, fixed), region.depth())
-        <= grid_depth
-    )
-    return DistResult(best, exact, grid_depth, point if best > 0 else None)
 
 
 def uniform_dist(

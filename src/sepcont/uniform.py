@@ -134,6 +134,8 @@ def closure_probe(
     then the factor/diagonal budget machinery is re-run on the stage
     sequence itself and must converge layer-wise on all probes.
     """
+    if not stages:
+        raise ValueError("closure probe of no stages")
     if len(stages) != len(schedule):
         raise ValueError("one schedule radius per stage")
     certs = list(stage_certificates) if stage_certificates is not None else [True] * len(stages)
@@ -149,13 +151,13 @@ def closure_probe(
             failed = k
     if failed is not None:
         return ClosureReport(tuple(rows), failed, False, False)
-    diag_ok = _stage_diagonal_check(f, stages, probes, levels, grid_depth, memo)
+    diag_ok = _stage_diagonal_check(f, stages[-1], probes, levels, grid_depth, memo)
     return ClosureReport(tuple(rows), None, diag_ok, diag_ok)
 
 
 def _stage_diagonal_check(
     f: SepFunction,
-    stages: Sequence[SepFunction],
+    last: SepFunction,
     probes: list[SubbasicNbhd],
     levels: list[int],
     grid_depth: int,
@@ -163,17 +165,17 @@ def _stage_diagonal_check(
 ) -> bool:
     """Layer-wise convergence of the stage sequence on every probe: for
     each requested level l there must be a stage from which the probe
-    rectangle stays within 2^-l of f through the last stage."""
-    for probe in probes:
-        xs, ys = side_sample(probe.kx, grid_depth), side_sample(probe.ky, grid_depth)
-        sups = [grid_sup(f.group.dist, f, g, xs, ys, memo)[0] for g in stages]
-        for l in levels:
-            tol = Fraction(1, 2**l)
-            if not any(
-                all(s <= tol for s in sups[m:]) for m in range(len(stages))
-            ):
-                return False
-    return True
+    rectangle stays within 2^-l of f through the last stage.  Such a stage
+    exists exactly when the last stage is within 2^-l, so only the last
+    stage is swept, against 2^-l for the largest l."""
+    if not levels:
+        return True
+    tol = Fraction(1, 2 ** max(levels))
+    return all(
+        grid_sup(f.group.dist, f, last, side_sample(p.kx, grid_depth),
+                 side_sample(p.ky, grid_depth), memo)[0] <= tol
+        for p in probes
+    )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ level n are
 * (1) the quantizer is constant on each cover cell (by representation);
 * (2) sup over the image sample of d(r_n(z), z) <= 2^-n, exactly;
 * (3) r_n(z) lies in r_{n-1}(z) * net(n-1) for every sampled z, exactly.
+
+The diagonal sequence f_{n,n} is checked on stage tables alone: each
+f_{l,n} = g_{0,n} ... g_{l,n} is one folded table, the tail
+g_{l+1,n} ... g_{n,n} = f_{l,n}^-1 f_{n,n} is read through left invariance
+as d(f_{l,n}, f_{n,n}), and every sup is a ``grid_sup``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from sepcont.errors import (
     QuantizerConditionError,
 )
 from sepcont.functions import (
-    Constant,
     DistResult,
     GridMemo,
     PostCompose,
@@ -249,7 +253,6 @@ class ZerodimPipeline:
         self.tower = build_quantizer_tower(self.group, self.covers, self.nets)
         self._factor_cache: dict[int, PostCompose] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}
-        self._tail_cache: dict[tuple[int, int], bool] = {}
         self._stage_cache: dict[tuple[int, int], SepFunction] = {}
 
     def condition_rows(self) -> list[ConditionRow]:
@@ -305,91 +308,70 @@ class ZerodimPipeline:
             )
         return self._stage_cache[(n, m)]
 
-    def diagonal(
-        self,
-        probes: list[SubbasicNbhd],
-        levels: list[int],
-    ) -> DiagonalReport:
-        """Diagonal budget: per level l and probe, find the first stage m(l)
-        from which the partial product f_{l,n} stays within 2^-l of its limit
-        g_0...g_l = f_{l+1} on the probe rectangle, then certify
-        d(f, f_{n,n}) < 2^-(l-2) there for n >= m(l), and the tail-product
-        containment in B[2^-l] at every grid point."""
-        n_max = self.n_max
-        memo = self._memo
-        dist = self.group.dist
+    def diagonal(self, probes: list[SubbasicNbhd], levels: list[int]) -> DiagonalReport:
+        """Diagonal budget, read off the stage tables.  Per level l and probe,
+        m(l) is the stage from which the partial product f_{l,n} stays within
+        2^-l of its limit g_0...g_l = f_{l+1} on the probe rectangle; from
+        m(l) on, d(f, f_{n,n}) < 2^-(l-2) must hold there, and the tail
+        g_{l+1,n}...g_{n,n} must lie in B[2^-l] at every grid point.  The
+        tail is f_{l,n}^-1 f_{n,n} and the metric is left-invariant, so its
+        distance from 1 is d(f_{l,n}, f_{n,n}).  d(f, f_{n,n}) is swept once
+        per probe and stage; the final budgets and the stage sups read that
+        table."""
+        n_max, memo, dist, depth = self.n_max, self._memo, self.group.dist, self.grid_depth
+        grid = memo.grid_points(depth)
+        sides = [(side_sample(p.kx, depth), side_sample(p.ky, depth)) for p in probes]
+        diagonals = [self.stage_function(n, n) for n in range(n_max + 1)]
+        probe_sups = [
+            [grid_sup(dist, self.f, diag, xs, ys, memo)[0] for diag in diagonals]
+            for xs, ys in sides
+        ]
         results = []
         stage_of_level: dict[int, int | None] = {}
-        sides = [
-            (side_sample(p.kx, self.grid_depth), side_sample(p.ky, self.grid_depth))
-            for p in probes
-        ]
-        diagonals = [self.stage_function(n, n) for n in range(n_max + 1)]
         for l in levels:
-            if l + 1 > self.n_max + 1:
+            if l > n_max:
                 raise ValueError(f"level {l} needs factors up to {l}; raise n_max")
             target = self.quantized(l + 1)
-            tol = Fraction(1, 2**l)
-            budget = Fraction(4, 2**l)
-            level_stage: int | None = None
-            for probe, (xs, ys) in zip(probes, sides):
-                sup_at = {
-                    n: grid_sup(dist, self.stage_function(l, n), target, xs, ys, memo)[0]
-                    for n in range(l, n_max + 1)
-                }
-                m_l = None
-                for m in range(l, n_max + 1):
-                    if all(sup_at[n] <= tol for n in range(m, n_max + 1)):
-                        m_l = m
-                        break
-                witness = ""
-                final_sup = Fraction(0)
-                final_ok = tail_ok = False
-                if m_l is not None:
-                    for n in range(m_l, n_max + 1):
-                        sup = grid_sup(dist, self.f, diagonals[n], xs, ys, memo)[0]
-                        final_sup = max(final_sup, sup)
-                        if sup >= budget:
-                            # The witness is the last failing point, x-major:
-                            # the first one with both axes reversed.
-                            _, (x, y) = grid_sup(
-                                lambda a, b: dist(a, b) >= budget,
-                                self.f, diagonals[n], xs[::-1], ys[::-1], memo,
-                            )
-                            witness = f"n={n} ({x},{y})"
-                    final_ok = final_sup < budget
-                    tail_ok = self._tail_containment(l, max(m_l, l + 1))
-                    level_stage = m_l if level_stage is None else max(level_stage, m_l)
-                results.append(
-                    DiagonalLevelResult(
-                        l, probe.probe_id, m_l, m_l is not None, final_sup, budget,
-                        final_ok, tail_ok, witness,
-                    )
+            tol, budget = Fraction(1, 2**l), Fraction(4, 2**l)
+            tail_from = _settled_from(
+                ((n, grid_sup(dist, self.stage_function(l, n), diagonals[n], grid, grid, memo)[0])
+                 for n in range(l + 1, n_max + 1)), tol, l,
+            )
+            settled = []
+            for probe, (xs, ys), sups in zip(probes, sides, probe_sups):
+                m = _settled_from(
+                    ((n, grid_sup(dist, self.stage_function(l, n), target, xs, ys, memo)[0])
+                     for n in range(l, n_max + 1)), tol, l,
                 )
-            stage_of_level[l] = level_stage
-        rects = [(memo.grid_points(self.grid_depth),) * 2, *sides]
+                m_l = m if m <= n_max else None
+                witness, final_sup, final_ok, tail_ok = "", Fraction(0), False, False
+                if m_l is not None:
+                    settled.append(m_l)
+                    final_sup = max(sups[m_l:])
+                    final_ok, tail_ok = final_sup < budget, tail_from <= m_l
+                    failing = [n for n in range(m_l, n_max + 1) if sups[n] >= budget]
+                    if failing:
+                        # The witness is the last failing point, x-major, of the
+                        # last failing stage: the first one with both axes reversed.
+                        _, (x, y) = grid_sup(
+                            lambda a, b: dist(a, b) >= budget,
+                            self.f, diagonals[failing[-1]], xs[::-1], ys[::-1], memo,
+                        )
+                        witness = f"n={failing[-1]} ({x},{y})"
+                results.append(DiagonalLevelResult(
+                    l, probe.probe_id, m_l, m_l is not None, final_sup, budget, final_ok, tail_ok,
+                    witness,
+                ))
+            stage_of_level[l] = max(settled, default=None)
+        whole = [grid_sup(dist, self.f, diag, grid, grid, memo)[0] for diag in diagonals]
         stage_sups = tuple(
-            (n, max(grid_sup(dist, self.f, diag, xs, ys, memo)[0] for xs, ys in rects))
-            for n, diag in enumerate(diagonals)
+            (n, max([whole[n], *(sups[n] for sups in probe_sups)])) for n in range(n_max + 1)
         )
         passed = all(r.layer_ok and r.final_ok and r.tail_ok for r in results)
         return DiagonalReport(tuple(results), stage_sups, stage_of_level, passed)
 
-    def _tail_containment(self, l: int, start: int) -> bool:
-        """prod_{k=l+1..n} g_{k,n}(p) stays in B[2^-l] at every grid point,
-        exactly.  The result depends on (l, start) alone, so it is memoised."""
-        if (l, start) not in self._tail_cache:
-            memo = self._memo
-            grid = memo.grid_points(self.grid_depth)
-            one = Constant(self.group.identity())
-            tol = Fraction(1, 2**l)
-            ok = True
-            for n in range(max(start, l + 1), self.n_max + 1):
-                tail = product_chain(
-                    [self.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)], memo
-                )
-                if grid_sup(self.group.dist, one, tail, grid, grid, memo)[0] > tol:
-                    ok = False
-                    break
-            self._tail_cache[(l, start)] = ok
-        return self._tail_cache[(l, start)]
+
+def _settled_from(sups: Iterable[tuple[int, Fraction]], tol: Fraction, start: int) -> int:
+    """The first stage from which every listed sup is <= tol: the stage after
+    the last one outside tol, or ``start`` when none is."""
+    return max((n + 1 for n, sup in sups if sup > tol), default=start)

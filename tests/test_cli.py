@@ -3,13 +3,21 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepcont.cantor import CantorPoint, ClopenSet
+from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.cli import build_parser, main
 from sepcont.config import load_experiment, parse_function, parse_probe
 from sepcont.errors import ConfigError
-from sepcont.functions import PointwiseProduct
+from sepcont.functions import (
+    Constant,
+    DiagonalIndicator,
+    PointwiseInverse,
+    PointwiseProduct,
+)
 from sepcont.groups import get_group
+from sepcont.zerodim import ZerodimPipeline
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 DYADIC = get_group("dyadic")
@@ -33,6 +41,52 @@ p0 = (0) ; !{}
 """
 
 
+GRAMMAR_GROUPS = (get_group("dyadic"), get_group("cyclic:5"))
+OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)", "110(0)"])
+CYL_PREFIXES = (("0",), ("0", "10"), ("01", "001", "11"))
+
+
+def _described_functions(group):
+    """Pairs (text, function): a description rendered from the function
+    grammar and the function built directly from the same parts."""
+    pool = group.dense_enumeration(1)[:4]
+    values = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+
+    def render(vals):
+        return ",".join(map(str, vals))
+
+    def cyl(prefixes):
+        vals = st.lists(st.sampled_from(pool), min_size=len(prefixes), max_size=len(prefixes))
+        return vals.map(lambda vs: (
+            "diag cyl " + ",".join(f"{p}:{v}" for p, v in zip(prefixes, vs)),
+            DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), vs)),
+        ))
+
+    leaves = st.one_of(
+        st.sampled_from(pool).map(lambda v: (f"const {v}", Constant(v))),
+        values.map(lambda vs: (f"diag ones {render(vs)}", DiagonalIndicator.ones_schema(vs))),
+        values.map(lambda vs: (
+            f"diag ones-finite {render(vs)}", DiagonalIndicator.ones_schema(vs, cycle=False)
+        )),
+        st.sampled_from(CYL_PREFIXES).flatmap(cyl),
+    )
+
+    def quant(described, n):
+        text, f = described
+        return f"quant({text}, {n})", ZerodimPipeline(f, n_max=n, grid_depth=4).quantized(n)
+
+    def extend(kids):
+        return st.one_of(
+            kids.map(lambda k: (f"inv({k[0]})", PointwiseInverse(k[1]))),
+            st.tuples(kids, kids).map(
+                lambda lr: (f"prod({lr[0][0]}, {lr[1][0]})", PointwiseProduct(lr[0][1], lr[1][1]))
+            ),
+            st.tuples(kids, st.integers(0, 2)).map(lambda kn: quant(*kn)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=3)
+
+
 class TestConfigParsing:
     def test_minimal_loads(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, MINIMAL))
@@ -49,6 +103,11 @@ class TestConfigParsing:
             "prod(const 1(0), diag ones 1(0))",
             "inv(diag ones 1(0))",
             "quant(diag ones 1(0), 1)",
+            # A value list holds top-level commas too.
+            "quant(diag ones 1(0),01(0), 2)",
+            "prod(diag ones 1(0),01(0), const 1(0))",
+            "prod(const 1(0), diag ones 1(0),01(0),11(0))",
+            "prod(quant(diag ones 1(0),01(0), 1), diag cyl 0:1(0),10:01(0))",
         ]:
             f = parse_function(text, DYADIC, tmp_path)
             assert f.group is DYADIC
@@ -56,6 +115,32 @@ class TestConfigParsing:
     def test_nested_prod(self, tmp_path):
         f = parse_function("prod(prod(const 1(0), const 1(0)), inv(const 01(0)))", DYADIC, tmp_path)
         assert isinstance(f, PointwiseProduct)
+
+    def test_prod_splits_at_the_one_comma_where_both_sides_parse(self, tmp_path):
+        (tmp_path / "a").write_text("1(0)\n", encoding="utf-8")
+        # The second comma's split names the table file "a, diag ones 1(0)".
+        f = parse_function("prod(table 0 a, diag ones 1(0),01(0))", DYADIC, tmp_path)
+        assert isinstance(f, PointwiseProduct)
+        with pytest.raises(ConfigError, match="no comma .* parse; .*No such file"):
+            parse_function("prod(table 0 absent, const 1(0))", DYADIC, tmp_path)
+        with pytest.raises(ConfigError, match="no comma"):
+            parse_function("prod(const 1(0))", DYADIC, tmp_path)
+        # File names may hold commas: with all four tables present, both
+        # commas split the text into two functions.
+        for name in ("b, table 0 c", "a, table 0 b", "c"):
+            (tmp_path / name).write_text("1(0)\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="more than one comma"):
+            parse_function("prod(table 0 a, table 0 b, table 0 c)", DYADIC, tmp_path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(GRAMMAR_GROUPS).flatmap(_described_functions))
+    def test_rendered_text_parses_to_the_built_function(self, described):
+        text, built = described
+        f = parse_function(text, built.group, CONFIGS)
+        points = grid_points(3) + OFF_GRID
+        assert [f.eval(x, y) for x in points for y in points] == [
+            built.eval(x, y) for x in points for y in points
+        ]
 
     def test_probe_parsing(self):
         p = parse_probe("p", "(1) ; !{}")
@@ -158,6 +243,18 @@ class TestExitCodes:
         assert code == 1
         payload = json.load(open(out / "problem3.json"))
         assert payload["within"] is False and payload["witness_x"]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("ball", MINIMAL + "[ball]\nb = side=l; eps=1/2^3; "
+                     "candidate=quant(diag ones 1(0),01(0), 2)\n"),
+            ("nets", MINIMAL.replace("const 1(0)", "prod(diag ones 1(0),01(0), const 1(0))")),
+        ],
+    )
+    def test_multi_value_family_inside_quant_and_prod_runs(self, tmp_path, command, text):
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
 
     def test_bad_ball_side_exit_two(self, tmp_path):
         text = MINIMAL + "[ball]\nb = side=zz; eps=1/2^1; candidate=const 1(0)\n"

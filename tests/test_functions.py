@@ -9,15 +9,17 @@ from sepcont.functions import (
     Constant,
     DiagonalIndicator,
     FiniteCylinderFamily,
+    GridMemo,
     PointwiseInverse,
     PointwiseProduct,
     PostCompose,
     SepFunction,
     SubbasicNbhd,
     TableFunction,
+    grid_sup,
     in_subbasic,
-    layerwise_dist,
     separate_continuity_certificate,
+    side_sample,
     uniform_dist,
     _Profile,
 )
@@ -238,28 +240,35 @@ class TestLocallyConstantDepth:
         assert finite_schema.locally_constant_depth() == 3
 
 
+def section_sup(f, g, axis, fixed, region, grid_depth):
+    """The grid sup of d(f, g) over the section at ``fixed`` (axis 'x' fixes
+    x), on the grid points of ``region``: the layer-wise distance."""
+    ts = side_sample(region, grid_depth)
+    xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
+    return grid_sup(f.group.dist, f, g, xs, ys, GridMemo(f.group))[0]
+
+
 class TestLayerwiseDist:
     def test_zero_on_equal(self):
-        r = layerwise_dist(DIAG, DIAG, "x", PROBE_POINTS[0], None, 4)
-        assert r.value == 0
+        assert section_sup(DIAG, DIAG, "x", PROBE_POINTS[0], ClopenSet.whole(), 4) == 0
 
     def test_constant_distance(self):
-        r = layerwise_dist(Constant(E), Constant(A), "x", PROBE_POINTS[0], None, 3)
-        assert r.value == Fraction(1, 2) and r.exact
+        d = section_sup(Constant(E), Constant(A), "x", PROBE_POINTS[0], ClopenSet.whole(), 3)
+        assert d == Fraction(1, 2)
 
     @pytest.mark.parametrize("depth", range(2, 6))
     def test_monotone_in_grid_depth(self, depth):
         x = CantorPoint.parse("10(0)")
-        lo = layerwise_dist(DIAG, Constant(E), "x", x, None, depth).value
-        hi = layerwise_dist(DIAG, Constant(E), "x", x, None, depth + 1).value
+        lo = section_sup(DIAG, Constant(E), "x", x, ClopenSet.whole(), depth)
+        hi = section_sup(DIAG, Constant(E), "x", x, ClopenSet.whole(), depth + 1)
         assert hi >= lo
 
     def test_region_restriction(self):
         x = CantorPoint.parse("10(0)")
-        inside = layerwise_dist(DIAG, Constant(E), "x", x, ClopenSet.parse("{10}"), 4)
-        outside = layerwise_dist(DIAG, Constant(E), "x", x, ClopenSet.parse("{0}"), 4)
-        assert inside.value == Fraction(1, 2)
-        assert outside.value == 0
+        inside = section_sup(DIAG, Constant(E), "x", x, ClopenSet.parse("{10}"), 4)
+        outside = section_sup(DIAG, Constant(E), "x", x, ClopenSet.parse("{0}"), 4)
+        assert inside == Fraction(1, 2)
+        assert outside == 0
 
 
 class TestUniformDist:

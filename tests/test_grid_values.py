@@ -11,7 +11,8 @@ are kept as the reference.  The same random combinator trees also check
 that ``grid_values`` equals pointwise evaluation, that a product with a
 constant answers structural queries as the finite map it equals, that
 ``grid_sup`` gives the pointwise max and witness, and that
-``product_chain``'s folded tables equal the unfolded product chains.
+``product_chain``'s folded tables equal the unfolded product chains of
+the same tables.
 """
 
 from fractions import Fraction
@@ -36,7 +37,6 @@ from sepcont.functions import (
     TableFunction,
     grid_sup,
     grid_values,
-    layerwise_dist,
     product_chain,
     side_sample,
     uniform_dist,
@@ -473,6 +473,29 @@ class TestKernel:
         assert grid_sup(raw_diff, f, g, xs, ys, memo) == brute_sup(raw_diff, f, g, xs, ys)
 
 
+WHOLE = ClopenSet.whole()
+ACC_X = SubbasicNbhd(ALL_ONES, WHOLE, frozenset(), "acc_x")
+ACC_Y = SubbasicNbhd(WHOLE, ALL_ONES, frozenset(), "acc_y")
+
+
+def with_wrong_factor(f, c):
+    """ZerodimPipeline(f, 5, 4) with every stage table of factor 4
+    right-multiplied by c."""
+    pipe = ZerodimPipeline(f, 5, 4)
+    approx = pipe.factor_approximator(4)
+    correct, wrong = approx.approximant, {}
+
+    def flipped(n):
+        if n not in wrong:
+            g = correct(n)
+            rows = tuple(tuple(f.group.mul(v, c) for v in row) for row in g.values)
+            wrong[n] = TableFunction(g.depth, rows)
+        return wrong[n]
+
+    approx.approximant = flipped
+    return pipe
+
+
 class TestSweepsMatchBruteForce:
     @given(function_pairs, st.sampled_from(["l", "r"]), st.integers(0, 3))
     def test_uniform_dist_value_and_witness(self, fg, side, depth):
@@ -510,33 +533,25 @@ class TestSweepsMatchBruteForce:
         # failing stage.
         a, b, c = (DYADIC.parse_element(t) for t in ["1(0)", "01(0)", "001(0)"])
         f = DiagonalIndicator.ones_schema([a, b, c])
-        whole = ClopenSet.whole()
-        probes = [
-            SubbasicNbhd(ALL_ONES, whole, frozenset(), "acc_x"),
-            SubbasicNbhd(CantorPoint.parse("(0)"), whole, frozenset(), "zero_x"),
-            SubbasicNbhd(whole, ALL_ONES, frozenset(), "acc_y"),
-        ]
-
-        def with_wrong_factor():
-            pipe = ZerodimPipeline(f, 5, 4)
-            approx = pipe.factor_approximator(4)
-            correct, wrong = approx.approximant, {}
-
-            def flipped(n):
-                if n not in wrong:
-                    g = correct(n)
-                    rows = tuple(tuple(DYADIC.mul(v, a) for v in row) for row in g.values)
-                    wrong[n] = TableFunction(g.depth, rows)
-                return wrong[n]
-
-            approx.approximant = flipped
-            return pipe
-
-        rep = with_wrong_factor().diagonal(probes, [3])
-        assert rep == brute_diagonal(with_wrong_factor(), probes, [3])
+        probes = [ACC_X, SubbasicNbhd(CantorPoint.parse("(0)"), WHOLE, frozenset(), "zero_x"), ACC_Y]
+        rep = with_wrong_factor(f, a).diagonal(probes, [3])
+        assert rep == brute_diagonal(with_wrong_factor(f, a), probes, [3])
         assert [r.witness for r in rep.results] == [
             "n=5 ((1),1111(0))", "n=5 ((0),1111(0))", "n=5 (1111(0),(1))"
         ]
+
+    @pytest.mark.parametrize("label, tail_ok", [("s", [1, 1, 1]), ("r", [1, 0, 0])])
+    def test_tail_identity_on_a_left_invariant_metric(self, label, tail_ok):
+        # The diagonal reads the tail's distance from 1 as d(f_{l,n}, f_{n,n}),
+        # which left invariance alone gives.  With factor 4 times s the tail
+        # sup is 1/8 (the other order, f_{n,n} f_{l,n}^-1, is 1/2 and fails);
+        # times r it is 1/2 and fails levels 2 and 3.
+        r, s, sr = (S3_LEFT.parse_element(t) for t in ("r", "s", "sr"))
+        f = DiagonalIndicator.ones_schema([r, s, sr])
+        c, probes, levels = S3_LEFT.parse_element(label), [ACC_X, ACC_Y], [1, 2, 3]
+        rep = with_wrong_factor(f, c).diagonal(probes, levels)
+        assert rep == brute_diagonal(with_wrong_factor(f, c), probes, levels)
+        assert [int(row.tail_ok) for row in rep.results] == [ok for ok in tail_ok for _ in probes]
 
 
 class TestUniformChecksMatchBruteForce:
@@ -594,10 +609,14 @@ class TestUniformChecksMatchBruteForce:
         st.integers(0, 4),
     )
     def test_layerwise_dist_value_and_witness(self, fg, axis, fixed, region, depth):
+        # The layer-wise distance is a grid sup over the section rectangle.
         f, g = fg
         depth = max(depth, region.depth())
-        got = layerwise_dist(f, g, axis, fixed, region, depth)
-        assert (got.value, got.witness) == brute_layerwise_dist(f, g, axis, fixed, region, depth)
+        ts = side_sample(region, depth)
+        xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
+        value, witness = grid_sup(f.group.dist, f, g, xs, ys, GridMemo(f.group))
+        got = (value, witness if value > 0 else None)
+        assert got == brute_layerwise_dist(f, g, axis, fixed, region, depth)
 
     @given(_table(REAL_POOL), _table(REAL_POOL), st.integers(0, 4))
     def test_problem3_raw_sup_and_witness(self, f, g, depth):
@@ -607,16 +626,7 @@ class TestUniformChecksMatchBruteForce:
         assert rep.witness == (None if sup_raw <= Fraction(1, 2) else witness)
 
 
-def _chain_items(pool):
-    """Tables of depth 0-3, now and then a constant or an indicator."""
-    return st.one_of(
-        _table(pool), _table(pool), _table(pool), st.sampled_from(pool).map(Constant), _family(pool)
-    )
-
-
-chains = st.sampled_from(POOLS).flatmap(
-    lambda pool: st.lists(_chain_items(pool), min_size=1, max_size=3)
-)
+chains = st.sampled_from(POOLS).flatmap(lambda pool: st.lists(_table(pool), min_size=1, max_size=3))
 
 
 def unfolded_chain(funcs):
@@ -636,11 +646,8 @@ class TestFoldedProducts:
     @example([TableFunction(1, ((S3_R, S3_S), (S3_S, S3_R))), TableFunction(0, ((S3_S,),))], OFF_GRID[0])
     def test_folded_chain_equals_the_unfolded_chain(self, funcs, fixed):
         folded, chain = product_chain(funcs, GridMemo(funcs[0].group)), unfolded_chain(funcs)
-        if all(isinstance(f, TableFunction) for f in funcs):
-            assert isinstance(folded, TableFunction)
-            assert folded.depth == max(f.depth for f in funcs)
-        elif len(funcs) > 1:
-            assert isinstance(folded, PointwiseProduct)
+        assert isinstance(folded, TableFunction)
+        assert folded.depth == max(f.depth for f in funcs)
         points = grid_points(3) + OFF_GRID
         assert brute_values(folded, points, points) == brute_values(chain, points, points)
         assert folded.locally_constant_depth() == chain.locally_constant_depth()
@@ -650,9 +657,8 @@ class TestFoldedProducts:
         # a table only the values it holds; both cover the values taken.
         declared = folded.declared_image()
         assert set(declared) <= set(chain.declared_image())
-        if isinstance(folded, TableFunction):
-            held = {v for row in folded.values for v in row}
-            assert set(declared) == held == set(brute_values(chain, points, points))
+        held = {v for row in folded.values for v in row}
+        assert set(declared) == held == set(brute_values(chain, points, points))
 
 
 class TestWorkCounts:

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
-from sepcont.functions import Constant, DiagonalIndicator, SubbasicNbhd, TableFunction
+from sepcont.functions import Constant, DiagonalIndicator, SubbasicNbhd, TableFunction, side_sample
 from sepcont.groups import get_group
 from sepcont.uniform import (
     BallQuery,
@@ -87,6 +89,35 @@ class TestBallMembership:
         assert m["rl"]
 
 
+MEMBER_4 = SubbasicNbhd(CantorPoint.parse("11110(0)"), CantorPoint.parse("11110(0)"), frozenset(), "m4")
+B = DYADIC.parse_element("01(0)")
+STAGE_POOL = (
+    DIAG,
+    Constant(E),
+    Constant(A),
+    DiagonalIndicator.ones_schema([A] * 4, cycle=False),
+    DiagonalIndicator.ones_schema([A, B]),
+    DiagonalIndicator.ones_schema([B], cycle=False),
+    TableFunction(1, ((A, E), (E, B))),
+)
+
+
+def some_stage_settles(f, stages, probes, levels, grid_depth):
+    """The reference closure diagonal check, point by point: for every probe
+    and level l, some stage m from which every later stage stays within
+    2^-l of f on the probe rectangle."""
+    for probe in probes:
+        pairs = [
+            (x, y) for x in side_sample(probe.kx, grid_depth) for y in side_sample(probe.ky, grid_depth)
+        ]
+        sups = [max(f.group.dist(f.eval(x, y), g.eval(x, y)) for x, y in pairs) for g in stages]
+        for l in levels:
+            tol = Fraction(1, 2**l)
+            if not any(all(s <= tol for s in sups[m:]) for m in range(len(stages))):
+                return False
+    return True
+
+
 class TestClosureProbe:
     def make_stages(self, n_max=4, grid_depth=4):
         pipe = ZerodimPipeline(DIAG, n_max=n_max, grid_depth=grid_depth)
@@ -127,6 +158,33 @@ class TestClosureProbe:
         stages, schedule = self.make_stages()
         with pytest.raises(ValueError):
             closure_probe(DIAG, stages, schedule[:-1], PROBES, [1], 4)
+
+    def test_no_stages_rejected(self):
+        with pytest.raises(ValueError, match="no stages"):
+            closure_probe(DIAG, [], [], PROBES, [1], 4)
+
+    def test_last_stage_off_a_probe_fails_the_diagonal(self):
+        # Every stage lies within its radius on the depth-3 grid, but the last
+        # one, the schema cut off after four members, is the identity on
+        # member 4 = [11110], where f is A.
+        stages, schedule = self.make_stages(grid_depth=3)
+        stages[-1] = DiagonalIndicator.ones_schema([A] * 4, cycle=False)
+        rep = closure_probe(DIAG, stages, schedule, PROBES + [MEMBER_4], [1, 2], 3)
+        assert rep.failed_stage is None and all(row.within for row in rep.stages)
+        assert not rep.diagonal_passed and not rep.passed
+        assert closure_probe(DIAG, stages, schedule, PROBES, [1, 2], 3).passed
+
+    @given(
+        st.sampled_from(STAGE_POOL),
+        st.lists(st.sampled_from(STAGE_POOL), min_size=1, max_size=4),
+        st.lists(st.sampled_from(PROBES + [MEMBER_4]), max_size=3),
+        st.lists(st.integers(0, 4), max_size=3),
+    )
+    def test_diagonal_check_is_the_settling_stage_search(self, f, stages, probes, levels):
+        # Radius 1 admits every stage (the metric is bounded by 1/2), so the
+        # diagonal check decides the report.
+        rep = closure_probe(f, stages, [Fraction(1)] * len(stages), probes, levels, 3)
+        assert rep.diagonal_passed == some_stage_settles(f, stages, probes, levels, 3)
 
 
 class TestProblem3:
