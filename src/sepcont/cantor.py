@@ -55,8 +55,10 @@ class CantorPoint:
 
     @staticmethod
     def parse(text: str) -> "CantorPoint":
-        """Parse ``110(0)`` (preperiod 110, period 0); a bare prefix gets period 0."""
-        m = _POINT_RE.match(text.strip())
+        """Parse ``110(0)`` (preperiod 110, period 0); a bare prefix gets period 0.
+        Blank text is rejected rather than read as the empty prefix."""
+        s = text.strip()
+        m = _POINT_RE.match(s) if s else None
         if m is None:
             raise ValueError(f"bad point literal: {text!r}")
         pre, per = m.group(1), m.group(2)

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from sepcont.cantor import (
     CantorPoint,
-    ClopenSet,
     Cylinder,
     basis_cylinder,
     basis_index,
@@ -148,13 +147,16 @@ class DiscreteApproximator:
         limit representative elsewhere; locally constant by construction.
 
         Every patch rectangle is a union of depth-d cells, so it is painted
-        straight from the cached strip cells; a cell painted with two values
-        is an overlap."""
+        straight from the cached strip cells.  A cell painted with two values
+        is an overlap: its painting values are collected, and the first such
+        cell row-major is reported with them in filtration order.  A depth-d
+        cell meets a patch exactly when the patch paints it."""
         if n in self._gn_cache:
             return self._gn_cache[n]
         d = self.working_depth(n)
         size = 2**d
         grid: list[list[GroupElement | None]] = [[None] * size for _ in range(size)]
+        overlaps: dict[tuple[int, int], set[GroupElement]] = {}
         for z, rows, columns in self._rectangles(n, d):
             for i in rows:
                 row = grid[i]
@@ -162,8 +164,14 @@ class DiscreteApproximator:
                     if row[j] is None:
                         row[j] = z
                     elif row[j] != z:
-                        raise self._overlap_error(n, d)
-        reps = self._partition(d)[1]
+                        overlaps.setdefault((i, j), {row[j]}).add(z)
+        cells, reps = self._partition(d)
+        if overlaps:
+            i, j = min(overlaps)
+            names = [str(z) for z in self.filtration.level(n) if z in overlaps[i, j]]
+            raise RefinementExhaustedError(
+                f"cell {cells[i].prefix} x {cells[j].prefix} meets patches of {names} at depth {d}"
+            )
         rows = tuple(
             tuple(
                 self.f.eval(reps[i], reps[j]) if val is None else val
@@ -175,74 +183,24 @@ class DiscreteApproximator:
         self._gn_cache[n] = g
         return g
 
-    def _overlap_error(self, n: int, d: int) -> RefinementExhaustedError:
-        """The error for the first cell, row-major, that two patches paint.
-
-        A depth-d cell meets a patch exactly when the patch paints it, so the
-        values that paint each cell are the patches it meets."""
-        size = 2**d
-        painters: list[list[set[GroupElement]]] = [
-            [set() for _ in range(size)] for _ in range(size)
-        ]
-        for z, rows, columns in self._rectangles(n, d):
-            for i in rows:
-                for j in columns:
-                    painters[i][j].add(z)
-        cells = self._partition(d)[0]
-        for i, row in enumerate(painters):
-            for j, hits in enumerate(row):
-                if len(hits) > 1:
-                    names = [str(z) for z in self.filtration.level(n) if z in hits]
-                    return RefinementExhaustedError(
-                        f"cell {cells[i].prefix} x {cells[j].prefix} meets patches of "
-                        f"{names} at depth {d}"
-                    )
-        raise AssertionError("unreachable: a cell painted twice has two painters")
-
-    def target_values(self, nbhd: SubbasicNbhd) -> tuple[GroupElement, ...]:
-        """W = f(K_X x K_Y), exact via the section partition on the singleton side."""
-        axis = nbhd.singleton_axis()
-        fixed = nbhd.kx if axis == "x" else nbhd.ky
-        other = nbhd.ky if axis == "x" else nbhd.kx
-        parts = self.f.section_partition(axis, fixed)  # type: ignore[arg-type]
-        if isinstance(other, ClopenSet):
-            vals = [z for z, pre in parts.items() if not other.intersect(pre).is_empty()]
-        else:
-            vals = [
-                self.f.eval(fixed, other) if axis == "x" else self.f.eval(other, fixed)  # type: ignore[arg-type]
-            ]
-        return tuple(self.group.sort_canonically(set(vals)))
-
     def certificate(self, nbhd: SubbasicNbhd, n_max: int) -> ConvergenceCertificate:
         """Stage recipe: per target value z, cover K ∩ section^-1(z) by basis
         cylinders inside the preimage; m caps the filtration entry of the
         target set and all cover indices; then verify membership exactly for
-        every n in [m, n_max]."""
-        axis = nbhd.singleton_axis()
-        fixed = nbhd.kx if axis == "x" else nbhd.ky
-        other = nbhd.ky if axis == "x" else nbhd.kx
-        region = other if isinstance(other, ClopenSet) else None
-        w = self.target_values(nbhd)
-        cover: dict[str, tuple[int, ...]] = {}
-        max_index = 0
-        for z in w:
-            pre = self.f.section_preimage(axis, fixed, z)  # type: ignore[arg-type]
-            hit = region.intersect(pre) if region is not None else pre
-            indices = tuple(sorted(basis_index(c.prefix) for c in hit.cylinders()))
-            cover[str(z)] = indices
-            if indices:
-                max_index = max(max_index, indices[-1])
+        every n in [m, n_max].  The target set W = f(K_X x K_Y) and the
+        pieces to cover are the probe's ``pieces`` of f."""
+        pieces = nbhd.pieces(self.f)
+        w = tuple(self.group.sort_canonically(pieces))
+        cover = {
+            str(z): tuple(sorted(basis_index(c.prefix) for c in pieces[z].cylinders())) for z in w
+        }
+        max_index = max((indices[-1] for indices in cover.values() if indices), default=0)
         m = max(self.filtration.entry_index_of_set(w), max_index)
-        allowed = frozenset(w)
+        probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(w), nbhd.probe_id)
         checks = []
-        passed = True
         for n in range(m, n_max + 1):
-            probe = SubbasicNbhd(nbhd.kx, nbhd.ky, allowed, nbhd.probe_id)
             res = in_subbasic(self.approximant(n), probe)
-            note = ""
-            if not res.member:
-                passed = False
-                wx, wy, val = res.witness  # type: ignore[misc]
-                note = f"({wx},{wy})->{val}"
+            note = "" if res.member else "({},{})->{}".format(*res.witness)  # type: ignore[misc]
             checks.append((n, res.member, note))
+        passed = all(member for _, member, _ in checks)
         return ConvergenceCertificate(nbhd, w, cover, m, tuple(checks), passed)

@@ -3,17 +3,16 @@
 Every combinator evaluates exactly at eventually periodic points and
 answers structural queries:
 
-* ``section_preimage`` — the exact clopen set on which a fixed-coordinate
-  section takes a given value; for finite-image functions the preimages
-  over the declared image partition the space, which is the executable
-  form of separate continuity.
+* ``section_partition`` — the level sets of a fixed-coordinate section,
+  exact nonempty clopen sets keyed by value that partition the space,
+  which is the executable form of separate continuity.
 * ``values_on_rect`` — a finite superset of the values on a rectangle of
   cylinders, flagged exact when the structure certifies it.  A singleton
   superset certifies constancy on the rectangle even when inexact.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
-singleton), the grid-based uniform distance and the grid kernel behind
-every grid check:
+singleton, so every probe reads one section partition), the grid-based
+uniform distance and the grid kernel behind every grid check:
 
 * ``GridMemo.classes`` and ``SepFunction.class_values`` — the points of
   a rectangle grouped into classes on which the functions of a check are
@@ -63,8 +62,9 @@ class SepFunction:
         """Finite list of elements the function is guaranteed to land in."""
         raise NotImplementedError
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        """Exact clopen {t : f(fixed, t) = z} (axis 'x' fixes x and varies y)."""
+    def section_partition(self, axis: Axis, fixed: CantorPoint) -> dict[GroupElement, ClopenSet]:
+        """The nonempty clopen sets {t : f(fixed, t) = z}, keyed by z (axis 'x'
+        fixes x and varies y); together they partition the space."""
         raise NotImplementedError
 
     def values_on_rect(self, u: Cylinder, v: Cylinder) -> tuple[frozenset[GroupElement], bool]:
@@ -85,15 +85,6 @@ class SepFunction:
     def locally_constant_depth(self) -> int | None:
         """A depth d such that f is constant on every d-cell rectangle, or None."""
         raise NotImplementedError
-
-    def section_partition(self, axis: Axis, fixed: CantorPoint) -> dict[GroupElement, ClopenSet]:
-        """Nonempty section preimages over the declared image."""
-        out: dict[GroupElement, ClopenSet] = {}
-        for z in self.declared_image():
-            pre = self.section_preimage(axis, fixed, z)
-            if not pre.is_empty():
-                out[z] = out[z].union(pre) if z in out else pre
-        return out
 
     def _grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
         """Values on xs x ys in row-major order, point by point; ``grid_values`` caches them."""
@@ -122,6 +113,14 @@ def _dedupe(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     return tuple(group.sort_canonically(seen))
 
 
+def _merged(pieces: Iterable[tuple[GroupElement, ClopenSet]]) -> dict[GroupElement, ClopenSet]:
+    """The pieces keyed by value, the pieces of one value united."""
+    out: dict[GroupElement, ClopenSet] = {}
+    for z, piece in pieces:
+        out[z] = out[z].union(piece) if z in out else piece
+    return out
+
+
 @dataclass(frozen=True)
 class Constant(SepFunction):
     value: GroupElement
@@ -136,8 +135,8 @@ class Constant(SepFunction):
     def declared_image(self) -> tuple[GroupElement, ...]:
         return (self.value,)
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        return ClopenSet.whole() if z == self.value else ClopenSet.empty()
+    def section_partition(self, axis, fixed):
+        return {self.value: ClopenSet.whole()}
 
     def values_on_rect(self, u, v):
         return frozenset((self.value,)), True
@@ -176,13 +175,8 @@ class TableFunction(SepFunction):
         i = _cell(fixed, self.depth)
         return self.values[i] if axis == "x" else [row[i] for row in self.values]
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        return ClopenSet.from_cells(
-            [j for j, val in enumerate(self._section(axis, fixed)) if val == z], self.depth
-        )
-
-    def section_partition(self, axis: Axis, fixed: CantorPoint) -> dict[GroupElement, ClopenSet]:
-        """One pass over the section, keyed in canonical order like the base method."""
+    def section_partition(self, axis, fixed):
+        """One pass over the section, keyed in canonical order."""
         cells: dict[GroupElement, list[int]] = {}
         for j, val in enumerate(self._section(axis, fixed)):
             cells.setdefault(val, []).append(j)
@@ -399,20 +393,16 @@ class DiagonalIndicator(SepFunction):
     def declared_image(self) -> tuple[GroupElement, ...]:
         return _dedupe((self.group.identity(), *self.family.all_values()))
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
+    def section_partition(self, axis, fixed):
+        """The member holding ``fixed`` and its complement; a member with the
+        empty prefix covers the whole line, so its empty complement is dropped."""
         identity = self.group.identity()
         loc = self.family.locate(fixed)
-        if loc is None:
-            return ClopenSet.whole() if z == identity else ClopenSet.empty()
-        n, val = loc
-        member = self.family.member_set(n)
-        if val == identity:
-            return ClopenSet.whole() if z == identity else ClopenSet.empty()
-        if z == val:
-            return member
-        if z == identity:
-            return member.complement()
-        return ClopenSet.empty()
+        if loc is None or loc[1] == identity:
+            return {identity: ClopenSet.whole()}
+        member = self.family.member_set(loc[0])
+        parts = {loc[1]: member, identity: member.complement()}
+        return {z: piece for z, piece in parts.items() if not piece.is_empty()}
 
     @cached_property
     def _profiles(self) -> dict[str, _Profile]:
@@ -486,12 +476,9 @@ class PostCompose(SepFunction):
     def declared_image(self) -> tuple[GroupElement, ...]:
         return _dedupe(self.mapping[z] for z in self.inner.declared_image())
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        out = ClopenSet.empty()
-        for w in self.inner.declared_image():
-            if self.mapping[w] == z:
-                out = out.union(self.inner.section_preimage(axis, fixed, w))
-        return out
+    def section_partition(self, axis, fixed):
+        inner = self.inner.section_partition(axis, fixed)
+        return _merged((self.mapping[w], piece) for w, piece in inner.items())
 
     def values_on_rect(self, u, v):
         inner_vals, exact = self.inner.values_on_rect(u, v)
@@ -523,8 +510,9 @@ class PointwiseInverse(SepFunction):
     def declared_image(self) -> tuple[GroupElement, ...]:
         return _dedupe(self.group.inv(z) for z in self.inner.declared_image())
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        return self.inner.section_preimage(axis, fixed, self.group.inv(z))
+    def section_partition(self, axis, fixed):
+        inner = self.inner.section_partition(axis, fixed)
+        return {self.group.inv(w): piece for w, piece in inner.items()}
 
     def values_on_rect(self, u, v):
         vals, exact = self.inner.values_on_rect(u, v)
@@ -561,15 +549,16 @@ class PointwiseProduct(SepFunction):
             for b in self.right.declared_image()
         )
 
-    def section_preimage(self, axis: Axis, fixed: CantorPoint, z: GroupElement) -> ClopenSet:
-        out = ClopenSet.empty()
-        for a in self.left.declared_image():
-            b = self.group.mul(self.group.inv(a), z)
-            pre = self.left.section_preimage(axis, fixed, a).intersect(
-                self.right.section_preimage(axis, fixed, b)
-            )
-            out = out.union(pre)
-        return out
+    def section_partition(self, axis, fixed):
+        """The nonempty meets of a left piece and a right piece, keyed by the
+        product of their values."""
+        right = self.right.section_partition(axis, fixed).items()
+        meets = (
+            (a, b, p.intersect(q))
+            for a, p in self.left.section_partition(axis, fixed).items()
+            for b, q in right
+        )
+        return _merged((self.group.mul(a, b), meet) for a, b, meet in meets if not meet.is_empty())
 
     def values_on_rect(self, u, v):
         lv, lex = self.left.values_on_rect(u, v)
@@ -752,8 +741,30 @@ class SubbasicNbhd:
         if not (isinstance(self.kx, CantorPoint) or isinstance(self.ky, CantorPoint)):
             raise ValueError("one of K_X, K_Y must be a singleton point")
 
-    def singleton_axis(self) -> Axis:
-        return "x" if isinstance(self.kx, CantorPoint) else "y"
+    def sides(self) -> tuple[Axis, CantorPoint, CantorPoint | ClopenSet]:
+        """(axis, fixed, other): the axis of the singleton side, its point and
+        the other side K."""
+        if isinstance(self.kx, CantorPoint):
+            return "x", self.kx, self.ky
+        return "y", self.ky, self.kx  # type: ignore[return-value]
+
+    def point(self, t: CantorPoint) -> tuple[CantorPoint, CantorPoint]:
+        """The point (x, y) of the fixed point and t on the other side."""
+        axis, fixed, _ = self.sides()
+        return (fixed, t) if axis == "x" else (t, fixed)
+
+    def pieces(self, f: SepFunction) -> dict[GroupElement, ClopenSet]:
+        """{z: piece} for each value z that f takes on the rectangle.
+
+        When K is a clopen set the piece is the section preimage of z cut to
+        K; when K is a point it is the whole section preimage of f(x, y)."""
+        axis, fixed, other = self.sides()
+        parts = f.section_partition(axis, fixed)
+        if isinstance(other, CantorPoint):
+            z = f.eval(*self.point(other))
+            return {z: parts[z]}
+        cut = {z: other.intersect(piece) for z, piece in parts.items()}
+        return {z: piece for z, piece in cut.items() if not piece.is_empty()}
 
 
 def side_sample(side: CantorPoint | ClopenSet, grid_depth: int) -> tuple[CantorPoint, ...]:
@@ -820,36 +831,31 @@ def uniform_dist(
 
 
 def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:
-    """Exact membership of f in [K_X x K_Y, U] via section preimages.
+    """Exact membership of f in [K_X x K_Y, U] via the probe's pieces.
 
-    The singleton side is evaluated exactly; on the other side the section
-    partition is clopen, so containment reduces to exact set algebra.  A
-    table's section is read cell by cell instead; the set algebra then only
-    runs to find the witness of a failure.
+    A point K is evaluated exactly; a clopen K is cut by the section
+    partition, so containment reduces to exact set algebra: the violating
+    set is the union of the pieces whose value is not allowed.  A table's
+    section is read cell by cell instead; the set algebra then only runs to
+    find the witness of a failure.
     """
-    axis = nbhd.singleton_axis()
-    fixed = nbhd.kx if axis == "x" else nbhd.ky
-    other = nbhd.ky if axis == "x" else nbhd.kx
-    assert isinstance(fixed, CantorPoint)
+    axis, fixed, other = nbhd.sides()
     if isinstance(other, CantorPoint):
-        val = f.eval(fixed, other) if axis == "x" else f.eval(other, fixed)
+        x, y = nbhd.point(other)
+        val = f.eval(x, y)
         if val in nbhd.allowed:
             return MembershipResult(True, True)
-        pair = (fixed, other) if axis == "x" else (other, fixed)
-        return MembershipResult(False, True, (pair[0], pair[1], val))
+        return MembershipResult(False, True, (x, y, val))
     if isinstance(f, TableFunction) and f.section_maps_into(axis, fixed, other, nbhd.allowed):
         return MembershipResult(True, True)
-    parts = f.section_partition(axis, fixed)
-    allowed_region = ClopenSet.empty()
-    for z, pre in parts.items():
-        if z in nbhd.allowed:
-            allowed_region = allowed_region.union(pre)
-    violating = other.minus(allowed_region)
+    violating = ClopenSet.empty()
+    for z, piece in nbhd.pieces(f).items():
+        if z not in nbhd.allowed:
+            violating = violating.union(piece)
     if violating.is_empty():
         return MembershipResult(True, True)
-    t = violating.cylinders()[0].representative()
-    fx, fy = (fixed, t) if axis == "x" else (t, fixed)
-    return MembershipResult(False, True, (fx, fy, f.eval(fx, fy)))
+    x, y = nbhd.point(violating.cylinders()[0].representative())
+    return MembershipResult(False, True, (x, y, f.eval(x, y)))
 
 
 def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint]) -> bool:

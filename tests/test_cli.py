@@ -261,6 +261,20 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main(["ball", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL.replace("const 1(0)", "const "),
+            MINIMAL.replace("const 1(0)", "diag ones 1(0),"),
+            MINIMAL + "x = ; {0}\n",
+        ],
+        ids=["const", "trailing-comma", "probe-point"],
+    )
+    def test_empty_literal_exits_two(self, tmp_path, text, capsys):
+        cfg = write_config(tmp_path, text)
+        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_fault_stage_out_of_range_exit_two(self, tmp_path):
         text = MINIMAL + "[closure]\ninject_fault_at = 99\n"
         cfg = write_config(tmp_path, text)

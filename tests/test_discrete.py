@@ -434,8 +434,14 @@ class TestTableSectionPartition:
         st.sampled_from(["x", "y"]),
     )
     def test_one_pass_matches_per_value_preimages(self, f, fixed, axis):
+        # Brute partition: every depth-d cell read at a representative, the
+        # cells of each value united, keyed in canonical order.
+        at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
+        cells: dict = {}
+        for u in partition_at_depth(f.depth):
+            cells.setdefault(at(u.representative()), []).append(u.prefix)
+        slow = {z: ClopenSet.from_prefixes(cells[z]) for z in f.group.sort_canonically(cells)}
         fast = f.section_partition(axis, fixed)
-        slow = SepFunction.section_partition(f, axis, fixed)
         assert list(fast) == list(slow)
         assert list(fast.values()) == list(slow.values())
 
@@ -445,8 +451,7 @@ class TestTableSectionPartition:
 # from the cells whose value is allowed, and the witness is the first
 # cylinder of the region minus that set.
 def trie_in_subbasic(f, nbhd):
-    axis = nbhd.singleton_axis()
-    fixed, region = (nbhd.kx, nbhd.ky) if axis == "x" else (nbhd.ky, nbhd.kx)
+    axis, fixed, region = nbhd.sides()
     at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
     allowed_region = ClopenSet.from_prefixes(
         u.prefix for u in partition_at_depth(f.depth) if at(u.representative()) in nbhd.allowed

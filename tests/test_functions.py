@@ -115,20 +115,30 @@ class TestDeclaredImage:
             PostCompose(DIAG, {E: E}, "partial")
 
 
+def preimage(f: SepFunction, axis, fixed, z) -> ClopenSet:
+    """The section preimage of z, empty when the section misses z."""
+    return f.section_partition(axis, fixed).get(z, ClopenSet.empty())
+
+
 class TestSectionPreimage:
     def test_constant(self):
         c = Constant(A)
-        assert c.section_preimage("x", PROBE_POINTS[0], A).is_whole()
-        assert c.section_preimage("x", PROBE_POINTS[0], E).is_empty()
+        assert preimage(c, "x", PROBE_POINTS[0], A).is_whole()
+        assert preimage(c, "x", PROBE_POINTS[0], E).is_empty()
 
     def test_diag_fixed_in_member(self):
         x = CantorPoint.parse("110(0)")
-        assert DIAG.section_preimage("x", x, A) == ClopenSet.parse("{110}")
-        assert DIAG.section_preimage("x", x, E) == ClopenSet.parse("{110}").complement()
+        assert preimage(DIAG, "x", x, A) == ClopenSet.parse("{110}")
+        assert preimage(DIAG, "x", x, E) == ClopenSet.parse("{110}").complement()
+
+    def test_diag_member_covering_the_line_has_no_identity_piece(self):
+        whole = DiagonalIndicator.from_pairs([(Cylinder(""), A)])
+        assert whole.section_partition("y", PROBE_POINTS[2]) == {A: ClopenSet.whole()}
+        assert DIAG.section_partition("x", ALL_ONES) == {E: ClopenSet.whole()}
 
     def test_table_row(self):
         t = TableFunction(2, tuple(tuple(A if (i + j) % 2 else E for j in range(4)) for i in range(4)))
-        pre = t.section_preimage("x", CantorPoint.parse("00(0)"), A)
+        pre = preimage(t, "x", CantorPoint.parse("00(0)"), A)
         assert pre == ClopenSet.from_prefixes(["01", "11"])
 
     @pytest.mark.parametrize(
@@ -155,7 +165,7 @@ class TestSectionPreimage:
             for fixed in PROBE_POINTS[:4]:
                 sampled = brute_section_values(f, axis, fixed)
                 for p, val in sampled.items():
-                    assert f.section_preimage(axis, fixed, val).contains(p)
+                    assert preimage(f, axis, fixed, val).contains(p)
 
     def test_certificate_helper(self):
         assert separate_continuity_certificate(DIAG, PROBE_POINTS)

@@ -10,9 +10,10 @@ the diagonal's final budget with its last failing point as witness), and
 are kept as the reference.  The same random combinator trees also check
 that ``grid_values`` equals pointwise evaluation, that a product with a
 constant answers structural queries as the finite map it equals, that
-``grid_sup`` gives the pointwise max and witness, and that
+``grid_sup`` gives the pointwise max and witness, that
 ``product_chain``'s folded tables equal the unfolded product chains of
-the same tables.
+the same tables, and that every combinator's ``section_partition`` is a
+partition keyed by pointwise values, as the probe's ``pieces`` read it.
 """
 
 from fractions import Fraction
@@ -721,5 +722,41 @@ class TestConstantProducts:
         for u, v in product(CYLINDERS_TO_2, repeat=2):
             assert prod.values_on_rect(u, v) == mapped.values_on_rect(u, v)
         for axis in ("x", "y"):
-            for z in mapped.declared_image():
-                assert prod.section_preimage(axis, fixed, z) == mapped.section_preimage(axis, fixed, z)
+            assert prod.section_partition(axis, fixed) == mapped.section_partition(axis, fixed)
+
+
+SECTION_SAMPLES = grid_points(3) + OFF_GRID
+
+
+class TestSectionPartition:
+    @settings(max_examples=200)
+    @given(
+        functions,
+        st.sampled_from(SECTION_SAMPLES),
+        st.sampled_from(["x", "y"]),
+        st.sampled_from(REGIONS),
+        st.sampled_from(SECTION_SAMPLES),
+    )
+    def test_pieces_partition_the_space_keyed_by_eval(self, f, fixed, axis, region, point):
+        parts = f.section_partition(axis, fixed)
+        total = ClopenSet.empty()
+        for piece in parts.values():
+            assert not piece.is_empty()
+            assert total.intersect(piece).is_empty()
+            total = total.union(piece)
+        assert total.is_whole()
+        assert set(parts) <= set(f.declared_image())
+        sides = (fixed, region) if axis == "x" else (region, fixed)
+        probe = SubbasicNbhd(*sides, frozenset())
+        for t in SECTION_SAMPLES:
+            assert parts[f.eval(*probe.point(t))].contains(t)
+        pieces = probe.pieces(f)
+        assert all(not piece.is_empty() and piece.is_subset_of(region) for piece in pieces.values())
+        for t in SECTION_SAMPLES:
+            if region.contains(t):
+                assert pieces[f.eval(*probe.point(t))].contains(t)
+        # A point K: its one value keys the whole section preimage.  With
+        # both sides points, x is the fixed side.
+        z = f.eval(fixed, point)
+        pieces = SubbasicNbhd(fixed, point, frozenset()).pieces(f)
+        assert pieces == {z: f.section_partition("x", fixed)[z]}

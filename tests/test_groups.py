@@ -320,3 +320,11 @@ class TestTableGroupValidation:
             from sepcont.groups import FiniteTableGroup
 
             FiniteTableGroup("bad", [[0, 1], [1, 1]])
+
+
+class TestElementLiterals:
+    @pytest.mark.parametrize("name", ["dyadic", "cyclic:3", "real"])
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_blank_literal_rejected(self, name, text):
+        with pytest.raises(ValueError):
+            get_group(name).parse_element(text)
