@@ -4,10 +4,13 @@ for points, clopen sets and function descriptions.
 Function grammar:
   const <elt>
   table <depth> <file.csv>         rows/cols = cylinder index, cells = elements
-  diag ones <v1>,<v2>,...          infinite [1^n 0] schema, values cycling
-  diag ones-finite <v1>,...        identity past the listed values
+  diag ones <v1>,<v2>,...          infinite [1^n 0] schema, schedule
+                                   v1,v2,... cycling from n = 0
+  diag ones-finite <v1>,...        schedule v1,... then the identity
+                                   cycling, so identity past the list
   diag cyl <prefix>:<elt>,...      finite disjoint cylinder family
-  prod(<fn>, <fn>)   inv(<fn>)   quant(<fn>, <n>)
+  prod(<fn>, <fn>)   inv(<fn>)
+  quant(<fn>, <n>)                 r_n o fn, for a level n in [0, MAX_N]
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
 
         inner = _parse_function(body[: commas[-1]].strip(), group, base_dir)
         n = int(body[commas[-1] + 1 :])
+        if not 0 <= n <= MAX_N:
+            raise ConfigError(f"quant level {n} must be in [0, {MAX_N}]: {s!r}")
         return ZerodimPipeline(inner, n_max=n, grid_depth=4).quantized(n)
     head, _, rest = s.partition(" ")
     rest = rest.strip()
@@ -114,10 +119,10 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
         vals = vals.strip()
         if kind == "ones":
             values = [group.parse_element(v) for v in vals.split(",")]
-            return DiagonalIndicator.ones_schema(values, cycle=True)
+            return DiagonalIndicator.ones_schema(values)
         if kind == "ones-finite":
             values = [group.parse_element(v) for v in vals.split(",")]
-            return DiagonalIndicator.ones_schema(values, cycle=False)
+            return DiagonalIndicator.ones_schema((group.identity(),), prefix=values)
         if kind == "cyl":
             pairs = []
             for item in vals.split(","):

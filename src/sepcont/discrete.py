@@ -6,13 +6,15 @@ functions g_n and certifies layer-wise convergence through an explicit
 finite stage: strips X(z,k) = {x : {x} x V_k inside f^-1(z)} recorded as
 the indices of the working-depth cells on which f is certified constant z,
 patches painted cell by cell from those strips, and a per-neighbourhood
-certificate stage m with exact membership verification from m on.
+certificate stage m with exact membership verification from m on.  The
+image filtration is the declared image in canonical order: level n holds
+its first n + 1 elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from sepcont.cantor import (
     CantorPoint,
@@ -30,28 +32,6 @@ from sepcont.functions import (
     in_subbasic,
 )
 from sepcont.groups import GroupElement
-
-
-@dataclass(frozen=True)
-class ImageFiltration:
-    """Nondecreasing finite sets exhausting the declared image: level n is
-    the first n+1-delay elements in canonical order (empty before delay)."""
-
-    elements: tuple[GroupElement, ...]
-    delay: int = 0
-
-    @staticmethod
-    def for_function(f: SepFunction, delay: int = 0) -> "ImageFiltration":
-        return ImageFiltration(tuple(f.group.sort_canonically(f.declared_image())), delay)
-
-    def level(self, n: int) -> tuple[GroupElement, ...]:
-        return self.elements[: max(0, n + 1 - self.delay)]
-
-    def entry_index(self, z: GroupElement) -> int:
-        return self.elements.index(z) + self.delay
-
-    def entry_index_of_set(self, values: Iterable[GroupElement]) -> int:
-        return max((self.entry_index(z) for z in values), default=0)
 
 
 StripCells = tuple[dict[GroupElement, list[int]], dict[GroupElement, list[int]]]
@@ -78,11 +58,9 @@ def strip_cells(f: SepFunction, k: int, cells: Sequence[Cylinder]) -> StripCells
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """Stage m plus the data behind it and the exact per-stage verification."""
+    """Stage m, the target set it covers and the exact per-stage verification."""
 
-    nbhd: SubbasicNbhd
     target_values: tuple[GroupElement, ...]
-    cover_indices: dict[str, tuple[int, ...]]
     m: int
     checks: tuple[tuple[int, bool, str], ...]  # (n, member, witness text)
     passed: bool
@@ -91,12 +69,12 @@ class ConvergenceCertificate:
 class DiscreteApproximator:
     """Builds and caches the locally constant approximants of one function."""
 
-    def __init__(self, f: SepFunction, filtration: ImageFiltration | None = None):
+    def __init__(self, f: SepFunction):
         if len(f.declared_image()) == 0:
             raise UnsupportedStructureError("function has empty declared image")
         self.f = f
         self.group = f.group
-        self.filtration = filtration or ImageFiltration.for_function(f)
+        self.image = tuple(self.group.sort_canonically(f.declared_image()))
         self._partitions: dict[int, tuple[list[Cylinder], list[CantorPoint]]] = {}
         self._cells_cache: dict[tuple[int, int], StripCells] = {}
         self._gn_cache: dict[int, TableFunction] = {}
@@ -134,7 +112,7 @@ class DiscreteApproximator:
         indices: the x-strip cells of z times the cells of V_k, and the cells
         of V_k times the y-strip cells of z, for every k <= n and every z in
         filtration level n."""
-        level = self.filtration.level(n)
+        level = self.image[: n + 1]
         for k in range(n + 1):
             band = basis_cylinder(k).cell_range(d)
             x_cells, y_cells = self._strip_cells(k, d)
@@ -168,7 +146,7 @@ class DiscreteApproximator:
         cells, reps = self._partition(d)
         if overlaps:
             i, j = min(overlaps)
-            names = [str(z) for z in self.filtration.level(n) if z in overlaps[i, j]]
+            names = [str(z) for z in self.image[: n + 1] if z in overlaps[i, j]]
             raise RefinementExhaustedError(
                 f"cell {cells[i].prefix} x {cells[j].prefix} meets patches of {names} at depth {d}"
             )
@@ -191,11 +169,8 @@ class DiscreteApproximator:
         pieces to cover are the probe's ``pieces`` of f."""
         pieces = nbhd.pieces(self.f)
         w = tuple(self.group.sort_canonically(pieces))
-        cover = {
-            str(z): tuple(sorted(basis_index(c.prefix) for c in pieces[z].cylinders())) for z in w
-        }
-        max_index = max((indices[-1] for indices in cover.values() if indices), default=0)
-        m = max(self.filtration.entry_index_of_set(w), max_index)
+        cover = (basis_index(c.prefix) for z in w for c in pieces[z].cylinders())
+        m = max((*map(self.image.index, w), *cover), default=0)
         probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(w), nbhd.probe_id)
         checks = []
         for n in range(m, n_max + 1):
@@ -203,4 +178,4 @@ class DiscreteApproximator:
             note = "" if res.member else "({},{})->{}".format(*res.witness)  # type: ignore[misc]
             checks.append((n, res.member, note))
         passed = all(member for _, member, _ in checks)
-        return ConvergenceCertificate(nbhd, w, cover, m, tuple(checks), passed)
+        return ConvergenceCertificate(w, m, tuple(checks), passed)

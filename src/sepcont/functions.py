@@ -7,8 +7,7 @@ answers structural queries:
   exact nonempty clopen sets keyed by value that partition the space,
   which is the executable form of separate continuity.
 * ``values_on_rect`` — a finite superset of the values on a rectangle of
-  cylinders, flagged exact when the structure certifies it.  A singleton
-  superset certifies constancy on the rectangle even when inexact.
+  cylinders; a singleton superset certifies constancy on the rectangle.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
 singleton, so every probe reads one section partition), the grid-based
@@ -67,24 +66,20 @@ class SepFunction:
         fixes x and varies y); together they partition the space."""
         raise NotImplementedError
 
-    def values_on_rect(self, u: Cylinder, v: Cylinder) -> tuple[frozenset[GroupElement], bool]:
-        """Superset of the values on u x v, plus an exactness flag."""
+    def values_on_rect(self, u: Cylinder, v: Cylinder) -> frozenset[GroupElement]:
+        """Superset of the values on u x v."""
         raise NotImplementedError
 
     def constant_value_on(self, u: Cylinder, v: Cylinder) -> GroupElement | None:
         """The certified constant value of f on u x v, or None.
 
         Rectangles are nonempty, so a singleton value superset certifies
-        constancy regardless of the exactness flag.
+        constancy.
         """
-        values, _ = self.values_on_rect(u, v)
+        values = self.values_on_rect(u, v)
         if len(values) == 1:
             return next(iter(values))
         return None
-
-    def locally_constant_depth(self) -> int | None:
-        """A depth d such that f is constant on every d-cell rectangle, or None."""
-        raise NotImplementedError
 
     def _grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
         """Values on xs x ys in row-major order, point by point; ``grid_values`` caches them."""
@@ -139,10 +134,7 @@ class Constant(SepFunction):
         return {self.value: ClopenSet.whole()}
 
     def values_on_rect(self, u, v):
-        return frozenset((self.value,)), True
-
-    def locally_constant_depth(self) -> int | None:
-        return 0
+        return frozenset((self.value,))
 
     def class_values(self, classes, memo):
         return [self.value] * len(classes.firsts)
@@ -199,10 +191,7 @@ class TableFunction(SepFunction):
 
     def values_on_rect(self, u, v):
         rows, cols = u.cell_range(self.depth), v.cell_range(self.depth)
-        return frozenset(self.values[i][j] for i in rows for j in cols), True
-
-    def locally_constant_depth(self) -> int | None:
-        return self.depth
+        return frozenset(self.values[i][j] for i in rows for j in cols)
 
     def class_values(self, classes, memo):
         shift, values = classes.depth - self.depth, self.values
@@ -247,28 +236,26 @@ class CylinderFamily:
     def tail_values(self, start: int) -> frozenset[GroupElement]:
         raise NotImplementedError
 
-    def max_depth(self) -> int | None:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class OnesThenZeroFamily(CylinderFamily):
     """The cylinders [1^n 0] for every n, accumulating at the all-ones point.
 
-    ``values[n]`` cycles when ``cycle`` is set; otherwise indices past the
-    list take the identity, which collapses the family to a finite one.
+    Member n takes the eventually periodic schedule ``prefix`` then
+    ``period`` cycling: ``prefix[n]`` below ``len(prefix)``, and
+    ``period[(n - len(prefix)) % len(period)]`` from there on.
     """
 
-    values: tuple[GroupElement, ...]
-    cycle: bool = True
+    prefix: tuple[GroupElement, ...]
+    period: tuple[GroupElement, ...]
 
     def __post_init__(self) -> None:
-        if not self.values:
+        if not self.period:
             raise ValueError("value schedule must be nonempty")
 
     @property
     def group(self) -> GroupSpec:
-        return self.values[0].group
+        return self.period[0].group
 
     def locate(self, p: CantorPoint) -> tuple[int, GroupElement] | None:
         n = p.leading_ones()
@@ -280,12 +267,12 @@ class OnesThenZeroFamily(CylinderFamily):
         return ClopenSet.from_prefixes(["1" * n + "0"])
 
     def value_at(self, n: int) -> GroupElement:
-        if self.cycle:
-            return self.values[n % len(self.values)]
-        return self.values[n] if n < len(self.values) else self.group.identity()
+        if n < len(self.prefix):
+            return self.prefix[n]
+        return self.period[(n - len(self.prefix)) % len(self.period)]
 
     def all_values(self) -> tuple[GroupElement, ...]:
-        return _dedupe(self.values)
+        return _dedupe((*self.prefix, *self.period))
 
     def profile(self, c: Cylinder) -> _Profile:
         ones = 0
@@ -297,18 +284,7 @@ class OnesThenZeroFamily(CylinderFamily):
         return _Profile(tail_from=ones, out=True)
 
     def tail_values(self, start: int) -> frozenset[GroupElement]:
-        if self.cycle:
-            return frozenset(self.values)
-        vals = set(self.values[start:])
-        vals.add(self.group.identity())
-        return frozenset(vals)
-
-    def max_depth(self) -> int | None:
-        if not self.cycle:
-            return len(self.values) + 1
-        if set(self.values) == {self.group.identity()}:
-            return 0
-        return None
+        return frozenset((*self.prefix[start:], *self.period))
 
 
 @dataclass(frozen=True)
@@ -356,9 +332,6 @@ class FiniteCylinderFamily(CylinderFamily):
     def tail_values(self, start: int) -> frozenset[GroupElement]:
         return frozenset(val for n, (_, val) in enumerate(self.members) if n >= start)
 
-    def max_depth(self) -> int | None:
-        return max((c.depth() for c, _ in self.members), default=0) + 1 if self.members else 0
-
 
 @dataclass(frozen=True)
 class DiagonalIndicator(SepFunction):
@@ -377,8 +350,10 @@ class DiagonalIndicator(SepFunction):
         return self.family.group
 
     @staticmethod
-    def ones_schema(values: Iterable[GroupElement], cycle: bool = True) -> "DiagonalIndicator":
-        return DiagonalIndicator(OnesThenZeroFamily(tuple(values), cycle))
+    def ones_schema(
+        period: Iterable[GroupElement], prefix: Iterable[GroupElement] = ()
+    ) -> "DiagonalIndicator":
+        return DiagonalIndicator(OnesThenZeroFamily(tuple(prefix), tuple(period)))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Cylinder, GroupElement]]) -> "DiagonalIndicator":
@@ -429,10 +404,7 @@ class DiagonalIndicator(SepFunction):
         su, sv = pu.single_finite(), pv.single_finite()
         if not (su is not None and sv is not None and su == sv):
             matched.add(identity)
-        return frozenset(matched), True
-
-    def locally_constant_depth(self) -> int | None:
-        return self.family.max_depth()
+        return frozenset(matched)
 
     def _grid_values(self, xs, ys, memo):
         identity = memo.intern(self.group.identity())
@@ -481,13 +453,10 @@ class PostCompose(SepFunction):
         return _merged((self.mapping[w], piece) for w, piece in inner.items())
 
     def values_on_rect(self, u, v):
-        inner_vals, exact = self.inner.values_on_rect(u, v)
+        inner_vals = self.inner.values_on_rect(u, v)
         # Over-approximations may stray outside the inner declared image;
         # actual values never do, so unmapped strays can be dropped.
-        return frozenset(self.mapping[w] for w in inner_vals if w in self.mapping), exact
-
-    def locally_constant_depth(self) -> int | None:
-        return self.inner.locally_constant_depth()
+        return frozenset(self.mapping[w] for w in inner_vals if w in self.mapping)
 
     def _leaves(self):
         return self.inner._leaves()
@@ -515,11 +484,7 @@ class PointwiseInverse(SepFunction):
         return {self.group.inv(w): piece for w, piece in inner.items()}
 
     def values_on_rect(self, u, v):
-        vals, exact = self.inner.values_on_rect(u, v)
-        return frozenset(self.group.inv(w) for w in vals), exact
-
-    def locally_constant_depth(self) -> int | None:
-        return self.inner.locally_constant_depth()
+        return frozenset(self.group.inv(w) for w in self.inner.values_on_rect(u, v))
 
     def _leaves(self):
         return self.inner._leaves()
@@ -561,17 +526,8 @@ class PointwiseProduct(SepFunction):
         return _merged((self.group.mul(a, b), meet) for a, b, meet in meets if not meet.is_empty())
 
     def values_on_rect(self, u, v):
-        lv, lex = self.left.values_on_rect(u, v)
-        rv, rex = self.right.values_on_rect(u, v)
-        vals = frozenset(self.group.mul(a, b) for a in lv for b in rv)
-        exact = lex and rex and (len(lv) == 1 or len(rv) == 1)
-        return vals, exact
-
-    def locally_constant_depth(self) -> int | None:
-        dl, dr = self.left.locally_constant_depth(), self.right.locally_constant_depth()
-        if dl is None or dr is None:
-            return None
-        return max(dl, dr)
+        lv, rv = self.left.values_on_rect(u, v), self.right.values_on_rect(u, v)
+        return frozenset(self.group.mul(a, b) for a in lv for b in rv)
 
     def _leaves(self):
         return self.left._leaves() + self.right._leaves()
@@ -776,15 +732,12 @@ def side_sample(side: CantorPoint | ClopenSet, grid_depth: int) -> tuple[CantorP
 @dataclass(frozen=True)
 class DistResult:
     value: Fraction
-    exact: bool
-    grid_depth: int
     witness: tuple[CantorPoint, CantorPoint] | None = None
 
 
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
-    exact: bool
     witness: tuple[CantorPoint, CantorPoint, GroupElement] | None = None
 
 
@@ -818,16 +771,15 @@ def uniform_dist(
     grid_depth: int = 6,
     memo: GridMemo | None = None,
 ) -> DistResult:
-    """Grid sup of d(1, f^-1 g) (side l) or d(1, g f^-1) (side r); the
-    witness is the first grid point, x-major, that attains it.  The metric
-    is left-invariant, so these are d(f, g) and d(g^-1, f^-1)."""
+    """Grid sup of d(1, f^-1 g) (side l) or d(1, g f^-1) (side r), a lower
+    bound of the sup over Cantor x Cantor; the witness is the first grid
+    point, x-major, that attains it.  The metric is left-invariant, so these
+    are d(f, g) and d(g^-1, f^-1)."""
     memo = memo if memo is not None else GridMemo(f.group)
     points = memo.grid_points(grid_depth)
     pair = (f, g) if side == "l" else (PointwiseInverse(g), PointwiseInverse(f))
     best, point = grid_sup(f.group.dist, *pair, points, points, memo)
-    dl, dg = f.locally_constant_depth(), g.locally_constant_depth()
-    exact = dl is not None and dg is not None and max(dl, dg) <= grid_depth
-    return DistResult(best, exact, grid_depth, point if best > 0 else None)
+    return DistResult(best, point if best > 0 else None)
 
 
 def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:
@@ -844,18 +796,18 @@ def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:
         x, y = nbhd.point(other)
         val = f.eval(x, y)
         if val in nbhd.allowed:
-            return MembershipResult(True, True)
-        return MembershipResult(False, True, (x, y, val))
+            return MembershipResult(True)
+        return MembershipResult(False, (x, y, val))
     if isinstance(f, TableFunction) and f.section_maps_into(axis, fixed, other, nbhd.allowed):
-        return MembershipResult(True, True)
+        return MembershipResult(True)
     violating = ClopenSet.empty()
     for z, piece in nbhd.pieces(f).items():
         if z not in nbhd.allowed:
             violating = violating.union(piece)
     if violating.is_empty():
-        return MembershipResult(True, True)
+        return MembershipResult(True)
     x, y = nbhd.point(violating.cylinders()[0].representative())
-    return MembershipResult(False, True, (x, y, f.eval(x, y)))
+    return MembershipResult(False, (x, y, f.eval(x, y)))
 
 
 def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint]) -> bool:

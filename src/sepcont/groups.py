@@ -350,8 +350,13 @@ def _cyclic_cached(order: int) -> FiniteTableGroup:
     return cyclic_group(order)
 
 
+# The table group checks associativity in order^3 steps at construction.
+MAX_CYCLIC_ORDER = 64
+
+
 def get_group(name: str) -> GroupSpec:
-    """Resolve a group by config name: ``dyadic``, ``cyclic:<order>``, ``real``."""
+    """Resolve a group by config name: ``dyadic``, ``cyclic:<order>`` with
+    order at most MAX_CYCLIC_ORDER, ``real``."""
     s = name.strip()
     if s == "dyadic":
         return _DYADIC
@@ -362,6 +367,8 @@ def get_group(name: str) -> GroupSpec:
             order = int(s.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad cyclic group order in {name!r}") from None
+        if order > MAX_CYCLIC_ORDER:
+            raise ValueError(f"cyclic group order {order} exceeds {MAX_CYCLIC_ORDER}")
         return _cyclic_cached(order)
     raise ValueError(f"unknown group {name!r}")
 

@@ -52,7 +52,6 @@ class BallQuery:
 
 @dataclass(frozen=True)
 class BallResult:
-    query: BallQuery
     member: bool
     witness: tuple[CantorPoint, CantorPoint] | None
 
@@ -99,7 +98,7 @@ def ball_membership(q: BallQuery) -> BallResult:
     outside, witness = grid_sup(
         lambda fv, gv: not inside(fv, gv), q.center, q.candidate, points, points, memo
     )
-    return BallResult(q, False, witness) if outside else BallResult(q, True, None)
+    return BallResult(False, witness) if outside else BallResult(True, None)
 
 
 @dataclass(frozen=True)

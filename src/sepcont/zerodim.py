@@ -44,7 +44,7 @@ from sepcont.functions import (
     side_sample,
     uniform_dist,
 )
-from sepcont.discrete import DiscreteApproximator, ImageFiltration
+from sepcont.discrete import DiscreteApproximator
 from sepcont.groups import GroupElement, GroupSpec, SeparatedNet, ball_net
 
 
@@ -294,9 +294,7 @@ class ZerodimPipeline:
 
     def factor_approximator(self, k: int) -> DiscreteApproximator:
         if k not in self._approx_cache:
-            self._approx_cache[k] = DiscreteApproximator(
-                self.factor(k), ImageFiltration.for_function(self.factor(k))
-            )
+            self._approx_cache[k] = DiscreteApproximator(self.factor(k))
         return self._approx_cache[k]
 
     def stage_function(self, n: int, m: int) -> SepFunction:

@@ -45,7 +45,7 @@ SHIPPED = [
     ("diag-dyadic", DIAG, 6, 6),
     ("diag-multi", MULTI, 6, 6),
     ("const", Constant(A), 4, 4),
-    ("diag-finite", DiagonalIndicator.ones_schema([A, DYADIC.parse_element("01(0)")], cycle=False), 4, 4),
+    ("diag-finite", DiagonalIndicator.ones_schema([E], prefix=[A, DYADIC.parse_element("01(0)")]), 4, 4),
     ("real-table", TableFunction(1, ((_Z0, _Z34), (_Z34, _Z0))), 3, 4),
     ("c3-table", TableFunction(1, ((C3.identity(), C3.element(1)), (C3.element(2), C3.identity()))), 3, 4),
 ]

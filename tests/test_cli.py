@@ -66,7 +66,8 @@ def _described_functions(group):
         st.sampled_from(pool).map(lambda v: (f"const {v}", Constant(v))),
         values.map(lambda vs: (f"diag ones {render(vs)}", DiagonalIndicator.ones_schema(vs))),
         values.map(lambda vs: (
-            f"diag ones-finite {render(vs)}", DiagonalIndicator.ones_schema(vs, cycle=False)
+            f"diag ones-finite {render(vs)}",
+            DiagonalIndicator.ones_schema([group.identity()], prefix=vs),
         )),
         st.sampled_from(CYL_PREFIXES).flatmap(cyl),
     )
@@ -300,6 +301,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["-1", "-3", "13"])
+    def test_quant_level_out_of_range_exits_two(self, tmp_path, level, capsys):
+        text = MINIMAL.replace("const 1(0)", f"quant(diag ones 1(0), {level})")
+        cfg = write_config(tmp_path, text)
+        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert f"config error: quant level {level} must be in [0, 12]" in capsys.readouterr().err
+
+    def test_huge_cyclic_group_exits_two(self, tmp_path, capsys):
+        text = MINIMAL.replace("dyadic", "cyclic:5000").replace("1(0)", "1")
+        cfg = write_config(tmp_path, text)
+        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert "cyclic group order 5000 exceeds 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["nets", "approx-zerodim", "closure-probe"])
     def test_negative_level_exits_two(self, tmp_path, command, capsys):

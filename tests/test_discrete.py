@@ -14,7 +14,7 @@ from sepcont.cantor import (
     grid_points,
     partition_at_depth,
 )
-from sepcont.discrete import DiscreteApproximator, ImageFiltration, strip_cells
+from sepcont.discrete import DiscreteApproximator, strip_cells
 from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
     Constant,
@@ -38,17 +38,10 @@ WHOLE = ClopenSet.whole()
 
 class TestFiltration:
     def test_levels_nondecreasing_and_exhaustive(self):
-        filt = ImageFiltration.for_function(DIAG)
+        image = DiscreteApproximator(DIAG).image
         for n in range(4):
-            assert set(filt.level(n)) <= set(filt.level(n + 1))
-        assert set(filt.level(10)) == set(DIAG.declared_image())
-
-    def test_delay_gives_empty_levels(self):
-        filt = ImageFiltration.for_function(DIAG, delay=3)
-        assert filt.level(0) == ()
-        assert filt.level(2) == ()
-        assert len(filt.level(3)) == 1
-        assert filt.entry_index(E) == 3
+            assert set(image[: n + 1]) <= set(image[: n + 2])
+        assert set(image[:11]) == set(DIAG.declared_image())
 
 
 def strip_sets(f, k, d):
@@ -114,7 +107,7 @@ class TestPatches:
         engine = DiscreteApproximator(DIAG)
         for n in [2, 6, 12]:
             d = engine.working_depth(n)
-            patches = [patch_cells(DIAG, z, n, d) for z in engine.filtration.level(n)]
+            patches = [patch_cells(DIAG, z, n, d) for z in engine.image[: n + 1]]
             assert any(patches)
             for i in range(len(patches)):
                 for j in range(i + 1, len(patches)):
@@ -138,7 +131,7 @@ class TestPatches:
             d = engine.working_depth(n)
             g = engine.approximant(n)
             cells = partition_at_depth(d)
-            for z in engine.filtration.level(n):
+            for z in engine.image[: n + 1]:
                 for i, j in patch_cells(DIAG, z, n, d):
                     for a in cells[i].cell_range(4):
                         for b in cells[j].cell_range(4):
@@ -157,13 +150,6 @@ class TestApproximants:
         g = engine.approximant(6)
         for x, y in product(grid_points(2), repeat=2):
             assert g.eval(x, y) == f.eval(x, y)
-
-    def test_empty_filtration_level_default_branch(self):
-        engine = DiscreteApproximator(DIAG, ImageFiltration.for_function(DIAG, delay=5))
-        g = engine.approximant(1)  # no patches yet: defaults only
-        assert g.locally_constant_depth() == g.depth
-        x = CantorPoint.parse("0(0)")
-        assert g.eval(x, x) == DIAG.eval(x, x)
 
     def test_matched_square_value_once_patch_exists(self):
         engine = DiscreteApproximator(DIAG)
@@ -197,7 +183,7 @@ class TestCertificates:
         f = Constant(A)
         engine = DiscreteApproximator(f)
         cert = engine.certificate(SubbasicNbhd(CantorPoint.parse("(0)"), WHOLE, frozenset()), 4)
-        assert cert.m == engine.filtration.entry_index(A) == 0
+        assert cert.m == engine.image.index(A) == 0
         assert cert.passed
 
     def test_accumulation_point_probe(self):
@@ -317,7 +303,8 @@ def brute_meets(rects, u, v):
 
 def brute_approximant(f, n):
     d = brute_working_depth(n)
-    patches = [(z, brute_patch(f, z, n, d)) for z in ImageFiltration.for_function(f).level(n)]
+    level = tuple(f.group.sort_canonically(f.declared_image()))[: n + 1]
+    patches = [(z, brute_patch(f, z, n, d)) for z in level]
     patches = [(z, p) for z, p in patches if p]
     cells = partition_at_depth(d)
     rows = []
@@ -357,7 +344,7 @@ _cyl_prefixes = st.one_of(
 )
 dyadic_families = st.one_of(
     _schedules.map(DiagonalIndicator.ones_schema),
-    _schedules.map(lambda vals: DiagonalIndicator.ones_schema(vals, cycle=False)),
+    _schedules.map(lambda vals: DiagonalIndicator.ones_schema([E], prefix=vals)),
     _cyl_prefixes.flatmap(
         lambda prefixes: st.lists(
             st.sampled_from(DYADIC_POOL), min_size=len(prefixes), max_size=len(prefixes)
@@ -409,7 +396,7 @@ class _OverlappingClaims(SepFunction):
 
     def values_on_rect(self, u, v):
         z = self.claims.get((u.prefix, v.prefix))
-        return (frozenset((z,)) if z is not None else frozenset((E, A))), True
+        return frozenset((z,)) if z is not None else frozenset((E, A))
 
 
 class TestOverlappingPatches:
@@ -458,10 +445,10 @@ def trie_in_subbasic(f, nbhd):
     )
     violating = region.minus(allowed_region)
     if violating.is_empty():
-        return MembershipResult(True, True)
+        return MembershipResult(True)
     t = violating.cylinders()[0].representative()
     fx, fy = (fixed, t) if axis == "x" else (t, fixed)
-    return MembershipResult(False, True, (fx, fy, f.eval(fx, fy)))
+    return MembershipResult(False, (fx, fy, f.eval(fx, fy)))
 
 
 _prefix_sets = st.integers(0, 5).flatmap(

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
+from sepcont.config import parse_function
 from sepcont.errors import UnsupportedStructureError
 from sepcont.functions import (
     Constant,
@@ -99,6 +100,38 @@ class TestEval:
         assert g.eval(x, x) == A  # dyadic elements are involutions
 
 
+class TestOnesSchedule:
+    """Both ``diag ones`` grammar forms against the closed forms of the
+    cycling and the finite value lists they denote."""
+
+    @pytest.mark.parametrize(
+        "group, texts",
+        [
+            (DYADIC, ["1(0)", "1(0),01(0)", "01(0),0(0),11(0)"]),
+            (get_group("cyclic:5"), ["2", "1,3", "4,0,2"]),
+        ],
+        ids=["dyadic", "cyclic5"],
+    )
+    @pytest.mark.parametrize("kind", ["ones", "ones-finite"])
+    def test_schedule_matches_closed_form(self, group, texts, kind, tmp_path):
+        e = group.identity()
+        for text in texts:
+            vals = [group.parse_element(t) for t in text.split(",")]
+            f = parse_function(f"diag {kind} {text}", group, tmp_path)
+            for n in range(41):
+                if kind == "ones":
+                    value, tail = vals[n % len(vals)], frozenset(vals)
+                else:
+                    value = vals[n] if n < len(vals) else e
+                    tail = frozenset(vals[n:]) | {e}
+                point = CantorPoint("1" * n, "0")
+                assert f.family.value_at(n) == value
+                assert f.family.tail_values(n) == tail
+                assert f.eval(point, point) == value
+                assert f.eval(point, ALL_ONES) == f.eval(ALL_ONES, point) == e
+            assert f.eval(ALL_ONES, ALL_ONES) == e
+
+
 class TestDeclaredImage:
     @pytest.mark.parametrize(
         "f",
@@ -174,11 +207,11 @@ class TestSectionPreimage:
 class TestValuesOnRect:
     def test_diag_oracle_small_rects(self):
         # oracle: deep-grid sampling within each rectangle must stay inside
-        # the reported value set, and hit it exactly when flagged exact
+        # the reported value set, and hit it exactly on rectangles of depth 3
         prefixes = ["", "0", "1", "11", "10", "111", "110"]
         for pu, pv in product(prefixes, repeat=2):
             u, v = Cylinder(pu), Cylinder(pv)
-            vals, exact = DIAG.values_on_rect(u, v)
+            vals = DIAG.values_on_rect(u, v)
             seen = set()
             for x in grid_points(6):
                 if not u.contains(x):
@@ -194,7 +227,7 @@ class TestValuesOnRect:
                 if all(c == "1" for c in pv):
                     seen.add(DIAG.eval(ALL_ONES, ALL_ONES))
             assert seen <= set(vals)
-            if exact and len(pu) >= 3 and len(pv) >= 3:
+            if len(pu) >= 3 and len(pv) >= 3:
                 assert seen == set(vals)
 
     def test_finite_family_profile(self):
@@ -216,7 +249,7 @@ class TestValuesOnRect:
         "family",
         [
             DIAG.family,
-            DiagonalIndicator.ones_schema([A, B], cycle=False).family,
+            DiagonalIndicator.ones_schema([E], prefix=[A, B]).family,
             FiniteCylinderFamily(((Cylinder("01"), A), (Cylinder("001"), B), (Cylinder("11"), A))),
         ],
         ids=["ones", "ones-finite", "cyl"],
@@ -238,16 +271,6 @@ class TestValuesOnRect:
         assert DIAG.constant_value_on(Cylinder("0"), Cylinder("1")) == E
         assert DIAG.constant_value_on(Cylinder("11"), Cylinder("11")) is None
         assert DIAG.constant_value_on(Cylinder(""), Cylinder("")) is None
-
-
-class TestLocallyConstantDepth:
-    def test_depths(self):
-        assert Constant(A).locally_constant_depth() == 0
-        assert TableFunction(1, ((E, A), (A, E))).locally_constant_depth() == 1
-        assert DIAG.locally_constant_depth() is None
-        assert FINITE_DIAG.locally_constant_depth() == 3
-        finite_schema = DiagonalIndicator.ones_schema([A, B], cycle=False)
-        assert finite_schema.locally_constant_depth() == 3
 
 
 def section_sup(f, g, axis, fixed, region, grid_depth):
@@ -326,7 +349,7 @@ class TestInSubbasic:
     def test_accumulation_row_identity(self):
         nb = SubbasicNbhd(ALL_ONES, ClopenSet.whole(), frozenset([E]))
         res = in_subbasic(DIAG, nb)
-        assert res.member and res.exact
+        assert res.member
 
     def test_violation_with_witness(self):
         nb = SubbasicNbhd(CantorPoint.parse("110(0)"), ClopenSet.whole(), frozenset([E]))

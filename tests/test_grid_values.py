@@ -112,7 +112,7 @@ def _functions(pool, max_table_depth=3):
         _table(pool, max_table_depth),
         st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(DiagonalIndicator.ones_schema),
         st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(
-            lambda vals: DiagonalIndicator.ones_schema(vals, cycle=False)
+            lambda vals: DiagonalIndicator.ones_schema([vals[0].group.identity()], prefix=vals)
         ),
         _family(pool),
         st.sampled_from(pool).map(Constant),
@@ -223,10 +223,10 @@ def brute_ball_membership(q):
             fv, gv = q.center.eval(x, y), q.candidate.eval(x, y)
             if q.side in ("l", "lr"):
                 if group.dist(one, group.mul(group.inv(fv), gv)) >= q.eps:
-                    return BallResult(q, False, (x, y))
+                    return BallResult(False, (x, y))
             if q.side in ("r", "lr"):
                 if group.dist(one, group.mul(gv, group.inv(fv))) >= q.eps:
-                    return BallResult(q, False, (x, y))
+                    return BallResult(False, (x, y))
             if q.side == "rl":
                 ok = False
                 for u in candidates:
@@ -235,8 +235,8 @@ def brute_ball_membership(q):
                         ok = True
                         break
                 if not ok:
-                    return BallResult(q, False, (x, y))
-    return BallResult(q, True, None)
+                    return BallResult(False, (x, y))
+    return BallResult(True, None)
 
 
 def brute_layerwise_dist(f, g, axis, fixed, region, grid_depth):
@@ -353,7 +353,8 @@ class TestGridValues:
         # The diagonal lowering locates every x and every y once, however
         # many points share the row or column.
         if ones:
-            f = DiagonalIndicator.ones_schema(pool[: len(prefixes)], cycle=False)
+            identity = pool[0].group.identity()
+            f = DiagonalIndicator.ones_schema([identity], prefix=pool[: len(prefixes)])
         else:
             f = DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), pool))
         calls = []
@@ -651,7 +652,6 @@ class TestFoldedProducts:
         assert folded.depth == max(f.depth for f in funcs)
         points = grid_points(3) + OFF_GRID
         assert brute_values(folded, points, points) == brute_values(chain, points, points)
-        assert folded.locally_constant_depth() == chain.locally_constant_depth()
         for axis in ("x", "y"):
             assert folded.section_partition(axis, fixed) == chain.section_partition(axis, fixed)
         # A product declares every product of its factors' declared values,

@@ -174,3 +174,60 @@ def test_unread_parameter_is_reported():
         "        return self\n"
     )
     assert unread_parameters(source) == [("overwrites", "depth"), ("nested", "b")]
+
+
+def dataclass_fields(tree):
+    """(class, field, line) for each annotated field of a ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+    return name == "dataclass"
+
+
+def attribute_reads(tree):
+    """The names read as an attribute, ``obj.name``, anywhere in the module."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(defining, referencing):
+    """(class, field, line) for each dataclass field in the source
+    ``defining`` that no source in ``referencing`` reads as an attribute."""
+    reads = set().union(*(attribute_reads(ast.parse(src)) for src in referencing))
+    return [f for f in dataclass_fields(ast.parse(defining)) if f[1] not in reads]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_dataclass_fields_are_read(path, reference_sources):
+    assert unread_fields(path.read_text(), reference_sources) == []
+
+
+def test_unread_field_is_reported():
+    defining = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Result:\n"
+        "    value: int\n"
+        "    exact: bool\n"
+        "    def doubled(self):\n"
+        "        return 2 * self.value\n"
+        "@dataclasses.dataclass\n"
+        "class Row:\n"
+        "    level: int\n"
+        "    note: str = ''\n"
+        "class Plain:\n"
+        "    untracked: int\n"
+    )
+    referencing = [defining, "row = Row(1)\nrow.note = 'set, never read'\nprint(row.level)\n"]
+    assert unread_fields(defining, referencing) == [("Result", "exact", 6), ("Row", "note", 12)]

@@ -95,9 +95,9 @@ STAGE_POOL = (
     DIAG,
     Constant(E),
     Constant(A),
-    DiagonalIndicator.ones_schema([A] * 4, cycle=False),
+    DiagonalIndicator.ones_schema([E], prefix=[A] * 4),
     DiagonalIndicator.ones_schema([A, B]),
-    DiagonalIndicator.ones_schema([B], cycle=False),
+    DiagonalIndicator.ones_schema([E], prefix=[B]),
     TableFunction(1, ((A, E), (E, B))),
 )
 
@@ -168,7 +168,7 @@ class TestClosureProbe:
         # one, the schema cut off after four members, is the identity on
         # member 4 = [11110], where f is A.
         stages, schedule = self.make_stages(grid_depth=3)
-        stages[-1] = DiagonalIndicator.ones_schema([A] * 4, cycle=False)
+        stages[-1] = DiagonalIndicator.ones_schema([E], prefix=[A] * 4)
         rep = closure_probe(DIAG, stages, schedule, PROBES + [MEMBER_4], [1, 2], 3)
         assert rep.failed_stage is None and all(row.within for row in rep.stages)
         assert not rep.diagonal_passed and not rep.passed
