@@ -11,6 +11,7 @@ timings live only in manifest.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -319,8 +320,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every subcommand; the subcommand is a positional choice."""
+    """One parser for every subcommand; the subcommand is a positional choice.
+    Built on first use and kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sepcont",
         description="Finite-resolution approximation of separately continuous functions "

@@ -7,7 +7,8 @@ answers structural queries:
   exact nonempty clopen sets keyed by value that partition the space,
   which is the executable form of separate continuity.
 * ``values_on_rect`` — a finite superset of the values on a rectangle of
-  cylinders; a singleton superset certifies constancy on the rectangle.
+  cylinders; a singleton superset certifies constancy on the rectangle and
+  stays that singleton on every sub-rectangle.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
 singleton, so every probe reads one section partition), the grid-based
@@ -67,7 +68,12 @@ class SepFunction:
         raise NotImplementedError
 
     def values_on_rect(self, u: Cylinder, v: Cylinder) -> frozenset[GroupElement]:
-        """Superset of the values on u x v."""
+        """Superset of the values on u x v.
+
+        Contract: a singleton answer on u x v is the same singleton on every
+        nonempty sub-rectangle of u x v, so a certified constant holds on
+        the sub-rectangles without asking again (the discrete engine copies
+        strip verdicts on this premise)."""
         raise NotImplementedError
 
     def constant_value_on(self, u: Cylinder, v: Cylinder) -> GroupElement | None:
@@ -162,32 +168,17 @@ class TableFunction(SepFunction):
     def declared_image(self) -> tuple[GroupElement, ...]:
         return _dedupe(v for row in self.values for v in row)
 
-    def _section(self, axis: Axis, fixed: CantorPoint) -> tuple[GroupElement, ...] | list[GroupElement]:
-        """The values along the row (axis 'x') or column at ``fixed``, by cell index."""
-        i = _cell(fixed, self.depth)
-        return self.values[i] if axis == "x" else [row[i] for row in self.values]
-
     def section_partition(self, axis, fixed):
-        """One pass over the section, keyed in canonical order."""
+        """One pass over the row (axis 'x') or column at ``fixed``, keyed in
+        canonical order."""
+        i = _cell(fixed, self.depth)
+        section = self.values[i] if axis == "x" else [row[i] for row in self.values]
         cells: dict[GroupElement, list[int]] = {}
-        for j, val in enumerate(self._section(axis, fixed)):
+        for j, val in enumerate(section):
             cells.setdefault(val, []).append(j)
         return {
             z: ClopenSet.from_cells(cells[z], self.depth) for z in self.group.sort_canonically(cells)
         }
-
-    def section_maps_into(
-        self, axis: Axis, fixed: CantorPoint, region: ClopenSet, allowed: frozenset[GroupElement]
-    ) -> bool:
-        """Whether the section at ``fixed`` maps ``region`` into ``allowed``,
-        read cell by cell at depth max(table depth, region depth)."""
-        ok = [val in allowed for val in self._section(axis, fixed)]
-        depth, cells = region.own_cells
-        if depth >= self.depth:
-            shift = depth - self.depth
-            return all(ok[j >> shift] for j in cells)
-        shift = self.depth - depth
-        return all(all(ok[j << shift : (j + 1) << shift]) for j in cells)
 
     def values_on_rect(self, u, v):
         rows, cols = u.cell_range(self.depth), v.cell_range(self.depth)
@@ -787,19 +778,15 @@ def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:
 
     A point K is evaluated exactly; a clopen K is cut by the section
     partition, so containment reduces to exact set algebra: the violating
-    set is the union of the pieces whose value is not allowed.  A table's
-    section is read cell by cell instead; the set algebra then only runs to
-    find the witness of a failure.
+    set is the union of the pieces whose value is not allowed.
     """
-    axis, fixed, other = nbhd.sides()
+    other = nbhd.sides()[2]
     if isinstance(other, CantorPoint):
         x, y = nbhd.point(other)
         val = f.eval(x, y)
         if val in nbhd.allowed:
             return MembershipResult(True)
         return MembershipResult(False, (x, y, val))
-    if isinstance(f, TableFunction) and f.section_maps_into(axis, fixed, other, nbhd.allowed):
-        return MembershipResult(True)
     violating = ClopenSet.empty()
     for z, piece in nbhd.pieces(f).items():
         if z not in nbhd.allowed:

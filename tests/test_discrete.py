@@ -14,7 +14,7 @@ from sepcont.cantor import (
     grid_points,
     partition_at_depth,
 )
-from sepcont.discrete import DiscreteApproximator, strip_cells
+from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
     Constant,
@@ -42,6 +42,22 @@ class TestFiltration:
         for n in range(4):
             assert set(image[: n + 1]) <= set(image[: n + 2])
         assert set(image[:11]) == set(DIAG.declared_image())
+
+
+def strip_cells(f, k, cells):
+    """The direct strip pass, kept as the oracle for the engine's inherited
+    strips: the indices of the depth-D cells u grouped by the certified
+    constant value of f on u x V_k (x side) and on V_k x u (y side)."""
+    v = basis_cylinder(k)
+    x_cells, y_cells = {}, {}
+    for i, u in enumerate(cells):
+        cx = f.constant_value_on(u, v)
+        if cx is not None:
+            x_cells.setdefault(cx, []).append(i)
+        cy = f.constant_value_on(v, u)
+        if cy is not None:
+            y_cells.setdefault(cy, []).append(i)
+    return x_cells, y_cells
 
 
 def strip_sets(f, k, d):
@@ -365,12 +381,30 @@ def tables(pool, max_depth):
     )
 
 
+families = st.one_of(dyadic_families, tables(C3_POOL, 2), tables(S3_POOL, 2))
+
+
 class TestPaintedApproximants:
-    @given(st.one_of(dyadic_families, tables(C3_POOL, 2), tables(S3_POOL, 2)))
-    def test_painting_matches_cell_by_patch_oracle(self, f):
+    @given(families, st.permutations(range(13)))
+    def test_painting_matches_cell_by_patch_oracle(self, f, order):
+        # The stage tables grow only as far as asked, in any order.
         engine = DiscreteApproximator(f)
-        for n in range(13):
+        for n in order:
             assert engine.approximant(n) == brute_approximant(f, n), n
+
+    @given(families, st.permutations([(k, d) for d in (1, 2, 3) for k in range(13)]))
+    def test_inherited_strips_match_direct_strips(self, f, order):
+        # Whichever coarser cells and wider cylinders are already known when
+        # a strip is asked for, the copied verdicts equal the direct pass.
+        engine = DiscreteApproximator(f)
+        for k, d in order:
+            sides = engine.strips(k, d)
+            inherited = tuple(
+                {z: [i for i, r in enumerate(side) if r == engine.image.index(z)] for z in engine.image}
+                for side in sides
+            )
+            for got, direct in zip(inherited, strip_cells(f, k, partition_at_depth(d))):
+                assert {z: cells for z, cells in got.items() if cells} == direct, (k, d)
 
     def test_working_depth_closed_form(self):
         engine = DiscreteApproximator(DIAG)
@@ -379,9 +413,13 @@ class TestPaintedApproximants:
 
 
 class _OverlappingClaims(SepFunction):
-    """Certifies a constant on each listed rectangle and nothing elsewhere,
-    whether or not the claims agree: overlapping claims of two values make
-    strips that no single-valued function has."""
+    """Certifies a constant on each listed rectangle and on all of its
+    sub-rectangles, whether or not the claims agree: overlapping claims of
+    two values make strips that no single-valued function has.  A rectangle
+    inside claims of two values is not certified.  The test's claims overlap
+    only in depth-2 cells off row and column 00, which no strip query of
+    g_3 covers, so each query gets the same answer whether it is asked
+    directly or copied from a larger rectangle."""
 
     group = DYADIC
 
@@ -395,17 +433,21 @@ class _OverlappingClaims(SepFunction):
         return (E, A)
 
     def values_on_rect(self, u, v):
-        z = self.claims.get((u.prefix, v.prefix))
-        return frozenset((z,)) if z is not None else frozenset((E, A))
+        hits = {
+            z for (cu, cv), z in self.claims.items()
+            if u.prefix.startswith(cu) and v.prefix.startswith(cv)
+        }
+        return frozenset(hits) if hits else frozenset((E, A))
 
 
 class TestOverlappingPatches:
     def test_first_overlapping_cell_row_major_is_reported(self):
-        # At n = 3 (depth 2) the E patch is [] x [11] (k = 0, y strip) and the
-        # A patch is [11] x [1] (k = 2) then [00] x [11] (k = 3): painting
-        # meets the overlap at 11 x 11 first, but 00 x 11 comes first row-major.
-        f = _OverlappingClaims({("", "11"): E, ("11", "1"): A, ("00", "11"): A})
-        expected = "cell 00 x 11 meets patches of ['(0)', '1(0)'] at depth 2"
+        # At n = 3 (depth 2) the E patch is [11] x [] (k = 0, x strip) and
+        # [01] x [1] (k = 2, x strip); the A patch is [] x [11] (k = 0, y
+        # strip).  Painting meets the overlap at 11 x 11 first (k = 0), but
+        # 01 x 11 (k = 2) comes first row-major.
+        f = _OverlappingClaims({("11", ""): E, ("", "11"): A, ("01", "1"): E})
+        expected = "cell 01 x 11 meets patches of ['(0)', '1(0)'] at depth 2"
         with pytest.raises(RefinementExhaustedError) as oracle:
             brute_approximant(f, 3)
         assert str(oracle.value) == expected
@@ -494,7 +536,9 @@ class TestTableMembership:
         nbhd = SubbasicNbhd(fixed, region, allowed) if axis == "x" else SubbasicNbhd(region, fixed, allowed)
         expected = trie_in_subbasic(f, nbhd)
         assert in_subbasic(f, nbhd) == expected
-        assert f.section_maps_into(axis, fixed, region, allowed) == expected.member
+        # g_7 has working depth 3 >= the table's depth, so it equals f: the
+        # engine's stage-7 verdict, read off its stage table, must agree.
+        assert DiscreteApproximator(f).memberships(nbhd, [7]) == [expected.member]
 
     def test_region_cells_read_once_per_certificate(self, monkeypatch):
         # Every stage reads the probe region's cells; they are computed once.
@@ -511,3 +555,55 @@ class TestTableMembership:
         cert = engine.certificate(SubbasicNbhd(CantorPoint.parse("10(0)"), region, frozenset()), 12)
         assert cert.passed and len(cert.checks) > 1
         assert sum(r is region for r in reads) == 1
+
+
+# The failing probes of configs/discrete-witness.cfg: each fails at its
+# first stages and names a witness there.
+WITNESS_F = DiagonalIndicator.from_pairs(
+    [(Cylinder("11"), DYADIC.parse_element("1101(100)")), (Cylinder("00"), A)]
+)
+WITNESS_PROBES = (
+    SubbasicNbhd(ClopenSet.parse("{0}"), CantorPoint.parse("01(0)"), frozenset(), "p01"),
+    SubbasicNbhd(WHOLE, CantorPoint.parse("1(0)"), frozenset(), "p03"),
+    SubbasicNbhd(CantorPoint.parse("011(10)"), WHOLE, frozenset(), "p06"),
+    SubbasicNbhd(CantorPoint.parse("0(1)"), ClopenSet.parse("{0,00}"), frozenset(), "p10"),
+)
+points = st.integers(0, 3).flatmap(lambda d: st.sampled_from(grid_points(d) + OFF_GRID))
+probes = st.tuples(points, st.one_of(regions, points), st.booleans()).map(
+    lambda p: SubbasicNbhd(p[0], p[1], frozenset()) if p[2] else SubbasicNbhd(p[1], p[0], frozenset())
+)
+
+
+def oracle_checks(gs, probe, m):
+    """The certificate rows from stage m on, from the oracle's g_n (``gs``)
+    tested by in_subbasic."""
+    rows = []
+    for n in range(m, len(gs)):
+        res = in_subbasic(gs[n], probe)
+        rows.append((n, res.member, "" if res.member else "({},{})->{}".format(*res.witness)))
+    return tuple(rows)
+
+
+class TestStageTableCertificates:
+    @given(families, probes, st.data())
+    def test_rows_match_per_stage_oracle(self, f, nbhd, data):
+        engine = DiscreteApproximator(f)
+        gs = [brute_approximant(f, n) for n in range(13)]
+        cert = engine.certificate(nbhd, 12)
+        probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(cert.target_values))
+        assert cert.checks == oracle_checks(gs, probe, cert.m)
+        # Against any U, stages fail too: every stage's table read must
+        # still agree with the oracle's g_n.
+        allowed = data.draw(st.sets(st.sampled_from(engine.image)).map(frozenset))
+        probe = SubbasicNbhd(nbhd.kx, nbhd.ky, allowed)
+        expected = [member for _, member, _ in oracle_checks(gs, probe, 0)]
+        assert engine.memberships(probe, range(13)) == expected
+
+    def test_failing_stages_match_per_stage_oracle(self):
+        engine = DiscreteApproximator(WITNESS_F)
+        gs = [brute_approximant(WITNESS_F, n) for n in range(13)]
+        for nbhd in WITNESS_PROBES:
+            cert = engine.certificate(nbhd, 12)
+            assert not cert.passed, nbhd.probe_id
+            probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(cert.target_values))
+            assert cert.checks == oracle_checks(gs, probe, cert.m), nbhd.probe_id

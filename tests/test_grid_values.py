@@ -760,3 +760,26 @@ class TestSectionPartition:
         z = f.eval(fixed, point)
         pieces = SubbasicNbhd(fixed, point, frozenset()).pieces(f)
         assert pieces == {z: f.section_partition("x", fixed)[z]}
+
+
+# Every cylinder of depth <= 4, and per cylinder those inside it.
+RECT_PREFIXES = tuple(format(i, f"0{n}b") if n else "" for n in range(5) for i in range(2**n))
+INSIDE = {a: tuple(b for b in RECT_PREFIXES if b.startswith(a)) for a in RECT_PREFIXES}
+
+
+class TestMonotoneValuesOnRect:
+    @given(functions)
+    def test_singleton_verdict_holds_on_sub_rectangles(self, f):
+        # The contract the discrete engine copies strip verdicts on: a
+        # singleton answer on u x v (depth <= 3) is the same singleton on
+        # every nonempty sub-rectangle, down to depth 4.
+        values = {
+            (a, b): f.values_on_rect(Cylinder(a), Cylinder(b))
+            for a in RECT_PREFIXES
+            for b in RECT_PREFIXES
+        }
+        for (a, b), vals in values.items():
+            if len(vals) == 1 and len(a) <= 3 and len(b) <= 3:
+                for sub_a in INSIDE[a]:
+                    for sub_b in INSIDE[b]:
+                        assert values[sub_a, sub_b] == vals, (a, b, sub_a, sub_b)
