@@ -16,14 +16,13 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from pathlib import Path
 
 import sepcont
 from sepcont.cantor import CantorPoint
 from sepcont.config import Experiment, load_experiment, parse_eps, parse_function, parse_int
 from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import ConfigError, RefinementExhaustedError, SepcontError
-from sepcont.functions import Constant, SepFunction
+from sepcont.functions import Constant, GridMemo, SepFunction
 from sepcont.groups import RealBoundedGroup, ball_net
 from sepcont.reports import (
     build_manifest,
@@ -53,11 +52,11 @@ class _Timer:
         return _Ctx()
 
 
-def _finish(exp: Experiment, timer: _Timer, reports: list[Path], summary: dict) -> None:
+def _finish(exp: Experiment, timer: _Timer, reports: dict[str, bytes], summary: dict) -> None:
     manifest = build_manifest(
         config_text=exp.text,
         version=sepcont.__version__,
-        report_paths=reports,
+        reports=reports,
         timings=timer.timings,
         summary=summary,
     )
@@ -91,8 +90,8 @@ def cmd_nets(exp: Experiment) -> int:
                 }
             )
     report = exp.out / "nets.csv"
-    write_csv(report, list(rows[0].keys()), rows)
-    _finish(exp, timer, [report], {"passed": ok})
+    data = write_csv(report, list(rows[0].keys()), rows)
+    _finish(exp, timer, {report.name: data}, {"passed": ok})
     return 0 if ok else 1
 
 
@@ -117,8 +116,8 @@ def cmd_approx_discrete(exp: Experiment) -> int:
                     }
                 )
     report = exp.out / "certificate.csv"
-    write_csv(report, ["n", "probe_id", "in_nbhd", "violation_witness"], rows)
-    _finish(exp, timer, [report], {"passed": ok, "stage_of_probe": stage_of_probe})
+    data = write_csv(report, ["n", "probe_id", "in_nbhd", "violation_witness"], rows)
+    _finish(exp, timer, {report.name: data}, {"passed": ok, "stage_of_probe": stage_of_probe})
     return 0 if ok else 1
 
 
@@ -170,7 +169,7 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
     if rep is not None:
         all_ok = all_ok and rep.passed
     report = exp.out / "zerodim.csv"
-    write_csv(
+    data = write_csv(
         report,
         ["level", "cond1", "cond2_sup", "cond3", "diag_dist_sup", "budget", "pass"],
         rows,
@@ -185,13 +184,14 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
     }
     if rep is not None:
         summary["stage_of_level"] = {str(k): v for k, v in rep.stage_of_level.items()}
-    _finish(exp, timer, [report], summary)
+    _finish(exp, timer, {report.name: data}, summary)
     return 0 if all_ok else 1
 
 
 def cmd_ball(exp: Experiment) -> int:
     timer = _Timer()
     records = []
+    memo = GridMemo(exp.group)
     with timer.stage("ball"):
         for name, value in sorted(exp.section("ball").items()):
             fields = dict(
@@ -207,7 +207,7 @@ def cmd_ball(exp: Experiment) -> int:
                 )
             except ValueError as exc:
                 raise ConfigError(f"ball query {name!r}: {exc}") from exc
-            res = ball_membership(q)
+            res = ball_membership(q, memo)
             records.append(
                 {
                     "probe_id": name,
@@ -220,8 +220,8 @@ def cmd_ball(exp: Experiment) -> int:
                 }
             )
     report = exp.out / "ball.jsonl"
-    write_jsonl(report, records)
-    _finish(exp, timer, [report], {"passed": True, "queries": len(records)})
+    data = write_jsonl(report, records)
+    _finish(exp, timer, {report.name: data}, {"passed": True, "queries": len(records)})
     return 0
 
 
@@ -268,11 +268,11 @@ def cmd_closure_probe(exp: Experiment) -> int:
         for r in rep.stages
     ]
     report = exp.out / "closure.csv"
-    write_csv(report, ["stage", "eps", "dist_l", "dist_r", "within", "certified"], rows)
+    data = write_csv(report, ["stage", "eps", "dist_l", "dist_r", "within", "certified"], rows)
     _finish(
         exp,
         timer,
-        [report],
+        {report.name: data},
         {
             "passed": rep.passed,
             "failed_stage": rep.failed_stage,
@@ -305,8 +305,8 @@ def cmd_problem3(exp: Experiment) -> int:
         "witness_y": str(rep.witness[1]) if rep.witness else "",
     }
     report = exp.out / "problem3.json"
-    write_json(report, payload)
-    _finish(exp, timer, [report], {"passed": rep.within})
+    data = write_json(report, payload)
+    _finish(exp, timer, {report.name: data}, {"passed": rep.within})
     return 0 if rep.within else 1
 
 

@@ -10,7 +10,7 @@ Function grammar:
                                    cycling, so identity past the list
   diag cyl <prefix>:<elt>,...      finite disjoint cylinder family
   prod(<fn>, <fn>)   inv(<fn>)
-  quant(<fn>, <n>)                 r_n o fn, for a level n in [0, MAX_N]
+  quant(<fn>, <n>)                 r_n o fn for a level n in [0, MAX_N]; builds r_0..r_n
 """
 
 from __future__ import annotations
@@ -100,13 +100,13 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
         commas = _top_level_commas(body)
         if not commas:
             raise ConfigError(f"quant takes a function and a level: {s!r}")
-        from sepcont.zerodim import ZerodimPipeline
+        from sepcont.zerodim import quantize
 
         inner = _parse_function(body[: commas[-1]].strip(), group, base_dir)
         n = int(body[commas[-1] + 1 :])
         if not 0 <= n <= MAX_N:
             raise ConfigError(f"quant level {n} must be in [0, {MAX_N}]: {s!r}")
-        return ZerodimPipeline(inner, n_max=n, grid_depth=4).quantized(n)
+        return quantize(inner, n)
     head, _, rest = s.partition(" ")
     rest = rest.strip()
     if head == "const":

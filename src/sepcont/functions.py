@@ -557,8 +557,8 @@ class GridMemo:
     once per distinct object.  ``grid_values`` keeps each leaf's values per
     pair of point lists, ``classes`` each class list of a rectangle, and
     ``grid_points`` hands out one point tuple per depth so those are found
-    again.  A memo lives on one pipeline or one call and is never shared
-    across jobs.
+    again.  A memo lives on one pipeline, one call or one ``ball`` job and
+    is never shared across jobs.
 
     Tables are keyed on object identity, which hashes at C speed, and hold
     their key objects so that no id is reused while the memo lives.  Values

@@ -404,14 +404,16 @@ class SeparatedNet:
         return True
 
     def nearest(self, target: GroupElement) -> tuple[GroupElement, Fraction]:
-        """Closest net element to target, ties broken by canonical order."""
+        """Closest net element to target and its distance: target itself when
+        it is a member, else the first closest one in element order, which
+        is canonical order."""
         if not self.elements:
             raise NetMaximalityError("net is empty")
-        best = min(
-            self.elements,
-            key=lambda e: (self.group.dist(e, target), self.group.canonical_key(e)),
-        )
-        return best, self.group.dist(best, target)
+        if target in self.elements:
+            return target, Fraction(0)
+        dists = [self.group.dist(e, target) for e in self.elements]
+        best = min(dists)
+        return self.elements[dists.index(best)], best
 
 
 def ball_net(group: GroupSpec, k: int, enumeration_depth: int) -> SeparatedNet:

@@ -37,29 +37,30 @@ def parse_dyadic(text: str) -> Fraction:
     return Fraction(num, 2**exp)
 
 
-def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+def _write(path: Path, text: str) -> bytes:
+    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return data
+
+
+def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> bytes:
+    """Write the rows and return the bytes written; so do the writers below."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: row.get(k, "") for k in fieldnames})
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return _write(path, buf.getvalue())
 
 
-def write_jsonl(path: Path, records: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_jsonl(path: Path, records: list[dict]) -> bytes:
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return _write(path, "".join(line + "\n" for line in lines))
 
 
-def write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def write_json(path: Path, obj) -> bytes:
+    return _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def sha256_text(text: str) -> str:
@@ -70,15 +71,16 @@ def build_manifest(
     *,
     config_text: str,
     version: str,
-    report_paths: list[Path],
+    reports: dict[str, bytes],
     timings: dict[str, float],
     summary: dict,
 ) -> dict:
+    """The run manifest; ``reports`` maps report file names to the bytes written."""
     return {
         "config_sha256": sha256_text(config_text),
         "library_version": version,
         "net_indexing_note": NET_INDEXING_NOTE,
-        "reports": {p.name: sha256_file(p) for p in sorted(report_paths)},
+        "reports": {name: hashlib.sha256(data).hexdigest() for name, data in reports.items()},
         "timings_seconds": {k: round(v, 6) for k, v in sorted(timings.items())},
         "summary": summary,
     }

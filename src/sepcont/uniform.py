@@ -61,17 +61,19 @@ def _resolution_depth(group, eps: Fraction) -> int:
     return group.net_enumeration_depth(exp + 1, ())
 
 
-def ball_membership(q: BallQuery) -> BallResult:
+def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
     """Grid decision of candidate in B_side[center, eps].
 
     l: d(1, f^-1 g) < eps everywhere; r: with g f^-1; lr: both; rl: some
     u, u' with d(1, u), d(1, u') < eps and g = u f u', searched exactly
     over enumerated elements at resolution eps/2.  The test runs once per
     value class of the grid (see ``grid_sup``); the witness is the first
-    failing grid point, x-major.
+    failing grid point, x-major.  ``memo`` may be shared by the queries of
+    one job, which then build grid points, the center's grid values and
+    each class list once; a fresh memo gives the same result.
     """
     group = q.center.group
-    memo = GridMemo(group)
+    memo = memo if memo is not None else GridMemo(group)
     points = memo.grid_points(q.grid_depth)
     if q.side == "rl":
         # 2^-k >= eps (or the ball is the whole group), so B[2^-k] holds the open ball.

@@ -233,6 +233,21 @@ class DiagonalReport:
     passed: bool
 
 
+def build_tower(f: SepFunction, top: int):
+    """(sample, covers, nets, tower) for f up to level ``top``: f's declared
+    image sorted canonically, covers 0..top, nets 0..top-1 and r_0..r_top."""
+    group = f.group
+    sample = tuple(group.sort_canonically(f.declared_image()))
+    covers = build_covers(group, sample, top)
+    nets = [ball_net(group, k, group.net_enumeration_depth(k, sample)) for k in range(top)]
+    return sample, covers, nets, build_quantizer_tower(group, covers, nets)
+
+
+def quantize(f: SepFunction, n: int) -> PostCompose:
+    """f_n = r_n o f, building the tower up to r_n only."""
+    return PostCompose(f, build_tower(f, n)[3][n].mapping, label=f"r{n}")
+
+
 class ZerodimPipeline:
     """End-to-end construction for one function: sample (f's declared
     image), covers, nets, quantizer tower, factors, and the diagonal sequence."""
@@ -243,14 +258,7 @@ class ZerodimPipeline:
         self.n_max = n_max
         self.grid_depth = grid_depth
         self._memo = GridMemo(self.group)
-        self.sample = tuple(self.group.sort_canonically(f.declared_image()))
-        levels = n_max + 1
-        self.covers = build_covers(self.group, self.sample, levels)
-        self.nets = [
-            ball_net(self.group, k, self.group.net_enumeration_depth(k, self.sample))
-            for k in range(levels)
-        ]
-        self.tower = build_quantizer_tower(self.group, self.covers, self.nets)
+        self.sample, self.covers, self.nets, self.tower = build_tower(f, n_max + 1)
         self._factor_cache: dict[int, PostCompose] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}
         self._stage_cache: dict[tuple[int, int], SepFunction] = {}

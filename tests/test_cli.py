@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,15 +11,17 @@ from hypothesis import strategies as st
 
 from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.cli import build_parser, main
-from sepcont.config import load_experiment, parse_function, parse_probe
+from sepcont.config import MAX_N, load_experiment, parse_function, parse_probe
 from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
     DiagonalIndicator,
+    GridMemo,
     PointwiseInverse,
     PointwiseProduct,
 )
 from sepcont.groups import get_group
+from sepcont.uniform import BallQuery, ball_membership
 from sepcont.zerodim import ZerodimPipeline
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -42,14 +47,23 @@ p0 = (0) ; !{}
 
 
 GRAMMAR_GROUPS = (get_group("dyadic"), get_group("cyclic:5"))
+# Real values whose sums over three leaves stay inside [-1, 1], where the
+# real group's nets lie, so that every quantizer step can place them.
+REAL_POOL = tuple(map(get_group("real").parse_element, ("0", "1/2^2", "-1/2^2")))
+
+
+def _quant_families():
+    real = st.just(get_group("real")).flatmap(lambda g: _described_functions(g, REAL_POOL))
+    return st.one_of(st.sampled_from(GRAMMAR_GROUPS).flatmap(_described_functions), real)
 OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)", "110(0)"])
 CYL_PREFIXES = (("0",), ("0", "10"), ("01", "001", "11"))
 
 
-def _described_functions(group):
+def _described_functions(group, pool=None):
     """Pairs (text, function): a description rendered from the function
-    grammar and the function built directly from the same parts."""
-    pool = group.dense_enumeration(1)[:4]
+    grammar and the function built directly from the same parts, with
+    values from ``pool`` (default: the group's first enumerated elements)."""
+    pool = pool or group.dense_enumeration(1)[:4]
     values = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
 
     def render(vals):
@@ -142,6 +156,24 @@ class TestConfigParsing:
         assert [f.eval(x, y) for x in points for y in points] == [
             built.eval(x, y) for x in points for y in points
         ]
+
+    @given(
+        _quant_families(),
+        st.integers(0, MAX_N),
+    )
+    def test_quant_is_the_pipeline_quantizer(self, described, n):
+        text, built = described
+        f = parse_function(f"quant({text}, {n})", built.group, CONFIGS)
+        assert f.mapping == ZerodimPipeline(built, n_max=n).quantized(n).mapping
+
+    def test_quant_builds_only_the_level_it_returns(self):
+        # Step 0 of the tower, which builds r_1, fails on this table's value 3.
+        real = get_group("real")
+        f = parse_function("quant(table 1 table-real-wild.csv, 0)", real, CONFIGS)
+        assert set(f.mapping.values()) == {real.identity()}
+        for n in (1, 2):
+            with pytest.raises(ConfigError, match="step 0: nearest net element at distance 1/2"):
+                parse_function(f"quant(table 1 table-real-wild.csv, {n})", real, CONFIGS)
 
     def test_probe_parsing(self):
         p = parse_probe("p", "(1) ; !{}")
@@ -367,6 +399,65 @@ class TestExitCodes:
         assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
 
 
+def _ball_jobs():
+    """(group, center text, queries) over one group: one query per side plus
+    up to two more, each (side, radius, candidate text) with a radius in
+    1/2^0..1/2^3 and a candidate that is a ``const``, a ``quant`` or any
+    other description."""
+
+    def for_group(group, pool):
+        described = _described_functions(group, pool)
+        candidate = st.one_of(
+            st.sampled_from(pool or group.dense_enumeration(1)[:4]).map(lambda v: f"const {v}"),
+            st.tuples(described, st.integers(0, 2)).map(lambda t: f"quant({t[0][0]}, {t[1]})"),
+            described.map(lambda d: d[0]),
+        )
+        query = lambda side: st.tuples(side, st.integers(0, 3), candidate)
+        queries = st.tuples(
+            st.tuples(*(query(st.just(side)) for side in ("l", "r", "lr", "rl"))),
+            st.lists(query(st.sampled_from(("l", "r", "lr", "rl"))), max_size=2),
+        ).map(lambda qs: list(qs[0]) + qs[1])
+        return st.tuples(st.just(group), described.map(lambda d: d[0]), queries)
+
+    return st.one_of(
+        *(for_group(group, None) for group in GRAMMAR_GROUPS),
+        for_group(get_group("real"), REAL_POOL),
+    )
+
+
+class TestBallMemo:
+    """A ball job shares one grid memo over its queries."""
+
+    @given(_ball_jobs(), st.data())
+    def test_shared_memo_gives_the_fresh_memo_records(self, job, data):
+        group, center_text, queries = job
+        center = parse_function(center_text, group, CONFIGS)
+        built = [
+            BallQuery(center, parse_function(text, group, CONFIGS), side, Fraction(1, 2**k), 3)
+            for side, k, text in queries
+        ]
+        fresh = [ball_membership(q) for q in built]
+        memo = GridMemo(group)
+        order = data.draw(st.permutations(range(len(built))))
+        shared = {i: ball_membership(built[i], memo) for i in order}
+        assert [shared[i] for i in range(len(built))] == fresh
+
+        # The CLI runs the queries in name order on one memo.
+        lines = [f"b{i} = side={side}; eps=1/2^{k}; candidate={text}"
+                 for i, (side, k, text) in enumerate(queries)]
+        cfg_text = (f"[experiment]\ngroup = {group.name}\nfunction = {center_text}\n"
+                    "grid_depth = 3\n[ball]\n" + "\n".join(lines) + "\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), cfg_text)
+            assert main(["ball", "--config", str(cfg), "--out", str(Path(tmp) / "rep")]) == 0
+            records = [json.loads(line)
+                       for line in (Path(tmp) / "rep" / "ball.jsonl").read_text().splitlines()]
+        assert [(r["member"], r["witness_x"], r["witness_y"]) for r in records] == [
+            (res.member, *(map(str, res.witness) if res.witness else ("", "")))
+            for res in fresh
+        ]
+
+
 class TestReports:
     def test_header_only_certificate_csv(self, tmp_path):
         text = MINIMAL.replace("p0 = (0) ; !{}\n", "")
@@ -414,7 +505,8 @@ class TestReports:
         out = tmp_path / "rep"
         main(["approx-zerodim", "--config", str(CONFIGS / "diag-dyadic.cfg"), "--out", str(out)])
         manifest = json.load(open(out / "manifest.json"))
-        assert "zerodim.csv" in manifest["reports"]
+        digest = hashlib.sha256((out / "zerodim.csv").read_bytes()).hexdigest()
+        assert manifest["reports"] == {"zerodim.csv": digest}
         assert manifest["summary"]["passed"] is True
         assert "net" in manifest["net_indexing_note"]
 

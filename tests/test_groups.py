@@ -258,6 +258,37 @@ class TestGreedySeparation:
         assert net.check_maximality()
 
 
+C5 = get_group("cyclic:5")
+NET_GROUPS = [DYADIC, REAL, C5, S3]
+
+
+def _targets(group):
+    """Elements of group, within and beyond the shallow enumerations."""
+    if group is DYADIC:
+        bits = st.text("01", max_size=12)
+        return st.tuples(bits, bits.filter(bool)).map(lambda t: group.element(CantorPoint(*t)))
+    if group is REAL:
+        return st.builds(lambda j, e: group.element(Fraction(j, 2**e)),
+                         st.integers(-3 * 2**12, 3 * 2**12), st.integers(0, 12))
+    return st.sampled_from(group.dense_enumeration(0))
+
+
+class TestNearest:
+    @pytest.mark.parametrize("group", NET_GROUPS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("k", range(9))
+    def test_net_elements_in_canonical_order(self, group, k):
+        for depth in sorted({*range(k + 3), group.net_enumeration_depth(k, ())}):
+            net = ball_net(group, k, depth)
+            assert list(net.elements) == group.sort_canonically(net.elements), depth
+
+    @given(st.sampled_from(NET_GROUPS), st.integers(0, 8), st.data())
+    def test_nearest_is_the_least_distance_then_canonical_key(self, group, k, data):
+        net = ball_net(group, k, group.net_enumeration_depth(k, ()))
+        target = data.draw(st.one_of(_targets(group), st.sampled_from(net.elements)))
+        old = min(net.elements, key=lambda e: (group.dist(e, target), group.canonical_key(e)))
+        assert net.nearest(target) == (old, group.dist(old, target))
+
+
 class TestElementHash:
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
     def test_hash_is_the_field_hash_and_text_is_unchanged(self, group):
