@@ -53,8 +53,10 @@ REAL_POOL = tuple(map(get_group("real").parse_element, ("0", "1/2^2", "-1/2^2"))
 
 
 def _quant_families():
-    real = st.just(get_group("real")).flatmap(lambda g: _described_functions(g, REAL_POOL))
-    return st.one_of(st.sampled_from(GRAMMAR_GROUPS).flatmap(_described_functions), real)
+    return st.one_of(
+        st.sampled_from(GRAMMAR_GROUPS).flatmap(_described_functions),
+        _described_functions(get_group("real"), REAL_POOL),
+    )
 OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)", "110(0)"])
 CYL_PREFIXES = (("0",), ("0", "10"), ("01", "001", "11"))
 
