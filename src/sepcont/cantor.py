@@ -129,9 +129,6 @@ class Cylinder:
     def depth(self) -> int:
         return len(self.prefix)
 
-    def diameter(self) -> Fraction:
-        return Fraction(1, 2 ** (len(self.prefix) + 1))
-
     def contains(self, p: CantorPoint) -> bool:
         return p.starts_with(self.prefix)
 
@@ -346,9 +343,6 @@ class ClopenSet:
 
     def complement(self) -> "ClopenSet":
         return ClopenSet(_complement(self.trie))
-
-    def minus(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other.complement())
 
     def is_subset_of(self, other: "ClopenSet") -> bool:
         return _intersect(self.trie, _complement(other.trie)) is False

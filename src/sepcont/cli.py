@@ -137,7 +137,7 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
     with timer.stage("diagonal"):
         rep = pipe.diagonal(exp.probes, exp.levels) if exp.probes else None
     rows = []
-    all_ok = True
+    all_ok = pipe.telescoping_ok()
     for n in range(exp.n_max + 1):
         c = cond[n]
         diag_sup = ""
@@ -191,7 +191,7 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
 def cmd_ball(exp: Experiment) -> int:
     timer = _Timer()
     records = []
-    memo = GridMemo(exp.group)
+    memo = GridMemo()
     with timer.stage("ball"):
         for name, value in sorted(exp.section("ball").items()):
             fields = dict(
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", help="report directory (default: config's out)")
-    parser.add_argument("--grid-depth", type=int, help="override grid depth")
     parser.add_argument("--seed", type=int, default=0, help="seed for random probe generation")
     return parser
 
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        exp = load_experiment(args.config, args.out, args.grid_depth, args.seed)
+        exp = load_experiment(args.config, args.out, args.seed)
         exp.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](exp)
     except ConfigError as exc:

@@ -199,7 +199,6 @@ def _random_probes(count: int, seed: int) -> list[SubbasicNbhd]:
 def load_experiment(
     path: str | Path,
     out_override: str | None = None,
-    grid_depth_override: int | None = None,
     seed: int = 0,
 ) -> Experiment:
     path = Path(path)
@@ -220,11 +219,7 @@ def load_experiment(
         group = get_group(exp["group"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    grid_depth = (
-        grid_depth_override
-        if grid_depth_override is not None
-        else parse_int(exp.get("grid_depth", "6"), "grid_depth")
-    )
+    grid_depth = parse_int(exp.get("grid_depth", "6"), "grid_depth")
     n_max = parse_int(exp.get("n_max", "3"), "n_max")
     if grid_depth < 0 or grid_depth > depth_cap():
         raise ConfigError(f"grid_depth must be in [0, {depth_cap()}]")

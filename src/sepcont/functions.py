@@ -22,6 +22,8 @@ uniform distance and the grid kernel behind every grid check:
 * ``grid_values`` — the values of a leaf other than a table or a
   constant on a product of point lists, cached per memo, from which the
   classes are built;
+* ``GridMemo.pairwise`` — an operation on two zipped value lists, run
+  once per distinct pair of values;
 * ``grid_sup`` — the max of an operation over a rectangle, run once per
   class, with its first x-major witness; a layer-wise sup is one over a
   probe rectangle, whose one side is a singleton;
@@ -87,9 +89,9 @@ class SepFunction:
             return next(iter(values))
         return None
 
-    def _grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
+    def _grid_values(self, xs, ys) -> list[GroupElement]:
         """Values on xs x ys in row-major order, point by point; ``grid_values`` caches them."""
-        return [memo.intern(self.eval(x, y)) for x in xs for y in ys]
+        return [self.eval(x, y) for x in xs for y in ys]
 
     def _leaves(self) -> tuple["SepFunction", ...]:
         """The leaves of the combinator tree, left to right."""
@@ -186,7 +188,7 @@ class TableFunction(SepFunction):
 
     def class_values(self, classes, memo):
         shift, values = classes.depth - self.depth, self.values
-        return [memo.intern(values[i >> shift][j >> shift]) for i, j in classes.cells]
+        return [values[i >> shift][j >> shift] for i, j in classes.cells]
 
 
 @dataclass(frozen=True)
@@ -397,8 +399,8 @@ class DiagonalIndicator(SepFunction):
             matched.add(identity)
         return frozenset(matched)
 
-    def _grid_values(self, xs, ys, memo):
-        identity = memo.intern(self.group.identity())
+    def _grid_values(self, xs, ys):
+        identity = self.group.identity()
         cols = [loc[0] if loc is not None else None for loc in map(self.family.locate, ys)]
         rows: dict[int, list[GroupElement]] = {}
         out: list[GroupElement] = []
@@ -408,7 +410,6 @@ class DiagonalIndicator(SepFunction):
                 continue
             n, val = loc
             if n not in rows:
-                val = memo.intern(val)
                 rows[n] = [val if m == n else identity for m in cols]
             out.extend(rows[n])
         return out
@@ -453,7 +454,7 @@ class PostCompose(SepFunction):
         return self.inner._leaves()
 
     def class_values(self, classes, memo):
-        return memo.image(self.mapping.__getitem__, self.inner.class_values(classes, memo))
+        return list(map(self.mapping.__getitem__, self.inner.class_values(classes, memo)))
 
 
 @dataclass(frozen=True)
@@ -481,7 +482,7 @@ class PointwiseInverse(SepFunction):
         return self.inner._leaves()
 
     def class_values(self, classes, memo):
-        return memo.image(self.group.inv, self.inner.class_values(classes, memo))
+        return list(map(self.group.inv, self.inner.class_values(classes, memo)))
 
 
 @dataclass(frozen=True)
@@ -534,8 +535,8 @@ def _table_product(a: TableFunction, b: TableFunction, memo: "GridMemo") -> Tabl
     depth = max(a.depth, b.depth)
     n = 2**depth
     sa, sb = depth - a.depth, depth - b.depth
-    left = [memo.intern(a.values[i >> sa][j >> sa]) for i in range(n) for j in range(n)]
-    right = [memo.intern(b.values[i >> sb][j >> sb]) for i in range(n) for j in range(n)]
+    left = [a.values[i >> sa][j >> sa] for i in range(n) for j in range(n)]
+    right = [b.values[i >> sb][j >> sb] for i in range(n) for j in range(n)]
     cells = memo.pairwise(a.group.mul, left, right)
     return TableFunction(depth, tuple(tuple(cells[k : k + n]) for k in range(0, n * n, n)))
 
@@ -548,32 +549,27 @@ def product_chain(tables: list[TableFunction], memo: "GridMemo") -> TableFunctio
 
 
 class GridMemo:
-    """Memo tables for the grid sweeps over one group.
+    """Memo tables for the grid sweeps.
 
     A sweep meets only a few distinct group elements, so every binary
     operation a sweep runs (group ``mul``, ``dist``, a ball test) goes
     through ``pairwise``, which keeps one table per operation and runs it
-    once per distinct pair of value objects; ``image`` maps a value list
-    once per distinct object.  ``grid_values`` keeps each leaf's values per
-    pair of point lists, ``classes`` each class list of a rectangle, and
-    ``grid_points`` hands out one point tuple per depth so those are found
-    again.  A memo lives on one pipeline, one call or one ``ball`` job and
-    is never shared across jobs.
+    once per distinct pair of values.  ``grid_values`` keeps each leaf's
+    values per pair of point lists, ``classes`` each class list of a
+    rectangle, and ``grid_points`` hands out one point tuple per depth so
+    those are found again.  A memo lives on one pipeline, one call or one
+    ``ball`` job and is never shared across jobs.
 
-    Tables are keyed on object identity, which hashes at C speed, and hold
-    their key objects so that no id is reused while the memo lives.  Values
-    entering the memo are interned, so equal values are mostly one object;
-    equal values that are distinct objects get entries of their own, which
-    costs a recomputation, never a wrong value.
+    The op tables are keyed by value; an element caches its hash.  Value
+    lists and class lists are keyed on the identity of the functions and
+    point tuples they were built from, which their entries hold, so no id
+    is reused while the memo lives.
     """
 
-    def __init__(self, group: GroupSpec):
-        self.group = group
+    def __init__(self):
         self.function_values: dict[tuple[int, int, int], tuple] = {}
         self._grids: dict[int, tuple[CantorPoint, ...]] = {}
-        self._canon: dict[tuple[type, object], object] = {}
-        self._tables: dict[object, dict[tuple[int, int], object]] = {}
-        self._held: list[object] = []
+        self._tables: dict[object, dict[tuple, object]] = {}
         self._classes: dict[tuple, tuple] = {}
 
     def grid_points(self, depth: int) -> tuple[CantorPoint, ...]:
@@ -581,30 +577,16 @@ class GridMemo:
             self._grids[depth] = grid_points(depth)
         return self._grids[depth]
 
-    def intern(self, value):
-        """The memo's one object of value's type equal to value.  The type is
-        part of the key because values of different types can be equal, as
-        ``False == Fraction(0)`` is."""
-        return self._canon.setdefault((type(value), value), value)
-
-    def image(self, fn, values: list) -> list:
-        """fn(w) for each w, run once per distinct object in values."""
-        objects = {id(w): w for w in values}
-        image = {key: self.intern(fn(w)) for key, w in objects.items()}
-        return [image[id(w)] for w in values]
-
     def pairwise(self, op, left: Iterable, right: Iterable) -> list:
-        """op(a, b) for each zipped pair, run once per distinct (id(a), id(b))
-        for as long as the memo lives; each op has its own table."""
+        """op(a, b) for each zipped pair, run once per distinct value pair
+        for as long as the memo lives; each op has its own table, so equal
+        values of two types, as ``False == Fraction(0)``, never meet."""
         table = self._tables.setdefault(op, {})
-        held = self._held
         out = []
-        for a, b in zip(left, right):
-            key = (id(a), id(b))
+        for key in zip(left, right):
             c = table.get(key)
             if c is None:
-                c = table[key] = self.intern(op(a, b))
-                held.append((a, b))
+                c = table[key] = op(*key)
             out.append(c)
         return out
 
@@ -666,12 +648,12 @@ def grid_values(
     are lowered by ``class_values`` instead.  The values are exactly the
     pointwise ones.  The returned list is shared: do not mutate it.
     """
-    memo = memo if memo is not None else GridMemo(fn.group)
+    memo = memo if memo is not None else GridMemo()
     key = (id(fn), id(xs), id(ys))
     entry = memo.function_values.get(key)
     if entry is None:
         # The entry holds fn, xs and ys, so their ids stay unique while it lives.
-        entry = memo.function_values[key] = (fn, xs, ys, fn._grid_values(xs, ys, memo))
+        entry = memo.function_values[key] = (fn, xs, ys, fn._grid_values(xs, ys))
     return entry[3]
 
 
@@ -766,7 +748,7 @@ def uniform_dist(
     bound of the sup over Cantor x Cantor; the witness is the first grid
     point, x-major, that attains it.  The metric is left-invariant, so these
     are d(f, g) and d(g^-1, f^-1)."""
-    memo = memo if memo is not None else GridMemo(f.group)
+    memo = memo if memo is not None else GridMemo()
     points = memo.grid_points(grid_depth)
     pair = (f, g) if side == "l" else (PointwiseInverse(g), PointwiseInverse(f))
     best, point = grid_sup(f.group.dist, *pair, points, points, memo)

@@ -274,15 +274,6 @@ def cyclic_group(order: int) -> FiniteTableGroup:
     return FiniteTableGroup(f"cyclic:{order}", table)
 
 
-def symmetric_group_3() -> FiniteTableGroup:
-    """S3 as a multiplication table; the smallest nonabelian test group."""
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
-    compose = lambda p, q: tuple(p[q[i]] for i in range(3))
-    table = [[perms.index(compose(p, q)) for q in perms] for p in perms]
-    labels = ["e", "r", "rr", "s", "sr", "srr"]
-    return FiniteTableGroup("sym:3", table, labels)
-
-
 class RealBoundedGroup(GroupSpec):
     """(dyadic rationals, +) with metric min(|a - b|, 1/2)."""
 

@@ -73,7 +73,7 @@ def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
     each class list once; a fresh memo gives the same result.
     """
     group = q.center.group
-    memo = memo if memo is not None else GridMemo(group)
+    memo = memo if memo is not None else GridMemo()
     points = memo.grid_points(q.grid_depth)
     if q.side == "rl":
         # 2^-k >= eps (or the ball is the whole group), so B[2^-k] holds the open ball.
@@ -140,7 +140,7 @@ def closure_probe(
     if len(stages) != len(schedule):
         raise ValueError("one schedule radius per stage")
     certs = list(stage_certificates) if stage_certificates is not None else [True] * len(stages)
-    memo = GridMemo(f.group)
+    memo = GridMemo()
     rows = []
     failed: int | None = None
     for k, (g, eps) in enumerate(zip(stages, schedule)):
@@ -208,7 +208,7 @@ def problem3_check(
     probe_pts = grid_points(min(grid_depth, 3))
     if not separate_continuity_certificate(g, probe_pts):
         raise ValueError("candidate lacks a separate-continuity certificate")
-    memo = GridMemo(f.group)
+    memo = GridMemo()
     points = memo.grid_points(grid_depth)
     sup_raw, witness = grid_sup(
         lambda a, b: abs(a.payload - b.payload), f, g, points, points, memo

@@ -61,9 +61,6 @@ class ImageCover:
                 return i
         raise KeyError(f"{z} not in any cover cell")
 
-    def diameter_bound(self) -> Fraction:
-        return Fraction(1, 2 ** (self.level + 1))
-
     def max_cell_diameter(self, group: GroupSpec) -> Fraction:
         worst = Fraction(0)
         for cell in self.cells:
@@ -257,7 +254,7 @@ class ZerodimPipeline:
         self.group = f.group
         self.n_max = n_max
         self.grid_depth = grid_depth
-        self._memo = GridMemo(self.group)
+        self._memo = GridMemo()
         self.sample, self.covers, self.nets, self.tower = build_tower(f, n_max + 1)
         self._factor_cache: dict[int, PostCompose] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}

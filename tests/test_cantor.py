@@ -132,10 +132,6 @@ class TestBasis:
     def test_index_roundtrip(self, k):
         assert basis_index(basis_cylinder(k).prefix) == k
 
-    def test_cylinder_diameter(self):
-        assert Cylinder("110").diameter() == Fraction(1, 16)
-        assert Cylinder("").diameter() == Fraction(1, 2)
-
 
 class TestPartition:
     def test_depth_zero(self):

@@ -19,6 +19,7 @@ from sepcont.functions import (
     GridMemo,
     PointwiseInverse,
     PointwiseProduct,
+    PostCompose,
 )
 from sepcont.groups import get_group
 from sepcont.uniform import BallQuery, ball_membership
@@ -225,13 +226,11 @@ class TestArgumentParser:
     )
     def test_each_subcommand_parses(self, command):
         args = build_parser().parse_args(
-            [command, "--config", "a.cfg", "--out", "rep", "--grid-depth", "3", "--seed", "7"]
+            [command, "--config", "a.cfg", "--out", "rep", "--seed", "7"]
         )
-        assert (args.command, args.config, args.out, args.grid_depth, args.seed) == (
-            command, "a.cfg", "rep", 3, 7,
-        )
+        assert (args.command, args.config, args.out, args.seed) == (command, "a.cfg", "rep", 7)
         defaults = build_parser().parse_args([command, "--config", "a.cfg"])
-        assert (defaults.out, defaults.grid_depth, defaults.seed) == (None, None, 0)
+        assert (defaults.out, defaults.seed) == (None, 0)
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -251,6 +250,31 @@ class TestExitCodes:
         assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 0
         rows = list(csv.DictReader(open(out / "zerodim.csv")))
         assert all(r["cond2_sup"] == "0/2^0" for r in rows[1:])
+        assert all(r["pass"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("alter, code", [(False, 0), (True, 1)])
+    def test_zerodim_verdict_checks_telescoping(self, tmp_path, monkeypatch, alter, code):
+        # b is declared but taken only on [11111] x [11111], which no point of
+        # the depth-4 grid reaches.  Factor 2 altered there to g_2(b) b, which
+        # stays in net(2), passes every other check; only the identity
+        # g_0 ... g_n = f_{n+1} of finite maps sees it.
+        b = DYADIC.parse_element("01(0)")
+        factor = ZerodimPipeline.factor
+
+        def altered(pipe, n):
+            g = factor(pipe, n)
+            if n != 2:
+                return g
+            return PostCompose(g.inner, {**g.mapping, b: DYADIC.mul(g.mapping[b], b)})
+
+        if alter:
+            monkeypatch.setattr(ZerodimPipeline, "factor", altered)
+        text = (MINIMAL.replace("const 1(0)", "diag cyl 0:1(0),11111:01(0)")
+                .replace("grid_depth = 2", "grid_depth = 4").replace("n_max = 2", "n_max = 3"))
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "rep"
+        assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == code
+        rows = list(csv.DictReader(open(out / "zerodim.csv")))
         assert all(r["pass"] == "1" for r in rows)
 
     def test_parse_error_exit_two(self, tmp_path):
@@ -439,7 +463,7 @@ class TestBallMemo:
             for side, k, text in queries
         ]
         fresh = [ball_membership(q) for q in built]
-        memo = GridMemo(group)
+        memo = GridMemo()
         order = data.draw(st.permutations(range(len(built))))
         shared = {i: ball_membership(built[i], memo) for i in order}
         assert [shared[i] for i in range(len(built))] == fresh

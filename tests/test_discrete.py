@@ -25,7 +25,8 @@ from sepcont.functions import (
     TableFunction,
     in_subbasic,
 )
-from sepcont.groups import get_group, symmetric_group_3
+from sepcont.groups import get_group
+from sym3 import symmetric_group_3
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
@@ -485,7 +486,7 @@ def trie_in_subbasic(f, nbhd):
     allowed_region = ClopenSet.from_prefixes(
         u.prefix for u in partition_at_depth(f.depth) if at(u.representative()) in nbhd.allowed
     )
-    violating = region.minus(allowed_region)
+    violating = region.intersect(allowed_region.complement())
     if violating.is_empty():
         return MembershipResult(True)
     t = violating.cylinders()[0].representative()

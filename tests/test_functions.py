@@ -24,7 +24,8 @@ from sepcont.functions import (
     uniform_dist,
     _Profile,
 )
-from sepcont.groups import get_group, symmetric_group_3
+from sepcont.groups import get_group
+from sym3 import symmetric_group_3
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
@@ -278,7 +279,7 @@ def section_sup(f, g, axis, fixed, region, grid_depth):
     x), on the grid points of ``region``: the layer-wise distance."""
     ts = side_sample(region, grid_depth)
     xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
-    return grid_sup(f.group.dist, f, g, xs, ys, GridMemo(f.group))[0]
+    return grid_sup(f.group.dist, f, g, xs, ys, GridMemo())[0]
 
 
 class TestLayerwiseDist:

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from sepcont.cantor import CantorPoint
 from sepcont.errors import GroupMismatchError
-from sepcont.groups import (
-    ball_net,
-    cyclic_group,
-    get_group,
-    symmetric_group_3,
-)
+from sepcont.groups import ball_net, cyclic_group, get_group
+from sym3 import symmetric_group_3
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")

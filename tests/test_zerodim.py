@@ -58,14 +58,14 @@ class TestCovers:
         covers = build_covers(DYADIC, sample, 5)
         for n in range(1, 6):
             assert covers[n].refines(covers[n - 1])
-            assert covers[n].max_cell_diameter(DYADIC) <= covers[n].diameter_bound()
+            assert covers[n].max_cell_diameter(DYADIC) <= Fraction(1, 2 ** (n + 1))
 
     def test_greedy_covers_real_group(self):
         sample = tuple(REAL.parse_element(t) for t in ["0/2^0", "1/2^3", "3/2^3", "-1/2^2"])
         covers = build_covers(REAL, sample, 4)
         for n in range(1, 5):
             assert covers[n].refines(covers[n - 1])
-            assert covers[n].max_cell_diameter(REAL) <= covers[n].diameter_bound()
+            assert covers[n].max_cell_diameter(REAL) <= Fraction(1, 2 ** (n + 1))
 
     def test_greedy_covers_c3(self):
         sample = tuple(C3.element(i) for i in range(3))
