@@ -82,13 +82,12 @@ class CantorPoint:
         return self.prefix(len(prefix)) == prefix
 
     def leading_ones(self) -> int | None:
-        """Number of leading 1 bits; None for the all-ones point."""
+        """Number of leading 1 bits; None for the all-ones point.  Every
+        other canonical point has a 0 in its preperiod or period."""
         if self.preperiod == "" and self.period == "1":
             return None
-        for i in range(len(self.preperiod) + len(self.period)):
-            if self.bit(i) == 0:
-                return i
-        raise AssertionError("unreachable: canonical all-ones point is ( ,1)")
+        s = self.preperiod + self.period
+        return len(s) - len(s.lstrip("1"))
 
 
 ALL_ONES = CantorPoint("", "1")

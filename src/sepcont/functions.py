@@ -16,12 +16,12 @@ uniform distance and the grid kernel behind every grid check:
 
 * ``GridMemo.classes`` and ``SepFunction.class_values`` — the points of
   a rectangle grouped into classes on which the functions of a check are
-  constant (one depth-D cell, D the deepest table leaf, and one value
-  object of every other leaf), and each function's value per class, the
-  one lowering of a combinator tree onto a grid;
-* ``grid_values`` — the values of a leaf other than a table or a
-  constant on a product of point lists, cached per memo, from which the
-  classes are built;
+  constant (one depth-D cell, D the deepest table leaf, and one value of
+  every other leaf), and each function's value per class, the one
+  lowering of a combinator tree onto a grid;
+* ``SepFunction.axis_key`` and ``pair_value`` — a leaf other than a table
+  or a constant read one axis at a time: the classes are built per pair
+  of axis classes, not per point;
 * ``GridMemo.pairwise`` — an operation on two zipped value lists, run
   once per distinct pair of values;
 * ``grid_sup`` — the max of an operation over a rectangle, run once per
@@ -89,9 +89,14 @@ class SepFunction:
             return next(iter(values))
         return None
 
-    def _grid_values(self, xs, ys) -> list[GroupElement]:
-        """Values on xs x ys in row-major order, point by point; ``grid_values`` caches them."""
-        return [self.eval(x, y) for x in xs for y in ys]
+    def axis_key(self, p: CantorPoint):
+        """What the value depends on through the coordinate p: points with equal
+        keys give equal values against every point of the other axis."""
+        return p
+
+    def pair_value(self, a, b) -> GroupElement:
+        """The value at points whose axis keys are a (x) and b (y)."""
+        return self.eval(a, b)
 
     def _leaves(self) -> tuple["SepFunction", ...]:
         """The leaves of the combinator tree, left to right."""
@@ -102,10 +107,9 @@ class SepFunction:
 
         The classes come from ``memo.classes`` over a list of functions that
         includes this one, so the function is constant on each class.  A leaf
-        other than a table or a constant reads its cached grid values at the
-        classes' first points."""
-        values = grid_values(self, classes.xs, classes.ys, memo)
-        return [values[k] for k in classes.firsts]
+        other than a table or a constant reads the values the classes were
+        built from; the list is shared, so do not mutate it."""
+        return classes.leaf_values[id(self)]
 
 
 def _dedupe(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
@@ -353,9 +357,16 @@ class DiagonalIndicator(SepFunction):
         return DiagonalIndicator(FiniteCylinderFamily(tuple(pairs)))
 
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
-        lx, ly = self.family.locate(x), self.family.locate(y)
-        if lx is not None and ly is not None and lx[0] == ly[0]:
-            return lx[1]
+        return self.pair_value(self.axis_key(x), self.axis_key(y))
+
+    def axis_key(self, p):
+        """The index of the member holding p, or None."""
+        loc = self.family.locate(p)
+        return None if loc is None else loc[0]
+
+    def pair_value(self, a, b):
+        if a is not None and a == b:
+            return self.family.value_at(a)
         return self.group.identity()
 
     def declared_image(self) -> tuple[GroupElement, ...]:
@@ -398,21 +409,6 @@ class DiagonalIndicator(SepFunction):
         if not (su is not None and sv is not None and su == sv):
             matched.add(identity)
         return frozenset(matched)
-
-    def _grid_values(self, xs, ys):
-        identity = self.group.identity()
-        cols = [loc[0] if loc is not None else None for loc in map(self.family.locate, ys)]
-        rows: dict[int, list[GroupElement]] = {}
-        out: list[GroupElement] = []
-        for loc in map(self.family.locate, xs):
-            if loc is None:
-                out.extend([identity] * len(ys))
-                continue
-            n, val = loc
-            if n not in rows:
-                rows[n] = [val if m == n else identity for m in cols]
-            out.extend(rows[n])
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,22 +550,22 @@ class GridMemo:
     A sweep meets only a few distinct group elements, so every binary
     operation a sweep runs (group ``mul``, ``dist``, a ball test) goes
     through ``pairwise``, which keeps one table per operation and runs it
-    once per distinct pair of values.  ``grid_values`` keeps each leaf's
-    values per pair of point lists, ``classes`` each class list of a
-    rectangle, and ``grid_points`` hands out one point tuple per depth so
-    those are found again.  A memo lives on one pipeline, one call or one
-    ``ball`` job and is never shared across jobs.
+    once per distinct pair of values.  ``classes`` keeps each class list of
+    a rectangle and each leaf's axis keys per point list, and
+    ``grid_points`` hands out one point tuple per depth so those are found
+    again.  A memo lives on one pipeline, one call or one ``ball`` job and
+    is never shared across jobs.
 
-    The op tables are keyed by value; an element caches its hash.  Value
+    The op tables are keyed by value; an element caches its hash.  Key
     lists and class lists are keyed on the identity of the functions and
     point tuples they were built from, which their entries hold, so no id
     is reused while the memo lives.
     """
 
     def __init__(self):
-        self.function_values: dict[tuple[int, int, int], tuple] = {}
         self._grids: dict[int, tuple[CantorPoint, ...]] = {}
         self._tables: dict[object, dict[tuple, object]] = {}
+        self._axis_keys: dict[tuple[int, int], tuple] = {}
         self._classes: dict[tuple, tuple] = {}
 
     def grid_points(self, depth: int) -> tuple[CantorPoint, ...]:
@@ -595,66 +591,63 @@ class GridMemo:
 
         Two points share a class when they lie in one depth-D cell, D the
         depth of the deepest table among the leaves of fns, and every leaf
-        that is neither a table nor a constant has the same value object at
-        both.  Built once per (such leaves, D, xs, ys) for as long as the
-        memo lives, in one pass over those leaves' grid values."""
+        that is neither a table nor a constant has equal values at both.
+        Built once per (such leaves, D, xs, ys) for as long as the memo
+        lives, from each such leaf's axis keys."""
         leaves = {id(leaf): leaf for fn in fns for leaf in fn._leaves()}.values()
         depth = max((t.depth for t in leaves if isinstance(t, TableFunction)), default=0)
         others = [v for v in leaves if not isinstance(v, (TableFunction, Constant))]
         key = (tuple(sorted(map(id, others))), depth, id(xs), id(ys))
         if key not in self._classes:
             # The entry holds the leaves, xs and ys, so their ids stay unique.
-            self._classes[key] = others, self._build_classes(others, depth, xs, ys)
-        return self._classes[key][1]
+            self._classes[key] = others, xs, ys, self._build_classes(others, depth, xs, ys)
+        return self._classes[key][3]
+
+    def _keys(self, leaf: SepFunction, pts) -> list:
+        """leaf.axis_key at each point of pts, once per (leaf, pts)."""
+        key = (id(leaf), id(pts))
+        if key not in self._axis_keys:
+            self._axis_keys[key] = leaf, pts, list(map(leaf.axis_key, pts))
+        return self._axis_keys[key][2]
+
+    def _axis_classes(self, others, depth: int, pts) -> dict[tuple, int]:
+        """The points of pts with one depth-D cell and one axis key of every
+        leaf, as {(cell, *keys): first index}, in order of first index."""
+        first: dict[tuple, int] = {}
+        cells = [_cell(p, depth) for p in pts]
+        for i, k in enumerate(zip(cells, *(self._keys(v, pts) for v in others))):
+            first.setdefault(k, i)
+        return first
 
     def _build_classes(self, others, depth: int, xs, ys) -> "GridClasses":
-        # A point's cell pair (a, b) is coded as the one int a * 2^depth + b.
-        cx, cy = [_cell(x, depth) << depth for x in xs], [_cell(y, depth) for y in ys]
-        codes = [a + b for a in cx for b in cy]
-        ids = [map(id, reversed(grid_values(v, xs, ys, self))) for v in others]
-        keys = zip(reversed(codes), *ids) if ids else reversed(codes)
-        # Assigned from the last point back, each key keeps its first index.
-        first = dict(zip(keys, range(len(codes) - 1, -1, -1)))
-        firsts = sorted(first.values())
-        cells = [divmod(codes[k], 2**depth) for k in firsts]
-        return GridClasses(xs, ys, depth, firsts, cells)
+        # Every leaf is constant on each pair of axis classes; pairs with one
+        # cell pair and equal leaf values merge.  Axis classes come in order
+        # of their first points, so the pairs run x-major by first point and
+        # each class keeps its first point.
+        ax, ay = self._axis_classes(others, depth, xs), self._axis_classes(others, depth, ys)
+        pairs = [(a, b) for a in ax for b in ay]
+        columns = [[v.pair_value(a[n], b[n]) for a, b in pairs] for n, v in enumerate(others, 1)]
+        starts = [i * len(ys) + j for i in ax.values() for j in ay.values()]
+        first: dict[tuple, int] = {}
+        for key, k in zip(zip([(a[0], b[0]) for a, b in pairs], *columns), starts):
+            first.setdefault(key, k)
+        keys = list(first)
+        leaf_values = {id(v): [k[n] for k in keys] for n, v in enumerate(others, 1)}
+        return GridClasses(depth, list(first.values()), [k[0] for k in keys], leaf_values)
 
 
 @dataclass(frozen=True)
 class GridClasses:
     """Classes of xs x ys (see ``GridMemo.classes``) in x-major order of
     their first points: ``firsts`` holds each class's first x-major index
-    into xs x ys, ``cells`` its (x, y) cell indices at ``depth``."""
+    into xs x ys, ``cells`` its (x, y) cell indices at ``depth`` and
+    ``leaf_values`` the value of every leaf other than a table or a
+    constant per class, by the id of the leaf."""
 
-    xs: tuple[CantorPoint, ...]
-    ys: tuple[CantorPoint, ...]
     depth: int
     firsts: list[int]
     cells: list[tuple[int, int]]
-
-
-def grid_values(
-    fn: SepFunction,
-    xs: tuple[CantorPoint, ...],
-    ys: tuple[CantorPoint, ...],
-    memo: GridMemo | None = None,
-) -> list[GroupElement]:
-    """Values of fn on xs x ys in row-major order (x outer, y inner).
-
-    Computed once per (function, point lists) and memo.  The grid sweeps
-    ask for it only on leaves that are neither tables nor constants, which
-    ``class_values`` cannot read off a cell: a diagonal indicator reads
-    each axis once, anything else is evaluated per point.  Combinator trees
-    are lowered by ``class_values`` instead.  The values are exactly the
-    pointwise ones.  The returned list is shared: do not mutate it.
-    """
-    memo = memo if memo is not None else GridMemo()
-    key = (id(fn), id(xs), id(ys))
-    entry = memo.function_values.get(key)
-    if entry is None:
-        # The entry holds fn, xs and ys, so their ids stay unique while it lives.
-        entry = memo.function_values[key] = (fn, xs, ys, fn._grid_values(xs, ys))
-    return entry[3]
+    leaf_values: dict[int, list[GroupElement]]
 
 
 @dataclass(frozen=True)

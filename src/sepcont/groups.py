@@ -91,6 +91,11 @@ class GroupSpec:
         one, radius = self.identity(), Fraction(1, 2**k)
         return tuple(u for u in self.dense_enumeration(depth) if self.dist(one, u) <= radius)
 
+    def two_sided_member(self, a: GroupElement, b: GroupElement, eps: Fraction) -> bool:
+        """Is b = u a u' for some u, u' with d(1, u), d(1, u') < eps?  The
+        metric is left-invariant, so u' = (u a)^-1 b has d(1, u') = d(u a, b)."""
+        raise NotImplementedError
+
     def canonical_key(self, a: GroupElement):
         """Deterministic total order used for greedy scans and tie-breaking."""
         self._require(a)
@@ -178,6 +183,11 @@ class DyadicGroup(GroupSpec):
             for bits in iter_product("01", repeat=d - k)
         )
 
+    def two_sided_member(self, a, b, eps):
+        # An ultrametric: the open ball B(eps) is a subgroup, and XOR is
+        # abelian, so b = u a u' with u, u' in it exactly when a b is.
+        return self.dist(a, b) < eps
+
     def _key(self, a: CantorPoint):
         if a.period == "0":
             return (0, len(a.preperiod), a.preperiod, "")
@@ -254,6 +264,14 @@ class FiniteTableGroup(GroupSpec):
     def _key(self, a: int):
         return a
 
+    def two_sided_member(self, a, b, eps):
+        # The group is finite, so a search over every element is exact.
+        one = self.identity()
+        return any(
+            self.dist(one, u) < eps and self.dist(self.mul(u, a), b) < eps
+            for u in self.dense_enumeration(0)
+        )
+
     def format_element(self, a: GroupElement) -> str:
         return self._labels[a.payload]
 
@@ -310,6 +328,11 @@ class RealBoundedGroup(GroupSpec):
             return self.dense_enumeration(depth)
         bound = 2 ** (depth - k) if depth >= k else 0
         return tuple(self.element(p) for p in self._sorted_multiples(bound, depth))
+
+    def two_sided_member(self, a, b, eps):
+        # For eps <= 1/2 the ball is the open interval (-eps, eps), which holds
+        # dyadics u, u' with u + u' = b - a exactly when |b - a| < 2 eps.
+        return eps > Fraction(1, 2) or abs(b.payload - a.payload) < 2 * eps
 
     def _key(self, a: Fraction):
         e = a.denominator.bit_length() - 1

@@ -2,10 +2,9 @@
 B_lr, B_rl around a function, stage-schedule closure probes, and the
 bounded-real candidate verifier.
 
-Ball membership is decided on a grid with strict inequalities; the
-two-sided system B_rl is decided by an exact search over enumerated
-group elements at resolution eps/2, which is complete for the shipped
-groups relative to the declared enumeration depth.
+Ball membership is decided on a grid with strict inequalities; for the
+two-sided system B_rl each group decides g = u f u' exactly per value
+pair (``GroupSpec.two_sided_member``).
 
 The metric is left-invariant, so every test reads a distance between
 values instead of forming a product: d(1, f^-1 g) = d(f, g) and
@@ -56,41 +55,26 @@ class BallResult:
     witness: tuple[CantorPoint, CantorPoint] | None
 
 
-def _resolution_depth(group, eps: Fraction) -> int:
-    exp = eps.denominator.bit_length() - 1
-    return group.net_enumeration_depth(exp + 1, ())
-
-
 def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
     """Grid decision of candidate in B_side[center, eps].
 
     l: d(1, f^-1 g) < eps everywhere; r: with g f^-1; lr: both; rl: some
-    u, u' with d(1, u), d(1, u') < eps and g = u f u', searched exactly
-    over enumerated elements at resolution eps/2.  The test runs once per
-    value class of the grid (see ``grid_sup``); the witness is the first
-    failing grid point, x-major.  ``memo`` may be shared by the queries of
-    one job, which then build grid points, the center's grid values and
-    each class list once; a fresh memo gives the same result.
+    u, u' with d(1, u), d(1, u') < eps and g = u f u', decided exactly by
+    ``two_sided_member``.  The test runs once per value class of the grid
+    (see ``grid_sup``); the witness is the first failing grid point,
+    x-major.  ``memo`` may be shared by the queries of one job, which then
+    build grid points, each leaf's axis keys and each class list once; a
+    fresh memo gives the same result.
     """
     group = q.center.group
     memo = memo if memo is not None else GridMemo()
     points = memo.grid_points(q.grid_depth)
-    if q.side == "rl":
-        # 2^-k >= eps (or the ball is the whole group), so B[2^-k] holds the open ball.
-        k = max(0, (q.eps.denominator // q.eps.numerator).bit_length() - 1)
-        one = group.identity()
-        candidates = [
-            u
-            for u in group.ball_enumeration(k, _resolution_depth(group, q.eps))
-            if group.dist(one, u) < q.eps
-        ]
-    dist, inv, mul = group.dist, group.inv, group.mul
+    dist, inv = group.dist, group.inv
 
-    # By left invariance d(1, f^-1 g) = d(f, g), d(1, g f^-1) = d(g^-1, f^-1)
-    # and d(1, (u f)^-1 g) = d(u f, g).
+    # By left invariance d(1, f^-1 g) = d(f, g) and d(1, g f^-1) = d(g^-1, f^-1).
     def inside(fv, gv) -> bool:
         if q.side == "rl":
-            return any(dist(mul(u, fv), gv) < q.eps for u in candidates)
+            return group.two_sided_member(fv, gv, q.eps)
         if q.side != "r" and not dist(fv, gv) < q.eps:
             return False
         return q.side == "l" or dist(inv(gv), inv(fv)) < q.eps

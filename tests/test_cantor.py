@@ -80,6 +80,15 @@ class TestCantorPoint:
         assert CantorPoint("11", "10").leading_ones() == 3
         assert CantorPoint.parse("(0)").leading_ones() == 0
 
+    @pytest.mark.parametrize("k", range(41))
+    def test_leading_ones_matches_the_bit_scan(self, k):
+        # The string count against the first 0 bit read one by one, for
+        # 1^k 0^omega and the periodic tails 1^k (01) and 1^k 0 (1).
+        for p in (CantorPoint("1" * k, "0"), CantorPoint("1" * k, "01"), CantorPoint("1" * k + "0", "1")):
+            scan = next(i for i in range(k + 2) if p.bit(i) == 0)
+            assert p.leading_ones() == scan == k
+        assert CantorPoint("1" * k, "1").leading_ones() is None
+
 
 class TestPointDist:
     def test_zero_on_equal(self):

@@ -1,15 +1,16 @@
 """The grid kernel against pointwise evaluation.
 
 Every sweep in the zerodim and uniform layers is a ``grid_sup`` over value
-classes, which lowers a combinator tree through ``class_values``;
-``grid_values`` gives the values of the leaves the classes are built from
-(a diagonal indicator reads each axis once, any other function is
-evaluated per point).  The brute-force loops below evaluate pointwise, the
-way the sweeps did before the kernel (ball membership with its early exit,
-the diagonal's final budget with its last failing point as witness), and
-are kept as the reference.  The same random combinator trees also check
-that ``grid_values`` equals pointwise evaluation, that a product with a
-constant answers structural queries as the finite map it equals, that
+classes, which lowers a combinator tree through ``class_values``; the
+classes are built per axis from the axis keys of the leaves (a diagonal
+indicator locates each point once).  The brute-force loops below evaluate
+pointwise, the way the sweeps did before the kernel (ball membership with
+its early exit, the diagonal's final budget with its last failing point as
+witness), and are kept as the reference; the two-sided ball test is
+checked against a brute search over u.  The same random combinator trees
+also check that every point of every class takes its class's values
+pointwise, that a product with a constant answers structural queries as
+the finite map it equals, that
 ``grid_sup`` gives the pointwise max and witness, that
 ``product_chain``'s folded tables equal the unfolded product chains of
 the same tables, and that every combinator's ``section_partition`` is a
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from sepcont import functions as functions_module
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
-from sepcont.config import load_experiment
+from sepcont.config import load_experiment, parse_function
 from sepcont.functions import (
     Constant,
     DiagonalIndicator,
@@ -36,14 +37,14 @@ from sepcont.functions import (
     PostCompose,
     SubbasicNbhd,
     TableFunction,
+    _cell,
     grid_sup,
-    grid_values,
     product_chain,
     side_sample,
     uniform_dist,
 )
 from sepcont.groups import FiniteTableGroup, get_group
-from sepcont.uniform import BallQuery, BallResult, _resolution_depth, ball_membership, problem3_check
+from sepcont.uniform import BallQuery, BallResult, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
 from sym3 import symmetric_group_3
 
@@ -190,6 +191,61 @@ def brute_values(f, xs, ys):
     return [f.eval(x, y) for x in xs for y in ys]
 
 
+def class_of_each_point(fns, classes, xs, ys):
+    """The class index of every point of xs x ys, x-major, found from the
+    point's cells and the pointwise values of the leaves the classes are
+    keyed on; a KeyError if some point has no class."""
+    leaves = {id(v): v for fn in fns for v in fn._leaves()}.values()
+    others = [v for v in leaves if not isinstance(v, (TableFunction, Constant))]
+    index = {
+        (cells, tuple(classes.leaf_values[id(v)][k] for v in others)): k
+        for k, cells in enumerate(classes.cells)
+    }
+    depth = classes.depth
+    return [
+        index[(_cell(x, depth), _cell(y, depth)), tuple(v.eval(x, y) for v in others)]
+        for x in xs
+        for y in ys
+    ]
+
+
+def check_classes(fns, xs, ys, memo):
+    """Every point of every class takes its class's value of each function
+    pointwise, and each class's first index is its first point, x-major."""
+    classes = memo.classes(fns, xs, ys)
+    owner = class_of_each_point(fns, classes, xs, ys)
+    assert classes.firsts == [owner.index(k) for k in range(len(classes.firsts))]
+    for f in fns:
+        values = f.class_values(classes, memo)
+        assert [values[k] for k in owner] == brute_values(f, xs, ys)
+
+
+def brute_two_sided(group, a, b, eps):
+    """Whether d(1, u) < eps and d(u a, b) < eps for some u, searched over a
+    finite set that holds such a u whenever one exists.
+
+    A finite group: every element.  The dyadic group, eps >= 2^-e: the
+    points that are 0 from bit e + 1 on, since cutting u off there moves it
+    by at most 2^-(e+2) < eps.  The reals: the multiples of 2^-(K+1) in
+    [-1, 1], K the finest exponent of a, b and eps, since the u form an
+    open interval with ends at multiples of 2^-K inside (-1/2, 1/2) unless
+    eps > 1/2, when u = 0 does."""
+    e = eps.denominator.bit_length() - 1
+    if group is DYADIC:
+        candidates = group.dense_enumeration(e + 1)
+    elif group is REAL:
+        k = max(e, *(z.payload.denominator.bit_length() - 1 for z in (a, b))) + 1
+        candidates = [group.element(Fraction(j, 2**k)) for j in range(-(2**k), 2**k + 1)]
+    else:
+        candidates = group.dense_enumeration(0)
+    one = group.identity()
+    return any(
+        group.dist(one, u) < eps
+        and group.dist(one, group.mul(group.inv(group.mul(u, a)), b)) < eps
+        for u in candidates
+    )
+
+
 def brute_uniform_dist(f, g, side, grid_depth):
     group = f.group
     one = group.identity()
@@ -213,12 +269,6 @@ def brute_ball_membership(q):
     group = q.center.group
     one = group.identity()
     points = grid_points(q.grid_depth)
-    if q.side == "rl":
-        candidates = [
-            u
-            for u in group.dense_enumeration(_resolution_depth(group, q.eps))
-            if group.dist(one, u) < q.eps
-        ]
     for x in points:
         for y in points:
             fv, gv = q.center.eval(x, y), q.candidate.eval(x, y)
@@ -228,15 +278,8 @@ def brute_ball_membership(q):
             if q.side in ("r", "lr"):
                 if group.dist(one, group.mul(gv, group.inv(fv))) >= q.eps:
                     return BallResult(False, (x, y))
-            if q.side == "rl":
-                ok = False
-                for u in candidates:
-                    rest = group.mul(group.inv(group.mul(u, fv)), gv)
-                    if group.dist(one, rest) < q.eps:
-                        ok = True
-                        break
-                if not ok:
-                    return BallResult(False, (x, y))
+            if q.side == "rl" and not brute_two_sided(group, fv, gv, q.eps):
+                return BallResult(False, (x, y))
     return BallResult(True, None)
 
 
@@ -333,16 +376,16 @@ def brute_diagonal(pipe, probes, levels):
 class TestGridValues:
     @given(functions, point_lists, point_lists)
     def test_equals_pointwise_eval(self, f, xs, ys):
-        assert grid_values(f, xs, ys) == brute_values(f, xs, ys)
+        check_classes((f,), xs, ys, GridMemo())
 
     @given(function_pairs, point_lists)
     def test_shared_memo_keeps_values_apart(self, fg, pts):
         f, g = fg
         memo = GridMemo()
-        prod = PointwiseProduct(f, g)
-        assert grid_values(prod, pts, OFF_GRID, memo) == brute_values(prod, pts, OFF_GRID)
-        assert grid_values(f, pts, OFF_GRID, memo) == brute_values(f, pts, OFF_GRID)
-        assert grid_values(g, OFF_GRID, pts, memo) == brute_values(g, OFF_GRID, pts)
+        check_classes((PointwiseProduct(f, g),), pts, OFF_GRID, memo)
+        check_classes((f,), pts, OFF_GRID, memo)
+        check_classes((g,), OFF_GRID, pts, memo)
+        check_classes((f, g), pts, pts, memo)
 
     @given(
         st.sampled_from(POOLS),
@@ -351,8 +394,8 @@ class TestGridValues:
         st.sampled_from(OFF_GRID + (CantorPoint.parse("(0)"), CantorPoint.parse("10(1)"))),
     )
     def test_diagonal_reads_each_axis_once(self, pool, prefixes, ones, y):
-        # The diagonal lowering locates every x and every y once, however
-        # many points share the row or column.
+        # The class build locates every x and every y once, however many
+        # points share the row or column.
         if ones:
             identity = pool[0].group.identity()
             f = DiagonalIndicator.ones_schema([identity], prefix=pool[: len(prefixes)])
@@ -362,16 +405,36 @@ class TestGridValues:
         locate = f.family.locate
         object.__setattr__(f.family, "locate", lambda p: calls.append(p) or locate(p))
         xs, ys = grid_points(3), (y,) + OFF_GRID
-        values = grid_values(f, xs, ys)
+        memo = GridMemo()
+        classes = memo.classes((f,), xs, ys)
         assert len(calls) == len(xs) + len(ys)
-        assert values == brute_values(f, xs, ys)
+        check_classes((f,), xs, ys, memo)
+        assert memo.classes((f,), xs, ys) is classes
 
     def test_values_computed_once_per_memo(self):
+        # locate runs once per point per memo: a second class list over the
+        # same points, with a table that deepens the cells, reuses the keys.
         f = DiagonalIndicator.ones_schema(POOLS[0][1:3])
+        calls = []
+        locate = f.family.locate
+        object.__setattr__(f.family, "locate", lambda p: calls.append(p) or locate(p))
         memo = GridMemo()
         pts = memo.grid_points(3)
         assert memo.grid_points(3) is pts
-        assert grid_values(f, pts, pts, memo) is grid_values(f, pts, pts, memo)
+        table = TableFunction(1, ((POOLS[0][0],) * 2,) * 2)
+        assert memo.classes((f,), pts, pts) is memo.classes((f,), pts, pts)
+        assert memo.classes((f, table), pts, pts).depth == 1
+        assert len(calls) == len(pts)
+
+    def test_equal_values_share_a_class(self):
+        # The schedule repeats 1(0) and 01(0) as separate objects; classes
+        # key on values, so the depth-6 grid has three: the identity off the
+        # diagonal blocks, and one per value on them.
+        f = parse_function("diag ones 1(0),01(0),1(0),01(0)", DYADIC, CONFIGS)
+        memo = GridMemo()
+        pts = memo.grid_points(6)
+        assert len(memo.classes((f,), pts, pts).firsts) == 3
+        check_classes((f,), pts, pts, memo)
 
 
 def raw_diff(a, b):
@@ -558,6 +621,26 @@ class TestSweepsMatchBruteForce:
         assert [int(row.tail_ok) for row in rep.results] == [ok for ok in tail_ok for _ in probes]
 
 
+class TestTwoSidedMember:
+    @pytest.mark.parametrize("pool", POOLS + (REAL_POOL + (REAL.parse_element("63/2^7"),),),
+                             ids=lambda pool: pool[0].group.name)
+    def test_closed_form_is_the_brute_search(self, pool):
+        group = pool[0].group
+        for eps in (Fraction(m, 2**e) for m in range(1, 8) for e in range(6)):
+            for a, b in product(pool, repeat=2):
+                assert group.two_sided_member(a, b, eps) == brute_two_sided(group, a, b, eps), (a, b, eps)
+
+    def test_no_grid_gap_in_the_real_ball(self):
+        # 63/2^7 = 63/2^8 + 63/2^8 with |63/2^8| < 1/4, so const 63/2^7 lies
+        # in the two-sided 1/4-ball around const 0, though no multiple of
+        # 2^-7 lies strictly between 31/2^7 and 32/2^7, so a search over
+        # those multiples alone misses it.
+        f, g = Constant(REAL.parse_element("0")), Constant(REAL.parse_element("63/2^7"))
+        q = BallQuery(f, g, "rl", Fraction(1, 4), 2)
+        assert ball_membership(q) == brute_ball_membership(q) == BallResult(True, None)
+        assert not ball_membership(BallQuery(f, g, "lr", Fraction(1, 4), 2)).member
+
+
 class TestUniformChecksMatchBruteForce:
     @settings(max_examples=150)
     @given(
@@ -583,10 +666,8 @@ class TestUniformChecksMatchBruteForce:
         st.integers(0, 3),
     )
     def test_rl_ball_membership_over_dyadic_radii(self, fg, m, e, depth):
-        # eps = m / 2^e runs past 1, where the closed ball B[2^-0] is the whole
-        # group.  On the dyadic group the identity alone decides rl (the metric
-        # is an ultrametric), so the reals and S3 are the ones that test the
-        # candidate list.
+        # eps = m / 2^e runs past 1, where the ball is the whole group, and
+        # past 1/2, where the reals' interval test gives way to membership.
         q = BallQuery(*fg, "rl", Fraction(m, 2**e), depth)
         assert ball_membership(q) == brute_ball_membership(q)
 
