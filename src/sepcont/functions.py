@@ -734,7 +734,7 @@ def uniform_dist(
     f: SepFunction,
     g: SepFunction,
     side: Literal["l", "r"],
-    grid_depth: int = 6,
+    grid_depth: int,
     memo: GridMemo | None = None,
 ) -> DistResult:
     """Grid sup of d(1, f^-1 g) (side l) or d(1, g f^-1) (side r), a lower
@@ -771,18 +771,3 @@ def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:
     x, y = nbhd.point(violating.cylinders()[0].representative())
     return MembershipResult(False, (x, y, f.eval(x, y)))
 
-
-def separate_continuity_certificate(f: SepFunction, probes: Iterable[CantorPoint]) -> bool:
-    """Check the partition property of all section preimages at the probes:
-    preimages over the declared image are disjoint and cover the space."""
-    for fixed in probes:
-        for axis in ("x", "y"):
-            parts = f.section_partition(axis, fixed)
-            total = ClopenSet.empty()
-            for z, pre in parts.items():
-                if not total.intersect(pre).is_empty():
-                    return False
-                total = total.union(pre)
-            if not total.is_whole():
-                return False
-    return True

@@ -39,7 +39,6 @@ def parse_dyadic(text: str) -> Fraction:
 
 def _write(path: Path, text: str) -> bytes:
     data = text.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
     return data
 

@@ -76,7 +76,7 @@ def test_criterion_1_quantizer_conditions():
         for row in pipe.condition_rows():
             if row.level > 3:
                 continue
-            good = row.cond1 and row.cond2_sup <= Fraction(1, 2**row.level) and row.cond3
+            good = row.cond2_sup <= Fraction(1, 2**row.level) and row.cond3
             if not good:
                 ok = False
                 worst = f"{name} level {row.level}"

@@ -167,7 +167,7 @@ class TestConfigParsing:
     def test_quant_is_the_pipeline_quantizer(self, described, n):
         text, built = described
         f = parse_function(f"quant({text}, {n})", built.group, CONFIGS)
-        assert f.mapping == ZerodimPipeline(built, n_max=n).quantized(n).mapping
+        assert f.mapping == ZerodimPipeline(built, n_max=n, grid_depth=4).quantized(n).mapping
 
     def test_quant_builds_only_the_level_it_returns(self):
         # Step 0 of the tower, which builds r_1, fails on this table's value 3.
@@ -276,6 +276,41 @@ class TestExitCodes:
         assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == code
         rows = list(csv.DictReader(open(out / "zerodim.csv")))
         assert all(r["pass"] == "1" for r in rows)
+
+    def test_factor_outside_its_net_fails_its_two_rows(self, tmp_path, monkeypatch):
+        # Factor 2 altered at b to g_2(b) a, which lies 1/2 from the identity
+        # and so outside net(2).  Condition (3) of row 3 reads g_2's values,
+        # and row 2 also needs row 3's condition (3); rows 0 and 1 pass.
+        a, b = DYADIC.parse_element("1(0)"), DYADIC.parse_element("01(0)")
+        factor = ZerodimPipeline.factor
+
+        def altered(pipe, n):
+            g = factor(pipe, n)
+            if n != 2:
+                return g
+            return PostCompose(g.inner, {**g.mapping, b: DYADIC.mul(g.mapping[b], a)})
+
+        monkeypatch.setattr(ZerodimPipeline, "factor", altered)
+        text = (MINIMAL.replace("const 1(0)", "diag cyl 0:1(0),11111:01(0)")
+                .replace("grid_depth = 2", "grid_depth = 4").replace("n_max = 2", "n_max = 3"))
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "rep"
+        assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = list(csv.DictReader(open(out / "zerodim.csv")))
+        assert [r["cond3"] for r in rows] == ["1", "1", "1", "0"]
+        assert [r["pass"] for r in rows] == ["1", "1", "0", "0"]
+
+    @pytest.mark.parametrize("command", ["approx-zerodim", "closure-probe"])
+    def test_empty_levels_exit_two(self, tmp_path, command, capsys):
+        # With no level the diagonal checks no probe and would pass vacuously.
+        text = (MINIMAL.replace("const 1(0)", "diag ones 1(0),01(0)")
+                .replace("grid_depth = 2", "grid_depth = 4").replace("n_max = 2", "n_max = 3")
+                .replace("levels = 1", "levels =").replace("(0) ; !{}", "(1) ; !{}"))
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert "config error: levels must list at least one level" in capsys.readouterr().err
+        cfg = write_config(tmp_path, text.replace("levels =", "levels = 1"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = write_config(tmp_path, "not a config at all [")
@@ -518,6 +553,17 @@ class TestReports:
         assert set(rec) == {
             "probe_id", "side", "eps_num", "eps_log2_den", "member", "witness_x", "witness_y",
         }
+
+    def test_ball_keys_may_be_spaced(self, tmp_path):
+        written = []
+        for query in ("side=l; eps=1/2^2; candidate=const 1(0)",
+                      "side = l; eps = 1/2^2; candidate = const 1(0)"):
+            cfg = write_config(tmp_path, MINIMAL + f"[ball]\nb1 = {query}\n")
+            out = tmp_path / str(len(written))
+            assert main(["ball", "--config", str(cfg), "--out", str(out)]) == 0
+            written.append((out / "ball.jsonl").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["member"] is True
 
     def test_nets_report(self, tmp_path):
         out = tmp_path / "rep"

@@ -19,7 +19,6 @@ from sepcont.functions import (
     TableFunction,
     grid_sup,
     in_subbasic,
-    separate_continuity_certificate,
     side_sample,
     uniform_dist,
     _Profile,
@@ -184,7 +183,7 @@ class TestSectionPreimage:
     )
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_partition_property(self, f, axis):
-        # separate-continuity certificate: preimages partition the space
+        # separate continuity: preimages partition the space
         for fixed in PROBE_POINTS:
             parts = f.section_partition(axis, fixed)
             total = ClopenSet.empty()
@@ -200,9 +199,6 @@ class TestSectionPreimage:
                 sampled = brute_section_values(f, axis, fixed)
                 for p, val in sampled.items():
                     assert preimage(f, axis, fixed, val).contains(p)
-
-    def test_certificate_helper(self):
-        assert separate_continuity_certificate(DIAG, PROBE_POINTS)
 
 
 class TestValuesOnRect:

@@ -15,6 +15,11 @@ the finite map it equals, that
 ``product_chain``'s folded tables equal the unfolded product chains of
 the same tables, and that every combinator's ``section_partition`` is a
 partition keyed by pointwise values, as the probe's ``pieces`` read it.
+They also check the facts that let the zerodim and problem3 layers decide
+each check once: condition (2), exact over the declared image, bounds the
+pointwise distance of r_n o f from f; condition (3) is the previous
+factor's discreteness; and the group-metric sup of problem3 is the raw sup
+capped at 1/2.
 """
 
 from fractions import Fraction
@@ -808,7 +813,10 @@ class TestConstantProducts:
             assert prod.section_partition(axis, fixed) == mapped.section_partition(axis, fixed)
 
 
-SECTION_SAMPLES = grid_points(3) + OFF_GRID
+# Grid points, then points on no grid: OFF_GRID, (01) and 1^k 0 1^w.
+SECTION_SAMPLES = grid_points(3) + OFF_GRID + tuple(
+    CantorPoint.parse(t) for t in ["(01)", *(f"{'1' * k}0(1)" for k in range(1, 6))]
+)
 
 
 class TestSectionPartition:
@@ -843,6 +851,42 @@ class TestSectionPartition:
         z = f.eval(fixed, point)
         pieces = SubbasicNbhd(fixed, point, frozenset()).pieces(f)
         assert pieces == {z: f.section_partition("x", fixed)[z]}
+
+
+class TestChecksDecidedOnce:
+    @settings(max_examples=100)
+    @given(functions, st.integers(0, 3), st.integers(0, 2))
+    def test_cond2_bounds_the_pointwise_rate(self, f, n_max, depth):
+        # cond2_sup is a max over the declared image, which holds every value
+        # f takes, so no point, on the grid or off it, is farther.
+        pipe = ZerodimPipeline(f, n_max, depth)
+        rows = pipe.condition_rows()
+        points = grid_points(depth) + OFF_GRID
+        for n in range(n_max + 1):
+            f_n = pipe.quantized(n)
+            sup = max(f.group.dist(f_n.eval(x, y), f.eval(x, y)) for x in points for y in points)
+            assert sup <= rows[n].cond2_sup <= Fraction(1, 2**n) and rows[n].cond2_ok
+
+    @settings(max_examples=100)
+    @given(functions, st.integers(0, 3))
+    def test_cond3_is_the_previous_factor_discreteness(self, f, n_max):
+        pipe = ZerodimPipeline(f, n_max, 0)
+        rows = pipe.condition_rows()
+        group = f.group
+        assert len(rows) == n_max + 2 and rows[0].cond3
+        for n in range(1, n_max + 2):
+            prev, cur = pipe.tower[n - 1].mapping, pipe.tower[n].mapping
+            net = set(pipe.nets[n - 1].elements)
+            direct = all(group.mul(group.inv(prev[z]), cur[z]) in net for z in pipe.sample)
+            assert rows[n].cond3 == pipe.factor_discreteness(n - 1) == direct
+
+    @settings(max_examples=100)
+    @given(real_sweep_pairs, st.integers(0, 4))
+    def test_problem3_group_metric_sup_is_the_brute_sup(self, fg, depth):
+        f, g = fg
+        points = grid_points(depth)
+        rep = problem3_check(f, g, depth)
+        assert rep.sup_group_metric == brute_sup(REAL.dist, f, g, points, points)[0]
 
 
 # Every cylinder of depth <= 4, and per cylinder those inside it.

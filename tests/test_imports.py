@@ -8,10 +8,13 @@ when its name appears as a name, an attribute or a string constant in
 src/ or perfbench/ (the benchmark wraps methods by name): code that only
 tests call is a fixture and lives in tests/.  A dataclass field counts as
 read when tests/ read it too.  Dunder methods are called by the language
-and are not checked.
+and are not checked.  Every function and method the benchmark's tracer
+wraps by name exists where the tracer looks for it.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -239,3 +242,51 @@ def test_unread_field_is_reported():
     )
     referencing = [defining, "row = Row(1)\nrow.note = 'set, never read'\nprint(row.level)\n"]
     assert unread_fields(defining, referencing) == [("Result", "exact", 6), ("Row", "note", 12)]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def missing_traced_names(functions, methods):
+    """``module.function`` for each (module, function, ...) entry that the
+    module lacks, and ``module.Class.method`` for each (module, class,
+    method, ...) entry not defined in the class itself: the tracer reads
+    functions with ``getattr`` and methods from ``owner.__dict__``."""
+    missing = []
+    for module, attr, *_ in functions:
+        if not hasattr(importlib.import_module(module), attr):
+            missing.append(f"{module}.{attr}")
+    for module, cls, attr, *_ in methods:
+        owner = getattr(importlib.import_module(module), cls, None)
+        if owner is None or attr not in owner.__dict__:
+            missing.append(f"{module}.{cls}.{attr}")
+    return missing
+
+
+def test_traced_names_exist():
+    tracing = load_tracing()
+    methods = tracing._SPAN_METHODS + tracing._COUNT_METHODS
+    assert missing_traced_names(tracing._SPAN_FUNCTIONS, methods) == []
+
+
+def test_missing_traced_name_is_reported():
+    functions = [("sepcont.uniform", "ball_membership", "x"), ("sepcont.uniform", "gone", "x")]
+    methods = [
+        ("sepcont.zerodim", "ZerodimPipeline", "diagonal", "x"),
+        ("sepcont.zerodim", "ZerodimPipeline", "gone", "x"),
+        # Inherited, not in the class's own __dict__.
+        ("sepcont.groups", "RealBoundedGroup", "mul", "x"),
+        ("sepcont.zerodim", "Gone", "diagonal", "x"),
+    ]
+    assert missing_traced_names(functions, methods) == [
+        "sepcont.uniform.gone",
+        "sepcont.zerodim.ZerodimPipeline.gone",
+        "sepcont.groups.RealBoundedGroup.mul",
+        "sepcont.zerodim.Gone.diagonal",
+    ]

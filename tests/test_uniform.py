@@ -47,7 +47,7 @@ class TestBallMembership:
 
     def test_positive_radius_required(self):
         with pytest.raises(ValueError):
-            BallQuery(DIAG, DIAG, "l", Fraction(0))
+            BallQuery(DIAG, DIAG, "l", Fraction(0), 3)
 
     @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
     def test_lr_is_l_and_r(self, eps):
@@ -193,7 +193,7 @@ class TestProblem3:
         f = Constant(z)
         rep = problem3_check(f, f, 3)
         assert rep.within and rep.sup_raw == 0
-        assert rep.image_zero_dim == "certified-finite"
+        assert rep.image_size == 1 and rep.min_gap is None
 
     def test_mild_oscillation_passes(self):
         z0, z34 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^2")

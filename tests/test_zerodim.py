@@ -13,12 +13,7 @@ from sepcont.functions import (
     TableFunction,
 )
 from sepcont.groups import ball_net, get_group
-from sepcont.zerodim import (
-    ZerodimPipeline,
-    build_covers,
-    build_quantizer_tower,
-    quantizer_conditions,
-)
+from sepcont.zerodim import ZerodimPipeline, build_covers, build_quantizer_tower
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
@@ -96,41 +91,40 @@ class TestQuantizerTower:
 
     def test_identity_image_stays_identity(self):
         sample = (E,)
-        tower, nets = self.make(sample, 4)
+        tower, _ = self.make(sample, 4)
         for q in tower:
             assert q.mapping[E] == E
-        rows = quantizer_conditions(DYADIC, sample, tower, nets)
+        rows = ZerodimPipeline(Constant(E), n_max=3, grid_depth=2).condition_rows()
         assert all(r.cond2_sup == 0 for r in rows[1:])
 
     @pytest.mark.parametrize("f", [DIAG, MULTI], ids=["diag", "multi"])
     def test_conditions_certified_exactly(self, f):
-        sample = tuple(DYADIC.sort_canonically(f.declared_image()))
-        tower, nets = self.make(sample, 4)
-        rows = quantizer_conditions(DYADIC, sample, tower, nets)
+        rows = ZerodimPipeline(f, n_max=3, grid_depth=2).condition_rows()
+        assert len(rows) == 5
         for r in rows:
-            assert r.cond1
-            assert r.cond2_sup <= r.cond2_bound
+            assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level)
             assert r.cond3
 
     def test_conditions_on_deep_dyadic_sample(self):
-        # image sample at depth 5: all elements with support in [0, 5)
-        sample = tuple(DYADIC.dense_enumeration(5))
-        tower, nets = self.make(sample, 3)
-        rows = quantizer_conditions(DYADIC, sample, tower, nets)
-        for r in rows:
-            assert r.cond1 and r.cond2_sup <= r.cond2_bound and r.cond3
+        # image sample at depth 5: all elements with support in [0, 5),
+        # the declared image of a depth-3 table that holds each twice
+        sample = DYADIC.dense_enumeration(5)
+        cells = [sample[i % len(sample)] for i in range(64)]
+        f = TableFunction(3, tuple(tuple(cells[8 * i : 8 * i + 8]) for i in range(8)))
+        pipe = ZerodimPipeline(f, n_max=2, grid_depth=3)
+        assert set(pipe.sample) == set(sample)
+        for r in pipe.condition_rows():
+            assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level) and r.cond3
 
     def test_c3_tower(self):
         sample = tuple(C3.element(i) for i in range(3))
-        covers = build_covers(C3, sample, 3)
-        nets = [ball_net(C3, k, 0) for k in range(3)]
-        tower = build_quantizer_tower(C3, covers, nets)
-        rows = quantizer_conditions(C3, sample, tower, nets)
-        for r in rows:
-            assert r.cond1 and r.cond2_sup <= r.cond2_bound and r.cond3
+        f = TableFunction(1, ((sample[0], sample[1]), (sample[2], sample[0])))
+        pipe = ZerodimPipeline(f, n_max=2, grid_depth=2)
+        for r in pipe.condition_rows():
+            assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level) and r.cond3
         # by level 1 the discrete metric forces exact reproduction
         for z in sample:
-            assert tower[1].mapping[z] == z
+            assert pipe.tower[1].mapping[z] == z
 
 
 class TestPipeline:
@@ -348,7 +342,7 @@ class TestRealGroupPipeline:
         f = TableFunction(1, ((z0, z34), (z34, z0)))
         pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
         for r in pipe.condition_rows():
-            assert r.cond1 and r.cond2_sup <= r.cond2_bound and r.cond3
+            assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level) and r.cond3
         for n in range(4):
             assert pipe.uniform_rate(n).value <= Fraction(1, 2**n)
             assert pipe.factor_discreteness(n)
