@@ -200,6 +200,17 @@ class TestSectionPreimage:
                 for p, val in sampled.items():
                     assert preimage(f, axis, fixed, val).contains(p)
 
+    def test_certificate_helper(self):
+        # the separate-continuity certificate: at every probe, on both axes,
+        # the section preimages are pairwise disjoint and cover the line
+        for fixed in PROBE_POINTS:
+            for axis in ("x", "y"):
+                total = ClopenSet.empty()
+                for pre in DIAG.section_partition(axis, fixed).values():
+                    assert total.intersect(pre).is_empty()
+                    total = total.union(pre)
+                assert total.is_whole()
+
 
 class TestValuesOnRect:
     def test_diag_oracle_small_rects(self):
