@@ -19,11 +19,11 @@ from fractions import Fraction
 
 import sepcont
 from sepcont.cantor import CantorPoint
-from sepcont.config import Experiment, load_experiment, parse_eps, parse_function, parse_int
+from sepcont.config import Experiment, load_experiment
 from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import ConfigError, RefinementExhaustedError, SepcontError
 from sepcont.functions import Constant, GridMemo, SepFunction
-from sepcont.groups import RealBoundedGroup, ball_net
+from sepcont.groups import ball_net
 from sepcont.reports import (
     build_manifest,
     dyadic_str,
@@ -31,7 +31,7 @@ from sepcont.reports import (
     write_json,
     write_jsonl,
 )
-from sepcont.uniform import BallQuery, ball_membership, closure_probe, problem3_check
+from sepcont.uniform import ball_membership, closure_probe, problem3_check
 from sepcont.zerodim import ZerodimPipeline
 
 
@@ -189,26 +189,14 @@ def cmd_ball(exp: Experiment) -> int:
     records = []
     memo = GridMemo()
     with timer.stage("ball"):
-        for name, value in sorted(exp.section("ball").items()):
-            fields = {
-                key.strip(): val.strip()
-                for key, _, val in (item.partition("=") for item in value.split(";") if "=" in item)
-            }
-            if "side" not in fields or "eps" not in fields or "candidate" not in fields:
-                raise ConfigError(f"ball query {name!r} needs side=, eps=, candidate=")
-            eps = parse_eps(fields["eps"])
-            candidate = parse_function(fields["candidate"], exp.group, exp.base_dir)
-            try:
-                q = BallQuery(exp.function, candidate, fields["side"], eps, exp.grid_depth, name)
-            except ValueError as exc:
-                raise ConfigError(f"ball query {name!r}: {exc}") from exc
+        for q in exp.ball_queries:
             res = ball_membership(q, memo)
             records.append(
                 {
-                    "probe_id": name,
+                    "probe_id": q.probe_id,
                     "side": q.side,
-                    "eps_num": eps.numerator,
-                    "eps_log2_den": eps.denominator.bit_length() - 1,
+                    "eps_num": q.eps.numerator,
+                    "eps_log2_den": q.eps.denominator.bit_length() - 1,
                     "member": res.member,
                     "witness_x": str(res.witness[0]) if res.witness else "",
                     "witness_y": str(res.witness[1]) if res.witness else "",
@@ -233,20 +221,12 @@ def _fault_constant(exp: Experiment) -> SepFunction:
 
 def cmd_closure_probe(exp: Experiment) -> int:
     timer = _Timer()
-    section = exp.section("closure")
-    fault_at = (
-        parse_int(section["inject_fault_at"], "inject_fault_at")
-        if "inject_fault_at" in section
-        else None
-    )
-    if fault_at is not None and not 0 <= fault_at <= exp.n_max:
-        raise ConfigError(f"inject_fault_at must be a stage in [0, {exp.n_max}]")
     with timer.stage("stages"):
         pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
         stages: list[SepFunction] = [pipe.quantized(n) for n in range(exp.n_max + 1)]
         schedule = [Fraction(1, 2**n) for n in range(exp.n_max + 1)]
-        if fault_at is not None:
-            stages[fault_at] = _fault_constant(exp)
+        if exp.inject_fault_at is not None:
+            stages[exp.inject_fault_at] = _fault_constant(exp)
     with timer.stage("closure"):
         rep = closure_probe(
             exp.function, stages, schedule, exp.probes, exp.levels, exp.grid_depth
@@ -279,13 +259,9 @@ def cmd_closure_probe(exp: Experiment) -> int:
 
 def cmd_problem3(exp: Experiment) -> int:
     timer = _Timer()
-    section = exp.section("problem3")
-    if "candidate" not in section:
+    if exp.problem3 is None:
         raise ConfigError("[problem3] needs a candidate function")
-    if not isinstance(exp.group, RealBoundedGroup):
-        raise ConfigError("[problem3] runs over the real group")
-    candidate = parse_function(section["candidate"], exp.group, exp.base_dir)
-    bound = parse_eps(section["bound"]) if "bound" in section else Fraction(1)
+    candidate, bound = exp.problem3
     with timer.stage("problem3"):
         rep = problem3_check(exp.function, candidate, exp.grid_depth, bound)
     payload = {

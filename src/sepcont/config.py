@@ -26,15 +26,17 @@ from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
 from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
-    DiagonalIndicator,
+    CylinderDiagonal,
+    OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
     SepFunction,
     SubbasicNbhd,
     TableFunction,
 )
-from sepcont.groups import GroupSpec, get_group
+from sepcont.groups import GroupSpec, RealBoundedGroup, get_group
 from sepcont.reports import parse_dyadic
+from sepcont.uniform import BallQuery
 
 MAX_N = 12
 
@@ -118,17 +120,16 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
         kind, _, vals = rest.partition(" ")
         vals = vals.strip()
         if kind == "ones":
-            values = [group.parse_element(v) for v in vals.split(",")]
-            return DiagonalIndicator.ones_schema(values)
+            return OnesDiagonal(tuple(group.parse_element(v) for v in vals.split(",")))
         if kind == "ones-finite":
-            values = [group.parse_element(v) for v in vals.split(",")]
-            return DiagonalIndicator.ones_schema((group.identity(),), prefix=values)
+            values = tuple(group.parse_element(v) for v in vals.split(","))
+            return OnesDiagonal((group.identity(),), prefix=values)
         if kind == "cyl":
             pairs = []
             for item in vals.split(","):
                 prefix, _, lit = item.partition(":")
                 pairs.append((Cylinder(prefix.strip()), group.parse_element(lit.strip())))
-            return DiagonalIndicator.from_pairs(pairs)
+            return CylinderDiagonal(tuple(pairs))
         raise ConfigError(f"unknown diag family {kind!r}")
     raise ConfigError(f"unknown function head {head!r}")
 
@@ -168,14 +169,38 @@ class Experiment:
     levels: list[int]
     out: Path
     probes: list[SubbasicNbhd]
-    raw: configparser.ConfigParser
+    ball_queries: list[BallQuery]
+    inject_fault_at: int | None
+    problem3: tuple[SepFunction, Fraction] | None
     text: str
-    base_dir: Path
 
-    def section(self, name: str) -> dict[str, str]:
-        if self.raw.has_section(name):
-            return dict(self.raw.items(name))
-        return {}
+
+def _known(items: dict[str, str], keys: tuple[str, ...], where: str) -> dict[str, str]:
+    """items, once every key is one of ``keys``."""
+    unknown = [k for k in items if k not in keys]
+    if unknown:
+        raise ConfigError(f"{where} has no key {unknown[0]!r}; known keys: {', '.join(keys)}")
+    return items
+
+
+def _ball_query(name: str, text: str, function: SepFunction, grid_depth: int,
+                base_dir: Path) -> BallQuery:
+    """The query ``side=<side>; eps=<radius>; candidate=<function>``."""
+    fields = {}
+    for item in text.split(";"):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ConfigError(f"ball query {name!r}: item {item.strip()!r} is not <key>=<value>")
+        fields[key.strip()] = value.strip()
+    keys = ("side", "eps", "candidate")
+    if len(_known(fields, keys, f"ball query {name!r}")) < len(keys):
+        raise ConfigError(f"ball query {name!r} needs side=, eps=, candidate=")
+    eps = parse_eps(fields["eps"])
+    candidate = parse_function(fields["candidate"], function.group, base_dir)
+    try:
+        return BallQuery(function, candidate, fields["side"], eps, grid_depth, name)
+    except ValueError as exc:
+        raise ConfigError(f"ball query {name!r}: {exc}") from exc
 
 
 def _random_probes(count: int, seed: int) -> list[SubbasicNbhd]:
@@ -251,6 +276,26 @@ def load_experiment(
                 raise ConfigError(
                     f"probe {p.probe_id!r} uses cylinders deeper than grid_depth {grid_depth}"
                 )
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    ball_queries = [
+        _ball_query(name, value, function, grid_depth, path.parent)
+        for name, value in sorted(sections.get("ball", {}).items())
+    ]
+    closure = _known(sections.get("closure", {}), ("inject_fault_at",), "[closure]")
+    fault_at = None
+    if "inject_fault_at" in closure:
+        fault_at = parse_int(closure["inject_fault_at"], "inject_fault_at")
+        if not 0 <= fault_at <= n_max:
+            raise ConfigError(f"inject_fault_at must be a stage in [0, {n_max}]")
+    problem3 = None
+    if "problem3" in sections:
+        p3 = _known(sections["problem3"], ("candidate", "bound"), "[problem3]")
+        if "candidate" not in p3:
+            raise ConfigError("[problem3] needs a candidate function")
+        if not isinstance(group, RealBoundedGroup):
+            raise ConfigError("[problem3] runs over the real group")
+        bound = parse_eps(p3["bound"]) if "bound" in p3 else Fraction(1)
+        problem3 = (parse_function(p3["candidate"], group, path.parent), bound)
     out = Path(out_override) if out_override else path.parent / exp.get("out", "reports")
     return Experiment(
         group=group,
@@ -260,9 +305,10 @@ def load_experiment(
         levels=levels,
         out=out,
         probes=probes,
-        raw=parser,
+        ball_queries=ball_queries,
+        inject_fault_at=fault_at,
+        problem3=problem3,
         text=text,
-        base_dir=path.parent,
     )
 
 

@@ -1,7 +1,12 @@
 """Separately continuous functions on Cantor x Cantor as combinator trees.
 
-Every combinator evaluates exactly at eventually periodic points and
-answers structural queries:
+The leaves are ``Constant``, ``TableFunction`` and the diagonal
+indicators ``OnesDiagonal`` (the members [1^n 0] for every n, with an
+eventually periodic value schedule) and ``CylinderDiagonal`` (finitely many
+disjoint cylinders), which share ``DiagonalIndicator``'s rule: the value of
+member n on the block of member n squared, the identity elsewhere.  Every
+combinator evaluates exactly at eventually periodic points and answers
+structural queries:
 
 * ``section_partition`` — the level sets of a fixed-coordinate section,
   exact nonempty clopen sets keyed by value that partition the space,
@@ -19,9 +24,10 @@ uniform distance and the grid kernel behind every grid check:
   constant (one depth-D cell, D the deepest table leaf, and one value of
   every other leaf), and each function's value per class, the one
   lowering of a combinator tree onto a grid;
-* ``SepFunction.axis_key`` and ``pair_value`` — a leaf other than a table
-  or a constant read one axis at a time: the classes are built per pair
-  of axis classes, not per point;
+* ``DiagonalIndicator.axis_key`` and ``pair_value`` — a diagonal leaf
+  read one axis at a time, through the index of the member holding each
+  coordinate: the classes are built per pair of axis classes, not per
+  point;
 * ``GridMemo.pairwise`` — an operation on two zipped value lists, run
   once per distinct pair of values;
 * ``grid_sup`` — the max of an operation over a rectangle, run once per
@@ -34,7 +40,7 @@ uniform distance and the grid kernel behind every grid check:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Literal
 
@@ -88,15 +94,6 @@ class SepFunction:
         if len(values) == 1:
             return next(iter(values))
         return None
-
-    def axis_key(self, p: CantorPoint):
-        """What the value depends on through the coordinate p: points with equal
-        keys give equal values against every point of the other axis."""
-        return p
-
-    def pair_value(self, a, b) -> GroupElement:
-        """The value at points whose axis keys are a (x) and b (y)."""
-        return self.eval(a, b)
 
     def _leaves(self) -> tuple["SepFunction", ...]:
         """The leaves of the combinator tree, left to right."""
@@ -195,97 +192,98 @@ class TableFunction(SepFunction):
         return [values[i >> shift][j >> shift] for i, j in classes.cells]
 
 
+class DiagonalIndicator(SepFunction):
+    """f(x, y) = the value of member n when x and y both lie in member n, else
+    the identity.
+
+    The members are pairwise disjoint cylinders, so each section is locally
+    constant.  A leaf class names the member holding a point (``axis_key``),
+    member n (``member``) and its value (``value_at``), and answers
+    ``values_on_rect`` in closed form.  With infinitely many members
+    accumulating at the all-ones point and a non-identity schedule, f is
+    jointly discontinuous there.
+    """
+
+    @property
+    def group(self) -> GroupSpec:
+        return self.value_at(0).group
+
+    def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
+        return self.pair_value(self.axis_key(x), self.axis_key(y))
+
+    def pair_value(self, a: int | None, b: int | None) -> GroupElement:
+        """The value at points whose axis keys, member indices or None, are a
+        (x) and b (y)."""
+        if a is not None and a == b:
+            return self.value_at(a)
+        return self.group.identity()
+
+    def declared_image(self) -> tuple[GroupElement, ...]:
+        # Every member meets the whole square.
+        return _dedupe((self.group.identity(), *self.values_on_rect(_WHOLE, _WHOLE)))
+
+    def section_partition(self, axis, fixed):
+        """The member holding ``fixed`` and its complement; a member with the
+        empty prefix covers the whole line, so its empty complement is dropped."""
+        identity = self.group.identity()
+        n = self.axis_key(fixed)
+        if n is None or self.value_at(n) == identity:
+            return {identity: ClopenSet.whole()}
+        member = ClopenSet.from_cylinder(self.member(n))
+        parts = {self.value_at(n): member, identity: member.complement()}
+        return {z: piece for z, piece in parts.items() if not piece.is_empty()}
+
+
+def _leading_ones(c: Cylinder) -> tuple[int, bool]:
+    """The number of leading 1 bits of c's prefix, and whether a 0 follows."""
+    k = len(c.prefix) - len(c.prefix.lstrip("1"))
+    return k, k < len(c.prefix)
+
+
 @dataclass(frozen=True)
-class _Profile:
-    """Which family locations a cylinder can hit: finitely many indices,
-    every index from ``tail_from`` on, and/or a point outside all members."""
-
-    indices: frozenset[int] = frozenset()
-    tail_from: int | None = None
-    out: bool = False
-
-    def single_finite(self) -> int | None:
-        if self.tail_from is None and not self.out and len(self.indices) == 1:
-            return next(iter(self.indices))
-        return None
-
-
-class CylinderFamily:
-    """A (possibly infinite) family of pairwise disjoint cylinders with values."""
-
-    group: GroupSpec
-
-    def locate(self, p: CantorPoint) -> tuple[int, GroupElement] | None:
-        raise NotImplementedError
-
-    def member_set(self, n: int) -> ClopenSet:
-        raise NotImplementedError
-
-    def value_at(self, n: int) -> GroupElement:
-        raise NotImplementedError
-
-    def all_values(self) -> tuple[GroupElement, ...]:
-        raise NotImplementedError
-
-    def profile(self, c: Cylinder) -> _Profile:
-        raise NotImplementedError
-
-    def tail_values(self, start: int) -> frozenset[GroupElement]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class OnesThenZeroFamily(CylinderFamily):
-    """The cylinders [1^n 0] for every n, accumulating at the all-ones point.
+class OnesDiagonal(DiagonalIndicator):
+    """The members [1^n 0] for every n, accumulating at the all-ones point.
 
     Member n takes the eventually periodic schedule ``prefix`` then
     ``period`` cycling: ``prefix[n]`` below ``len(prefix)``, and
     ``period[(n - len(prefix)) % len(period)]`` from there on.
     """
 
-    prefix: tuple[GroupElement, ...]
     period: tuple[GroupElement, ...]
+    prefix: tuple[GroupElement, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.period:
             raise ValueError("value schedule must be nonempty")
 
-    @property
-    def group(self) -> GroupSpec:
-        return self.period[0].group
+    def axis_key(self, p: CantorPoint) -> int | None:
+        return p.leading_ones()
 
-    def locate(self, p: CantorPoint) -> tuple[int, GroupElement] | None:
-        n = p.leading_ones()
-        if n is None:
-            return None
-        return n, self.value_at(n)
-
-    def member_set(self, n: int) -> ClopenSet:
-        return ClopenSet.from_prefixes(["1" * n + "0"])
+    def member(self, n: int) -> Cylinder:
+        return Cylinder("1" * n + "0")
 
     def value_at(self, n: int) -> GroupElement:
         if n < len(self.prefix):
             return self.prefix[n]
         return self.period[(n - len(self.prefix)) % len(self.period)]
 
-    def all_values(self) -> tuple[GroupElement, ...]:
-        return _dedupe((*self.prefix, *self.period))
-
-    def profile(self, c: Cylinder) -> _Profile:
-        ones = 0
-        for ch in c.prefix:
-            if ch == "1":
-                ones += 1
-            else:
-                return _Profile(indices=frozenset((ones,)))
-        return _Profile(tail_from=ones, out=True)
-
-    def tail_values(self, start: int) -> frozenset[GroupElement]:
-        return frozenset((*self.prefix[start:], *self.period))
+    def values_on_rect(self, u, v):
+        """A cylinder 1^k 0 ... lies in member k; the cylinder [1^k] meets
+        every member from k on, and the all-ones point."""
+        (a, a_in), (b, b_in) = _leading_ones(u), _leading_ones(v)
+        identity = self.group.identity()
+        if a_in and b_in:
+            return frozenset((self.value_at(a) if a == b else identity,))
+        if a_in or b_in:
+            n, start = (a, b) if a_in else (b, a)
+            return frozenset((self.value_at(n), identity) if n >= start else (identity,))
+        return frozenset((identity, *self.prefix[max(a, b) :], *self.period))
 
 
 @dataclass(frozen=True)
-class FiniteCylinderFamily(CylinderFamily):
+class CylinderDiagonal(DiagonalIndicator):
+    """Finitely many pairwise disjoint cylinders, each with its value."""
+
     members: tuple[tuple[Cylinder, GroupElement], ...]
 
     def __post_init__(self) -> None:
@@ -298,117 +296,24 @@ class FiniteCylinderFamily(CylinderFamily):
                         f"{cyls[i].prefix!r} overlaps {cyls[j].prefix!r}"
                     )
 
-    @property
-    def group(self) -> GroupSpec:
-        return self.members[0][1].group
+    def axis_key(self, p: CantorPoint) -> int | None:
+        return next((n for n, (c, _) in enumerate(self.members) if c.contains(p)), None)
 
-    def locate(self, p: CantorPoint) -> tuple[int, GroupElement] | None:
-        for n, (c, val) in enumerate(self.members):
-            if c.contains(p):
-                return n, val
-        return None
-
-    def member_set(self, n: int) -> ClopenSet:
-        return ClopenSet.from_cylinder(self.members[n][0])
+    def member(self, n: int) -> Cylinder:
+        return self.members[n][0]
 
     def value_at(self, n: int) -> GroupElement:
         return self.members[n][1]
 
-    def all_values(self) -> tuple[GroupElement, ...]:
-        return _dedupe(val for _, val in self.members)
-
-    @cached_property
-    def _union(self) -> ClopenSet:
-        return ClopenSet.from_prefixes([m.prefix for m, _ in self.members])
-
-    def profile(self, c: Cylinder) -> _Profile:
-        hit = frozenset(n for n, (m, _) in enumerate(self.members) if m.overlaps(c))
-        out = not ClopenSet.from_cylinder(c).is_subset_of(self._union)
-        return _Profile(indices=hit, out=out)
-
-    def tail_values(self, start: int) -> frozenset[GroupElement]:
-        return frozenset(val for n, (_, val) in enumerate(self.members) if n >= start)
-
-
-@dataclass(frozen=True)
-class DiagonalIndicator(SepFunction):
-    """f(x, y) = family value at n when both x and y lie in member n, else identity.
-
-    Each section is locally constant because the members are pairwise
-    disjoint clopen sets; with the infinite ones-then-zero schema and a
-    non-identity value schedule the function is jointly discontinuous at
-    the all-ones diagonal point.
-    """
-
-    family: CylinderFamily
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.family.group
-
-    @staticmethod
-    def ones_schema(
-        period: Iterable[GroupElement], prefix: Iterable[GroupElement] = ()
-    ) -> "DiagonalIndicator":
-        return DiagonalIndicator(OnesThenZeroFamily(tuple(prefix), tuple(period)))
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Cylinder, GroupElement]]) -> "DiagonalIndicator":
-        return DiagonalIndicator(FiniteCylinderFamily(tuple(pairs)))
-
-    def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
-        return self.pair_value(self.axis_key(x), self.axis_key(y))
-
-    def axis_key(self, p):
-        """The index of the member holding p, or None."""
-        loc = self.family.locate(p)
-        return None if loc is None else loc[0]
-
-    def pair_value(self, a, b):
-        if a is not None and a == b:
-            return self.family.value_at(a)
-        return self.group.identity()
-
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        return _dedupe((self.group.identity(), *self.family.all_values()))
-
-    def section_partition(self, axis, fixed):
-        """The member holding ``fixed`` and its complement; a member with the
-        empty prefix covers the whole line, so its empty complement is dropped."""
-        identity = self.group.identity()
-        loc = self.family.locate(fixed)
-        if loc is None or loc[1] == identity:
-            return {identity: ClopenSet.whole()}
-        member = self.family.member_set(loc[0])
-        parts = {loc[1]: member, identity: member.complement()}
-        return {z: piece for z, piece in parts.items() if not piece.is_empty()}
-
-    @cached_property
-    def _profiles(self) -> dict[str, _Profile]:
-        """The family profiles asked for so far, by cylinder prefix."""
-        return {}
-
-    def _profile(self, c: Cylinder) -> _Profile:
-        p = self._profiles.get(c.prefix)
-        if p is None:
-            p = self._profiles[c.prefix] = self.family.profile(c)
-        return p
-
     def values_on_rect(self, u, v):
-        pu, pv = self._profile(u), self._profile(v)
-        identity = self.group.identity()
-        matched: set[GroupElement] = set()
-        matched.update(self.family.value_at(n) for n in pu.indices & pv.indices)
-        if pv.tail_from is not None:
-            matched.update(self.family.value_at(n) for n in pu.indices if n >= pv.tail_from)
-        if pu.tail_from is not None:
-            matched.update(self.family.value_at(n) for n in pv.indices if n >= pu.tail_from)
-        if pu.tail_from is not None and pv.tail_from is not None:
-            matched.update(self.family.tail_values(max(pu.tail_from, pv.tail_from)))
-        su, sv = pu.single_finite(), pv.single_finite()
-        if not (su is not None and sv is not None and su == sv):
-            matched.add(identity)
-        return frozenset(matched)
+        """The values of the members meeting both sides, and the identity
+        unless one member contains both u and v: otherwise some point of
+        u x v lies off the matched blocks."""
+        met = [(c, z) for c, z in self.members if c.overlaps(u) and c.overlaps(v)]
+        values = {z for _, z in met}
+        if not any(u.is_subset_of(c) and v.is_subset_of(c) for c, _ in met):
+            values.add(self.group.identity())
+        return frozenset(values)
 
 
 @dataclass(frozen=True, eq=False)

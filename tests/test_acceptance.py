@@ -16,7 +16,7 @@ from sepcont.cli import main
 from sepcont.discrete import DiscreteApproximator
 from sepcont.functions import (
     Constant,
-    DiagonalIndicator,
+    OnesDiagonal,
     SubbasicNbhd,
     TableFunction,
 )
@@ -32,9 +32,9 @@ E = DYADIC.identity()
 A = DYADIC.parse_element("1(0)")
 WHOLE = ClopenSet.whole()
 
-DIAG = DiagonalIndicator.ones_schema([A])
-MULTI = DiagonalIndicator.ones_schema(
-    [A, DYADIC.parse_element("01(0)"), DYADIC.parse_element("001(0)")]
+DIAG = OnesDiagonal((A,))
+MULTI = OnesDiagonal(
+    (A, DYADIC.parse_element("01(0)"), DYADIC.parse_element("001(0)"))
 )
 
 REAL = get_group("real")
@@ -45,7 +45,7 @@ SHIPPED = [
     ("diag-dyadic", DIAG, 6, 6),
     ("diag-multi", MULTI, 6, 6),
     ("const", Constant(A), 4, 4),
-    ("diag-finite", DiagonalIndicator.ones_schema([E], prefix=[A, DYADIC.parse_element("01(0)")]), 4, 4),
+    ("diag-finite", OnesDiagonal((E,), prefix=(A, DYADIC.parse_element("01(0)"))), 4, 4),
     ("real-table", TableFunction(1, ((_Z0, _Z34), (_Z34, _Z0))), 3, 4),
     ("c3-table", TableFunction(1, ((C3.identity(), C3.element(1)), (C3.element(2), C3.identity()))), 3, 4),
 ]

@@ -15,8 +15,9 @@ from sepcont.config import MAX_N, load_experiment, parse_function, parse_probe
 from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
-    DiagonalIndicator,
+    CylinderDiagonal,
     GridMemo,
+    OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
     PostCompose,
@@ -45,6 +46,31 @@ levels = 1
 [probes]
 p0 = (0) ; !{}
 """
+
+COMMANDS = ("nets", "approx-discrete", "approx-zerodim", "ball", "closure-probe", "problem3")
+REAL_MINIMAL = MINIMAL.replace("dyadic", "real").replace("1(0)", "1/2^1")
+_BALL = "\n[ball]\nb = "
+_QUERY = "side=l; eps=1/2^1; candidate=const 1(0)"
+# One malformed value per section, each a config error under every command.
+MALFORMED = {
+    "experiment": MINIMAL.replace("n_max = 2", "n_max = two"),
+    "probes": MINIMAL.replace("p0 = (0) ; !{}", "p0 = (0) ; {2}"),
+    "ball-eps": MINIMAL + _BALL + _QUERY.replace("1/2^1", "zz"),
+    "ball-side": MINIMAL + _BALL + _QUERY.replace("side=l", "side=zz"),
+    "ball-candidate": MINIMAL + _BALL + _QUERY.replace("const 1(0)", "const 2(0)"),
+    "ball-missing-field": MINIMAL + _BALL + "side=l; eps=1/2^1",
+    "ball-unknown-field": MINIMAL + _BALL + _QUERY + "; colour=red",
+    "ball-item-without-equals": MINIMAL + _BALL + _QUERY.replace("eps=", "eps "),
+    "ball-trailing-semicolon": MINIMAL + _BALL + _QUERY + ";",
+    "closure-not-an-integer": MINIMAL + "[closure]\ninject_fault_at = x\n",
+    "closure-out-of-range": MINIMAL + "[closure]\ninject_fault_at = 3\n",
+    "closure-unknown-key": MINIMAL + "[closure]\nfault_at = 1\n",
+    "problem3-bound": REAL_MINIMAL + "[problem3]\ncandidate = const 0/2^0\nbound = 1/3\n",
+    "problem3-candidate": REAL_MINIMAL + "[problem3]\ncandidate = const zz\n",
+    "problem3-no-candidate": REAL_MINIMAL + "[problem3]\nbound = 1/2^0\n",
+    "problem3-group": MINIMAL + "[problem3]\ncandidate = const 1(0)\n",
+    "problem3-unknown-key": REAL_MINIMAL + "[problem3]\ncandidate = const 0/2^0\nslack = 1\n",
+}
 
 
 GRAMMAR_GROUPS = (get_group("dyadic"), get_group("cyclic:5"))
@@ -76,15 +102,15 @@ def _described_functions(group, pool=None):
         vals = st.lists(st.sampled_from(pool), min_size=len(prefixes), max_size=len(prefixes))
         return vals.map(lambda vs: (
             "diag cyl " + ",".join(f"{p}:{v}" for p, v in zip(prefixes, vs)),
-            DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), vs)),
+            CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), vs))),
         ))
 
     leaves = st.one_of(
         st.sampled_from(pool).map(lambda v: (f"const {v}", Constant(v))),
-        values.map(lambda vs: (f"diag ones {render(vs)}", DiagonalIndicator.ones_schema(vs))),
+        values.map(lambda vs: (f"diag ones {render(vs)}", OnesDiagonal(tuple(vs)))),
         values.map(lambda vs: (
             f"diag ones-finite {render(vs)}",
-            DiagonalIndicator.ones_schema([group.identity()], prefix=vs),
+            OnesDiagonal((group.identity(),), prefix=tuple(vs)),
         )),
         st.sampled_from(CYL_PREFIXES).flatmap(cyl),
     )
@@ -214,6 +240,16 @@ class TestConfigParsing:
         assert sig(a) == sig(b)
         assert sig(a) != sig(c)
 
+    def test_sections_load_as_typed_fields(self, tmp_path):
+        ball = load_experiment(CONFIGS / "ball-suite.cfg")
+        assert [q.probe_id for q in ball.ball_queries] == [f"b{i}" for i in range(1, 8)]
+        assert [(q.side, q.eps) for q in ball.ball_queries[:2]] == [("l", Fraction(1, 4)), ("r", Fraction(1, 4))]
+        assert all(q.center is ball.function for q in ball.ball_queries)
+        assert (ball.inject_fault_at, ball.problem3) == (None, None)
+        assert load_experiment(CONFIGS / "closure-fault.cfg").inject_fault_at == 3
+        candidate, bound = load_experiment(CONFIGS / "problem3-pass.cfg").problem3
+        assert isinstance(candidate, Constant) and bound == 1
+
     def test_table_function_from_csv(self, tmp_path):
         (tmp_path / "t.csv").write_text("(0),1(0)\n1(0),(0)\n", encoding="utf-8")
         f = parse_function("table 1 t.csv", DYADIC, tmp_path)
@@ -221,9 +257,7 @@ class TestConfigParsing:
 
 
 class TestArgumentParser:
-    @pytest.mark.parametrize(
-        "command", ["nets", "approx-discrete", "approx-zerodim", "ball", "closure-probe", "problem3"]
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_each_subcommand_parses(self, command):
         args = build_parser().parse_args(
             [command, "--config", "a.cfg", "--out", "rep", "--seed", "7"]
@@ -394,6 +428,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_malformed_section_exits_two_before_any_report(self, tmp_path, command, text, capsys):
+        # Every section is parsed at load, so a malformed value fails each
+        # command before it writes a report or a manifest.
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "rep"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("level", ["-1", "-3", "13"])
     def test_quant_level_out_of_range_exits_two(self, tmp_path, level, capsys):

@@ -18,8 +18,9 @@ from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
     Constant,
-    DiagonalIndicator,
+    CylinderDiagonal,
     MembershipResult,
+    OnesDiagonal,
     SepFunction,
     SubbasicNbhd,
     TableFunction,
@@ -33,7 +34,7 @@ C3 = get_group("cyclic:3")
 S3 = symmetric_group_3()
 E = DYADIC.identity()
 A = DYADIC.parse_element("1(0)")
-DIAG = DiagonalIndicator.ones_schema([A])
+DIAG = OnesDiagonal((A,))
 WHOLE = ClopenSet.whole()
 
 
@@ -360,12 +361,12 @@ _cyl_prefixes = st.one_of(
     ),
 )
 dyadic_families = st.one_of(
-    _schedules.map(DiagonalIndicator.ones_schema),
-    _schedules.map(lambda vals: DiagonalIndicator.ones_schema([E], prefix=vals)),
+    _schedules.map(tuple).map(OnesDiagonal),
+    _schedules.map(lambda vals: OnesDiagonal((E,), prefix=tuple(vals))),
     _cyl_prefixes.flatmap(
         lambda prefixes: st.lists(
             st.sampled_from(DYADIC_POOL), min_size=len(prefixes), max_size=len(prefixes)
-        ).map(lambda vals: DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), vals)))
+        ).map(lambda vals: CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), vals))))
     ),
 )
 
@@ -560,8 +561,8 @@ class TestTableMembership:
 
 # The failing probes of configs/discrete-witness.cfg: each fails at its
 # first stages and names a witness there.
-WITNESS_F = DiagonalIndicator.from_pairs(
-    [(Cylinder("11"), DYADIC.parse_element("1101(100)")), (Cylinder("00"), A)]
+WITNESS_F = CylinderDiagonal(
+    ((Cylinder("11"), DYADIC.parse_element("1101(100)")), (Cylinder("00"), A))
 )
 WITNESS_PROBES = (
     SubbasicNbhd(ClopenSet.parse("{0}"), CantorPoint.parse("01(0)"), frozenset(), "p01"),

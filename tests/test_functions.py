@@ -2,15 +2,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.config import parse_function
 from sepcont.errors import UnsupportedStructureError
 from sepcont.functions import (
     Constant,
+    CylinderDiagonal,
     DiagonalIndicator,
-    FiniteCylinderFamily,
     GridMemo,
+    OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
     PostCompose,
@@ -21,7 +24,6 @@ from sepcont.functions import (
     in_subbasic,
     side_sample,
     uniform_dist,
-    _Profile,
 )
 from sepcont.groups import get_group
 from sym3 import symmetric_group_3
@@ -32,9 +34,9 @@ E = DYADIC.identity()
 A = DYADIC.parse_element("1(0)")
 B = DYADIC.parse_element("01(0)")
 
-DIAG = DiagonalIndicator.ones_schema([A])
-MULTI = DiagonalIndicator.ones_schema([A, B, DYADIC.parse_element("001(0)")])
-FINITE_DIAG = DiagonalIndicator.from_pairs([(Cylinder("0"), A), (Cylinder("10"), B)])
+DIAG = OnesDiagonal((A,))
+MULTI = OnesDiagonal((A, B, DYADIC.parse_element("001(0)")))
+FINITE_DIAG = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("10"), B)))
 
 PROBE_POINTS = [CantorPoint.parse(s) for s in ["(0)", "(1)", "10(0)", "110(0)", "01(1)", "1(10)"]]
 
@@ -85,7 +87,7 @@ class TestEval:
 
     def test_disjointness_validated(self):
         with pytest.raises(ValueError):
-            DiagonalIndicator.from_pairs([(Cylinder("0"), A), (Cylinder("01"), B)])
+            CylinderDiagonal(((Cylinder("0"), A), (Cylinder("01"), B)))
 
     def test_table_lookup(self):
         t = TableFunction(1, ((E, A), (A, E)))
@@ -124,12 +126,34 @@ class TestOnesSchedule:
                 else:
                     value = vals[n] if n < len(vals) else e
                     tail = frozenset(vals[n:]) | {e}
-                point = CantorPoint("1" * n, "0")
-                assert f.family.value_at(n) == value
-                assert f.family.tail_values(n) == tail
+                point, ones = CantorPoint("1" * n, "0"), Cylinder("1" * n)
+                assert f.value_at(n) == value
+                assert f.values_on_rect(ones, ones) == tail | {e}
                 assert f.eval(point, point) == value
                 assert f.eval(point, ALL_ONES) == f.eval(ALL_ONES, point) == e
             assert f.eval(ALL_ONES, ALL_ONES) == e
+
+
+class TestGrammarLeaves:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "const 1(0)",
+            "table 1 t.csv",
+            "diag ones 1(0),01(0)",
+            "diag ones-finite 1(0),01(0)",
+            "diag cyl 0:1(0),11:01(0)",
+            "prod(diag ones 1(0), table 1 t.csv)",
+            "inv(diag cyl 0:1(0))",
+            "quant(diag ones 1(0),01(0), 2)",
+        ],
+    )
+    def test_every_leaf_is_a_table_a_constant_or_a_diagonal(self, text, tmp_path):
+        # The class build reads every other leaf through the diagonal's
+        # axis keys, so no grammar form may build any other leaf.
+        (tmp_path / "t.csv").write_text("(0),1(0)\n1(0),(0)\n", encoding="utf-8")
+        leaves = parse_function(text, DYADIC, tmp_path)._leaves()
+        assert all(isinstance(v, (TableFunction, Constant, DiagonalIndicator)) for v in leaves)
 
 
 class TestDeclaredImage:
@@ -165,7 +189,7 @@ class TestSectionPreimage:
         assert preimage(DIAG, "x", x, E) == ClopenSet.parse("{110}").complement()
 
     def test_diag_member_covering_the_line_has_no_identity_piece(self):
-        whole = DiagonalIndicator.from_pairs([(Cylinder(""), A)])
+        whole = CylinderDiagonal(((Cylinder(""), A),))
         assert whole.section_partition("y", PROBE_POINTS[2]) == {A: ClopenSet.whole()}
         assert DIAG.section_partition("x", ALL_ONES) == {E: ClopenSet.whole()}
 
@@ -212,6 +236,85 @@ class TestSectionPreimage:
                 assert total.is_whole()
 
 
+def _reference_profile(f: DiagonalIndicator, c: Cylinder):
+    """The members a cylinder can meet, as (indices, tail_from, out): finitely
+    many indices, every index from ``tail_from`` on, and whether c holds a
+    point outside every member."""
+    if isinstance(f, OnesDiagonal):
+        ones = 0
+        for ch in c.prefix:
+            if ch == "0":
+                return frozenset((ones,)), None, False
+            ones += 1
+        return frozenset(), ones, True
+    hit = frozenset(n for n, (m, _) in enumerate(f.members) if m.overlaps(c))
+    union = ClopenSet.from_prefixes([m.prefix for m, _ in f.members])
+    return hit, None, not ClopenSet.from_cylinder(c).is_subset_of(union)
+
+
+def _reference_tail_values(f: DiagonalIndicator, start: int):
+    if isinstance(f, OnesDiagonal):
+        return frozenset((*f.prefix[start:], *f.period))
+    return frozenset(z for n, (_, z) in enumerate(f.members) if n >= start)
+
+
+def reference_values_on_rect(f: DiagonalIndicator, u: Cylinder, v: Cylinder):
+    """The value superset on u x v read off the two sides' member profiles:
+    the values of the members both sides meet, the tails both sides reach,
+    and the identity unless both sides lie in one single member."""
+    (iu, tu, ou), (iv, tv, ov) = _reference_profile(f, u), _reference_profile(f, v)
+    matched = {f.value_at(n) for n in iu & iv}
+    if tv is not None:
+        matched.update(f.value_at(n) for n in iu if n >= tv)
+    if tu is not None:
+        matched.update(f.value_at(n) for n in iv if n >= tu)
+    if tu is not None and tv is not None:
+        matched.update(_reference_tail_values(f, max(tu, tv)))
+
+    def single(indices, tail_from, out):
+        if tail_from is None and not out and len(indices) == 1:
+            return next(iter(indices))
+        return None
+
+    su, sv = single(iu, tu, ou), single(iv, tv, ov)
+    if not (su is not None and su == sv):
+        matched.add(f.group.identity())
+    return frozenset(matched)
+
+
+def _disjoint(prefixes):
+    """The prefixes that overlap no earlier one."""
+    kept = []
+    for p in prefixes:
+        if not any(Cylinder(p).overlaps(Cylinder(q)) for q in kept):
+            kept.append(p)
+    return kept
+
+
+_LITERALS = {
+    "dyadic": ["(0)", "1(0)", "01(0)", "001(0)", "11(0)"],
+    "cyclic:5": ["0", "1", "2", "3", "4"],
+}
+
+
+@st.composite
+def diag_texts(draw):
+    """(group name, text) of a random ``diag ones``, ``ones-finite`` or
+    ``cyl`` family; values may be the identity."""
+    name = draw(st.sampled_from(sorted(_LITERALS)))
+    values = st.lists(st.sampled_from(_LITERALS[name]), min_size=1, max_size=3)
+    kind = draw(st.sampled_from(["ones", "ones-finite", "cyl"]))
+    if kind != "cyl":
+        return name, f"diag {kind} {','.join(draw(values))}"
+    prefixes = _disjoint(draw(st.lists(st.text("01", max_size=4), min_size=1, max_size=4)))
+    lits = draw(st.lists(st.sampled_from(_LITERALS[name]), min_size=len(prefixes),
+                         max_size=len(prefixes)))
+    return name, "diag cyl " + ",".join(f"{p}:{z}" for p, z in zip(prefixes, lits))
+
+
+RECT_DEPTH = 5
+
+
 class TestValuesOnRect:
     def test_diag_oracle_small_rects(self):
         # oracle: deep-grid sampling within each rectangle must stay inside
@@ -238,47 +341,31 @@ class TestValuesOnRect:
             if len(pu) >= 3 and len(pv) >= 3:
                 assert seen == set(vals)
 
-    def test_finite_family_profile(self):
-        # The members' union is built once per family; every profile still
-        # equals the one read off a freshly built union.
-        family = FiniteCylinderFamily(
-            ((Cylinder("01"), A), (Cylinder("001"), B), (Cylinder("11"), A))
-        )
-        union = ClopenSet.from_prefixes(["01", "001", "11"])
-        for depth in range(5):
-            for bits in product("01", repeat=depth):
-                c = Cylinder("".join(bits))
-                hit = frozenset(n for n, (m, _) in enumerate(family.members) if m.overlaps(c))
-                out = not ClopenSet.from_cylinder(c).is_subset_of(union)
-                assert family.profile(c) == _Profile(indices=hit, out=out)
-        assert family._union is family._union
-
-    @pytest.mark.parametrize(
-        "family",
-        [
-            DIAG.family,
-            DiagonalIndicator.ones_schema([E], prefix=[A, B]).family,
-            FiniteCylinderFamily(((Cylinder("01"), A), (Cylinder("001"), B), (Cylinder("11"), A))),
-        ],
-        ids=["ones", "ones-finite", "cyl"],
-    )
-    def test_profile_memo_matches_family(self, family):
-        # Asked twice per cylinder: the memo's miss and its hit both equal
-        # the family's own profile.
-        f = DiagonalIndicator(family)
-        for _ in range(2):
-            for depth in range(6):
-                for bits in product("01", repeat=depth):
-                    c = Cylinder("".join(bits))
-                    assert f._profile(c) == family.profile(c)
-        assert len(f._profiles) == 2**6 - 1
-        assert DiagonalIndicator(family)._profiles == {}
-
     def test_constant_value_on(self):
         assert DIAG.constant_value_on(Cylinder("110"), Cylinder("110")) == A
         assert DIAG.constant_value_on(Cylinder("0"), Cylinder("1")) == E
         assert DIAG.constant_value_on(Cylinder("11"), Cylinder("11")) is None
         assert DIAG.constant_value_on(Cylinder(""), Cylinder("")) is None
+
+    @settings(max_examples=40)
+    @given(case=diag_texts())
+    def test_closed_forms_match_profile_reference(self, case, tmp_path_factory):
+        # On every cylinder pair up to depth 5 the closed form equals the
+        # profile reference and holds f's value at the sample points of
+        # u x v: cell representatives, 1^w and 1^k 0^w past the period.
+        name, text = case
+        f = parse_function(text, get_group(name), tmp_path_factory.getbasetemp())
+        period = len(f.period) if isinstance(f, OnesDiagonal) else 0
+        points = [*grid_points(RECT_DEPTH), ALL_ONES]
+        points += [CantorPoint("1" * k, "0") for k in range(RECT_DEPTH + period + 3)]
+        values = [[f.eval(x, y) for y in points] for x in points]
+        cyls = [Cylinder("".join(bits)) for d in range(RECT_DEPTH + 1)
+                for bits in product("01", repeat=d)]
+        inside = {c: [i for i, p in enumerate(points) if c.contains(p)] for c in cyls}
+        for u, v in product(cyls, repeat=2):
+            got = f.values_on_rect(u, v)
+            assert got == reference_values_on_rect(f, u, v), (text, u, v)
+            assert {values[i][j] for i in inside[u] for j in inside[v]} <= got, (text, u, v)
 
 
 def section_sup(f, g, axis, fixed, region, grid_depth):

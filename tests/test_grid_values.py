@@ -3,7 +3,7 @@
 Every sweep in the zerodim and uniform layers is a ``grid_sup`` over value
 classes, which lowers a combinator tree through ``class_values``; the
 classes are built per axis from the axis keys of the leaves (a diagonal
-indicator locates each point once).  The brute-force loops below evaluate
+indicator reads each point's member index once).  The brute-force loops below evaluate
 pointwise, the way the sweeps did before the kernel (ball membership with
 its early exit, the diagonal's final budget with its last failing point as
 witness), and are kept as the reference; the two-sided ball test is
@@ -35,8 +35,9 @@ from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_poin
 from sepcont.config import load_experiment, parse_function
 from sepcont.functions import (
     Constant,
-    DiagonalIndicator,
+    CylinderDiagonal,
     GridMemo,
+    OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
     PostCompose,
@@ -103,7 +104,7 @@ def _family(pool):
     return st.sampled_from(FAMILY_PREFIXES).flatmap(
         lambda prefixes: st.lists(
             st.sampled_from(pool), min_size=len(prefixes), max_size=len(prefixes)
-        ).map(lambda vals: DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), vals)))
+        ).map(lambda vals: CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), vals))))
     )
 
 
@@ -117,9 +118,9 @@ def _postcompose(pool, inner):
 def _functions(pool, max_table_depth=3):
     leaves = st.one_of(
         _table(pool, max_table_depth),
-        st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(DiagonalIndicator.ones_schema),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple).map(OnesDiagonal),
         st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(
-            lambda vals: DiagonalIndicator.ones_schema([vals[0].group.identity()], prefix=vals)
+            lambda vals: OnesDiagonal((vals[0].group.identity(),), prefix=tuple(vals))
         ),
         _family(pool),
         st.sampled_from(pool).map(Constant),
@@ -160,7 +161,7 @@ def _two_indicators(pool):
     tree, so its value classes are keyed on two leaf values; g is any tree."""
 
     def pair(t, d1, vals, g):
-        d2 = DiagonalIndicator.ones_schema(vals)
+        d2 = OnesDiagonal(tuple(vals))
         return PointwiseProduct(PointwiseProduct(d1, t), PointwiseInverse(d2)), g
 
     tree = _functions(pool, 4)
@@ -399,16 +400,16 @@ class TestGridValues:
         st.sampled_from(OFF_GRID + (CantorPoint.parse("(0)"), CantorPoint.parse("10(1)"))),
     )
     def test_diagonal_reads_each_axis_once(self, pool, prefixes, ones, y):
-        # The class build locates every x and every y once, however many
-        # points share the row or column.
+        # The class build reads the axis key of every x and every y once,
+        # however many points share the row or column.
         if ones:
             identity = pool[0].group.identity()
-            f = DiagonalIndicator.ones_schema([identity], prefix=pool[: len(prefixes)])
+            f = OnesDiagonal((identity,), prefix=tuple(pool[: len(prefixes)]))
         else:
-            f = DiagonalIndicator.from_pairs(zip(map(Cylinder, prefixes), pool))
+            f = CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), pool)))
         calls = []
-        locate = f.family.locate
-        object.__setattr__(f.family, "locate", lambda p: calls.append(p) or locate(p))
+        axis_key = f.axis_key
+        object.__setattr__(f, "axis_key", lambda p: calls.append(p) or axis_key(p))
         xs, ys = grid_points(3), (y,) + OFF_GRID
         memo = GridMemo()
         classes = memo.classes((f,), xs, ys)
@@ -417,12 +418,12 @@ class TestGridValues:
         assert memo.classes((f,), xs, ys) is classes
 
     def test_values_computed_once_per_memo(self):
-        # locate runs once per point per memo: a second class list over the
+        # axis_key runs once per point per memo: a second class list over the
         # same points, with a table that deepens the cells, reuses the keys.
-        f = DiagonalIndicator.ones_schema(POOLS[0][1:3])
+        f = OnesDiagonal(tuple(POOLS[0][1:3]))
         calls = []
-        locate = f.family.locate
-        object.__setattr__(f.family, "locate", lambda p: calls.append(p) or locate(p))
+        axis_key = f.axis_key
+        object.__setattr__(f, "axis_key", lambda p: calls.append(p) or axis_key(p))
         memo = GridMemo()
         pts = memo.grid_points(3)
         assert memo.grid_points(3) is pts
@@ -586,7 +587,7 @@ class TestSweepsMatchBruteForce:
     def test_diagonal_with_failing_levels(self):
         # Probes through single family members and off-grid points: nonzero
         # final sups, levels without a stage m(l) and failed tail checks.
-        f = DiagonalIndicator.ones_schema(POOLS[0][1:4])
+        f = OnesDiagonal(tuple(POOLS[0][1:4]))
         whole = ClopenSet.whole()
         probes = [
             SubbasicNbhd(p, whole, frozenset(), f"x{p}") for p in OFF_GRID
@@ -604,7 +605,7 @@ class TestSweepsMatchBruteForce:
         # each probe; the witness is the last of them, x-major, at the last
         # failing stage.
         a, b, c = (DYADIC.parse_element(t) for t in ["1(0)", "01(0)", "001(0)"])
-        f = DiagonalIndicator.ones_schema([a, b, c])
+        f = OnesDiagonal((a, b, c))
         probes = [ACC_X, SubbasicNbhd(CantorPoint.parse("(0)"), WHOLE, frozenset(), "zero_x"), ACC_Y]
         rep = with_wrong_factor(f, a).diagonal(probes, [3])
         assert rep == brute_diagonal(with_wrong_factor(f, a), probes, [3])
@@ -619,7 +620,7 @@ class TestSweepsMatchBruteForce:
         # sup is 1/8 (the other order, f_{n,n} f_{l,n}^-1, is 1/2 and fails);
         # times r it is 1/2 and fails levels 2 and 3.
         r, s, sr = (S3_LEFT.parse_element(t) for t in ("r", "s", "sr"))
-        f = DiagonalIndicator.ones_schema([r, s, sr])
+        f = OnesDiagonal((r, s, sr))
         c, probes, levels = S3_LEFT.parse_element(label), [ACC_X, ACC_Y], [1, 2, 3]
         rep = with_wrong_factor(f, c).diagonal(probes, levels)
         assert rep == brute_diagonal(with_wrong_factor(f, c), probes, levels)
@@ -680,7 +681,7 @@ class TestUniformChecksMatchBruteForce:
         # f^-1 g = s everywhere, so g is in the l-ball; g f^-1 is the
         # reflection r s r^-1 on [1] x [1], so it is not in the r-ball.
         r, s = (S3_LEFT.parse_element(t) for t in ("r", "s"))
-        f = DiagonalIndicator.from_pairs([(Cylinder("1"), r)])
+        f = CylinderDiagonal(((Cylinder("1"), r),))
         g = PointwiseProduct(f, Constant(s))
         got = {}
         for side in ("l", "r", "lr", "rl"):

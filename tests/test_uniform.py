@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
-from sepcont.functions import Constant, DiagonalIndicator, SubbasicNbhd, TableFunction, side_sample
+from sepcont.functions import Constant, OnesDiagonal, SubbasicNbhd, TableFunction, side_sample
 from sepcont.groups import get_group
 from sepcont.uniform import (
     BallQuery,
@@ -19,7 +19,7 @@ DYADIC = get_group("dyadic")
 REAL = get_group("real")
 E = DYADIC.identity()
 A = DYADIC.parse_element("1(0)")
-DIAG = DiagonalIndicator.ones_schema([A])
+DIAG = OnesDiagonal((A,))
 WHOLE = ClopenSet.whole()
 
 PROBES = [
@@ -95,9 +95,9 @@ STAGE_POOL = (
     DIAG,
     Constant(E),
     Constant(A),
-    DiagonalIndicator.ones_schema([E], prefix=[A] * 4),
-    DiagonalIndicator.ones_schema([A, B]),
-    DiagonalIndicator.ones_schema([E], prefix=[B]),
+    OnesDiagonal((E,), prefix=(A,) * 4),
+    OnesDiagonal((A, B)),
+    OnesDiagonal((E,), prefix=(B,)),
     TableFunction(1, ((A, E), (E, B))),
 )
 
@@ -168,7 +168,7 @@ class TestClosureProbe:
         # one, the schema cut off after four members, is the identity on
         # member 4 = [11110], where f is A.
         stages, schedule = self.make_stages(grid_depth=3)
-        stages[-1] = DiagonalIndicator.ones_schema([E], prefix=[A] * 4)
+        stages[-1] = OnesDiagonal((E,), prefix=(A,) * 4)
         rep = closure_probe(DIAG, stages, schedule, PROBES + [MEMBER_4], [1, 2], 3)
         assert rep.failed_stage is None and all(row.within for row in rep.stages)
         assert not rep.diagonal_passed and not rep.passed

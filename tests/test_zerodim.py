@@ -7,7 +7,8 @@ from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_poin
 from sepcont.errors import CoverConstructionError
 from sepcont.functions import (
     Constant,
-    DiagonalIndicator,
+    CylinderDiagonal,
+    OnesDiagonal,
     PostCompose,
     SubbasicNbhd,
     TableFunction,
@@ -20,12 +21,12 @@ C3 = get_group("cyclic:3")
 REAL = get_group("real")
 E = DYADIC.identity()
 A = DYADIC.parse_element("1(0)")
-DIAG = DiagonalIndicator.ones_schema([A])
-MULTI = DiagonalIndicator.ones_schema(
-    [A, DYADIC.parse_element("01(0)"), DYADIC.parse_element("001(0)")]
+DIAG = OnesDiagonal((A,))
+MULTI = OnesDiagonal(
+    (A, DYADIC.parse_element("01(0)"), DYADIC.parse_element("001(0)"))
 )
 C5 = get_group("cyclic:5")
-C5_CYCLE = DiagonalIndicator.ones_schema([C5.element(1), C5.element(3), C5.element(2)])
+C5_CYCLE = OnesDiagonal((C5.element(1), C5.element(3), C5.element(2)))
 WHOLE = ClopenSet.whole()
 
 STANDARD_PROBES = [
@@ -152,7 +153,7 @@ class TestPipeline:
         # the depth-4 grid reaches; the declared image of the altered factor
         # still shows the value A, which is not in net(2).
         b = DYADIC.parse_element("01(0)")
-        f = DiagonalIndicator.from_pairs([(Cylinder("0"), A), (Cylinder("11111"), b)])
+        f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
         pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
         pts = grid_points(4)
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
@@ -186,7 +187,7 @@ class TestPipeline:
         # the depth-4 grid reaches; the identity of finite maps still sees a
         # factor map altered at b.
         b = DYADIC.parse_element("01(0)")
-        f = DiagonalIndicator.from_pairs([(Cylinder("0"), A), (Cylinder("11111"), b)])
+        f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
         pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
         pts = grid_points(4)
         assert b in f.declared_image()
