@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -33,25 +32,30 @@ def _minimal_period(period: str) -> str:
     return period
 
 
-@dataclass(frozen=True)
 class CantorPoint:
     """A point of {0,1}^omega: ``preperiod`` followed by ``period`` forever."""
 
-    preperiod: str = ""
-    period: str = "0"
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self) -> None:
-        _check_bits(self.preperiod, "preperiod")
-        _check_bits(self.period, "period")
-        if not self.period:
+    def __init__(self, preperiod: str = "", period: str = "0") -> None:
+        _check_bits(preperiod, "preperiod")
+        _check_bits(period, "period")
+        if not period:
             raise ValueError("period must be nonempty")
-        pre, per = self.preperiod, _minimal_period(self.period)
+        pre, per = preperiod, _minimal_period(period)
         # Absorb preperiod bits that already follow the cycle.
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1] + per[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        self.preperiod, self.period = pre, per
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.preperiod == other.preperiod and self.period == other.period
+
+    def __hash__(self) -> int:
+        return hash((self.preperiod, self.period))
 
     @staticmethod
     def parse(text: str) -> "CantorPoint":
@@ -116,14 +120,22 @@ def point_dist(x: CantorPoint, y: CantorPoint) -> Fraction:
     return Fraction(1, 2 ** (i + 1))
 
 
-@dataclass(frozen=True)
 class Cylinder:
     """All sequences extending a fixed finite prefix; the empty prefix is the whole space."""
 
-    prefix: str = ""
+    __slots__ = ("prefix",)
 
-    def __post_init__(self) -> None:
-        _check_bits(self.prefix, "prefix")
+    def __init__(self, prefix: str = "") -> None:
+        _check_bits(prefix, "prefix")
+        self.prefix = prefix
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prefix == other.prefix
+
+    def __hash__(self) -> int:
+        return hash((self.prefix,))
 
     def depth(self) -> int:
         return len(self.prefix)
@@ -285,11 +297,22 @@ def _leaves(a, path: str, out: list[str]) -> None:
         _leaves(a[1], path + "1", out)
 
 
-@dataclass(frozen=True)
 class ClopenSet:
     """A clopen subset of Cantor space with exact set algebra."""
 
-    trie: object = False
+    # ``own_cells`` is a cached_property, which needs a __dict__.
+    __slots__ = ("trie", "__dict__")
+
+    def __init__(self, trie: object = False) -> None:
+        self.trie = trie
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.trie == other.trie
+
+    def __hash__(self) -> int:
+        return hash((self.trie,))
 
     @staticmethod
     def empty() -> "ClopenSet":

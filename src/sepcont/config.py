@@ -18,9 +18,9 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
 from sepcont.errors import ConfigError
@@ -160,8 +160,7 @@ def parse_probe(name: str, text: str) -> SubbasicNbhd:
         raise ConfigError(f"probe {name!r}: {exc}") from exc
 
 
-@dataclass
-class Experiment:
+class Experiment(NamedTuple):
     group: GroupSpec
     function: SepFunction
     grid_depth: int
@@ -173,6 +172,10 @@ class Experiment:
     inject_fault_at: int | None
     problem3: tuple[SepFunction, Fraction] | None
     text: str
+
+
+_SECTIONS = ("experiment", "probes", "ball", "closure", "problem3")
+_EXPERIMENT_KEYS = ("group", "function", "grid_depth", "n_max", "levels", "out")
 
 
 def _known(items: dict[str, str], keys: tuple[str, ...], where: str) -> dict[str, str]:
@@ -191,7 +194,10 @@ def _ball_query(name: str, text: str, function: SepFunction, grid_depth: int,
         key, eq, value = item.partition("=")
         if not eq:
             raise ConfigError(f"ball query {name!r}: item {item.strip()!r} is not <key>=<value>")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ConfigError(f"ball query {name!r} repeats {key!r}")
+        fields[key] = value.strip()
     keys = ("side", "eps", "candidate")
     if len(_known(fields, keys, f"ball query {name!r}")) < len(keys):
         raise ConfigError(f"ball query {name!r} needs side=, eps=, candidate=")
@@ -239,7 +245,12 @@ def load_experiment(
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
-    exp = dict(parser.items("experiment"))
+    unknown = [name for name in parser.sections() if name not in _SECTIONS]
+    if unknown:
+        raise ConfigError(
+            f"{path}: unknown section [{unknown[0]}]; known sections: {', '.join(_SECTIONS)}"
+        )
+    exp = _known(dict(parser.items("experiment")), _EXPERIMENT_KEYS, "[experiment]")
     try:
         group = get_group(exp["group"])
     except (KeyError, ValueError) as exc:

@@ -14,8 +14,7 @@ its value; ``approximant(n)`` and every certificate stage read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from sepcont.cantor import CantorPoint, Cylinder, basis_cylinder, basis_index, partition_at_depth
 from sepcont.config import depth_cap
@@ -28,8 +27,7 @@ from sepcont.groups import GroupElement
 Strips = tuple[list[int | None], list[int | None]]
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(NamedTuple):
     """Stage m, the target set it covers and the exact per-stage verification."""
 
     target_values: tuple[GroupElement, ...]
@@ -42,7 +40,8 @@ class _StageTable:
     """The painting of one working depth d, from its first stage on, as far
     as it has been asked: per cell (i, j), at index i * 2^d + j, the first
     stage that paints it and the value painted, and for a cell painted with
-    two values (a clash) the first stage of each value."""
+    two values (a clash) the first stage of each value.  Every stage through
+    ``through`` is painted and free of clashes."""
 
     def __init__(self, d: int, first: int, f: SepFunction, reps: list[CantorPoint]):
         self.d, self.first, self.through = d, first, first - 1
@@ -155,9 +154,12 @@ class DiscreteApproximator:
                 )
             first = 0 if d == 1 else 2**d - 1
             table = self._tables[d] = _StageTable(d, first, self.f, self._partition(d)[1])
+        if n <= table.through:
+            # A cell's values by stage n only grow with n, so a stage below a
+            # clash-free one is clash-free too.
+            return table
         for s in range(table.through + 1, n + 1):
             self._paint_stage(table, s)
-        table.through = max(table.through, n)
         for c in sorted(table.clashes):
             values = [z for z, s in table.clashes[c].items() if s <= n]
             if len(values) > 1:
@@ -167,6 +169,7 @@ class DiscreteApproximator:
                 raise RefinementExhaustedError(
                     f"cell {cells[i].prefix} x {cells[j].prefix} meets patches of {names} at depth {d}"
                 )
+        table.through = n
         return table
 
     def approximant(self, n: int) -> TableFunction:

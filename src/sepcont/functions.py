@@ -39,10 +39,9 @@ uniform distance and the grid kernel behind every grid check:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.errors import UnsupportedStructureError
@@ -59,7 +58,8 @@ def _cell(p: CantorPoint, depth: int) -> int:
 
 
 class SepFunction:
-    """Base class; subclasses are immutable combinators sharing one group."""
+    """Base class; subclasses are immutable combinators sharing one group,
+    each naming its fields in ``__slots__``."""
 
     group: GroupSpec
 
@@ -125,9 +125,19 @@ def _merged(pieces: Iterable[tuple[GroupElement, ClopenSet]]) -> dict[GroupEleme
     return out
 
 
-@dataclass(frozen=True)
 class Constant(SepFunction):
-    value: GroupElement
+    __slots__ = ("value",)
+
+    def __init__(self, value: GroupElement) -> None:
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     @property
     def group(self) -> GroupSpec:
@@ -149,17 +159,24 @@ class Constant(SepFunction):
         return [self.value] * len(classes.firsts)
 
 
-@dataclass(frozen=True)
 class TableFunction(SepFunction):
     """Value depends only on the first ``depth`` bits of each coordinate."""
 
-    depth: int
-    values: tuple[tuple[GroupElement, ...], ...]
+    __slots__ = ("depth", "values")
 
-    def __post_init__(self) -> None:
-        n = 2**self.depth
-        if len(self.values) != n or any(len(row) != n for row in self.values):
+    def __init__(self, depth: int, values: tuple[tuple[GroupElement, ...], ...]) -> None:
+        n = 2**depth
+        if len(values) != n or any(len(row) != n for row in values):
             raise ValueError(f"table must be {n} x {n}")
+        self.depth, self.values = depth, values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.depth == other.depth and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.depth, self.values))
 
     @property
     def group(self) -> GroupSpec:
@@ -240,7 +257,6 @@ def _leading_ones(c: Cylinder) -> tuple[int, bool]:
     return k, k < len(c.prefix)
 
 
-@dataclass(frozen=True)
 class OnesDiagonal(DiagonalIndicator):
     """The members [1^n 0] for every n, accumulating at the all-ones point.
 
@@ -249,12 +265,21 @@ class OnesDiagonal(DiagonalIndicator):
     ``period[(n - len(prefix)) % len(period)]`` from there on.
     """
 
-    period: tuple[GroupElement, ...]
-    prefix: tuple[GroupElement, ...] = ()
+    __slots__ = ("period", "prefix")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, period: tuple[GroupElement, ...],
+                 prefix: tuple[GroupElement, ...] = ()) -> None:
+        if not period:
             raise ValueError("value schedule must be nonempty")
+        self.period, self.prefix = period, prefix
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.period == other.period and self.prefix == other.prefix
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.prefix))
 
     def axis_key(self, p: CantorPoint) -> int | None:
         return p.leading_ones()
@@ -280,14 +305,13 @@ class OnesDiagonal(DiagonalIndicator):
         return frozenset((identity, *self.prefix[max(a, b) :], *self.period))
 
 
-@dataclass(frozen=True)
 class CylinderDiagonal(DiagonalIndicator):
     """Finitely many pairwise disjoint cylinders, each with its value."""
 
-    members: tuple[tuple[Cylinder, GroupElement], ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self) -> None:
-        cyls = [c for c, _ in self.members]
+    def __init__(self, members: tuple[tuple[Cylinder, GroupElement], ...]) -> None:
+        cyls = [c for c, _ in members]
         for i in range(len(cyls)):
             for j in range(i + 1, len(cyls)):
                 if cyls[i].overlaps(cyls[j]):
@@ -295,6 +319,15 @@ class CylinderDiagonal(DiagonalIndicator):
                         f"family cylinders must be pairwise disjoint: "
                         f"{cyls[i].prefix!r} overlaps {cyls[j].prefix!r}"
                     )
+        self.members = members
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
 
     def axis_key(self, p: CantorPoint) -> int | None:
         return next((n for n, (c, _) in enumerate(self.members) if c.contains(p)), None)
@@ -316,20 +349,21 @@ class CylinderDiagonal(DiagonalIndicator):
         return frozenset(values)
 
 
-@dataclass(frozen=True, eq=False)
 class PostCompose(SepFunction):
-    """mapping o inner, for a finite map defined on the inner declared image."""
+    """mapping o inner, for a finite map defined on the inner declared image;
+    ``label`` names the map in errors.  Equal only to itself: the mapping is
+    a dict."""
 
-    inner: SepFunction
-    mapping: dict[GroupElement, GroupElement]
-    label: str = "map"
+    __slots__ = ("inner", "mapping")
 
-    def __post_init__(self) -> None:
-        missing = [z for z in self.inner.declared_image() if z not in self.mapping]
+    def __init__(self, inner: SepFunction, mapping: dict[GroupElement, GroupElement],
+                 label: str = "map") -> None:
+        missing = [z for z in inner.declared_image() if z not in mapping]
         if missing:
             raise UnsupportedStructureError(
-                f"mapping {self.label!r} undefined on {[str(z) for z in missing]}"
+                f"mapping {label!r} undefined on {[str(z) for z in missing]}"
             )
+        self.inner, self.mapping = inner, mapping
 
     @property
     def group(self) -> GroupSpec:
@@ -358,9 +392,19 @@ class PostCompose(SepFunction):
         return list(map(self.mapping.__getitem__, self.inner.class_values(classes, memo)))
 
 
-@dataclass(frozen=True)
 class PointwiseInverse(SepFunction):
-    inner: SepFunction
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: SepFunction) -> None:
+        self.inner = inner
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.inner == other.inner
+
+    def __hash__(self) -> int:
+        return hash((self.inner,))
 
     @property
     def group(self) -> GroupSpec:
@@ -386,12 +430,21 @@ class PointwiseInverse(SepFunction):
         return list(map(self.group.inv, self.inner.class_values(classes, memo)))
 
 
-@dataclass(frozen=True)
 class PointwiseProduct(SepFunction):
     """(x, y) -> left(x, y) * right(x, y)."""
 
-    left: SepFunction
-    right: SepFunction
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: SepFunction, right: SepFunction) -> None:
+        self.left, self.right = left, right
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     @property
     def group(self) -> GroupSpec:
@@ -541,8 +594,7 @@ class GridMemo:
         return GridClasses(depth, list(first.values()), [k[0] for k in keys], leaf_values)
 
 
-@dataclass(frozen=True)
-class GridClasses:
+class GridClasses(NamedTuple):
     """Classes of xs x ys (see ``GridMemo.classes``) in x-major order of
     their first points: ``firsts`` holds each class's first x-major index
     into xs x ys, ``cells`` its (x, y) cell indices at ``depth`` and
@@ -555,18 +607,25 @@ class GridClasses:
     leaf_values: dict[int, list[GroupElement]]
 
 
-@dataclass(frozen=True)
 class SubbasicNbhd:
     """[K_X x K_Y, U]: functions mapping the rectangle into the finite set U."""
 
-    kx: CantorPoint | ClopenSet
-    ky: CantorPoint | ClopenSet
-    allowed: frozenset[GroupElement]
-    probe_id: str = ""
+    __slots__ = ("kx", "ky", "allowed", "probe_id")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.kx, CantorPoint) or isinstance(self.ky, CantorPoint)):
+    def __init__(self, kx: CantorPoint | ClopenSet, ky: CantorPoint | ClopenSet,
+                 allowed: frozenset[GroupElement], probe_id: str = "") -> None:
+        if not (isinstance(kx, CantorPoint) or isinstance(ky, CantorPoint)):
             raise ValueError("one of K_X, K_Y must be a singleton point")
+        self.kx, self.ky, self.allowed, self.probe_id = kx, ky, allowed, probe_id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kx, self.ky, self.allowed, self.probe_id) == (
+            other.kx, other.ky, other.allowed, other.probe_id)
+
+    def __hash__(self) -> int:
+        return hash((self.kx, self.ky, self.allowed, self.probe_id))
 
     def sides(self) -> tuple[Axis, CantorPoint, CantorPoint | ClopenSet]:
         """(axis, fixed, other): the axis of the singleton side, its point and
@@ -600,14 +659,12 @@ def side_sample(side: CantorPoint | ClopenSet, grid_depth: int) -> tuple[CantorP
     return tuple(c.representative() for c in side.cells_at_depth(grid_depth))
 
 
-@dataclass(frozen=True)
-class DistResult:
+class DistResult(NamedTuple):
     value: Fraction
     witness: tuple[CantorPoint, CantorPoint] | None = None
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     member: bool
     witness: tuple[CantorPoint, CantorPoint, GroupElement] | None = None
 

@@ -13,29 +13,35 @@ group of dyadic rationals with the metric min(|a - b|, 1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from sepcont.cantor import ALL_ZEROS, CantorPoint, point_dist
 from sepcont.errors import GroupMismatchError, NetMaximalityError
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Opaque element handle; the payload representation depends on the group."""
 
-    group: "GroupSpec"
-    payload: Any
+    # ``_hash`` is a cached_property, which needs a __dict__.
+    __slots__ = ("group", "payload", "__dict__")
+
+    def __init__(self, group: "GroupSpec", payload: Any) -> None:
+        self.group, self.payload = group, payload
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.payload == other.payload
 
     @cached_property
     def _hash(self) -> int:
         return hash((self.group, self.payload))
 
     def __hash__(self) -> int:
-        # The dataclass hash, computed once: elements key many dicts and sets.
+        # The hash of the fields, computed once: elements key many dicts and sets.
         return self._hash
 
     def __str__(self) -> str:
@@ -387,8 +393,7 @@ def get_group(name: str) -> GroupSpec:
     raise ValueError(f"unknown group {name!r}")
 
 
-@dataclass(frozen=True)
-class SeparatedNet:
+class SeparatedNet(NamedTuple):
     """A greedy maximal separated subset of the closed ball B[2^-k]."""
 
     group: GroupSpec

@@ -15,9 +15,8 @@ grid points on which both functions are constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from sepcont.cantor import CantorPoint
 from sepcont.functions import (
@@ -32,24 +31,31 @@ from sepcont.functions import (
 Side = Literal["l", "r", "lr", "rl"]
 
 
-@dataclass(frozen=True)
 class BallQuery:
-    center: SepFunction
-    candidate: SepFunction
-    side: Side
-    eps: Fraction
-    grid_depth: int
-    probe_id: str = ""
+    __slots__ = ("center", "candidate", "side", "eps", "grid_depth", "probe_id")
 
-    def __post_init__(self) -> None:
-        if self.eps <= 0:
+    def __init__(self, center: SepFunction, candidate: SepFunction, side: Side, eps: Fraction,
+                 grid_depth: int, probe_id: str = "") -> None:
+        if eps <= 0:
             raise ValueError("ball radius must be positive")
-        if self.side not in ("l", "r", "lr", "rl"):
-            raise ValueError(f"unknown ball side {self.side!r}")
+        if side not in ("l", "r", "lr", "rl"):
+            raise ValueError(f"unknown ball side {side!r}")
+        self.center, self.candidate, self.side = center, candidate, side
+        self.eps, self.grid_depth, self.probe_id = eps, grid_depth, probe_id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.center, self.candidate, self.side, self.eps, self.grid_depth,
+                self.probe_id) == (other.center, other.candidate, other.side, other.eps,
+                                   other.grid_depth, other.probe_id)
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.candidate, self.side, self.eps, self.grid_depth,
+                     self.probe_id))
 
 
-@dataclass(frozen=True)
-class BallResult:
+class BallResult(NamedTuple):
     member: bool
     witness: tuple[CantorPoint, CantorPoint] | None
 
@@ -86,8 +92,7 @@ def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
     return BallResult(False, witness) if outside else BallResult(True, None)
 
 
-@dataclass(frozen=True)
-class ClosureStageRow:
+class ClosureStageRow(NamedTuple):
     stage: int
     eps: Fraction
     dist_l: Fraction
@@ -96,8 +101,7 @@ class ClosureStageRow:
     certified_stage: bool
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     stages: tuple[ClosureStageRow, ...]
     failed_stage: int | None
     diagonal_passed: bool
@@ -162,8 +166,7 @@ def _stage_diagonal_check(
     )
 
 
-@dataclass(frozen=True)
-class Problem3Report:
+class Problem3Report(NamedTuple):
     sup_raw: Fraction
     bound: Fraction
     within: bool

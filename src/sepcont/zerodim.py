@@ -24,10 +24,9 @@ as d(f_{l,n}, f_{n,n}), and every sup is a ``grid_sup``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from sepcont.errors import (
     CoverConstructionError,
@@ -49,8 +48,7 @@ from sepcont.discrete import DiscreteApproximator
 from sepcont.groups import GroupElement, GroupSpec, SeparatedNet, ball_net
 
 
-@dataclass(frozen=True)
-class ImageCover:
+class ImageCover(NamedTuple):
     """Disjoint partition of the image sample into cells of diameter <= 2^-(level+1)."""
 
     level: int
@@ -128,13 +126,22 @@ def build_covers(group: GroupSpec, sample: tuple[GroupElement, ...], levels: int
     return covers
 
 
-@dataclass(frozen=True)
 class Quantizer:
     """Locally constant map on the image sample: one value per cover cell."""
 
-    level: int
-    cover: ImageCover
-    values: tuple[GroupElement, ...]
+    # ``mapping`` is a cached_property, which needs a __dict__.
+    __slots__ = ("level", "cover", "values", "__dict__")
+
+    def __init__(self, level: int, cover: ImageCover, values: tuple[GroupElement, ...]) -> None:
+        self.level, self.cover, self.values = level, cover, values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.cover, self.values) == (other.level, other.cover, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.cover, self.values))
 
     @cached_property
     def mapping(self) -> dict[GroupElement, GroupElement]:
@@ -176,16 +183,14 @@ def build_quantizer_tower(
     return tower
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(NamedTuple):
     level: int
     cond2_sup: Fraction
     cond2_ok: bool
     cond3: bool
 
 
-@dataclass(frozen=True)
-class DiagonalLevelResult:
+class DiagonalLevelResult(NamedTuple):
     level_l: int
     probe_id: str
     m_l: int | None
@@ -197,8 +202,7 @@ class DiagonalLevelResult:
     witness: str
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(NamedTuple):
     results: tuple[DiagonalLevelResult, ...]
     stage_sups: tuple[tuple[int, Fraction], ...]
     stage_of_level: dict[int, int | None]

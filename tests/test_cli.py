@@ -54,6 +54,8 @@ _QUERY = "side=l; eps=1/2^1; candidate=const 1(0)"
 # One malformed value per section, each a config error under every command.
 MALFORMED = {
     "experiment": MINIMAL.replace("n_max = 2", "n_max = two"),
+    "experiment-unknown-key": MINIMAL.replace("n_max = 2", "n_max = 2\nn_maks = 5"),
+    "unknown-section": MINIMAL + "[bal]\nb = " + _QUERY + "\n",
     "probes": MINIMAL.replace("p0 = (0) ; !{}", "p0 = (0) ; {2}"),
     "ball-eps": MINIMAL + _BALL + _QUERY.replace("1/2^1", "zz"),
     "ball-side": MINIMAL + _BALL + _QUERY.replace("side=l", "side=zz"),
@@ -62,6 +64,7 @@ MALFORMED = {
     "ball-unknown-field": MINIMAL + _BALL + _QUERY + "; colour=red",
     "ball-item-without-equals": MINIMAL + _BALL + _QUERY.replace("eps=", "eps "),
     "ball-trailing-semicolon": MINIMAL + _BALL + _QUERY + ";",
+    "ball-repeated-field": MINIMAL + _BALL + "side=zz; " + _QUERY,
     "closure-not-an-integer": MINIMAL + "[closure]\ninject_fault_at = x\n",
     "closure-out-of-range": MINIMAL + "[closure]\ninject_fault_at = 3\n",
     "closure-unknown-key": MINIMAL + "[closure]\nfault_at = 1\n",

@@ -425,14 +425,15 @@ class _OverlappingClaims(SepFunction):
 
     group = DYADIC
 
-    def __init__(self, claims):
+    def __init__(self, claims, image=(E, A)):
         self.claims = claims
+        self.image = image
 
     def eval(self, x, y):
         return E
 
     def declared_image(self):
-        return (E, A)
+        return self.image
 
     def values_on_rect(self, u, v):
         hits = {
@@ -456,6 +457,25 @@ class TestOverlappingPatches:
         with pytest.raises(RefinementExhaustedError) as painted:
             DiscreteApproximator(f).approximant(3)
         assert str(painted.value) == expected
+
+    def test_smaller_stage_after_a_checked_larger_one(self):
+        # At depth 2 (stages 3 to 6) cell 01 x 10 gets E at stage 3, from the
+        # y strip [0] x [10], and F, the sixth value, at stage 5, from the x
+        # strip [01] x [1]: stages 3 and 4 are clash-free, stage 5 is not.
+        image = tuple(map(DYADIC.parse_element, ["(0)", "1(0)", "01(0)", "11(0)", "001(0)", "011(0)"]))
+        f = _OverlappingClaims({("0", "10"): E, ("01", "1"): image[-1]}, image)
+        engine = DiscreteApproximator(f)
+        assert engine.approximant(4) == DiscreteApproximator(f).approximant(4)
+        assert engine.approximant(3) == DiscreteApproximator(f).approximant(3)
+        expected = "cell 01 x 10 meets patches of ['(0)', '011(0)'] at depth 2"
+        # Asked twice: a failed stage is not marked checked.
+        for asked in (engine, engine, DiscreteApproximator(f)):
+            with pytest.raises(RefinementExhaustedError) as painted:
+                asked.approximant(5)
+            assert str(painted.value) == expected
+        # The failed stage leaves the checked ones readable.
+        row = SubbasicNbhd(CantorPoint.parse("01(0)"), WHOLE, frozenset((E,)))
+        assert engine.memberships(row, [4, 3]) == [True, True]
 
 
 class TestTableSectionPartition:

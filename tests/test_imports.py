@@ -6,15 +6,23 @@ Names listed in a module's ``__all__`` count as used: the package
 re-exports its public names that way.  A definition counts as referenced
 when its name appears as a name, an attribute or a string constant in
 src/ or perfbench/ (the benchmark wraps methods by name): code that only
-tests call is a fixture and lives in tests/.  A dataclass field counts as
-read when tests/ read it too.  Dunder methods are called by the language
-and are not checked.  Every function and method the benchmark's tracer
-wraps by name exists where the tracer looks for it.
+tests call is a fixture and lives in tests/.  A declared field (of a
+dataclass or a NamedTuple, or named in ``__slots__``) counts as read when
+tests/ read it too.  Dunder methods are called by the language and are not
+checked.  Every function and method the benchmark's tracer wraps by name
+exists where the tracer looks for it.
+
+The package's classes are immutable by convention: every attribute store
+is in an ``__init__``, apart from a short allow-list.  Importing the CLI
+loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,11 +49,16 @@ def used_names(tree):
     """Names read anywhere in the module, or listed in ``__all__``."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if _assigns(node, "__all__"):
             used |= set(ast.literal_eval(node.value))
     return used
+
+
+def _assigns(stmt, name):
+    """Whether stmt is an assignment to the plain name ``name``."""
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == name for t in stmt.targets
+    )
 
 
 def unused_imports(source):
@@ -187,19 +200,29 @@ def test_unread_parameter_is_reported():
     assert unread_parameters(source) == [("overwrites", "depth"), ("nested", "b")]
 
 
-def dataclass_fields(tree):
-    """(class, field, line) for each annotated field of a ``@dataclass`` class."""
+def declared_fields(tree):
+    """(class, field, line) for each annotated field of a ``@dataclass`` or
+    ``NamedTuple`` class, and each non-dunder name in a class's ``__slots__``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield node.name, stmt.target.id, stmt.lineno
+        if not isinstance(node, ast.ClassDef):
+            continue
+        annotated = any(_named(d, "dataclass") for d in node.decorator_list) or any(
+            _named(b, "NamedTuple") for b in node.bases
+        )
+        for stmt in node.body:
+            if annotated and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, stmt.lineno
+            elif _assigns(stmt, "__slots__"):
+                slots = ast.literal_eval(stmt.value)
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if not name.startswith("__"):
+                        yield node.name, name, stmt.lineno
 
 
-def _is_dataclass(decorator):
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
-    return name == "dataclass"
+def _named(expr, name):
+    """Whether a decorator or base class is ``name``, ``module.name`` or a call of either."""
+    target = expr.func if isinstance(expr, ast.Call) else expr
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == name
 
 
 def attribute_reads(tree):
@@ -212,14 +235,15 @@ def attribute_reads(tree):
 
 
 def unread_fields(defining, referencing):
-    """(class, field, line) for each dataclass field in the source
+    """(class, field, line) for each declared field in the source
     ``defining`` that no source in ``referencing`` reads as an attribute."""
     reads = set().union(*(attribute_reads(ast.parse(src)) for src in referencing))
-    return [f for f in dataclass_fields(ast.parse(defining)) if f[1] not in reads]
+    return [f for f in declared_fields(ast.parse(defining)) if f[1] not in reads]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_dataclass_fields_are_read(path, reference_sources):
+    # Covers every declared field: NamedTuple and __slots__ fields as well as dataclass ones.
     assert unread_fields(path.read_text(), reference_sources) == []
 
 
@@ -239,9 +263,109 @@ def test_unread_field_is_reported():
         "    note: str = ''\n"
         "class Plain:\n"
         "    untracked: int\n"
+        "class Pair(typing.NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Point:\n"
+        "    __slots__ = ('x', 'y', '__dict__')\n"
+        "class Tag:\n"
+        "    __slots__ = 'name'\n"
     )
-    referencing = [defining, "row = Row(1)\nrow.note = 'set, never read'\nprint(row.level)\n"]
-    assert unread_fields(defining, referencing) == [("Result", "exact", 6), ("Row", "note", 12)]
+    referencing = [
+        defining,
+        "row = Row(1)\nrow.note = 'set, never read'\nprint(row.level)\n",
+        "print(Pair(1, 2).left, Point().x)\n",
+    ]
+    assert unread_fields(defining, referencing) == [
+        ("Result", "exact", 6),
+        ("Row", "note", 12),
+        ("Pair", "right", 17),
+        ("Point", "y", 19),
+        ("Tag", "name", 21),
+    ]
+
+
+# The attribute stores outside an ``__init__``, as (function, attribute).
+ALLOWED_STORES = {
+    ("__enter__", "t0"),  # cli._Timer: the start of a timed stage
+    ("load_experiment", "optionxform"),  # configparser's hook for case-sensitive keys
+    ("_table", "through"),  # discrete._StageTable: the stages painted and checked
+}
+
+
+def attribute_stores(tree):
+    """(function, attribute, line) for each ``obj.attribute = ...`` (or
+    augmented assignment or ``del``) outside an ``__init__``; the function
+    is the innermost enclosing one, None at module or class level."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and not isinstance(child.ctx, ast.Load)
+                and function != "__init__"
+            ):
+                out.append((function, child.attr, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+def stray_stores(source):
+    return [s for s in attribute_stores(ast.parse(source)) if s[:2] not in ALLOWED_STORES]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_stores_attributes_only_in_init(path):
+    assert stray_stores(path.read_text()) == []
+
+
+def test_every_allowed_store_is_made():
+    stores = {s[:2] for path in MODULES for s in attribute_stores(ast.parse(path.read_text()))}
+    assert stores == ALLOWED_STORES
+
+
+def test_stray_store_is_reported():
+    source = (
+        "class Point:\n"
+        "    def __init__(self, x):\n"
+        "        self.x, self.cache = x, {}\n"
+        "    def move(self, dx):\n"
+        "        self.x += dx\n"
+        "        self.cache['moved'] = True\n"
+        "    def _table(self, table):\n"
+        "        table.through = 1\n"
+        "        def later():\n"
+        "            del self.cache\n"
+        "        return later\n"
+        "Point.origin = Point(0)\n"
+    )
+    assert stray_stores(source) == [("move", "x", 5), ("later", "cache", 10), (None, "origin", 12)]
+
+
+def benchmark_setup_code():
+    """``SETUP_CODE`` of perfbench/run.py, read without importing the script."""
+    tree = ast.parse((REPO / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if _assigns(node, "SETUP_CODE"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no SETUP_CODE")
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    # A fresh interpreter, so that no other test's imports count.
+    probe = "import sys\nprint(sorted({'sepcont.cli', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", benchmark_setup_code() + probe],
+        env=env, cwd=REPO, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "['sepcont.cli']"
 
 
 def load_tracing():
