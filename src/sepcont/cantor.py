@@ -172,9 +172,6 @@ class Cylinder:
         start = int(self.prefix, 2) << shift if self.prefix else 0
         return range(start, start + (1 << shift))
 
-    def __str__(self) -> str:
-        return self.prefix
-
 
 def basis_cylinder(k: int) -> Cylinder:
     """The k-th cylinder in the canonical base (by prefix length, then lexicographic)."""
@@ -408,15 +405,6 @@ class ClopenSet:
     def cells_at_depth(self, d: int) -> tuple[Cylinder, ...]:
         """The depth-d cylinders contained in the set; requires d >= depth()."""
         return tuple(Cylinder(format(i, f"0{d}b") if d else "") for i in self.cell_indices(d))
-
-    def __or__(self, other: "ClopenSet") -> "ClopenSet":
-        return self.union(other)
-
-    def __and__(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other)
-
-    def __invert__(self) -> "ClopenSet":
-        return self.complement()
 
     def __str__(self) -> str:
         if self.is_empty():

@@ -14,7 +14,6 @@ import argparse
 import functools
 import sys
 import time
-import traceback
 from fractions import Fraction
 
 import sepcont
@@ -324,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except Exception as exc:
         # An internal fault, not a certificate outcome: keep its traceback.
+        # Imported here, so that no successful run pays for loading it.
+        import traceback
+
         traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -59,7 +59,8 @@ def _cell(p: CantorPoint, depth: int) -> int:
 
 class SepFunction:
     """Base class; subclasses are immutable combinators sharing one group,
-    each naming its fields in ``__slots__``."""
+    each naming its fields in ``__slots__``.  A function tree is equal only to
+    itself: the checks compare the values a function takes, never two trees."""
 
     group: GroupSpec
 
@@ -131,14 +132,6 @@ class Constant(SepFunction):
     def __init__(self, value: GroupElement) -> None:
         self.value = value
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
     @property
     def group(self) -> GroupSpec:
         return self.value.group
@@ -169,14 +162,6 @@ class TableFunction(SepFunction):
         if len(values) != n or any(len(row) != n for row in values):
             raise ValueError(f"table must be {n} x {n}")
         self.depth, self.values = depth, values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.depth == other.depth and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.depth, self.values))
 
     @property
     def group(self) -> GroupSpec:
@@ -273,14 +258,6 @@ class OnesDiagonal(DiagonalIndicator):
             raise ValueError("value schedule must be nonempty")
         self.period, self.prefix = period, prefix
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.period == other.period and self.prefix == other.prefix
-
-    def __hash__(self) -> int:
-        return hash((self.period, self.prefix))
-
     def axis_key(self, p: CantorPoint) -> int | None:
         return p.leading_ones()
 
@@ -321,14 +298,6 @@ class CylinderDiagonal(DiagonalIndicator):
                     )
         self.members = members
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash((self.members,))
-
     def axis_key(self, p: CantorPoint) -> int | None:
         return next((n for n, (c, _) in enumerate(self.members) if c.contains(p)), None)
 
@@ -351,8 +320,7 @@ class CylinderDiagonal(DiagonalIndicator):
 
 class PostCompose(SepFunction):
     """mapping o inner, for a finite map defined on the inner declared image;
-    ``label`` names the map in errors.  Equal only to itself: the mapping is
-    a dict."""
+    ``label`` names the map in errors."""
 
     __slots__ = ("inner", "mapping")
 
@@ -398,14 +366,6 @@ class PointwiseInverse(SepFunction):
     def __init__(self, inner: SepFunction) -> None:
         self.inner = inner
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.inner == other.inner
-
-    def __hash__(self) -> int:
-        return hash((self.inner,))
-
     @property
     def group(self) -> GroupSpec:
         return self.inner.group
@@ -437,14 +397,6 @@ class PointwiseProduct(SepFunction):
 
     def __init__(self, left: SepFunction, right: SepFunction) -> None:
         self.left, self.right = left, right
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
     @property
     def group(self) -> GroupSpec:
@@ -617,15 +569,6 @@ class SubbasicNbhd:
         if not (isinstance(kx, CantorPoint) or isinstance(ky, CantorPoint)):
             raise ValueError("one of K_X, K_Y must be a singleton point")
         self.kx, self.ky, self.allowed, self.probe_id = kx, ky, allowed, probe_id
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kx, self.ky, self.allowed, self.probe_id) == (
-            other.kx, other.ky, other.allowed, other.probe_id)
-
-    def __hash__(self) -> int:
-        return hash((self.kx, self.ky, self.allowed, self.probe_id))
 
     def sides(self) -> tuple[Axis, CantorPoint, CantorPoint | ClopenSet]:
         """(axis, fixed, other): the axis of the singleton side, its point and

@@ -252,9 +252,6 @@ class FiniteTableGroup(GroupSpec):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
                         raise ValueError("multiplication table is not associative")
 
-    def order(self) -> int:
-        return len(self._table)
-
     def _mul(self, a: int, b: int) -> int:
         return self._table[a][b]
 

@@ -43,17 +43,6 @@ class BallQuery:
         self.center, self.candidate, self.side = center, candidate, side
         self.eps, self.grid_depth, self.probe_id = eps, grid_depth, probe_id
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.center, self.candidate, self.side, self.eps, self.grid_depth,
-                self.probe_id) == (other.center, other.candidate, other.side, other.eps,
-                                   other.grid_depth, other.probe_id)
-
-    def __hash__(self) -> int:
-        return hash((self.center, self.candidate, self.side, self.eps, self.grid_depth,
-                     self.probe_id))
-
 
 class BallResult(NamedTuple):
     member: bool

@@ -10,8 +10,8 @@ net(n).  The image sample is f's declared image, a finite superset of
 f(X x Y), so each quantizer r_n is one finite map on it and every check
 below is exact at every point.  The quantizer conditions per level n are
 
-* (1) the quantizer is constant on each cover cell: one stored value per
-  cell, so it holds by representation and is not checked;
+* (1) the quantizer is constant on each cover cell: its map is built from
+  one value per cell, so it holds by construction and is not checked;
 * (2) sup over the image sample of d(r_n(z), z) <= 2^-n, exactly;
 * (3) r_n(z) lies in r_{n-1}(z) * net(n-1) for every sampled z, exactly:
   the factor g_{n-1} takes its values in net(n-1).
@@ -25,7 +25,6 @@ as d(f_{l,n}, f_{n,n}), and every sup is a ``grid_sup``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from sepcont.errors import (
@@ -129,24 +128,11 @@ def build_covers(group: GroupSpec, sample: tuple[GroupElement, ...], levels: int
 class Quantizer:
     """Locally constant map on the image sample: one value per cover cell."""
 
-    # ``mapping`` is a cached_property, which needs a __dict__.
-    __slots__ = ("level", "cover", "values", "__dict__")
+    __slots__ = ("mapping",)
 
-    def __init__(self, level: int, cover: ImageCover, values: tuple[GroupElement, ...]) -> None:
-        self.level, self.cover, self.values = level, cover, values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.cover, self.values) == (other.level, other.cover, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.cover, self.values))
-
-    @cached_property
-    def mapping(self) -> dict[GroupElement, GroupElement]:
-        """r_n as one finite map: every sample point to its cell's value."""
-        return {z: v for cell, v in zip(self.cover.cells, self.values) for z in cell}
+    def __init__(self, cover: ImageCover, values: Iterable[GroupElement]) -> None:
+        # r_n as one finite map: every sample point to its cell's value.
+        self.mapping = {z: v for cell, v in zip(cover.cells, values) for z in cell}
 
 
 def build_quantizer_tower(
@@ -159,7 +145,7 @@ def build_quantizer_tower(
     z', checks g_W^-1 z' lands in B[2^-n], and multiplies g_W by the nearest
     net(n) element (ties by canonical order, required distance < 2^-(n+2))."""
     one = group.identity()
-    tower = [Quantizer(0, covers[0], (one,) * len(covers[0].cells))]
+    tower = [Quantizer(covers[0], (one,) * len(covers[0].cells))]
     for n in range(len(covers) - 1):
         prev = tower[n]
         child = covers[n + 1]
@@ -179,7 +165,7 @@ def build_quantizer_tower(
                     f"enumeration depth {nets[n].enumeration_depth} too small"
                 )
             values.append(group.mul(g_w, eps))
-        tower.append(Quantizer(n + 1, child, tuple(values)))
+        tower.append(Quantizer(child, values))
     return tower
 
 

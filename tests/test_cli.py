@@ -499,6 +499,7 @@ class TestExitCodes:
         assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 1
         err = capsys.readouterr().err
         assert "error: internal fault" in err and "config error" not in err
+        assert "Traceback (most recent call last)" in err
 
     def test_depth_cap_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEPCONT_MAX_DEPTH", "4")

@@ -392,7 +392,7 @@ class TestPaintedApproximants:
         # The stage tables grow only as far as asked, in any order.
         engine = DiscreteApproximator(f)
         for n in order:
-            assert engine.approximant(n) == brute_approximant(f, n), n
+            assert engine.approximant(n).values == brute_approximant(f, n).values, n
 
     @given(families, st.permutations([(k, d) for d in (1, 2, 3) for k in range(13)]))
     def test_inherited_strips_match_direct_strips(self, f, order):
@@ -465,8 +465,8 @@ class TestOverlappingPatches:
         image = tuple(map(DYADIC.parse_element, ["(0)", "1(0)", "01(0)", "11(0)", "001(0)", "011(0)"]))
         f = _OverlappingClaims({("0", "10"): E, ("01", "1"): image[-1]}, image)
         engine = DiscreteApproximator(f)
-        assert engine.approximant(4) == DiscreteApproximator(f).approximant(4)
-        assert engine.approximant(3) == DiscreteApproximator(f).approximant(3)
+        assert engine.approximant(4).values == DiscreteApproximator(f).approximant(4).values
+        assert engine.approximant(3).values == DiscreteApproximator(f).approximant(3).values
         expected = "cell 01 x 10 meets patches of ['(0)', '011(0)'] at depth 2"
         # Asked twice: a failed stage is not marked checked.
         for asked in (engine, engine, DiscreteApproximator(f)):

@@ -6,15 +6,21 @@ Names listed in a module's ``__all__`` count as used: the package
 re-exports its public names that way.  A definition counts as referenced
 when its name appears as a name, an attribute or a string constant in
 src/ or perfbench/ (the benchmark wraps methods by name): code that only
-tests call is a fixture and lives in tests/.  A declared field (of a
-dataclass or a NamedTuple, or named in ``__slots__``) counts as read when
-tests/ read it too.  Dunder methods are called by the language and are not
-checked.  Every function and method the benchmark's tracer wraps by name
-exists where the tracer looks for it.
+tests call is a fixture and lives in tests/.  A method is reached through
+its object, so a bare name, such as a local variable of the same name,
+does not count for it.  A declared field (of a dataclass or a NamedTuple,
+or named in ``__slots__``) counts as read when tests/ read it too.  Dunder
+methods are called by the language and are not checked.  Every function
+and method the benchmark's tracer wraps by name exists where the tracer
+looks for it.
+
+Only the value types (points, cylinders, clopen sets and group elements)
+define ``__eq__`` or ``__hash__``; every other class compares by identity.
 
 The package's classes are immutable by convention: every attribute store
 is in an ``__init__``, apart from a short allow-list.  Importing the CLI
-loads neither ``dataclasses`` nor ``inspect``.
+loads neither ``dataclasses`` nor ``inspect``, nor ``traceback``, which only
+an internal fault needs.
 """
 
 import ast
@@ -93,34 +99,50 @@ def test_modules_found():
     assert {"discrete.py", "cantor.py", "__init__.py"} <= {p.name for p in MODULES}
 
 
+def _methods(node):
+    """The functions defined directly in the body of a class node."""
+    return [s for s in node.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def definitions(tree):
-    """(name, line) for each function, class and method, nested ones included."""
+    """(name, line, is_method) for each function, class and method, nested
+    ones included."""
+    methods = {id(m) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for m in _methods(node)}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, id(node) in methods
 
 
 def references(tree):
-    """Every name, attribute name and string constant in the module."""
-    out = set()
+    """(names, members): every bare name in the module, and every attribute
+    name and string constant."""
+    names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            members.add(node.value)
+    return names, members
 
 
 def unreferenced_definitions(defining, referencing):
     """(name, line) for each non-dunder definition in the source ``defining``
-    whose name no source in ``referencing`` mentions."""
-    refs = set().union(*(references(ast.parse(src)) for src in referencing))
+    whose name no source in ``referencing`` mentions; a method's name counts
+    only as an attribute or a string."""
+    names, members = set(), set()
+    for src in referencing:
+        n, m = references(ast.parse(src))
+        names |= n
+        members |= m
     return [
         (name, line)
-        for name, line in definitions(ast.parse(defining))
-        if name not in refs and not (name.startswith("__") and name.endswith("__"))
+        for name, line, method in definitions(ast.parse(defining))
+        if name not in members
+        and (method or name not in names)
+        and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
@@ -150,11 +172,50 @@ def test_unreferenced_definition_is_reported():
         "        return helper\n"
         "    def wrapped(self):\n"
         "        pass\n"
+        "    def order(self):\n"
+        "        pass\n"
         "def orphan():\n"
         "    pass\n"
     )
-    referencing = [defining, "Used().called()\n", "PATCH = ('Used', 'wrapped')\n"]
-    assert unreferenced_definitions(defining, referencing) == [("orphan", 10)]
+    # A local variable named like a method does not reference the method.
+    referencing = [
+        defining, "Used().called()\n", "PATCH = ('Used', 'wrapped')\n", "order = 3\nprint(order)\n",
+    ]
+    assert set(unreferenced_definitions(defining, referencing)) == {("order", 10), ("orphan", 12)}
+
+
+VALUE_TYPES = {"CantorPoint", "Cylinder", "ClopenSet", "GroupElement"}
+
+
+def classes_defining_equality(source):
+    """The classes in source that define ``__eq__`` or ``__hash__``."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(m.name in ("__eq__", "__hash__") for m in _methods(node))
+    }
+
+
+def test_only_value_types_define_equality():
+    defined = set().union(*(classes_defining_equality(p.read_text()) for p in MODULES))
+    assert defined == VALUE_TYPES
+
+
+def test_stray_equality_is_reported():
+    source = (
+        "class Point:\n"
+        "    def __eq__(self, other):\n"
+        "        return self is other\n"
+        "class Tree:\n"
+        "    def __init__(self):\n"
+        "        def __hash__():\n"
+        "            return 0\n"
+        "class Cell:\n"
+        "    def __hash__(self):\n"
+        "        return 0\n"
+    )
+    assert classes_defining_equality(source) == {"Point", "Cell"}
 
 
 def unread_parameters(source):
@@ -359,7 +420,11 @@ def benchmark_setup_code():
 
 def test_cli_start_up_loads_no_dataclasses_or_inspect():
     # A fresh interpreter, so that no other test's imports count.
-    probe = "import sys\nprint(sorted({'sepcont.cli', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    probe = (
+        "import sys\n"
+        "loaded = {'sepcont.cli', 'dataclasses', 'inspect', 'traceback'} & set(sys.modules)\n"
+        "print(sorted(loaded))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     result = subprocess.run(
         [sys.executable, "-c", benchmark_setup_code() + probe],
