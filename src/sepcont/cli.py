@@ -126,7 +126,7 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
         raise ConfigError(f"level {too_deep[0]} needs factors up to {too_deep[0]}; raise n_max")
     timer = _Timer()
     with timer.stage("tower"):
-        pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
+        pipe = ZerodimPipeline(exp.function, exp.n_max)
         cond = pipe.condition_rows()
     with timer.stage("diagonal"):
         rep = pipe.diagonal(exp.probes, exp.levels) if exp.probes else None
@@ -221,15 +221,13 @@ def _fault_constant(exp: Experiment) -> SepFunction:
 def cmd_closure_probe(exp: Experiment) -> int:
     timer = _Timer()
     with timer.stage("stages"):
-        pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
+        pipe = ZerodimPipeline(exp.function, exp.n_max)
         stages: list[SepFunction] = [pipe.quantized(n) for n in range(exp.n_max + 1)]
         schedule = [Fraction(1, 2**n) for n in range(exp.n_max + 1)]
         if exp.inject_fault_at is not None:
             stages[exp.inject_fault_at] = _fault_constant(exp)
     with timer.stage("closure"):
-        rep = closure_probe(
-            exp.function, stages, schedule, exp.probes, exp.levels, exp.grid_depth
-        )
+        rep = closure_probe(exp.function, stages, schedule, exp.probes, exp.levels)
     rows = [
         {
             "stage": r.stage,
@@ -262,7 +260,7 @@ def cmd_problem3(exp: Experiment) -> int:
         raise ConfigError("[problem3] needs a candidate function")
     candidate, bound = exp.problem3
     with timer.stage("problem3"):
-        rep = problem3_check(exp.function, candidate, exp.grid_depth, bound)
+        rep = problem3_check(exp.function, candidate, bound)
     payload = {
         "sup_raw": dyadic_str(rep.sup_raw),
         "bound": dyadic_str(rep.bound),

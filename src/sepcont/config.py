@@ -163,7 +163,6 @@ def parse_probe(name: str, text: str) -> SubbasicNbhd:
 class Experiment(NamedTuple):
     group: GroupSpec
     function: SepFunction
-    grid_depth: int
     n_max: int
     levels: list[int]
     out: Path
@@ -175,6 +174,8 @@ class Experiment(NamedTuple):
 
 
 _SECTIONS = ("experiment", "probes", "ball", "closure", "problem3")
+# The third key is accepted and never read: every sup is taken over exact
+# point sets, and generated configs still carry the key.
 _EXPERIMENT_KEYS = ("group", "function", "grid_depth", "n_max", "levels", "out")
 
 
@@ -186,8 +187,7 @@ def _known(items: dict[str, str], keys: tuple[str, ...], where: str) -> dict[str
     return items
 
 
-def _ball_query(name: str, text: str, function: SepFunction, grid_depth: int,
-                base_dir: Path) -> BallQuery:
+def _ball_query(name: str, text: str, function: SepFunction, base_dir: Path) -> BallQuery:
     """The query ``side=<side>; eps=<radius>; candidate=<function>``."""
     fields = {}
     for item in text.split(";"):
@@ -204,7 +204,7 @@ def _ball_query(name: str, text: str, function: SepFunction, grid_depth: int,
     eps = parse_eps(fields["eps"])
     candidate = parse_function(fields["candidate"], function.group, base_dir)
     try:
-        return BallQuery(function, candidate, fields["side"], eps, grid_depth, name)
+        return BallQuery(function, candidate, fields["side"], eps, name)
     except ValueError as exc:
         raise ConfigError(f"ball query {name!r}: {exc}") from exc
 
@@ -255,11 +255,8 @@ def load_experiment(
         group = get_group(exp["group"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    grid_depth = parse_int(exp.get("grid_depth", "6"), "grid_depth")
     n_max = parse_int(exp.get("n_max", "3"), "n_max")
-    cap = depth_cap()
-    if grid_depth < 0 or grid_depth > cap:
-        raise ConfigError(f"grid_depth must be in [0, {cap}]")
+    depth_cap()  # a malformed cap is a config error before any work
     if n_max < 0 or n_max > MAX_N:
         raise ConfigError(f"n_max must be in [0, {MAX_N}]")
     levels_text = exp.get("levels", "1,2")
@@ -281,15 +278,9 @@ def load_experiment(
                 probes.extend(_random_probes(parse_int(value, "random"), seed))
             else:
                 probes.append(parse_probe(name, value))
-    for p in probes:
-        for side in (p.kx, p.ky):
-            if isinstance(side, ClopenSet) and side.depth() > grid_depth:
-                raise ConfigError(
-                    f"probe {p.probe_id!r} uses cylinders deeper than grid_depth {grid_depth}"
-                )
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     ball_queries = [
-        _ball_query(name, value, function, grid_depth, path.parent)
+        _ball_query(name, value, function, path.parent)
         for name, value in sorted(sections.get("ball", {}).items())
     ]
     closure = _known(sections.get("closure", {}), ("inject_fault_at",), "[closure]")
@@ -311,7 +302,6 @@ def load_experiment(
     return Experiment(
         group=group,
         function=function,
-        grid_depth=grid_depth,
         n_max=n_max,
         levels=levels,
         out=out,

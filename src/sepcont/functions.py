@@ -16,9 +16,11 @@ structural queries:
   stays that singleton on every sub-rectangle.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
-singleton, so every probe reads one section partition), the grid-based
-uniform distance and the grid kernel behind every grid check:
+singleton, so every probe reads one section partition), the uniform
+distance and the kernel behind every sup a check takes:
 
+* ``GridMemo.exact_points`` — a finite point set, read off the leaves,
+  that meets every value class of a check's functions on a side;
 * ``GridMemo.classes`` and ``SepFunction.class_values`` — the points of
   a rectangle grouped into classes on which the functions of a check are
   constant (one depth-D cell, D the deepest table leaf, and one value of
@@ -31,8 +33,9 @@ uniform distance and the grid kernel behind every grid check:
 * ``GridMemo.pairwise`` — an operation on two zipped value lists, run
   once per distinct pair of values;
 * ``grid_sup`` — the max of an operation over a rectangle, run once per
-  class, with its first x-major witness; a layer-wise sup is one over a
-  probe rectangle, whose one side is a singleton;
+  class, with its first x-major witness; ``exact_sup`` takes it over the
+  exact points of the whole square or of a probe rectangle, whose one
+  side is a singleton;
 * ``product_chain`` — the ordered product of tables, folded into one
   table.
 """
@@ -41,10 +44,11 @@ from __future__ import annotations
 
 from functools import reduce
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Literal, NamedTuple
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
-from sepcont.errors import UnsupportedStructureError
+from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
+from sepcont.errors import ConfigError, UnsupportedStructureError
 from sepcont.groups import GroupElement, GroupSpec
 
 Axis = Literal["x", "y"]
@@ -454,17 +458,36 @@ def product_chain(tables: list[TableFunction], memo: "GridMemo") -> TableFunctio
     return reduce(lambda a, b: _table_product(a, b, memo), tables)
 
 
+def resolution(fns: Iterable[SepFunction]) -> tuple[int, int]:
+    """(D, P) of the leaves of fns: D the deepest table, ``diag cyl`` member
+    or ``diag ones`` prefix, P the lcm of the ``diag ones`` periods.  Off
+    the corner [1^D] x [1^D] every leaf is constant on each pair of depth-D
+    cells; on it a ``diag ones`` leaf is the identity off the matched
+    blocks and periodic in the block n from D on.  Other leaves raise."""
+    depth, period = 0, 1
+    for leaf in (leaf for fn in fns for leaf in fn._leaves()):
+        if isinstance(leaf, TableFunction):
+            depth = max(depth, leaf.depth)
+        elif isinstance(leaf, CylinderDiagonal):
+            depth = max([depth, *(c.depth() for c, _ in leaf.members)])
+        elif isinstance(leaf, OnesDiagonal):
+            depth, period = max(depth, len(leaf.prefix)), lcm(period, len(leaf.period))
+        elif not isinstance(leaf, Constant):
+            raise ConfigError(f"no exact point set for a {type(leaf).__name__} leaf")
+    return depth, period
+
+
 class GridMemo:
-    """Memo tables for the grid sweeps.
+    """Memo tables for the sweeps.
 
     A sweep meets only a few distinct group elements, so every binary
     operation a sweep runs (group ``mul``, ``dist``, a ball test) goes
     through ``pairwise``, which keeps one table per operation and runs it
     once per distinct pair of values.  ``classes`` keeps each class list of
     a rectangle and each leaf's axis keys per point list, and
-    ``grid_points`` hands out one point tuple per depth so those are found
-    again.  A memo lives on one pipeline, one call or one ``ball`` job and
-    is never shared across jobs.
+    ``exact_points`` hands out one point tuple per point set so those are
+    found again.  A memo lives on one pipeline, one call or one ``ball``
+    job and is never shared across jobs.
 
     The op tables are keyed by value; an element caches its hash.  Key
     lists and class lists are keyed on the identity of the functions and
@@ -473,15 +496,43 @@ class GridMemo:
     """
 
     def __init__(self):
-        self._grids: dict[int, tuple[CantorPoint, ...]] = {}
+        self._points: dict[tuple, tuple[CantorPoint, ...]] = {}
         self._tables: dict[object, dict[tuple, object]] = {}
         self._axis_keys: dict[tuple[int, int], tuple] = {}
         self._classes: dict[tuple, tuple] = {}
 
-    def grid_points(self, depth: int) -> tuple[CantorPoint, ...]:
-        if depth not in self._grids:
-            self._grids[depth] = grid_points(depth)
-        return self._grids[depth]
+    def exact_points(self, fns: Iterable[SepFunction],
+                     side: ClopenSet | CantorPoint = ClopenSet.whole(),
+                     fixed: CantorPoint | None = None) -> tuple[CantorPoint, ...]:
+        """Points of ``side`` that meet every value class of fns on it, in
+        lexicographic order, so a max over them is the sup over the side;
+        one kept tuple per point set, so its class lists are found again.
+
+        A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``:
+        the representative (prefix, then 0^w) of each cylinder of side, cut
+        into its depth-D cells where it is shallower, and the points 1^k 0^w
+        in side for k in [C, C + P], C = max(D, depth of the all-ones
+        cylinder of side), and, for a probe's fixed point with j leading
+        ones, k = j.  Each is the first point of its class on any grid that
+        holds them all, and their number grows with the cylinders of side,
+        not with its depth."""
+        if isinstance(side, CantorPoint):
+            return self._points.setdefault((side,), (side,))
+        depth, period = resolution(fns)
+        key = (depth, period, side, fixed.leading_ones() if fixed is not None else None)
+        if key not in self._points:
+            cylinders = side.cylinders()
+            corner = max([depth, *(c.depth() for c in cylinders if "0" not in c.prefix)])
+            ones = {CantorPoint("1" * k) for k in {*range(corner, corner + period + 1), key[3]}
+                    if k is not None}
+            points = {cell.representative() for c in cylinders for cell in
+                      ClopenSet.from_cylinder(c).cells_at_depth(max(depth, c.depth()))}
+            points.update(p for p in ones if side.contains(p))
+            top = max(len(p.preperiod) for p in points) if points else 0
+            t = tuple(sorted(points, key=lambda p: _cell(p, top)))
+            # Keyed by the points too, so equal point sets share one tuple.
+            self._points[key] = self._points.setdefault(t, t)
+        return self._points[key]
 
     def pairwise(self, op, left: Iterable, right: Iterable) -> list:
         """op(a, b) for each zipped pair, run once per distinct value pair
@@ -596,12 +647,6 @@ class SubbasicNbhd:
         return {z: piece for z, piece in cut.items() if not piece.is_empty()}
 
 
-def side_sample(side: CantorPoint | ClopenSet, grid_depth: int) -> tuple[CantorPoint, ...]:
-    if isinstance(side, CantorPoint):
-        return (side,)
-    return tuple(c.representative() for c in side.cells_at_depth(grid_depth))
-
-
 class DistResult(NamedTuple):
     value: Fraction
     witness: tuple[CantorPoint, CantorPoint] | None = None
@@ -635,21 +680,31 @@ def grid_sup(
     return best, (xs[i], ys[j])
 
 
+def exact_sup(op, f: SepFunction, g: SepFunction, memo: GridMemo,
+              probe: SubbasicNbhd | None = None) -> tuple:
+    """``grid_sup`` over the exact points of the whole square or of the
+    probe rectangle: the sup of op there, with its first witness."""
+    if probe is None:
+        xs = ys = memo.exact_points((f, g))
+    else:
+        axis, fixed, other = probe.sides()
+        one, side = memo.exact_points((), fixed), memo.exact_points((f, g), other, fixed)
+        xs, ys = (one, side) if axis == "x" else (side, one)
+    return grid_sup(op, f, g, xs, ys, memo)
+
+
 def uniform_dist(
     f: SepFunction,
     g: SepFunction,
     side: Literal["l", "r"],
-    grid_depth: int,
     memo: GridMemo | None = None,
 ) -> DistResult:
-    """Grid sup of d(1, f^-1 g) (side l) or d(1, g f^-1) (side r), a lower
-    bound of the sup over Cantor x Cantor; the witness is the first grid
-    point, x-major, that attains it.  The metric is left-invariant, so these
-    are d(f, g) and d(g^-1, f^-1)."""
+    """Sup over Cantor x Cantor of d(1, f^-1 g) (side l) or d(1, g f^-1)
+    (side r), with its first witness.  The metric is left-invariant, so
+    these are d(f, g) and d(g^-1, f^-1)."""
     memo = memo if memo is not None else GridMemo()
-    points = memo.grid_points(grid_depth)
     pair = (f, g) if side == "l" else (PointwiseInverse(g), PointwiseInverse(f))
-    best, point = grid_sup(f.group.dist, *pair, points, points, memo)
+    best, point = exact_sup(f.group.dist, *pair, memo)
     return DistResult(best, point if best > 0 else None)
 
 

@@ -2,15 +2,16 @@
 B_lr, B_rl around a function, stage-schedule closure probes, and the
 bounded-real candidate verifier.
 
-Ball membership is decided on a grid with strict inequalities; for the
-two-sided system B_rl each group decides g = u f u' exactly per value
+Ball membership is decided at every point with strict inequalities; for
+the two-sided system B_rl each group decides g = u f u' exactly per value
 pair (``GroupSpec.two_sided_member``).
 
 The metric is left-invariant, so every test reads a distance between
 values instead of forming a product: d(1, f^-1 g) = d(f, g) and
-d(1, g f^-1) = d(g^-1, f^-1).  Each check is a ``grid_sup`` of
-``sepcont.functions``: a max with its first witness, run once per class of
-grid points on which both functions are constant.
+d(1, g f^-1) = d(g^-1, f^-1).  Each check is an ``exact_sup`` of
+``sepcont.functions``: a max with its first witness over the exact points
+of its rectangle, run once per class of points on which both functions
+are constant, so it is the sup over the rectangle itself.
 """
 
 from __future__ import annotations
@@ -19,29 +20,22 @@ from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
 from sepcont.cantor import CantorPoint
-from sepcont.functions import (
-    GridMemo,
-    SepFunction,
-    SubbasicNbhd,
-    grid_sup,
-    side_sample,
-    uniform_dist,
-)
+from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, exact_sup, uniform_dist
 
 Side = Literal["l", "r", "lr", "rl"]
 
 
 class BallQuery:
-    __slots__ = ("center", "candidate", "side", "eps", "grid_depth", "probe_id")
+    __slots__ = ("center", "candidate", "side", "eps", "probe_id")
 
     def __init__(self, center: SepFunction, candidate: SepFunction, side: Side, eps: Fraction,
-                 grid_depth: int, probe_id: str = "") -> None:
+                 probe_id: str = "") -> None:
         if eps <= 0:
             raise ValueError("ball radius must be positive")
         if side not in ("l", "r", "lr", "rl"):
             raise ValueError(f"unknown ball side {side!r}")
         self.center, self.candidate, self.side = center, candidate, side
-        self.eps, self.grid_depth, self.probe_id = eps, grid_depth, probe_id
+        self.eps, self.probe_id = eps, probe_id
 
 
 class BallResult(NamedTuple):
@@ -50,19 +44,18 @@ class BallResult(NamedTuple):
 
 
 def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
-    """Grid decision of candidate in B_side[center, eps].
+    """Exact decision of candidate in B_side[center, eps].
 
     l: d(1, f^-1 g) < eps everywhere; r: with g f^-1; lr: both; rl: some
     u, u' with d(1, u), d(1, u') < eps and g = u f u', decided exactly by
-    ``two_sided_member``.  The test runs once per value class of the grid
-    (see ``grid_sup``); the witness is the first failing grid point,
-    x-major.  ``memo`` may be shared by the queries of one job, which then
-    build grid points, each leaf's axis keys and each class list once; a
+    ``two_sided_member``.  The test runs once per value class (see
+    ``exact_sup``); the witness is the first failing exact point, x-major.
+    ``memo`` may be shared by the queries of one job, which then build
+    each point set, each leaf's axis keys and each class list once; a
     fresh memo gives the same result.
     """
     group = q.center.group
     memo = memo if memo is not None else GridMemo()
-    points = memo.grid_points(q.grid_depth)
     dist, inv = group.dist, group.inv
 
     # By left invariance d(1, f^-1 g) = d(f, g) and d(1, g f^-1) = d(g^-1, f^-1).
@@ -75,9 +68,7 @@ def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
 
     # True > False, so the max is True when some point fails, and the
     # witness is the first failing point.
-    outside, witness = grid_sup(
-        lambda fv, gv: not inside(fv, gv), q.center, q.candidate, points, points, memo
-    )
+    outside, witness = exact_sup(lambda fv, gv: not inside(fv, gv), q.center, q.candidate, memo)
     return BallResult(False, witness) if outside else BallResult(True, None)
 
 
@@ -103,13 +94,15 @@ def closure_probe(
     schedule: Sequence[Fraction],
     probes: list[SubbasicNbhd],
     levels: list[int],
-    grid_depth: int,
     stage_certificates: Sequence[bool] | None = None,
 ) -> ClosureReport:
     """Empirical closure check: every stage must sit within its scheduled
     l- and r-uniform distance of f and carry a diagonal-limit certificate;
-    then the factor/diagonal budget machinery is re-run on the stage
-    sequence itself and must converge layer-wise on all probes.
+    then the stage sequence must converge layer-wise on every probe: for
+    each level l some stage from which the probe rectangle stays within
+    2^-l of f through the last stage.  Such a stage exists exactly when the
+    last stage is within 2^-l, so only the last stage is swept, against
+    2^-l for the largest l.
     """
     if not stages:
         raise ValueError("closure probe of no stages")
@@ -120,39 +113,17 @@ def closure_probe(
     rows = []
     failed: int | None = None
     for k, (g, eps) in enumerate(zip(stages, schedule)):
-        dl = uniform_dist(f, g, "l", grid_depth, memo).value
-        dr = uniform_dist(f, g, "r", grid_depth, memo).value
+        dl = uniform_dist(f, g, "l", memo).value
+        dr = uniform_dist(f, g, "r", memo).value
         within = dl <= eps and dr <= eps
         rows.append(ClosureStageRow(k, eps, dl, dr, within, certs[k]))
         if failed is None and not (within and certs[k]):
             failed = k
     if failed is not None:
         return ClosureReport(tuple(rows), failed, False, False)
-    diag_ok = _stage_diagonal_check(f, stages[-1], probes, levels, grid_depth, memo)
+    tol = Fraction(1, 2 ** max(levels, default=0))  # no level: 1, above every distance
+    diag_ok = all(exact_sup(f.group.dist, f, stages[-1], memo, p)[0] <= tol for p in probes)
     return ClosureReport(tuple(rows), None, diag_ok, diag_ok)
-
-
-def _stage_diagonal_check(
-    f: SepFunction,
-    last: SepFunction,
-    probes: list[SubbasicNbhd],
-    levels: list[int],
-    grid_depth: int,
-    memo: GridMemo,
-) -> bool:
-    """Layer-wise convergence of the stage sequence on every probe: for
-    each requested level l there must be a stage from which the probe
-    rectangle stays within 2^-l of f through the last stage.  Such a stage
-    exists exactly when the last stage is within 2^-l, so only the last
-    stage is swept, against 2^-l for the largest l."""
-    if not levels:
-        return True
-    tol = Fraction(1, 2 ** max(levels))
-    return all(
-        grid_sup(f.group.dist, f, last, side_sample(p.kx, grid_depth),
-                 side_sample(p.ky, grid_depth), memo)[0] <= tol
-        for p in probes
-    )
 
 
 class Problem3Report(NamedTuple):
@@ -168,22 +139,17 @@ class Problem3Report(NamedTuple):
 def problem3_check(
     f: SepFunction,
     g: SepFunction,
-    grid_depth: int,
     bound: Fraction = Fraction(1),
 ) -> Problem3Report:
-    """Bounded-real candidate check: raw |f - g| on the grid against the
+    """Bounded-real candidate check: the sup of raw |f - g| against the
     bound, and the gaps of g's image, which is finite (its declared image)
     and so zero-dimensional.  The group metric is min(|a - b|, 1/2),
-    monotone in |a - b|, so its grid sup is min(raw sup, 1/2)."""
+    monotone in |a - b|, so its sup is min(raw sup, 1/2)."""
     from sepcont.groups import RealBoundedGroup
 
     if not isinstance(f.group, RealBoundedGroup):
         raise ValueError("candidate verifier runs over the bounded-real group")
-    memo = GridMemo()
-    points = memo.grid_points(grid_depth)
-    sup_raw, witness = grid_sup(
-        lambda a, b: abs(a.payload - b.payload), f, g, points, points, memo
-    )
+    sup_raw, witness = exact_sup(lambda a, b: abs(a.payload - b.payload), f, g, GridMemo())
     image = g.declared_image()
     values = sorted(z.payload for z in image)
     gaps = [b - a for a, b in zip(values, values[1:]) if b != a]

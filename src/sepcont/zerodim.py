@@ -19,7 +19,8 @@ below is exact at every point.  The quantizer conditions per level n are
 The diagonal sequence f_{n,n} is checked on stage tables alone: each
 f_{l,n} = g_{0,n} ... g_{l,n} is one folded table, the tail
 g_{l+1,n} ... g_{n,n} = f_{l,n}^-1 f_{n,n} is read through left invariance
-as d(f_{l,n}, f_{n,n}), and every sup is a ``grid_sup``.
+as d(f_{l,n}, f_{n,n}), and every sup is an ``exact_sup``: the sup over
+the whole square or the probe rectangle itself, not a grid lower bound.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from sepcont.functions import (
     PostCompose,
     SepFunction,
     SubbasicNbhd,
-    grid_sup,
+    exact_sup,
     product_chain,
-    side_sample,
     uniform_dist,
 )
 from sepcont.discrete import DiscreteApproximator
@@ -125,34 +125,25 @@ def build_covers(group: GroupSpec, sample: tuple[GroupElement, ...], levels: int
     return covers
 
 
-class Quantizer:
-    """Locally constant map on the image sample: one value per cover cell."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, cover: ImageCover, values: Iterable[GroupElement]) -> None:
-        # r_n as one finite map: every sample point to its cell's value.
-        self.mapping = {z: v for cell, v in zip(cover.cells, values) for z in cell}
-
-
 def build_quantizer_tower(
     group: GroupSpec,
     covers: list[ImageCover],
     nets: list[SeparatedNet],
-) -> list[Quantizer]:
-    """Inductive construction: r_0 is identically the group identity; the
-    step n -> n+1 picks, per child cell, the canonical-first sample point
-    z', checks g_W^-1 z' lands in B[2^-n], and multiplies g_W by the nearest
-    net(n) element (ties by canonical order, required distance < 2^-(n+2))."""
+) -> list[dict[GroupElement, GroupElement]]:
+    """The maps r_0, r_1, ... on the image sample, each locally constant:
+    one value per cover cell.  Inductive construction: r_0 is identically
+    the group identity; the step n -> n+1 picks, per child cell, the
+    canonical-first sample point z', checks g_W^-1 z' lands in B[2^-n], and
+    multiplies g_W by the nearest net(n) element (ties by canonical order,
+    required distance < 2^-(n+2))."""
     one = group.identity()
-    tower = [Quantizer(covers[0], (one,) * len(covers[0].cells))]
+    tower = [{z: one for cell in covers[0].cells for z in cell}]
     for n in range(len(covers) - 1):
         prev = tower[n]
-        child = covers[n + 1]
-        values = []
-        for cell in child.cells:
+        r: dict[GroupElement, GroupElement] = {}
+        for cell in covers[n + 1].cells:
             z_child = cell[0]
-            g_w = prev.mapping[z_child]
+            g_w = prev[z_child]
             shifted = group.mul(group.inv(g_w), z_child)
             if group.dist(one, shifted) > Fraction(1, 2**n):
                 raise QuantizerConditionError(
@@ -164,8 +155,8 @@ def build_quantizer_tower(
                     f"step {n}: nearest net element at distance {d} >= 2^-{n + 2}; "
                     f"enumeration depth {nets[n].enumeration_depth} too small"
                 )
-            values.append(group.mul(g_w, eps))
-        tower.append(Quantizer(child, values))
+            r.update(dict.fromkeys(cell, group.mul(g_w, eps)))
+        tower.append(r)
     return tower
 
 
@@ -207,18 +198,17 @@ def build_tower(f: SepFunction, top: int):
 
 def quantize(f: SepFunction, n: int) -> PostCompose:
     """f_n = r_n o f, building the tower up to r_n only."""
-    return PostCompose(f, build_tower(f, n)[3][n].mapping, label=f"r{n}")
+    return PostCompose(f, build_tower(f, n)[3][n], label=f"r{n}")
 
 
 class ZerodimPipeline:
     """End-to-end construction for one function: sample (f's declared
     image), covers, nets, quantizer tower, factors, and the diagonal sequence."""
 
-    def __init__(self, f: SepFunction, n_max: int, grid_depth: int):
+    def __init__(self, f: SepFunction, n_max: int):
         self.f = f
         self.group = f.group
         self.n_max = n_max
-        self.grid_depth = grid_depth
         self._memo = GridMemo()
         self.sample, self.covers, self.nets, self.tower = build_tower(f, n_max + 1)
         self._factor_cache: dict[int, PostCompose] = {}
@@ -230,30 +220,30 @@ class ZerodimPipeline:
         level n >= 1 is ``factor_discreteness(n - 1)``: r_{n-1}(z)^-1 r_n(z)
         is phi_{n-1}(z)."""
         rows = []
-        for n, q in enumerate(self.tower):
-            sup = max(self.group.dist(q.mapping[z], z) for z in self.sample)
+        for n, r in enumerate(self.tower):
+            sup = max(self.group.dist(r[z], z) for z in self.sample)
             cond3 = n == 0 or self.factor_discreteness(n - 1)
             rows.append(ConditionRow(n, sup, sup <= Fraction(1, 2**n), cond3))
         return rows
 
     def quantized(self, n: int) -> SepFunction:
         """f_n = r_n o f."""
-        return PostCompose(self.f, self.tower[n].mapping, label=f"r{n}")
+        return PostCompose(self.f, self.tower[n], label=f"r{n}")
 
     def factor(self, n: int) -> PostCompose:
         """g_n = f_n^-1 * f_{n+1}, built as one finite map of f: g_n = phi_n o f
         with phi_n(z) = r_n(z)^-1 r_{n+1}(z); its image lies in net(n) by construction."""
         if n not in self._factor_cache:
-            r_n, r_n1 = self.tower[n].mapping, self.tower[n + 1].mapping
+            r_n, r_n1 = self.tower[n], self.tower[n + 1]
             phi = {z: self.group.mul(self.group.inv(r_n[z]), r_n1[z]) for z in self.sample}
             self._factor_cache[n] = PostCompose(self.f, phi, label=f"g{n}")
         return self._factor_cache[n]
 
     def uniform_rate(self, n: int) -> DistResult:
-        """Grid sup of d(f_n, f).  Condition (2) bounds d(f_n, f) by 2^-n at
+        """Sup of d(f_n, f).  Condition (2) bounds d(f_n, f) by 2^-n at
         every point, since every value of f lies in the sample, so the CLI
         does not sweep it; the benchmark's tracer wraps it by name."""
-        return uniform_dist(self.quantized(n), self.f, "l", self.grid_depth, self._memo)
+        return uniform_dist(self.quantized(n), self.f, "l", self._memo)
 
     def factor_discreteness(self, n: int) -> bool:
         """g_n takes its values in net(n), exactly: its declared image,
@@ -268,7 +258,7 @@ class ZerodimPipeline:
         for n in range(self.n_max + 1):
             phi = self.factor(n).mapping
             prod = {z: self.group.mul(prod[z], phi[z]) for z in self.sample}
-            if prod != self.tower[n + 1].mapping:
+            if prod != self.tower[n + 1]:
                 return False
         return True
 
@@ -291,18 +281,16 @@ class ZerodimPipeline:
         m(l) is the stage from which the partial product f_{l,n} stays within
         2^-l of its limit g_0...g_l = f_{l+1} on the probe rectangle; from
         m(l) on, d(f, f_{n,n}) < 2^-(l-2) must hold there, and the tail
-        g_{l+1,n}...g_{n,n} must lie in B[2^-l] at every grid point.  The
-        tail is f_{l,n}^-1 f_{n,n} and the metric is left-invariant, so its
+        g_{l+1,n}...g_{n,n} must lie in B[2^-l] at every point.  The tail
+        is f_{l,n}^-1 f_{n,n} and the metric is left-invariant, so its
         distance from 1 is d(f_{l,n}, f_{n,n}).  d(f, f_{n,n}) is swept once
-        per probe and stage; the final budgets and the stage sups read that
-        table."""
-        n_max, memo, dist, depth = self.n_max, self._memo, self.group.dist, self.grid_depth
-        grid = memo.grid_points(depth)
-        sides = [(side_sample(p.kx, depth), side_sample(p.ky, depth)) for p in probes]
+        per probe and stage, for the final budgets, and once per stage over
+        the whole square, for the stage sups."""
+        n_max, memo, dist = self.n_max, self._memo, self.group.dist
         diagonals = [self.stage_function(n, n) for n in range(n_max + 1)]
         probe_sups = [
-            [grid_sup(dist, self.f, diag, xs, ys, memo)[0] for diag in diagonals]
-            for xs, ys in sides
+            [exact_sup(dist, self.f, diag, memo, probe)[0] for diag in diagonals]
+            for probe in probes
         ]
         results = []
         stage_of_level: dict[int, int | None] = {}
@@ -312,13 +300,13 @@ class ZerodimPipeline:
             target = self.quantized(l + 1)
             tol, budget = Fraction(1, 2**l), Fraction(4, 2**l)
             tail_from = _settled_from(
-                ((n, grid_sup(dist, self.stage_function(l, n), diagonals[n], grid, grid, memo)[0])
+                ((n, exact_sup(dist, self.stage_function(l, n), diagonals[n], memo)[0])
                  for n in range(l + 1, n_max + 1)), tol, l,
             )
             settled = []
-            for probe, (xs, ys), sups in zip(probes, sides, probe_sups):
+            for probe, sups in zip(probes, probe_sups):
                 m = _settled_from(
-                    ((n, grid_sup(dist, self.stage_function(l, n), target, xs, ys, memo)[0])
+                    ((n, exact_sup(dist, self.stage_function(l, n), target, memo, probe)[0])
                      for n in range(l, n_max + 1)), tol, l,
                 )
                 m_l = m if m <= n_max else None
@@ -329,11 +317,11 @@ class ZerodimPipeline:
                     final_ok, tail_ok = final_sup < budget, tail_from <= m_l
                     failing = [n for n in range(m_l, n_max + 1) if sups[n] >= budget]
                     if failing:
-                        # The witness is the last failing point, x-major, of the
-                        # last failing stage: the first one with both axes reversed.
-                        _, (x, y) = grid_sup(
+                        # The witness is the first failing point, x-major, of
+                        # the last failing stage.
+                        _, (x, y) = exact_sup(
                             lambda a, b: dist(a, b) >= budget,
-                            self.f, diagonals[failing[-1]], xs[::-1], ys[::-1], memo,
+                            self.f, diagonals[failing[-1]], memo, probe,
                         )
                         witness = f"n={failing[-1]} ({x},{y})"
                 results.append(DiagonalLevelResult(
@@ -341,10 +329,8 @@ class ZerodimPipeline:
                     witness,
                 ))
             stage_of_level[l] = max(settled, default=None)
-        whole = [grid_sup(dist, self.f, diag, grid, grid, memo)[0] for diag in diagonals]
-        stage_sups = tuple(
-            (n, max([whole[n], *(sups[n] for sups in probe_sups)])) for n in range(n_max + 1)
-        )
+        # Each probe rectangle lies in the square, so its sups are no larger.
+        stage_sups = tuple(enumerate(exact_sup(dist, self.f, diag, memo)[0] for diag in diagonals))
         passed = all(r.layer_ok and r.final_ok and r.tail_ok for r in results)
         return DiagonalReport(tuple(results), stage_sups, stage_of_level, passed)
 

@@ -40,14 +40,14 @@ MULTI = OnesDiagonal(
 REAL = get_group("real")
 _Z0, _Z34 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^2")
 
-# every example the package ships, with its configured resolution
+# every example the package ships, with its configured n_max
 SHIPPED = [
-    ("diag-dyadic", DIAG, 6, 6),
-    ("diag-multi", MULTI, 6, 6),
-    ("const", Constant(A), 4, 4),
-    ("diag-finite", OnesDiagonal((E,), prefix=(A, DYADIC.parse_element("01(0)"))), 4, 4),
-    ("real-table", TableFunction(1, ((_Z0, _Z34), (_Z34, _Z0))), 3, 4),
-    ("c3-table", TableFunction(1, ((C3.identity(), C3.element(1)), (C3.element(2), C3.identity()))), 3, 4),
+    ("diag-dyadic", DIAG, 6),
+    ("diag-multi", MULTI, 6),
+    ("const", Constant(A), 4),
+    ("diag-finite", OnesDiagonal((E,), prefix=(A, DYADIC.parse_element("01(0)"))), 4),
+    ("real-table", TableFunction(1, ((_Z0, _Z34), (_Z34, _Z0))), 3),
+    ("c3-table", TableFunction(1, ((C3.identity(), C3.element(1)), (C3.element(2), C3.identity()))), 3),
 ]
 
 PROBES = [
@@ -64,15 +64,15 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def pipelines():
-    return {name: ZerodimPipeline(f, n_max, depth) for name, f, n_max, depth in SHIPPED}
+    return {name: ZerodimPipeline(f, n_max) for name, f, n_max in SHIPPED}
 
 
 def test_criterion_1_quantizer_conditions():
     t0 = time.perf_counter()
     worst = ""
     ok = True
-    for name, f, _, _ in SHIPPED[:2]:
-        pipe = ZerodimPipeline(f, n_max=3, grid_depth=6)
+    for name, f, _ in SHIPPED[:2]:
+        pipe = ZerodimPipeline(f, n_max=3)
         for row in pipe.condition_rows():
             if row.level > 3:
                 continue
@@ -93,7 +93,7 @@ def test_criterion_1_quantizer_conditions():
 def test_criterion_2_uniform_rate(pipelines):
     t0 = time.perf_counter()
     ok = True
-    for name, f, n_max, depth in SHIPPED:
+    for name, f, n_max in SHIPPED:
         pipe = pipelines[name]
         for n in range(n_max + 1):
             if pipe.uniform_rate(n).value > Fraction(1, 2**n):
@@ -107,12 +107,12 @@ def test_criterion_3_factor_discreteness(pipelines):
     t0 = time.perf_counter()
     ok = all(
         pipelines[name].factor_discreteness(n)
-        for name, _, n_max, _ in SHIPPED
+        for name, _, n_max in SHIPPED
         for n in range(n_max + 1)
     )
     elapsed = time.perf_counter() - t0
     report(3, ok and elapsed < 5,
-           f"every grid value of every factor g_n lies in net(n) ({elapsed:.2f}s)")
+           f"every value of every factor g_n lies in net(n) ({elapsed:.2f}s)")
 
 
 def test_criterion_4_diagonal_budget(pipelines):
@@ -129,7 +129,7 @@ def test_criterion_4_diagonal_budget(pipelines):
         4,
         ok and elapsed < 60,
         "diagonal budget d(f, f_nn) < 2^-(l-2) for l=1,2 from stage m(l), "
-        f"tail products in B[2^-l] at every grid point ({elapsed:.2f}s; {'; '.join(detail)})",
+        f"tail products in B[2^-l] at every point ({elapsed:.2f}s; {'; '.join(detail)})",
     )
 
 

@@ -40,7 +40,6 @@ MINIMAL = """
 [experiment]
 group = dyadic
 function = const 1(0)
-grid_depth = 2
 n_max = 2
 levels = 1
 [probes]
@@ -120,7 +119,7 @@ def _described_functions(group, pool=None):
 
     def quant(described, n):
         text, f = described
-        return f"quant({text}, {n})", ZerodimPipeline(f, n_max=n, grid_depth=4).quantized(n)
+        return f"quant({text}, {n})", ZerodimPipeline(f, n_max=n).quantized(n)
 
     def extend(kids):
         return st.one_of(
@@ -138,7 +137,7 @@ class TestConfigParsing:
     def test_minimal_loads(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, MINIMAL))
         assert exp.group is DYADIC
-        assert exp.grid_depth == 2 and exp.n_max == 2
+        assert exp.n_max == 2 and exp.levels == [1]
         assert len(exp.probes) == 1
 
     def test_function_grammar(self, tmp_path):
@@ -196,7 +195,7 @@ class TestConfigParsing:
     def test_quant_is_the_pipeline_quantizer(self, described, n):
         text, built = described
         f = parse_function(f"quant({text}, {n})", built.group, CONFIGS)
-        assert f.mapping == ZerodimPipeline(built, n_max=n, grid_depth=4).quantized(n).mapping
+        assert f.mapping == ZerodimPipeline(built, n_max=n).quantized(n).mapping
 
     def test_quant_builds_only_the_level_it_returns(self):
         # Step 0 of the tower, which builds r_1, fails on this table's value 3.
@@ -225,14 +224,16 @@ class TestConfigParsing:
         bad = MINIMAL.replace("n_max = 2", "n_max = 99")
         with pytest.raises(ConfigError):
             load_experiment(write_config(tmp_path, bad))
-        bad2 = MINIMAL.replace("grid_depth = 2", "grid_depth = 40")
-        with pytest.raises(ConfigError):
-            load_experiment(write_config(tmp_path, bad2))
+        # The grid depth key is accepted and never read, whatever its value.
+        for value in ("40", "x"):
+            text = MINIMAL.replace("n_max = 2", f"grid_depth = {value}\nn_max = 2")
+            assert load_experiment(write_config(tmp_path, text)).n_max == 2
 
-    def test_probe_deeper_than_grid_rejected(self, tmp_path):
-        bad = MINIMAL.replace("p0 = (0) ; !{}", "p0 = (0) ; {0101}")
-        with pytest.raises(ConfigError):
-            load_experiment(write_config(tmp_path, bad))
+    def test_probe_of_any_depth_loads(self, tmp_path):
+        # Each probe side gets the cells of its own depth: no grid bounds it.
+        text = MINIMAL.replace("p0 = (0) ; !{}", "p0 = (0) ; {0101}")
+        (probe,) = load_experiment(write_config(tmp_path, text)).probes
+        assert probe.ky == ClopenSet.parse("{0101}")
 
     def test_random_probes_deterministic_per_seed(self, tmp_path):
         text = MINIMAL + "random = 3\n"
@@ -289,12 +290,29 @@ class TestExitCodes:
         assert all(r["cond2_sup"] == "0/2^0" for r in rows[1:])
         assert all(r["pass"] == "1" for r in rows)
 
+    def test_deep_probe_point_is_met_at_any_grid_depth(self, tmp_path):
+        # f is 1(0) on the matched block [1^9 0] x [1^9 0], which no grid of
+        # depth 6 reaches, so level 2 never settles on the probe through
+        # 1^9 0^w.  The grid depth key is accepted and changes no byte.
+        text = ("[experiment]\ngroup = dyadic\nfunction = diag ones 1(0)\n{}"
+                "n_max = 3\nlevels = 1,2\n[probes]\ndeep_x = 111111111(0) ; !{{}}\n")
+        runs = []
+        for line in ("grid_depth = 2\n", "grid_depth = 6\n", ""):
+            cfg = write_config(tmp_path, text.format(line))
+            out = tmp_path / f"rep{len(runs)}"
+            assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 1
+            summary = json.loads((out / "manifest.json").read_text())["summary"]
+            assert summary["stage_of_level"] == {"1": 1, "2": None}
+            reports = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            runs.append((reports, summary))
+        assert runs[0] == runs[1] == runs[2]
+
     @pytest.mark.parametrize("alter, code", [(False, 0), (True, 1)])
     def test_zerodim_verdict_checks_telescoping(self, tmp_path, monkeypatch, alter, code):
-        # b is declared but taken only on [11111] x [11111], which no point of
-        # the depth-4 grid reaches.  Factor 2 altered there to g_2(b) b, which
-        # stays in net(2), passes every other check; only the identity
-        # g_0 ... g_n = f_{n+1} of finite maps sees it.
+        # b is declared but taken only on [11111] x [11111].  Factor 2
+        # altered there to g_2(b) b, which stays in net(2), passes every row's
+        # check; only the identity g_0 ... g_n = f_{n+1} of finite maps sees
+        # it.
         b = DYADIC.parse_element("01(0)")
         factor = ZerodimPipeline.factor
 
@@ -307,7 +325,7 @@ class TestExitCodes:
         if alter:
             monkeypatch.setattr(ZerodimPipeline, "factor", altered)
         text = (MINIMAL.replace("const 1(0)", "diag cyl 0:1(0),11111:01(0)")
-                .replace("grid_depth = 2", "grid_depth = 4").replace("n_max = 2", "n_max = 3"))
+                .replace("n_max = 2", "n_max = 3"))
         cfg = write_config(tmp_path, text)
         out = tmp_path / "rep"
         assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == code
@@ -329,7 +347,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(ZerodimPipeline, "factor", altered)
         text = (MINIMAL.replace("const 1(0)", "diag cyl 0:1(0),11111:01(0)")
-                .replace("grid_depth = 2", "grid_depth = 4").replace("n_max = 2", "n_max = 3"))
+                .replace("n_max = 2", "n_max = 3"))
         cfg = write_config(tmp_path, text)
         out = tmp_path / "rep"
         assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 1
@@ -341,7 +359,7 @@ class TestExitCodes:
     def test_empty_levels_exit_two(self, tmp_path, command, capsys):
         # With no level the diagonal checks no probe and would pass vacuously.
         text = (MINIMAL.replace("const 1(0)", "diag ones 1(0),01(0)")
-                .replace("grid_depth = 2", "grid_depth = 4").replace("n_max = 2", "n_max = 3")
+                .replace("n_max = 2", "n_max = 3")
                 .replace("levels = 1", "levels =").replace("(0) ; !{}", "(1) ; !{}"))
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
@@ -414,7 +432,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, text",
         [
-            ("nets", MINIMAL.replace("grid_depth = 2", "grid_depth = x")),
             ("nets", MINIMAL.replace("n_max = 2", "n_max = two")),
             ("nets", MINIMAL + "random = x\n"),
             ("ball", MINIMAL + "[ball]\nb = side=l; eps=zz; candidate=const 1(0)\n"),
@@ -501,12 +518,15 @@ class TestExitCodes:
         assert "error: internal fault" in err and "config error" not in err
         assert "Traceback (most recent call last)" in err
 
-    def test_depth_cap_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "4")
-        cfg = write_config(tmp_path, MINIMAL.replace("grid_depth = 2", "grid_depth = 6"))
-        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
-        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "8")
-        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+    def test_depth_cap_env_override(self, tmp_path, monkeypatch, capsys):
+        # Stage 6 of the discrete engine works at depth 2.
+        text = MINIMAL.replace("const 1(0)", "diag ones 1(0)").replace("n_max = 2", "n_max = 6")
+        cfg = write_config(tmp_path, text)
+        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "1")
+        assert main(["approx-discrete", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
+        assert "resource error: working depth 2 exceeds cap 1" in capsys.readouterr().err
+        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "2")
+        assert main(["approx-discrete", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
 
 
 def _ball_jobs():
@@ -536,14 +556,14 @@ def _ball_jobs():
 
 
 class TestBallMemo:
-    """A ball job shares one grid memo over its queries."""
+    """A ball job shares one memo over its queries."""
 
     @given(_ball_jobs(), st.data())
     def test_shared_memo_gives_the_fresh_memo_records(self, job, data):
         group, center_text, queries = job
         center = parse_function(center_text, group, CONFIGS)
         built = [
-            BallQuery(center, parse_function(text, group, CONFIGS), side, Fraction(1, 2**k), 3)
+            BallQuery(center, parse_function(text, group, CONFIGS), side, Fraction(1, 2**k))
             for side, k, text in queries
         ]
         fresh = [ball_membership(q) for q in built]
@@ -556,7 +576,7 @@ class TestBallMemo:
         lines = [f"b{i} = side={side}; eps=1/2^{k}; candidate={text}"
                  for i, (side, k, text) in enumerate(queries)]
         cfg_text = (f"[experiment]\ngroup = {group.name}\nfunction = {center_text}\n"
-                    "grid_depth = 3\n[ball]\n" + "\n".join(lines) + "\n")
+                    "[ball]\n" + "\n".join(lines) + "\n")
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), cfg_text)
             assert main(["ball", "--config", str(cfg), "--out", str(Path(tmp) / "rep")]) == 0

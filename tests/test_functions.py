@@ -20,9 +20,8 @@ from sepcont.functions import (
     SepFunction,
     SubbasicNbhd,
     TableFunction,
-    grid_sup,
+    exact_sup,
     in_subbasic,
-    side_sample,
     uniform_dist,
 )
 from sepcont.groups import get_group
@@ -368,72 +367,74 @@ class TestValuesOnRect:
             assert {values[i][j] for i in inside[u] for j in inside[v]} <= got, (text, u, v)
 
 
-def section_sup(f, g, axis, fixed, region, grid_depth):
-    """The grid sup of d(f, g) over the section at ``fixed`` (axis 'x' fixes
-    x), on the grid points of ``region``: the layer-wise distance."""
-    ts = side_sample(region, grid_depth)
-    xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
-    return grid_sup(f.group.dist, f, g, xs, ys, GridMemo())[0]
+def section_sup(f, g, axis, fixed, region):
+    """The sup of d(f, g) over the section at ``fixed`` (axis 'x' fixes x),
+    on ``region``: the layer-wise distance."""
+    sides = (fixed, region) if axis == "x" else (region, fixed)
+    return exact_sup(f.group.dist, f, g, GridMemo(), SubbasicNbhd(*sides, frozenset()))[0]
+
+
+# Off the zero-tail grids: 1^w, 1^k 0 1^w and the deep members 1^k 0^w.
+DEEP_POINTS = (*grid_points(6), ALL_ONES,
+               *(CantorPoint("1" * k + "0", "1") for k in range(4)),
+               *(CantorPoint("1" * k) for k in range(7, 12)))
 
 
 class TestLayerwiseDist:
     def test_zero_on_equal(self):
-        assert section_sup(DIAG, DIAG, "x", PROBE_POINTS[0], ClopenSet.whole(), 4) == 0
+        assert section_sup(DIAG, DIAG, "x", PROBE_POINTS[0], ClopenSet.whole()) == 0
 
     def test_constant_distance(self):
-        d = section_sup(Constant(E), Constant(A), "x", PROBE_POINTS[0], ClopenSet.whole(), 3)
+        d = section_sup(Constant(E), Constant(A), "x", PROBE_POINTS[0], ClopenSet.whole())
         assert d == Fraction(1, 2)
 
-    @pytest.mark.parametrize("depth", range(2, 6))
-    def test_monotone_in_grid_depth(self, depth):
-        x = CantorPoint.parse("10(0)")
-        lo = section_sup(DIAG, Constant(E), "x", x, ClopenSet.whole(), depth)
-        hi = section_sup(DIAG, Constant(E), "x", x, ClopenSet.whole(), depth + 1)
-        assert hi >= lo
+    @pytest.mark.parametrize("x", PROBE_POINTS + [CantorPoint("1" * 9)], ids=str)
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_exact_at_every_fixed_point(self, x, axis):
+        # The sup over the exact points is the max over a deep sample.
+        whole = ClopenSet.whole()
+        got = section_sup(MULTI, DIAG, axis, x, whole)
+        pairs = [(x, t) if axis == "x" else (t, x) for t in DEEP_POINTS + (x,)]
+        assert got == max(DYADIC.dist(MULTI.eval(*p), DIAG.eval(*p)) for p in pairs)
 
     def test_region_restriction(self):
         x = CantorPoint.parse("10(0)")
-        inside = section_sup(DIAG, Constant(E), "x", x, ClopenSet.parse("{10}"), 4)
-        outside = section_sup(DIAG, Constant(E), "x", x, ClopenSet.parse("{0}"), 4)
+        inside = section_sup(DIAG, Constant(E), "x", x, ClopenSet.parse("{10}"))
+        outside = section_sup(DIAG, Constant(E), "x", x, ClopenSet.parse("{0}"))
         assert inside == Fraction(1, 2)
         assert outside == 0
 
 
 class TestUniformDist:
     def test_zero_on_equal(self):
-        assert uniform_dist(DIAG, DIAG, "l", 3).value == 0
+        assert uniform_dist(DIAG, DIAG, "l").value == 0
 
     def test_abelian_l_equals_r(self):
         for f, g in [(DIAG, Constant(E)), (MULTI, Constant(A)), (DIAG, MULTI)]:
-            assert uniform_dist(f, g, "l", 3).value == uniform_dist(f, g, "r", 3).value
+            assert uniform_dist(f, g, "l").value == uniform_dist(f, g, "r").value
 
     def test_const_vs_diag(self):
-        for depth in [2, 3, 4]:
-            assert uniform_dist(Constant(E), DIAG, "l", depth).value == Fraction(1, 2)
+        assert uniform_dist(Constant(E), DIAG, "l").value == Fraction(1, 2)
 
     def test_s3_sides_both_defined(self):
         S3 = symmetric_group_3()
         r, s = S3.parse_element("r"), S3.parse_element("s")
         f, g = Constant(r), Constant(s)
         # discrete metric: both sides see the same mismatch
-        assert uniform_dist(f, g, "l", 1).value == Fraction(1, 2)
-        assert uniform_dist(f, g, "r", 1).value == Fraction(1, 2)
+        assert uniform_dist(f, g, "l").value == Fraction(1, 2)
+        assert uniform_dist(f, g, "r").value == Fraction(1, 2)
 
-    def test_l_value_is_plain_metric_sup(self):
-        # left-invariance: d(1, f^-1 g) == d(f, g) pointwise
-        depth = 3
-        got = uniform_dist(DIAG, MULTI, "l", depth).value
-        pts = grid_points(depth)
-        direct = max(
-            DYADIC.dist(DIAG.eval(x, y), MULTI.eval(x, y)) for x in pts for y in pts
-        )
-        assert got == direct
-
-    @pytest.mark.parametrize("depth", range(1, 4))
-    def test_monotone_in_grid_depth(self, depth):
-        lo = uniform_dist(DIAG, Constant(E), "l", depth).value
-        hi = uniform_dist(DIAG, Constant(E), "l", depth + 1).value
-        assert hi >= lo
+    @pytest.mark.parametrize(
+        "f, g", [(DIAG, Constant(E)), (MULTI, Constant(A)), (DIAG, MULTI)],
+        ids=["diag-e", "multi-a", "diag-multi"],
+    )
+    def test_l_value_is_plain_metric_sup(self, f, g):
+        # left-invariance: d(1, f^-1 g) == d(f, g) pointwise, and the sup is
+        # the max over a deep sample with points off every grid
+        got = uniform_dist(f, g, "l")
+        direct = max(DYADIC.dist(f.eval(x, y), g.eval(x, y)) for x in DEEP_POINTS for y in DEEP_POINTS)
+        assert got.value == direct
+        assert DYADIC.dist(f.eval(*got.witness), g.eval(*got.witness)) == direct
 
 
 class TestInSubbasic:

@@ -27,12 +27,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sepcont import functions as functions_module
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
 from sepcont.config import load_experiment, parse_function
+from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -41,12 +42,14 @@ from sepcont.functions import (
     PointwiseInverse,
     PointwiseProduct,
     PostCompose,
+    SepFunction,
     SubbasicNbhd,
     TableFunction,
     _cell,
+    exact_sup,
     grid_sup,
     product_chain,
-    side_sample,
+    resolution,
     uniform_dist,
 )
 from sepcont.groups import FiniteTableGroup, get_group
@@ -86,6 +89,7 @@ REAL_POOL = tuple(REAL.parse_element(t) for t in ["0/2^0", "1/2^1", "-3/2^2", "3
 FAMILY_PREFIXES = (("0", "10"), ("11",), ("01", "001", "11"))
 OFF_GRID = tuple(CantorPoint.parse(t) for t in ["(1)", "1(0)", "01(1)", "1(10)", "110(0)"])
 REGIONS = tuple(ClopenSet.parse(t) for t in ["!{}", "{}", "{0}", "{10,111}", "{0011,01}"])
+WHOLE = ClopenSet.whole()
 
 
 def _table(pool, max_depth=3):
@@ -252,11 +256,31 @@ def brute_two_sided(group, a, b, eps):
     )
 
 
-def brute_uniform_dist(f, g, side, grid_depth):
+def deep_enough(fns, probe=None):
+    """A grid depth whose points hold the exact points of fns on the whole
+    square or on the probe rectangle, so that a brute sweep of that grid
+    meets every value class at its first point."""
+    depth, period = resolution(fns)
+    if probe is not None:
+        _, fixed, other = probe.sides()
+        if isinstance(other, ClopenSet):
+            depth = max(depth, other.depth(), fixed.leading_ones() or 0)
+    return depth + period
+
+
+def side_points(side, depth):
+    """The points of a probe side on the depth-``depth`` grid: the point
+    itself, or the representatives of a clopen side's cells."""
+    if isinstance(side, CantorPoint):
+        return (side,)
+    return tuple(c.representative() for c in side.cells_at_depth(max(depth, side.depth())))
+
+
+def brute_uniform_dist(f, g, side):
     group = f.group
     one = group.identity()
     best, witness = Fraction(0), None
-    points = grid_points(grid_depth)
+    points = grid_points(deep_enough((f, g)))
     for x in points:
         for y in points:
             fv, gv = f.eval(x, y), g.eval(x, y)
@@ -271,10 +295,11 @@ def brute_uniform_dist(f, g, side, grid_depth):
 
 def brute_ball_membership(q):
     """Ball membership as it was decided before the kernel: eval at every
-    grid point, x-major, stopping at the first failing one."""
+    point of a grid deep enough for both functions, x-major, stopping at
+    the first failing one."""
     group = q.center.group
     one = group.identity()
-    points = grid_points(q.grid_depth)
+    points = grid_points(deep_enough((q.center, q.candidate)))
     for x in points:
         for y in points:
             fv, gv = q.center.eval(x, y), q.candidate.eval(x, y)
@@ -289,11 +314,11 @@ def brute_ball_membership(q):
     return BallResult(True, None)
 
 
-def brute_layerwise_dist(f, g, axis, fixed, region, grid_depth):
+def brute_layerwise_dist(f, g, axis, fixed, region):
     group = f.group
     best, witness = Fraction(0), None
-    for c in region.cells_at_depth(grid_depth):
-        t = c.representative()
+    probe = SubbasicNbhd(*((fixed, region) if axis == "x" else (region, fixed)), frozenset())
+    for t in side_points(region, deep_enough((f, g), probe)):
         fx, fy = (fixed, t) if axis == "x" else (t, fixed)
         d = group.dist(f.eval(fx, fy), g.eval(fx, fy))
         if d > best:
@@ -301,8 +326,8 @@ def brute_layerwise_dist(f, g, axis, fixed, region, grid_depth):
     return best, witness
 
 
-def brute_raw_sup(f, g, grid_depth):
-    points = grid_points(grid_depth)
+def brute_raw_sup(f, g):
+    points = grid_points(deep_enough((f, g)))
     pairs = [(x, y) for x in points for y in points]
     raws = [abs(f.eval(x, y).payload - g.eval(x, y).payload) for x, y in pairs]
     return max(raws), pairs[raws.index(max(raws))]
@@ -326,14 +351,15 @@ def brute_tail_containment(pipe, l, start, grid_pts):
 
 
 def brute_diagonal(pipe, probes, levels):
-    """ZerodimPipeline.diagonal evaluated point by point."""
+    """ZerodimPipeline.diagonal evaluated point by point, on a grid deep
+    enough for f and every stage table, and on each probe rectangle's
+    points of that grid."""
     group, n_max, f = pipe.group, pipe.n_max, pipe.f
-    grid_pts = grid_points(pipe.grid_depth)
-    rects = [
-        [(x, y) for x in side_sample(p.kx, pipe.grid_depth) for y in side_sample(p.ky, pipe.grid_depth)]
-        for p in probes
-    ]
     diagonals = [pipe.stage_function(n, n) for n in range(n_max + 1)]
+    depth = max(deep_enough((f, *diagonals), p) for p in [None, *probes])
+    grid_pts = grid_points(depth)
+    rects = [[(x, y) for x in side_points(p.kx, depth) for y in side_points(p.ky, depth)]
+             for p in probes]
     results, stage_of_level = [], {}
     for l in levels:
         target = pipe.quantized(l + 1)
@@ -355,12 +381,15 @@ def brute_diagonal(pipe, probes, levels):
             if m_l is not None:
                 final_ok = True
                 for n in range(m_l, n_max + 1):
+                    failing = []
                     for x, y in pairs:
                         d = group.dist(f.eval(x, y), diagonals[n].eval(x, y))
                         final_sup = max(final_sup, d)
                         if d >= budget:
-                            final_ok = False
-                            witness = f"n={n} ({x},{y})"
+                            failing.append((x, y))
+                    if failing:
+                        final_ok = False
+                        witness = f"n={n} ({failing[0][0]},{failing[0][1]})"
                 tail_ok = brute_tail_containment(pipe, l, max(m_l, l + 1), grid_pts)
                 level_stage = m_l if level_stage is None else max(level_stage, m_l)
             results.append(
@@ -425,8 +454,8 @@ class TestGridValues:
         axis_key = f.axis_key
         object.__setattr__(f, "axis_key", lambda p: calls.append(p) or axis_key(p))
         memo = GridMemo()
-        pts = memo.grid_points(3)
-        assert memo.grid_points(3) is pts
+        pts = memo.exact_points((f, OnesDiagonal(tuple(POOLS[0][:2]))))
+        assert memo.exact_points((f,)) is pts
         table = TableFunction(1, ((POOLS[0][0],) * 2,) * 2)
         assert memo.classes((f,), pts, pts) is memo.classes((f,), pts, pts)
         assert memo.classes((f, table), pts, pts).depth == 1
@@ -434,11 +463,13 @@ class TestGridValues:
 
     def test_equal_values_share_a_class(self):
         # The schedule repeats 1(0) and 01(0) as separate objects; classes
-        # key on values, so the depth-6 grid has three: the identity off the
-        # diagonal blocks, and one per value on them.
+        # key on values, so the exact points, 1^k 0^w for k in [0, 4], have
+        # three: the identity off the diagonal blocks, and one per value on
+        # them.
         f = parse_function("diag ones 1(0),01(0),1(0),01(0)", DYADIC, CONFIGS)
         memo = GridMemo()
-        pts = memo.grid_points(6)
+        pts = memo.exact_points((f,))
+        assert pts == tuple(CantorPoint("1" * k) for k in range(5))
         assert len(memo.classes((f,), pts, pts).firsts) == 3
         check_classes((f,), pts, pts, memo)
 
@@ -546,15 +577,14 @@ class TestKernel:
         assert grid_sup(raw_diff, f, g, xs, ys, memo) == brute_sup(raw_diff, f, g, xs, ys)
 
 
-WHOLE = ClopenSet.whole()
 ACC_X = SubbasicNbhd(ALL_ONES, WHOLE, frozenset(), "acc_x")
 ACC_Y = SubbasicNbhd(WHOLE, ALL_ONES, frozenset(), "acc_y")
 
 
 def with_wrong_factor(f, c):
-    """ZerodimPipeline(f, 5, 4) with every stage table of factor 4
+    """ZerodimPipeline(f, 5) with every stage table of factor 4
     right-multiplied by c."""
-    pipe = ZerodimPipeline(f, 5, 4)
+    pipe = ZerodimPipeline(f, 5)
     approx = pipe.factor_approximator(4)
     correct, wrong = approx.approximant, {}
 
@@ -570,16 +600,16 @@ def with_wrong_factor(f, c):
 
 
 class TestSweepsMatchBruteForce:
-    @given(function_pairs, st.sampled_from(["l", "r"]), st.integers(0, 3))
-    def test_uniform_dist_value_and_witness(self, fg, side, depth):
+    @given(function_pairs, st.sampled_from(["l", "r"]))
+    def test_uniform_dist_value_and_witness(self, fg, side):
         f, g = fg
-        got = uniform_dist(f, g, side, depth)
-        assert (got.value, got.witness) == brute_uniform_dist(f, g, side, depth)
+        got = uniform_dist(f, g, side)
+        assert (got.value, got.witness) == brute_uniform_dist(f, g, side)
 
     def test_diagonal_on_shipped_config(self):
         exp = load_experiment(CONFIGS / "diag-dyadic.cfg")
-        pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
-        reference = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
+        pipe = ZerodimPipeline(exp.function, exp.n_max)
+        reference = ZerodimPipeline(exp.function, exp.n_max)
         assert pipe.diagonal(exp.probes, exp.levels) == brute_diagonal(
             reference, exp.probes, exp.levels
         )
@@ -593,16 +623,16 @@ class TestSweepsMatchBruteForce:
             SubbasicNbhd(p, whole, frozenset(), f"x{p}") for p in OFF_GRID
         ] + [SubbasicNbhd(whole, p, frozenset(), f"y{p}") for p in OFF_GRID]
         levels = [1, 2, 3, 4]
-        rep = ZerodimPipeline(f, 4, 4).diagonal(probes, levels)
+        rep = ZerodimPipeline(f, 4).diagonal(probes, levels)
         assert not rep.passed
         assert any(r.m_l is None for r in rep.results)
         assert any(r.final_sup > 0 for r in rep.results)
-        assert rep == brute_diagonal(ZerodimPipeline(f, 4, 4), probes, levels)
+        assert rep == brute_diagonal(ZerodimPipeline(f, 4), probes, levels)
 
     def test_diagonal_with_a_wrong_late_factor(self):
         # The injected-factor control of test_zerodim: factor 4's stage tables
-        # multiplied by A fail the level-3 final budget at several points of
-        # each probe; the witness is the last of them, x-major, at the last
+        # multiplied by A fail the level-3 final budget at every point of each
+        # probe; the witness is the first of them, x-major, at the last
         # failing stage.
         a, b, c = (DYADIC.parse_element(t) for t in ["1(0)", "01(0)", "001(0)"])
         f = OnesDiagonal((a, b, c))
@@ -610,7 +640,7 @@ class TestSweepsMatchBruteForce:
         rep = with_wrong_factor(f, a).diagonal(probes, [3])
         assert rep == brute_diagonal(with_wrong_factor(f, a), probes, [3])
         assert [r.witness for r in rep.results] == [
-            "n=5 ((1),1111(0))", "n=5 ((0),1111(0))", "n=5 (1111(0),(1))"
+            "n=5 ((1),(0))", "n=5 ((0),(0))", "n=5 ((0),(1))"
         ]
 
     @pytest.mark.parametrize("label, tail_ok", [("s", [1, 1, 1]), ("r", [1, 0, 0])])
@@ -642,9 +672,9 @@ class TestTwoSidedMember:
         # 2^-7 lies strictly between 31/2^7 and 32/2^7, so a search over
         # those multiples alone misses it.
         f, g = Constant(REAL.parse_element("0")), Constant(REAL.parse_element("63/2^7"))
-        q = BallQuery(f, g, "rl", Fraction(1, 4), 2)
+        q = BallQuery(f, g, "rl", Fraction(1, 4))
         assert ball_membership(q) == brute_ball_membership(q) == BallResult(True, None)
-        assert not ball_membership(BallQuery(f, g, "lr", Fraction(1, 4), 2)).member
+        assert not ball_membership(BallQuery(f, g, "lr", Fraction(1, 4))).member
 
 
 class TestUniformChecksMatchBruteForce:
@@ -653,10 +683,9 @@ class TestUniformChecksMatchBruteForce:
         st.one_of(function_pairs, perturbed_pairs),
         st.sampled_from(["l", "r", "lr", "rl"]),
         st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 4)]),
-        st.integers(0, 4),
     )
-    def test_ball_membership_member_and_witness(self, fg, side, eps, depth):
-        q = BallQuery(*fg, side, eps, depth)
+    def test_ball_membership_member_and_witness(self, fg, side, eps):
+        q = BallQuery(*fg, side, eps)
         assert ball_membership(q) == brute_ball_membership(q)
 
     @settings(max_examples=100)
@@ -669,12 +698,11 @@ class TestUniformChecksMatchBruteForce:
         ),
         st.integers(1, 7),
         st.integers(0, 5),
-        st.integers(0, 3),
     )
-    def test_rl_ball_membership_over_dyadic_radii(self, fg, m, e, depth):
+    def test_rl_ball_membership_over_dyadic_radii(self, fg, m, e):
         # eps = m / 2^e runs past 1, where the ball is the whole group, and
         # past 1/2, where the reals' interval test gives way to membership.
-        q = BallQuery(*fg, "rl", Fraction(m, 2**e), depth)
+        q = BallQuery(*fg, "rl", Fraction(m, 2**e))
         assert ball_membership(q) == brute_ball_membership(q)
 
     def test_ball_sides_apart_on_a_left_invariant_metric(self):
@@ -685,7 +713,7 @@ class TestUniformChecksMatchBruteForce:
         g = PointwiseProduct(f, Constant(s))
         got = {}
         for side in ("l", "r", "lr", "rl"):
-            q = BallQuery(f, g, side, Fraction(1, 4), 2)
+            q = BallQuery(f, g, side, Fraction(1, 4))
             got[side] = ball_membership(q)
             assert got[side] == brute_ball_membership(q)
         assert got["l"].member and got["rl"].member
@@ -697,22 +725,19 @@ class TestUniformChecksMatchBruteForce:
         st.sampled_from(["x", "y"]),
         st.sampled_from(OFF_GRID + grid_points(2)),
         st.sampled_from(REGIONS),
-        st.integers(0, 4),
     )
-    def test_layerwise_dist_value_and_witness(self, fg, axis, fixed, region, depth):
-        # The layer-wise distance is a grid sup over the section rectangle.
+    def test_layerwise_dist_value_and_witness(self, fg, axis, fixed, region):
+        # The layer-wise distance is an exact sup over the section rectangle.
         f, g = fg
-        depth = max(depth, region.depth())
-        ts = side_sample(region, depth)
-        xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
-        value, witness = grid_sup(f.group.dist, f, g, xs, ys, GridMemo())
+        probe = SubbasicNbhd(*((fixed, region) if axis == "x" else (region, fixed)), frozenset())
+        value, witness = exact_sup(f.group.dist, f, g, GridMemo(), probe)
         got = (value, witness if value > 0 else None)
-        assert got == brute_layerwise_dist(f, g, axis, fixed, region, depth)
+        assert got == brute_layerwise_dist(f, g, axis, fixed, region)
 
-    @given(_table(REAL_POOL), _table(REAL_POOL), st.integers(0, 4))
-    def test_problem3_raw_sup_and_witness(self, f, g, depth):
-        rep = problem3_check(f, g, depth, Fraction(1, 2))
-        sup_raw, witness = brute_raw_sup(f, g, depth)
+    @given(_table(REAL_POOL), _table(REAL_POOL))
+    def test_problem3_raw_sup_and_witness(self, f, g):
+        rep = problem3_check(f, g, Fraction(1, 2))
+        sup_raw, witness = brute_raw_sup(f, g)
         assert rep.sup_raw == sup_raw
         assert rep.witness == (None if sup_raw <= Fraction(1, 2) else witness)
 
@@ -752,20 +777,20 @@ class TestFoldedProducts:
 
 
 class TestWorkCounts:
-    def test_diagonal_builds_classes_once_per_depth_and_folds_once_per_pair(self, monkeypatch):
+    def test_diagonal_builds_classes_once_per_point_set_and_folds_once_per_pair(self, monkeypatch):
         exp = load_experiment(CONFIGS / "diag-multi.cfg")
-        pipe = ZerodimPipeline(exp.function, exp.n_max, exp.grid_depth)
+        pipe = ZerodimPipeline(exp.function, exp.n_max)
         for n in range(exp.n_max + 1):
             pipe.factor(n)  # its finite map phi_n multiplies once, before the diagonal
-        grid = pipe._memo.grid_points(exp.grid_depth)
         builds, folds = [], []
         mul_calls = [0]
         build, fold = GridMemo._build_classes, functions_module._table_product
         mul = type(pipe.group).mul
 
         def counted_build(memo, others, depth, xs, ys):
-            if xs is grid and ys is grid and any(v is pipe.f for v in others):
-                builds.append(depth)
+            # A whole-square sweep of f: its points are one kept tuple.
+            if xs is ys and any(v is pipe.f for v in others):
+                builds.append((depth, id(xs)))
             return build(memo, others, depth, xs, ys)
 
         def counted_fold(a, b, memo):
@@ -791,8 +816,8 @@ class TestWorkCounts:
         pipe.diagonal(exp.probes, exp.levels)
         assert builds and len(builds) == len(set(builds))
         assert folds and all(calls <= pairs for pairs, calls in folds)
-        # Every mul of the diagonal runs inside a fold, never per grid point.
-        assert mul_calls[0] == sum(calls for _, calls in folds) < len(grid) ** 2
+        # Every mul of the diagonal runs inside a fold, never per point.
+        assert mul_calls[0] == sum(calls for _, calls in folds)
 
 
 class TestConstantProducts:
@@ -860,7 +885,7 @@ class TestChecksDecidedOnce:
     def test_cond2_bounds_the_pointwise_rate(self, f, n_max, depth):
         # cond2_sup is a max over the declared image, which holds every value
         # f takes, so no point, on the grid or off it, is farther.
-        pipe = ZerodimPipeline(f, n_max, depth)
+        pipe = ZerodimPipeline(f, n_max)
         rows = pipe.condition_rows()
         points = grid_points(depth) + OFF_GRID
         for n in range(n_max + 1):
@@ -871,22 +896,23 @@ class TestChecksDecidedOnce:
     @settings(max_examples=100)
     @given(functions, st.integers(0, 3))
     def test_cond3_is_the_previous_factor_discreteness(self, f, n_max):
-        pipe = ZerodimPipeline(f, n_max, 0)
+        pipe = ZerodimPipeline(f, n_max)
         rows = pipe.condition_rows()
         group = f.group
         assert len(rows) == n_max + 2 and rows[0].cond3
         for n in range(1, n_max + 2):
-            prev, cur = pipe.tower[n - 1].mapping, pipe.tower[n].mapping
+            prev, cur = pipe.tower[n - 1], pipe.tower[n]
             net = set(pipe.nets[n - 1].elements)
             direct = all(group.mul(group.inv(prev[z]), cur[z]) in net for z in pipe.sample)
             assert rows[n].cond3 == pipe.factor_discreteness(n - 1) == direct
 
     @settings(max_examples=100)
-    @given(real_sweep_pairs, st.integers(0, 4))
-    def test_problem3_group_metric_sup_is_the_brute_sup(self, fg, depth):
+    @given(real_sweep_pairs)
+    def test_problem3_group_metric_sup_is_the_brute_sup(self, fg):
         f, g = fg
-        points = grid_points(depth)
-        rep = problem3_check(f, g, depth)
+        assume(deep_enough(fg) <= 5)  # the brute sweep is pointwise
+        points = grid_points(deep_enough(fg))
+        rep = problem3_check(f, g)
         assert rep.sup_group_metric == brute_sup(REAL.dist, f, g, points, points)[0]
 
 
@@ -911,3 +937,134 @@ class TestMonotoneValuesOnRect:
                 for sub_a in INSIDE[a]:
                     for sub_b in INSIDE[b]:
                         assert values[sub_a, sub_b] == vals, (a, b, sub_a, sub_b)
+
+
+# Points off every exact point set of the trees above: 1^w, (01),
+# 1^k 0 1^w, and 1^k 0^w past the corner points for k <= 12.
+OFF_EXACT = (
+    ALL_ONES,
+    CantorPoint.parse("(01)"),
+    *(CantorPoint("1" * k + "0", "1") for k in range(6)),
+    *(CantorPoint("1" * k) for k in range(13)),
+)
+# Fixed points whose matched block lies past every grid below.
+DEEP_FIXED = tuple(CantorPoint.parse(t) for t in ["11111111111111111111(0)",
+                                                  "111111111111111111110(1)",
+                                                  "11111111111111111111(01)"])
+
+
+def probe_of(axis, fixed, region):
+    return SubbasicNbhd(*((fixed, region) if axis == "x" else (region, fixed)), frozenset())
+
+
+class TestExactPoints:
+    """A sup over ``GridMemo.exact_points`` is the sup over the whole side:
+    it equals the sup over a grid P + 3 levels deeper (the kernel there,
+    which ``TestKernel`` checks against pointwise evaluation) and bounds
+    every point off the grids."""
+
+    @settings(max_examples=100)
+    @given(function_pairs)
+    def test_square_sup_is_the_deep_grid_sup(self, fg):
+        f, g = fg
+        depth, period = resolution(fg)
+        assume(depth + period + 3 <= 9)
+        got = exact_sup(f.group.dist, f, g, GridMemo())
+        deep = grid_points(depth + period + 3)
+        assert got == grid_sup(f.group.dist, f, g, deep, deep, GridMemo())
+        for x, y in product(OFF_EXACT, repeat=2):
+            assert got[0] >= f.group.dist(f.eval(x, y), g.eval(x, y))
+
+    @settings(max_examples=150)
+    @given(
+        function_pairs,
+        st.sampled_from(["x", "y"]),
+        # 111(0) is matched on the all-ones cylinder [111] of {10,111}.
+        st.sampled_from(OFF_GRID + grid_points(2) + (CantorPoint("111"),)),
+        st.sampled_from(REGIONS),
+    )
+    def test_probe_sup_is_the_deep_grid_sup(self, fg, axis, fixed, region):
+        f, g = fg
+        probe = probe_of(axis, fixed, region)
+        depth = deep_enough(fg, probe) + 3
+        assume(depth <= 9)
+        got = exact_sup(f.group.dist, f, g, GridMemo(), probe)
+        ts = side_points(region, depth)
+        xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
+        assert got == grid_sup(f.group.dist, f, g, xs, ys, GridMemo())
+        for t in OFF_EXACT:
+            if region.contains(t):
+                fv, gv = f.eval(*probe.point(t)), g.eval(*probe.point(t))
+                assert got[0] >= f.group.dist(fv, gv)
+
+    @given(
+        function_pairs,
+        st.sampled_from(["x", "y"]),
+        st.sampled_from(DEEP_FIXED),
+        st.sampled_from(REGIONS),
+    )
+    def test_sup_at_twenty_leading_ones_is_the_section_sup(self, fg, axis, fixed, region):
+        # The matched block of a fixed point 1^20 0 ... lies below every
+        # cell the grids reach; 1^20 0^w, added to the other side, meets it.
+        f, g = fg
+        depth, period = resolution(fg)
+        probe = probe_of(axis, fixed, region)
+        got = exact_sup(f.group.dist, f, g, GridMemo(), probe)[0]
+        near = (CantorPoint("1" * k) for k in range(18, 23))
+        ts = [t for t in (*side_points(region, depth + period + 3), *near, ALL_ONES)
+              if region.contains(t)]
+        brute = max((f.group.dist(f.eval(*probe.point(t)), g.eval(*probe.point(t))) for t in ts),
+                    default=Fraction(0))
+        assert got == brute
+
+    def test_matched_block_of_a_deep_fixed_point(self):
+        # diag ones 1(0) against the identity: a grid of depth 6 misses the
+        # value at (1^9 0^w, 1^9 0^w); the exact points hold it.
+        f, e = parse_function("diag ones 1(0)", DYADIC, CONFIGS), Constant(DYADIC.identity())
+        fixed = CantorPoint("1" * 9)
+        ys = GridMemo().exact_points((f, e), WHOLE, fixed)
+        assert ys == tuple(CantorPoint("1" * k) for k in (0, 1, 9))
+        assert grid_sup(DYADIC.dist, f, e, (fixed,), grid_points(6), GridMemo())[0] == 0
+        assert exact_sup(DYADIC.dist, f, e, GridMemo(), probe_of("x", fixed, WHOLE)) == (
+            Fraction(1, 2), (fixed, fixed)
+        )
+        # On the all-ones cylinder [111] the fixed point 111(0) is matched at
+        # 111(0) only; 1111(0) meets the rest of the cylinder.
+        x, a = CantorPoint("111"), Constant(DYADIC.parse_element("1(0)"))
+        probe = probe_of("x", x, ClopenSet.parse("{111}"))
+        assert exact_sup(DYADIC.dist, f, a, GridMemo(), probe) == (
+            Fraction(1, 2), (x, CantorPoint("1111"))
+        )
+
+    def test_points_follow_the_cylinders_of_a_side(self):
+        # !{0^20} is 20 cylinders 0^i 1: one point each, and 11(0) off the
+        # matched block of the all-ones cylinder [1], where its cells at
+        # depth 20 would be 2^20 - 1.
+        f, side = OnesDiagonal((POOLS[0][1],)), ClopenSet.parse("!{" + "0" * 20 + "}")
+        pts = GridMemo().exact_points((f,), side, CantorPoint(""))
+        cells = tuple(CantorPoint("0" * i + "1") for i in reversed(range(20)))
+        assert pts == cells + (CantorPoint("11"),)
+
+    def test_one_tuple_per_point_set(self):
+        # Two pairs with one resolution (D, P) = (2, 2) share the tuple, so
+        # the class lists over it are found again; so do two probe sides.
+        a, b = POOLS[0][1:3]
+        f, g = OnesDiagonal((a, b)), CylinderDiagonal(((Cylinder("01"), a),))
+        h = TableFunction(2, ((b,) * 4,) * 4)
+        memo = GridMemo()
+        pts = memo.exact_points((f, g))
+        assert memo.exact_points((g, f)) is pts and memo.exact_points((h, f)) is pts
+        classes = memo.classes((f, g), pts, pts)
+        assert memo.classes((f, g), *[memo.exact_points((g, f))] * 2) is classes
+        region = ClopenSet.parse("{1}")
+        side = memo.exact_points((f, g), region, ALL_ONES)
+        assert memo.exact_points((h, f), region, ALL_ONES) is side
+        assert memo.exact_points((f,), ALL_ONES) is memo.exact_points((g,), ALL_ONES) == (ALL_ONES,)
+
+    def test_a_leaf_without_a_resolution_is_a_config_error(self):
+        class Opaque(SepFunction):
+            """A leaf of no kind the point sets know."""
+
+        leaf = PointwiseProduct(OnesDiagonal((POOLS[0][1],)), Opaque())
+        with pytest.raises(ConfigError, match="no exact point set for a Opaque leaf"):
+            GridMemo().exact_points((leaf,))

@@ -17,6 +17,10 @@ looks for it.
 Only the value types (points, cylinders, clopen sets and group elements)
 define ``__eq__`` or ``__hash__``; every other class compares by identity.
 
+No module names the retired ``grid_depth`` setting, in code or in a
+docstring, apart from its entry among the accepted config keys, so it
+cannot come back through a single call site.
+
 The package's classes are immutable by convention: every attribute store
 is in an ``__init__``, apart from a short allow-list.  Importing the CLI
 loads neither ``dataclasses`` nor ``inspect``, nor ``traceback``, which only
@@ -216,6 +220,48 @@ def test_stray_equality_is_reported():
         "        return 0\n"
     )
     assert classes_defining_equality(source) == {"Point", "Cell"}
+
+
+RETIRED_SETTING = "grid_depth"
+
+
+def retired_setting_mentions(source):
+    """The sorted lines of each name, attribute, parameter, keyword or
+    string (docstrings too) in source that names the retired setting,
+    apart from its entry in ``_EXPERIMENT_KEYS``: generated configs still
+    carry the key.  Comments are not parsed, so they do not count."""
+    tree = ast.parse(source)
+    accepted = {id(e) for stmt in tree.body if _assigns(stmt, "_EXPERIMENT_KEYS")
+                for e in stmt.value.elts}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named = RETIRED_SETTING in node.value and id(node) not in accepted
+        else:
+            named = RETIRED_SETTING in (getattr(node, f, None) for f in ("id", "attr", "arg", "name"))
+        if named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_names_the_retired_setting():
+    mentions = {p.name: retired_setting_mentions(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in mentions.items() if lines} == {}
+    from sepcont.config import _EXPERIMENT_KEYS
+
+    assert RETIRED_SETTING in _EXPERIMENT_KEYS
+
+
+def test_retired_setting_mention_is_reported():
+    source = (
+        "_EXPERIMENT_KEYS = ('group', 'grid_depth')\n"
+        "def check(f, grid_depth=6):\n"
+        "    \"\"\"A sweep at grid_depth.\"\"\"\n"
+        "    return f(depth=exp.grid_depth, grid_depth=1)  # grid_depth here is a comment\n"
+        "KEYS = ('grid_depth',)\n"
+        "from sepcont.config import grid_depth\n"
+    )
+    assert retired_setting_mentions(source) == [2, 3, 4, 4, 5, 6]
 
 
 def unread_parameters(source):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
-from sepcont.functions import Constant, OnesDiagonal, SubbasicNbhd, TableFunction, side_sample
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, grid_points
+from sepcont.functions import Constant, OnesDiagonal, SubbasicNbhd, TableFunction
 from sepcont.groups import get_group
 from sepcont.uniform import (
     BallQuery,
@@ -28,9 +28,9 @@ PROBES = [
 ]
 
 
-def members(center, candidate, eps, depth=3):
+def members(center, candidate, eps):
     return {
-        side: ball_membership(BallQuery(center, candidate, side, eps, depth)).member
+        side: ball_membership(BallQuery(center, candidate, side, eps)).member
         for side in ("l", "r", "lr", "rl")
     }
 
@@ -38,16 +38,16 @@ def members(center, candidate, eps, depth=3):
 class TestBallMembership:
     def test_center_in_every_ball(self):
         for side in ("l", "r", "lr", "rl"):
-            res = ball_membership(BallQuery(DIAG, DIAG, side, Fraction(1, 16), 3))
+            res = ball_membership(BallQuery(DIAG, DIAG, side, Fraction(1, 16)))
             assert res.member and res.witness is None
 
     def test_far_constant_not_member(self):
-        res = ball_membership(BallQuery(Constant(E), Constant(A), "l", Fraction(1, 4), 2))
+        res = ball_membership(BallQuery(Constant(E), Constant(A), "l", Fraction(1, 4)))
         assert not res.member and res.witness is not None
 
     def test_positive_radius_required(self):
         with pytest.raises(ValueError):
-            BallQuery(DIAG, DIAG, "l", Fraction(0), 3)
+            BallQuery(DIAG, DIAG, "l", Fraction(0))
 
     @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
     def test_lr_is_l_and_r(self, eps):
@@ -64,8 +64,8 @@ class TestBallMembership:
 
     def test_nesting(self):
         for side in ("l", "r", "lr", "rl"):
-            small = ball_membership(BallQuery(DIAG, Constant(E), side, Fraction(1, 4), 3)).member
-            large = ball_membership(BallQuery(DIAG, Constant(E), side, Fraction(1, 2) + Fraction(1, 4), 3)).member
+            small = ball_membership(BallQuery(DIAG, Constant(E), side, Fraction(1, 4))).member
+            large = ball_membership(BallQuery(DIAG, Constant(E), side, Fraction(1, 2) + Fraction(1, 4))).member
             assert (not small) or large
 
     def test_abelian_l_equals_r(self):
@@ -77,14 +77,14 @@ class TestBallMembership:
         # dyadic XOR metric is an ultrametric: the two-sided product of
         # radius-eps balls is no wider than one ball, so rl agrees with l
         quarter = DYADIC.parse_element("01(0)")
-        m = members(Constant(E), Constant(quarter), Fraction(1, 4), 2)
+        m = members(Constant(E), Constant(quarter), Fraction(1, 4))
         assert not m["l"] and not m["r"] and not m["rl"]
 
     def test_rl_two_step_search_wider_than_l_real(self):
         # over the reals, 3/8 = 3/16 + 3/16 splits into two steps < 1/4
         f = Constant(REAL.parse_element("0/2^0"))
         g = Constant(REAL.parse_element("3/2^3"))
-        m = members(f, g, Fraction(1, 4), 2)
+        m = members(f, g, Fraction(1, 4))
         assert not m["l"] and not m["r"]
         assert m["rl"]
 
@@ -102,14 +102,21 @@ STAGE_POOL = (
 )
 
 
-def some_stage_settles(f, stages, probes, levels, grid_depth):
+def side_points(side):
+    """A probe side's points: the point itself, or the points of a clopen
+    side on the depth-7 grid, deep enough for every stage pool pair, and
+    1^w."""
+    if isinstance(side, CantorPoint):
+        return (side,)
+    return tuple(p for p in grid_points(7) + (ALL_ONES,) if side.contains(p))
+
+
+def some_stage_settles(f, stages, probes, levels):
     """The reference closure diagonal check, point by point: for every probe
     and level l, some stage m from which every later stage stays within
     2^-l of f on the probe rectangle."""
     for probe in probes:
-        pairs = [
-            (x, y) for x in side_sample(probe.kx, grid_depth) for y in side_sample(probe.ky, grid_depth)
-        ]
+        pairs = [(x, y) for x in side_points(probe.kx) for y in side_points(probe.ky)]
         sups = [max(f.group.dist(f.eval(x, y), g.eval(x, y)) for x, y in pairs) for g in stages]
         for l in levels:
             tol = Fraction(1, 2**l)
@@ -119,8 +126,8 @@ def some_stage_settles(f, stages, probes, levels, grid_depth):
 
 
 class TestClosureProbe:
-    def make_stages(self, n_max=4, grid_depth=4):
-        pipe = ZerodimPipeline(DIAG, n_max=n_max, grid_depth=grid_depth)
+    def make_stages(self, n_max=4):
+        pipe = ZerodimPipeline(DIAG, n_max=n_max)
         stages = [pipe.quantized(n) for n in range(n_max + 1)]
         schedule = [Fraction(1, 2**n) for n in range(n_max + 1)]
         return stages, schedule
@@ -129,12 +136,12 @@ class TestClosureProbe:
         f = Constant(A)
         stages = [Constant(A)] * 4
         schedule = [Fraction(1, 2**n) for n in range(4)]
-        rep = closure_probe(f, stages, schedule, PROBES, [1, 2], 3)
+        rep = closure_probe(f, stages, schedule, PROBES, [1, 2])
         assert rep.passed and rep.failed_stage is None
 
     def test_tower_stages_within_schedule(self):
         stages, schedule = self.make_stages()
-        rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2], 4)
+        rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2])
         assert rep.passed
         for row in rep.stages:
             assert row.dist_l <= Fraction(1, 2**row.stage)
@@ -143,7 +150,7 @@ class TestClosureProbe:
     def test_corrupted_stage_fails_with_index(self):
         stages, schedule = self.make_stages()
         stages[3] = Constant(A)  # distance 1/2 at stage 3
-        rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2], 4)
+        rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2])
         assert not rep.passed
         assert rep.failed_stage == 3
 
@@ -151,28 +158,32 @@ class TestClosureProbe:
         stages, schedule = self.make_stages()
         certs = [True] * len(stages)
         certs[2] = False
-        rep = closure_probe(DIAG, stages, schedule, PROBES, [1], 4, stage_certificates=certs)
+        rep = closure_probe(DIAG, stages, schedule, PROBES, [1], stage_certificates=certs)
         assert not rep.passed and rep.failed_stage == 2
 
     def test_schedule_length_mismatch(self):
         stages, schedule = self.make_stages()
         with pytest.raises(ValueError):
-            closure_probe(DIAG, stages, schedule[:-1], PROBES, [1], 4)
+            closure_probe(DIAG, stages, schedule[:-1], PROBES, [1])
 
     def test_no_stages_rejected(self):
         with pytest.raises(ValueError, match="no stages"):
-            closure_probe(DIAG, [], [], PROBES, [1], 4)
+            closure_probe(DIAG, [], [], PROBES, [1])
 
     def test_last_stage_off_a_probe_fails_the_diagonal(self):
-        # Every stage lies within its radius on the depth-3 grid, but the last
-        # one, the schema cut off after four members, is the identity on
-        # member 4 = [11110], where f is A.
-        stages, schedule = self.make_stages(grid_depth=3)
+        # The last stage, the schema cut off after four members, is the
+        # identity on member 4 = [11110], where f is A.  Its distance 1/2
+        # there fails the stage's radius; with radius 1 every stage is
+        # within, and the probe through member 4 fails the diagonal.
+        stages, schedule = self.make_stages()
         stages[-1] = OnesDiagonal((E,), prefix=(A,) * 4)
-        rep = closure_probe(DIAG, stages, schedule, PROBES + [MEMBER_4], [1, 2], 3)
+        rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2])
+        assert rep.failed_stage == 4 and rep.stages[4].dist_l == Fraction(1, 2)
+        wide = [Fraction(1)] * len(stages)
+        rep = closure_probe(DIAG, stages, wide, PROBES + [MEMBER_4], [1, 2])
         assert rep.failed_stage is None and all(row.within for row in rep.stages)
         assert not rep.diagonal_passed and not rep.passed
-        assert closure_probe(DIAG, stages, schedule, PROBES, [1, 2], 3).passed
+        assert closure_probe(DIAG, stages, wide, PROBES, [1, 2]).passed
 
     @given(
         st.sampled_from(STAGE_POOL),
@@ -183,15 +194,15 @@ class TestClosureProbe:
     def test_diagonal_check_is_the_settling_stage_search(self, f, stages, probes, levels):
         # Radius 1 admits every stage (the metric is bounded by 1/2), so the
         # diagonal check decides the report.
-        rep = closure_probe(f, stages, [Fraction(1)] * len(stages), probes, levels, 3)
-        assert rep.diagonal_passed == some_stage_settles(f, stages, probes, levels, 3)
+        rep = closure_probe(f, stages, [Fraction(1)] * len(stages), probes, levels)
+        assert rep.diagonal_passed == some_stage_settles(f, stages, probes, levels)
 
 
 class TestProblem3:
     def test_identical_candidate(self):
         z = REAL.parse_element("1/2^1")
         f = Constant(z)
-        rep = problem3_check(f, f, 3)
+        rep = problem3_check(f, f)
         assert rep.within and rep.sup_raw == 0
         assert rep.image_size == 1 and rep.min_gap is None
 
@@ -199,14 +210,14 @@ class TestProblem3:
         z0, z34 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^2")
         f = TableFunction(1, ((z0, z34), (z34, z0)))
         g = Constant(REAL.parse_element("1/2^1"))
-        rep = problem3_check(f, g, 4)
+        rep = problem3_check(f, g)
         assert rep.within and rep.sup_raw == Fraction(1, 2)
 
     def test_wild_oscillation_fails_with_witness(self):
         z0, z3 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^0")
         f = TableFunction(1, ((z0, z3), (z3, z0)))
         g = Constant(REAL.parse_element("1/2^1"))
-        rep = problem3_check(f, g, 4)
+        rep = problem3_check(f, g)
         assert not rep.within
         assert rep.sup_raw == Fraction(5, 2)
         assert rep.witness is not None
@@ -215,11 +226,11 @@ class TestProblem3:
 
     def test_requires_real_group(self):
         with pytest.raises(ValueError):
-            problem3_check(DIAG, DIAG, 3)
+            problem3_check(DIAG, DIAG)
 
     def test_min_gap_reported(self):
         z0, z34 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^2")
         f = Constant(z0)
         g = TableFunction(1, ((z0, z34), (z34, z0)))
-        rep = problem3_check(f, g, 4)
+        rep = problem3_check(f, g)
         assert rep.min_gap == Fraction(3, 4)

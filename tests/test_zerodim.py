@@ -88,19 +88,19 @@ class TestQuantizerTower:
         sample = (E, A)
         tower, _ = self.make(sample, 3)
         for z in sample:
-            assert tower[0].mapping[z] == E
+            assert tower[0][z] == E
 
     def test_identity_image_stays_identity(self):
         sample = (E,)
         tower, _ = self.make(sample, 4)
         for q in tower:
-            assert q.mapping[E] == E
-        rows = ZerodimPipeline(Constant(E), n_max=3, grid_depth=2).condition_rows()
+            assert q[E] == E
+        rows = ZerodimPipeline(Constant(E), n_max=3).condition_rows()
         assert all(r.cond2_sup == 0 for r in rows[1:])
 
     @pytest.mark.parametrize("f", [DIAG, MULTI], ids=["diag", "multi"])
     def test_conditions_certified_exactly(self, f):
-        rows = ZerodimPipeline(f, n_max=3, grid_depth=2).condition_rows()
+        rows = ZerodimPipeline(f, n_max=3).condition_rows()
         assert len(rows) == 5
         for r in rows:
             assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level)
@@ -112,7 +112,7 @@ class TestQuantizerTower:
         sample = DYADIC.dense_enumeration(5)
         cells = [sample[i % len(sample)] for i in range(64)]
         f = TableFunction(3, tuple(tuple(cells[8 * i : 8 * i + 8]) for i in range(8)))
-        pipe = ZerodimPipeline(f, n_max=2, grid_depth=3)
+        pipe = ZerodimPipeline(f, n_max=2)
         assert set(pipe.sample) == set(sample)
         for r in pipe.condition_rows():
             assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level) and r.cond3
@@ -120,28 +120,28 @@ class TestQuantizerTower:
     def test_c3_tower(self):
         sample = tuple(C3.element(i) for i in range(3))
         f = TableFunction(1, ((sample[0], sample[1]), (sample[2], sample[0])))
-        pipe = ZerodimPipeline(f, n_max=2, grid_depth=2)
+        pipe = ZerodimPipeline(f, n_max=2)
         for r in pipe.condition_rows():
             assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level) and r.cond3
         # by level 1 the discrete metric forces exact reproduction
         for z in sample:
-            assert pipe.tower[1].mapping[z] == z
+            assert pipe.tower[1][z] == z
 
 
 class TestPipeline:
     def test_uniform_rate(self):
-        pipe = ZerodimPipeline(DIAG, n_max=3, grid_depth=5)
+        pipe = ZerodimPipeline(DIAG, n_max=3)
         for n in range(4):
             assert pipe.uniform_rate(n).value <= Fraction(1, 2**n)
 
     def test_factor_images_in_nets(self):
         for f in [DIAG, MULTI]:
-            pipe = ZerodimPipeline(f, n_max=4, grid_depth=5)
+            pipe = ZerodimPipeline(f, n_max=4)
             for n in range(5):
                 assert pipe.factor_discreteness(n)
 
     def test_factor_declared_image_validated_on_grid(self):
-        pipe = ZerodimPipeline(MULTI, n_max=3, grid_depth=5)
+        pipe = ZerodimPipeline(MULTI, n_max=3)
         pts = grid_points(5)
         for n in range(4):
             g = pipe.factor(n)
@@ -154,7 +154,7 @@ class TestPipeline:
         # still shows the value A, which is not in net(2).
         b = DYADIC.parse_element("01(0)")
         f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
-        pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
+        pipe = ZerodimPipeline(f, n_max=3)
         pts = grid_points(4)
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
         assert pipe.factor_discreteness(2) and A not in pipe.nets[2].elements
@@ -164,7 +164,7 @@ class TestPipeline:
         assert not pipe.factor_discreteness(2)
 
     def test_constant_function_factors_trivial(self):
-        pipe = ZerodimPipeline(Constant(A), n_max=3, grid_depth=3)
+        pipe = ZerodimPipeline(Constant(A), n_max=3)
         pts = grid_points(3)
         for n in range(1, 4):
             g = pipe.factor(n)
@@ -172,14 +172,14 @@ class TestPipeline:
 
     def test_g0_equals_f1(self):
         # r_0 is constant identity, so the first factor equals f_1 pointwise
-        pipe = ZerodimPipeline(MULTI, n_max=3, grid_depth=4)
+        pipe = ZerodimPipeline(MULTI, n_max=3)
         g0, f1 = pipe.factor(0), pipe.quantized(1)
         pts = grid_points(4)
         assert all(g0.eval(x, y) == f1.eval(x, y) for x, y in product(pts, repeat=2))
 
     def test_telescoping(self):
         for f in [DIAG, MULTI]:
-            pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
+            pipe = ZerodimPipeline(f, n_max=3)
             assert pipe.telescoping_ok()
 
     def test_telescoping_fails_on_a_factor_altered_off_the_grid(self, monkeypatch):
@@ -188,7 +188,7 @@ class TestPipeline:
         # factor map altered at b.
         b = DYADIC.parse_element("01(0)")
         f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
-        pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
+        pipe = ZerodimPipeline(f, n_max=3)
         pts = grid_points(4)
         assert b in f.declared_image()
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
@@ -202,7 +202,7 @@ class TestPipeline:
 def _phi(pipe, n, z):
     """r_n(z)^-1 r_{n+1}(z), read off the quantizer tower."""
     group = pipe.group
-    return group.mul(group.inv(pipe.tower[n].mapping[z]), pipe.tower[n + 1].mapping[z])
+    return group.mul(group.inv(pipe.tower[n][z]), pipe.tower[n + 1][z])
 
 
 # The diag ones 1(0) family, the diag-multi.cfg family at its n_max, and a cyclic:5 family.
@@ -213,7 +213,7 @@ CYLINDERS_TO_3 = [Cylinder("".join(bits)) for d in range(4) for bits in product(
 @pytest.fixture(scope="module", params=FACTOR_CASES, ids=["diag", "diag-multi", "cyclic5"])
 def factor_pipe(request):
     f, n_max = request.param
-    return ZerodimPipeline(f, n_max=n_max, grid_depth=4)
+    return ZerodimPipeline(f, n_max=n_max)
 
 
 class TestFactorAsMap:
@@ -249,7 +249,7 @@ class TestFactorAsMap:
 
 class TestDiagonal:
     def test_constant_all_zero_distances(self):
-        pipe = ZerodimPipeline(Constant(A), n_max=3, grid_depth=3)
+        pipe = ZerodimPipeline(Constant(A), n_max=3)
         rep = pipe.diagonal(STANDARD_PROBES[:2], [1, 2])
         assert rep.passed
         assert all(s == 0 for _, s in rep.stage_sups)
@@ -257,7 +257,7 @@ class TestDiagonal:
 
     @pytest.mark.parametrize("f", [DIAG, MULTI], ids=["diag", "multi"])
     def test_budget_certified(self, f):
-        pipe = ZerodimPipeline(f, n_max=4, grid_depth=5)
+        pipe = ZerodimPipeline(f, n_max=4)
         rep = pipe.diagonal(STANDARD_PROBES, [1, 2])
         assert rep.passed
         for r in rep.results:
@@ -266,7 +266,7 @@ class TestDiagonal:
             assert r.m_l >= r.level_l
 
     def test_budget_l1_vacuous_but_sup_recorded(self):
-        pipe = ZerodimPipeline(DIAG, n_max=3, grid_depth=5)
+        pipe = ZerodimPipeline(DIAG, n_max=3)
         rep = pipe.diagonal(STANDARD_PROBES[:1], [1])
         (r,) = rep.results
         assert r.budget == Fraction(2)
@@ -274,7 +274,7 @@ class TestDiagonal:
 
     def test_tail_product_containment_direct(self):
         # recompute the tail-product bound directly at every grid point
-        pipe = ZerodimPipeline(MULTI, n_max=4, grid_depth=4)
+        pipe = ZerodimPipeline(MULTI, n_max=4)
         pipe.diagonal(STANDARD_PROBES[:1], [1])
         l = 1
         one = DYADIC.identity()
@@ -294,7 +294,7 @@ class TestDiagonal:
         # 1/2 from the true one must fail it.  Only this pipeline's
         # approximator of factor wrong_k is altered: every stage table is
         # multiplied by A, which flips the first bit of each value.
-        pipe = ZerodimPipeline(MULTI, n_max=5, grid_depth=4)
+        pipe = ZerodimPipeline(MULTI, n_max=5)
         approx = pipe.factor_approximator(wrong_k)
         correct, wrong = approx.approximant, {}
 
@@ -310,7 +310,7 @@ class TestDiagonal:
         return pipe.diagonal(STANDARD_PROBES, [l])
 
     def test_budget_and_tail_pass_before_the_substitution(self):
-        rep = ZerodimPipeline(MULTI, n_max=5, grid_depth=4).diagonal(STANDARD_PROBES, [3])
+        rep = ZerodimPipeline(MULTI, n_max=5).diagonal(STANDARD_PROBES, [3])
         assert rep.passed
         assert all(r.budget == Fraction(1, 2) and r.final_ok and r.tail_ok for r in rep.results)
 
@@ -332,7 +332,7 @@ class TestDiagonal:
     def test_table_function_diagonal(self):
         rows = tuple(tuple(A if (i ^ j) & 1 else E for j in range(4)) for i in range(4))
         f = TableFunction(2, rows)
-        pipe = ZerodimPipeline(f, n_max=4, grid_depth=4)
+        pipe = ZerodimPipeline(f, n_max=4)
         rep = pipe.diagonal(STANDARD_PROBES[:2], [1, 2])
         assert rep.passed
 
@@ -341,7 +341,7 @@ class TestRealGroupPipeline:
     def test_real_table_end_to_end(self):
         z0, z34 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^2")
         f = TableFunction(1, ((z0, z34), (z34, z0)))
-        pipe = ZerodimPipeline(f, n_max=3, grid_depth=4)
+        pipe = ZerodimPipeline(f, n_max=3)
         for r in pipe.condition_rows():
             assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level) and r.cond3
         for n in range(4):
