@@ -8,7 +8,7 @@ exact values, never a floating-point comparison.
 
 __version__ = "0.1.0"
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
+from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
 from sepcont.groups import GroupElement, GroupSpec, SeparatedNet, ball_net, get_group
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "__version__",
     "ball_net",
     "get_group",
-    "grid_points",
 ]

@@ -413,8 +413,3 @@ class ClopenSet:
             return "!{}"
         return "{" + ",".join(c.prefix for c in self.cylinders()) + "}"
 
-
-def grid_points(d: int) -> tuple[CantorPoint, ...]:
-    """The 2^d canonical grid points: the representative (depth-d prefix +
-    zero tail) of each depth-d cell, in cell-index order."""
-    return tuple(c.representative() for c in partition_at_depth(d))

@@ -4,17 +4,19 @@ discrete image.
 From f it builds locally constant (hence jointly continuous) table
 functions g_n and certifies layer-wise convergence through an explicit
 finite stage.  The image filtration is the declared image in canonical
-order: level n holds its first n + 1 elements.  The strips
-X(z,k) = {x : {x} x V_k inside f^-1(z)} are kept as per-cell verdicts of f
-on u x V_k (and V_k x u), copied from a certified larger rectangle where
-there is one.  The patch rectangles of g_n only grow with n, so one stage
-table per working depth records the first stage that paints each cell and
-its value; ``approximant(n)`` and every certificate stage read it.
+order: level n holds its first n + 1 elements.  Every per-cell fact is an
+integer bit mask: at working depth d, cell u_i of one side is bit i and the
+cell pair (i, j) is bit i * 2^d + j.  The patches of g_n only grow with n,
+so one stage table per working depth keeps, per value, the union of its
+rectangles through each stage; ``approximant(n)`` and every certificate
+stage read it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple
 
 from sepcont.cantor import CantorPoint, Cylinder, basis_cylinder, basis_index, partition_at_depth
 from sepcont.config import depth_cap
@@ -22,9 +24,15 @@ from sepcont.errors import RefinementExhaustedError, UnsupportedStructureError
 from sepcont.functions import SepFunction, SubbasicNbhd, TableFunction, in_subbasic
 from sepcont.groups import GroupElement
 
-# Per depth-d cell, the image index of the certified constant value of f on
-# u x V_k (x side) and on V_k x u (y side), or None.
-Strips = tuple[list[int | None], list[int | None]]
+_DOUBLE = str.maketrans({"0": "00", "1": "11"})  # bit i to bits 2i and 2i + 1
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ConvergenceCertificate(NamedTuple):
@@ -37,38 +45,72 @@ class ConvergenceCertificate(NamedTuple):
 
 
 class _StageTable:
-    """The painting of one working depth d, from its first stage on, as far
-    as it has been asked: per cell (i, j), at index i * 2^d + j, the first
-    stage that paints it and the value painted, and for a cell painted with
-    two values (a clash) the first stage of each value.  Every stage through
-    ``through`` is painted and free of clashes."""
+    """The patches of one working depth d, as far as they have been asked:
+    ``cover[r][k]`` masks the cell pairs of the rectangles X(z,k') x V_k' and
+    V_k' x Y(z,k'), k' <= k, of the r-th value z.  A pair (k, z) enters at
+    stage max(k, rank of z, the depth's first stage), so g_n paints
+    cover[r][n] with the r-th value for each r <= n."""
 
-    def __init__(self, d: int, first: int, f: SepFunction, reps: list[CantorPoint]):
-        self.d, self.first, self.through = d, first, first - 1
-        self.f, self.reps = f, reps
-        self.stage: list[int | None] = [None] * 4**d
-        self.value: list[GroupElement | None] = [None] * 4**d
-        self.clashes: dict[int, dict[GroupElement, int]] = {}
+    def __init__(self, d: int, cells: list[Cylinder], f: SepFunction, image: tuple[GroupElement, ...]):
+        self.d, self.cells, self.f, self.image = d, cells, f, image
+        self.cover: list[list[int]] = [[] for _ in image]
+        self._stride = str.maketrans({"0": "0" * (1 << d), "1": "1".ljust(1 << d, "0")})
+        self._stages: dict[int, tuple[list[int], int]] = {}
         self._limit: dict[int, GroupElement] = {}
 
-    def paint(self, cells, z: GroupElement, s: int) -> None:
-        for c in cells:
-            if self.stage[c] is None:
-                self.stage[c], self.value[c] = s, z
-            elif self.value[c] != z:
-                stages = self.clashes.setdefault(c, {self.value[c]: self.stage[c]})  # type: ignore[dict-item]
-                stages.setdefault(z, s)
+    def spread(self, line: int) -> int:
+        """Bit i of ``line`` moved to bit i * 2^d: cell u_i as the pair (i, 0)."""
+        return int(format(line, "b").translate(self._stride), 2) >> ((1 << self.d) - 1)
 
-    def at(self, c: int, n: int) -> GroupElement:
-        """The value of g_n on cell c: the painted value once its stage is
-        reached, else f at the cell's limit representatives."""
-        s = self.stage[c]
-        if s is not None and s <= n:
-            return self.value[c]  # type: ignore[return-value]
+    def add(self, strips: tuple[list[int], list[int]], band: range) -> None:
+        """Extend the covers by V_k's strips, ``band`` its depth-d cells: an x
+        strip R adds R x band and a y strip C adds band x C, one product each."""
+        cols = ((1 << len(band)) - 1) << band.start
+        rows = self.spread(cols)
+        for cover, x, y in zip(self.cover, *strips):
+            rects = (cols * self.spread(x) if x else 0) | y * rows
+            cover.append(cover[-1] | rects if cover else rects)
+
+    def stage(self, n: int) -> tuple[list[int], int]:
+        """Per rank, the cells that g_n paints with that value, and their
+        union.  A cell painted with two values raises: the first such cell
+        row-major, with its values in filtration order."""
+        if n not in self._stages:
+            masks = [cover[n] if r <= n else 0 for r, cover in enumerate(self.cover)]
+            seen = clash = 0
+            for m in masks:
+                clash |= seen & m
+                seen |= m
+            if clash:
+                c = next(_bits(clash))
+                u, v = (self.cells[i].prefix for i in divmod(c, 1 << self.d))
+                names = [str(z) for z, m in zip(self.image, masks) if m >> c & 1]
+                raise RefinementExhaustedError(
+                    f"cell {u} x {v} meets patches of {names} at depth {self.d}"
+                )
+            self._stages[n] = masks, seen
+        return self._stages[n]
+
+    def limit(self, c: int) -> GroupElement:
+        """f at cell c's limit representatives, worked out once per cell."""
         if c not in self._limit:
-            i, j = divmod(c, 1 << self.d)
-            self._limit[c] = self.f.eval(self.reps[i], self.reps[j])
+            u, v = (self.cells[i].limit_representative() for i in divmod(c, 1 << self.d))
+            self._limit[c] = self.f.eval(u, v)
         return self._limit[c]
+
+    def function(self, n: int) -> TableFunction:
+        """g_n as a table: each painted cell's value, f at the cell's limit
+        representatives on the others."""
+        masks, painted = self.stage(n)
+        size = 1 << self.d
+        values: list = [None] * (size * size)
+        for z, m in zip(self.image, masks):
+            for c in _bits(m):
+                values[c] = z
+        for c in _bits((1 << size * size) - 1 & ~painted):
+            values[c] = self.limit(c)
+        rows = (tuple(values[i : i + size]) for i in range(0, size * size, size))
+        return TableFunction(self.d, tuple(rows))
 
 
 class DiscreteApproximator:
@@ -81,8 +123,8 @@ class DiscreteApproximator:
         self.group = f.group
         self.image = tuple(self.group.sort_canonically(f.declared_image()))
         self._rank = {z: r for r, z in enumerate(self.image)}
-        self._partitions: dict[int, tuple[list[Cylinder], list[CantorPoint]]] = {}
-        self._strips: dict[tuple[int, int], Strips] = {}
+        self._partitions: dict[int, list[Cylinder]] = {}
+        self._strips: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self._tables: dict[int, _StageTable] = {}
         self._gn_cache: dict[int, TableFunction] = {}
 
@@ -96,54 +138,45 @@ class DiscreteApproximator:
         """
         return max(1, (n + 1).bit_length() - 1)
 
-    def _partition(self, d: int) -> tuple[list[Cylinder], list[CantorPoint]]:
-        """The depth-d cells and their limit representatives."""
+    def _partition(self, d: int) -> list[Cylinder]:
+        """The depth-d cells, made once per depth."""
         if d not in self._partitions:
-            cells = partition_at_depth(d)
-            self._partitions[d] = cells, [u.limit_representative() for u in cells]
+            self._partitions[d] = partition_at_depth(d)
         return self._partitions[d]
 
-    def strips(self, k: int, d: int) -> Strips:
-        """The x- and y-side verdicts of V_k at depth d, each cell asked at
-        most once: a verdict certified on the coarser cell at depth d - 1 or
-        on V_{(k-1)//2} x u (u x V_{(k-1)//2}) is copied."""
+    def strips(self, k: int, d: int) -> tuple[list[int], list[int]]:
+        """Per side (x, then y) and image rank r, the mask of the depth-d
+        cells u on which f is certified constant at the r-th value: on
+        u x V_k (x side) or V_k x u (y side).  Each cell is asked at most
+        once: verdicts certified on the coarser cell are copied first (bit i
+        at depth d - 1 is bits 2i and 2i + 1 here), then, for the cells still
+        open, those on V_{(k-1)//2} x u (u x V_{(k-1)//2})."""
         key = (k, d)
         if key not in self._strips:
             coarse = self._strips.get((k, d - 1))
             wide = self.strips((k - 1) // 2, d) if k else None
-            v = basis_cylinder(k)
-            out: Strips = ([], [])
-            for i, u in enumerate(self._partition(d)[0]):
-                for side, rect in enumerate(((u, v), (v, u))):
-                    r = coarse[side][i >> 1] if coarse else None
-                    if r is None and wide:
-                        r = wide[side][i]
-                    if r is None:
-                        r = self._rank.get(self.f.constant_value_on(*rect))  # type: ignore[arg-type]
-                    out[side].append(r)
-            self._strips[key] = out
+            cells, v = self._partition(d), basis_cylinder(k)
+            ask, full = self.f.constant_value_on, (1 << (1 << d)) - 1
+            out = []
+            for side in (0, 1):
+                masks = [0] * len(self.image)
+                if coarse:
+                    masks = [int(format(m, "b").translate(_DOUBLE), 2) for m in coarse[side]]
+                taken = reduce(or_, masks)
+                if wide and taken != full:
+                    masks = [m | w & ~taken for m, w in zip(masks, wide[side])]
+                    taken = reduce(or_, masks)
+                for i in _bits(full & ~taken):
+                    z = ask(cells[i], v) if side == 0 else ask(v, cells[i])
+                    r = self._rank.get(z)  # type: ignore[arg-type]
+                    if r is not None:
+                        masks[r] |= 1 << i
+                out.append(masks)
+            self._strips[key] = out[0], out[1]
         return self._strips[key]
 
-    def _paint_stage(self, table: _StageTable, s: int) -> None:
-        """Paint the pairs (k, z) that enter at stage s: max(k, index of z)
-        is s, or at most s at the depth's first stage.  Past the first stage
-        a pair with k < s enters only when z is the image's s-th element."""
-        d = table.d
-        for k in range(s + 1) if s == table.first or s < len(self.image) else (s,):
-            band = basis_cylinder(k).cell_range(d)
-            xs, ys = self.strips(k, d)
-            for i, r in enumerate(xs):
-                if r is not None and max(k, r, table.first) == s:
-                    table.paint(((i << d) + j for j in band), self.image[r], s)
-            for j, r in enumerate(ys):
-                if r is not None and max(k, r, table.first) == s:
-                    table.paint(((i << d) + j for i in band), self.image[r], s)
-
     def _table(self, n: int) -> _StageTable:
-        """The stage table of n's working depth, painted through stage n.
-
-        A cell painted with two values by stage n raises: the first such cell
-        row-major, with its values in filtration order."""
+        """The stage table of n's working depth, its covers through stage n."""
         d = self.working_depth(n)
         table = self._tables.get(d)
         if table is None:
@@ -152,65 +185,59 @@ class DiscreteApproximator:
                 raise RefinementExhaustedError(
                     f"working depth {d} exceeds cap {cap} (set SEPCONT_MAX_DEPTH to raise)"
                 )
-            first = 0 if d == 1 else 2**d - 1
-            table = self._tables[d] = _StageTable(d, first, self.f, self._partition(d)[1])
-        if n <= table.through:
-            # A cell's values by stage n only grow with n, so a stage below a
-            # clash-free one is clash-free too.
-            return table
-        for s in range(table.through + 1, n + 1):
-            self._paint_stage(table, s)
-        for c in sorted(table.clashes):
-            values = [z for z, s in table.clashes[c].items() if s <= n]
-            if len(values) > 1:
-                cells = self._partition(d)[0]
-                i, j = divmod(c, 1 << d)
-                names = [str(z) for z in self.image if z in values]
-                raise RefinementExhaustedError(
-                    f"cell {cells[i].prefix} x {cells[j].prefix} meets patches of {names} at depth {d}"
-                )
-        table.through = n
+            table = self._tables[d] = _StageTable(d, self._partition(d), self.f, self.image)
+        for k in range(len(table.cover[0]), n + 1):
+            table.add(self.strips(k, d), basis_cylinder(k).cell_range(d))
         return table
 
     def approximant(self, n: int) -> TableFunction:
         """g_n: constant z on cells meeting the z-patch, f at the cell's
         limit representative elsewhere; locally constant by construction."""
         if n not in self._gn_cache:
-            table = self._table(n)
-            size = 1 << table.d
-            rows = tuple(
-                tuple(table.at(i * size + j, n) for j in range(size)) for i in range(size)
-            )
-            self._gn_cache[n] = TableFunction(table.d, rows)
+            self._gn_cache[n] = self._table(n).function(n)
         return self._gn_cache[n]
 
-    @staticmethod
-    def _probe_cells(probe: SubbasicNbhd, d: int) -> list[int]:
-        """The depth-d cells that the probe rectangle meets: the fixed
-        point's row (axis 'x') or column, at K's cells shifted to depth d."""
-        axis, fixed, other = probe.sides()
-        i = int(fixed.prefix(d), 2)
-        if isinstance(other, CantorPoint):
-            js = [int(other.prefix(d), 2)]
-        else:
-            depth, cells = other.own_cells
-            if depth >= d:
-                js = list(dict.fromkeys(j >> (depth - d) for j in cells))
-            else:
-                shift = d - depth
-                js = [t for j in cells for t in range(j << shift, (j + 1) << shift)]
-        return [(i << d) + j for j in js] if axis == "x" else [(j << d) + i for j in js]
-
     def memberships(self, probe: SubbasicNbhd, stages: Iterable[int]) -> list[bool]:
-        """Whether g_n lies in ``probe``, for each n in ``stages``: g_n's
-        values on the probe's cells, read off the stage table."""
-        cells: dict[int, list[int]] = {}
+        """Whether g_n lies in ``probe``, for each n in ``stages``.
+
+        Each working depth's table is extended once, through the last stage
+        asked there.  The probe is read as two masks: the cells it meets, and
+        those of them unpainted at the depth's smallest stage asked whose
+        limit value is outside U.  Each stage is then a few ANDs."""
+        stages = list(stages)
+        depths = [self.working_depth(n) for n in stages]
+        axis, fixed, other = probe.sides()
+        off = [r for r, z in enumerate(self.image) if z not in probe.allowed]
+        reads: dict[int, tuple[_StageTable, int, int]] = {}
         out = []
-        for n in stages:
-            table = self._table(n)
-            if table.d not in cells:
-                cells[table.d] = self._probe_cells(probe, table.d)
-            out.append(all(table.at(c, n) in probe.allowed for c in cells[table.d]))
+        for n, d in zip(stages, depths):
+            if d not in reads:
+                asked = [s for s, e in zip(stages, depths) if e == d]
+                table = self._table(max(asked))
+                # The fixed point's row (axis 'x') or column, at the cells of
+                # K shifted to depth d.
+                if isinstance(other, CantorPoint):
+                    line = 1 << int(other.prefix(d), 2)
+                else:
+                    depth, cells = other.own_cells
+                    if depth >= d:
+                        line = reduce(or_, (1 << (j >> (depth - d)) for j in cells), 0)
+                    else:
+                        w = 1 << (d - depth)
+                        line = reduce(or_, (((1 << w) - 1) << (j * w) for j in cells), 0)
+                i = int(fixed.prefix(d), 2)
+                q = line << (i << d) if axis == "x" else table.spread(line) << i
+                # Stage n is checked first: a clash raises for the first stage asked.
+                table.stage(n)
+                unpainted = q & ~table.stage(min(asked))[1]
+                bad = sum(1 << c for c in _bits(unpainted) if table.limit(c) not in probe.allowed)
+                reads[d] = table, q, bad
+            table, q, bad = reads[d]
+            masks, painted = table.stage(n)
+            outside = bad & ~painted
+            for r in off:
+                outside |= masks[r]
+            out.append(not q & outside)
         return out
 
     def certificate(self, nbhd: SubbasicNbhd, n_max: int) -> ConvergenceCertificate:

@@ -46,10 +46,9 @@ def _write(path: Path, text: str) -> bytes:
 def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> bytes:
     """Write the rows and return the bytes written; so do the writers below."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in fieldnames})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
     return _write(path, buf.getvalue())
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, grid_points
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.cli import main
 from sepcont.discrete import DiscreteApproximator
 from sepcont.functions import (
@@ -23,6 +23,7 @@ from sepcont.functions import (
 from sepcont.groups import ball_net, get_group
 from sepcont.uniform import BallQuery, ball_membership
 from sepcont.zerodim import ZerodimPipeline
+from grid import grid_points
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 

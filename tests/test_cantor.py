@@ -12,10 +12,10 @@ from sepcont.cantor import (
     basis_cylinder,
     basis_index,
     first_difference,
-    grid_points,
     partition_at_depth,
     point_dist,
 )
+from grid import grid_points
 
 bits = st.text(alphabet="01", max_size=6)
 nonempty_bits = st.text(alphabet="01", min_size=1, max_size=3)

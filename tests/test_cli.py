@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder, grid_points
+from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
 from sepcont.cli import build_parser, main
 from sepcont.config import MAX_N, load_experiment, parse_function, parse_probe
 from sepcont.errors import ConfigError
@@ -25,6 +25,7 @@ from sepcont.functions import (
 from sepcont.groups import get_group
 from sepcont.uniform import BallQuery, ball_membership
 from sepcont.zerodim import ZerodimPipeline
+from grid import grid_points
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 DYADIC = get_group("dyadic")

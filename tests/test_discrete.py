@@ -11,7 +11,6 @@ from sepcont.cantor import (
     Cylinder,
     basis_cylinder,
     basis_index,
-    grid_points,
     partition_at_depth,
 )
 from sepcont.discrete import DiscreteApproximator
@@ -27,6 +26,7 @@ from sepcont.functions import (
     in_subbasic,
 )
 from sepcont.groups import get_group
+from grid import grid_points
 from sym3 import symmetric_group_3
 
 DYADIC = get_group("dyadic")
@@ -298,6 +298,11 @@ def brute_strips(f, z, k, d):
     return x_strip, y_strip
 
 
+def mask_bits(mask):
+    """The positions of the set bits of ``mask``."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def brute_patch(f, z, n, d):
     """The z-patch of g_n as a tuple of nonempty (x side, y side) clopen
     rectangles: X(z,k) x V_k and V_k x Y(z,k) for k <= n."""
@@ -400,13 +405,9 @@ class TestPaintedApproximants:
         # a strip is asked for, the copied verdicts equal the direct pass.
         engine = DiscreteApproximator(f)
         for k, d in order:
-            sides = engine.strips(k, d)
-            inherited = tuple(
-                {z: [i for i, r in enumerate(side) if r == engine.image.index(z)] for z in engine.image}
-                for side in sides
-            )
-            for got, direct in zip(inherited, strip_cells(f, k, partition_at_depth(d))):
-                assert {z: cells for z, cells in got.items() if cells} == direct, (k, d)
+            for z, *masks in zip(engine.image, *engine.strips(k, d)):
+                inherited = tuple(ClopenSet.from_cells(mask_bits(m), d) for m in masks)
+                assert inherited == brute_strips(f, z, k, d), (k, d)
 
     def test_working_depth_closed_form(self):
         engine = DiscreteApproximator(DIAG)
@@ -477,6 +478,20 @@ class TestOverlappingPatches:
         row = SubbasicNbhd(CantorPoint.parse("01(0)"), WHOLE, frozenset((E,)))
         assert engine.memberships(row, [4, 3]) == [True, True]
 
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_fresh_engine_past_the_first_stage_raises_the_oracle_message(self, n):
+        # A fresh engine builds depth 2's covers straight through stage n and
+        # checks only n: the reported cell is still the oracle's.
+        image = tuple(map(DYADIC.parse_element, ["(0)", "1(0)", "01(0)", "11(0)", "001(0)", "011(0)"]))
+        f = _OverlappingClaims({("0", "10"): E, ("01", "1"): image[-1]}, image)
+        with pytest.raises(RefinementExhaustedError) as oracle:
+            brute_approximant(f, n)
+        row = SubbasicNbhd(CantorPoint.parse("01(0)"), WHOLE, frozenset((E,)))
+        for ask in (lambda engine: engine.approximant(n), lambda engine: engine.memberships(row, [n])):
+            with pytest.raises(RefinementExhaustedError) as painted:
+                ask(DiscreteApproximator(f))
+            assert str(painted.value) == str(oracle.value)
 
 class TestTableSectionPartition:
     @given(
@@ -620,6 +635,24 @@ class TestStageTableCertificates:
         probe = SubbasicNbhd(nbhd.kx, nbhd.ky, allowed)
         expected = [member for _, member, _ in oracle_checks(gs, probe, 0)]
         assert engine.memberships(probe, range(13)) == expected
+
+    @given(
+        families,
+        probes,
+        st.lists(st.integers(0, 12), min_size=1, max_size=24),
+        st.data(),
+    )
+    def test_shuffled_stages_match_per_stage_oracle(self, f, nbhd, stages, data):
+        # Stages asked in any order, across depths and more than once, read
+        # the same verdicts as the oracle's g_n; so does a stage asked after
+        # a larger one has extended its depth's covers.
+        engine = DiscreteApproximator(f)
+        allowed = data.draw(st.sets(st.sampled_from(engine.image)).map(frozenset))
+        probe = SubbasicNbhd(nbhd.kx, nbhd.ky, allowed)
+        gs = {n: brute_approximant(f, n) for n in set(stages)}
+        assert engine.memberships(probe, stages) == [in_subbasic(gs[n], probe).member for n in stages]
+        n = data.draw(st.integers(0, max(stages)))
+        assert engine.approximant(n).values == brute_approximant(f, n).values, n
 
     def test_failing_stages_match_per_stage_oracle(self):
         engine = DiscreteApproximator(WITNESS_F)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
 from sepcont.config import parse_function
 from sepcont.errors import UnsupportedStructureError
 from sepcont.functions import (
@@ -25,6 +25,7 @@ from sepcont.functions import (
     uniform_dist,
 )
 from sepcont.groups import get_group
+from grid import grid_points
 from sym3 import symmetric_group_3
 
 DYADIC = get_group("dyadic")

@@ -31,7 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sepcont import functions as functions_module
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
 from sepcont.config import load_experiment, parse_function
 from sepcont.errors import ConfigError
 from sepcont.functions import (
@@ -55,6 +55,7 @@ from sepcont.functions import (
 from sepcont.groups import FiniteTableGroup, get_group
 from sepcont.uniform import BallQuery, BallResult, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
+from grid import grid_points
 from sym3 import symmetric_group_3
 
 CONFIGS = Path(__file__).parent.parent / "configs"

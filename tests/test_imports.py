@@ -95,7 +95,7 @@ def test_unused_import_is_reported():
 
 
 def test_all_counts_as_use():
-    source = "from sepcont.cantor import Cylinder, grid_points\n__all__ = ['grid_points']\n"
+    source = "from sepcont.cantor import Cylinder, basis_index\n__all__ = ['basis_index']\n"
     assert unused_imports(source) == [("Cylinder", 1)]
 
 
@@ -396,7 +396,6 @@ def test_unread_field_is_reported():
 ALLOWED_STORES = {
     ("__enter__", "t0"),  # cli._Timer: the start of a timed stage
     ("load_experiment", "optionxform"),  # configparser's hook for case-sensitive keys
-    ("_table", "through"),  # discrete._StageTable: the stages painted and checked
 }
 
 
@@ -445,8 +444,8 @@ def test_stray_store_is_reported():
         "    def move(self, dx):\n"
         "        self.x += dx\n"
         "        self.cache['moved'] = True\n"
-        "    def _table(self, table):\n"
-        "        table.through = 1\n"
+        "    def __enter__(self):\n"
+        "        self.t0 = 1\n"
         "        def later():\n"
         "            del self.cache\n"
         "        return later\n"

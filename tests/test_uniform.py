@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, grid_points
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.functions import Constant, OnesDiagonal, SubbasicNbhd, TableFunction
 from sepcont.groups import get_group
 from sepcont.uniform import (
@@ -14,6 +14,7 @@ from sepcont.uniform import (
     problem3_check,
 )
 from sepcont.zerodim import ZerodimPipeline
+from grid import grid_points
 
 DYADIC = get_group("dyadic")
 REAL = get_group("real")

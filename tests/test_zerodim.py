@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, grid_points
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
 from sepcont.errors import CoverConstructionError
 from sepcont.functions import (
     Constant,
@@ -15,6 +15,7 @@ from sepcont.functions import (
 )
 from sepcont.groups import ball_net, get_group
 from sepcont.zerodim import ZerodimPipeline, build_covers, build_quantizer_tower
+from grid import grid_points
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
