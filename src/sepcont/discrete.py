@@ -62,10 +62,10 @@ class _StageTable:
         """Bit i of ``line`` moved to bit i * 2^d: cell u_i as the pair (i, 0)."""
         return int(format(line, "b").translate(self._stride), 2) >> ((1 << self.d) - 1)
 
-    def add(self, strips: tuple[list[int], list[int]], band: range) -> None:
-        """Extend the covers by V_k's strips, ``band`` its depth-d cells: an x
-        strip R adds R x band and a y strip C adds band x C, one product each."""
-        cols = ((1 << len(band)) - 1) << band.start
+    def add(self, strips: tuple[list[int], list[int]], cols: int) -> None:
+        """Extend the covers by V_k's strips, ``cols`` the mask of its depth-d
+        cells: an x strip R adds R x V_k and a y strip C adds V_k x C, one
+        product each."""
         rows = self.spread(cols)
         for cover, x, y in zip(self.cover, *strips):
             rects = (cols * self.spread(x) if x else 0) | y * rows
@@ -136,7 +136,7 @@ class DiscreteApproximator:
         disjoint from each strip rectangle, so a cell meets at most one patch;
         the patches are disjoint because f is single-valued.
         """
-        return max(1, (n + 1).bit_length() - 1)
+        return (n + 1).bit_length() - 1 or 1
 
     def _partition(self, d: int) -> list[Cylinder]:
         """The depth-d cells, made once per depth."""
@@ -155,8 +155,7 @@ class DiscreteApproximator:
         if key not in self._strips:
             coarse = self._strips.get((k, d - 1))
             wide = self.strips((k - 1) // 2, d) if k else None
-            cells, v = self._partition(d), basis_cylinder(k)
-            ask, full = self.f.constant_value_on, (1 << (1 << d)) - 1
+            cells, ask, full = self._partition(d), self.f.constant_value_on, (1 << (1 << d)) - 1
             out = []
             for side in (0, 1):
                 masks = [0] * len(self.image)
@@ -166,6 +165,8 @@ class DiscreteApproximator:
                 if wide and taken != full:
                     masks = [m | w & ~taken for m, w in zip(masks, wide[side])]
                     taken = reduce(or_, masks)
+                if taken != full:
+                    v = basis_cylinder(k)
                 for i in _bits(full & ~taken):
                     z = ask(cells[i], v) if side == 0 else ask(v, cells[i])
                     r = self._rank.get(z)  # type: ignore[arg-type]
@@ -187,7 +188,10 @@ class DiscreteApproximator:
                 )
             table = self._tables[d] = _StageTable(d, self._partition(d), self.f, self.image)
         for k in range(len(table.cover[0]), n + 1):
-            table.add(self.strips(k, d), basis_cylinder(k).cell_range(d))
+            # V_k is cell k + 1 - 2^l at depth l <= d, so 2^(d-l) cells here.
+            l = (k + 1).bit_length() - 1
+            w = 1 << (d - l)
+            table.add(self.strips(k, d), ((1 << w) - 1) << ((k + 1 - (1 << l)) * w))
         return table
 
     def approximant(self, n: int) -> TableFunction:
