@@ -7,9 +7,8 @@ finite stage.  The image filtration is the declared image in canonical
 order: level n holds its first n + 1 elements.  Every per-cell fact is an
 integer bit mask: at working depth d, cell u_i of one side is bit i and the
 cell pair (i, j) is bit i * 2^d + j.  The patches of g_n only grow with n,
-so one stage table per working depth keeps, per value, the union of its
-rectangles through each stage; ``approximant(n)`` and every certificate
-stage read it.
+so one stage table per working depth keeps, per value, their union through
+each stage; ``approximant(n)`` and every certificate stage read it.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from sepcont.config import depth_cap
 from sepcont.errors import RefinementExhaustedError, UnsupportedStructureError
 from sepcont.functions import SepFunction, SubbasicNbhd, TableFunction, in_subbasic
 from sepcont.groups import GroupElement
-
-_DOUBLE = str.maketrans({"0": "00", "1": "11"})  # bit i to bits 2i and 2i + 1
-
 
 def _bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, ascending."""
@@ -45,27 +41,28 @@ class ConvergenceCertificate(NamedTuple):
 
 
 class _StageTable:
-    """The patches of one working depth d, as far as they have been asked:
-    ``cover[r][k]`` masks the cell pairs of the rectangles X(z,k') x V_k' and
-    V_k' x Y(z,k'), k' <= k, of the r-th value z.  A pair (k, z) enters at
-    stage max(k, rank of z, the depth's first stage), so g_n paints
-    cover[r][n] with the r-th value for each r <= n."""
+    """The patches of one working depth d, as far as asked: ``cover[r][k]``
+    masks the rectangles X(z,k') x V_k' and V_k' x Y(z,k'), k' <= k, of the
+    r-th value z.  A pair (k, z) enters at stage max(k, rank of z, the depth's
+    first stage), so g_n paints cover[r][n] with the r-th value for r <= n."""
 
     def __init__(self, d: int, cells: list[Cylinder], f: SepFunction, image: tuple[GroupElement, ...]):
         self.d, self.cells, self.f, self.image = d, cells, f, image
         self.cover: list[list[int]] = [[] for _ in image]
-        self._stride = str.maketrans({"0": "0" * (1 << d), "1": "1".ljust(1 << d, "0")})
+        self._bases = (16,) * (d // 2) + (4,) * (d % 2)
         self._stages: dict[int, tuple[list[int], int]] = {}
         self._limit: dict[int, GroupElement] = {}
 
     def spread(self, line: int) -> int:
-        """Bit i of ``line`` moved to bit i * 2^d: cell u_i as the pair (i, 0)."""
-        return int(format(line, "b").translate(self._stride), 2) >> ((1 << self.d) - 1)
+        """Bit i of ``line`` moved to bit i * 2^d: cell u_i as the pair (i, 0).
+        Read as digits in base 16 (or 4), the bits move to 4i (or 2i)."""
+        for base in self._bases:
+            line = int(format(line, "b"), base)
+        return line
 
     def add(self, strips: tuple[list[int], list[int]], cols: int) -> None:
-        """Extend the covers by V_k's strips, ``cols`` the mask of its depth-d
-        cells: an x strip R adds R x V_k and a y strip C adds V_k x C, one
-        product each."""
+        """Extend the covers by V_k's strips, ``cols`` masking its depth-d cells:
+        an x strip R adds R x V_k and a y strip C adds V_k x C, one product each."""
         rows = self.spread(cols)
         for cover, x, y in zip(self.cover, *strips):
             rects = (cols * self.spread(x) if x else 0) | y * rows
@@ -85,9 +82,8 @@ class _StageTable:
                 c = next(_bits(clash))
                 u, v = (self.cells[i].prefix for i in divmod(c, 1 << self.d))
                 names = [str(z) for z, m in zip(self.image, masks) if m >> c & 1]
-                raise RefinementExhaustedError(
-                    f"cell {u} x {v} meets patches of {names} at depth {self.d}"
-                )
+                msg = f"cell {u} x {v} meets patches of {names} at depth {self.d}"
+                raise RefinementExhaustedError(msg)
             self._stages[n] = masks, seen
         return self._stages[n]
 
@@ -160,7 +156,7 @@ class DiscreteApproximator:
             for side in (0, 1):
                 masks = [0] * len(self.image)
                 if coarse:
-                    masks = [int(format(m, "b").translate(_DOUBLE), 2) for m in coarse[side]]
+                    masks = [int(format(m, "b"), 4) * 3 for m in coarse[side]]
                 taken = reduce(or_, masks)
                 if wide and taken != full:
                     masks = [m | w & ~taken for m, w in zip(masks, wide[side])]
@@ -212,7 +208,7 @@ class DiscreteApproximator:
         depths = [self.working_depth(n) for n in stages]
         axis, fixed, other = probe.sides()
         off = [r for r, z in enumerate(self.image) if z not in probe.allowed]
-        reads: dict[int, tuple[_StageTable, int, int]] = {}
+        reads: dict[int, tuple] = {}
         out = []
         for n, d in zip(stages, depths):
             if d not in reads:
@@ -235,9 +231,9 @@ class DiscreteApproximator:
                 table.stage(n)
                 unpainted = q & ~table.stage(min(asked))[1]
                 bad = sum(1 << c for c in _bits(unpainted) if table.limit(c) not in probe.allowed)
-                reads[d] = table, q, bad
-            table, q, bad = reads[d]
-            masks, painted = table.stage(n)
+                reads[d] = table.stage, q, bad
+            stage, q, bad = reads[d]
+            masks, painted = stage(n)
             outside = bad & ~painted
             for r in off:
                 outside |= masks[r]
