@@ -23,6 +23,7 @@ from sepcont.errors import RefinementExhaustedError, UnsupportedStructureError
 from sepcont.functions import SepFunction, SubbasicNbhd, TableFunction, in_subbasic
 from sepcont.groups import GroupElement
 
+
 def _bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, ascending."""
     while mask:
@@ -69,9 +70,8 @@ class _StageTable:
             cover.append(cover[-1] | rects if cover else rects)
 
     def stage(self, n: int) -> tuple[list[int], int]:
-        """Per rank, the cells that g_n paints with that value, and their
-        union.  A cell painted with two values raises: the first such cell
-        row-major, with its values in filtration order."""
+        """Per rank, the cells g_n paints with that value, and their union.  A cell
+        painted twice raises: the first row-major, its values in filtration order."""
         if n not in self._stages:
             masks = [cover[n] if r <= n else 0 for r, cover in enumerate(self.cover)]
             seen = clash = 0
@@ -82,8 +82,8 @@ class _StageTable:
                 c = next(_bits(clash))
                 u, v = (self.cells[i].prefix for i in divmod(c, 1 << self.d))
                 names = [str(z) for z, m in zip(self.image, masks) if m >> c & 1]
-                msg = f"cell {u} x {v} meets patches of {names} at depth {self.d}"
-                raise RefinementExhaustedError(msg)
+                raise RefinementExhaustedError(f"cell {u} x {v} meets patches of {names} "
+                                               f"at depth {self.d}")
             self._stages[n] = masks, seen
         return self._stages[n]
 
@@ -141,12 +141,12 @@ class DiscreteApproximator:
         return self._partitions[d]
 
     def strips(self, k: int, d: int) -> tuple[list[int], list[int]]:
-        """Per side (x, then y) and image rank r, the mask of the depth-d
-        cells u on which f is certified constant at the r-th value: on
-        u x V_k (x side) or V_k x u (y side).  Each cell is asked at most
-        once: verdicts certified on the coarser cell are copied first (bit i
-        at depth d - 1 is bits 2i and 2i + 1 here), then, for the cells still
-        open, those on V_{(k-1)//2} x u (u x V_{(k-1)//2})."""
+        """Per side (x, then y) and image rank r, the mask of the depth-d cells
+        u on which f is certified constant at the r-th value: on u x V_k (x
+        side) or V_k x u (y side).  Each cell is asked at most once: verdicts
+        certified on the coarser cell are copied first (bit i at depth d - 1,
+        read in base 4 and tripled, is bits 2i and 2i + 1 here), then, for the
+        cells still open, those on V_{(k-1)//2} x u (u x V_{(k-1)//2})."""
         key = (k, d)
         if key not in self._strips:
             coarse = self._strips.get((k, d - 1))
