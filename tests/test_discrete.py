@@ -478,7 +478,6 @@ class TestOverlappingPatches:
         row = SubbasicNbhd(CantorPoint.parse("01(0)"), WHOLE, frozenset((E,)))
         assert engine.memberships(row, [4, 3]) == [True, True]
 
-
     @pytest.mark.parametrize("n", [5, 6])
     def test_fresh_engine_past_the_first_stage_raises_the_oracle_message(self, n):
         # A fresh engine builds depth 2's covers straight through stage n and
@@ -492,6 +491,7 @@ class TestOverlappingPatches:
             with pytest.raises(RefinementExhaustedError) as painted:
                 ask(DiscreteApproximator(f))
             assert str(painted.value) == str(oracle.value)
+
 
 class TestTableSectionPartition:
     @given(
