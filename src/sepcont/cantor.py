@@ -20,7 +20,7 @@ _POINT_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
 
 
 def _check_bits(s: str, what: str) -> None:
-    if any(c not in "01" for c in s):
+    if s.strip("01"):
         raise ValueError(f"{what} must consist of 0/1 characters, got {s!r}")
 
 

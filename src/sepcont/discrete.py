@@ -3,12 +3,13 @@ discrete image.
 
 From f it builds locally constant (hence jointly continuous) table
 functions g_n and certifies layer-wise convergence through an explicit
-finite stage.  The image filtration is the declared image in canonical
-order: level n holds its first n + 1 elements.  Every per-cell fact is an
-integer bit mask: at working depth d, cell u_i of one side is bit i and the
-cell pair (i, j) is bit i * 2^d + j.  The patches of g_n only grow with n,
-so one stage table per working depth keeps, per value, their union through
-each stage; ``approximant(n)`` and every certificate stage read it.
+finite stage.  The image filtration is f's image f(X x Y) in canonical
+order (``image``): level n holds its first n + 1 elements.  Every per-cell
+fact is an integer bit mask: at working depth d, cell u_i of one side is
+bit i and the cell pair (i, j) is bit i * 2^d + j.  The patches of g_n only
+grow with n, so one stage table per working depth keeps, per value, their
+union through each stage; ``approximant(n)`` and every certificate stage
+read it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from sepcont.cantor import CantorPoint, Cylinder, basis_cylinder, basis_index, partition_at_depth
 from sepcont.config import depth_cap
-from sepcont.errors import RefinementExhaustedError, UnsupportedStructureError
-from sepcont.functions import SepFunction, SubbasicNbhd, TableFunction, in_subbasic
+from sepcont.errors import RefinementExhaustedError
+from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
 from sepcont.groups import GroupElement
 
 
@@ -110,14 +111,13 @@ class _StageTable:
 
 
 class DiscreteApproximator:
-    """Builds and caches the locally constant approximants of one function."""
+    """Builds and caches the locally constant approximants of one function.
+    ``memo`` is the one ``image`` reads; a fresh memo gives the same engine."""
 
-    def __init__(self, f: SepFunction):
-        if len(f.declared_image()) == 0:
-            raise UnsupportedStructureError("function has empty declared image")
+    def __init__(self, f: SepFunction, memo: GridMemo | None = None):
         self.f = f
         self.group = f.group
-        self.image = tuple(self.group.sort_canonically(f.declared_image()))
+        self.image = image(f, memo)
         self._rank = {z: r for r, z in enumerate(self.image)}
         self._partitions: dict[int, list[Cylinder]] = {}
         self._strips: dict[tuple[int, int], tuple[list[int], list[int]]] = {}

@@ -15,10 +15,6 @@ class GroupMismatchError(SepcontError):
     """Operands belong to different group instances."""
 
 
-class UnsupportedStructureError(SepcontError):
-    """A combinator does not support the requested structural oracle."""
-
-
 class NetMaximalityError(SepcontError):
     """No net element within the required radius; enumeration depth too small."""
 

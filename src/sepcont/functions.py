@@ -36,6 +36,8 @@ distance and the kernel behind every sup a check takes:
   class, with its first x-major witness; ``exact_sup`` takes it over the
   exact points of the whole square or of a probe rectangle, whose one
   side is a singleton;
+* ``image`` — the values a function takes, f(X x Y) itself, read off the
+  classes of the exact points of the square;
 * ``product_chain`` — the ordered product of tables, folded into one
   table.
 """
@@ -48,12 +50,10 @@ from math import lcm
 from typing import Iterable, Literal, NamedTuple
 
 from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
-from sepcont.errors import ConfigError, UnsupportedStructureError
+from sepcont.errors import ConfigError
 from sepcont.groups import GroupElement, GroupSpec
 
 Axis = Literal["x", "y"]
-
-_WHOLE = Cylinder("")
 
 
 def _cell(p: CantorPoint, depth: int) -> int:
@@ -69,10 +69,6 @@ class SepFunction:
     group: GroupSpec
 
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
-        raise NotImplementedError
-
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        """Finite list of elements the function is guaranteed to land in."""
         raise NotImplementedError
 
     def section_partition(self, axis: Axis, fixed: CantorPoint) -> dict[GroupElement, ClopenSet]:
@@ -114,14 +110,6 @@ class SepFunction:
         return classes.leaf_values[id(self)]
 
 
-def _dedupe(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
-    seen: dict[GroupElement, None] = {}
-    for e in elements:
-        seen.setdefault(e)
-    group = next(iter(seen)).group
-    return tuple(group.sort_canonically(seen))
-
-
 def _merged(pieces: Iterable[tuple[GroupElement, ClopenSet]]) -> dict[GroupElement, ClopenSet]:
     """The pieces keyed by value, the pieces of one value united."""
     out: dict[GroupElement, ClopenSet] = {}
@@ -142,9 +130,6 @@ class Constant(SepFunction):
 
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.value
-
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        return (self.value,)
 
     def section_partition(self, axis, fixed):
         return {self.value: ClopenSet.whole()}
@@ -173,9 +158,6 @@ class TableFunction(SepFunction):
 
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.values[_cell(x, self.depth)][_cell(y, self.depth)]
-
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        return _dedupe(v for row in self.values for v in row)
 
     def section_partition(self, axis, fixed):
         """One pass over the row (axis 'x') or column at ``fixed``, keyed in
@@ -223,10 +205,6 @@ class DiagonalIndicator(SepFunction):
         if a is not None and a == b:
             return self.value_at(a)
         return self.group.identity()
-
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        # Every member meets the whole square.
-        return _dedupe((self.group.identity(), *self.values_on_rect(_WHOLE, _WHOLE)))
 
     def section_partition(self, axis, fixed):
         """The member holding ``fixed`` and its complement; a member with the
@@ -323,18 +301,11 @@ class CylinderDiagonal(DiagonalIndicator):
 
 
 class PostCompose(SepFunction):
-    """mapping o inner, for a finite map defined on the inner declared image;
-    ``label`` names the map in errors."""
+    """mapping o inner, for a finite map defined on the image of inner."""
 
     __slots__ = ("inner", "mapping")
 
-    def __init__(self, inner: SepFunction, mapping: dict[GroupElement, GroupElement],
-                 label: str = "map") -> None:
-        missing = [z for z in inner.declared_image() if z not in mapping]
-        if missing:
-            raise UnsupportedStructureError(
-                f"mapping {label!r} undefined on {[str(z) for z in missing]}"
-            )
+    def __init__(self, inner: SepFunction, mapping: dict[GroupElement, GroupElement]) -> None:
         self.inner, self.mapping = inner, mapping
 
     @property
@@ -344,16 +315,13 @@ class PostCompose(SepFunction):
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.mapping[self.inner.eval(x, y)]
 
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        return _dedupe(self.mapping[z] for z in self.inner.declared_image())
-
     def section_partition(self, axis, fixed):
         inner = self.inner.section_partition(axis, fixed)
         return _merged((self.mapping[w], piece) for w, piece in inner.items())
 
     def values_on_rect(self, u, v):
         inner_vals = self.inner.values_on_rect(u, v)
-        # Over-approximations may stray outside the inner declared image;
+        # Over-approximations may stray outside the image of inner;
         # actual values never do, so unmapped strays can be dropped.
         return frozenset(self.mapping[w] for w in inner_vals if w in self.mapping)
 
@@ -376,9 +344,6 @@ class PointwiseInverse(SepFunction):
 
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.group.inv(self.inner.eval(x, y))
-
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        return _dedupe(self.group.inv(z) for z in self.inner.declared_image())
 
     def section_partition(self, axis, fixed):
         inner = self.inner.section_partition(axis, fixed)
@@ -408,13 +373,6 @@ class PointwiseProduct(SepFunction):
 
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.group.mul(self.left.eval(x, y), self.right.eval(x, y))
-
-    def declared_image(self) -> tuple[GroupElement, ...]:
-        return _dedupe(
-            self.group.mul(a, b)
-            for a in self.left.declared_image()
-            for b in self.right.declared_image()
-        )
 
     def section_partition(self, axis, fixed):
         """The nonempty meets of a left piece and a right piece, keyed by the
@@ -691,6 +649,17 @@ def exact_sup(op, f: SepFunction, g: SepFunction, memo: GridMemo,
         one, side = memo.exact_points((), fixed), memo.exact_points((f, g), other, fixed)
         xs, ys = (one, side) if axis == "x" else (side, one)
     return grid_sup(op, f, g, xs, ys, memo)
+
+
+def image(f: SepFunction, memo: GridMemo | None = None) -> tuple[GroupElement, ...]:
+    """f(X x Y) in canonical order: f's values on the classes of the exact
+    points of the square, which meet every value class of f.  ``memo`` may
+    be shared with the checks of one pipeline or job, which then find its
+    points and classes again; a fresh memo gives the same image."""
+    memo = memo if memo is not None else GridMemo()
+    pts = memo.exact_points((f,))
+    values = f.class_values(memo.classes((f,), pts, pts), memo)
+    return tuple(f.group.sort_canonically(set(values)))
 
 
 def uniform_dist(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
 from sepcont.cantor import CantorPoint
-from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, exact_sup, uniform_dist
+from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, exact_sup, image, uniform_dist
 
 Side = Literal["l", "r", "lr", "rl"]
 
@@ -78,7 +78,6 @@ class ClosureStageRow(NamedTuple):
     dist_l: Fraction
     dist_r: Fraction
     within: bool
-    certified_stage: bool
 
 
 class ClosureReport(NamedTuple):
@@ -94,21 +93,18 @@ def closure_probe(
     schedule: Sequence[Fraction],
     probes: list[SubbasicNbhd],
     levels: list[int],
-    stage_certificates: Sequence[bool] | None = None,
 ) -> ClosureReport:
     """Empirical closure check: every stage must sit within its scheduled
-    l- and r-uniform distance of f and carry a diagonal-limit certificate;
-    then the stage sequence must converge layer-wise on every probe: for
-    each level l some stage from which the probe rectangle stays within
-    2^-l of f through the last stage.  Such a stage exists exactly when the
-    last stage is within 2^-l, so only the last stage is swept, against
-    2^-l for the largest l.
+    l- and r-uniform distance of f; then the stage sequence must converge
+    layer-wise on every probe: for each level l some stage from which the
+    probe rectangle stays within 2^-l of f through the last stage.  Such a
+    stage exists exactly when the last stage is within 2^-l, so only the
+    last stage is swept, against 2^-l for the largest l.
     """
     if not stages:
         raise ValueError("closure probe of no stages")
     if len(stages) != len(schedule):
         raise ValueError("one schedule radius per stage")
-    certs = list(stage_certificates) if stage_certificates is not None else [True] * len(stages)
     memo = GridMemo()
     rows = []
     failed: int | None = None
@@ -116,8 +112,8 @@ def closure_probe(
         dl = uniform_dist(f, g, "l", memo).value
         dr = uniform_dist(f, g, "r", memo).value
         within = dl <= eps and dr <= eps
-        rows.append(ClosureStageRow(k, eps, dl, dr, within, certs[k]))
-        if failed is None and not (within and certs[k]):
+        rows.append(ClosureStageRow(k, eps, dl, dr, within))
+        if failed is None and not within:
             failed = k
     if failed is not None:
         return ClosureReport(tuple(rows), failed, False, False)
@@ -142,23 +138,23 @@ def problem3_check(
     bound: Fraction = Fraction(1),
 ) -> Problem3Report:
     """Bounded-real candidate check: the sup of raw |f - g| against the
-    bound, and the gaps of g's image, which is finite (its declared image)
-    and so zero-dimensional.  The group metric is min(|a - b|, 1/2),
+    bound, and the gaps of g's image, which is finite and so
+    zero-dimensional.  The group metric is min(|a - b|, 1/2),
     monotone in |a - b|, so its sup is min(raw sup, 1/2)."""
     from sepcont.groups import RealBoundedGroup
 
     if not isinstance(f.group, RealBoundedGroup):
         raise ValueError("candidate verifier runs over the bounded-real group")
-    sup_raw, witness = exact_sup(lambda a, b: abs(a.payload - b.payload), f, g, GridMemo())
-    image = g.declared_image()
-    values = sorted(z.payload for z in image)
-    gaps = [b - a for a, b in zip(values, values[1:]) if b != a]
+    memo = GridMemo()
+    sup_raw, witness = exact_sup(lambda a, b: abs(a.payload - b.payload), f, g, memo)
+    values = sorted(z.payload for z in image(g, memo))
+    gaps = [b - a for a, b in zip(values, values[1:])]
     return Problem3Report(
         sup_raw=sup_raw,
         bound=bound,
         within=sup_raw <= bound,
         sup_group_metric=min(sup_raw, Fraction(1, 2)),
-        image_size=len(image),
+        image_size=len(values),
         min_gap=min(gaps) if gaps else None,
         witness=None if sup_raw <= bound else witness,
     )

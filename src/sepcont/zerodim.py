@@ -6,9 +6,9 @@ exact error budget.
 Conventions (recorded in every run manifest): cover level n has cell
 diameter <= 2^-(n+1); net(k) is the greedy maximal 2^-(k+2)-separated
 subset of B[2^-k]; the quantizer step n -> n+1 draws its increment from
-net(n).  The image sample is f's declared image, a finite superset of
-f(X x Y), so each quantizer r_n is one finite map on it and every check
-below is exact at every point.  The quantizer conditions per level n are
+net(n).  The image sample is f's image f(X x Y) itself (``image``), so
+each quantizer r_n is one finite map on it and every check below is exact
+at every point.  The quantizer conditions per level n are
 
 * (1) the quantizer is constant on each cover cell: its map is built from
   one value per cell, so it holds by construction and is not checked;
@@ -40,6 +40,7 @@ from sepcont.functions import (
     SepFunction,
     SubbasicNbhd,
     exact_sup,
+    image,
     product_chain,
     uniform_dist,
 )
@@ -186,11 +187,12 @@ class DiagonalReport(NamedTuple):
     passed: bool
 
 
-def build_tower(f: SepFunction, top: int):
-    """(sample, covers, nets, tower) for f up to level ``top``: f's declared
-    image sorted canonically, covers 0..top, nets 0..top-1 and r_0..r_top."""
+def build_tower(f: SepFunction, top: int, memo: GridMemo | None = None):
+    """(sample, covers, nets, tower) for f up to level ``top``: f's image in
+    canonical order, covers 0..top, nets 0..top-1 and r_0..r_top.  ``memo``
+    is the one ``image`` reads; a fresh memo gives the same tower."""
     group = f.group
-    sample = tuple(group.sort_canonically(f.declared_image()))
+    sample = image(f, memo)
     covers = build_covers(group, sample, top)
     nets = [ball_net(group, k, group.net_enumeration_depth(k, sample)) for k in range(top)]
     return sample, covers, nets, build_quantizer_tower(group, covers, nets)
@@ -198,19 +200,21 @@ def build_tower(f: SepFunction, top: int):
 
 def quantize(f: SepFunction, n: int) -> PostCompose:
     """f_n = r_n o f, building the tower up to r_n only."""
-    return PostCompose(f, build_tower(f, n)[3][n], label=f"r{n}")
+    return PostCompose(f, build_tower(f, n)[3][n])
 
 
 class ZerodimPipeline:
-    """End-to-end construction for one function: sample (f's declared
-    image), covers, nets, quantizer tower, factors, and the diagonal sequence."""
+    """End-to-end construction for one function: sample (f's image), covers,
+    nets, quantizer tower, factors, and the diagonal sequence.  One memo
+    serves every sweep, the image and the factor engines: a factor phi_n o f
+    has f's leaves, so its image maps f's class list."""
 
     def __init__(self, f: SepFunction, n_max: int):
         self.f = f
         self.group = f.group
         self.n_max = n_max
         self._memo = GridMemo()
-        self.sample, self.covers, self.nets, self.tower = build_tower(f, n_max + 1)
+        self.sample, self.covers, self.nets, self.tower = build_tower(f, n_max + 1, self._memo)
         self._factor_cache: dict[int, PostCompose] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}
         self._stage_cache: dict[tuple[int, int], SepFunction] = {}
@@ -228,7 +232,7 @@ class ZerodimPipeline:
 
     def quantized(self, n: int) -> SepFunction:
         """f_n = r_n o f."""
-        return PostCompose(self.f, self.tower[n], label=f"r{n}")
+        return PostCompose(self.f, self.tower[n])
 
     def factor(self, n: int) -> PostCompose:
         """g_n = f_n^-1 * f_{n+1}, built as one finite map of f: g_n = phi_n o f
@@ -236,7 +240,7 @@ class ZerodimPipeline:
         if n not in self._factor_cache:
             r_n, r_n1 = self.tower[n], self.tower[n + 1]
             phi = {z: self.group.mul(self.group.inv(r_n[z]), r_n1[z]) for z in self.sample}
-            self._factor_cache[n] = PostCompose(self.f, phi, label=f"g{n}")
+            self._factor_cache[n] = PostCompose(self.f, phi)
         return self._factor_cache[n]
 
     def uniform_rate(self, n: int) -> DistResult:
@@ -246,13 +250,14 @@ class ZerodimPipeline:
         return uniform_dist(self.quantized(n), self.f, "l", self._memo)
 
     def factor_discreteness(self, n: int) -> bool:
-        """g_n takes its values in net(n), exactly: its declared image,
-        phi_n of f's, is a superset of every value it takes."""
-        return set(self.factor(n).declared_image()) <= set(self.nets[n].elements)
+        """g_n takes its values in net(n), exactly: they are phi_n of f's
+        image, the sample."""
+        phi = self.factor(n).mapping
+        return {phi[z] for z in self.sample} <= set(self.nets[n].elements)
 
     def telescoping_ok(self) -> bool:
         """g_0 g_1 ... g_n == f_{n+1} as finite maps of f, exactly:
-        phi_0(z) ... phi_n(z) = r_{n+1}(z) at every declared value z of f,
+        phi_0(z) ... phi_n(z) = r_{n+1}(z) at every value z of f,
         so at every point, not only on a grid."""
         prod = {z: self.group.identity() for z in self.sample}
         for n in range(self.n_max + 1):
@@ -264,7 +269,7 @@ class ZerodimPipeline:
 
     def factor_approximator(self, k: int) -> DiscreteApproximator:
         if k not in self._approx_cache:
-            self._approx_cache[k] = DiscreteApproximator(self.factor(k))
+            self._approx_cache[k] = DiscreteApproximator(self.factor(k), self._memo)
         return self._approx_cache[k]
 
     def stage_function(self, n: int, m: int) -> SepFunction:

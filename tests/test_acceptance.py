@@ -86,7 +86,7 @@ def test_criterion_1_quantizer_conditions():
         1,
         ok and elapsed < 5,
         "quantizer cell-constancy / 2^-n approximation / net-increment conditions "
-        f"exact for n=0..3 on the declared image ({elapsed:.2f}s)"
+        f"exact for n=0..3 on the image ({elapsed:.2f}s)"
         f"{' worst: ' + worst if worst else ''}",
     )
 

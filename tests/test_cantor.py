@@ -55,6 +55,19 @@ class TestCantorPoint:
         with pytest.raises(ValueError):
             CantorPoint("0", "")
 
+    @pytest.mark.parametrize(
+        "bad", ["201", "0a1", "01x", "0 1", "01\n", "0１1"],
+        ids=["start", "middle", "end", "space", "newline", "full-width-digit"],
+    )
+    def test_rejects_a_non_bit_anywhere(self, bad):
+        # The full-width 1 is a digit to str.isdigit, but not a bit.
+        for build, what in [(lambda s: CantorPoint(s, "0"), "preperiod"),
+                            (lambda s: CantorPoint("", s), "period"),
+                            (Cylinder, "prefix")]:
+            with pytest.raises(ValueError) as err:
+                build(bad)
+            assert str(err.value) == f"{what} must consist of 0/1 characters, got {bad!r}"
+
     @given(
         st.text(alphabet="01", max_size=12),
         st.text(alphabet="01", min_size=1, max_size=6),

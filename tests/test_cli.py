@@ -310,10 +310,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alter, code", [(False, 0), (True, 1)])
     def test_zerodim_verdict_checks_telescoping(self, tmp_path, monkeypatch, alter, code):
-        # b is declared but taken only on [11111] x [11111].  Factor 2
-        # altered there to g_2(b) b, which stays in net(2), passes every row's
-        # check; only the identity g_0 ... g_n = f_{n+1} of finite maps sees
-        # it.
+        # b is taken only on [11111] x [11111].  Factor 2 altered there to
+        # g_2(b) b, which stays in net(2), passes every row's check; only the
+        # identity g_0 ... g_n = f_{n+1} of finite maps sees it.
         b = DYADIC.parse_element("01(0)")
         factor = ZerodimPipeline.factor
 

@@ -20,9 +20,9 @@ from sepcont.functions import (
     CylinderDiagonal,
     MembershipResult,
     OnesDiagonal,
-    SepFunction,
     SubbasicNbhd,
     TableFunction,
+    image,
     in_subbasic,
 )
 from sepcont.groups import get_group
@@ -40,10 +40,10 @@ WHOLE = ClopenSet.whole()
 
 class TestFiltration:
     def test_levels_nondecreasing_and_exhaustive(self):
-        image = DiscreteApproximator(DIAG).image
+        filtration = DiscreteApproximator(DIAG).image
         for n in range(4):
-            assert set(image[: n + 1]) <= set(image[: n + 2])
-        assert set(image[:11]) == set(DIAG.declared_image())
+            assert set(filtration[: n + 1]) <= set(filtration[: n + 2])
+        assert set(filtration[:11]) == set(image(DIAG))
 
 
 def strip_cells(f, k, cells):
@@ -326,7 +326,7 @@ def brute_meets(rects, u, v):
 
 def brute_approximant(f, n):
     d = brute_working_depth(n)
-    level = tuple(f.group.sort_canonically(f.declared_image()))[: n + 1]
+    level = image(f)[: n + 1]
     patches = [(z, brute_patch(f, z, n, d)) for z in level]
     patches = [(z, p) for z, p in patches if p]
     cells = partition_at_depth(d)
@@ -415,26 +415,26 @@ class TestPaintedApproximants:
             assert engine.working_depth(n) == brute_working_depth(n), n
 
 
-class _OverlappingClaims(SepFunction):
+class _OverlappingClaims(CylinderDiagonal):
     """Certifies a constant on each listed rectangle and on all of its
     sub-rectangles, whether or not the claims agree: overlapping claims of
     two values make strips that no single-valued function has.  A rectangle
     inside claims of two values is not certified.  The test's claims overlap
     only in depth-2 cells off row and column 00, which no strip query of
     g_3 covers, so each query gets the same answer whether it is asked
-    directly or copied from a larger rectangle."""
+    directly or copied from a larger rectangle.
 
-    group = DYADIC
+    Its members take exactly the listed values, the identity first: one
+    member per other value, so ``image``, which reads the members, is the
+    list.  Evaluation and the rectangle answers ignore the members."""
 
-    def __init__(self, claims, image=(E, A)):
+    def __init__(self, claims, values=(E, A)):
+        prefixes = map(Cylinder, ("0", "10", "110", "1110", "11110"))
+        super().__init__(tuple(zip(prefixes, values[1:])))
         self.claims = claims
-        self.image = image
 
     def eval(self, x, y):
         return E
-
-    def declared_image(self):
-        return self.image
 
     def values_on_rect(self, u, v):
         hits = {
@@ -445,6 +445,11 @@ class _OverlappingClaims(SepFunction):
 
 
 class TestOverlappingPatches:
+    def test_the_members_take_the_listed_values(self):
+        values = tuple(map(DYADIC.parse_element, ["(0)", "1(0)", "01(0)", "11(0)", "001(0)", "011(0)"]))
+        assert image(_OverlappingClaims({}, values)) == values
+        assert image(_OverlappingClaims({})) == (E, A)
+
     def test_first_overlapping_cell_row_major_is_reported(self):
         # At n = 3 (depth 2) the E patch is [11] x [] (k = 0, x strip) and
         # [01] x [1] (k = 2, x strip); the A patch is [] x [11] (k = 0, y

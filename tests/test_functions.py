@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
 from sepcont.config import parse_function
-from sepcont.errors import UnsupportedStructureError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -16,11 +15,11 @@ from sepcont.functions import (
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
-    PostCompose,
     SepFunction,
     SubbasicNbhd,
     TableFunction,
     exact_sup,
+    image,
     in_subbasic,
     uniform_dist,
 )
@@ -156,20 +155,29 @@ class TestGrammarLeaves:
         assert all(isinstance(v, (TableFunction, Constant, DiagonalIndicator)) for v in leaves)
 
 
-class TestDeclaredImage:
+class TestImage:
     @pytest.mark.parametrize(
         "f",
         [Constant(A), DIAG, MULTI, FINITE_DIAG, PointwiseProduct(DIAG, Constant(A)),
          PointwiseInverse(MULTI)],
         ids=["const", "diag", "multi", "finite", "prod", "inv"],
     )
-    def test_grid_values_in_declared(self, f):
+    def test_grid_values_are_the_image(self, f):
+        # Every value of these functions is taken on the depth-4 grid.
         pts = grid_points(4)
-        assert {f.eval(x, y) for x, y in product(pts, repeat=2)} <= set(f.declared_image())
+        assert {f.eval(x, y) for x, y in product(pts, repeat=2)} == set(image(f))
 
-    def test_postcompose_requires_total_mapping(self):
-        with pytest.raises(UnsupportedStructureError):
-            PostCompose(DIAG, {E: E}, "partial")
+    def test_product_with_its_inverse_takes_the_identity_alone(self, tmp_path):
+        # prod(f, inv(f)) would take the 7 products of f's values by their
+        # inverses if each factor ranged over f's image on its own.
+        f = parse_function("prod(diag ones 1(0),01(0),001(0), inv(diag ones 1(0),01(0),001(0)))",
+                           DYADIC, tmp_path)
+        assert image(f) == (E,)
+
+    def test_member_covering_the_square_leaves_no_identity(self, tmp_path):
+        # The one member [] holds every point, so the identity off the
+        # matched blocks is never taken.
+        assert image(parse_function("diag cyl :1(0)", DYADIC, tmp_path)) == (A,)
 
 
 def preimage(f: SepFunction, axis, fixed, z) -> ClopenSet:
@@ -440,7 +448,7 @@ class TestUniformDist:
 
 class TestInSubbasic:
     def test_whole_image_always_member(self):
-        nb = SubbasicNbhd(PROBE_POINTS[0], ClopenSet.whole(), frozenset(DIAG.declared_image()))
+        nb = SubbasicNbhd(PROBE_POINTS[0], ClopenSet.whole(), frozenset(image(DIAG)))
         assert in_subbasic(DIAG, nb).member
 
     def test_accumulation_row_identity(self):

@@ -16,7 +16,7 @@ the finite map it equals, that
 the same tables, and that every combinator's ``section_partition`` is a
 partition keyed by pointwise values, as the probe's ``pieces`` read it.
 They also check the facts that let the zerodim and problem3 layers decide
-each check once: condition (2), exact over the declared image, bounds the
+each check once: condition (2), exact over the image, bounds the
 pointwise distance of r_n o f from f; condition (3) is the previous
 factor's discreteness; and the group-metric sup of problem3 is the raw sup
 capped at 1/2.
@@ -48,6 +48,7 @@ from sepcont.functions import (
     _cell,
     exact_sup,
     grid_sup,
+    image,
     product_chain,
     resolution,
     uniform_dist,
@@ -114,9 +115,9 @@ def _family(pool):
 
 
 def _postcompose(pool, inner):
-    image = inner.declared_image()
-    return st.lists(st.sampled_from(pool), min_size=len(image), max_size=len(image)).map(
-        lambda vals: PostCompose(inner, dict(zip(image, vals)))
+    values = image(inner)
+    return st.lists(st.sampled_from(pool), min_size=len(values), max_size=len(values)).map(
+        lambda vals: PostCompose(inner, dict(zip(values, vals)))
     )
 
 
@@ -769,12 +770,10 @@ class TestFoldedProducts:
         assert brute_values(folded, points, points) == brute_values(chain, points, points)
         for axis in ("x", "y"):
             assert folded.section_partition(axis, fixed) == chain.section_partition(axis, fixed)
-        # A product declares every product of its factors' declared values,
-        # a table only the values it holds; both cover the values taken.
-        declared = folded.declared_image()
-        assert set(declared) <= set(chain.declared_image())
+        # The folded table holds exactly the values the chain takes.
         held = {v for row in folded.values for v in row}
-        assert set(declared) == held == set(brute_values(chain, points, points))
+        assert set(image(folded)) == set(image(chain)) == held
+        assert held == set(brute_values(chain, points, points))
 
 
 class TestWorkCounts:
@@ -826,16 +825,19 @@ class TestConstantProducts:
     def test_product_with_constant_is_a_finite_map(self, gc, const_first, fixed):
         # prod(const c, g) is z -> c z of g, and prod(g, const c) is z -> z c.
         g, c = gc
-        mul, image = g.group.mul, g.declared_image()
+        mul, values = g.group.mul, image(g)
         if const_first:
             prod = PointwiseProduct(Constant(c), g)
-            mapped = PostCompose(g, {z: mul(c, z) for z in image})
+            mapped = PostCompose(g, {z: mul(c, z) for z in values})
         else:
             prod = PointwiseProduct(g, Constant(c))
-            mapped = PostCompose(g, {z: mul(z, c) for z in image})
-        assert prod.declared_image() == mapped.declared_image()
+            mapped = PostCompose(g, {z: mul(z, c) for z in values})
+        assert image(prod) == image(mapped)
+        taken = set(image(prod))
+        # The map is keyed by g's image and drops the strays of g's answer
+        # outside it; the product keeps them, as values outside its image.
         for u, v in product(CYLINDERS_TO_2, repeat=2):
-            assert prod.values_on_rect(u, v) == mapped.values_on_rect(u, v)
+            assert prod.values_on_rect(u, v) & taken == mapped.values_on_rect(u, v)
         for axis in ("x", "y"):
             assert prod.section_partition(axis, fixed) == mapped.section_partition(axis, fixed)
 
@@ -863,7 +865,7 @@ class TestSectionPartition:
             assert total.intersect(piece).is_empty()
             total = total.union(piece)
         assert total.is_whole()
-        assert set(parts) <= set(f.declared_image())
+        assert set(parts) <= set(image(f))
         sides = (fixed, region) if axis == "x" else (region, fixed)
         probe = SubbasicNbhd(*sides, frozenset())
         for t in SECTION_SAMPLES:
@@ -884,7 +886,7 @@ class TestChecksDecidedOnce:
     @settings(max_examples=100)
     @given(functions, st.integers(0, 3), st.integers(0, 2))
     def test_cond2_bounds_the_pointwise_rate(self, f, n_max, depth):
-        # cond2_sup is a max over the declared image, which holds every value
+        # cond2_sup is a max over the image, which holds every value
         # f takes, so no point, on the grid or off it, is farther.
         pipe = ZerodimPipeline(f, n_max)
         rows = pipe.condition_rows()
@@ -1069,3 +1071,49 @@ class TestExactPoints:
         leaf = PointwiseProduct(OnesDiagonal((POOLS[0][1],)), Opaque())
         with pytest.raises(ConfigError, match="no exact point set for a Opaque leaf"):
             GridMemo().exact_points((leaf,))
+
+
+# Points on no grid: 1^w, (01), and 1^k 0 1^w and 1^k 0^w for k <= 12.
+OFF_IMAGE = (
+    ALL_ONES,
+    CantorPoint.parse("(01)"),
+    *(CantorPoint("1" * k + "0", "1") for k in range(13)),
+    *(CantorPoint("1" * k) for k in range(13)),
+)
+
+
+def subtrees(f):
+    """f and every combinator below it, root first."""
+    kids = [getattr(f, name) for name in ("inner", "left", "right") if hasattr(f, name)]
+    return [f, *(t for kid in kids for t in subtrees(kid))]
+
+
+class TestImage:
+    """``image`` is f(X x Y) itself: the values on a grid P + 3 levels
+    deeper (the kernel there) and at points off every grid, no more."""
+
+    @settings(max_examples=100)
+    @given(function_pairs)
+    def test_image_is_every_value_taken(self, fg):
+        f, g = fg
+        depth, period = resolution((f,))
+        assume(depth + period + 3 <= 9)
+        deep, memo = grid_points(depth + period + 3), GridMemo()
+        taken = {*f.class_values(memo.classes((f,), deep, deep), memo),
+                 *brute_values(f, OFF_IMAGE, OFF_IMAGE)}
+        got = image(f)
+        assert got == tuple(f.group.sort_canonically(taken))
+        mul, inv = f.group.mul, f.group.inv
+        for t in subtrees(f):
+            if isinstance(t, PointwiseProduct):
+                assert set(image(t)) <= {mul(a, b) for a in image(t.left) for b in image(t.right)}
+            elif isinstance(t, PointwiseInverse):
+                assert set(image(t)) == set(map(inv, image(t.inner)))
+            elif isinstance(t, PostCompose):
+                assert set(image(t)) == {t.mapping[z] for z in image(t.inner)}
+        # A memo that already holds g's and every subtree's points and
+        # classes gives the same image.
+        shared = GridMemo()
+        for h in (g, *subtrees(f)[::-1]):
+            image(h, shared)
+        assert image(f, shared) == got

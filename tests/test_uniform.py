@@ -155,13 +155,6 @@ class TestClosureProbe:
         assert not rep.passed
         assert rep.failed_stage == 3
 
-    def test_uncertified_stage_fails(self):
-        stages, schedule = self.make_stages()
-        certs = [True] * len(stages)
-        certs[2] = False
-        rep = closure_probe(DIAG, stages, schedule, PROBES, [1], stage_certificates=certs)
-        assert not rep.passed and rep.failed_stage == 2
-
     def test_schedule_length_mismatch(self):
         stages, schedule = self.make_stages()
         with pytest.raises(ValueError):

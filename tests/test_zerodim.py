@@ -9,9 +9,12 @@ from sepcont.functions import (
     Constant,
     CylinderDiagonal,
     OnesDiagonal,
+    PointwiseInverse,
+    PointwiseProduct,
     PostCompose,
     SubbasicNbhd,
     TableFunction,
+    image,
 )
 from sepcont.groups import ball_net, get_group
 from sepcont.zerodim import ZerodimPipeline, build_covers, build_quantizer_tower
@@ -39,7 +42,7 @@ STANDARD_PROBES = [
 
 class TestCovers:
     def test_level_zero_single_cell(self):
-        sample = tuple(DYADIC.sort_canonically(DIAG.declared_image()))
+        sample = image(DIAG)
         covers = build_covers(DYADIC, sample, 3)
         assert len(covers[0].cells) == 1
         assert set(covers[0].cells[0]) == set(sample)
@@ -51,7 +54,7 @@ class TestCovers:
         assert all(len(c) == 1 for c in covers[1].cells)
 
     def test_refinement_chain(self):
-        sample = tuple(DYADIC.sort_canonically(MULTI.declared_image()))
+        sample = image(MULTI)
         covers = build_covers(DYADIC, sample, 5)
         for n in range(1, 6):
             assert covers[n].refines(covers[n - 1])
@@ -109,7 +112,7 @@ class TestQuantizerTower:
 
     def test_conditions_on_deep_dyadic_sample(self):
         # image sample at depth 5: all elements with support in [0, 5),
-        # the declared image of a depth-3 table that holds each twice
+        # the image of a depth-3 table that holds each twice
         sample = DYADIC.dense_enumeration(5)
         cells = [sample[i % len(sample)] for i in range(64)]
         f = TableFunction(3, tuple(tuple(cells[8 * i : 8 * i + 8]) for i in range(8)))
@@ -141,18 +144,17 @@ class TestPipeline:
             for n in range(5):
                 assert pipe.factor_discreteness(n)
 
-    def test_factor_declared_image_validated_on_grid(self):
+    def test_factor_image_validated_on_grid(self):
         pipe = ZerodimPipeline(MULTI, n_max=3)
         pts = grid_points(5)
         for n in range(4):
             g = pipe.factor(n)
-            declared = set(g.declared_image())
-            assert {g.eval(x, y) for x, y in product(pts, repeat=2)} <= declared
+            assert {g.eval(x, y) for x, y in product(pts, repeat=2)} == set(image(g))
 
     def test_factor_discreteness_sees_a_factor_altered_off_the_grid(self, monkeypatch):
-        # b is declared but taken only on [11111] x [11111], which no point of
-        # the depth-4 grid reaches; the declared image of the altered factor
-        # still shows the value A, which is not in net(2).
+        # b is taken only on [11111] x [11111], which no point of the depth-4
+        # grid reaches; the altered factor maps b, a value of f, to A, which
+        # is not in net(2).
         b = DYADIC.parse_element("01(0)")
         f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
         pipe = ZerodimPipeline(f, n_max=3)
@@ -171,6 +173,13 @@ class TestPipeline:
             g = pipe.factor(n)
             assert all(g.eval(x, y) == E for x, y in product(pts, repeat=2))
 
+    def test_product_with_its_inverse_has_a_trivial_tower(self):
+        # f f^-1 takes the identity alone, so every quantizer is {E: E}.
+        pipe = ZerodimPipeline(PointwiseProduct(MULTI, PointwiseInverse(MULTI)), n_max=3)
+        assert pipe.sample == (E,)
+        assert pipe.tower == [{E: E}] * 5
+        assert all(r.cond2_sup == 0 and r.cond3 for r in pipe.condition_rows())
+
     def test_g0_equals_f1(self):
         # r_0 is constant identity, so the first factor equals f_1 pointwise
         pipe = ZerodimPipeline(MULTI, n_max=3)
@@ -184,14 +193,14 @@ class TestPipeline:
             assert pipe.telescoping_ok()
 
     def test_telescoping_fails_on_a_factor_altered_off_the_grid(self, monkeypatch):
-        # b is declared but taken only on [11111] x [11111], which no point of
-        # the depth-4 grid reaches; the identity of finite maps still sees a
-        # factor map altered at b.
+        # b is taken only on [11111] x [11111], which no point of the depth-4
+        # grid reaches; the identity of finite maps still sees a factor map
+        # altered at b.
         b = DYADIC.parse_element("01(0)")
         f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
         pipe = ZerodimPipeline(f, n_max=3)
         pts = grid_points(4)
-        assert b in f.declared_image()
+        assert b in image(f)
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
         assert pipe.telescoping_ok()
         factor, g2 = pipe.factor, pipe.factor(2)
@@ -230,11 +239,11 @@ class TestFactorAsMap:
             for x, y in pairs:
                 assert g.eval(x, y) == group.mul(group.inv(f_n.eval(x, y)), f_n1.eval(x, y))
 
-    def test_declared_image_is_phi_of_sample(self, factor_pipe):
+    def test_image_is_phi_of_sample(self, factor_pipe):
         pipe = factor_pipe
         for n in range(pipe.n_max + 1):
             expected = tuple(pipe.group.sort_canonically({_phi(pipe, n, z) for z in pipe.sample}))
-            assert pipe.factor(n).declared_image() == expected
+            assert image(pipe.factor(n)) == expected
 
     def test_values_on_rect_are_phi_of_f_values(self, factor_pipe):
         pipe = factor_pipe
