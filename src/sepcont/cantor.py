@@ -388,6 +388,13 @@ class ClopenSet:
         _leaves(self.trie, "", out)
         return tuple(Cylinder(p) for p in sorted(out, key=lambda p: (len(p), p)))
 
+    def last_leaf(self) -> str:
+        """The prefix of ``cylinders()[-1]``, the one of largest ``basis_index``:
+        the deepest leaf, the largest of those.  The set must not be empty."""
+        out: list[str] = []
+        _leaves(self.trie, "", out)
+        return max(out, key=lambda p: (len(p), p))
+
     def cell_indices(self, d: int) -> list[int]:
         """Ascending indices ``int(prefix, 2)`` of the depth-d cylinders
         contained in the set; requires d >= depth()."""

@@ -251,7 +251,7 @@ class DiscreteApproximator:
         failing stage builds g_n, for ``in_subbasic`` to name its witness."""
         pieces = nbhd.pieces(self.f)
         w = tuple(self.group.sort_canonically(pieces))
-        cover = (basis_index(c.prefix) for z in w for c in pieces[z].cylinders())
+        cover = (basis_index(pieces[z].last_leaf()) for z in w)
         m = max((*map(self.image.index, w), *cover), default=0)
         probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(w), nbhd.probe_id)
         stages = range(m, n_max + 1)

@@ -19,10 +19,6 @@ class NetMaximalityError(SepcontError):
     """No net element within the required radius; enumeration depth too small."""
 
 
-class CoverConstructionError(SepcontError):
-    """A cover cell exceeded its diameter bound."""
-
-
 class QuantizerConditionError(SepcontError):
     """A quantizer condition failed during the inductive construction."""
 

@@ -672,9 +672,14 @@ def uniform_dist(
     (side r), with its first witness.  The metric is left-invariant, so
     these are d(f, g) and d(g^-1, f^-1)."""
     memo = memo if memo is not None else GridMemo()
-    pair = (f, g) if side == "l" else (PointwiseInverse(g), PointwiseInverse(f))
-    best, point = exact_sup(f.group.dist, *pair, memo)
+    best, point = exact_sup(f.group.dist if side == "l" else _inverse_dist, f, g, memo)
     return DistResult(best, point if best > 0 else None)
+
+
+def _inverse_dist(a: GroupElement, b: GroupElement) -> Fraction:
+    """d(b^-1, a^-1), side r of ``uniform_dist``: one op, so one memo table."""
+    group = a.group
+    return group.dist(group.inv(b), group.inv(a))
 
 
 def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:

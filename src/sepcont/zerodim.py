@@ -8,7 +8,10 @@ diameter <= 2^-(n+1); net(k) is the greedy maximal 2^-(k+2)-separated
 subset of B[2^-k]; the quantizer step n -> n+1 draws its increment from
 net(n).  The image sample is f's image f(X x Y) itself (``image``), so
 each quantizer r_n is one finite map on it and every check below is exact
-at every point.  The quantizer conditions per level n are
+at every point.  The covers are built inside ``build_tower``, only to
+assign r_n; both ways of building them (``_cover``) give the diameter and
+the refinement by construction, so the exact checks are ``condition_rows``'s
+cond2 and cond3 below.  The quantizer conditions per level n are
 
 * (1) the quantizer is constant on each cover cell: its map is built from
   one value per cell, so it holds by construction and is not checked;
@@ -28,11 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from sepcont.errors import (
-    CoverConstructionError,
-    NetMaximalityError,
-    QuantizerConditionError,
-)
+from sepcont.errors import NetMaximalityError, QuantizerConditionError
 from sepcont.functions import (
     DistResult,
     GridMemo,
@@ -45,120 +44,7 @@ from sepcont.functions import (
     uniform_dist,
 )
 from sepcont.discrete import DiscreteApproximator
-from sepcont.groups import GroupElement, GroupSpec, SeparatedNet, ball_net
-
-
-class ImageCover(NamedTuple):
-    """Disjoint partition of the image sample into cells of diameter <= 2^-(level+1)."""
-
-    level: int
-    cells: tuple[tuple[GroupElement, ...], ...]
-
-    def cell_index_of(self, z: GroupElement) -> int:
-        for i, cell in enumerate(self.cells):
-            if z in cell:
-                return i
-        raise KeyError(f"{z} not in any cover cell")
-
-    def max_cell_diameter(self, group: GroupSpec) -> Fraction:
-        worst = Fraction(0)
-        for cell in self.cells:
-            for i in range(len(cell)):
-                for j in range(i + 1, len(cell)):
-                    worst = max(worst, group.dist(cell[i], cell[j]))
-        return worst
-
-    def refines(self, coarser: "ImageCover") -> bool:
-        for cell in self.cells:
-            parents = {coarser.cell_index_of(z) for z in cell}
-            if len(parents) != 1:
-                return False
-        return True
-
-
-def _sorted_cells(group: GroupSpec, cells: Iterable[Iterable[GroupElement]]):
-    inner = [tuple(group.sort_canonically(c)) for c in cells]
-    return tuple(sorted(inner, key=lambda c: group.canonical_key(c[0])))
-
-
-def _greedy_split(group: GroupSpec, elements, bound: Fraction):
-    cells: list[list[GroupElement]] = []
-    for z in elements:
-        for cell in cells:
-            if all(group.dist(z, w) <= bound for w in cell):
-                cell.append(z)
-                break
-        else:
-            cells.append([z])
-    return cells
-
-
-def build_covers(group: GroupSpec, sample: tuple[GroupElement, ...], levels: int) -> list[ImageCover]:
-    """Covers for levels 0..levels; level 0 is the single whole-sample cell
-    (valid because the metric is bounded by 1/2).  Structural prefix classes
-    are used when the group provides them; otherwise each cell of the
-    previous level is split greedily, which makes refinement automatic."""
-    sample = tuple(group.sort_canonically(sample))
-    if not sample:
-        raise CoverConstructionError("empty image sample")
-    covers = [ImageCover(0, (sample,))]
-    structural = group.cover_key(sample[0], 0) is not None
-    for n in range(1, levels + 1):
-        bound = Fraction(1, 2 ** (n + 1))
-        if structural:
-            by_key: dict[object, list[GroupElement]] = {}
-            for z in sample:
-                by_key.setdefault(group.cover_key(z, n), []).append(z)
-            cells = _sorted_cells(group, by_key.values())
-        else:
-            split: list[list[GroupElement]] = []
-            for prev_cell in covers[n - 1].cells:
-                split.extend(_greedy_split(group, prev_cell, bound))
-            cells = _sorted_cells(group, split)
-        cover = ImageCover(n, cells)
-        if cover.max_cell_diameter(group) > bound:
-            raise CoverConstructionError(
-                f"cover level {n}: cell diameter exceeds {bound}"
-            )
-        if not cover.refines(covers[n - 1]):
-            raise CoverConstructionError(f"cover level {n} does not refine level {n - 1}")
-        covers.append(cover)
-    return covers
-
-
-def build_quantizer_tower(
-    group: GroupSpec,
-    covers: list[ImageCover],
-    nets: list[SeparatedNet],
-) -> list[dict[GroupElement, GroupElement]]:
-    """The maps r_0, r_1, ... on the image sample, each locally constant:
-    one value per cover cell.  Inductive construction: r_0 is identically
-    the group identity; the step n -> n+1 picks, per child cell, the
-    canonical-first sample point z', checks g_W^-1 z' lands in B[2^-n], and
-    multiplies g_W by the nearest net(n) element (ties by canonical order,
-    required distance < 2^-(n+2))."""
-    one = group.identity()
-    tower = [{z: one for cell in covers[0].cells for z in cell}]
-    for n in range(len(covers) - 1):
-        prev = tower[n]
-        r: dict[GroupElement, GroupElement] = {}
-        for cell in covers[n + 1].cells:
-            z_child = cell[0]
-            g_w = prev[z_child]
-            shifted = group.mul(group.inv(g_w), z_child)
-            if group.dist(one, shifted) > Fraction(1, 2**n):
-                raise QuantizerConditionError(
-                    f"step {n}: shifted cell point outside B[2^-{n}]"
-                )
-            eps, d = nets[n].nearest(shifted)
-            if d >= Fraction(1, 2 ** (n + 2)):
-                raise NetMaximalityError(
-                    f"step {n}: nearest net element at distance {d} >= 2^-{n + 2}; "
-                    f"enumeration depth {nets[n].enumeration_depth} too small"
-                )
-            r.update(dict.fromkeys(cell, group.mul(g_w, eps)))
-        tower.append(r)
-    return tower
+from sepcont.groups import GroupElement, GroupSpec, ball_net
 
 
 class ConditionRow(NamedTuple):
@@ -188,24 +74,69 @@ class DiagonalReport(NamedTuple):
 
 
 def build_tower(f: SepFunction, top: int, memo: GridMemo | None = None):
-    """(sample, covers, nets, tower) for f up to level ``top``: f's image in
-    canonical order, covers 0..top, nets 0..top-1 and r_0..r_top.  ``memo``
-    is the one ``image`` reads; a fresh memo gives the same tower."""
+    """(sample, nets, tower) for f up to level ``top``: f's image in
+    canonical order, nets 0..top-1 and r_0..r_top, each r_n one value per
+    level-n cell (``_cover``).  r_0 is identically the group identity; the
+    step n -> n+1 picks, per level-(n+1) cell, its canonical-first point z',
+    checks g_W^-1 z' lands in B[2^-n], and multiplies g_W by the nearest
+    net(n) element (ties by canonical order, required distance < 2^-(n+2)).
+    ``memo`` is the one ``image`` reads; a fresh memo gives the same tower."""
     group = f.group
+    one = group.identity()
     sample = image(f, memo)
-    covers = build_covers(group, sample, top)
     nets = [ball_net(group, k, group.net_enumeration_depth(k, sample)) for k in range(top)]
-    return sample, covers, nets, build_quantizer_tower(group, covers, nets)
+    tower, cells = [dict.fromkeys(sample, one)], [list(sample)]
+    for n in range(top):
+        prev, r = tower[n], {}
+        cells = _cover(group, sample, cells, n + 1)
+        for cell in cells:
+            g_w = prev[cell[0]]
+            shifted = group.mul(group.inv(g_w), cell[0])
+            if group.dist(one, shifted) > Fraction(1, 2**n):
+                raise QuantizerConditionError(f"step {n}: shifted cell point outside B[2^-{n}]")
+            eps, d = nets[n].nearest(shifted)
+            if d >= Fraction(1, 2 ** (n + 2)):
+                raise NetMaximalityError(
+                    f"step {n}: nearest net element at distance {d} >= 2^-{n + 2}; "
+                    f"enumeration depth {nets[n].enumeration_depth} too small"
+                )
+            r.update(dict.fromkeys(cell, group.mul(g_w, eps)))
+        tower.append(r)
+    return sample, nets, tower
+
+
+def _cover(group: GroupSpec, sample: tuple, coarser: list, n: int) -> list[list[GroupElement]]:
+    """The level-n cells, each in canonical order: the group's ``cover_key``
+    classes when it has them, otherwise each ``coarser`` cell split greedily
+    into cells of diameter <= 2^-(n+1)."""
+    if group.cover_key(sample[0], n) is not None:
+        by_key: dict[object, list[GroupElement]] = {}
+        for z in sample:
+            by_key.setdefault(group.cover_key(z, n), []).append(z)
+        return list(by_key.values())
+    bound = Fraction(1, 2 ** (n + 1))
+    cells: list[list[GroupElement]] = []
+    for coarse in coarser:
+        split: list[list[GroupElement]] = []
+        for z in coarse:
+            for cell in split:
+                if all(group.dist(z, w) <= bound for w in cell):
+                    cell.append(z)
+                    break
+            else:
+                split.append([z])
+        cells += split
+    return cells
 
 
 def quantize(f: SepFunction, n: int) -> PostCompose:
     """f_n = r_n o f, building the tower up to r_n only."""
-    return PostCompose(f, build_tower(f, n)[3][n])
+    return PostCompose(f, build_tower(f, n)[2][n])
 
 
 class ZerodimPipeline:
-    """End-to-end construction for one function: sample (f's image), covers,
-    nets, quantizer tower, factors, and the diagonal sequence.  One memo
+    """End-to-end construction for one function: sample (f's image), nets,
+    quantizer tower, factors, and the diagonal sequence.  One memo
     serves every sweep, the image and the factor engines: a factor phi_n o f
     has f's leaves, so its image maps f's class list."""
 
@@ -214,7 +145,7 @@ class ZerodimPipeline:
         self.group = f.group
         self.n_max = n_max
         self._memo = GridMemo()
-        self.sample, self.covers, self.nets, self.tower = build_tower(f, n_max + 1, self._memo)
+        self.sample, self.nets, self.tower = build_tower(f, n_max + 1, self._memo)
         self._factor_cache: dict[int, PostCompose] = {}
         self._approx_cache: dict[int, DiscreteApproximator] = {}
         self._stage_cache: dict[tuple[int, int], SepFunction] = {}

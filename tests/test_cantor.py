@@ -233,6 +233,13 @@ class TestClopenSet:
     def test_cylinders_reassemble(self, a):
         assert ClopenSet.from_prefixes([c.prefix for c in a.cylinders()]) == a
 
+    @given(clopens)
+    def test_last_leaf_has_the_largest_basis_index(self, a):
+        if a.is_empty():
+            return
+        assert a.last_leaf() == a.cylinders()[-1].prefix
+        assert basis_index(a.last_leaf()) == max(basis_index(c.prefix) for c in a.cylinders())
+
     def test_cells_at_depth(self):
         cells = ClopenSet.parse("{0}").cells_at_depth(2)
         assert [c.prefix for c in cells] == ["00", "01"]

@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
-from sepcont.errors import CoverConstructionError
+from sepcont.errors import NetMaximalityError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -16,8 +18,8 @@ from sepcont.functions import (
     TableFunction,
     image,
 )
-from sepcont.groups import ball_net, get_group
-from sepcont.zerodim import ZerodimPipeline, build_covers, build_quantizer_tower
+from sepcont.groups import get_group
+from sepcont.zerodim import ZerodimPipeline, _cover, build_tower
 from grid import grid_points
 
 DYADIC = get_group("dyadic")
@@ -40,59 +42,97 @@ STANDARD_PROBES = [
 ]
 
 
+def _table(sample):
+    """A depth-2 table whose image is the set of ``sample``'s elements."""
+    cells = [sample[i % len(sample)] for i in range(16)]
+    return TableFunction(2, tuple(tuple(cells[4 * i : 4 * i + 4]) for i in range(4)))
+
+
+def _cells(group, sample, top):
+    """The cells of levels 0..top as ``build_tower`` builds them."""
+    levels = [[list(sample)]]
+    for n in range(1, top + 1):
+        levels.append(_cover(group, sample, levels[-1], n))
+    return levels
+
+
+def assert_cover_contract(group, sample, tower):
+    """At every level n of the tower: the cells partition the sample, each
+    has diameter <= 2^-(n+1), each lies in one cell of level n - 1, and
+    r_n is constant on each."""
+    levels = _cells(group, sample, len(tower) - 1)
+    for n, cells in enumerate(levels):
+        assert sorted(map(group.canonical_key, (z for c in cells for z in c))) == list(
+            map(group.canonical_key, sample)
+        )
+        bound = Fraction(1, 2 ** (n + 1))
+        for cell in cells:
+            assert all(group.dist(a, b) <= bound for a, b in product(cell, repeat=2))
+            assert len({tower[n][z] for z in cell}) == 1
+            if n:
+                assert sum(set(cell) <= set(c) for c in levels[n - 1]) == 1
+    return levels
+
+
 class TestCovers:
     def test_level_zero_single_cell(self):
-        sample = image(DIAG)
-        covers = build_covers(DYADIC, sample, 3)
-        assert len(covers[0].cells) == 1
-        assert set(covers[0].cells[0]) == set(sample)
+        sample, _, tower = build_tower(DIAG, 3)
+        levels = assert_cover_contract(DYADIC, sample, tower)
+        assert levels[0] == [list(sample)]
+        assert set(tower[0].values()) == {E}
 
     def test_two_far_elements_split_at_level_one(self):
-        sample = (E, A)  # distance 1/2 > 1/4
-        covers = build_covers(DYADIC, sample, 1)
-        assert len(covers[1].cells) == 2
-        assert all(len(c) == 1 for c in covers[1].cells)
+        sample, _, tower = build_tower(_table((E, A)), 1)  # distance 1/2 > 1/4
+        levels = assert_cover_contract(DYADIC, sample, tower)
+        assert levels[1] == [[E], [A]]
+        assert tower[1] == {E: E, A: A}
 
     def test_refinement_chain(self):
-        sample = image(MULTI)
-        covers = build_covers(DYADIC, sample, 5)
-        for n in range(1, 6):
-            assert covers[n].refines(covers[n - 1])
-            assert covers[n].max_cell_diameter(DYADIC) <= Fraction(1, 2 ** (n + 1))
+        sample, _, tower = build_tower(MULTI, 5)
+        assert sample == image(MULTI)
+        assert_cover_contract(DYADIC, sample, tower)
 
     def test_greedy_covers_real_group(self):
-        sample = tuple(REAL.parse_element(t) for t in ["0/2^0", "1/2^3", "3/2^3", "-1/2^2"])
-        covers = build_covers(REAL, sample, 4)
-        for n in range(1, 5):
-            assert covers[n].refines(covers[n - 1])
-            assert covers[n].max_cell_diameter(REAL) <= Fraction(1, 2 ** (n + 1))
+        values = tuple(REAL.parse_element(t) for t in ["0/2^0", "1/2^3", "3/2^3", "-1/2^2"])
+        sample, _, tower = build_tower(_table(values), 4)
+        assert sample == tuple(REAL.sort_canonically(values))
+        levels = assert_cover_contract(REAL, sample, tower)
+        assert len(levels[4]) == 4
 
     def test_greedy_covers_c3(self):
-        sample = tuple(C3.element(i) for i in range(3))
-        covers = build_covers(C3, sample, 2)
-        assert len(covers[1].cells) == 3  # discrete metric forces singletons
-        assert covers[2].refines(covers[1])
+        sample, _, tower = build_tower(_table(tuple(C3.element(i) for i in range(3))), 2)
+        levels = assert_cover_contract(C3, sample, tower)
+        assert levels[1] == [[z] for z in sample]  # discrete metric forces singletons
+        assert levels[2] == levels[1]
 
-    def test_empty_sample_rejected(self):
-        with pytest.raises(CoverConstructionError):
-            build_covers(DYADIC, (), 2)
+    @given(st.one_of(
+        st.lists(st.sampled_from(DYADIC.dense_enumeration(5)), min_size=1, max_size=8, unique=True),
+        st.lists(
+            st.integers(0, 5).flatmap(
+                lambda e: st.integers(-(2**e), 2**e).map(lambda j: REAL.element(Fraction(j, 2**e)))
+            ),
+            min_size=1, max_size=8, unique=True,
+        ),
+        st.lists(st.sampled_from([C5.element(i) for i in range(5)]), min_size=1, max_size=5,
+                 unique=True),
+    ))
+    def test_cover_contract_on_random_samples(self, values):
+        group = values[0].group
+        sample, _, tower = build_tower(_table(tuple(values)), 4)
+        assert sample == tuple(group.sort_canonically(values))
+        assert_cover_contract(group, sample, tower)
 
 
 class TestQuantizerTower:
-    def make(self, sample, levels, group=DYADIC):
-        covers = build_covers(group, sample, levels)
-        nets = [
-            ball_net(group, k, group.net_enumeration_depth(k, sample))
-            for k in range(levels)
-        ]
-        tower = build_quantizer_tower(group, covers, nets)
+    def make(self, sample, levels):
+        _, nets, tower = build_tower(_table(sample), levels)
         return tower, nets
 
     def test_r0_is_identity_map(self):
         sample = (E, A)
-        tower, _ = self.make(sample, 3)
-        for z in sample:
-            assert tower[0][z] == E
+        tower, nets = self.make(sample, 3)
+        assert tower[0] == {E: E, A: E}
+        assert len(tower) == 4 and len(nets) == 3
 
     def test_identity_image_stays_identity(self):
         sample = (E,)
@@ -362,14 +402,8 @@ class TestRealGroupPipeline:
 
 
 class TestErrorPaths:
-    def test_net_maximality_error_on_shallow_enumeration(self):
-        # nets from a depth-0 enumeration cannot serve a sample point at 3/8
-        from sepcont.errors import NetMaximalityError
-
-        sample = tuple(REAL.sort_canonically(
-            [REAL.parse_element("0/2^0"), REAL.parse_element("3/2^3")]
-        ))
-        covers = build_covers(REAL, sample, 2)
-        shallow_nets = [ball_net(REAL, k, 0) for k in range(2)]
-        with pytest.raises(NetMaximalityError):
-            build_quantizer_tower(REAL, covers, shallow_nets)
+    def test_net_maximality_error_far_from_the_ball(self):
+        # net(0) enumerates [-1, 1], so no element of it serves the value 3
+        values = (REAL.parse_element("0/2^0"), REAL.parse_element("3/2^0"))
+        with pytest.raises(NetMaximalityError, match="step 0: nearest net element at distance 1/2"):
+            build_tower(_table(values), 2)
