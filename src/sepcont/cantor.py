@@ -174,16 +174,12 @@ class Cylinder:
 
 
 def basis_cylinder(k: int) -> Cylinder:
-    """The k-th cylinder in the canonical base (by prefix length, then lexicographic)."""
+    """The k-th cylinder in the canonical base (by prefix length, then
+    lexicographic): cell k + 1 - 2^l at depth l = floor(log2(k + 1))."""
     if k < 0:
         raise ValueError("basis index must be nonnegative")
-    if k == 0:
-        return Cylinder("")
-    length, total = 1, 1
-    while total + 2**length <= k:
-        total += 2**length
-        length += 1
-    return Cylinder(format(k - total, f"0{length}b"))
+    l = (k + 1).bit_length() - 1
+    return Cylinder(format(k + 1 - (1 << l), f"0{l}b") if l else "")
 
 
 def basis_index(prefix: str) -> int:

@@ -3,7 +3,9 @@
 Subcommands: nets, approx-discrete, approx-zerodim, ball, closure-probe,
 problem3.  Exit codes: 0 all certificates pass, 1 certificate failure
 (witness in the report) or internal error, 2 config error, 3 resource/output
-error.
+error.  Each handler returns the reports it wrote, by file name, and a
+summary; ``main`` alone writes manifest.json and exits 0 exactly when the
+summary passed.
 Reports are byte-identical across runs of the same config; wall-clock
 timings live only in manifest.json.
 """
@@ -11,6 +13,7 @@ timings live only in manifest.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 import time
@@ -34,39 +37,18 @@ from sepcont.uniform import ball_membership, closure_probe, problem3_check
 from sepcont.zerodim import ZerodimPipeline
 
 
-class _Timer:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def stage(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.timings[name] = timer.timings.get(name, 0.0) + time.perf_counter() - self.t0
-
-        return _Ctx()
+@contextlib.contextmanager
+def _timed(timings: dict[str, float], name: str):
+    """Add the block's wall-clock time to ``timings[name]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _finish(exp: Experiment, timer: _Timer, reports: dict[str, bytes], summary: dict) -> None:
-    manifest = build_manifest(
-        config_text=exp.text,
-        version=sepcont.__version__,
-        reports=reports,
-        timings=timer.timings,
-        summary=summary,
-    )
-    write_json(exp.out / "manifest.json", manifest)
-
-
-def cmd_nets(exp: Experiment) -> int:
-    timer = _Timer()
+def cmd_nets(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     rows = []
     ok = True
-    with timer.stage("nets"):
+    with _timed(timings, "nets"):
         for k in range(exp.n_max + 1):
             depth = exp.group.net_enumeration_depth(k, ())
             net = ball_net(exp.group, k, depth)
@@ -90,17 +72,15 @@ def cmd_nets(exp: Experiment) -> int:
             )
     report = exp.out / "nets.csv"
     data = write_csv(report, list(rows[0].keys()), rows)
-    _finish(exp, timer, {report.name: data}, {"passed": ok})
-    return 0 if ok else 1
+    return {report.name: data}, {"passed": ok}
 
 
-def cmd_approx_discrete(exp: Experiment) -> int:
-    timer = _Timer()
+def cmd_approx_discrete(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     engine = DiscreteApproximator(exp.function)
     rows = []
     stage_of_probe = {}
     ok = True
-    with timer.stage("certificates"):
+    with _timed(timings, "certificates"):
         for probe in exp.probes:
             cert = engine.certificate(probe, exp.n_max)
             stage_of_probe[probe.probe_id] = cert.m
@@ -116,19 +96,17 @@ def cmd_approx_discrete(exp: Experiment) -> int:
                 )
     report = exp.out / "certificate.csv"
     data = write_csv(report, ["n", "probe_id", "in_nbhd", "violation_witness"], rows)
-    _finish(exp, timer, {report.name: data}, {"passed": ok, "stage_of_probe": stage_of_probe})
-    return 0 if ok else 1
+    return {report.name: data}, {"passed": ok, "stage_of_probe": stage_of_probe}
 
 
-def cmd_approx_zerodim(exp: Experiment) -> int:
+def cmd_approx_zerodim(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     too_deep = [l for l in exp.levels if l > exp.n_max] if exp.probes else []
     if too_deep:
         raise ConfigError(f"level {too_deep[0]} needs factors up to {too_deep[0]}; raise n_max")
-    timer = _Timer()
-    with timer.stage("tower"):
+    with _timed(timings, "tower"):
         pipe = ZerodimPipeline(exp.function, exp.n_max)
         cond = pipe.condition_rows()
-    with timer.stage("diagonal"):
+    with _timed(timings, "diagonal"):
         rep = pipe.diagonal(exp.probes, exp.levels) if exp.probes else None
     rows = []
     all_ok = pipe.telescoping_ok()
@@ -180,15 +158,13 @@ def cmd_approx_zerodim(exp: Experiment) -> int:
     }
     if rep is not None:
         summary["stage_of_level"] = {str(k): v for k, v in rep.stage_of_level.items()}
-    _finish(exp, timer, {report.name: data}, summary)
-    return 0 if all_ok else 1
+    return {report.name: data}, summary
 
 
-def cmd_ball(exp: Experiment) -> int:
-    timer = _Timer()
+def cmd_ball(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     records = []
     memo = GridMemo()
-    with timer.stage("ball"):
+    with _timed(timings, "ball"):
         for q in exp.ball_queries:
             res = ball_membership(q, memo)
             records.append(
@@ -204,8 +180,7 @@ def cmd_ball(exp: Experiment) -> int:
             )
     report = exp.out / "ball.jsonl"
     data = write_jsonl(report, records)
-    _finish(exp, timer, {report.name: data}, {"passed": True, "queries": len(records)})
-    return 0
+    return {report.name: data}, {"passed": True, "queries": len(records)}
 
 
 def _fault_constant(exp: Experiment) -> SepFunction:
@@ -219,15 +194,14 @@ def _fault_constant(exp: Experiment) -> SepFunction:
     return Constant(group.mul(base, shift))
 
 
-def cmd_closure_probe(exp: Experiment) -> int:
-    timer = _Timer()
-    with timer.stage("stages"):
+def cmd_closure_probe(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
+    with _timed(timings, "stages"):
         pipe = ZerodimPipeline(exp.function, exp.n_max)
         stages: list[SepFunction] = [pipe.quantized(n) for n in range(exp.n_max + 1)]
         schedule = [Fraction(1, 2**n) for n in range(exp.n_max + 1)]
         if exp.inject_fault_at is not None:
             stages[exp.inject_fault_at] = _fault_constant(exp)
-    with timer.stage("closure"):
+    with _timed(timings, "closure"):
         rep = closure_probe(exp.function, stages, schedule, exp.probes, exp.levels)
     rows = [
         {
@@ -242,25 +216,16 @@ def cmd_closure_probe(exp: Experiment) -> int:
     ]
     report = exp.out / "closure.csv"
     data = write_csv(report, ["stage", "eps", "dist_l", "dist_r", "within", "certified"], rows)
-    _finish(
-        exp,
-        timer,
-        {report.name: data},
-        {
-            "passed": rep.passed,
-            "failed_stage": rep.failed_stage,
-            "diagonal_passed": rep.diagonal_passed,
-        },
-    )
-    return 0 if rep.passed else 1
+    summary = {"passed": rep.passed, "failed_stage": rep.failed_stage,
+               "diagonal_passed": rep.diagonal_passed}
+    return {report.name: data}, summary
 
 
-def cmd_problem3(exp: Experiment) -> int:
-    timer = _Timer()
+def cmd_problem3(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     if exp.problem3 is None:
         raise ConfigError("[problem3] needs a candidate function")
     candidate, bound = exp.problem3
-    with timer.stage("problem3"):
+    with _timed(timings, "problem3"):
         rep = problem3_check(exp.function, candidate, bound)
     payload = {
         "sup_raw": dyadic_str(rep.sup_raw),
@@ -275,8 +240,7 @@ def cmd_problem3(exp: Experiment) -> int:
     }
     report = exp.out / "problem3.json"
     data = write_json(report, payload)
-    _finish(exp, timer, {report.name: data}, {"passed": rep.within})
-    return 0 if rep.within else 1
+    return {report.name: data}, {"passed": rep.within}
 
 
 _HANDLERS = {
@@ -310,7 +274,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         exp = load_experiment(args.config, args.out, args.seed)
         exp.out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](exp)
+        timings: dict[str, float] = {}
+        reports, summary = _HANDLERS[args.command](exp, timings)
+        manifest = build_manifest(config_text=exp.text, version=sepcont.__version__,
+                                  reports=reports, timings=timings, summary=summary)
+        write_json(exp.out / "manifest.json", manifest)
+        return 0 if summary["passed"] else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

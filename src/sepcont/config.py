@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import os
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -38,11 +37,8 @@ from sepcont.groups import GroupSpec, RealBoundedGroup, get_group
 from sepcont.reports import parse_dyadic
 from sepcont.uniform import BallQuery
 
+# Bounds n_max and every quant level, so the working depth floor(log2(n + 1)) at 3.
 MAX_N = 12
-
-
-def depth_cap() -> int:
-    return parse_int(os.environ.get("SEPCONT_MAX_DEPTH", "16"), "SEPCONT_MAX_DEPTH")
 
 
 def parse_int(text: str, name: str) -> int:
@@ -256,7 +252,6 @@ def load_experiment(
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     n_max = parse_int(exp.get("n_max", "3"), "n_max")
-    depth_cap()  # a malformed cap is a config error before any work
     if n_max < 0 or n_max > MAX_N:
         raise ConfigError(f"n_max must be in [0, {MAX_N}]")
     levels_text = exp.get("levels", "1,2")

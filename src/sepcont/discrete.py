@@ -19,7 +19,6 @@ from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from sepcont.cantor import CantorPoint, Cylinder, basis_cylinder, basis_index, partition_at_depth
-from sepcont.config import depth_cap
 from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
 from sepcont.groups import GroupElement
@@ -177,11 +176,6 @@ class DiscreteApproximator:
         d = self.working_depth(n)
         table = self._tables.get(d)
         if table is None:
-            cap = depth_cap()
-            if d > cap:
-                raise RefinementExhaustedError(
-                    f"working depth {d} exceeds cap {cap} (set SEPCONT_MAX_DEPTH to raise)"
-                )
             table = self._tables[d] = _StageTable(d, self._partition(d), self.f, self.image)
         for k in range(len(table.cover[0]), n + 1):
             # V_k is cell k + 1 - 2^l at depth l <= d, so 2^(d-l) cells here.
@@ -200,20 +194,18 @@ class DiscreteApproximator:
     def memberships(self, probe: SubbasicNbhd, stages: Iterable[int]) -> list[bool]:
         """Whether g_n lies in ``probe``, for each n in ``stages``.
 
-        Each working depth's table is extended once, through the last stage
-        asked there.  The probe is read as two masks: the cells it meets, and
-        those of them unpainted at the depth's smallest stage asked whose
-        limit value is outside U.  Each stage is then a few ANDs."""
-        stages = list(stages)
-        depths = [self.working_depth(n) for n in stages]
+        Stage n is read off the stage table of its working depth, where the
+        probe is the mask of the cells it meets, made once per depth: g_n
+        lies in it when no patch of a value outside U meets the mask and
+        no unpainted cell of it has its limit value outside U."""
         axis, fixed, other = probe.sides()
         off = [r for r, z in enumerate(self.image) if z not in probe.allowed]
-        reads: dict[int, tuple] = {}
+        lines: dict[int, int] = {}
         out = []
-        for n, d in zip(stages, depths):
-            if d not in reads:
-                asked = [s for s, e in zip(stages, depths) if e == d]
-                table = self._table(max(asked))
+        for n in stages:
+            table = self._table(n)
+            d = table.d
+            if d not in lines:
                 # The fixed point's row (axis 'x') or column, at the cells of
                 # K shifted to depth d.
                 if isinstance(other, CantorPoint):
@@ -226,18 +218,11 @@ class DiscreteApproximator:
                         w = 1 << (d - depth)
                         line = reduce(or_, (((1 << w) - 1) << (j * w) for j in cells), 0)
                 i = int(fixed.prefix(d), 2)
-                q = line << (i << d) if axis == "x" else table.spread(line) << i
-                # Stage n is checked first: a clash raises for the first stage asked.
-                table.stage(n)
-                unpainted = q & ~table.stage(min(asked))[1]
-                bad = sum(1 << c for c in _bits(unpainted) if table.limit(c) not in probe.allowed)
-                reads[d] = table.stage, q, bad
-            stage, q, bad = reads[d]
-            masks, painted = stage(n)
-            outside = bad & ~painted
-            for r in off:
-                outside |= masks[r]
-            out.append(not q & outside)
+                lines[d] = line << (i << d) if axis == "x" else table.spread(line) << i
+            q = lines[d]
+            masks, painted = table.stage(n)
+            out.append(not any(q & masks[r] for r in off)
+                       and all(table.limit(c) in probe.allowed for c in _bits(q & ~painted)))
         return out
 
     def certificate(self, nbhd: SubbasicNbhd, n_max: int) -> ConvergenceCertificate:

@@ -24,5 +24,6 @@ class QuantizerConditionError(SepcontError):
 
 
 class RefinementExhaustedError(SepcontError):
-    """Cell refinement hit the depth cap (CLI exit 3)."""
+    """A stage table paints one cell with two values, so the patches of f
+    clash (CLI exit 3); raised only by that clash check."""
 

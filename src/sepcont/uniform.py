@@ -16,6 +16,7 @@ are constant, so it is the sup over the rectangle itself.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
@@ -54,22 +55,27 @@ def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
     each point set, each leaf's axis keys and each class list once; a
     fresh memo gives the same result.
     """
-    group = q.center.group
     memo = memo if memo is not None else GridMemo()
-    dist, inv = group.dist, group.inv
-
-    # By left invariance d(1, f^-1 g) = d(f, g) and d(1, g f^-1) = d(g^-1, f^-1).
-    def inside(fv, gv) -> bool:
-        if q.side == "rl":
-            return group.two_sided_member(fv, gv, q.eps)
-        if q.side != "r" and not dist(fv, gv) < q.eps:
-            return False
-        return q.side == "l" or dist(inv(gv), inv(fv)) < q.eps
-
     # True > False, so the max is True when some point fails, and the
     # witness is the first failing point.
-    outside, witness = exact_sup(lambda fv, gv: not inside(fv, gv), q.center, q.candidate, memo)
+    outside, witness = exact_sup(_outside(q.side, q.eps), q.center, q.candidate, memo)
     return BallResult(False, witness) if outside else BallResult(True, None)
+
+
+@functools.cache
+def _outside(side: Side, eps: Fraction):
+    """Whether a pair (f's value, g's value) fails the ball test: one op per
+    (side, eps), so equal queries on one memo share its table."""
+    # By left invariance d(1, f^-1 g) = d(f, g) and d(1, g f^-1) = d(g^-1, f^-1).
+    def op(fv, gv) -> bool:
+        group = fv.group
+        if side == "rl":
+            return not group.two_sided_member(fv, gv, eps)
+        if side != "r" and not group.dist(fv, gv) < eps:
+            return True
+        return side != "l" and not group.dist(group.inv(gv), group.inv(fv)) < eps
+
+    return op
 
 
 class ClosureStageRow(NamedTuple):

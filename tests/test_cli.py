@@ -26,6 +26,7 @@ from sepcont.groups import get_group
 from sepcont.uniform import BallQuery, ball_membership
 from sepcont.zerodim import ZerodimPipeline
 from grid import grid_points
+from test_shipped_reports import CASES
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 DYADIC = get_group("dyadic")
@@ -500,15 +501,10 @@ class TestExitCodes:
         for command in ("nets", "closure-probe"):
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
-    def test_bad_depth_cap_env_exits_two(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "deep")
-        cfg = write_config(tmp_path, MINIMAL)
-        assert main(["nets", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
-
     def test_internal_value_error_exits_one(self, tmp_path, monkeypatch, capsys):
         import sepcont.cli as cli
 
-        def broken(exp):
+        def broken(exp, timings):
             raise ValueError("internal fault")
 
         monkeypatch.setitem(cli._HANDLERS, "nets", broken)
@@ -518,15 +514,23 @@ class TestExitCodes:
         assert "error: internal fault" in err and "config error" not in err
         assert "Traceback (most recent call last)" in err
 
-    def test_depth_cap_env_override(self, tmp_path, monkeypatch, capsys):
-        # Stage 6 of the discrete engine works at depth 2.
-        text = MINIMAL.replace("const 1(0)", "diag ones 1(0)").replace("n_max = 2", "n_max = 6")
-        cfg = write_config(tmp_path, text)
-        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "1")
-        assert main(["approx-discrete", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
-        assert "resource error: working depth 2 exceeds cap 1" in capsys.readouterr().err
-        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "2")
-        assert main(["approx-discrete", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+
+@pytest.mark.parametrize("case", CASES)
+def test_manifest_ends_every_run(case, tmp_path):
+    # main alone writes the manifest: it lists exactly the reports beside
+    # it, and its summary passes exactly when the run exits 0.  A run that
+    # an error ends writes none.
+    cfg, cmd = case.split("/")
+    out = tmp_path / "out"
+    code = main([cmd, "--config", str(CONFIGS / cfg), "--out", str(out)])
+    if not (out / "manifest.json").exists():
+        assert code != 0
+        return
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert code in (0, 1) and manifest["summary"]["passed"] is (code == 0)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.json"}
+    assert manifest["reports"] == written
 
 
 def _ball_jobs():

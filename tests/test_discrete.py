@@ -13,6 +13,7 @@ from sepcont.cantor import (
     basis_index,
     partition_at_depth,
 )
+from sepcont.config import MAX_N
 from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
@@ -254,17 +255,19 @@ class TestCertificates:
             assert member == again.member
 
 
-class TestDepthCap:
-    def test_refinement_exhausted_under_low_cap(self, monkeypatch):
-        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "1")
+class TestDepthBound:
+    # The config loader bounds every stage by MAX_N, and that is the only
+    # bound on the working depth.
+    def test_working_depth_is_at_most_3_through_max_n(self):
         engine = DiscreteApproximator(DIAG)
-        with pytest.raises(RefinementExhaustedError):
-            engine.approximant(6)  # needs working depth 2
+        assert [engine.working_depth(n) for n in range(MAX_N + 1)] == [1] * 3 + [2] * 4 + [3] * 6
 
-    def test_cap_override_allows_deeper(self, monkeypatch):
-        monkeypatch.setenv("SEPCONT_MAX_DEPTH", "3")
+    def test_stage_tables_through_max_n_have_at_most_64_cells(self):
         engine = DiscreteApproximator(DIAG)
-        assert engine.approximant(6).depth == 2
+        for n in range(MAX_N + 1):
+            rows = engine.approximant(n).values
+            assert len(rows) * len(rows[0]) <= 64, n
+        assert engine.approximant(MAX_N).depth == 3
 
 
 class TestC3Tables:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
-from sepcont.functions import Constant, OnesDiagonal, SubbasicNbhd, TableFunction
+from sepcont.functions import Constant, GridMemo, OnesDiagonal, SubbasicNbhd, TableFunction
 from sepcont.groups import get_group
 from sepcont.uniform import (
     BallQuery,
@@ -68,6 +68,14 @@ class TestBallMembership:
             small = ball_membership(BallQuery(DIAG, Constant(E), side, Fraction(1, 4))).member
             large = ball_membership(BallQuery(DIAG, Constant(E), side, Fraction(1, 2) + Fraction(1, 4))).member
             assert (not small) or large
+
+    def test_equal_queries_share_one_memo_table(self):
+        # The ball test is one op per (side, eps), so a second query with an
+        # equal radius on the same memo reads the first one's table.
+        memo = GridMemo()
+        for cand, eps in ((Constant(A), Fraction(1, 4)), (DIAG, Fraction(2, 8))):
+            ball_membership(BallQuery(DIAG, cand, "lr", eps), memo)
+        assert len(memo._tables) == 1
 
     def test_abelian_l_equals_r(self):
         for eps in [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]:
