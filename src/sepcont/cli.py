@@ -24,8 +24,8 @@ from sepcont.cantor import CantorPoint
 from sepcont.config import Experiment, load_experiment
 from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import ConfigError, RefinementExhaustedError, SepcontError
-from sepcont.functions import Constant, GridMemo, SepFunction
-from sepcont.groups import ball_net
+from sepcont.functions import GridMemo
+from sepcont.groups import GroupElement, ball_net
 from sepcont.reports import (
     build_manifest,
     dyadic_str,
@@ -34,7 +34,7 @@ from sepcont.reports import (
     write_jsonl,
 )
 from sepcont.uniform import ball_membership, closure_probe, problem3_check
-from sepcont.zerodim import ZerodimPipeline
+from sepcont.zerodim import ZerodimPipeline, build_tower
 
 
 @contextlib.contextmanager
@@ -183,7 +183,7 @@ def cmd_ball(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     return {report.name: data}, {"passed": True, "queries": len(records)}
 
 
-def _fault_constant(exp: Experiment) -> SepFunction:
+def _fault_constant(exp: Experiment) -> GroupElement:
     group = exp.group
     origin = CantorPoint("", "0")
     base = exp.function.eval(origin, origin)
@@ -191,16 +191,15 @@ def _fault_constant(exp: Experiment) -> SepFunction:
         group.dense_enumeration(2),
         key=lambda u: (group.dist(group.identity(), u), group.canonical_key(u)),
     )
-    return Constant(group.mul(base, shift))
+    return group.mul(base, shift)
 
 
 def cmd_closure_probe(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     with _timed(timings, "stages"):
-        pipe = ZerodimPipeline(exp.function, exp.n_max)
-        stages: list[SepFunction] = [pipe.quantized(n) for n in range(exp.n_max + 1)]
+        sample, _, stages = build_tower(exp.function, exp.n_max)
         schedule = [Fraction(1, 2**n) for n in range(exp.n_max + 1)]
         if exp.inject_fault_at is not None:
-            stages[exp.inject_fault_at] = _fault_constant(exp)
+            stages[exp.inject_fault_at] = dict.fromkeys(sample, _fault_constant(exp))
     with _timed(timings, "closure"):
         rep = closure_probe(exp.function, stages, schedule, exp.probes, exp.levels)
     rows = [

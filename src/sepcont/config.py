@@ -37,7 +37,7 @@ from sepcont.groups import GroupSpec, RealBoundedGroup, get_group
 from sepcont.reports import parse_dyadic
 from sepcont.uniform import BallQuery
 
-# Bounds n_max and every quant level, so the working depth floor(log2(n + 1)) at 3.
+# Bounds n_max, every quant level and every budget level; working depth stays <= 3.
 MAX_N = 12
 
 
@@ -261,8 +261,8 @@ def load_experiment(
         raise ConfigError(f"bad levels list {levels_text!r}") from None
     if not levels:
         raise ConfigError("levels must list at least one level")
-    if any(l < 0 for l in levels):
-        raise ConfigError(f"levels must be nonnegative: {levels_text!r}")
+    if any(not 0 <= l <= MAX_N for l in levels):
+        raise ConfigError(f"levels must be in [0, {MAX_N}]: {levels_text!r}")
     if "function" not in exp:
         raise ConfigError(f"{path}: [experiment] needs a function")
     function = parse_function(exp["function"], group, path.parent)

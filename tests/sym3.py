@@ -1,5 +1,8 @@
 """S3, the smallest nonabelian group, as a test fixture: ``get_group``
-names no symmetric group, so the tests build it here."""
+names no symmetric group, so the tests build it here, with a left-invariant
+metric that is not right-invariant as a second fixture."""
+
+from fractions import Fraction
 
 from sepcont.groups import FiniteTableGroup
 
@@ -11,3 +14,20 @@ def symmetric_group_3() -> FiniteTableGroup:
     table = [[perms.index(compose(p, q)) for q in perms] for p in perms]
     labels = ["e", "r", "rr", "s", "sr", "srr"]
     return FiniteTableGroup("sym:3", table, labels)
+
+
+class LeftInvariantS3(FiniteTableGroup):
+    """S3 with a left-invariant metric that is not right-invariant: d(a, b)
+    is 1/8 when a^-1 b is the reflection s, else 1/2 (0 on the diagonal).
+    The shipped groups are bi-invariant, so only here do the l and r
+    tests of a ball query disagree."""
+
+    def _dist(self, a: int, b: int) -> Fraction:
+        c = self._mul(self._inv(a), b)
+        if c == self.identity().payload:
+            return Fraction(0)
+        return Fraction(1, 8) if self._labels[c] == "s" else Fraction(1, 2)
+
+
+_S3 = symmetric_group_3()
+S3_LEFT = LeftInvariantS3("sym:3-left", _S3._table, _S3._labels)

@@ -478,7 +478,28 @@ class TestExitCodes:
     def test_negative_level_exits_two(self, tmp_path, command, capsys):
         cfg = write_config(tmp_path, MINIMAL.replace("levels = 1", "levels = 1,-1"))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
-        assert "config error: levels must be nonnegative: '1,-1'" in capsys.readouterr().err
+        assert "config error: levels must be in [0, 12]: '1,-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["1,13", "1,99999999999"])
+    @pytest.mark.parametrize("command", ["nets", "approx-zerodim", "closure-probe"])
+    def test_level_above_max_n_exits_two(self, tmp_path, command, levels, capsys):
+        # Rejected at load under every command: closure-probe forms 2^l, which
+        # at l = 99999999999 exhausts memory, and approx-zerodim without probes
+        # checks no level against n_max.
+        no_probes = MINIMAL.replace("p0 = (0) ; !{}\n", "")
+        for text in (MINIMAL, no_probes):
+            cfg = write_config(tmp_path, text.replace("levels = 1", f"levels = {levels}"))
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+            assert f"config error: levels must be in [0, {MAX_N}]: '{levels}'" in capsys.readouterr().err
+        cfg = write_config(tmp_path, no_probes.replace("levels = 1", f"levels = 0,{MAX_N}"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+
+    def test_level_equal_to_n_max_runs(self, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL.replace("levels = 1", "levels = 1,2"))
+        out = tmp_path / "rep"
+        assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.load(open(out / "manifest.json"))["summary"]
+        assert summary["stage_of_level"] == {"1": 1, "2": 2}
 
     def test_level_above_n_max_exits_two_before_the_tower(self, tmp_path, monkeypatch, capsys):
         import sepcont.cli as cli

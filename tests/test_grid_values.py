@@ -53,11 +53,11 @@ from sepcont.functions import (
     resolution,
     uniform_dist,
 )
-from sepcont.groups import FiniteTableGroup, get_group
+from sepcont.groups import get_group
 from sepcont.uniform import BallQuery, BallResult, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
 from grid import grid_points
-from sym3 import symmetric_group_3
+from sym3 import S3_LEFT, symmetric_group_3
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -65,22 +65,6 @@ DYADIC = get_group("dyadic")
 S3 = symmetric_group_3()
 C3 = get_group("cyclic:3")
 REAL = get_group("real")
-
-
-class LeftInvariantS3(FiniteTableGroup):
-    """S3 with a left-invariant metric that is not right-invariant: d(a, b)
-    is 1/8 when a^-1 b is the reflection s, else 1/2 (0 on the diagonal).
-    The shipped groups are bi-invariant, so only here do the l and r
-    tests of a ball query disagree."""
-
-    def _dist(self, a: int, b: int) -> Fraction:
-        c = self._mul(self._inv(a), b)
-        if c == self.identity().payload:
-            return Fraction(0)
-        return Fraction(1, 8) if self._labels[c] == "s" else Fraction(1, 2)
-
-
-S3_LEFT = LeftInvariantS3("sym:3-left", S3._table, S3._labels)
 POOLS = (
     tuple(DYADIC.parse_element(t) for t in ["(0)", "1(0)", "01(0)", "11(0)", "(1)"]),
     tuple(S3.parse_element(t) for t in ["e", "r", "rr", "s", "sr"]),

@@ -4,8 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
-from sepcont.functions import Constant, GridMemo, OnesDiagonal, SubbasicNbhd, TableFunction
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
+from sepcont.functions import (
+    Constant,
+    CylinderDiagonal,
+    GridMemo,
+    OnesDiagonal,
+    PostCompose,
+    SubbasicNbhd,
+    TableFunction,
+    image,
+    uniform_dist,
+)
 from sepcont.groups import get_group
 from sepcont.uniform import (
     BallQuery,
@@ -13,8 +23,9 @@ from sepcont.uniform import (
     closure_probe,
     problem3_check,
 )
-from sepcont.zerodim import ZerodimPipeline
+from sepcont.zerodim import build_tower
 from grid import grid_points
+from sym3 import S3_LEFT
 
 DYADIC = get_group("dyadic")
 REAL = get_group("real")
@@ -99,7 +110,9 @@ class TestBallMembership:
 
 
 MEMBER_4 = SubbasicNbhd(CantorPoint.parse("11110(0)"), CantorPoint.parse("11110(0)"), frozenset(), "m4")
+BLOCKS = SubbasicNbhd(ClopenSet.parse("{0,10}"), CantorPoint.parse("110(0)"), frozenset(), "blocks")
 B = DYADIC.parse_element("01(0)")
+C = DYADIC.parse_element("11(0)")
 STAGE_POOL = (
     DIAG,
     Constant(E),
@@ -108,6 +121,26 @@ STAGE_POOL = (
     OnesDiagonal((A, B)),
     OnesDiagonal((E,), prefix=(B,)),
     TableFunction(1, ((A, E), (E, B))),
+)
+S3_R, S3_S, S3_SR = (S3_LEFT.parse_element(t) for t in ("r", "s", "sr"))
+S3_POOL = (
+    OnesDiagonal((S3_R,), prefix=(S3_S,)),
+    OnesDiagonal((S3_S, S3_SR)),
+    CylinderDiagonal(((Cylinder("1"), S3_R),)),
+    TableFunction(1, ((S3_R, S3_LEFT.identity()), (S3_S, S3_SR))),
+    Constant(S3_SR),
+)
+R0, R12, R34, R3 = (REAL.parse_element(t) for t in ("0/2^0", "1/2^1", "-3/2^2", "3/2^0"))
+REAL_FNS = (
+    OnesDiagonal((R12,), prefix=(R3,)),
+    TableFunction(1, ((R0, R34), (R3, R0))),
+    Constant(R34),
+)
+# (functions of f, values of the stage maps) per group.
+GROUP_CASES = (
+    (STAGE_POOL, (E, A, B, C, DYADIC.parse_element("(1)"))),
+    (S3_POOL, tuple(S3_LEFT.dense_enumeration(0))),
+    (REAL_FNS, (R0, R12, R34, R3, REAL.parse_element("1/2^3"))),
 )
 
 
@@ -134,22 +167,36 @@ def some_stage_settles(f, stages, probes, levels):
     return True
 
 
+@st.composite
+def stage_maps(draw, cases=GROUP_CASES):
+    """f from one group's pool and one to four maps over image(f), each
+    random or constant."""
+    fns, values = draw(st.sampled_from(cases))
+    f = draw(st.sampled_from(fns))
+    img = image(f)
+    one_map = st.one_of(
+        st.lists(st.sampled_from(values), min_size=len(img), max_size=len(img))
+        .map(lambda vs: dict(zip(img, vs))),
+        st.sampled_from(values).map(lambda c: dict.fromkeys(img, c)),
+    )
+    return f, draw(st.lists(one_map, min_size=1, max_size=4))
+
+
 class TestClosureProbe:
-    def make_stages(self, n_max=4):
-        pipe = ZerodimPipeline(DIAG, n_max=n_max)
-        stages = [pipe.quantized(n) for n in range(n_max + 1)]
+    def make_stages(self, f, n_max=4):
+        stages = build_tower(f, n_max)[2]
         schedule = [Fraction(1, 2**n) for n in range(n_max + 1)]
         return stages, schedule
 
     def test_constant_stages_pass(self):
         f = Constant(A)
-        stages = [Constant(A)] * 4
+        stages = [{A: A}] * 4
         schedule = [Fraction(1, 2**n) for n in range(4)]
         rep = closure_probe(f, stages, schedule, PROBES, [1, 2])
         assert rep.passed and rep.failed_stage is None
 
     def test_tower_stages_within_schedule(self):
-        stages, schedule = self.make_stages()
+        stages, schedule = self.make_stages(DIAG)
         rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2])
         assert rep.passed
         for row in rep.stages:
@@ -157,14 +204,14 @@ class TestClosureProbe:
             assert row.dist_r <= Fraction(1, 2**row.stage)
 
     def test_corrupted_stage_fails_with_index(self):
-        stages, schedule = self.make_stages()
-        stages[3] = Constant(A)  # distance 1/2 at stage 3
+        stages, schedule = self.make_stages(DIAG)
+        stages[3] = dict.fromkeys(image(DIAG), A)  # distance 1/2 at stage 3
         rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2])
         assert not rep.passed
         assert rep.failed_stage == 3
 
     def test_schedule_length_mismatch(self):
-        stages, schedule = self.make_stages()
+        stages, schedule = self.make_stages(DIAG)
         with pytest.raises(ValueError):
             closure_probe(DIAG, stages, schedule[:-1], PROBES, [1])
 
@@ -173,30 +220,64 @@ class TestClosureProbe:
             closure_probe(DIAG, [], [], PROBES, [1])
 
     def test_last_stage_off_a_probe_fails_the_diagonal(self):
-        # The last stage, the schema cut off after four members, is the
-        # identity on member 4 = [11110], where f is A.  Its distance 1/2
-        # there fails the stage's radius; with radius 1 every stage is
-        # within, and the probe through member 4 fails the diagonal.
-        stages, schedule = self.make_stages()
-        stages[-1] = OnesDiagonal((E,), prefix=(A,) * 4)
-        rep = closure_probe(DIAG, stages, schedule, PROBES, [1, 2])
+        # f takes C on member 4 = [11110] alone, so a last map that moves C
+        # to E changes f on member 4 only.  Its distance 1/2 there fails the
+        # stage's radius; with radius 1 every stage is within, and the probe
+        # through member 4 fails the diagonal.
+        f = OnesDiagonal((A,), prefix=(A,) * 4 + (C,))
+        stages, schedule = self.make_stages(f)
+        stages[-1] = {**stages[-1], C: E}
+        rep = closure_probe(f, stages, schedule, PROBES, [1, 2])
         assert rep.failed_stage == 4 and rep.stages[4].dist_l == Fraction(1, 2)
         wide = [Fraction(1)] * len(stages)
-        rep = closure_probe(DIAG, stages, wide, PROBES + [MEMBER_4], [1, 2])
+        rep = closure_probe(f, stages, wide, PROBES + [MEMBER_4], [1, 2])
         assert rep.failed_stage is None and all(row.within for row in rep.stages)
         assert not rep.diagonal_passed and not rep.passed
-        assert closure_probe(DIAG, stages, wide, PROBES, [1, 2]).passed
+        assert closure_probe(f, stages, wide, PROBES, [1, 2]).passed
+
+    def test_stage_at_its_radius_is_within(self):
+        # d(E, A) = 1/2 on both sides: the stage sits exactly on radius 1/2.
+        rep = closure_probe(Constant(E), [{E: A}], [Fraction(1, 2)], PROBES, [1])
+        half = Fraction(1, 2)
+        assert rep.stages == ((0, half, half, half, True),)
+        assert rep.failed_stage is None and rep.passed
+
+    def test_stage_within_on_one_side_only_is_not_within(self):
+        # On the left-invariant S3, f = r and phi(r) = r s: d(r, r s) = 1/8,
+        # but d((r s)^-1, r^-1) = 1/2, so radius 1/4 admits only the l side.
+        eps = Fraction(1, 4)
+        rep = closure_probe(Constant(S3_R), [{S3_R: S3_LEFT.mul(S3_R, S3_S)}], [eps], PROBES, [1])
+        assert rep.stages == ((0, eps, Fraction(1, 8), Fraction(1, 2), False),)
+        assert rep.failed_stage == 0 and not rep.passed
 
     @given(
-        st.sampled_from(STAGE_POOL),
-        st.lists(st.sampled_from(STAGE_POOL), min_size=1, max_size=4),
+        stage_maps(GROUP_CASES[:1]),
         st.lists(st.sampled_from(PROBES + [MEMBER_4]), max_size=3),
         st.lists(st.integers(0, 4), max_size=3),
     )
-    def test_diagonal_check_is_the_settling_stage_search(self, f, stages, probes, levels):
+    def test_diagonal_check_is_the_settling_stage_search(self, case, probes, levels):
         # Radius 1 admits every stage (the metric is bounded by 1/2), so the
         # diagonal check decides the report.
-        rep = closure_probe(f, stages, [Fraction(1)] * len(stages), probes, levels)
+        f, maps = case
+        rep = closure_probe(f, maps, [Fraction(1)] * len(maps), probes, levels)
+        stages = [PostCompose(f, phi) for phi in maps]
+        assert rep.diagonal_passed == some_stage_settles(f, stages, probes, levels)
+
+    @given(
+        stage_maps(),
+        st.lists(st.sampled_from(PROBES + [MEMBER_4, BLOCKS]), max_size=3),
+        st.lists(st.integers(0, 4), max_size=3),
+    )
+    def test_map_reads_are_the_sweeps(self, case, probes, levels):
+        # Each row is the uniform sweep of f against the stage phi o f, on
+        # the dyadic group, the left-invariant S3 (where l and r differ) and
+        # the reals; the diagonal is the pointwise settling-stage search.
+        f, maps = case
+        rep = closure_probe(f, maps, [Fraction(1)] * len(maps), probes, levels)
+        stages = [PostCompose(f, phi) for phi in maps]
+        for row, g in zip(rep.stages, stages):
+            assert row.dist_l == uniform_dist(f, g, "l").value
+            assert row.dist_r == uniform_dist(f, g, "r").value
         assert rep.diagonal_passed == some_stage_settles(f, stages, probes, levels)
 
 
@@ -225,6 +306,13 @@ class TestProblem3:
         assert rep.witness is not None
         # the raw sup exceeds 1 even though the group metric caps at 1/2
         assert rep.sup_group_metric == Fraction(1, 2)
+
+    def test_sup_equal_to_bound_passes(self):
+        z0, z34 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^2")
+        f = TableFunction(1, ((z0, z34), (z34, z0)))
+        rep = problem3_check(f, Constant(REAL.parse_element("1/2^1")), Fraction(1, 2))
+        assert rep.sup_raw == rep.bound == Fraction(1, 2)
+        assert rep.within and rep.witness is None
 
     def test_requires_real_group(self):
         with pytest.raises(ValueError):

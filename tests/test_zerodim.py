@@ -315,6 +315,13 @@ class TestDiagonal:
             assert r.final_sup < r.budget
             assert r.m_l >= r.level_l
 
+    def test_level_up_to_n_max(self):
+        pipe = ZerodimPipeline(DIAG, n_max=3)
+        rep = pipe.diagonal(STANDARD_PROBES[:1], [3])
+        assert [r.level_l for r in rep.results] == [3] and 3 in rep.stage_of_level
+        with pytest.raises(ValueError, match="level 4 needs factors up to 4"):
+            pipe.diagonal(STANDARD_PROBES[:1], [4])
+
     def test_budget_l1_vacuous_but_sup_recorded(self):
         pipe = ZerodimPipeline(DIAG, n_max=3)
         rep = pipe.diagonal(STANDARD_PROBES[:1], [1])
