@@ -447,10 +447,10 @@ class GridMemo:
     found again.  A memo lives on one pipeline, one call or one ``ball``
     job and is never shared across jobs.
 
-    The op tables are keyed by value; an element caches its hash.  Key
-    lists and class lists are keyed on the identity of the functions and
-    point tuples they were built from, which their entries hold, so no id
-    is reused while the memo lives.
+    The op tables are keyed by value; elements are canonical, so a lookup
+    compares pointers.  Key lists and class lists are keyed on the identity
+    of the functions and point tuples they were built from, which their
+    entries hold, so no id is reused while the memo lives.
     """
 
     def __init__(self):

@@ -9,6 +9,9 @@ Shipped instances: the dyadic group (coordinatewise XOR on eventually
 periodic bit sequences, bi-invariant first-difference metric), finite
 groups via multiplication table (discrete metric 1/2), and the additive
 group of dyadic rationals with the metric min(|a - b|, 1/2).
+
+Elements are hash-consed (``GroupSpec.element``): one object per value,
+so equality is identity and element dicts and sets compare pointers.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from math import lcm
 from typing import Any, Iterable, NamedTuple
 
 from sepcont.cantor import ALL_ZEROS, CantorPoint, point_dist
@@ -23,26 +27,13 @@ from sepcont.errors import GroupMismatchError, NetMaximalityError
 
 
 class GroupElement:
-    """Opaque element handle; the payload representation depends on the group."""
+    """Opaque element handle, the one object of its value (``GroupSpec.element``);
+    the payload representation depends on the group."""
 
-    # ``_hash`` is a cached_property, which needs a __dict__.
-    __slots__ = ("group", "payload", "__dict__")
+    __slots__ = ("group", "payload")
 
     def __init__(self, group: "GroupSpec", payload: Any) -> None:
         self.group, self.payload = group, payload
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.group == other.group and self.payload == other.payload
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.group, self.payload))
-
-    def __hash__(self) -> int:
-        # The hash of the fields, computed once: elements key many dicts and sets.
-        return self._hash
 
     def __str__(self) -> str:
         return self.group.format_element(self)
@@ -58,10 +49,18 @@ class GroupSpec:
     _identity_payload: Any  # set by each group
 
     def element(self, payload) -> GroupElement:
-        return GroupElement(self, payload)
+        """The one element with this payload; payloads are canonical values."""
+        e = self._elements.get(payload)
+        if e is None:
+            e = self._elements[payload] = GroupElement(self, payload)
+        return e
+
+    @cached_property
+    def _elements(self) -> dict[Any, GroupElement]:
+        return {}
 
     def identity(self) -> GroupElement:
-        """The identity element: one object per group, made on first use."""
+        """The identity element: ``element`` of its payload, kept on first use."""
         return self._identity_element
 
     @cached_property
@@ -146,12 +145,10 @@ class GroupSpec:
 
 
 def _xor_points(a: CantorPoint, b: CantorPoint) -> CantorPoint:
-    from math import lcm
-
     pre = max(len(a.preperiod), len(b.preperiod))
-    per = lcm(len(a.period), len(b.period))
-    bits = [str(a.bit(i) ^ b.bit(i)) for i in range(pre + per)]
-    return CantorPoint("".join(bits[:pre]), "".join(bits[pre:]))
+    n = pre + lcm(len(a.period), len(b.period))
+    bits = format(int(a.prefix(n), 2) ^ int(b.prefix(n), 2), f"0{n}b")
+    return CantorPoint(bits[:pre], bits[pre:])
 
 
 class DyadicGroup(GroupSpec):

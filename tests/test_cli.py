@@ -22,7 +22,7 @@ from sepcont.functions import (
     PointwiseProduct,
     PostCompose,
 )
-from sepcont.groups import get_group
+from sepcont.groups import SeparatedNet, get_group
 from sepcont.uniform import BallQuery, ball_membership
 from sepcont.zerodim import ZerodimPipeline
 from grid import grid_points
@@ -355,6 +355,16 @@ class TestExitCodes:
         rows = list(csv.DictReader(open(out / "zerodim.csv")))
         assert [r["cond3"] for r in rows] == ["1", "1", "1", "0"]
         assert [r["pass"] for r in rows] == ["1", "1", "0", "0"]
+
+    def test_nets_fail_when_one_net_is_not_maximal(self, tmp_path, monkeypatch):
+        # Only net(2) fails its maximality check: the run and its row fail.
+        monkeypatch.setattr(SeparatedNet, "check_maximality", lambda net: net.scale_index != 2)
+        out = tmp_path / "rep"
+        args = ["nets", "--config", str(CONFIGS / "diag-dyadic.cfg"), "--out", str(out)]
+        assert main(args) == 1
+        assert json.loads((out / "manifest.json").read_text())["summary"]["passed"] is False
+        rows = list(csv.DictReader(open(out / "nets.csv")))
+        assert [r["maximality_ok"] for r in rows] == ["1", "1", "0", "1"]
 
     @pytest.mark.parametrize("command", ["approx-zerodim", "closure-probe"])
     def test_empty_levels_exit_two(self, tmp_path, command, capsys):

@@ -286,14 +286,14 @@ class TestNearest:
 
 
 class TestElementHash:
+    # Elements are hash-consed: one object per value, so equality is identity.
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-    def test_hash_is_the_field_hash_and_text_is_unchanged(self, group):
+    def test_one_object_per_value_and_text_is_unchanged(self, group):
         for e in group.dense_enumeration(3):
-            twin = group.element(e.payload)
-            assert hash(e) == hash(twin) == hash((group, e.payload))
-            assert e == twin and e is not twin
+            assert group.element(e.payload) is e
+            assert group.parse_element(str(e)) is group.parse_element(str(e)) is e
             assert repr(e) == f"<{group.name}:{e}>" and str(e) == group.format_element(e)
-            assert {e: 1}[twin] == 1
+            assert {e: 1}[group.element(e.payload)] == 1
 
 
 class TestIdentity:
@@ -313,8 +313,7 @@ class TestIdentity:
         e = group.identity()
         assert e is group.identity()
         assert e.group is group
-        twin = group.element(payload)
-        assert e == twin and hash(e) == hash(twin) == hash((group, payload))
+        assert group.element(payload) is e
         assert str(e) == text and repr(e) == f"<{group.name}:{text}>"
         assert group.mul(e, e) == e
 
@@ -322,6 +321,8 @@ class TestIdentity:
         c5 = get_group("cyclic:5")
         assert C3.identity() is not c5.identity()
         assert C3.identity().group is C3 and c5.identity().group is c5
+        # Equal payloads of two groups are two elements, and unequal.
+        assert C3.element(0) is not c5.element(0) and C3.element(0) != c5.element(0)
 
 
 class TestRealGroup:

@@ -14,8 +14,10 @@ methods are called by the language and are not checked.  Every function
 and method the benchmark's tracer wraps by name exists where the tracer
 looks for it.
 
-Only the value types (points, cylinders, clopen sets and group elements)
-define ``__eq__`` or ``__hash__``; every other class compares by identity.
+Only the value types (points, cylinders and clopen sets) define ``__eq__``
+or ``__hash__``; every other class compares by identity.  Group elements
+are hash-consed, one object per value: ``GroupElement`` is called only
+inside ``GroupSpec.element``.
 
 No module names the retired ``grid_depth`` setting, in code or in a
 docstring, apart from its entry among the accepted config keys, so it
@@ -188,7 +190,7 @@ def test_unreferenced_definition_is_reported():
     assert set(unreferenced_definitions(defining, referencing)) == {("order", 10), ("orphan", 12)}
 
 
-VALUE_TYPES = {"CantorPoint", "Cylinder", "ClopenSet", "GroupElement"}
+VALUE_TYPES = {"CantorPoint", "Cylinder", "ClopenSet"}
 
 
 def classes_defining_equality(source):
@@ -220,6 +222,53 @@ def test_stray_equality_is_reported():
         "        return 0\n"
     )
     assert classes_defining_equality(source) == {"Point", "Cell"}
+
+
+def element_constructions(source):
+    """(class, function, line) for each call of ``GroupElement``, by the
+    innermost enclosing class and function (None at module level)."""
+    out = []
+
+    def visit(node, cls, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+                continue
+            if isinstance(child, ast.Call) and _named(child.func, "GroupElement"):
+                out.append((cls, function, child.lineno))
+            visit(child, cls, function)
+
+    visit(ast.parse(source), None, None)
+    return out
+
+
+def test_only_group_spec_element_makes_elements():
+    # One object per value holds only while no other code makes an element.
+    made = {
+        (path.name, cls, function)
+        for path in REFERENCE_FILES
+        for cls, function, _ in element_constructions(path.read_text())
+    }
+    assert made == {("groups.py", "GroupSpec", "element")}
+
+
+def test_stray_element_construction_is_reported():
+    source = (
+        "class GroupSpec:\n"
+        "    def element(self, payload):\n"
+        "        return GroupElement(self, payload)\n"
+        "    def twin(self, e):\n"
+        "        return groups.GroupElement(self, e.payload)\n"
+        "ONE = GroupElement(None, 0)\n"
+        "class GroupElement:\n"
+        "    pass\n"
+    )
+    assert element_constructions(source) == [
+        ("GroupSpec", "element", 3), ("GroupSpec", "twin", 5), (None, None, 6),
+    ]
 
 
 RETIRED_SETTING = "grid_depth"

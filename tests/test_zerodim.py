@@ -150,6 +150,16 @@ class TestQuantizerTower:
             assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level)
             assert r.cond3
 
+    @pytest.mark.parametrize("shift, ok", [("01(0)", True), ("1(0)", False)])
+    def test_cond2_holds_at_its_bound(self, shift, ok):
+        # r_2 replaced by z -> z * shift moves every value by d(0, shift):
+        # exactly 2^-2 for 01(0), so cond2 holds at equality, and 1/2 for 1(0).
+        pipe = ZerodimPipeline(DIAG, n_max=3)
+        s = DYADIC.parse_element(shift)
+        pipe.tower[2] = {z: DYADIC.mul(z, s) for z in pipe.sample}
+        row = pipe.condition_rows()[2]
+        assert row.cond2_sup == DYADIC.dist(E, s) and row.cond2_ok is ok
+
     def test_conditions_on_deep_dyadic_sample(self):
         # image sample at depth 5: all elements with support in [0, 5),
         # the image of a depth-3 table that holds each twice
