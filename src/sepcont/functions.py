@@ -20,24 +20,22 @@ singleton, so every probe reads one section partition), the uniform
 distance and the kernel behind every sup a check takes:
 
 * ``GridMemo.exact_points`` — a finite point set, read off the leaves,
-  that meets every value class of a check's functions on a side;
-* ``GridMemo.classes`` and ``SepFunction.class_values`` — the points of
-  a rectangle grouped into classes on which the functions of a check are
-  constant (one depth-D cell, D the deepest table leaf, and one value of
-  every other leaf), and each function's value per class, the one
-  lowering of a combinator tree onto a grid;
+  that meets every value class of a check's functions on a side: a few
+  points per side, 2^D + P on the whole square;
+* ``SepFunction.grid_values`` — a function's values on the points of a
+  rectangle xs x ys, x-major, the one lowering of a combinator tree onto
+  a grid;
 * ``DiagonalIndicator.axis_key`` and ``pair_value`` — a diagonal leaf
   read one axis at a time, through the index of the member holding each
-  coordinate: the classes are built per pair of axis classes, not per
-  point;
+  coordinate, so its values on a rectangle take one key per point;
 * ``GridMemo.pairwise`` — an operation on two zipped value lists, run
   once per distinct pair of values;
 * ``grid_sup`` — the max of an operation over a rectangle, run once per
-  class, with its first x-major witness; ``exact_sup`` takes it over the
-  exact points of the whole square or of a probe rectangle, whose one
-  side is a singleton;
+  distinct pair of values, with its first x-major witness; ``exact_sup``
+  takes it over the exact points of the whole square or of a probe
+  rectangle, whose one side is a singleton;
 * ``image`` — the values a function takes, f(X x Y) itself, read off the
-  classes of the exact points of the square;
+  exact points of the square;
 * ``product_chain`` — the ordered product of tables, folded into one
   table.
 """
@@ -100,14 +98,10 @@ class SepFunction:
         """The leaves of the combinator tree, left to right."""
         return (self,)
 
-    def class_values(self, classes: "GridClasses", memo: "GridMemo") -> list[GroupElement]:
-        """The value on each class of ``classes``, in class order.
-
-        The classes come from ``memo.classes`` over a list of functions that
-        includes this one, so the function is constant on each class.  A leaf
-        other than a table or a constant reads the values the classes were
-        built from; the list is shared, so do not mutate it."""
-        return classes.leaf_values[id(self)]
+    def grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
+        """The value at each point of xs x ys, x-major.  The list may be
+        one the memo keeps, so do not mutate it."""
+        raise NotImplementedError
 
 
 def _merged(pieces: Iterable[tuple[GroupElement, ClopenSet]]) -> dict[GroupElement, ClopenSet]:
@@ -137,8 +131,8 @@ class Constant(SepFunction):
     def values_on_rect(self, u, v):
         return frozenset((self.value,))
 
-    def class_values(self, classes, memo):
-        return [self.value] * len(classes.firsts)
+    def grid_values(self, xs, ys, memo):
+        return [self.value] * (len(xs) * len(ys))
 
 
 class TableFunction(SepFunction):
@@ -175,9 +169,10 @@ class TableFunction(SepFunction):
         rows, cols = u.cell_range(self.depth), v.cell_range(self.depth)
         return frozenset(self.values[i][j] for i in rows for j in cols)
 
-    def class_values(self, classes, memo):
-        shift, values = classes.depth - self.depth, self.values
-        return [values[i >> shift][j >> shift] for i, j in classes.cells]
+    def grid_values(self, xs, ys, memo):
+        cols = memo.cells(ys, self.depth)
+        return [row[j] for row in map(self.values.__getitem__, memo.cells(xs, self.depth))
+                for j in cols]
 
 
 class DiagonalIndicator(SepFunction):
@@ -198,6 +193,9 @@ class DiagonalIndicator(SepFunction):
 
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.pair_value(self.axis_key(x), self.axis_key(y))
+
+    def grid_values(self, xs, ys, memo):
+        return memo.leaf_values(self, xs, ys)
 
     def pair_value(self, a: int | None, b: int | None) -> GroupElement:
         """The value at points whose axis keys, member indices or None, are a
@@ -328,8 +326,8 @@ class PostCompose(SepFunction):
     def _leaves(self):
         return self.inner._leaves()
 
-    def class_values(self, classes, memo):
-        return list(map(self.mapping.__getitem__, self.inner.class_values(classes, memo)))
+    def grid_values(self, xs, ys, memo):
+        return list(map(self.mapping.__getitem__, self.inner.grid_values(xs, ys, memo)))
 
 
 class PointwiseInverse(SepFunction):
@@ -355,8 +353,11 @@ class PointwiseInverse(SepFunction):
     def _leaves(self):
         return self.inner._leaves()
 
-    def class_values(self, classes, memo):
-        return list(map(self.group.inv, self.inner.class_values(classes, memo)))
+    def grid_values(self, xs, ys, memo):
+        """inv runs once per distinct value, however many points take it."""
+        inner = self.inner.grid_values(xs, ys, memo)
+        inverse = {z: self.group.inv(z) for z in set(inner)}
+        return list(map(inverse.__getitem__, inner))
 
 
 class PointwiseProduct(SepFunction):
@@ -392,8 +393,8 @@ class PointwiseProduct(SepFunction):
     def _leaves(self):
         return self.left._leaves() + self.right._leaves()
 
-    def class_values(self, classes, memo):
-        left, right = self.left.class_values(classes, memo), self.right.class_values(classes, memo)
+    def grid_values(self, xs, ys, memo):
+        left, right = self.left.grid_values(xs, ys, memo), self.right.grid_values(xs, ys, memo)
         return memo.pairwise(self.group.mul, left, right)
 
 
@@ -441,30 +442,31 @@ class GridMemo:
     A sweep meets only a few distinct group elements, so every binary
     operation a sweep runs (group ``mul``, ``dist``, a ball test) goes
     through ``pairwise``, which keeps one table per operation and runs it
-    once per distinct pair of values.  ``classes`` keeps each class list of
-    a rectangle and each leaf's axis keys per point list, and
-    ``exact_points`` hands out one point tuple per point set so those are
-    found again.  A memo lives on one pipeline, one call or one ``ball``
-    job and is never shared across jobs.
+    once per distinct pair of values.  ``cells`` keeps the cell indices of
+    a point tuple per depth and ``leaf_values`` a diagonal leaf's values
+    per rectangle, and ``exact_points`` hands out one point tuple per point
+    set so those are found again.  A memo lives on one pipeline, one call
+    or one ``ball`` job and is never shared across jobs.
 
     The op tables are keyed by value; elements are canonical, so a lookup
-    compares pointers.  Key lists and class lists are keyed on the identity
-    of the functions and point tuples they were built from, which their
+    compares pointers.  Cell and leaf value lists are keyed on the identity
+    of the leaves and point tuples they were built from, which their
     entries hold, so no id is reused while the memo lives.
     """
 
     def __init__(self):
         self._points: dict[tuple, tuple[CantorPoint, ...]] = {}
         self._tables: dict[object, dict[tuple, object]] = {}
-        self._axis_keys: dict[tuple[int, int], tuple] = {}
-        self._classes: dict[tuple, tuple] = {}
+        self._cells: dict[tuple[int, int], tuple] = {}
+        self._leaf_values: dict[tuple[int, int, int], tuple] = {}
 
     def exact_points(self, fns: Iterable[SepFunction],
                      side: ClopenSet | CantorPoint = ClopenSet.whole(),
                      fixed: CantorPoint | None = None) -> tuple[CantorPoint, ...]:
         """Points of ``side`` that meet every value class of fns on it, in
         lexicographic order, so a max over them is the sup over the side;
-        one kept tuple per point set, so its class lists are found again.
+        one kept tuple per point set, so its cell and leaf value lists are
+        found again.
 
         A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``:
         the representative (prefix, then 0^w) of each cylinder of side, cut
@@ -505,67 +507,24 @@ class GridMemo:
             out.append(c)
         return out
 
-    def classes(self, fns: Iterable[SepFunction], xs, ys) -> "GridClasses":
-        """A partition of xs x ys on which every function in fns is constant.
+    def cells(self, pts, depth: int) -> list[int]:
+        """The index of the depth-``depth`` cell holding each point of pts,
+        once per (pts, depth)."""
+        key = (id(pts), depth)
+        if key not in self._cells:
+            self._cells[key] = pts, [_cell(p, depth) for p in pts]
+        return self._cells[key][1]
 
-        Two points share a class when they lie in one depth-D cell, D the
-        depth of the deepest table among the leaves of fns, and every leaf
-        that is neither a table nor a constant has equal values at both.
-        Built once per (such leaves, D, xs, ys) for as long as the memo
-        lives, from each such leaf's axis keys."""
-        leaves = {id(leaf): leaf for fn in fns for leaf in fn._leaves()}.values()
-        depth = max((t.depth for t in leaves if isinstance(t, TableFunction)), default=0)
-        others = [v for v in leaves if not isinstance(v, (TableFunction, Constant))]
-        key = (tuple(sorted(map(id, others))), depth, id(xs), id(ys))
-        if key not in self._classes:
-            # The entry holds the leaves, xs and ys, so their ids stay unique.
-            self._classes[key] = others, xs, ys, self._build_classes(others, depth, xs, ys)
-        return self._classes[key][3]
-
-    def _keys(self, leaf: SepFunction, pts) -> list:
-        """leaf.axis_key at each point of pts, once per (leaf, pts)."""
-        key = (id(leaf), id(pts))
-        if key not in self._axis_keys:
-            self._axis_keys[key] = leaf, pts, list(map(leaf.axis_key, pts))
-        return self._axis_keys[key][2]
-
-    def _axis_classes(self, others, depth: int, pts) -> dict[tuple, int]:
-        """The points of pts with one depth-D cell and one axis key of every
-        leaf, as {(cell, *keys): first index}, in order of first index."""
-        first: dict[tuple, int] = {}
-        cells = [_cell(p, depth) for p in pts]
-        for i, k in enumerate(zip(cells, *(self._keys(v, pts) for v in others))):
-            first.setdefault(k, i)
-        return first
-
-    def _build_classes(self, others, depth: int, xs, ys) -> "GridClasses":
-        # Every leaf is constant on each pair of axis classes; pairs with one
-        # cell pair and equal leaf values merge.  Axis classes come in order
-        # of their first points, so the pairs run x-major by first point and
-        # each class keeps its first point.
-        ax, ay = self._axis_classes(others, depth, xs), self._axis_classes(others, depth, ys)
-        pairs = [(a, b) for a in ax for b in ay]
-        columns = [[v.pair_value(a[n], b[n]) for a, b in pairs] for n, v in enumerate(others, 1)]
-        starts = [i * len(ys) + j for i in ax.values() for j in ay.values()]
-        first: dict[tuple, int] = {}
-        for key, k in zip(zip([(a[0], b[0]) for a, b in pairs], *columns), starts):
-            first.setdefault(key, k)
-        keys = list(first)
-        leaf_values = {id(v): [k[n] for k in keys] for n, v in enumerate(others, 1)}
-        return GridClasses(depth, list(first.values()), [k[0] for k in keys], leaf_values)
-
-
-class GridClasses(NamedTuple):
-    """Classes of xs x ys (see ``GridMemo.classes``) in x-major order of
-    their first points: ``firsts`` holds each class's first x-major index
-    into xs x ys, ``cells`` its (x, y) cell indices at ``depth`` and
-    ``leaf_values`` the value of every leaf other than a table or a
-    constant per class, by the id of the leaf."""
-
-    depth: int
-    firsts: list[int]
-    cells: list[tuple[int, int]]
-    leaf_values: dict[int, list[GroupElement]]
+    def leaf_values(self, leaf: DiagonalIndicator, xs, ys) -> list[GroupElement]:
+        """leaf's values on xs x ys, x-major, once per (leaf, xs, ys): its
+        axis key at each point, then its value at each pair of keys."""
+        key = (id(leaf), id(xs), id(ys))
+        if key not in self._leaf_values:
+            kx = list(map(leaf.axis_key, xs))
+            ky = kx if ys is xs else list(map(leaf.axis_key, ys))
+            values = [leaf.pair_value(a, b) for a in kx for b in ky]
+            self._leaf_values[key] = leaf, xs, ys, values
+        return self._leaf_values[key][3]
 
 
 class SubbasicNbhd:
@@ -626,15 +585,13 @@ def grid_sup(
     """The max of op(f(p), g(p)) over p in xs x ys and the first point p,
     x-major, that attains it; (0, None) on an empty rectangle.
 
-    f and g are constant on each of ``memo.classes((f, g), xs, ys)``, so op
-    runs once per class, through ``memo.pairwise``, and the witness is the
-    first point of the first class, in x-major order, that attains the max."""
-    classes = memo.classes((f, g), xs, ys)
-    values = memo.pairwise(op, f.class_values(classes, memo), g.class_values(classes, memo))
+    op runs through ``memo.pairwise``, so once per distinct pair of values
+    however many points take it."""
+    values = memo.pairwise(op, f.grid_values(xs, ys, memo), g.grid_values(xs, ys, memo))
     if not values:
         return Fraction(0), None
     best = max(values)
-    i, j = divmod(classes.firsts[values.index(best)], len(ys))
+    i, j = divmod(values.index(best), len(ys))
     return best, (xs[i], ys[j])
 
 
@@ -652,14 +609,13 @@ def exact_sup(op, f: SepFunction, g: SepFunction, memo: GridMemo,
 
 
 def image(f: SepFunction, memo: GridMemo | None = None) -> tuple[GroupElement, ...]:
-    """f(X x Y) in canonical order: f's values on the classes of the exact
-    points of the square, which meet every value class of f.  ``memo`` may
-    be shared with the checks of one pipeline or job, which then find its
-    points and classes again; a fresh memo gives the same image."""
+    """f(X x Y) in canonical order: f's values on the exact points of the
+    square, which meet every value class of f.  ``memo`` may be shared with
+    the checks of one pipeline or job, which then find its points and leaf
+    values again; a fresh memo gives the same image."""
     memo = memo if memo is not None else GridMemo()
     pts = memo.exact_points((f,))
-    values = f.class_values(memo.classes((f,), pts, pts), memo)
-    return tuple(f.group.sort_canonically(set(values)))
+    return tuple(f.group.sort_canonically(set(f.grid_values(pts, pts, memo))))
 
 
 def uniform_dist(

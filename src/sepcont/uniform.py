@@ -54,11 +54,11 @@ def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
 
     l: d(1, f^-1 g) < eps everywhere; r: with g f^-1; lr: both; rl: some
     u, u' with d(1, u), d(1, u') < eps and g = u f u', decided exactly by
-    ``two_sided_member``.  The test runs once per value class (see
-    ``exact_sup``); the witness is the first failing exact point, x-major.
-    ``memo`` may be shared by the queries of one job, which then build
-    each point set, each leaf's axis keys and each class list once; a
-    fresh memo gives the same result.
+    ``two_sided_member``.  The test runs once per distinct pair of values
+    (see ``exact_sup``); the witness is the first failing exact point,
+    x-major.  ``memo`` may be shared by the queries of one job, which then
+    build each point set and each leaf's values on it once; a fresh memo
+    gives the same result.
     """
     memo = memo if memo is not None else GridMemo()
     # True > False, so the max is True when some point fails, and the

@@ -138,7 +138,7 @@ class ZerodimPipeline:
     """End-to-end construction for one function: sample (f's image), nets,
     quantizer tower, factors, and the diagonal sequence.  One memo
     serves every sweep, the image and the factor engines: a factor phi_n o f
-    has f's leaves, so its image maps f's class list."""
+    has f's leaves, so its image maps f's leaf values."""
 
     def __init__(self, f: SepFunction, n_max: int):
         self.f = f

@@ -148,8 +148,8 @@ class TestGrammarLeaves:
         ],
     )
     def test_every_leaf_is_a_table_a_constant_or_a_diagonal(self, text, tmp_path):
-        # The class build reads every other leaf through the diagonal's
-        # axis keys, so no grammar form may build any other leaf.
+        # grid_values reads every other leaf through the diagonal's axis
+        # keys, so no grammar form may build any other leaf.
         (tmp_path / "t.csv").write_text("(0),1(0)\n1(0),(0)\n", encoding="utf-8")
         leaves = parse_function(text, DYADIC, tmp_path)._leaves()
         assert all(isinstance(v, (TableFunction, Constant, DiagonalIndicator)) for v in leaves)

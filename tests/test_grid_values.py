@@ -1,15 +1,16 @@
 """The grid kernel against pointwise evaluation.
 
-Every sweep in the zerodim and uniform layers is a ``grid_sup`` over value
-classes, which lowers a combinator tree through ``class_values``; the
-classes are built per axis from the axis keys of the leaves (a diagonal
-indicator reads each point's member index once).  The brute-force loops below evaluate
+Every sweep in the zerodim and uniform layers is a ``grid_sup`` over the
+points of a rectangle, which lowers a combinator tree through
+``grid_values``; a diagonal indicator's values are read per axis, one
+member index per point.  The brute-force loops below evaluate
 pointwise, the way the sweeps did before the kernel (ball membership with
 its early exit, the diagonal's final budget with its last failing point as
 witness), and are kept as the reference; the two-sided ball test is
 checked against a brute search over u.  The same random combinator trees
-also check that every point of every class takes its class's values
-pointwise, that a product with a constant answers structural queries as
+also check that ``grid_values`` is the pointwise value at every point of
+a rectangle, that the exact points of the square number 2^D + P, that a
+product with a constant answers structural queries as
 the finite map it equals, that
 ``grid_sup`` gives the pointwise max and witness, that
 ``product_chain``'s folded tables equal the unfolded product chains of
@@ -45,7 +46,6 @@ from sepcont.functions import (
     SepFunction,
     SubbasicNbhd,
     TableFunction,
-    _cell,
     exact_sup,
     grid_sup,
     image,
@@ -148,7 +148,7 @@ perturbed_pairs = st.sampled_from(POOLS).flatmap(_perturbed)
 
 def _two_indicators(pool):
     """f holds a finite-family and a ones-schema indicator around a random
-    tree, so its value classes are keyed on two leaf values; g is any tree."""
+    tree, so its values read two diagonal leaves; g is any tree."""
 
     def pair(t, d1, vals, g):
         d2 = OnesDiagonal(tuple(vals))
@@ -187,33 +187,10 @@ def brute_values(f, xs, ys):
     return [f.eval(x, y) for x in xs for y in ys]
 
 
-def class_of_each_point(fns, classes, xs, ys):
-    """The class index of every point of xs x ys, x-major, found from the
-    point's cells and the pointwise values of the leaves the classes are
-    keyed on; a KeyError if some point has no class."""
-    leaves = {id(v): v for fn in fns for v in fn._leaves()}.values()
-    others = [v for v in leaves if not isinstance(v, (TableFunction, Constant))]
-    index = {
-        (cells, tuple(classes.leaf_values[id(v)][k] for v in others)): k
-        for k, cells in enumerate(classes.cells)
-    }
-    depth = classes.depth
-    return [
-        index[(_cell(x, depth), _cell(y, depth)), tuple(v.eval(x, y) for v in others)]
-        for x in xs
-        for y in ys
-    ]
-
-
-def check_classes(fns, xs, ys, memo):
-    """Every point of every class takes its class's value of each function
-    pointwise, and each class's first index is its first point, x-major."""
-    classes = memo.classes(fns, xs, ys)
-    owner = class_of_each_point(fns, classes, xs, ys)
-    assert classes.firsts == [owner.index(k) for k in range(len(classes.firsts))]
+def check_values(fns, xs, ys, memo):
+    """Each function's grid values on xs x ys are its pointwise values."""
     for f in fns:
-        values = f.class_values(classes, memo)
-        assert [values[k] for k in owner] == brute_values(f, xs, ys)
+        assert f.grid_values(xs, ys, memo) == brute_values(f, xs, ys)
 
 
 def brute_two_sided(group, a, b, eps):
@@ -397,16 +374,16 @@ def brute_diagonal(pipe, probes, levels):
 class TestGridValues:
     @given(functions, point_lists, point_lists)
     def test_equals_pointwise_eval(self, f, xs, ys):
-        check_classes((f,), xs, ys, GridMemo())
+        check_values((f,), xs, ys, GridMemo())
 
     @given(function_pairs, point_lists)
     def test_shared_memo_keeps_values_apart(self, fg, pts):
         f, g = fg
         memo = GridMemo()
-        check_classes((PointwiseProduct(f, g),), pts, OFF_GRID, memo)
-        check_classes((f,), pts, OFF_GRID, memo)
-        check_classes((g,), OFF_GRID, pts, memo)
-        check_classes((f, g), pts, pts, memo)
+        check_values((PointwiseProduct(f, g),), pts, OFF_GRID, memo)
+        check_values((f,), pts, OFF_GRID, memo)
+        check_values((g,), OFF_GRID, pts, memo)
+        check_values((f, g), pts, pts, memo)
 
     @given(
         st.sampled_from(POOLS),
@@ -415,7 +392,7 @@ class TestGridValues:
         st.sampled_from(OFF_GRID + (CantorPoint.parse("(0)"), CantorPoint.parse("10(1)"))),
     )
     def test_diagonal_reads_each_axis_once(self, pool, prefixes, ones, y):
-        # The class build reads the axis key of every x and every y once,
+        # The leaf values read the axis key of every x and every y once,
         # however many points share the row or column.
         if ones:
             identity = pool[0].group.identity()
@@ -427,14 +404,14 @@ class TestGridValues:
         object.__setattr__(f, "axis_key", lambda p: calls.append(p) or axis_key(p))
         xs, ys = grid_points(3), (y,) + OFF_GRID
         memo = GridMemo()
-        classes = memo.classes((f,), xs, ys)
+        values = f.grid_values(xs, ys, memo)
+        assert f.grid_values(xs, ys, memo) is values
         assert len(calls) == len(xs) + len(ys)
-        check_classes((f,), xs, ys, memo)
-        assert memo.classes((f,), xs, ys) is classes
+        assert values == brute_values(f, xs, ys)
 
     def test_values_computed_once_per_memo(self):
-        # axis_key runs once per point per memo: a second class list over the
-        # same points, with a table that deepens the cells, reuses the keys.
+        # axis_key runs once per point per memo: a product with a table over
+        # the same points reuses the leaf's values.
         f = OnesDiagonal(tuple(POOLS[0][1:3]))
         calls = []
         axis_key = f.axis_key
@@ -443,21 +420,23 @@ class TestGridValues:
         pts = memo.exact_points((f, OnesDiagonal(tuple(POOLS[0][:2]))))
         assert memo.exact_points((f,)) is pts
         table = TableFunction(1, ((POOLS[0][0],) * 2,) * 2)
-        assert memo.classes((f,), pts, pts) is memo.classes((f,), pts, pts)
-        assert memo.classes((f, table), pts, pts).depth == 1
+        assert f.grid_values(pts, pts, memo) is f.grid_values(pts, pts, memo)
+        product_values = PointwiseProduct(f, table).grid_values(pts, pts, memo)
         assert len(calls) == len(pts)
+        assert product_values == brute_values(PointwiseProduct(f, table), pts, pts)
 
     def test_equal_values_share_a_class(self):
-        # The schedule repeats 1(0) and 01(0) as separate objects; classes
-        # key on values, so the exact points, 1^k 0^w for k in [0, 4], have
-        # three: the identity off the diagonal blocks, and one per value on
+        # The schedule repeats 1(0) and 01(0), parsed apart; elements are
+        # canonical, so the exact points, 1^k 0^w for k in [0, 4], take three
+        # values: the identity off the diagonal blocks, and one per value on
         # them.
         f = parse_function("diag ones 1(0),01(0),1(0),01(0)", DYADIC, CONFIGS)
         memo = GridMemo()
         pts = memo.exact_points((f,))
         assert pts == tuple(CantorPoint("1" * k) for k in range(5))
-        assert len(memo.classes((f,), pts, pts).firsts) == 3
-        check_classes((f,), pts, pts, memo)
+        values = f.grid_values(pts, pts, memo)
+        assert values == brute_values(f, pts, pts)
+        assert len(set(values)) == 3
 
 
 def raw_diff(a, b):
@@ -558,7 +537,8 @@ class TestKernel:
         f, g = fg
         xs, ys = rect
         memo = GridMemo()
-        # The dist sweep first: both ops then share the memo's classes.
+        # The dist sweep first: both ops then share the memo's cells and
+        # leaf values.
         grid_sup(REAL.dist, f, g, xs, ys, memo)
         assert grid_sup(raw_diff, f, g, xs, ys, memo) == brute_sup(raw_diff, f, g, xs, ys)
 
@@ -766,16 +746,18 @@ class TestWorkCounts:
         pipe = ZerodimPipeline(exp.function, exp.n_max)
         for n in range(exp.n_max + 1):
             pipe.factor(n)  # its finite map phi_n multiplies once, before the diagonal
-        builds, folds = [], []
+        reads, folds = [], []
         mul_calls = [0]
-        build, fold = GridMemo._build_classes, functions_module._table_product
+        leaf_values, fold = GridMemo.leaf_values, functions_module._table_product
         mul = type(pipe.group).mul
 
-        def counted_build(memo, others, depth, xs, ys):
-            # A whole-square sweep of f: its points are one kept tuple.
-            if xs is ys and any(v is pipe.f for v in others):
-                builds.append((depth, id(xs)))
-            return build(memo, others, depth, xs, ys)
+        def counted_leaf_values(memo, leaf, xs, ys):
+            # A whole-square sweep of f: its points are one kept tuple, and a
+            # build makes a new list.
+            out = leaf_values(memo, leaf, xs, ys)
+            if xs is ys and leaf is pipe.f:
+                reads.append((xs, out))
+            return out
 
         def counted_fold(a, b, memo):
             depth = max(a.depth, b.depth)
@@ -794,11 +776,14 @@ class TestWorkCounts:
             mul_calls[0] += 1
             return mul(group, x, y)
 
-        monkeypatch.setattr(GridMemo, "_build_classes", counted_build)
+        monkeypatch.setattr(GridMemo, "leaf_values", counted_leaf_values)
         monkeypatch.setattr(functions_module, "_table_product", counted_fold)
         monkeypatch.setattr(type(pipe.group), "mul", counted_mul)
         pipe.diagonal(exp.probes, exp.levels)
-        assert builds and len(builds) == len(set(builds))
+        # reads holds every tuple and list, so no id is reused: one list per
+        # point tuple is one build per point tuple.
+        first = {}
+        assert reads and all(first.setdefault(id(xs), out) is out for xs, out in reads)
         assert folds and all(calls <= pairs for pairs, calls in folds)
         # Every mul of the diagonal runs inside a fold, never per point.
         assert mul_calls[0] == sum(calls for _, calls in folds)
@@ -1033,17 +1018,25 @@ class TestExactPoints:
         cells = tuple(CantorPoint("0" * i + "1") for i in reversed(range(20)))
         assert pts == cells + (CantorPoint("11"),)
 
+    @given(st.one_of(functions.map(lambda f: (f,)), function_pairs))
+    def test_square_has_two_to_the_d_plus_p_points(self, fns):
+        # The depth-D cell representatives and 1^k 0^w for k in (D, D + P]:
+        # grid_values reads every pair of them, so a change that grows the
+        # point sets shows here first.
+        depth, period = resolution(fns)
+        assert len(GridMemo().exact_points(fns)) == 2**depth + period
+
     def test_one_tuple_per_point_set(self):
         # Two pairs with one resolution (D, P) = (2, 2) share the tuple, so
-        # the class lists over it are found again; so do two probe sides.
+        # the leaf values over it are found again; so do two probe sides.
         a, b = POOLS[0][1:3]
         f, g = OnesDiagonal((a, b)), CylinderDiagonal(((Cylinder("01"), a),))
         h = TableFunction(2, ((b,) * 4,) * 4)
         memo = GridMemo()
         pts = memo.exact_points((f, g))
         assert memo.exact_points((g, f)) is pts and memo.exact_points((h, f)) is pts
-        classes = memo.classes((f, g), pts, pts)
-        assert memo.classes((f, g), *[memo.exact_points((g, f))] * 2) is classes
+        values = f.grid_values(pts, pts, memo)
+        assert f.grid_values(*[memo.exact_points((g, f))] * 2, memo) is values
         region = ClopenSet.parse("{1}")
         side = memo.exact_points((f, g), region, ALL_ONES)
         assert memo.exact_points((h, f), region, ALL_ONES) is side
@@ -1084,8 +1077,7 @@ class TestImage:
         depth, period = resolution((f,))
         assume(depth + period + 3 <= 9)
         deep, memo = grid_points(depth + period + 3), GridMemo()
-        taken = {*f.class_values(memo.classes((f,), deep, deep), memo),
-                 *brute_values(f, OFF_IMAGE, OFF_IMAGE)}
+        taken = {*f.grid_values(deep, deep, memo), *brute_values(f, OFF_IMAGE, OFF_IMAGE)}
         got = image(f)
         assert got == tuple(f.group.sort_canonically(taken))
         mul, inv = f.group.mul, f.group.inv
@@ -1096,8 +1088,8 @@ class TestImage:
                 assert set(image(t)) == set(map(inv, image(t.inner)))
             elif isinstance(t, PostCompose):
                 assert set(image(t)) == {t.mapping[z] for z in image(t.inner)}
-        # A memo that already holds g's and every subtree's points and
-        # classes gives the same image.
+        # A memo that already holds g's and every subtree's points and leaf
+        # values gives the same image.
         shared = GridMemo()
         for h in (g, *subtrees(f)[::-1]):
             image(h, shared)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from sepcont.errors import NetMaximalityError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
+    GridMemo,
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
@@ -18,7 +20,8 @@ from sepcont.functions import (
     TableFunction,
     image,
 )
-from sepcont.groups import get_group
+from sepcont import zerodim
+from sepcont.groups import SeparatedNet, ball_net, get_group
 from sepcont.zerodim import ZerodimPipeline, _cover, build_tower
 from grid import grid_points
 
@@ -72,6 +75,22 @@ def assert_cover_contract(group, sample, tower):
             if n:
                 assert sum(set(cell) <= set(c) for c in levels[n - 1]) == 1
     return levels
+
+
+def _first_failing_witness(pipe, probe, m_l, budget):
+    """The witness the diagonal writes for a probe: at the last stage
+    n >= m_l where d(f, f_{n,n}) >= budget somewhere on the probe
+    rectangle, the first such exact point, x-major (one side is the fixed
+    point, so the other side's order is x-major)."""
+    f, dist = pipe.f, pipe.group.dist
+    _, fixed, other = probe.sides()
+    for n in reversed(range(m_l, pipe.n_max + 1)):
+        diag = pipe.stage_function(n, n)
+        points = map(probe.point, GridMemo().exact_points((f, diag), other, fixed))
+        failing = [(x, y) for x, y in points if dist(f.eval(x, y), diag.eval(x, y)) >= budget]
+        if failing:
+            return f"n={n} ({failing[0][0]},{failing[0][1]})"
+    return ""
 
 
 class TestCovers:
@@ -359,8 +378,10 @@ class TestDiagonal:
     def _diagonal_with_wrong_factor(monkeypatch, l, wrong_k):
         # At l = 3 the budget 4 * 2^-l is 1/2, so a stage value at distance
         # 1/2 from the true one must fail it.  Only this pipeline's
-        # approximator of factor wrong_k is altered: every stage table is
-        # multiplied by A, which flips the first bit of each value.
+        # approximator of factor wrong_k is altered: every odd column of each
+        # stage table is multiplied by A, which flips the first bit of each
+        # value there.  The first point of an x probe, y = 0^w, lies in
+        # column 0, so its witness is not the probe's first point.
         pipe = ZerodimPipeline(MULTI, n_max=5)
         approx = pipe.factor_approximator(wrong_k)
         correct, wrong = approx.approximant, {}
@@ -368,13 +389,14 @@ class TestDiagonal:
         def flipped(n):
             if n not in wrong:
                 g = correct(n)
-                wrong[n] = TableFunction(
-                    g.depth, tuple(tuple(DYADIC.mul(v, A) for v in row) for row in g.values)
-                )
+                wrong[n] = TableFunction(g.depth, tuple(
+                    tuple(DYADIC.mul(v, A) if j % 2 else v for j, v in enumerate(row))
+                    for row in g.values
+                ))
             return wrong[n]
 
         monkeypatch.setattr(approx, "approximant", flipped)
-        return pipe.diagonal(STANDARD_PROBES, [l])
+        return pipe, pipe.diagonal(STANDARD_PROBES, [l])
 
     def test_budget_and_tail_pass_before_the_substitution(self):
         rep = ZerodimPipeline(MULTI, n_max=5).diagonal(STANDARD_PROBES, [3])
@@ -382,16 +404,17 @@ class TestDiagonal:
         assert all(r.budget == Fraction(1, 2) and r.final_ok and r.tail_ok for r in rep.results)
 
     def test_wrong_late_factor_fails_final_budget(self, monkeypatch):
-        rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
+        pipe, rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
         assert not rep.passed
-        for r in rep.results:
+        for probe, r in zip(STANDARD_PROBES, rep.results):
             assert r.layer_ok and r.m_l == 3  # factors k <= l are untouched
             assert r.budget == Fraction(1, 2) == r.final_sup
             assert not r.final_ok
-            assert r.witness.startswith("n=")
+            assert r.witness == _first_failing_witness(pipe, probe, r.m_l, r.budget)
+        assert rep.results[0].witness == "n=5 ((1),01(0))"
 
     def test_wrong_late_factor_fails_tail_containment(self, monkeypatch):
-        rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
+        _, rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
         assert not rep.passed
         for r in rep.results:
             assert r.layer_ok and not r.tail_ok
@@ -424,3 +447,30 @@ class TestErrorPaths:
         values = (REAL.parse_element("0/2^0"), REAL.parse_element("3/2^0"))
         with pytest.raises(NetMaximalityError, match="step 0: nearest net element at distance 1/2"):
             build_tower(_table(values), 2)
+
+    @staticmethod
+    def _net_zero(monkeypatch, net0):
+        """Let build_tower draw net(0) from ``net0`` and every other net as
+        usual."""
+        monkeypatch.setattr(
+            zerodim, "ball_net", lambda group, k, depth: net0 if k == 0 else ball_net(group, k, depth)
+        )
+
+    def test_shifted_point_at_the_ball_radius_passes(self, monkeypatch):
+        # A net(0) that answers A at distance 0 for every point makes r_1 = A
+        # on the image {E}.  Step 1 then shifts E to A^-1, at distance
+        # 1/2 = 2^-1 from the identity: on the closed ball B[2^-1], so the
+        # step goes on.
+        self._net_zero(monkeypatch, SimpleNamespace(nearest=lambda z: (A, Fraction(0))))
+        sample, _, tower = build_tower(Constant(E), 2)
+        assert sample == (E,) and tower[1][E] is A
+        assert DYADIC.dist(DYADIC.identity(), DYADIC.inv(A)) == Fraction(1, 2)
+
+    def test_nearest_net_element_at_the_separation_fails(self, monkeypatch):
+        # A net(0) of the identity alone leaves 01(0) at distance exactly
+        # 2^-2, the separation, from its nearest element: not maximal.
+        v = DYADIC.parse_element("01(0)")
+        assert DYADIC.dist(E, v) == Fraction(1, 4)
+        self._net_zero(monkeypatch, SeparatedNet(DYADIC, 0, Fraction(1), Fraction(1, 4), (E,), 4))
+        with pytest.raises(NetMaximalityError, match="step 0: nearest net element at distance 1/4 >= 2"):
+            build_tower(Constant(v), 1)
