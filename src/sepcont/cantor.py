@@ -156,33 +156,14 @@ class Cylinder:
         tail = self.prefix[-1] if self.prefix else "0"
         return CantorPoint(self.prefix, tail)
 
-    def is_subset_of(self, other: "Cylinder") -> bool:
-        return self.prefix.startswith(other.prefix)
-
     def overlaps(self, other: "Cylinder") -> bool:
         return self.prefix.startswith(other.prefix) or other.prefix.startswith(self.prefix)
 
-    def cell_range(self, d: int) -> range:
-        """Indices ``int(prefix, 2)`` of the depth-d cells meeting the cylinder:
-        the cells inside it, or the one cell containing it when it is deeper."""
-        if len(self.prefix) >= d:
-            i = int(self.prefix[:d], 2) if d else 0
-            return range(i, i + 1)
-        shift = d - len(self.prefix)
-        start = int(self.prefix, 2) << shift if self.prefix else 0
-        return range(start, start + (1 << shift))
-
-
-def basis_cylinder(k: int) -> Cylinder:
-    """The k-th cylinder in the canonical base (by prefix length, then
-    lexicographic): cell k + 1 - 2^l at depth l = floor(log2(k + 1))."""
-    if k < 0:
-        raise ValueError("basis index must be nonnegative")
-    l = (k + 1).bit_length() - 1
-    return Cylinder(format(k + 1 - (1 << l), f"0{l}b") if l else "")
-
 
 def basis_index(prefix: str) -> int:
+    """The index of [prefix] in the canonical base of cylinders, ordered by
+    prefix length, then lexicographically: V_k is cell k + 1 - 2^l at depth
+    l = floor(log2(k + 1))."""
     _check_bits(prefix, "prefix")
     if not prefix:
         return 0

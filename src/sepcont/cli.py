@@ -2,10 +2,10 @@
 
 Subcommands: nets, approx-discrete, approx-zerodim, ball, closure-probe,
 problem3.  Exit codes: 0 all certificates pass, 1 certificate failure
-(witness in the report) or internal error, 2 config error, 3 resource/output
-error.  Each handler returns the reports it wrote, by file name, and a
-summary; ``main`` alone writes manifest.json and exits 0 exactly when the
-summary passed.
+(witness in the report) or internal error, 2 config error, 3 I/O error.
+Each handler returns the reports it wrote, by file name, and a summary;
+``main`` alone writes manifest.json and exits 0 exactly when the summary
+passed.
 Reports are byte-identical across runs of the same config; wall-clock
 timings live only in manifest.json.
 """
@@ -23,7 +23,7 @@ import sepcont
 from sepcont.cantor import CantorPoint
 from sepcont.config import Experiment, load_experiment
 from sepcont.discrete import DiscreteApproximator
-from sepcont.errors import ConfigError, RefinementExhaustedError, SepcontError
+from sepcont.errors import ConfigError, SepcontError
 from sepcont.functions import GridMemo
 from sepcont.groups import GroupElement, ball_net
 from sepcont.reports import (
@@ -282,8 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RefinementExhaustedError, OSError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     except SepcontError as exc:
         print(f"error: {exc}", file=sys.stderr)

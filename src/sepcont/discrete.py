@@ -6,10 +6,12 @@ functions g_n and certifies layer-wise convergence through an explicit
 finite stage.  The image filtration is f's image f(X x Y) in canonical
 order (``image``): level n holds its first n + 1 elements.  Every per-cell
 fact is an integer bit mask: at working depth d, cell u_i of one side is
-bit i and the cell pair (i, j) is bit i * 2^d + j.  The patches of g_n only
-grow with n, so one stage table per working depth keeps, per value, their
-union through each stage; ``approximant(n)`` and every certificate stage
-read it.
+bit i and the cell pair (i, j) is bit i * 2^d + j.  f's values are read
+once per working depth, on exact points (``pairs``): per value, the cell
+pairs on which f is that value, and every strip is read off those masks.
+The patches of g_n only grow with n, so one stage table per working depth
+keeps, per value, their union through each stage; ``approximant(n)`` and
+every certificate stage read it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
-from sepcont.cantor import CantorPoint, Cylinder, basis_cylinder, basis_index, partition_at_depth
-from sepcont.errors import RefinementExhaustedError
+from sepcont.cantor import CantorPoint, Cylinder, basis_index, partition_at_depth
 from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
 from sepcont.groups import GroupElement
 
@@ -45,12 +46,16 @@ class _StageTable:
     """The patches of one working depth d, as far as asked: ``cover[r][k]``
     masks the rectangles X(z,k') x V_k' and V_k' x Y(z,k'), k' <= k, of the
     r-th value z.  A pair (k, z) enters at stage max(k, rank of z, the depth's
-    first stage), so g_n paints cover[r][n] with the r-th value for r <= n."""
+    first stage), so g_n paints cover[r][n] with the r-th value for r <= n.
+    ``pairs[r]`` masks the cell pairs on which f is the r-th value."""
 
-    def __init__(self, d: int, cells: list[Cylinder], f: SepFunction, image: tuple[GroupElement, ...]):
-        self.d, self.cells, self.f, self.image = d, cells, f, image
+    def __init__(self, d: int, cells: list[Cylinder], f: SepFunction,
+                 image: tuple[GroupElement, ...], pairs: list[int]):
+        self.d, self.cells, self.f, self.image, self.pairs = d, cells, f, image, pairs
         self.cover: list[list[int]] = [[] for _ in image]
         self._bases = (16,) * (d // 2) + (4,) * (d % 2)
+        self._line = (1 << (1 << d)) - 1  # row 0: the pairs (0, j)
+        self._first = self.spread(self._line)  # column 0: the pairs (i, 0)
         self._stages: dict[int, tuple[list[int], int]] = {}
         self._limit: dict[int, GroupElement] = {}
 
@@ -61,30 +66,33 @@ class _StageTable:
             line = int(format(line, "b"), base)
         return line
 
-    def add(self, strips: tuple[list[int], list[int]], cols: int) -> None:
-        """Extend the covers by V_k's strips, ``cols`` masking its depth-d cells:
-        an x strip R adds R x V_k and a y strip C adds V_k x C, one product each."""
-        rows = self.spread(cols)
-        for cover, x, y in zip(self.cover, *strips):
-            rects = (cols * self.spread(x) if x else 0) | y * rows
+    def add(self, cols: int) -> None:
+        """Extend the covers by V_k's strips, ``cols`` masking its depth-d
+        cells.  Cell u_i is in the x strip of the r-th value when pairs[r]
+        covers u_i x V_k, the columns ``cols`` of row i, and in the y strip
+        when it covers V_k x u_i, the rows ``cols`` of column i.  The pairs
+        of those rectangles that pairs[r] misses are folded onto column 0
+        (shifts 1, 2, ..., 2^(d-1) within each row) and onto row 0 (shifts
+        2^d, ..., 2^(2d-1) across the rows), so a strip is what is left
+        there.  An x strip R adds R x V_k and a y strip C adds V_k x C, one
+        product each."""
+        d, rows = self.d, self.spread(cols)
+        across, down = cols * self._first, rows * self._line
+        for cover, pairs in zip(self.cover, self.pairs):
+            x_miss, y_miss = across & ~pairs, down & ~pairs
+            for s in range(d):
+                x_miss |= x_miss >> (1 << s)
+                y_miss |= y_miss >> (1 << d + s)
+            rects = cols * (self._first & ~x_miss) | (self._line & ~y_miss) * rows
             cover.append(cover[-1] | rects if cover else rects)
 
     def stage(self, n: int) -> tuple[list[int], int]:
-        """Per rank, the cells g_n paints with that value, and their union.  A cell
-        painted twice raises: the first row-major, its values in filtration order."""
+        """Per rank, the cells g_n paints with that value, and their union,
+        worked out once per stage.  The masks are disjoint: each patch lies
+        where f takes its value."""
         if n not in self._stages:
             masks = [cover[n] if r <= n else 0 for r, cover in enumerate(self.cover)]
-            seen = clash = 0
-            for m in masks:
-                clash |= seen & m
-                seen |= m
-            if clash:
-                c = next(_bits(clash))
-                u, v = (self.cells[i].prefix for i in divmod(c, 1 << self.d))
-                names = [str(z) for z, m in zip(self.image, masks) if m >> c & 1]
-                raise RefinementExhaustedError(f"cell {u} x {v} meets patches of {names} "
-                                               f"at depth {self.d}")
-            self._stages[n] = masks, seen
+            self._stages[n] = masks, reduce(or_, masks)
         return self._stages[n]
 
     def limit(self, c: int) -> GroupElement:
@@ -111,15 +119,15 @@ class _StageTable:
 
 class DiscreteApproximator:
     """Builds and caches the locally constant approximants of one function.
-    ``memo`` is the one ``image`` reads; a fresh memo gives the same engine."""
+    ``memo`` is the one ``image`` and ``pairs`` read; a fresh memo gives the
+    same engine."""
 
     def __init__(self, f: SepFunction, memo: GridMemo | None = None):
         self.f = f
         self.group = f.group
-        self.image = image(f, memo)
+        self.memo = memo if memo is not None else GridMemo()
+        self.image = image(f, self.memo)
         self._rank = {z: r for r, z in enumerate(self.image)}
-        self._partitions: dict[int, list[Cylinder]] = {}
-        self._strips: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self._tables: dict[int, _StageTable] = {}
         self._gn_cache: dict[int, TableFunction] = {}
 
@@ -133,55 +141,39 @@ class DiscreteApproximator:
         """
         return (n + 1).bit_length() - 1 or 1
 
-    def _partition(self, d: int) -> list[Cylinder]:
-        """The depth-d cells, made once per depth."""
-        if d not in self._partitions:
-            self._partitions[d] = partition_at_depth(d)
-        return self._partitions[d]
-
-    def strips(self, k: int, d: int) -> tuple[list[int], list[int]]:
-        """Per side (x, then y) and image rank r, the mask of the depth-d cells
-        u on which f is certified constant at the r-th value: on u x V_k (x
-        side) or V_k x u (y side).  Each cell is asked at most once: verdicts
-        certified on the coarser cell are copied first (bit i at depth d - 1,
-        read in base 4 and tripled, is bits 2i and 2i + 1 here), then, for the
-        cells still open, those on V_{(k-1)//2} x u (u x V_{(k-1)//2})."""
-        key = (k, d)
-        if key not in self._strips:
-            coarse = self._strips.get((k, d - 1))
-            wide = self.strips((k - 1) // 2, d) if k else None
-            cells, ask, full = self._partition(d), self.f.constant_value_on, (1 << (1 << d)) - 1
-            out = []
-            for side in (0, 1):
-                masks = [0] * len(self.image)
-                if coarse:
-                    masks = [int(format(m, "b"), 4) * 3 for m in coarse[side]]
-                taken = reduce(or_, masks)
-                if wide and taken != full:
-                    masks = [m | w & ~taken for m, w in zip(masks, wide[side])]
-                    taken = reduce(or_, masks)
-                if taken != full:
-                    v = basis_cylinder(k)
-                for i in _bits(full & ~taken):
-                    z = ask(cells[i], v) if side == 0 else ask(v, cells[i])
-                    r = self._rank.get(z)  # type: ignore[arg-type]
-                    if r is not None:
-                        masks[r] |= 1 << i
-                out.append(masks)
-            self._strips[key] = out[0], out[1]
-        return self._strips[key]
+    def pairs(self, d: int) -> list[int]:
+        """Per image rank r, the mask of the depth-d cell pairs on which f is
+        constant at the r-th value.  The exact points of the square cut at
+        depth max(D, d) meet every value class of f on each cell pair, so f
+        is constant on a pair exactly when its points there take one value:
+        each point pair marks its cell pair with its value's rank, and a
+        pair marked by two values is constant at neither."""
+        pts = self.memo.exact_points((self.f,), depth=d)
+        cells = self.memo.cells(pts, d)
+        values = iter(self.f.grid_values(pts, pts, self.memo))
+        masks = [0] * len(self.image)
+        for i in cells:
+            row = i << d
+            for j in cells:
+                masks[self._rank[next(values)]] |= 1 << row + j
+        seen = mixed = 0
+        for m in masks:
+            mixed |= seen & m
+            seen |= m
+        return [m & ~mixed for m in masks]
 
     def _table(self, n: int) -> _StageTable:
         """The stage table of n's working depth, its covers through stage n."""
         d = self.working_depth(n)
         table = self._tables.get(d)
         if table is None:
-            table = self._tables[d] = _StageTable(d, self._partition(d), self.f, self.image)
+            table = self._tables[d] = _StageTable(d, partition_at_depth(d), self.f, self.image,
+                                                  self.pairs(d))
         for k in range(len(table.cover[0]), n + 1):
             # V_k is cell k + 1 - 2^l at depth l <= d, so 2^(d-l) cells here.
             l = (k + 1).bit_length() - 1
             w = 1 << (d - l)
-            table.add(self.strips(k, d), ((1 << w) - 1) << ((k + 1 - (1 << l)) * w))
+            table.add(((1 << w) - 1) << ((k + 1 - (1 << l)) * w))
         return table
 
     def approximant(self, n: int) -> TableFunction:

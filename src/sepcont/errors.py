@@ -17,13 +17,3 @@ class GroupMismatchError(SepcontError):
 
 class NetMaximalityError(SepcontError):
     """No net element within the required radius; enumeration depth too small."""
-
-
-class QuantizerConditionError(SepcontError):
-    """A quantizer condition failed during the inductive construction."""
-
-
-class RefinementExhaustedError(SepcontError):
-    """A stage table paints one cell with two values, so the patches of f
-    clash (CLI exit 3); raised only by that clash check."""
-

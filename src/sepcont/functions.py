@@ -6,14 +6,9 @@ eventually periodic value schedule) and ``CylinderDiagonal`` (finitely many
 disjoint cylinders), which share ``DiagonalIndicator``'s rule: the value of
 member n on the block of member n squared, the identity elsewhere.  Every
 combinator evaluates exactly at eventually periodic points and answers
-structural queries:
-
-* ``section_partition`` — the level sets of a fixed-coordinate section,
-  exact nonempty clopen sets keyed by value that partition the space,
-  which is the executable form of separate continuity.
-* ``values_on_rect`` — a finite superset of the values on a rectangle of
-  cylinders; a singleton superset certifies constancy on the rectangle and
-  stays that singleton on every sub-rectangle.
+one structural query, ``section_partition``: the level sets of a
+fixed-coordinate section, exact nonempty clopen sets keyed by value that
+partition the space, which is the executable form of separate continuity.
 
 Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
 singleton, so every probe reads one section partition), the uniform
@@ -74,26 +69,6 @@ class SepFunction:
         fixes x and varies y); together they partition the space."""
         raise NotImplementedError
 
-    def values_on_rect(self, u: Cylinder, v: Cylinder) -> frozenset[GroupElement]:
-        """Superset of the values on u x v.
-
-        Contract: a singleton answer on u x v is the same singleton on every
-        nonempty sub-rectangle of u x v, so a certified constant holds on
-        the sub-rectangles without asking again (the discrete engine copies
-        strip verdicts on this premise)."""
-        raise NotImplementedError
-
-    def constant_value_on(self, u: Cylinder, v: Cylinder) -> GroupElement | None:
-        """The certified constant value of f on u x v, or None.
-
-        Rectangles are nonempty, so a singleton value superset certifies
-        constancy.
-        """
-        values = self.values_on_rect(u, v)
-        if len(values) == 1:
-            return next(iter(values))
-        return None
-
     def _leaves(self) -> tuple["SepFunction", ...]:
         """The leaves of the combinator tree, left to right."""
         return (self,)
@@ -127,9 +102,6 @@ class Constant(SepFunction):
 
     def section_partition(self, axis, fixed):
         return {self.value: ClopenSet.whole()}
-
-    def values_on_rect(self, u, v):
-        return frozenset((self.value,))
 
     def grid_values(self, xs, ys, memo):
         return [self.value] * (len(xs) * len(ys))
@@ -165,10 +137,6 @@ class TableFunction(SepFunction):
             z: ClopenSet.from_cells(cells[z], self.depth) for z in self.group.sort_canonically(cells)
         }
 
-    def values_on_rect(self, u, v):
-        rows, cols = u.cell_range(self.depth), v.cell_range(self.depth)
-        return frozenset(self.values[i][j] for i in rows for j in cols)
-
     def grid_values(self, xs, ys, memo):
         cols = memo.cells(ys, self.depth)
         return [row[j] for row in map(self.values.__getitem__, memo.cells(xs, self.depth))
@@ -181,10 +149,9 @@ class DiagonalIndicator(SepFunction):
 
     The members are pairwise disjoint cylinders, so each section is locally
     constant.  A leaf class names the member holding a point (``axis_key``),
-    member n (``member``) and its value (``value_at``), and answers
-    ``values_on_rect`` in closed form.  With infinitely many members
-    accumulating at the all-ones point and a non-identity schedule, f is
-    jointly discontinuous there.
+    member n (``member``) and its value (``value_at``).  With infinitely
+    many members accumulating at the all-ones point and a non-identity
+    schedule, f is jointly discontinuous there.
     """
 
     @property
@@ -216,12 +183,6 @@ class DiagonalIndicator(SepFunction):
         return {z: piece for z, piece in parts.items() if not piece.is_empty()}
 
 
-def _leading_ones(c: Cylinder) -> tuple[int, bool]:
-    """The number of leading 1 bits of c's prefix, and whether a 0 follows."""
-    k = len(c.prefix) - len(c.prefix.lstrip("1"))
-    return k, k < len(c.prefix)
-
-
 class OnesDiagonal(DiagonalIndicator):
     """The members [1^n 0] for every n, accumulating at the all-ones point.
 
@@ -249,18 +210,6 @@ class OnesDiagonal(DiagonalIndicator):
             return self.prefix[n]
         return self.period[(n - len(self.prefix)) % len(self.period)]
 
-    def values_on_rect(self, u, v):
-        """A cylinder 1^k 0 ... lies in member k; the cylinder [1^k] meets
-        every member from k on, and the all-ones point."""
-        (a, a_in), (b, b_in) = _leading_ones(u), _leading_ones(v)
-        identity = self.group.identity()
-        if a_in and b_in:
-            return frozenset((self.value_at(a) if a == b else identity,))
-        if a_in or b_in:
-            n, start = (a, b) if a_in else (b, a)
-            return frozenset((self.value_at(n), identity) if n >= start else (identity,))
-        return frozenset((identity, *self.prefix[max(a, b) :], *self.period))
-
 
 class CylinderDiagonal(DiagonalIndicator):
     """Finitely many pairwise disjoint cylinders, each with its value."""
@@ -287,16 +236,6 @@ class CylinderDiagonal(DiagonalIndicator):
     def value_at(self, n: int) -> GroupElement:
         return self.members[n][1]
 
-    def values_on_rect(self, u, v):
-        """The values of the members meeting both sides, and the identity
-        unless one member contains both u and v: otherwise some point of
-        u x v lies off the matched blocks."""
-        met = [(c, z) for c, z in self.members if c.overlaps(u) and c.overlaps(v)]
-        values = {z for _, z in met}
-        if not any(u.is_subset_of(c) and v.is_subset_of(c) for c, _ in met):
-            values.add(self.group.identity())
-        return frozenset(values)
-
 
 class PostCompose(SepFunction):
     """mapping o inner, for a finite map defined on the image of inner."""
@@ -316,12 +255,6 @@ class PostCompose(SepFunction):
     def section_partition(self, axis, fixed):
         inner = self.inner.section_partition(axis, fixed)
         return _merged((self.mapping[w], piece) for w, piece in inner.items())
-
-    def values_on_rect(self, u, v):
-        inner_vals = self.inner.values_on_rect(u, v)
-        # Over-approximations may stray outside the image of inner;
-        # actual values never do, so unmapped strays can be dropped.
-        return frozenset(self.mapping[w] for w in inner_vals if w in self.mapping)
 
     def _leaves(self):
         return self.inner._leaves()
@@ -346,9 +279,6 @@ class PointwiseInverse(SepFunction):
     def section_partition(self, axis, fixed):
         inner = self.inner.section_partition(axis, fixed)
         return {self.group.inv(w): piece for w, piece in inner.items()}
-
-    def values_on_rect(self, u, v):
-        return frozenset(self.group.inv(w) for w in self.inner.values_on_rect(u, v))
 
     def _leaves(self):
         return self.inner._leaves()
@@ -385,10 +315,6 @@ class PointwiseProduct(SepFunction):
             for b, q in right
         )
         return _merged((self.group.mul(a, b), meet) for a, b, meet in meets if not meet.is_empty())
-
-    def values_on_rect(self, u, v):
-        lv, rv = self.left.values_on_rect(u, v), self.right.values_on_rect(u, v)
-        return frozenset(self.group.mul(a, b) for a in lv for b in rv)
 
     def _leaves(self):
         return self.left._leaves() + self.right._leaves()
@@ -462,23 +388,28 @@ class GridMemo:
 
     def exact_points(self, fns: Iterable[SepFunction],
                      side: ClopenSet | CantorPoint = ClopenSet.whole(),
-                     fixed: CantorPoint | None = None) -> tuple[CantorPoint, ...]:
+                     fixed: CantorPoint | None = None, *,
+                     depth: int = 0) -> tuple[CantorPoint, ...]:
         """Points of ``side`` that meet every value class of fns on it, in
         lexicographic order, so a max over them is the sup over the side;
         one kept tuple per point set, so its cell and leaf value lists are
         found again.
 
-        A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``:
-        the representative (prefix, then 0^w) of each cylinder of side, cut
-        into its depth-D cells where it is shallower, and the points 1^k 0^w
-        in side for k in [C, C + P], C = max(D, depth of the all-ones
-        cylinder of side), and, for a probe's fixed point with j leading
-        ones, k = j.  Each is the first point of its class on any grid that
-        holds them all, and their number grows with the cylinders of side,
-        not with its depth."""
+        A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``
+        and D raised to ``depth``: the representative (prefix, then 0^w) of
+        each cylinder of side, cut into its depth-D cells where it is
+        shallower, and the points 1^k 0^w in side for k in [C, C + P],
+        C = max(D, depth of the all-ones cylinder of side), and, for a
+        probe's fixed point with j leading ones, k = j.  Each is the first
+        point of its class on any grid that holds them all, and their number
+        grows with the cylinders of side, not with its depth.  Off the corner
+        [1^D] x [1^D] every leaf is constant on each pair of depth-D cells,
+        so a raised D makes the points of the square meet every value class
+        on each pair of depth-``depth`` cells."""
         if isinstance(side, CantorPoint):
             return self._points.setdefault((side,), (side,))
-        depth, period = resolution(fns)
+        leaf_depth, period = resolution(fns)
+        depth = max(depth, leaf_depth)
         key = (depth, period, side, fixed.leading_ones() if fixed is not None else None)
         if key not in self._points:
             cylinders = side.cylinders()

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from sepcont.errors import NetMaximalityError, QuantizerConditionError
+from sepcont.errors import NetMaximalityError
 from sepcont.functions import (
     DistResult,
     GridMemo,
@@ -78,7 +78,8 @@ def build_tower(f: SepFunction, top: int, memo: GridMemo | None = None):
     canonical order, nets 0..top-1 and r_0..r_top, each r_n one value per
     level-n cell (``_cover``).  r_0 is identically the group identity; the
     step n -> n+1 picks, per level-(n+1) cell, its canonical-first point z',
-    checks g_W^-1 z' lands in B[2^-n], and multiplies g_W by the nearest
+    shifts it to g_W^-1 z' with g_W = r_n(z') (in B[2^-n] by condition (2),
+    which ``condition_rows`` checks), and multiplies g_W by the nearest
     net(n) element (ties by canonical order, required distance < 2^-(n+2)).
     ``memo`` is the one ``image`` reads; a fresh memo gives the same tower."""
     group = f.group
@@ -91,10 +92,7 @@ def build_tower(f: SepFunction, top: int, memo: GridMemo | None = None):
         cells = _cover(group, sample, cells, n + 1)
         for cell in cells:
             g_w = prev[cell[0]]
-            shifted = group.mul(group.inv(g_w), cell[0])
-            if group.dist(one, shifted) > Fraction(1, 2**n):
-                raise QuantizerConditionError(f"step {n}: shifted cell point outside B[2^-{n}]")
-            eps, d = nets[n].nearest(shifted)
+            eps, d = nets[n].nearest(group.mul(group.inv(g_w), cell[0]))
             if d >= Fraction(1, 2 ** (n + 2)):
                 raise NetMaximalityError(
                     f"step {n}: nearest net element at distance {d} >= 2^-{n + 2}; "

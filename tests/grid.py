@@ -1,10 +1,65 @@
 """Canonical grid points, the sample the brute-force references sweep: the
-library itself reads only exact point sets."""
+library itself reads only exact point sets.  Also the canonical base of
+cylinders and the pointwise oracle for "f is constant on a pair of cells",
+which the discrete engine's references read."""
 
-from sepcont.cantor import CantorPoint, partition_at_depth
+from functools import lru_cache
+
+from sepcont.cantor import ALL_ONES, CantorPoint, Cylinder, partition_at_depth
+from sepcont.functions import resolution
 
 
 def grid_points(d: int) -> tuple[CantorPoint, ...]:
     """The 2^d canonical grid points: the representative (depth-d prefix +
     zero tail) of each depth-d cell, in cell-index order."""
     return tuple(c.representative() for c in partition_at_depth(d))
+
+
+def basis_cylinder(k: int) -> Cylinder:
+    """The k-th cylinder V_k in the canonical base (by prefix length, then
+    lexicographic): cell k + 1 - 2^l at depth l = floor(log2(k + 1))."""
+    if k < 0:
+        raise ValueError("basis index must be nonnegative")
+    l = (k + 1).bit_length() - 1
+    return Cylinder(format(k + 1 - (1 << l), f"0{l}b") if l else "")
+
+
+def cell_range(c: Cylinder, d: int) -> range:
+    """Indices ``int(prefix, 2)`` of the depth-d cells meeting the cylinder:
+    the cells inside it, or the one cell containing it when it is deeper."""
+    if len(c.prefix) >= d:
+        i = int(c.prefix[:d], 2) if d else 0
+        return range(i, i + 1)
+    shift = d - len(c.prefix)
+    start = int(c.prefix, 2) << shift if c.prefix else 0
+    return range(start, start + (1 << shift))
+
+
+def sample_points(f, d: int) -> tuple[CantorPoint, ...]:
+    """The points the oracle reads f at for its depth-d cells, with
+    (D, P) = ``resolution((f,))`` and t = max(D, d): the representatives and
+    limit representatives of the depth-(t + 2) cells, 1^k 0^w for
+    k < t + 2P + 3, and 1^w.  They hold the exact points of the square cut
+    at depth t, whose ones chain stops at k = t + P, and points with a one
+    tail, which no exact point set holds."""
+    depth, period = resolution((f,))
+    top = max(depth, d)
+    cells = partition_at_depth(top + 2)
+    points = {c.representative() for c in cells} | {c.limit_representative() for c in cells}
+    points |= {CantorPoint("1" * k) for k in range(top + 2 * period + 3)}
+    points.add(ALL_ONES)
+    return tuple(sorted(points, key=str))
+
+
+@lru_cache(maxsize=32)
+def cell_pair_values(f, d: int) -> dict[tuple[int, int], frozenset]:
+    """{(i, j): the values of f.eval at the sample points of u_i x u_j}, for
+    the depth-d cells u_i; f is constant on u_i x u_j exactly when that set
+    is one value.  Kept per (f, d): the trees are immutable."""
+    points = sample_points(f, d)
+    cells = [int(p.prefix(d), 2) if d else 0 for p in points]
+    out: dict[tuple[int, int], set] = {}
+    for x, i in zip(points, cells):
+        for y, j in zip(points, cells):
+            out.setdefault((i, j), set()).add(f.eval(x, y))
+    return {key: frozenset(values) for key, values in out.items()}

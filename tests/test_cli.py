@@ -385,6 +385,14 @@ class TestExitCodes:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["nets", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_unwritable_out_exits_three(self, tmp_path, capsys):
+        # The report directory is a file, so it cannot be made.
+        out = tmp_path / "rep"
+        out.write_text("", encoding="utf-8")
+        cfg = str(CONFIGS / "discrete-diag.cfg")
+        assert main(["approx-discrete", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
     def test_fault_injection_exit_one(self, tmp_path):
         out = tmp_path / "rep"
         code = main(

@@ -1,6 +1,6 @@
+from functools import lru_cache
 from itertools import product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,13 +9,11 @@ from sepcont.cantor import (
     CantorPoint,
     ClopenSet,
     Cylinder,
-    basis_cylinder,
     basis_index,
     partition_at_depth,
 )
 from sepcont.config import MAX_N
 from sepcont.discrete import DiscreteApproximator
-from sepcont.errors import RefinementExhaustedError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -27,8 +25,9 @@ from sepcont.functions import (
     in_subbasic,
 )
 from sepcont.groups import get_group
-from grid import grid_points
+from grid import basis_cylinder, cell_pair_values, cell_range, grid_points
 from sym3 import symmetric_group_3
+from test_grid_values import functions as trees
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
@@ -47,25 +46,25 @@ class TestFiltration:
         assert set(filtration[:11]) == set(image(DIAG))
 
 
-def strip_cells(f, k, cells):
-    """The direct strip pass, kept as the oracle for the engine's inherited
-    strips: the indices of the depth-D cells u grouped by the certified
-    constant value of f on u x V_k (x side) and on V_k x u (y side)."""
-    v = basis_cylinder(k)
+@lru_cache(maxsize=256)
+def strip_cells(f, k, d):
+    """The strip oracle, from pointwise evaluation: the indices of the
+    depth-d cells u grouped by the value f takes alone at the sample points
+    of u x V_k (x side) and of V_k x u (y side), V_k no deeper than d."""
+    band = cell_range(basis_cylinder(k), d)
+    values = cell_pair_values(f, d)
     x_cells, y_cells = {}, {}
-    for i, u in enumerate(cells):
-        cx = f.constant_value_on(u, v)
-        if cx is not None:
-            x_cells.setdefault(cx, []).append(i)
-        cy = f.constant_value_on(v, u)
-        if cy is not None:
-            y_cells.setdefault(cy, []).append(i)
+    for i in range(1 << d):
+        for cells, rect in ((x_cells, [(i, j) for j in band]), (y_cells, [(j, i) for j in band])):
+            taken = frozenset().union(*map(values.__getitem__, rect))
+            if len(taken) == 1:
+                cells.setdefault(*taken, []).append(i)
     return x_cells, y_cells
 
 
 def strip_sets(f, k, d):
-    """X(z,k) and Y(z,k) of every certified value z, read off strip_cells."""
-    x_cells, y_cells = strip_cells(f, k, partition_at_depth(d))
+    """X(z,k) and Y(z,k) of every value z f is constant at, read off strip_cells."""
+    x_cells, y_cells = strip_cells(f, k, d)
     return (
         {z: ClopenSet.from_cells(cells, d) for z, cells in x_cells.items()},
         {z: ClopenSet.from_cells(cells, d) for z, cells in y_cells.items()},
@@ -77,8 +76,8 @@ def patch_cells(f, z, n, d):
     cells of V_k and the cells of V_k times y-strip cells, over k <= n."""
     out = set()
     for k in range(n + 1):
-        band = basis_cylinder(k).cell_range(d)
-        x_cells, y_cells = strip_cells(f, k, partition_at_depth(d))
+        band = cell_range(basis_cylinder(k), d)
+        x_cells, y_cells = strip_cells(f, k, d)
         out |= {(i, j) for i in x_cells.get(z, ()) for j in band}
         out |= {(i, j) for i in band for j in y_cells.get(z, ())}
     return out
@@ -136,7 +135,7 @@ class TestPatches:
         engine = DiscreteApproximator(DIAG)
         n = basis_index("110")
         d = engine.working_depth(n)
-        square = set(product(Cylinder("110").cell_range(d), repeat=2))
+        square = set(product(cell_range(Cylinder("110"), d), repeat=2))
         assert square and square <= patch_cells(DIAG, A, n, d)
         g = engine.approximant(n)
         assert all(g.values[i][j] == A for i, j in square)
@@ -152,8 +151,8 @@ class TestPatches:
             cells = partition_at_depth(d)
             for z in engine.image[: n + 1]:
                 for i, j in patch_cells(DIAG, z, n, d):
-                    for a in cells[i].cell_range(4):
-                        for b in cells[j].cell_range(4):
+                    for a in cell_range(cells[i], 4):
+                        for b in cell_range(cells[j], 4):
                             assert DIAG.eval(grid[a], grid[b]) == z
                             assert g.eval(grid[a], grid[b]) == z
 
@@ -294,16 +293,8 @@ def brute_working_depth(n):
 
 
 def brute_strips(f, z, k, d):
-    v = basis_cylinder(k)
-    cells = partition_at_depth(d)
-    x_strip = ClopenSet.from_prefixes(u.prefix for u in cells if f.constant_value_on(u, v) == z)
-    y_strip = ClopenSet.from_prefixes(u.prefix for u in cells if f.constant_value_on(v, u) == z)
-    return x_strip, y_strip
-
-
-def mask_bits(mask):
-    """The positions of the set bits of ``mask``."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    x_cells, y_cells = strip_cells(f, k, d)
+    return ClopenSet.from_cells(x_cells.get(z, []), d), ClopenSet.from_cells(y_cells.get(z, []), d)
 
 
 def brute_patch(f, z, n, d):
@@ -338,11 +329,6 @@ def brute_approximant(f, n):
         row = []
         for v in cells:
             hits = [z for z, p in patches if brute_meets(p, u, v)]
-            if len(hits) > 1:
-                raise RefinementExhaustedError(
-                    f"cell {u.prefix} x {v.prefix} meets patches of "
-                    f"{[str(h) for h in hits]} at depth {d}"
-                )
             if hits:
                 row.append(hits[0])
             else:
@@ -394,111 +380,38 @@ def tables(pool, max_depth):
 families = st.one_of(dyadic_families, tables(C3_POOL, 2), tables(S3_POOL, 2))
 
 
+class TestPairs:
+    def test_diag_pairs_at_depth_one(self):
+        # [0] x [0] lies in member 0, where f is A; the cross pairs are off
+        # every block; [1] x [1] holds blocks of A and points off them.
+        pairs = dict(zip(image(DIAG), DiscreteApproximator(DIAG).pairs(1)))
+        assert pairs == {E: 0b0110, A: 0b0001}
+
+    @given(trees)
+    def test_pairs_are_the_cell_pairs_where_f_is_constant(self, f):
+        # Against the pointwise oracle: products, inverses and postcomposed
+        # maps over every pool, at each working depth.
+        engine = DiscreteApproximator(f)
+        for d in (1, 2, 3):
+            expected = [0] * len(engine.image)
+            for (i, j), values in cell_pair_values(f, d).items():
+                if len(values) == 1:
+                    expected[engine.image.index(*values)] |= 1 << (i << d) + j
+            assert engine.pairs(d) == expected, d
+
+
 class TestPaintedApproximants:
-    @given(families, st.permutations(range(13)))
+    @given(st.one_of(families, trees), st.permutations(range(13)))
     def test_painting_matches_cell_by_patch_oracle(self, f, order):
         # The stage tables grow only as far as asked, in any order.
         engine = DiscreteApproximator(f)
         for n in order:
             assert engine.approximant(n).values == brute_approximant(f, n).values, n
 
-    @given(families, st.permutations([(k, d) for d in (1, 2, 3) for k in range(13)]))
-    def test_inherited_strips_match_direct_strips(self, f, order):
-        # Whichever coarser cells and wider cylinders are already known when
-        # a strip is asked for, the copied verdicts equal the direct pass.
-        engine = DiscreteApproximator(f)
-        for k, d in order:
-            for z, *masks in zip(engine.image, *engine.strips(k, d)):
-                inherited = tuple(ClopenSet.from_cells(mask_bits(m), d) for m in masks)
-                assert inherited == brute_strips(f, z, k, d), (k, d)
-
     def test_working_depth_closed_form(self):
         engine = DiscreteApproximator(DIAG)
         for n in range(201):
             assert engine.working_depth(n) == brute_working_depth(n), n
-
-
-class _OverlappingClaims(CylinderDiagonal):
-    """Certifies a constant on each listed rectangle and on all of its
-    sub-rectangles, whether or not the claims agree: overlapping claims of
-    two values make strips that no single-valued function has.  A rectangle
-    inside claims of two values is not certified.  The test's claims overlap
-    only in depth-2 cells off row and column 00, which no strip query of
-    g_3 covers, so each query gets the same answer whether it is asked
-    directly or copied from a larger rectangle.
-
-    Its members take exactly the listed values, the identity first: one
-    member per other value, so ``image``, which reads the members, is the
-    list.  Evaluation and the rectangle answers ignore the members."""
-
-    def __init__(self, claims, values=(E, A)):
-        prefixes = map(Cylinder, ("0", "10", "110", "1110", "11110"))
-        super().__init__(tuple(zip(prefixes, values[1:])))
-        self.claims = claims
-
-    def eval(self, x, y):
-        return E
-
-    def values_on_rect(self, u, v):
-        hits = {
-            z for (cu, cv), z in self.claims.items()
-            if u.prefix.startswith(cu) and v.prefix.startswith(cv)
-        }
-        return frozenset(hits) if hits else frozenset((E, A))
-
-
-class TestOverlappingPatches:
-    def test_the_members_take_the_listed_values(self):
-        values = tuple(map(DYADIC.parse_element, ["(0)", "1(0)", "01(0)", "11(0)", "001(0)", "011(0)"]))
-        assert image(_OverlappingClaims({}, values)) == values
-        assert image(_OverlappingClaims({})) == (E, A)
-
-    def test_first_overlapping_cell_row_major_is_reported(self):
-        # At n = 3 (depth 2) the E patch is [11] x [] (k = 0, x strip) and
-        # [01] x [1] (k = 2, x strip); the A patch is [] x [11] (k = 0, y
-        # strip).  Painting meets the overlap at 11 x 11 first (k = 0), but
-        # 01 x 11 (k = 2) comes first row-major.
-        f = _OverlappingClaims({("11", ""): E, ("", "11"): A, ("01", "1"): E})
-        expected = "cell 01 x 11 meets patches of ['(0)', '1(0)'] at depth 2"
-        with pytest.raises(RefinementExhaustedError) as oracle:
-            brute_approximant(f, 3)
-        assert str(oracle.value) == expected
-        with pytest.raises(RefinementExhaustedError) as painted:
-            DiscreteApproximator(f).approximant(3)
-        assert str(painted.value) == expected
-
-    def test_smaller_stage_after_a_checked_larger_one(self):
-        # At depth 2 (stages 3 to 6) cell 01 x 10 gets E at stage 3, from the
-        # y strip [0] x [10], and F, the sixth value, at stage 5, from the x
-        # strip [01] x [1]: stages 3 and 4 are clash-free, stage 5 is not.
-        image = tuple(map(DYADIC.parse_element, ["(0)", "1(0)", "01(0)", "11(0)", "001(0)", "011(0)"]))
-        f = _OverlappingClaims({("0", "10"): E, ("01", "1"): image[-1]}, image)
-        engine = DiscreteApproximator(f)
-        assert engine.approximant(4).values == DiscreteApproximator(f).approximant(4).values
-        assert engine.approximant(3).values == DiscreteApproximator(f).approximant(3).values
-        expected = "cell 01 x 10 meets patches of ['(0)', '011(0)'] at depth 2"
-        # Asked twice: a failed stage is not marked checked.
-        for asked in (engine, engine, DiscreteApproximator(f)):
-            with pytest.raises(RefinementExhaustedError) as painted:
-                asked.approximant(5)
-            assert str(painted.value) == expected
-        # The failed stage leaves the checked ones readable.
-        row = SubbasicNbhd(CantorPoint.parse("01(0)"), WHOLE, frozenset((E,)))
-        assert engine.memberships(row, [4, 3]) == [True, True]
-
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_fresh_engine_past_the_first_stage_raises_the_oracle_message(self, n):
-        # A fresh engine builds depth 2's covers straight through stage n and
-        # checks only n: the reported cell is still the oracle's.
-        image = tuple(map(DYADIC.parse_element, ["(0)", "1(0)", "01(0)", "11(0)", "001(0)", "011(0)"]))
-        f = _OverlappingClaims({("0", "10"): E, ("01", "1"): image[-1]}, image)
-        with pytest.raises(RefinementExhaustedError) as oracle:
-            brute_approximant(f, n)
-        row = SubbasicNbhd(CantorPoint.parse("01(0)"), WHOLE, frozenset((E,)))
-        for ask in (lambda engine: engine.approximant(n), lambda engine: engine.memberships(row, [n])):
-            with pytest.raises(RefinementExhaustedError) as painted:
-                ask(DiscreteApproximator(f))
-            assert str(painted.value) == str(oracle.value)
 
 
 class TestTableSectionPartition:

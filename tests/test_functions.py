@@ -2,8 +2,6 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
 from sepcont.config import parse_function
@@ -125,9 +123,10 @@ class TestOnesSchedule:
                 else:
                     value = vals[n] if n < len(vals) else e
                     tail = frozenset(vals[n:]) | {e}
-                point, ones = CantorPoint("1" * n, "0"), Cylinder("1" * n)
+                point, memo = CantorPoint("1" * n, "0"), GridMemo()
+                ones = memo.exact_points((f,), ClopenSet.from_cylinder(Cylinder("1" * n)))
                 assert f.value_at(n) == value
-                assert f.values_on_rect(ones, ones) == tail | {e}
+                assert set(f.grid_values(ones, ones, memo)) == tail | {e}
                 assert f.eval(point, point) == value
                 assert f.eval(point, ALL_ONES) == f.eval(ALL_ONES, point) == e
             assert f.eval(ALL_ONES, ALL_ONES) == e
@@ -242,138 +241,6 @@ class TestSectionPreimage:
                     assert total.intersect(pre).is_empty()
                     total = total.union(pre)
                 assert total.is_whole()
-
-
-def _reference_profile(f: DiagonalIndicator, c: Cylinder):
-    """The members a cylinder can meet, as (indices, tail_from, out): finitely
-    many indices, every index from ``tail_from`` on, and whether c holds a
-    point outside every member."""
-    if isinstance(f, OnesDiagonal):
-        ones = 0
-        for ch in c.prefix:
-            if ch == "0":
-                return frozenset((ones,)), None, False
-            ones += 1
-        return frozenset(), ones, True
-    hit = frozenset(n for n, (m, _) in enumerate(f.members) if m.overlaps(c))
-    union = ClopenSet.from_prefixes([m.prefix for m, _ in f.members])
-    return hit, None, not ClopenSet.from_cylinder(c).is_subset_of(union)
-
-
-def _reference_tail_values(f: DiagonalIndicator, start: int):
-    if isinstance(f, OnesDiagonal):
-        return frozenset((*f.prefix[start:], *f.period))
-    return frozenset(z for n, (_, z) in enumerate(f.members) if n >= start)
-
-
-def reference_values_on_rect(f: DiagonalIndicator, u: Cylinder, v: Cylinder):
-    """The value superset on u x v read off the two sides' member profiles:
-    the values of the members both sides meet, the tails both sides reach,
-    and the identity unless both sides lie in one single member."""
-    (iu, tu, ou), (iv, tv, ov) = _reference_profile(f, u), _reference_profile(f, v)
-    matched = {f.value_at(n) for n in iu & iv}
-    if tv is not None:
-        matched.update(f.value_at(n) for n in iu if n >= tv)
-    if tu is not None:
-        matched.update(f.value_at(n) for n in iv if n >= tu)
-    if tu is not None and tv is not None:
-        matched.update(_reference_tail_values(f, max(tu, tv)))
-
-    def single(indices, tail_from, out):
-        if tail_from is None and not out and len(indices) == 1:
-            return next(iter(indices))
-        return None
-
-    su, sv = single(iu, tu, ou), single(iv, tv, ov)
-    if not (su is not None and su == sv):
-        matched.add(f.group.identity())
-    return frozenset(matched)
-
-
-def _disjoint(prefixes):
-    """The prefixes that overlap no earlier one."""
-    kept = []
-    for p in prefixes:
-        if not any(Cylinder(p).overlaps(Cylinder(q)) for q in kept):
-            kept.append(p)
-    return kept
-
-
-_LITERALS = {
-    "dyadic": ["(0)", "1(0)", "01(0)", "001(0)", "11(0)"],
-    "cyclic:5": ["0", "1", "2", "3", "4"],
-}
-
-
-@st.composite
-def diag_texts(draw):
-    """(group name, text) of a random ``diag ones``, ``ones-finite`` or
-    ``cyl`` family; values may be the identity."""
-    name = draw(st.sampled_from(sorted(_LITERALS)))
-    values = st.lists(st.sampled_from(_LITERALS[name]), min_size=1, max_size=3)
-    kind = draw(st.sampled_from(["ones", "ones-finite", "cyl"]))
-    if kind != "cyl":
-        return name, f"diag {kind} {','.join(draw(values))}"
-    prefixes = _disjoint(draw(st.lists(st.text("01", max_size=4), min_size=1, max_size=4)))
-    lits = draw(st.lists(st.sampled_from(_LITERALS[name]), min_size=len(prefixes),
-                         max_size=len(prefixes)))
-    return name, "diag cyl " + ",".join(f"{p}:{z}" for p, z in zip(prefixes, lits))
-
-
-RECT_DEPTH = 5
-
-
-class TestValuesOnRect:
-    def test_diag_oracle_small_rects(self):
-        # oracle: deep-grid sampling within each rectangle must stay inside
-        # the reported value set, and hit it exactly on rectangles of depth 3
-        prefixes = ["", "0", "1", "11", "10", "111", "110"]
-        for pu, pv in product(prefixes, repeat=2):
-            u, v = Cylinder(pu), Cylinder(pv)
-            vals = DIAG.values_on_rect(u, v)
-            seen = set()
-            for x in grid_points(6):
-                if not u.contains(x):
-                    continue
-                for y in grid_points(6):
-                    if v.contains(y):
-                        seen.add(DIAG.eval(x, y))
-            # include the accumulation-point rows not on the zero-tail grid
-            if all(c == "1" for c in pu):
-                for y in grid_points(6):
-                    if v.contains(y):
-                        seen.add(DIAG.eval(ALL_ONES, y))
-                if all(c == "1" for c in pv):
-                    seen.add(DIAG.eval(ALL_ONES, ALL_ONES))
-            assert seen <= set(vals)
-            if len(pu) >= 3 and len(pv) >= 3:
-                assert seen == set(vals)
-
-    def test_constant_value_on(self):
-        assert DIAG.constant_value_on(Cylinder("110"), Cylinder("110")) == A
-        assert DIAG.constant_value_on(Cylinder("0"), Cylinder("1")) == E
-        assert DIAG.constant_value_on(Cylinder("11"), Cylinder("11")) is None
-        assert DIAG.constant_value_on(Cylinder(""), Cylinder("")) is None
-
-    @settings(max_examples=40)
-    @given(case=diag_texts())
-    def test_closed_forms_match_profile_reference(self, case, tmp_path_factory):
-        # On every cylinder pair up to depth 5 the closed form equals the
-        # profile reference and holds f's value at the sample points of
-        # u x v: cell representatives, 1^w and 1^k 0^w past the period.
-        name, text = case
-        f = parse_function(text, get_group(name), tmp_path_factory.getbasetemp())
-        period = len(f.period) if isinstance(f, OnesDiagonal) else 0
-        points = [*grid_points(RECT_DEPTH), ALL_ONES]
-        points += [CantorPoint("1" * k, "0") for k in range(RECT_DEPTH + period + 3)]
-        values = [[f.eval(x, y) for y in points] for x in points]
-        cyls = [Cylinder("".join(bits)) for d in range(RECT_DEPTH + 1)
-                for bits in product("01", repeat=d)]
-        inside = {c: [i for i, p in enumerate(points) if c.contains(p)] for c in cyls}
-        for u, v in product(cyls, repeat=2):
-            got = f.values_on_rect(u, v)
-            assert got == reference_values_on_rect(f, u, v), (text, u, v)
-            assert {values[i][j] for i in inside[u] for j in inside[v]} <= got, (text, u, v)
 
 
 def section_sup(f, g, axis, fixed, region):

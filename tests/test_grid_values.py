@@ -10,8 +10,8 @@ witness), and are kept as the reference; the two-sided ball test is
 checked against a brute search over u.  The same random combinator trees
 also check that ``grid_values`` is the pointwise value at every point of
 a rectangle, that the exact points of the square number 2^D + P, that a
-product with a constant answers structural queries as
-the finite map it equals, that
+product with a constant takes the values and section partitions of the
+finite map it equals, that
 ``grid_sup`` gives the pointwise max and witness, that
 ``product_chain``'s folded tables equal the unfolded product chains of
 the same tables, and that every combinator's ``section_partition`` is a
@@ -180,7 +180,6 @@ point_lists = st.integers(0, 4).map(lambda d: grid_points(d) + OFF_GRID)
 constant_products = st.sampled_from(POOLS[:2]).flatmap(
     lambda pool: st.tuples(_functions(pool), st.sampled_from(pool))
 )
-CYLINDERS_TO_2 = tuple(Cylinder("".join(bits)) for d in range(3) for bits in product("01", repeat=d))
 
 
 def brute_values(f, xs, ys):
@@ -794,20 +793,18 @@ class TestConstantProducts:
     def test_product_with_constant_is_a_finite_map(self, gc, const_first, fixed):
         # prod(const c, g) is z -> c z of g, and prod(g, const c) is z -> z c.
         g, c = gc
-        rects = list(product(CYLINDERS_TO_2, repeat=2))
-        # The map is keyed by g's image and by the strays that g's rectangle
-        # answers may over-approximate, so it keeps them as the product does.
         mul = g.group.mul
-        values = {*image(g), *(w for u, v in rects for w in g.values_on_rect(u, v))}
         if const_first:
             prod = PointwiseProduct(Constant(c), g)
-            mapped = PostCompose(g, {z: mul(c, z) for z in values})
+            mapped = PostCompose(g, {z: mul(c, z) for z in image(g)})
         else:
             prod = PointwiseProduct(g, Constant(c))
-            mapped = PostCompose(g, {z: mul(z, c) for z in values})
+            mapped = PostCompose(g, {z: mul(z, c) for z in image(g)})
         assert image(prod) == image(mapped)
-        for u, v in rects:
-            assert prod.values_on_rect(u, v) == mapped.values_on_rect(u, v)
+        # On the exact points cut at depth 2 and on points off every grid.
+        memo = GridMemo()
+        for pts in (memo.exact_points((g,), depth=2), OFF_GRID):
+            assert prod.grid_values(pts, pts, memo) == mapped.grid_values(pts, pts, memo)
         for axis in ("x", "y"):
             assert prod.section_partition(axis, fixed) == mapped.section_partition(axis, fixed)
 
@@ -887,29 +884,6 @@ class TestChecksDecidedOnce:
         points = grid_points(deep_enough(fg))
         rep = problem3_check(f, g)
         assert rep.sup_group_metric == brute_sup(REAL.dist, f, g, points, points)[0]
-
-
-# Every cylinder of depth <= 4, and per cylinder those inside it.
-RECT_PREFIXES = tuple(format(i, f"0{n}b") if n else "" for n in range(5) for i in range(2**n))
-INSIDE = {a: tuple(b for b in RECT_PREFIXES if b.startswith(a)) for a in RECT_PREFIXES}
-
-
-class TestMonotoneValuesOnRect:
-    @given(functions)
-    def test_singleton_verdict_holds_on_sub_rectangles(self, f):
-        # The contract the discrete engine copies strip verdicts on: a
-        # singleton answer on u x v (depth <= 3) is the same singleton on
-        # every nonempty sub-rectangle, down to depth 4.
-        values = {
-            (a, b): f.values_on_rect(Cylinder(a), Cylinder(b))
-            for a in RECT_PREFIXES
-            for b in RECT_PREFIXES
-        }
-        for (a, b), vals in values.items():
-            if len(vals) == 1 and len(a) <= 3 and len(b) <= 3:
-                for sub_a in INSIDE[a]:
-                    for sub_b in INSIDE[b]:
-                        assert values[sub_a, sub_b] == vals, (a, b, sub_a, sub_b)
 
 
 # Points off every exact point set of the trees above: 1^w, (01),
@@ -1025,6 +999,16 @@ class TestExactPoints:
         # point sets shows here first.
         depth, period = resolution(fns)
         assert len(GridMemo().exact_points(fns)) == 2**depth + period
+
+    @given(functions, st.integers(0, 4))
+    def test_a_depth_floor_cuts_the_square_at_the_larger_depth(self, f, d):
+        # The discrete engine's working depth d raises D; at or below D the
+        # floor changes nothing, so the tuple is the square's own.
+        depth, period = resolution((f,))
+        memo = GridMemo()
+        pts = memo.exact_points((f,), depth=d)
+        assert len(pts) == 2 ** max(depth, d) + period
+        assert (pts is memo.exact_points((f,))) == (d <= depth)
 
     def test_one_tuple_per_point_set(self):
         # Two pairs with one resolution (D, P) = (2, 2) share the tuple, so

@@ -14,6 +14,9 @@ methods are called by the language and are not checked.  Every function
 and method the benchmark's tracer wraps by name exists where the tracer
 looks for it.
 
+Every exception type in ``errors.py`` but the base is raised somewhere in
+src/.
+
 Only the value types (points, cylinders and clopen sets) define ``__eq__``
 or ``__hash__``; every other class compares by identity.  Group elements
 are hash-consed, one object per value: ``GroupElement`` is called only
@@ -188,6 +191,60 @@ def test_unreferenced_definition_is_reported():
         defining, "Used().called()\n", "PATCH = ('Used', 'wrapped')\n", "order = 3\nprint(order)\n",
     ]
     assert set(unreferenced_definitions(defining, referencing)) == {("order", 10), ("orphan", 12)}
+
+
+def raised_names(source):
+    """The name each ``raise`` in source raises, called or not, bare
+    (``raise ConfigError(...)``) or qualified (``raise errors.ConfigError``)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return out
+
+
+def unraised_errors(errors_source, sources):
+    """The exception classes errors_source defines, apart from the base
+    ``SepcontError``, that no ``raise`` in sources names.  An ``except``
+    clause names a class too, so the reference lint above passes a type
+    that is caught but never raised."""
+    raised = set().union(*map(raised_names, sources))
+    return [
+        node.name
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef) and node.name != "SepcontError" and node.name not in raised
+    ]
+
+
+def test_every_error_type_is_raised():
+    assert unraised_errors((SRC / "errors.py").read_text(), [p.read_text() for p in MODULES]) == []
+
+
+def test_unraised_error_type_is_reported():
+    errors = (
+        "class SepcontError(Exception):\n"
+        "    pass\n"
+        "class Called(SepcontError):\n"
+        "    pass\n"
+        "class Qualified(SepcontError):\n"
+        "    pass\n"
+        "class Bare(SepcontError):\n"
+        "    pass\n"
+        "class Caught(SepcontError):\n"
+        "    pass\n"
+    )
+    user = (
+        "try:\n"
+        "    raise Called('x')\n"
+        "except Caught:\n"
+        "    raise\n"
+        "def f():\n"
+        "    raise errors.Qualified from None\n"
+        "def g():\n"
+        "    raise Bare\n"
+    )
+    assert unraised_errors(errors, [errors, user]) == ["Caught"]
 
 
 VALUE_TYPES = {"CantorPoint", "Cylinder", "ClopenSet"}

@@ -286,7 +286,6 @@ def _phi(pipe, n, z):
 
 # The diag ones 1(0) family, the diag-multi.cfg family at its n_max, and a cyclic:5 family.
 FACTOR_CASES = [(DIAG, 4), (MULTI, 6), (C5_CYCLE, 4)]
-CYLINDERS_TO_3 = [Cylinder("".join(bits)) for d in range(4) for bits in product("01", repeat=d)]
 
 
 @pytest.fixture(scope="module", params=FACTOR_CASES, ids=["diag", "diag-multi", "cyclic5"])
@@ -314,16 +313,15 @@ class TestFactorAsMap:
             expected = tuple(pipe.group.sort_canonically({_phi(pipe, n, z) for z in pipe.sample}))
             assert image(pipe.factor(n)) == expected
 
-    def test_values_on_rect_are_phi_of_f_values(self, factor_pipe):
-        pipe = factor_pipe
+    def test_grid_values_are_phi_of_f_values(self, factor_pipe):
+        # On the exact points of the square, cut at depth 3 as the factor
+        # engines cut them for their deepest stage tables.
+        pipe, memo = factor_pipe, GridMemo()
+        pts = memo.exact_points((pipe.f,), depth=3)
+        f_vals = pipe.f.grid_values(pts, pts, memo)
         for n in range(pipe.n_max + 1):
             g = pipe.factor(n)
-            for u, v in product(CYLINDERS_TO_3, repeat=2):
-                f_vals = pipe.f.values_on_rect(u, v)
-                vals = g.values_on_rect(u, v)
-                assert vals == frozenset(_phi(pipe, n, w) for w in f_vals)
-                if len(f_vals) == 1:
-                    assert len(vals) == 1
+            assert g.grid_values(pts, pts, memo) == [_phi(pipe, n, w) for w in f_vals]
 
 
 class TestDiagonal:
@@ -456,15 +454,16 @@ class TestErrorPaths:
             zerodim, "ball_net", lambda group, k, depth: net0 if k == 0 else ball_net(group, k, depth)
         )
 
-    def test_shifted_point_at_the_ball_radius_passes(self, monkeypatch):
+    def test_quantizer_at_the_ball_radius_passes_condition_two(self, monkeypatch):
         # A net(0) that answers A at distance 0 for every point makes r_1 = A
-        # on the image {E}.  Step 1 then shifts E to A^-1, at distance
-        # 1/2 = 2^-1 from the identity: on the closed ball B[2^-1], so the
-        # step goes on.
-        self._net_zero(monkeypatch, SimpleNamespace(nearest=lambda z: (A, Fraction(0))))
-        sample, _, tower = build_tower(Constant(E), 2)
-        assert sample == (E,) and tower[1][E] is A
-        assert DYADIC.dist(DYADIC.identity(), DYADIC.inv(A)) == Fraction(1, 2)
+        # on the image {E}, at distance 1/2 = 2^-1 from E: condition (2) at
+        # level 1 holds on the closed ball, and its row says so.
+        net0 = SimpleNamespace(nearest=lambda z: (A, Fraction(0)), elements=(A,))
+        self._net_zero(monkeypatch, net0)
+        pipe = ZerodimPipeline(Constant(E), 1)
+        assert pipe.sample == (E,) and pipe.tower[1][E] is A
+        row = pipe.condition_rows()[1]
+        assert row.level == 1 and row.cond2_sup == Fraction(1, 2) and row.cond2_ok
 
     def test_nearest_net_element_at_the_separation_fails(self, monkeypatch):
         # A net(0) of the identity alone leaves 01(0) at distance exactly
