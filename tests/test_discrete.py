@@ -13,7 +13,7 @@ from sepcont.cantor import (
     partition_at_depth,
 )
 from sepcont.config import MAX_N
-from sepcont.discrete import DiscreteApproximator
+from sepcont.discrete import DiscreteApproximator, _StageTable
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -398,6 +398,76 @@ class TestPairs:
                 if len(values) == 1:
                     expected[engine.image.index(*values)] |= 1 << (i << d) + j
             assert engine.pairs(d) == expected, d
+
+    def test_diag_pairs_at_depth_three(self):
+        # [110] x [110] lies in member 2, where f is A; [11] x [11] holds
+        # blocks of A and points off them, so no depth-2 pair there is
+        # constant; [0] x [1] is off every block.
+        engine = DiscreteApproximator(DIAG)
+        ranks = {z: r for r, z in enumerate(engine.image)}
+        cell = lambda d, a, b: 1 << (int(a, 2) << d) + int(b, 2)
+        pairs3 = engine.pairs(3)
+        assert pairs3[ranks[A]] & cell(3, "110", "110")
+        assert pairs3[ranks[E]] & cell(3, "011", "100")
+        assert not any(m & cell(2, "11", "11") for m in engine.pairs(2))
+
+    @given(trees)
+    def test_pairs_coarsen_to_the_depth_above(self, f):
+        # f is constant at z on a depth-d pair exactly when it is at z on its
+        # four depth-(d+1) sub-pairs; below D both read the depth-D points,
+        # past D each depth reads its own.
+        engine = DiscreteApproximator(f)
+        for d in range(4):
+            fine = engine.pairs(d + 1)
+            coarse = [0] * len(fine)
+            for r, m in enumerate(fine):
+                for i, j in product(range(1 << d), repeat=2):
+                    subs = [(2 * i + a << d + 1) + 2 * j + b for a, b in product((0, 1), repeat=2)]
+                    if all(m >> s & 1 for s in subs):
+                        coarse[r] |= 1 << (i << d) + j
+            assert engine.pairs(d) == coarse, d
+
+    @given(trees, st.permutations([1, 2, 3]))
+    def test_pairs_do_not_depend_on_the_order_asked(self, f, order):
+        # The engine's memo keeps the points of every depth asked; a depth
+        # asked after a deeper one reads its own.
+        shared = DiscreteApproximator(f)
+        got = {d: shared.pairs(d) for d in order}
+        for d in order:
+            assert got[d] == DiscreteApproximator(f).pairs(d), d
+
+
+class TestStageTable:
+    @staticmethod
+    def table(f, d):
+        engine = DiscreteApproximator(f)
+        return _StageTable(d, partition_at_depth(d), f, engine.image, engine.pairs(d))
+
+    def test_spread_moves_cell_i_to_the_pair_i_0(self):
+        for d in range(5):
+            table = self.table(DIAG, d)
+            for i in range(1 << d):
+                assert table.spread(1 << i) == 1 << (i << d), (d, i)
+            assert table.spread((1 << (1 << d)) - 1) == sum(1 << (i << d) for i in range(1 << d))
+
+    @given(trees, st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, (1 << (1 << d)) - 1))))
+    def test_folds_match_a_per_cell_read_of_the_pair_masks(self, f, case):
+        # Cell u_i is in the x strip of rank r when pairs[r] holds every
+        # (i, j), j in cols, and in the y strip when it holds every (j, i).
+        d, cols = case
+        table = self.table(f, d)
+        table.add(cols)
+        band = [j for j in range(1 << d) if cols >> j & 1]
+        for r, pairs in enumerate(table.pairs):
+            has = lambda i, j: pairs >> (i << d) + j & 1
+            expected = 0
+            for i in range(1 << d):
+                if all(has(i, j) for j in band):
+                    expected |= sum(1 << (i << d) + j for j in band)
+                if all(has(j, i) for j in band):
+                    expected |= sum(1 << (j << d) + i for j in band)
+            assert table.cover[r] == [expected], r
 
 
 class TestPaintedApproximants:
