@@ -386,10 +386,6 @@ class ClopenSet:
         d = self.depth()
         return d, tuple(self.cell_indices(d))
 
-    def cells_at_depth(self, d: int) -> tuple[Cylinder, ...]:
-        """The depth-d cylinders contained in the set; requires d >= depth()."""
-        return tuple(Cylinder(format(i, f"0{d}b") if d else "") for i in self.cell_indices(d))
-
     def __str__(self) -> str:
         if self.is_empty():
             return "{}"

@@ -4,33 +4,24 @@ discrete image.
 From f it builds locally constant (hence jointly continuous) table
 functions g_n and certifies layer-wise convergence through an explicit
 finite stage.  The image filtration is f's image f(X x Y) in canonical
-order (``image``): level n holds its first n + 1 elements.  Every per-cell
-fact is an integer bit mask: at working depth d, cell u_i of one side is
-bit i and the cell pair (i, j) is bit i * 2^d + j.  f's values are read
-once per working depth, on exact points (``pairs``): per value, the cell
-pairs on which f is that value, and every strip is read off those masks.
-The patches of g_n only grow with n, so one stage table per working depth
-keeps, per value, their union through each stage; ``approximant(n)`` and
-every certificate stage read it.
+order (``image``): level n holds its first n + 1 elements.  At working
+depth d, cell u_i of one side has index i and the cell pair (i, j) index
+i * 2^d + j.  f's values are read once per working depth, on exact points
+(``pairs``): the rank of f's value on each cell pair, or None where f
+takes two values.  A cell pair is only ever painted with f's value on it,
+and the painting only grows with n, so one stage table per working depth
+keeps, per cell pair, the first stage that paints it; ``approximant(n)``
+and every certificate stage read it.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, NamedTuple
+from math import inf
+from typing import Iterable, NamedTuple
 
 from sepcont.cantor import CantorPoint, Cylinder, basis_index, partition_at_depth
 from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
 from sepcont.groups import GroupElement
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class ConvergenceCertificate(NamedTuple):
@@ -43,57 +34,36 @@ class ConvergenceCertificate(NamedTuple):
 
 
 class _StageTable:
-    """The patches of one working depth d, as far as asked: ``cover[r][k]``
-    masks the rectangles X(z,k') x V_k' and V_k' x Y(z,k'), k' <= k, of the
-    r-th value z.  A pair (k, z) enters at stage max(k, rank of z, the depth's
-    first stage), so g_n paints cover[r][n] with the r-th value for r <= n.
-    ``pairs[r]`` masks the cell pairs on which f is the r-th value."""
+    """The patches of one working depth d, as far as asked.  ``rank[c]`` is
+    the rank of f's value on cell pair c, or None; ``entry[c]`` is the first
+    stage that paints c, inf while no strip of the stages added so far
+    holds it.  The rectangles X(z,k) x V_k and V_k x Y(z,k) of the r-th
+    value z enter at stage max(k, r), so g_n paints c with the rank[c]-th
+    value when entry[c] <= n.  ``added`` lists the stages added, 0, 1, ..."""
 
     def __init__(self, d: int, cells: list[Cylinder], f: SepFunction,
-                 image: tuple[GroupElement, ...], pairs: list[int]):
-        self.d, self.cells, self.f, self.image, self.pairs = d, cells, f, image, pairs
-        self.cover: list[list[int]] = [[] for _ in image]
-        self._bases = (16,) * (d // 2) + (4,) * (d % 2)
-        self._line = (1 << (1 << d)) - 1  # row 0: the pairs (0, j)
-        self._first = self.spread(self._line)  # column 0: the pairs (i, 0)
-        self._stages: dict[int, tuple[list[int], int]] = {}
+                 image: tuple[GroupElement, ...], rank: list[int | None]):
+        self.d, self.cells, self.f, self.image, self.rank = d, cells, f, image, rank
+        self.entry: list[float] = [inf] * len(rank)
+        self.added: list[int] = []
         self._limit: dict[int, GroupElement] = {}
 
-    def spread(self, line: int) -> int:
-        """Bit i of ``line`` moved to bit i * 2^d: cell u_i as the pair (i, 0).
-        Read as digits in base 16 (or 4), the bits move to 4i (or 2i)."""
-        for base in self._bases:
-            line = int(format(line, "b"), base)
-        return line
-
-    def add(self, cols: int) -> None:
-        """Extend the covers by V_k's strips, ``cols`` masking its depth-d
-        cells.  Cell u_i is in the x strip of the r-th value when pairs[r]
-        covers u_i x V_k, the columns ``cols`` of row i, and in the y strip
-        when it covers V_k x u_i, the rows ``cols`` of column i.  The pairs
-        of those rectangles that pairs[r] misses are folded onto column 0
-        (shifts 1, 2, ..., 2^(d-1) within each row) and onto row 0 (shifts
-        2^d, ..., 2^(2d-1) across the rows), so a strip is what is left
-        there.  An x strip R adds R x V_k and a y strip C adds V_k x C, one
-        product each."""
-        d, rows = self.d, self.spread(cols)
-        across, down = cols * self._first, rows * self._line
-        for cover, pairs in zip(self.cover, self.pairs):
-            x_miss, y_miss = across & ~pairs, down & ~pairs
-            for s in range(d):
-                x_miss |= x_miss >> (1 << s)
-                y_miss |= y_miss >> (1 << d + s)
-            rects = cols * (self._first & ~x_miss) | (self._line & ~y_miss) * rows
-            cover.append(cover[-1] | rects if cover else rects)
-
-    def stage(self, n: int) -> tuple[list[int], int]:
-        """Per rank, the cells g_n paints with that value, and their union,
-        worked out once per stage.  The masks are disjoint: each patch lies
-        where f takes its value."""
-        if n not in self._stages:
-            masks = [cover[n] if r <= n else 0 for r, cover in enumerate(self.cover)]
-            self._stages[n] = masks, reduce(or_, masks)
-        return self._stages[n]
+    def add(self, k: int, cols: range) -> None:
+        """Paint stage k's strips, ``cols`` the depth-d cells of V_k.  Cell
+        u_i is in the x strip of the r-th value when f is that value on every
+        pair (i, j), j in cols, and in the y strip when it is on every (j, i);
+        the strip's pairs then enter at stage max(k, r).  Stages come in
+        order, so a line whose pairs are all painted already keeps them."""
+        size = 1 << self.d
+        rank, entry = self.rank, self.entry
+        a, b = cols.start, cols.stop
+        for i in range(size):
+            for line in (slice(i * size + a, i * size + b), slice(a * size + i, b * size + i, size)):
+                ranks, cur = rank[line], entry[line]
+                r = ranks[0]
+                if r is not None and ranks.count(r) == len(ranks) and inf in cur:
+                    entry[line] = [min(e, max(k, r)) for e in cur]
+        self.added.append(k)
 
     def limit(self, c: int) -> GroupElement:
         """f at cell c's limit representatives, worked out once per cell."""
@@ -102,17 +72,15 @@ class _StageTable:
             self._limit[c] = self.f.eval(u, v)
         return self._limit[c]
 
+    def value(self, c: int, n: int) -> GroupElement:
+        """g_n on cell pair c: its painted value, else f at its limit
+        representatives."""
+        return self.image[self.rank[c]] if self.entry[c] <= n else self.limit(c)  # type: ignore[index]
+
     def function(self, n: int) -> TableFunction:
-        """g_n as a table: each painted cell's value, f at the cell's limit
-        representatives on the others."""
-        masks, painted = self.stage(n)
+        """g_n as a table."""
         size = 1 << self.d
-        values: list = [None] * (size * size)
-        for z, m in zip(self.image, masks):
-            for c in _bits(m):
-                values[c] = z
-        for c in _bits((1 << size * size) - 1 & ~painted):
-            values[c] = self.limit(c)
+        values = [self.value(c, n) for c in range(size * size)]
         rows = (tuple(values[i : i + size]) for i in range(0, size * size, size))
         return TableFunction(self.d, tuple(rows))
 
@@ -141,39 +109,33 @@ class DiscreteApproximator:
         """
         return (n + 1).bit_length() - 1 or 1
 
-    def pairs(self, d: int) -> list[int]:
-        """Per image rank r, the mask of the depth-d cell pairs on which f is
-        constant at the r-th value.  The exact points of the square cut at
-        depth max(D, d) meet every value class of f on each cell pair, so f
-        is constant on a pair exactly when its points there take one value:
-        each point pair marks its cell pair with its value's rank, and a
-        pair marked by two values is constant at neither."""
+    def pairs(self, d: int) -> list[int | None]:
+        """Per depth-d cell pair, the rank of the value f is constant at on
+        it, or None.  The exact points of the square cut at depth max(D, d)
+        meet every value class of f on each cell pair, so f is constant on a
+        pair exactly when its points there take one value."""
         pts = self.memo.exact_points((self.f,), depth=d)
         cells = self.memo.cells(pts, d)
         values = iter(self.f.grid_values(pts, pts, self.memo))
-        masks = [0] * len(self.image)
+        rank: list[int | None] = [-1] * (1 << 2 * d)  # -1: no point read yet
         for i in cells:
-            row = i << d
             for j in cells:
-                masks[self._rank[next(values)]] |= 1 << row + j
-        seen = mixed = 0
-        for m in masks:
-            mixed |= seen & m
-            seen |= m
-        return [m & ~mixed for m in masks]
+                c, r = (i << d) + j, self._rank[next(values)]
+                rank[c] = r if rank[c] in (-1, r) else None
+        return rank
 
     def _table(self, n: int) -> _StageTable:
-        """The stage table of n's working depth, its covers through stage n."""
+        """The stage table of n's working depth, its stages added through n."""
         d = self.working_depth(n)
         table = self._tables.get(d)
         if table is None:
             table = self._tables[d] = _StageTable(d, partition_at_depth(d), self.f, self.image,
                                                   self.pairs(d))
-        for k in range(len(table.cover[0]), n + 1):
+        for k in range(len(table.added), n + 1):
             # V_k is cell k + 1 - 2^l at depth l <= d, so 2^(d-l) cells here.
             l = (k + 1).bit_length() - 1
             w = 1 << (d - l)
-            table.add(((1 << w) - 1) << ((k + 1 - (1 << l)) * w))
+            table.add(k, range((k + 1 - (1 << l)) * w, (k + 2 - (1 << l)) * w))
         return table
 
     def approximant(self, n: int) -> TableFunction:
@@ -186,13 +148,11 @@ class DiscreteApproximator:
     def memberships(self, probe: SubbasicNbhd, stages: Iterable[int]) -> list[bool]:
         """Whether g_n lies in ``probe``, for each n in ``stages``.
 
-        Stage n is read off the stage table of its working depth, where the
-        probe is the mask of the cells it meets, made once per depth: g_n
-        lies in it when no patch of a value outside U meets the mask and
-        no unpainted cell of it has its limit value outside U."""
+        Stage n is read off the stage table of its working depth, on the
+        probe's line there: the cell pairs it meets, listed once per depth.
+        g_n lies in the probe when each of them has its value in U."""
         axis, fixed, other = probe.sides()
-        off = [r for r, z in enumerate(self.image) if z not in probe.allowed]
-        lines: dict[int, int] = {}
+        lines: dict[int, list[int]] = {}
         out = []
         for n in stages:
             table = self._table(n)
@@ -201,20 +161,17 @@ class DiscreteApproximator:
                 # The fixed point's row (axis 'x') or column, at the cells of
                 # K shifted to depth d.
                 if isinstance(other, CantorPoint):
-                    line = 1 << int(other.prefix(d), 2)
+                    js = [int(other.prefix(d), 2)]
                 else:
                     depth, cells = other.own_cells
                     if depth >= d:
-                        line = reduce(or_, (1 << (j >> (depth - d)) for j in cells), 0)
+                        js = sorted({j >> (depth - d) for j in cells})
                     else:
                         w = 1 << (d - depth)
-                        line = reduce(or_, (((1 << w) - 1) << (j * w) for j in cells), 0)
+                        js = [c for j in cells for c in range(j * w, (j + 1) * w)]
                 i = int(fixed.prefix(d), 2)
-                lines[d] = line << (i << d) if axis == "x" else table.spread(line) << i
-            q = lines[d]
-            masks, painted = table.stage(n)
-            out.append(not any(q & masks[r] for r in off)
-                       and all(table.limit(c) in probe.allowed for c in _bits(q & ~painted)))
+                lines[d] = [(i << d) + j if axis == "x" else (j << d) + i for j in js]
+            out.append(all(table.value(c, n) in probe.allowed for c in lines[d]))
         return out
 
     def certificate(self, nbhd: SubbasicNbhd, n_max: int) -> ConvergenceCertificate:

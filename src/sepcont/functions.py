@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from functools import reduce
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Iterable, Literal, NamedTuple
 
@@ -416,8 +417,8 @@ class GridMemo:
             corner = max([depth, *(c.depth() for c in cylinders if "0" not in c.prefix)])
             ones = {CantorPoint("1" * k) for k in {*range(corner, corner + period + 1), key[3]}
                     if k is not None}
-            points = {cell.representative() for c in cylinders for cell in
-                      ClopenSet.from_cylinder(c).cells_at_depth(max(depth, c.depth()))}
+            points = {CantorPoint(c.prefix + "".join(bits)) for c in cylinders
+                      for bits in product("01", repeat=max(0, depth - c.depth()))}
             points.update(p for p in ones if side.contains(p))
             top = max(len(p.preperiod) for p in points) if points else 0
             t = tuple(sorted(points, key=lambda p: _cell(p, top)))

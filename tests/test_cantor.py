@@ -240,10 +240,9 @@ class TestClopenSet:
         assert basis_index(a.last_leaf()) == max(basis_index(c.prefix) for c in a.cylinders())
 
     def test_cells_at_depth(self):
-        cells = ClopenSet.parse("{0}").cells_at_depth(2)
-        assert [c.prefix for c in cells] == ["00", "01"]
+        assert ClopenSet.parse("{0}").cell_indices(2) == [0, 1]
         with pytest.raises(ValueError):
-            ClopenSet.parse("{110}").cells_at_depth(1)
+            ClopenSet.parse("{110}").cell_indices(1)
 
     @given(clopens, st.integers(0, 2))
     def test_cell_indices_by_membership(self, a, extra):

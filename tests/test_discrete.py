@@ -1,5 +1,6 @@
 from functools import lru_cache
 from itertools import product
+from math import inf
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from sepcont.cantor import (
     partition_at_depth,
 )
 from sepcont.config import MAX_N
-from sepcont.discrete import DiscreteApproximator, _StageTable
+from sepcont.discrete import DiscreteApproximator
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -102,15 +103,16 @@ class TestStrips:
     def test_strip_soundness_by_sampling(self):
         # every (x, y) in X(z,k) x V_k and in V_k x Y(z,k) evaluates to z,
         # including limit points
+        cells = partition_at_depth(4)
         for k in range(7):
             v = basis_cylinder(k)
-            vs = [c.representative() for c in ClopenSet.from_cylinder(v).cells_at_depth(4)]
+            vs = [cells[i].representative() for i in ClopenSet.from_cylinder(v).cell_indices(4)]
             vs += [Cylinder(v.prefix + "1" * 3).limit_representative()]
             x_sets, y_sets = strip_sets(DIAG, k, 3)
             for strips, at in ((x_sets, DIAG.eval), (y_sets, lambda u, w: DIAG.eval(w, u))):
                 for z, strip in strips.items():
-                    us = [c.representative() for c in strip.cells_at_depth(4)]
-                    us += [c.limit_representative() for c in strip.cells_at_depth(4)]
+                    us = [cells[i].representative() for i in strip.cell_indices(4)]
+                    us += [cells[i].limit_representative() for i in strip.cell_indices(4)]
                     for u in us:
                         for w in vs:
                             assert at(u, w) == z
@@ -384,8 +386,9 @@ class TestPairs:
     def test_diag_pairs_at_depth_one(self):
         # [0] x [0] lies in member 0, where f is A; the cross pairs are off
         # every block; [1] x [1] holds blocks of A and points off them.
-        pairs = dict(zip(image(DIAG), DiscreteApproximator(DIAG).pairs(1)))
-        assert pairs == {E: 0b0110, A: 0b0001}
+        engine = DiscreteApproximator(DIAG)
+        ranks = {z: r for r, z in enumerate(engine.image)}
+        assert engine.pairs(1) == [ranks[A], ranks[E], ranks[E], None]
 
     @given(trees)
     def test_pairs_are_the_cell_pairs_where_f_is_constant(self, f):
@@ -393,10 +396,10 @@ class TestPairs:
         # maps over every pool, at each working depth.
         engine = DiscreteApproximator(f)
         for d in (1, 2, 3):
-            expected = [0] * len(engine.image)
+            expected = [None] * (1 << 2 * d)
             for (i, j), values in cell_pair_values(f, d).items():
                 if len(values) == 1:
-                    expected[engine.image.index(*values)] |= 1 << (i << d) + j
+                    expected[(i << d) + j] = engine.image.index(*values)
             assert engine.pairs(d) == expected, d
 
     def test_diag_pairs_at_depth_three(self):
@@ -405,11 +408,11 @@ class TestPairs:
         # constant; [0] x [1] is off every block.
         engine = DiscreteApproximator(DIAG)
         ranks = {z: r for r, z in enumerate(engine.image)}
-        cell = lambda d, a, b: 1 << (int(a, 2) << d) + int(b, 2)
+        cell = lambda d, a, b: (int(a, 2) << d) + int(b, 2)
         pairs3 = engine.pairs(3)
-        assert pairs3[ranks[A]] & cell(3, "110", "110")
-        assert pairs3[ranks[E]] & cell(3, "011", "100")
-        assert not any(m & cell(2, "11", "11") for m in engine.pairs(2))
+        assert pairs3[cell(3, "110", "110")] == ranks[A]
+        assert pairs3[cell(3, "011", "100")] == ranks[E]
+        assert engine.pairs(2)[cell(2, "11", "11")] is None
 
     @given(trees)
     def test_pairs_coarsen_to_the_depth_above(self, f):
@@ -419,12 +422,10 @@ class TestPairs:
         engine = DiscreteApproximator(f)
         for d in range(4):
             fine = engine.pairs(d + 1)
-            coarse = [0] * len(fine)
-            for r, m in enumerate(fine):
-                for i, j in product(range(1 << d), repeat=2):
-                    subs = [(2 * i + a << d + 1) + 2 * j + b for a, b in product((0, 1), repeat=2)]
-                    if all(m >> s & 1 for s in subs):
-                        coarse[r] |= 1 << (i << d) + j
+            coarse = []
+            for i, j in product(range(1 << d), repeat=2):
+                subs = {fine[(2 * i + a << d + 1) + 2 * j + b] for a, b in product((0, 1), repeat=2)}
+                coarse.append(subs.pop() if len(subs) == 1 else None)
             assert engine.pairs(d) == coarse, d
 
     @given(trees, st.permutations([1, 2, 3]))
@@ -438,36 +439,43 @@ class TestPairs:
 
 
 class TestStageTable:
-    @staticmethod
-    def table(f, d):
+    @given(st.one_of(families, trees))
+    def test_entry_is_the_first_stage_brute_patch_paints(self, f):
+        # Each depth's table through its last stage (at most 12): entry[c]
+        # is the first n at which the patch of a value of rank <= n meets
+        # cell pair c, and past that stage when none that far does (a strip
+        # added by then may enter later, at its value's rank).
         engine = DiscreteApproximator(f)
-        return _StageTable(d, partition_at_depth(d), f, engine.image, engine.pairs(d))
+        for d in (1, 2, 3):
+            last = min(MAX_N, (2 << d) - 2)
+            table = engine._table(last)
+            cells = list(product(partition_at_depth(d), repeat=2))
+            expected = [inf] * len(cells)
+            for n in range(last + 1):
+                for z in engine.image[: n + 1]:
+                    rects = brute_patch(f, z, n, d)
+                    for c, (u, v) in enumerate(cells):
+                        if expected[c] == inf and brute_meets(rects, u, v):
+                            expected[c] = n
+            assert [e if e <= last else inf for e in table.entry] == expected, d
 
-    def test_spread_moves_cell_i_to_the_pair_i_0(self):
-        for d in range(5):
-            table = self.table(DIAG, d)
-            for i in range(1 << d):
-                assert table.spread(1 << i) == 1 << (i << d), (d, i)
-            assert table.spread((1 << (1 << d)) - 1) == sum(1 << (i << d) for i in range(1 << d))
 
-    @given(trees, st.integers(1, 3).flatmap(
-        lambda d: st.tuples(st.just(d), st.integers(1, (1 << (1 << d)) - 1))))
-    def test_folds_match_a_per_cell_read_of_the_pair_masks(self, f, case):
-        # Cell u_i is in the x strip of rank r when pairs[r] holds every
-        # (i, j), j in cols, and in the y strip when it holds every (j, i).
-        d, cols = case
-        table = self.table(f, d)
-        table.add(cols)
-        band = [j for j in range(1 << d) if cols >> j & 1]
-        for r, pairs in enumerate(table.pairs):
-            has = lambda i, j: pairs >> (i << d) + j & 1
-            expected = 0
-            for i in range(1 << d):
-                if all(has(i, j) for j in band):
-                    expected |= sum(1 << (i << d) + j for j in band)
-                if all(has(j, i) for j in band):
-                    expected |= sum(1 << (j << d) + i for j in band)
-            assert table.cover[r] == [expected], r
+class TestMonotonePainting:
+    @given(st.one_of(families, trees))
+    def test_painted_cells_stay_painted_with_their_value(self, f):
+        # A cell pair painted in g_n is painted with the same value in
+        # g_{n+1}; across a depth change, so is each of its sub-pairs.
+        engine = DiscreteApproximator(f)
+        for n in range(63):
+            now, nxt = engine._table(n), engine._table(n + 1)
+            shift = nxt.d - now.d
+            for c, e in enumerate(now.entry):
+                if e <= n:
+                    i, j = divmod(c, 1 << now.d)
+                    for a, b in product(range(1 << shift), repeat=2):
+                        s = ((i << shift) + a << nxt.d) + (j << shift) + b
+                        assert nxt.entry[s] <= n + 1, (n, c, s)
+                        assert nxt.value(s, n + 1) == now.value(c, n), (n, c, s)
 
 
 class TestPaintedApproximants:
@@ -550,9 +558,10 @@ class TestTableMembership:
         f, pool = table_pool
         # U is the section's values on the region (a member), those less
         # one value (a near miss), or a random set.
-        cells = region.cells_at_depth(max(f.depth, region.depth()))
+        d = max(f.depth, region.depth())
+        cells = partition_at_depth(d)
         at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
-        hit = frozenset(at(c.representative()) for c in cells)
+        hit = frozenset(at(cells[i].representative()) for i in region.cell_indices(d))
         near = [hit - {z} for z in sorted(hit, key=str)]
         allowed = data.draw(
             st.one_of(

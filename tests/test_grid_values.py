@@ -32,7 +32,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sepcont import functions as functions_module
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, partition_at_depth
 from sepcont.config import load_experiment, parse_function
 from sepcont.errors import ConfigError
 from sepcont.functions import (
@@ -235,7 +235,9 @@ def side_points(side, depth):
     itself, or the representatives of a clopen side's cells."""
     if isinstance(side, CantorPoint):
         return (side,)
-    return tuple(c.representative() for c in side.cells_at_depth(max(depth, side.depth())))
+    d = max(depth, side.depth())
+    cells = partition_at_depth(d)
+    return tuple(cells[i].representative() for i in side.cell_indices(d))
 
 
 def brute_uniform_dist(f, g, side):
