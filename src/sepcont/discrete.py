@@ -5,21 +5,23 @@ From f it builds locally constant (hence jointly continuous) table
 functions g_n and certifies layer-wise convergence through an explicit
 finite stage.  The image filtration is f's image f(X x Y) in canonical
 order (``image``): level n holds its first n + 1 elements.  At working
-depth d, cell u_i of one side has index i and the cell pair (i, j) index
-i * 2^d + j.  f's values are read once per working depth, on exact points
-(``pairs``): the rank of f's value on each cell pair, or None where f
-takes two values.  A cell pair is only ever painted with f's value on it,
-and the painting only grows with n, so one stage table per working depth
-keeps, per cell pair, the first stage that paints it; ``approximant(n)``
-and every certificate stage read it.
+depth d, cell u_i of one side has index i.
+
+The paper's g_n paints each depth-d cell pair that meets the z-patch with
+z and takes f at the cell pair's limit representatives elsewhere.  A cell
+pair is only painted with the one value f takes on all of it, which is
+also f's value at its limit representatives, so the painting changes no
+value: g_n is f at the limit representatives of the depth-d cells, one
+table per working depth, which ``approximant(n)`` and every certificate
+stage read.  The tests keep the painted construction as the reference.
 """
 
 from __future__ import annotations
 
-from math import inf
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from sepcont.cantor import CantorPoint, Cylinder, basis_index, partition_at_depth
+from sepcont.cantor import CantorPoint, basis_index, partition_at_depth
 from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
 from sepcont.groups import GroupElement
 
@@ -33,71 +35,25 @@ class ConvergenceCertificate(NamedTuple):
     passed: bool
 
 
-class _StageTable:
-    """The patches of one working depth d, as far as asked.  ``rank[c]`` is
-    the rank of f's value on cell pair c, or None; ``entry[c]`` is the first
-    stage that paints c, inf while no strip of the stages added so far
-    holds it.  The rectangles X(z,k) x V_k and V_k x Y(z,k) of the r-th
-    value z enter at stage max(k, r), so g_n paints c with the rank[c]-th
-    value when entry[c] <= n.  ``added`` lists the stages added, 0, 1, ..."""
-
-    def __init__(self, d: int, cells: list[Cylinder], f: SepFunction,
-                 image: tuple[GroupElement, ...], rank: list[int | None]):
-        self.d, self.cells, self.f, self.image, self.rank = d, cells, f, image, rank
-        self.entry: list[float] = [inf] * len(rank)
-        self.added: list[int] = []
-        self._limit: dict[int, GroupElement] = {}
-
-    def add(self, k: int, cols: range) -> None:
-        """Paint stage k's strips, ``cols`` the depth-d cells of V_k.  Cell
-        u_i is in the x strip of the r-th value when f is that value on every
-        pair (i, j), j in cols, and in the y strip when it is on every (j, i);
-        the strip's pairs then enter at stage max(k, r).  Stages come in
-        order, so a line whose pairs are all painted already keeps them."""
-        size = 1 << self.d
-        rank, entry = self.rank, self.entry
-        a, b = cols.start, cols.stop
-        for i in range(size):
-            for line in (slice(i * size + a, i * size + b), slice(a * size + i, b * size + i, size)):
-                ranks, cur = rank[line], entry[line]
-                r = ranks[0]
-                if r is not None and ranks.count(r) == len(ranks) and inf in cur:
-                    entry[line] = [min(e, max(k, r)) for e in cur]
-        self.added.append(k)
-
-    def limit(self, c: int) -> GroupElement:
-        """f at cell c's limit representatives, worked out once per cell."""
-        if c not in self._limit:
-            u, v = (self.cells[i].limit_representative() for i in divmod(c, 1 << self.d))
-            self._limit[c] = self.f.eval(u, v)
-        return self._limit[c]
-
-    def value(self, c: int, n: int) -> GroupElement:
-        """g_n on cell pair c: its painted value, else f at its limit
-        representatives."""
-        return self.image[self.rank[c]] if self.entry[c] <= n else self.limit(c)  # type: ignore[index]
-
-    def function(self, n: int) -> TableFunction:
-        """g_n as a table."""
-        size = 1 << self.d
-        values = [self.value(c, n) for c in range(size * size)]
-        rows = (tuple(values[i : i + size]) for i in range(0, size * size, size))
-        return TableFunction(self.d, tuple(rows))
+@lru_cache(maxsize=None)
+def _limit_points(d: int) -> tuple[CantorPoint, ...]:
+    """The limit representatives of the depth-d cells, in cell-index order;
+    one tuple per depth, so a memo finds its cell and leaf value lists
+    again."""
+    return tuple(c.limit_representative() for c in partition_at_depth(d))
 
 
 class DiscreteApproximator:
     """Builds and caches the locally constant approximants of one function.
-    ``memo`` is the one ``image`` and ``pairs`` read; a fresh memo gives the
-    same engine."""
+    ``memo`` is the one ``image`` and the approximants read; a fresh memo
+    gives the same engine."""
 
     def __init__(self, f: SepFunction, memo: GridMemo | None = None):
         self.f = f
         self.group = f.group
         self.memo = memo if memo is not None else GridMemo()
         self.image = image(f, self.memo)
-        self._rank = {z: r for r, z in enumerate(self.image)}
-        self._tables: dict[int, _StageTable] = {}
-        self._gn_cache: dict[int, TableFunction] = {}
+        self._tables: dict[int, TableFunction] = {}
 
     def working_depth(self, n: int) -> int:
         """Max basis-cylinder depth through index n (at least 1).
@@ -109,57 +65,35 @@ class DiscreteApproximator:
         """
         return (n + 1).bit_length() - 1 or 1
 
-    def pairs(self, d: int) -> list[int | None]:
-        """Per depth-d cell pair, the rank of the value f is constant at on
-        it, or None.  The exact points of the square cut at depth max(D, d)
-        meet every value class of f on each cell pair, so f is constant on a
-        pair exactly when its points there take one value."""
-        pts = self.memo.exact_points((self.f,), depth=d)
-        cells = self.memo.cells(pts, d)
-        values = iter(self.f.grid_values(pts, pts, self.memo))
-        rank: list[int | None] = [-1] * (1 << 2 * d)  # -1: no point read yet
-        for i in cells:
-            for j in cells:
-                c, r = (i << d) + j, self._rank[next(values)]
-                rank[c] = r if rank[c] in (-1, r) else None
-        return rank
-
-    def _table(self, n: int) -> _StageTable:
-        """The stage table of n's working depth, its stages added through n."""
-        d = self.working_depth(n)
-        table = self._tables.get(d)
-        if table is None:
-            table = self._tables[d] = _StageTable(d, partition_at_depth(d), self.f, self.image,
-                                                  self.pairs(d))
-        for k in range(len(table.added), n + 1):
-            # V_k is cell k + 1 - 2^l at depth l <= d, so 2^(d-l) cells here.
-            l = (k + 1).bit_length() - 1
-            w = 1 << (d - l)
-            table.add(k, range((k + 1 - (1 << l)) * w, (k + 2 - (1 << l)) * w))
-        return table
+    def _table(self, d: int) -> TableFunction:
+        """f at the limit representatives of the depth-d cells, one
+        ``grid_values`` call per depth."""
+        if d not in self._tables:
+            pts, size = _limit_points(d), 1 << d
+            values = self.f.grid_values(pts, pts, self.memo)
+            rows = (tuple(values[i : i + size]) for i in range(0, size * size, size))
+            self._tables[d] = TableFunction(d, tuple(rows))
+        return self._tables[d]
 
     def approximant(self, n: int) -> TableFunction:
         """g_n: constant z on cells meeting the z-patch, f at the cell's
-        limit representative elsewhere; locally constant by construction."""
-        if n not in self._gn_cache:
-            self._gn_cache[n] = self._table(n).function(n)
-        return self._gn_cache[n]
+        limit representative elsewhere, which is the table of n's working
+        depth; locally constant by construction."""
+        return self._table(self.working_depth(n))
 
     def memberships(self, probe: SubbasicNbhd, stages: Iterable[int]) -> list[bool]:
         """Whether g_n lies in ``probe``, for each n in ``stages``.
 
-        Stage n is read off the stage table of its working depth, on the
-        probe's line there: the cell pairs it meets, listed once per depth.
-        g_n lies in the probe when each of them has its value in U."""
+        g_n is the table of its working depth, so each depth is read once,
+        on the probe's line there: the cells of K shifted to depth d, in
+        the fixed point's row (axis 'x') or column.  g_n lies in the probe
+        when each of them has its value in U."""
         axis, fixed, other = probe.sides()
-        lines: dict[int, list[int]] = {}
+        verdicts: dict[int, bool] = {}
         out = []
         for n in stages:
-            table = self._table(n)
-            d = table.d
-            if d not in lines:
-                # The fixed point's row (axis 'x') or column, at the cells of
-                # K shifted to depth d.
+            d = self.working_depth(n)
+            if d not in verdicts:
                 if isinstance(other, CantorPoint):
                     js = [int(other.prefix(d), 2)]
                 else:
@@ -169,9 +103,10 @@ class DiscreteApproximator:
                     else:
                         w = 1 << (d - depth)
                         js = [c for j in cells for c in range(j * w, (j + 1) * w)]
-                i = int(fixed.prefix(d), 2)
-                lines[d] = [(i << d) + j if axis == "x" else (j << d) + i for j in js]
-            out.append(all(table.value(c, n) in probe.allowed for c in lines[d]))
+                i, rows = int(fixed.prefix(d), 2), self._table(d).values
+                line = (rows[i][j] if axis == "x" else rows[j][i] for j in js)
+                verdicts[d] = all(z in probe.allowed for z in line)
+            out.append(verdicts[d])
         return out
 
     def certificate(self, nbhd: SubbasicNbhd, n_max: int) -> ConvergenceCertificate:
@@ -181,8 +116,9 @@ class DiscreteApproximator:
         every n in [m, n_max].  The target set W = f(K_X x K_Y) and the
         pieces to cover are the probe's ``pieces`` of f.
 
-        Each stage is read off the stage table (``memberships``); only a
-        failing stage builds g_n, for ``in_subbasic`` to name its witness."""
+        Each stage is read off its table's line (``memberships``); only a
+        failing stage reads g_n whole, for ``in_subbasic`` to name its
+        witness."""
         pieces = nbhd.pieces(self.f)
         w = tuple(self.group.sort_canonically(pieces))
         cover = (basis_index(pieces[z].last_leaf()) for z in w)

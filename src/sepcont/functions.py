@@ -389,28 +389,23 @@ class GridMemo:
 
     def exact_points(self, fns: Iterable[SepFunction],
                      side: ClopenSet | CantorPoint = ClopenSet.whole(),
-                     fixed: CantorPoint | None = None, *,
-                     depth: int = 0) -> tuple[CantorPoint, ...]:
+                     fixed: CantorPoint | None = None) -> tuple[CantorPoint, ...]:
         """Points of ``side`` that meet every value class of fns on it, in
         lexicographic order, so a max over them is the sup over the side;
         one kept tuple per point set, so its cell and leaf value lists are
         found again.
 
-        A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``
-        and D raised to ``depth``: the representative (prefix, then 0^w) of
+        A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``:
+        the representative (prefix, then 0^w) of
         each cylinder of side, cut into its depth-D cells where it is
         shallower, and the points 1^k 0^w in side for k in [C, C + P],
         C = max(D, depth of the all-ones cylinder of side), and, for a
         probe's fixed point with j leading ones, k = j.  Each is the first
         point of its class on any grid that holds them all, and their number
-        grows with the cylinders of side, not with its depth.  Off the corner
-        [1^D] x [1^D] every leaf is constant on each pair of depth-D cells,
-        so a raised D makes the points of the square meet every value class
-        on each pair of depth-``depth`` cells."""
+        grows with the cylinders of side, not with its depth."""
         if isinstance(side, CantorPoint):
             return self._points.setdefault((side,), (side,))
-        leaf_depth, period = resolution(fns)
-        depth = max(depth, leaf_depth)
+        depth, period = resolution(fns)
         key = (depth, period, side, fixed.leading_ones() if fixed is not None else None)
         if key not in self._points:
             cylinders = side.cylinders()

@@ -37,7 +37,6 @@ SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 # Each key is a mutant's label, "function: mutated expression".
 EQUIVALENT = {
     "memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
-    "value: self.entry[c] < n": "a painted cell pair has a rank, so f is constant on it and its limit value is the painted one",
 }
 
 

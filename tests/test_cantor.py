@@ -239,11 +239,6 @@ class TestClopenSet:
         assert a.last_leaf() == a.cylinders()[-1].prefix
         assert basis_index(a.last_leaf()) == max(basis_index(c.prefix) for c in a.cylinders())
 
-    def test_cells_at_depth(self):
-        assert ClopenSet.parse("{0}").cell_indices(2) == [0, 1]
-        with pytest.raises(ValueError):
-            ClopenSet.parse("{110}").cell_indices(1)
-
     @given(clopens, st.integers(0, 2))
     def test_cell_indices_by_membership(self, a, extra):
         d = a.depth() + extra

@@ -1,6 +1,5 @@
 from functools import lru_cache
 from itertools import product
-from math import inf
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +17,7 @@ from sepcont.discrete import DiscreteApproximator
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
+    GridMemo,
     MembershipResult,
     OnesDiagonal,
     SubbasicNbhd,
@@ -382,100 +382,94 @@ def tables(pool, max_depth):
 families = st.one_of(dyadic_families, tables(C3_POOL, 2), tables(S3_POOL, 2))
 
 
-class TestPairs:
-    def test_diag_pairs_at_depth_one(self):
+class TestLimitTables:
+    def test_diag_tables_at_depths_one_and_three(self):
         # [0] x [0] lies in member 0, where f is A; the cross pairs are off
-        # every block; [1] x [1] holds blocks of A and points off them.
+        # every block and the corner is the identity.  At depth 3, [110] x
+        # [110] lies in member 2, [011] x [100] is off every block, and the
+        # corner pair is the identity again.
         engine = DiscreteApproximator(DIAG)
-        ranks = {z: r for r, z in enumerate(engine.image)}
-        assert engine.pairs(1) == [ranks[A], ranks[E], ranks[E], None]
+        assert engine.approximant(0).values == ((A, E), (E, E))
+        rows = engine.approximant(7).values
+        assert (rows[0b110][0b110], rows[0b011][0b100], rows[0b111][0b111]) == (A, E, E)
 
-    @given(trees)
-    def test_pairs_are_the_cell_pairs_where_f_is_constant(self, f):
-        # Against the pointwise oracle: products, inverses and postcomposed
-        # maps over every pool, at each working depth.
-        engine = DiscreteApproximator(f)
-        for d in (1, 2, 3):
-            expected = [None] * (1 << 2 * d)
-            for (i, j), values in cell_pair_values(f, d).items():
-                if len(values) == 1:
-                    expected[(i << d) + j] = engine.image.index(*values)
-            assert engine.pairs(d) == expected, d
-
-    def test_diag_pairs_at_depth_three(self):
-        # [110] x [110] lies in member 2, where f is A; [11] x [11] holds
-        # blocks of A and points off them, so no depth-2 pair there is
-        # constant; [0] x [1] is off every block.
-        engine = DiscreteApproximator(DIAG)
-        ranks = {z: r for r, z in enumerate(engine.image)}
-        cell = lambda d, a, b: (int(a, 2) << d) + int(b, 2)
-        pairs3 = engine.pairs(3)
-        assert pairs3[cell(3, "110", "110")] == ranks[A]
-        assert pairs3[cell(3, "011", "100")] == ranks[E]
-        assert engine.pairs(2)[cell(2, "11", "11")] is None
-
-    @given(trees)
-    def test_pairs_coarsen_to_the_depth_above(self, f):
-        # f is constant at z on a depth-d pair exactly when it is at z on its
-        # four depth-(d+1) sub-pairs; below D both read the depth-D points,
-        # past D each depth reads its own.
-        engine = DiscreteApproximator(f)
-        for d in range(4):
-            fine = engine.pairs(d + 1)
-            coarse = []
-            for i, j in product(range(1 << d), repeat=2):
-                subs = {fine[(2 * i + a << d + 1) + 2 * j + b] for a, b in product((0, 1), repeat=2)}
-                coarse.append(subs.pop() if len(subs) == 1 else None)
-            assert engine.pairs(d) == coarse, d
-
-    @given(trees, st.permutations([1, 2, 3]))
-    def test_pairs_do_not_depend_on_the_order_asked(self, f, order):
-        # The engine's memo keeps the points of every depth asked; a depth
-        # asked after a deeper one reads its own.
-        shared = DiscreteApproximator(f)
-        got = {d: shared.pairs(d) for d in order}
-        for d in order:
-            assert got[d] == DiscreteApproximator(f).pairs(d), d
-
-
-class TestStageTable:
     @given(st.one_of(families, trees))
-    def test_entry_is_the_first_stage_brute_patch_paints(self, f):
-        # Each depth's table through its last stage (at most 12): entry[c]
-        # is the first n at which the patch of a value of rank <= n meets
-        # cell pair c, and past that stage when none that far does (a strip
-        # added by then may enter later, at its value's rank).
+    def test_approximant_is_f_at_the_limit_representatives(self, f):
+        # Against pointwise evaluation, through one depth change past MAX_N.
         engine = DiscreteApproximator(f)
-        for d in (1, 2, 3):
-            last = min(MAX_N, (2 << d) - 2)
-            table = engine._table(last)
-            cells = list(product(partition_at_depth(d), repeat=2))
-            expected = [inf] * len(cells)
-            for n in range(last + 1):
-                for z in engine.image[: n + 1]:
-                    rects = brute_patch(f, z, n, d)
-                    for c, (u, v) in enumerate(cells):
-                        if expected[c] == inf and brute_meets(rects, u, v):
-                            expected[c] = n
-            assert [e if e <= last else inf for e in table.entry] == expected, d
+        for n in range(MAX_N + 4):
+            cells = partition_at_depth(brute_working_depth(n))
+            expected = tuple(
+                tuple(f.eval(u.limit_representative(), v.limit_representative()) for v in cells)
+                for u in cells
+            )
+            assert engine.approximant(n).values == expected, n
+
+    def test_one_table_per_working_depth(self):
+        engine = DiscreteApproximator(DIAG)
+        for n, m in product(range(16), repeat=2):
+            same = engine.working_depth(n) == engine.working_depth(m)
+            assert (engine.approximant(n) is engine.approximant(m)) == same, (n, m)
+
+    def test_one_grid_values_call_per_depth(self, monkeypatch):
+        # Every stage through MAX_N and every certificate stage read the
+        # three tables, each built by one lowering of f.
+        engine = DiscreteApproximator(DIAG)
+        calls = []
+        lower = OnesDiagonal.grid_values
+        monkeypatch.setattr(OnesDiagonal, "grid_values", lambda *a: calls.append(a) or lower(*a))
+        for n in range(MAX_N + 1):
+            engine.approximant(n)
+        engine.certificate(SubbasicNbhd(CantorPoint.parse("10(0)"), WHOLE, frozenset()), MAX_N)
+        assert len(calls) == 3
+
+    @given(trees, trees)
+    def test_engines_on_one_memo_read_the_same_tables(self, f, g):
+        # As the zero-dimensional pipeline's factor engines do: the limit
+        # points are one tuple per depth, so leaf values and cell lists
+        # kept for one engine are found by the other.
+        memo = GridMemo()
+        shared = DiscreteApproximator(f, memo), DiscreteApproximator(g, memo)
+        for n in range(MAX_N + 1):
+            for engine in shared:
+                alone = DiscreteApproximator(engine.f)
+                assert engine.approximant(n).values == alone.approximant(n).values, n
+
+
+def painted(f, n):
+    """{(i, j): z} for the depth-d cell pairs of g_n that the z-patch meets,
+    d = brute_working_depth(n), read off patch_cells."""
+    d = brute_working_depth(n)
+    return {c: z for z in image(f)[: n + 1] for c in patch_cells(f, z, n, d)}
 
 
 class TestMonotonePainting:
+    # Through MAX_N, so across both depth changes the traffic meets (stages
+    # 2 to 3 and 6 to 7), on the painted reference construction.
+    @given(st.one_of(families, trees))
+    def test_painting_changes_no_value(self, f):
+        # A painted cell pair carries f's value at its limit representatives,
+        # so g_n is that table whatever the patches.
+        for n in range(MAX_N + 1):
+            cells = partition_at_depth(brute_working_depth(n))
+            for (i, j), z in painted(f, n).items():
+                u, v = cells[i].limit_representative(), cells[j].limit_representative()
+                assert f.eval(u, v) == z, (n, i, j)
+
     @given(st.one_of(families, trees))
     def test_painted_cells_stay_painted_with_their_value(self, f):
         # A cell pair painted in g_n is painted with the same value in
         # g_{n+1}; across a depth change, so is each of its sub-pairs.
         engine = DiscreteApproximator(f)
-        for n in range(63):
-            now, nxt = engine._table(n), engine._table(n + 1)
-            shift = nxt.d - now.d
-            for c, e in enumerate(now.entry):
-                if e <= n:
-                    i, j = divmod(c, 1 << now.d)
-                    for a, b in product(range(1 << shift), repeat=2):
-                        s = ((i << shift) + a << nxt.d) + (j << shift) + b
-                        assert nxt.entry[s] <= n + 1, (n, c, s)
-                        assert nxt.value(s, n + 1) == now.value(c, n), (n, c, s)
+        now = painted(f, 0)
+        for n in range(MAX_N):
+            nxt, rows = painted(f, n + 1), engine.approximant(n + 1).values
+            shift = brute_working_depth(n + 1) - brute_working_depth(n)
+            for (i, j), z in now.items():
+                for a, b in product(range(1 << shift), repeat=2):
+                    s = (i << shift) + a, (j << shift) + b
+                    assert nxt.get(s) == z == rows[s[0]][s[1]], (n, i, j, s)
+            now = nxt
 
 
 class TestPaintedApproximants:

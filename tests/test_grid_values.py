@@ -803,9 +803,9 @@ class TestConstantProducts:
             prod = PointwiseProduct(g, Constant(c))
             mapped = PostCompose(g, {z: mul(z, c) for z in image(g)})
         assert image(prod) == image(mapped)
-        # On the exact points cut at depth 2 and on points off every grid.
+        # On the exact points, on the depth-2 grid and on points off every grid.
         memo = GridMemo()
-        for pts in (memo.exact_points((g,), depth=2), OFF_GRID):
+        for pts in (memo.exact_points((g,)), grid_points(2), OFF_GRID):
             assert prod.grid_values(pts, pts, memo) == mapped.grid_values(pts, pts, memo)
         for axis in ("x", "y"):
             assert prod.section_partition(axis, fixed) == mapped.section_partition(axis, fixed)
@@ -1001,16 +1001,6 @@ class TestExactPoints:
         # point sets shows here first.
         depth, period = resolution(fns)
         assert len(GridMemo().exact_points(fns)) == 2**depth + period
-
-    @given(functions, st.integers(0, 4))
-    def test_a_depth_floor_cuts_the_square_at_the_larger_depth(self, f, d):
-        # The discrete engine's working depth d raises D; at or below D the
-        # floor changes nothing, so the tuple is the square's own.
-        depth, period = resolution((f,))
-        memo = GridMemo()
-        pts = memo.exact_points((f,), depth=d)
-        assert len(pts) == 2 ** max(depth, d) + period
-        assert (pts is memo.exact_points((f,))) == (d <= depth)
 
     def test_one_tuple_per_point_set(self):
         # Two pairs with one resolution (D, P) = (2, 2) share the tuple, so

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, partition_at_depth
 from sepcont.errors import NetMaximalityError
 from sepcont.functions import (
     Constant,
@@ -314,14 +314,16 @@ class TestFactorAsMap:
             assert image(pipe.factor(n)) == expected
 
     def test_grid_values_are_phi_of_f_values(self, factor_pipe):
-        # On the exact points of the square, cut at depth 3 as the factor
-        # engines cut them for their deepest stage tables.
+        # On the exact points of the square and on the limit representatives
+        # of the depth-3 cells, which the factor engines read for their
+        # deepest tables.
         pipe, memo = factor_pipe, GridMemo()
-        pts = memo.exact_points((pipe.f,), depth=3)
-        f_vals = pipe.f.grid_values(pts, pts, memo)
-        for n in range(pipe.n_max + 1):
-            g = pipe.factor(n)
-            assert g.grid_values(pts, pts, memo) == [_phi(pipe, n, w) for w in f_vals]
+        limits = tuple(c.limit_representative() for c in partition_at_depth(3))
+        for pts in (memo.exact_points((pipe.f,)), limits):
+            f_vals = pipe.f.grid_values(pts, pts, memo)
+            for n in range(pipe.n_max + 1):
+                g = pipe.factor(n)
+                assert g.grid_values(pts, pts, memo) == [_phi(pipe, n, w) for w in f_vals]
 
 
 class TestDiagonal:
