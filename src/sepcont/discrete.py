@@ -37,9 +37,9 @@ class ConvergenceCertificate(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _limit_points(d: int) -> tuple[CantorPoint, ...]:
-    """The limit representatives of the depth-d cells, in cell-index order;
-    one tuple per depth, so a memo finds its cell and leaf value lists
-    again."""
+    """The limit representatives of the depth-d cells, in cell-index order.
+    Each engine builds a depth's table once, so the tuple is kept only for
+    the next engine that reads the depth."""
     return tuple(c.limit_representative() for c in partition_at_depth(d))
 
 

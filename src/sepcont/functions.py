@@ -30,14 +30,11 @@ distance and the kernel behind every sup a check takes:
   takes it over the exact points of the whole square or of a probe
   rectangle, whose one side is a singleton;
 * ``image`` — the values a function takes, f(X x Y) itself, read off the
-  exact points of the square;
-* ``product_chain`` — the ordered product of tables, folded into one
-  table.
+  exact points of the square.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -323,25 +320,6 @@ class PointwiseProduct(SepFunction):
     def grid_values(self, xs, ys, memo):
         left, right = self.left.grid_values(xs, ys, memo), self.right.grid_values(xs, ys, memo)
         return memo.pairwise(self.group.mul, left, right)
-
-
-def _table_product(a: TableFunction, b: TableFunction, memo: "GridMemo") -> TableFunction:
-    """a * b as one table at the larger depth, cell by cell, multiplied
-    through ``memo.pairwise``."""
-    depth = max(a.depth, b.depth)
-    n = 2**depth
-    sa, sb = depth - a.depth, depth - b.depth
-    left = [a.values[i >> sa][j >> sa] for i in range(n) for j in range(n)]
-    right = [b.values[i >> sb][j >> sb] for i in range(n) for j in range(n)]
-    cells = memo.pairwise(a.group.mul, left, right)
-    return TableFunction(depth, tuple(tuple(cells[k : k + n]) for k in range(0, n * n, n)))
-
-
-def product_chain(tables: list[TableFunction], memo: "GridMemo") -> TableFunction:
-    """Ordered pointwise product t_0 * t_1 * ... * t_k of tables, left to
-    right, folded into one table, the values multiplied through
-    ``memo.pairwise``."""
-    return reduce(lambda a, b: _table_product(a, b, memo), tables)
 
 
 def resolution(fns: Iterable[SepFunction]) -> tuple[int, int]:

@@ -20,7 +20,7 @@ cond2 and cond3 below.  The quantizer conditions per level n are
   the factor g_{n-1} takes its values in net(n-1).
 
 The diagonal sequence f_{n,n} is checked on stage tables alone: each
-f_{l,n} = g_{0,n} ... g_{l,n} is one folded table, the tail
+f_{l,n} = g_{0,n} ... g_{l,n} is r_{l+1} of f's stage-n table, the tail
 g_{l+1,n} ... g_{n,n} = f_{l,n}^-1 f_{n,n} is read through left invariance
 as d(f_{l,n}, f_{n,n}), and every sup is an ``exact_sup``: the sup over
 the whole square or the probe rectangle itself, not a grid lower bound.
@@ -40,7 +40,6 @@ from sepcont.functions import (
     SubbasicNbhd,
     exact_sup,
     image,
-    product_chain,
     uniform_dist,
 )
 from sepcont.discrete import DiscreteApproximator
@@ -134,9 +133,9 @@ def quantize(f: SepFunction, n: int) -> PostCompose:
 
 class ZerodimPipeline:
     """End-to-end construction for one function: sample (f's image), nets,
-    quantizer tower, factors, and the diagonal sequence.  One memo
-    serves every sweep, the image and the factor engines: a factor phi_n o f
-    has f's leaves, so its image maps f's leaf values."""
+    quantizer tower, factors, and the diagonal sequence.  One memo serves
+    every sweep, the image and the one discrete engine, f's, whose tables
+    every stage reads."""
 
     def __init__(self, f: SepFunction, n_max: int):
         self.f = f
@@ -145,8 +144,7 @@ class ZerodimPipeline:
         self._memo = GridMemo()
         self.sample, self.nets, self.tower = build_tower(f, n_max + 1, self._memo)
         self._factor_cache: dict[int, PostCompose] = {}
-        self._approx_cache: dict[int, DiscreteApproximator] = {}
-        self._stage_cache: dict[tuple[int, int], SepFunction] = {}
+        self._engine = DiscreteApproximator(f, self._memo)
 
     def condition_rows(self) -> list[ConditionRow]:
         """Conditions (2) and (3) per level of the tower.  Condition (3) at
@@ -196,19 +194,13 @@ class ZerodimPipeline:
                 return False
         return True
 
-    def factor_approximator(self, k: int) -> DiscreteApproximator:
-        if k not in self._approx_cache:
-            self._approx_cache[k] = DiscreteApproximator(self.factor(k), self._memo)
-        return self._approx_cache[k]
-
     def stage_function(self, n: int, m: int) -> SepFunction:
-        """f_{n,m} = g_{0,m} * ... * g_{n,m} (each factor's stage-m approximant),
-        folded into one table and kept."""
-        if (n, m) not in self._stage_cache:
-            self._stage_cache[(n, m)] = product_chain(
-                [self.factor_approximator(k).approximant(m) for k in range(n + 1)], self._memo
-            )
-        return self._stage_cache[(n, m)]
+        """f_{n,m} = g_{0,m} * ... * g_{n,m}, each factor's stage-m approximant,
+        as r_{n+1} of f's stage-m table.  An approximant is its function at
+        the limit points of the stage's cells, so g_{k,m} is phi_k of f's
+        table, and phi_0(z) ... phi_n(z) = r_{n+1}(z), which ``telescoping_ok``
+        checks."""
+        return PostCompose(self._engine.approximant(m), self.tower[n + 1])
 
     def diagonal(self, probes: list[SubbasicNbhd], levels: list[int]) -> DiagonalReport:
         """Diagonal budget, read off the stage tables.  Per level l and probe,
@@ -221,6 +213,9 @@ class ZerodimPipeline:
         per probe and stage, for the final budgets, and once per stage over
         the whole square, for the stage sups."""
         n_max, memo, dist = self.n_max, self._memo, self.group.dist
+        for l in levels:
+            if l > n_max:
+                raise ValueError(f"level {l} needs factors up to {l}; raise n_max")
         diagonals = [self.stage_function(n, n) for n in range(n_max + 1)]
         probe_sups = [
             [exact_sup(dist, self.f, diag, memo, probe)[0] for diag in diagonals]
@@ -229,8 +224,6 @@ class ZerodimPipeline:
         results = []
         stage_of_level: dict[int, int | None] = {}
         for l in levels:
-            if l > n_max:
-                raise ValueError(f"level {l} needs factors up to {l}; raise n_max")
             target = self.quantized(l + 1)
             tol, budget = Fraction(1, 2**l), Fraction(4, 2**l)
             tail_from = _settled_from(

@@ -1,11 +1,13 @@
 """Canonical grid points, the sample the brute-force references sweep: the
 library itself reads only exact point sets.  Also the canonical base of
-cylinders and the pointwise oracle for "f is constant on a pair of cells",
-which the discrete engine's references read."""
+cylinders, the pointwise oracle for "f is constant on a pair of cells",
+which the discrete engine's references read, and the zero-dimensional
+pipeline's factor approximants as the paper builds them."""
 
 from functools import lru_cache
 
 from sepcont.cantor import ALL_ONES, CantorPoint, Cylinder, partition_at_depth
+from sepcont.discrete import DiscreteApproximator
 from sepcont.functions import resolution
 
 
@@ -63,3 +65,10 @@ def cell_pair_values(f, d: int) -> dict[tuple[int, int], frozenset]:
         for y, j in zip(points, cells):
             out.setdefault((i, j), set()).add(f.eval(x, y))
     return {key: frozenset(values) for key, values in out.items()}
+
+
+def factor_approximants(pipe, m: int) -> list:
+    """g_{0,m}, ..., g_{n_max,m}: the stage-m approximant of each factor of
+    ``pipe``, each from a discrete engine of its own.  Their pointwise
+    product g_{0,m} ... g_{n,m}, left to right, is the paper's f_{n,m}."""
+    return [DiscreteApproximator(pipe.factor(k)).approximant(m) for k in range(pipe.n_max + 1)]

@@ -1,11 +1,11 @@
-"""Mutation check of the discrete engine.
+"""Mutation check of the discrete and zero-dimensional engines.
 
-Each order comparison in ``src/sepcont/discrete.py`` is swapped with its
+Each order comparison in a module of ``TARGETS`` is swapped with its
 strict or non-strict twin (``<`` and ``<=``, ``>`` and ``>=``), and each
 ``and`` with ``or`` and back, one mutant at a time.  Every mutant is
-written into a copy of the package and must fail ``tests/test_discrete.py``.
-A mutant that no input can tell apart from the original is listed in
-``EQUIVALENT`` with the reason.
+written into a copy of the package and must fail the test modules that
+``TARGETS`` names for its module.  A mutant that no input can tell apart
+from the original is listed in ``EQUIVALENT`` with the reason.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -27,16 +27,23 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "sepcont"
-TARGET = "discrete.py"
-TESTS = REPO / "tests" / "test_discrete.py"
+# Each target module and the test modules that cover it, fastest first:
+# pytest stops at the first failure.
+TARGETS = {
+    "discrete.py": ("test_discrete.py",),
+    "zerodim.py": ("test_zerodim.py", "test_grid_values.py"),
+}
 TIMEOUT_S = 600
 
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.And: ast.Or, ast.Or: ast.And}
 
-# Each key is a mutant's label, "function: mutated expression".
+# Per target, each key is a mutant's label, "function: mutated expression".
 EQUIVALENT = {
-    "memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
+    "discrete.py": {
+        "memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
+    },
+    "zerodim.py": {},
 }
 
 
@@ -72,11 +79,13 @@ def mutants(source: str) -> list[tuple[str, str]]:
     return out
 
 
-def killed(mutated: str, work: Path) -> bool:
-    """Whether the test module fails (or times out) on the mutated engine."""
-    (work / "sepcont" / TARGET).write_text(mutated)
+def killed(target: str, mutated: str, work: Path) -> bool:
+    """Whether the target's test modules fail (or time out) on the mutated
+    module."""
+    (work / "sepcont" / target).write_text(mutated)
     env = {**os.environ, "PYTHONPATH": str(work), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(TESTS)]
+    tests = [str(REPO / "tests" / name) for name in TARGETS[target]]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         run = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -84,34 +93,46 @@ def killed(mutated: str, work: Path) -> bool:
     return run.returncode != 0
 
 
-def main() -> int:
-    source = (PACKAGE / TARGET).read_text()
+def check(target: str, work: Path) -> bool:
+    """Run every mutant of ``target`` in ``work``, a copy of the package, and
+    report; restore the module afterwards.  True when every mutant is
+    killed or listed and every listed one survives."""
+    source = (PACKAGE / target).read_text()
+    module = "sepcont." + target.removesuffix(".py")
+    where = subprocess.run(
+        [sys.executable, "-c", f"import {module} as m; print(m.__file__)"],
+        env={**os.environ, "PYTHONPATH": str(work)}, capture_output=True, text=True,
+    ).stdout.strip()
+    if Path(where) != work / "sepcont" / target:
+        print(f"{module} is imported from {where}, not from the copy")
+        return False
+    tests = ", ".join(TARGETS[target])
+    if killed(target, ast.unparse(ast.parse(source)), work):
+        print(f"the unmutated {target} fails {tests}; nothing to measure")
+        return False
     survivors = []
+    for label, mutated in mutants(source):
+        dead = killed(target, mutated, work)
+        print(("killed   " if dead else "SURVIVED ") + f"{target} {label}", flush=True)
+        if not dead:
+            survivors.append(label)
+    (work / "sepcont" / target).write_text(source)
+    equivalent = EQUIVALENT[target]
+    unlisted = [s for s in survivors if s not in equivalent]
+    stale = [s for s in equivalent if s not in survivors]
+    for label in unlisted:
+        print(f"survivor not in EQUIVALENT: {target} {label}")
+    for label in stale:
+        print(f"EQUIVALENT entry that no longer survives: {target} {label}")
+    return not (unlisted or stale)
+
+
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(PACKAGE, work / "sepcont", ignore=shutil.ignore_patterns("__pycache__"))
-        where = subprocess.run(
-            [sys.executable, "-c", "import sepcont.discrete as m; print(m.__file__)"],
-            env={**os.environ, "PYTHONPATH": str(work)}, capture_output=True, text=True,
-        ).stdout.strip()
-        if Path(where) != work / "sepcont" / TARGET:
-            print(f"sepcont.discrete is imported from {where}, not from the copy")
-            return 1
-        if killed(ast.unparse(ast.parse(source)), work):
-            print(f"the unmutated {TARGET} fails {TESTS.name}; nothing to measure")
-            return 1
-        for label, mutated in mutants(source):
-            dead = killed(mutated, work)
-            print(("killed   " if dead else "SURVIVED ") + label, flush=True)
-            if not dead:
-                survivors.append(label)
-    unlisted = [s for s in survivors if s not in EQUIVALENT]
-    stale = [s for s in EQUIVALENT if s not in survivors]
-    for label in unlisted:
-        print(f"survivor not in EQUIVALENT: {label}")
-    for label in stale:
-        print(f"EQUIVALENT entry that no longer survives: {label}")
-    return 1 if unlisted or stale else 0
+        results = [check(target, work) for target in TARGETS]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

@@ -425,9 +425,9 @@ class TestLimitTables:
 
     @given(trees, trees)
     def test_engines_on_one_memo_read_the_same_tables(self, f, g):
-        # As the zero-dimensional pipeline's factor engines do: the limit
-        # points are one tuple per depth, so leaf values and cell lists
-        # kept for one engine are found by the other.
+        # Two engines on one memo: the limit points are one tuple per
+        # depth, so leaf values and cell lists kept for one engine are
+        # found by the other, and neither reads the other's values.
         memo = GridMemo()
         shared = DiscreteApproximator(f, memo), DiscreteApproximator(g, memo)
         for n in range(MAX_N + 1):

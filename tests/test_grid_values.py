@@ -12,10 +12,8 @@ also check that ``grid_values`` is the pointwise value at every point of
 a rectangle, that the exact points of the square number 2^D + P, that a
 product with a constant takes the values and section partitions of the
 finite map it equals, that
-``grid_sup`` gives the pointwise max and witness, that
-``product_chain``'s folded tables equal the unfolded product chains of
-the same tables, and that every combinator's ``section_partition`` is a
-partition keyed by pointwise values, as the probe's ``pieces`` read it.
+``grid_sup`` gives the pointwise max and witness, and that every
+combinator's ``section_partition`` is a partition keyed by pointwise values, as the probe's ``pieces`` read it.
 They also check the facts that let the zerodim and problem3 layers decide
 each check once: condition (2), exact over the image, bounds the
 pointwise distance of r_n o f from f; condition (3) is the previous
@@ -24,14 +22,14 @@ capped at 1/2.
 """
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepcont import functions as functions_module
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, partition_at_depth
 from sepcont.config import load_experiment, parse_function
 from sepcont.errors import ConfigError
@@ -49,14 +47,13 @@ from sepcont.functions import (
     exact_sup,
     grid_sup,
     image,
-    product_chain,
     resolution,
     uniform_dist,
 )
 from sepcont.groups import get_group
 from sepcont.uniform import BallQuery, BallResult, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
-from grid import grid_points
+from grid import factor_approximants, grid_points
 from sym3 import S3_LEFT, symmetric_group_3
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -303,7 +300,7 @@ def brute_tail_containment(pipe, l, start, grid_pts):
     for n in range(start, pipe.n_max + 1):
         if n < l + 1:
             continue
-        stages = [pipe.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)]
+        stages = factor_approximants(pipe, n)[l + 1 : n + 1]
         for x in grid_pts:
             for y in grid_pts:
                 acc = one
@@ -549,20 +546,20 @@ ACC_Y = SubbasicNbhd(WHOLE, ALL_ONES, frozenset(), "acc_y")
 
 
 def with_wrong_factor(f, c):
-    """ZerodimPipeline(f, 5) with every stage table of factor 4
-    right-multiplied by c."""
+    """ZerodimPipeline(f, 5) with factor 4 right-multiplied by c, so each of
+    its stage tables is too.  Each stage f_{n,m} with n >= 4 is then the
+    product of the factors' stage-m tables, left to right, as the paper
+    builds it."""
     pipe = ZerodimPipeline(f, 5)
-    approx = pipe.factor_approximator(4)
-    correct, wrong = approx.approximant, {}
+    factor, stage, g4 = pipe.factor, pipe.stage_function, pipe.factor(4)
+    wrong = PostCompose(f, {z: f.group.mul(v, c) for z, v in g4.mapping.items()})
+    pipe.factor = lambda k: wrong if k == 4 else factor(k)
 
-    def flipped(n):
-        if n not in wrong:
-            g = correct(n)
-            rows = tuple(tuple(f.group.mul(v, c) for v in row) for row in g.values)
-            wrong[n] = TableFunction(g.depth, rows)
-        return wrong[n]
+    @lru_cache(maxsize=None)
+    def wrong_stage(n, m):
+        return stage(n, m) if n < 4 else reduce(PointwiseProduct, factor_approximants(pipe, m)[: n + 1])
 
-    approx.approximant = flipped
+    pipe.stage_function = wrong_stage
     return pipe
 
 
@@ -709,48 +706,13 @@ class TestUniformChecksMatchBruteForce:
         assert rep.witness == (None if sup_raw <= Fraction(1, 2) else witness)
 
 
-chains = st.sampled_from(POOLS).flatmap(lambda pool: st.lists(_table(pool), min_size=1, max_size=3))
-
-
-def unfolded_chain(funcs):
-    out = funcs[0]
-    for f in funcs[1:]:
-        out = PointwiseProduct(out, f)
-    return out
-
-
-S3_R, S3_S = S3.parse_element("r"), S3.parse_element("s")
-
-
-class TestFoldedProducts:
-    @settings(max_examples=200)
-    @given(chains, st.sampled_from(OFF_GRID + grid_points(2)))
-    # r s != s r in S3, so this one catches a fold that multiplies the wrong way round.
-    @example([TableFunction(1, ((S3_R, S3_S), (S3_S, S3_R))), TableFunction(0, ((S3_S,),))], OFF_GRID[0])
-    def test_folded_chain_equals_the_unfolded_chain(self, funcs, fixed):
-        folded, chain = product_chain(funcs, GridMemo()), unfolded_chain(funcs)
-        assert isinstance(folded, TableFunction)
-        assert folded.depth == max(f.depth for f in funcs)
-        points = grid_points(3) + OFF_GRID
-        assert brute_values(folded, points, points) == brute_values(chain, points, points)
-        for axis in ("x", "y"):
-            assert folded.section_partition(axis, fixed) == chain.section_partition(axis, fixed)
-        # The folded table holds exactly the values the chain takes.
-        held = {v for row in folded.values for v in row}
-        assert set(image(folded)) == set(image(chain)) == held
-        assert held == set(brute_values(chain, points, points))
-
-
 class TestWorkCounts:
-    def test_diagonal_builds_classes_once_per_point_set_and_folds_once_per_pair(self, monkeypatch):
+    def test_diagonal_builds_classes_once_per_point_set_and_multiplies_nothing(self, monkeypatch):
         exp = load_experiment(CONFIGS / "diag-multi.cfg")
         pipe = ZerodimPipeline(exp.function, exp.n_max)
-        for n in range(exp.n_max + 1):
-            pipe.factor(n)  # its finite map phi_n multiplies once, before the diagonal
-        reads, folds = [], []
+        reads = []
         mul_calls = [0]
-        leaf_values, fold = GridMemo.leaf_values, functions_module._table_product
-        mul = type(pipe.group).mul
+        leaf_values, mul = GridMemo.leaf_values, type(pipe.group).mul
 
         def counted_leaf_values(memo, leaf, xs, ys):
             # A whole-square sweep of f: its points are one kept tuple, and a
@@ -760,34 +722,20 @@ class TestWorkCounts:
                 reads.append((xs, out))
             return out
 
-        def counted_fold(a, b, memo):
-            depth = max(a.depth, b.depth)
-            pairs = {
-                (a.values[i >> (depth - a.depth)][j >> (depth - a.depth)],
-                 b.values[i >> (depth - b.depth)][j >> (depth - b.depth)])
-                for i in range(2**depth)
-                for j in range(2**depth)
-            }
-            before = mul_calls[0]
-            out = fold(a, b, memo)
-            folds.append((len(pairs), mul_calls[0] - before))
-            return out
-
         def counted_mul(group, x, y):
             mul_calls[0] += 1
             return mul(group, x, y)
 
         monkeypatch.setattr(GridMemo, "leaf_values", counted_leaf_values)
-        monkeypatch.setattr(functions_module, "_table_product", counted_fold)
         monkeypatch.setattr(type(pipe.group), "mul", counted_mul)
         pipe.diagonal(exp.probes, exp.levels)
         # reads holds every tuple and list, so no id is reused: one list per
         # point tuple is one build per point tuple.
         first = {}
         assert reads and all(first.setdefault(id(xs), out) is out for xs, out in reads)
-        assert folds and all(calls <= pairs for pairs, calls in folds)
-        # Every mul of the diagonal runs inside a fold, never per point.
-        assert mul_calls[0] == sum(calls for _, calls in folds)
+        # Every stage is a quantizer of f's table, so the diagonal multiplies
+        # no two values.
+        assert mul_calls[0] == 0
 
 
 class TestConstantProducts:

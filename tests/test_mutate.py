@@ -1,10 +1,20 @@
 import ast
 
-from mutate import EQUIVALENT, PACKAGE, TARGET, mutants
+import pytest
+
+from mutate import EQUIVALENT, PACKAGE, REPO, TARGETS, mutants
 
 
-def test_each_mutant_swaps_one_operator():
-    source = (PACKAGE / TARGET).read_text()
+def test_every_target_has_tests_and_an_equivalent_list():
+    assert set(EQUIVALENT) == set(TARGETS)
+    for target, tests in TARGETS.items():
+        assert (PACKAGE / target).is_file()
+        assert tests and all((REPO / "tests" / name).is_file() for name in tests)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_each_mutant_swaps_one_operator(target):
+    source = (PACKAGE / target).read_text()
     original = ast.dump(ast.parse(source))
     found = mutants(source)
     assert found
@@ -12,9 +22,10 @@ def test_each_mutant_swaps_one_operator():
         assert ast.dump(ast.parse(mutated)) != original, label
 
 
-def test_every_equivalent_mutant_is_generated():
-    labels = {label for label, _ in mutants((PACKAGE / TARGET).read_text())}
-    assert set(EQUIVALENT) <= labels
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_every_equivalent_mutant_is_generated(target):
+    labels = {label for label, _ in mutants((PACKAGE / target).read_text())}
+    assert set(EQUIVALENT[target]) <= labels
 
 
 def test_sites_cover_comparisons_and_boolean_operators():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -23,7 +24,8 @@ from sepcont.functions import (
 from sepcont import zerodim
 from sepcont.groups import SeparatedNet, ball_net, get_group
 from sepcont.zerodim import ZerodimPipeline, _cover, build_tower
-from grid import grid_points
+from grid import factor_approximants, grid_points
+from sym3 import S3_LEFT
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
@@ -190,6 +192,13 @@ class TestQuantizerTower:
         for r in pipe.condition_rows():
             assert r.cond2_ok and r.cond2_sup <= Fraction(1, 2**r.level) and r.cond3
 
+    def test_real_cover_joins_points_at_the_diameter_bound(self):
+        # 0 and 1/4 lie at distance 2^-2, the level-1 cell diameter bound, so
+        # one cell holds both and r_1 maps both to 0.
+        z0, q = REAL.parse_element("0/2^0"), REAL.parse_element("1/2^2")
+        _, _, tower = build_tower(_table((z0, q)), 1)
+        assert tower[1] == {z0: z0, q: z0}
+
     def test_c3_tower(self):
         sample = tuple(C3.element(i) for i in range(3))
         f = TableFunction(1, ((sample[0], sample[1]), (sample[2], sample[0])))
@@ -315,8 +324,8 @@ class TestFactorAsMap:
 
     def test_grid_values_are_phi_of_f_values(self, factor_pipe):
         # On the exact points of the square and on the limit representatives
-        # of the depth-3 cells, which the factor engines read for their
-        # deepest tables.
+        # of the depth-3 cells, where a factor's approximants of working
+        # depth 3 read it.
         pipe, memo = factor_pipe, GridMemo()
         limits = tuple(c.limit_representative() for c in partition_at_depth(3))
         for pts in (memo.exact_points((pipe.f,)), limits):
@@ -324,6 +333,42 @@ class TestFactorAsMap:
             for n in range(pipe.n_max + 1):
                 g = pipe.factor(n)
                 assert g.grid_values(pts, pts, memo) == [_phi(pipe, n, w) for w in f_vals]
+
+
+DYADIC_POOL = tuple(DYADIC.parse_element(t) for t in ["(0)", "1(0)", "01(0)", "11(0)", "(1)"])
+dyadic_trees = st.recursive(
+    st.one_of(
+        st.lists(st.sampled_from(DYADIC_POOL), min_size=1, max_size=3).map(tuple).map(OnesDiagonal),
+        st.lists(st.sampled_from(DYADIC_POOL), min_size=2, max_size=2).map(
+            lambda vals: CylinderDiagonal(tuple(zip((Cylinder("0"), Cylinder("11")), vals)))
+        ),
+        st.lists(st.sampled_from(DYADIC_POOL), min_size=16, max_size=16).map(_table),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda lr: PointwiseProduct(*lr)), kids.map(PointwiseInverse)
+    ),
+    max_leaves=3,
+)
+# Depth-2 tables with S3 values, whose metric is left-invariant only.
+s3_tables = st.lists(
+    st.sampled_from([S3_LEFT.parse_element(t) for t in ["e", "r", "s", "sr", "srr"]]),
+    min_size=16, max_size=16,
+).map(_table)
+
+
+class TestStageFunction:
+    @given(st.one_of(dyadic_trees, s3_tables))
+    def test_stage_is_the_product_of_the_factor_approximants(self, f):
+        # The paper's f_{n,m} = g_{0,m} ... g_{n,m}, each factor's stage-m
+        # approximant from an engine of its own; S3 is not abelian, so a
+        # product in the wrong order shows.
+        pipe, pts = ZerodimPipeline(f, n_max=4), grid_points(4)
+        for m in range(pipe.n_max + 1):
+            tables = factor_approximants(pipe, m)
+            for n in range(pipe.n_max + 1):
+                stage, paper = pipe.stage_function(n, m), reduce(PointwiseProduct, tables[: n + 1])
+                for x, y in product(pts, repeat=2):
+                    assert stage.eval(x, y) == paper.eval(x, y), (n, m, str(x), str(y))
 
 
 class TestDiagonal:
@@ -351,6 +396,14 @@ class TestDiagonal:
         with pytest.raises(ValueError, match="level 4 needs factors up to 4"):
             pipe.diagonal(STANDARD_PROBES[:1], [4])
 
+    def test_levels_are_checked_before_any_sweep(self, monkeypatch):
+        pipe, sweeps = ZerodimPipeline(DIAG, n_max=3), []
+        sup = zerodim.exact_sup
+        monkeypatch.setattr(zerodim, "exact_sup", lambda *a: sweeps.append(a) or sup(*a))
+        with pytest.raises(ValueError, match="level 4 needs factors up to 4; raise n_max"):
+            pipe.diagonal(STANDARD_PROBES, [1, 4])
+        assert sweeps == []
+
     def test_budget_l1_vacuous_but_sup_recorded(self):
         pipe = ZerodimPipeline(DIAG, n_max=3)
         rep = pipe.diagonal(STANDARD_PROBES[:1], [1])
@@ -366,7 +419,7 @@ class TestDiagonal:
         one = DYADIC.identity()
         pts = grid_points(4)
         for n in range(l + 1, 5):
-            stages = [pipe.factor_approximator(k).approximant(n) for k in range(l + 1, n + 1)]
+            stages = factor_approximants(pipe, n)[l + 1 : n + 1]
             for x in pts:
                 for y in pts:
                     acc = one
@@ -377,25 +430,29 @@ class TestDiagonal:
     @staticmethod
     def _diagonal_with_wrong_factor(monkeypatch, l, wrong_k):
         # At l = 3 the budget 4 * 2^-l is 1/2, so a stage value at distance
-        # 1/2 from the true one must fail it.  Only this pipeline's
-        # approximator of factor wrong_k is altered: every odd column of each
-        # stage table is multiplied by A, which flips the first bit of each
-        # value there.  The first point of an x probe, y = 0^w, lies in
-        # column 0, so its witness is not the probe's first point.
+        # 1/2 from the true one must fail it.  Only this pipeline's stage
+        # tables of factor wrong_k are altered: every odd column is
+        # multiplied by A, which flips the first bit of each value there.
+        # Each stage f_{n,m} with n >= wrong_k is then the product of the
+        # factors' stage-m tables, left to right, as the paper builds it.
+        # The first point of an x probe, y = 0^w, lies in column 0, so its
+        # witness is not the probe's first point.
         pipe = ZerodimPipeline(MULTI, n_max=5)
-        approx = pipe.factor_approximator(wrong_k)
-        correct, wrong = approx.approximant, {}
+        stage = pipe.stage_function
 
-        def flipped(n):
-            if n not in wrong:
-                g = correct(n)
-                wrong[n] = TableFunction(g.depth, tuple(
-                    tuple(DYADIC.mul(v, A) if j % 2 else v for j, v in enumerate(row))
-                    for row in g.values
-                ))
-            return wrong[n]
+        @lru_cache(maxsize=None)
+        def wrong_stage(n, m):
+            if n < wrong_k:
+                return stage(n, m)
+            tables = factor_approximants(pipe, m)[: n + 1]
+            g = tables[wrong_k]
+            tables[wrong_k] = TableFunction(g.depth, tuple(
+                tuple(DYADIC.mul(v, A) if j % 2 else v for j, v in enumerate(row))
+                for row in g.values
+            ))
+            return reduce(PointwiseProduct, tables)
 
-        monkeypatch.setattr(approx, "approximant", flipped)
+        monkeypatch.setattr(pipe, "stage_function", wrong_stage)
         return pipe, pipe.diagonal(STANDARD_PROBES, [l])
 
     def test_budget_and_tail_pass_before_the_substitution(self):
