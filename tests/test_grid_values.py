@@ -11,9 +11,9 @@ checked against a brute search over u.  The same random combinator trees
 also check that ``grid_values`` is the pointwise value at every point of
 a rectangle, that the exact points of the square number 2^D + P, that a
 product with a constant takes the values and section partitions of the
-finite map it equals, that
-``grid_sup`` gives the pointwise max and witness, and that every
-combinator's ``section_partition`` is a partition keyed by pointwise values, as the probe's ``pieces`` read it.
+finite map it equals, that ``grid_sup`` gives the pointwise max and
+witness, and that every combinator's ``section_partition`` is a partition
+keyed by pointwise values, as the probe's ``pieces`` read it.
 They also check the facts that let the zerodim and problem3 layers decide
 each check once: condition (2), exact over the image, bounds the
 pointwise distance of r_n o f from f; condition (3) is the previous
