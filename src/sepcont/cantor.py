@@ -35,7 +35,7 @@ def _minimal_period(period: str) -> str:
 class CantorPoint:
     """A point of {0,1}^omega: ``preperiod`` followed by ``period`` forever."""
 
-    __slots__ = ("preperiod", "period")
+    __slots__ = ("preperiod", "period", "_hash")
 
     def __init__(self, preperiod: str = "", period: str = "0") -> None:
         _check_bits(preperiod, "preperiod")
@@ -47,7 +47,7 @@ class CantorPoint:
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1] + per[:-1]
-        self.preperiod, self.period = pre, per
+        self.preperiod, self.period, self._hash = pre, per, None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -55,7 +55,10 @@ class CantorPoint:
         return self.preperiod == other.preperiod and self.period == other.period
 
     def __hash__(self) -> int:
-        return hash((self.preperiod, self.period))
+        """hash((preperiod, period)), kept on first use."""
+        if self._hash is None:
+            self._hash = hash((self.preperiod, self.period))
+        return self._hash
 
     @staticmethod
     def parse(text: str) -> "CantorPoint":

@@ -25,10 +25,10 @@ distance and the kernel behind every sup a check takes:
   coordinate, so its values on a rectangle take one key per point;
 * ``GridMemo.pairwise`` — an operation on two zipped value lists, run
   once per distinct pair of values;
-* ``grid_sup`` — the max of an operation over a rectangle, run once per
-  distinct pair of values, with its first x-major witness; ``exact_sup``
-  takes it over the exact points of the whole square or of a probe
-  rectangle, whose one side is a singleton;
+* ``value_pairs`` — the distinct pairs of two zipped value lists, in the
+  order of their first points; ``grid_sup`` — the max of an operation over
+  them, witnessed by the first point of the first pair attaining it, which
+  ``exact_sup`` takes over the square's or a probe's ``exact_rectangle``;
 * ``image`` — the values a function takes, f(X x Y) itself, read off the
   exact points of the square.
 """
@@ -479,38 +479,40 @@ class MembershipResult(NamedTuple):
     witness: tuple[CantorPoint, CantorPoint, GroupElement] | None = None
 
 
-def grid_sup(
-    op,
-    f: SepFunction,
-    g: SepFunction,
-    xs: tuple[CantorPoint, ...],
-    ys: tuple[CantorPoint, ...],
-    memo: GridMemo,
-) -> tuple:
-    """The max of op(f(p), g(p)) over p in xs x ys and the first point p,
-    x-major, that attains it; (0, None) on an empty rectangle.
+def value_pairs(left: list, right: list) -> list[tuple]:
+    """The distinct pairs of two zipped value lists, in the order of their
+    first index: on a rectangle, the x-major order of their first points."""
+    return list(dict.fromkeys(zip(left, right)))
 
-    op runs through ``memo.pairwise``, so once per distinct pair of values
-    however many points take it."""
-    values = memo.pairwise(op, f.grid_values(xs, ys, memo), g.grid_values(xs, ys, memo))
-    if not values:
+
+def grid_sup(op, f: SepFunction, g: SepFunction, xs: tuple[CantorPoint, ...],
+             ys: tuple[CantorPoint, ...], memo: GridMemo) -> tuple:
+    """The max of op(f(p), g(p)) over p in xs x ys, op run once per distinct
+    pair (``value_pairs``, ``memo.pairwise``), and the first point, x-major,
+    of the first pair attaining it; (0, None) on an empty rectangle."""
+    fv, gv = f.grid_values(xs, ys, memo), g.grid_values(xs, ys, memo)
+    pairs = value_pairs(fv, gv)
+    if not pairs:
         return Fraction(0), None
+    values = memo.pairwise(op, *zip(*pairs))
     best = max(values)
-    i, j = divmod(values.index(best), len(ys))
+    i, j = divmod(list(zip(fv, gv)).index(pairs[values.index(best)]), len(ys))
     return best, (xs[i], ys[j])
+
+
+def exact_rectangle(fns: tuple, memo: GridMemo, probe: SubbasicNbhd | None = None) -> tuple:
+    """(xs, ys): the exact points of fns on the whole square or the probe rectangle."""
+    if probe is None:
+        return (memo.exact_points(fns),) * 2
+    axis, fixed, other = probe.sides()
+    one, side = memo.exact_points((), fixed), memo.exact_points(fns, other, fixed)
+    return (one, side) if axis == "x" else (side, one)
 
 
 def exact_sup(op, f: SepFunction, g: SepFunction, memo: GridMemo,
               probe: SubbasicNbhd | None = None) -> tuple:
-    """``grid_sup`` over the exact points of the whole square or of the
-    probe rectangle: the sup of op there, with its first witness."""
-    if probe is None:
-        xs = ys = memo.exact_points((f, g))
-    else:
-        axis, fixed, other = probe.sides()
-        one, side = memo.exact_points((), fixed), memo.exact_points((f, g), other, fixed)
-        xs, ys = (one, side) if axis == "x" else (side, one)
-    return grid_sup(op, f, g, xs, ys, memo)
+    """``grid_sup`` over the ``exact_rectangle`` of f and g."""
+    return grid_sup(op, f, g, *exact_rectangle((f, g), memo, probe), memo)
 
 
 def image(f: SepFunction, memo: GridMemo | None = None) -> tuple[GroupElement, ...]:

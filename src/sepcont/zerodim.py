@@ -20,10 +20,11 @@ cond2 and cond3 below.  The quantizer conditions per level n are
   the factor g_{n-1} takes its values in net(n-1).
 
 The diagonal sequence f_{n,n} is checked on stage tables alone: each
-f_{l,n} = g_{0,n} ... g_{l,n} is r_{l+1} of f's stage-n table, the tail
+f_{l,n} = g_{0,n} ... g_{l,n} is r_{l+1} of f's stage-n table T, the tail
 g_{l+1,n} ... g_{n,n} = f_{l,n}^-1 f_{n,n} is read through left invariance
-as d(f_{l,n}, f_{n,n}), and every sup is an ``exact_sup``: the sup over
-the whole square or the probe rectangle itself, not a grid lower bound.
+as d(f_{l,n}, f_{n,n}), and every sup is a max over the ``value_pairs``
+(f(p), T(p)) on the exact points of the whole square or a probe rectangle:
+the sup over the rectangle itself, not a grid lower bound.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from sepcont.functions import (
     PostCompose,
     SepFunction,
     SubbasicNbhd,
+    exact_rectangle,
     exact_sup,
     image,
     uniform_dist,
+    value_pairs,
 )
 from sepcont.discrete import DiscreteApproximator
 from sepcont.groups import GroupElement, GroupSpec, ball_net
@@ -209,46 +212,65 @@ class ZerodimPipeline:
         m(l) on, d(f, f_{n,n}) < 2^-(l-2) must hold there, and the tail
         g_{l+1,n}...g_{n,n} must lie in B[2^-l] at every point.  The tail
         is f_{l,n}^-1 f_{n,n} and the metric is left-invariant, so its
-        distance from 1 is d(f_{l,n}, f_{n,n}).  d(f, f_{n,n}) is swept once
-        per probe and stage, for the final budgets, and once per stage over
-        the whole square, for the stage sups."""
-        n_max, memo, dist = self.n_max, self._memo, self.group.dist
+        distance from 1 is d(f_{l,n}, f_{n,n}).  At p, with z = f(p) and
+        t = T(p) for f's table T at n's working depth, f_{l,n}(p) = r_{l+1}(t)
+        and f_{l+1}(p) = r_{l+1}(z).  So each sup is a max over the distinct
+        pairs (z, t) on the square (rectangle 0) or a probe's, kept per
+        rectangle and depth, on the exact points of f and the deepest table:
+        d(z, r_{n+1}(t)) for the final budgets and stage sups,
+        d(r_{l+1}(t), r_{n+1}(t)) for the tail and d(r_{l+1}(t), r_{l+1}(z))
+        for m(l), read at the last stage of each depth."""
+        n_max, memo, dist, tower = self.n_max, self._memo, self.group.dist, self.tower
         for l in levels:
             if l > n_max:
                 raise ValueError(f"level {l} needs factors up to {l}; raise n_max")
-        diagonals = [self.stage_function(n, n) for n in range(n_max + 1)]
-        probe_sups = [
-            [exact_sup(dist, self.f, diag, memo, probe)[0] for diag in diagonals]
-            for probe in probes
-        ]
+        deepest, kept, zero = self._engine.approximant(n_max), {}, Fraction(0)
+        rects = [exact_rectangle((self.f, deepest), memo, probe) for probe in (None, *probes)]
+
+        def pairs(i: int, n: int) -> tuple[tuple, tuple]:
+            key = (i, self._engine.working_depth(n))
+            if key not in kept:
+                rect, t = rects[i], self._engine.approximant(n)
+                found = value_pairs(self.f.grid_values(*rect, memo), t.grid_values(*rect, memo))
+                kept[key] = tuple(zip(*found)) or ((), ())
+            return kept[key]
+
+        def r(k: int, values: tuple) -> Iterable[GroupElement]:
+            return map(tower[k].__getitem__, values)
+
+        def sup(left: Iterable[GroupElement], right: Iterable[GroupElement]) -> Fraction:
+            return max(memo.pairwise(dist, left, right), default=zero)
+
+        final = [[sup(pairs(i, n)[0], r(n + 1, pairs(i, n)[1])) for n in range(n_max + 1)]
+                 for i in range(len(rects))]
         results = []
         stage_of_level: dict[int, int | None] = {}
         for l in levels:
-            target = self.quantized(l + 1)
             tol, budget = Fraction(1, 2**l), Fraction(4, 2**l)
+            last = {self._engine.working_depth(n): n for n in range(l, n_max + 1)}.values()
             tail_from = _settled_from(
-                ((n, exact_sup(dist, self.stage_function(l, n), diagonals[n], memo)[0])
+                ((n, sup(r(l + 1, pairs(0, n)[1]), r(n + 1, pairs(0, n)[1])))
                  for n in range(l + 1, n_max + 1)), tol, l,
             )
             settled = []
-            for probe, sups in zip(probes, probe_sups):
+            for i, probe in enumerate(probes, 1):
                 m = _settled_from(
-                    ((n, exact_sup(dist, self.stage_function(l, n), target, memo, probe)[0])
-                     for n in range(l, n_max + 1)), tol, l,
+                    ((n, sup(r(l + 1, pairs(i, n)[1]), r(l + 1, pairs(i, n)[0])))
+                     for n in last), tol, l,
                 )
                 m_l = m if m <= n_max else None
                 witness, final_sup, final_ok, tail_ok = "", Fraction(0), False, False
                 if m_l is not None:
                     settled.append(m_l)
-                    final_sup = max(sups[m_l:])
+                    final_sup = max(final[i][m_l:])
                     final_ok, tail_ok = final_sup < budget, tail_from <= m_l
-                    failing = [n for n in range(m_l, n_max + 1) if sups[n] >= budget]
+                    failing = [n for n in range(m_l, n_max + 1) if final[i][n] >= budget]
                     if failing:
                         # The witness is the first failing point, x-major, of
                         # the last failing stage.
                         _, (x, y) = exact_sup(
                             lambda a, b: dist(a, b) >= budget,
-                            self.f, diagonals[failing[-1]], memo, probe,
+                            self.f, self.stage_function(failing[-1], failing[-1]), memo, probe,
                         )
                         witness = f"n={failing[-1]} ({x},{y})"
                 results.append(DiagonalLevelResult(
@@ -256,10 +278,8 @@ class ZerodimPipeline:
                     witness,
                 ))
             stage_of_level[l] = max(settled, default=None)
-        # Each probe rectangle lies in the square, so its sups are no larger.
-        stage_sups = tuple(enumerate(exact_sup(dist, self.f, diag, memo)[0] for diag in diagonals))
-        passed = all(r.layer_ok and r.final_ok and r.tail_ok for r in results)
-        return DiagonalReport(tuple(results), stage_sups, stage_of_level, passed)
+        passed = all(row.layer_ok and row.final_ok and row.tail_ok for row in results)
+        return DiagonalReport(tuple(results), tuple(enumerate(final[0])), stage_of_level, passed)
 
 
 def _settled_from(sups: Iterable[tuple[int, Fraction]], tol: Fraction, start: int) -> int:

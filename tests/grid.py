@@ -1,14 +1,15 @@
 """Canonical grid points, the sample the brute-force references sweep: the
 library itself reads only exact point sets.  Also the canonical base of
 cylinders, the pointwise oracle for "f is constant on a pair of cells",
-which the discrete engine's references read, and the zero-dimensional
-pipeline's factor approximants as the paper builds them."""
+which the discrete engine's references read, the zero-dimensional
+pipeline's factor approximants as the paper builds them, and a pipeline
+with one factor replaced, the injected-factor controls' input."""
 
 from functools import lru_cache
 
 from sepcont.cantor import ALL_ONES, CantorPoint, Cylinder, partition_at_depth
 from sepcont.discrete import DiscreteApproximator
-from sepcont.functions import resolution
+from sepcont.functions import PostCompose, resolution
 
 
 def grid_points(d: int) -> tuple[CantorPoint, ...]:
@@ -72,3 +73,18 @@ def factor_approximants(pipe, m: int) -> list:
     ``pipe``, each from a discrete engine of its own.  Their pointwise
     product g_{0,m} ... g_{n,m}, left to right, is the paper's f_{n,m}."""
     return [DiscreteApproximator(pipe.factor(k)).approximant(m) for k in range(pipe.n_max + 1)]
+
+
+def replace_factor(pipe, k: int, phi: dict) -> None:
+    """Replace ``pipe``'s factor k by ``phi`` o f, for ``phi`` a map on f's
+    image.  Every factor is a finite map of f, so a wrong factor is a wrong
+    tower: r'_{n+1} = r'_n phi'_n for n >= k, which every stage
+    f_{n,m} = r'_{n+1} o (f's stage-m table) then reads.  Every phi_n is
+    read first, since ``factor`` is lazy and reads the tower."""
+    group, factor = pipe.group, pipe.factor
+    phis = [factor(n).mapping for n in range(pipe.n_max + 1)]
+    phis[k] = phi
+    wrong = PostCompose(pipe.f, phi)
+    pipe.factor = lambda n: wrong if n == k else factor(n)
+    for n in range(k, pipe.n_max + 1):
+        pipe.tower[n + 1] = {z: group.mul(pipe.tower[n][z], phis[n][z]) for z in pipe.sample}

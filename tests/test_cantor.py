@@ -86,6 +86,13 @@ class TestCantorPoint:
         assert all(again.bit(i) == p.bit(i) for i in range(12))
         assert again == p
 
+    @given(points)
+    def test_kept_hash_is_the_hash_of_the_fields(self, p):
+        # The hash is kept on first use and must be the tuple's, so that
+        # no set or dict order moves; an equal point built afresh agrees.
+        assert hash(p) == hash((p.preperiod, p.period)) == hash(p)
+        assert hash(CantorPoint(p.preperiod, p.period)) == hash(p)
+
     def test_leading_ones(self):
         assert CantorPoint.parse("110(0)").leading_ones() == 2
         assert ALL_ONES.leading_ones() is None

@@ -53,7 +53,7 @@ from sepcont.functions import (
 from sepcont.groups import get_group
 from sepcont.uniform import BallQuery, BallResult, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
-from grid import factor_approximants, grid_points
+from grid import factor_approximants, grid_points, replace_factor
 from sym3 import S3_LEFT, symmetric_group_3
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -75,12 +75,12 @@ REGIONS = tuple(ClopenSet.parse(t) for t in ["!{}", "{}", "{0}", "{10,111}", "{0
 WHOLE = ClopenSet.whole()
 
 
-def _table(pool, max_depth=3):
+def _table(pool, max_depth=3, min_depth=0):
     def build(depth, cells):
         n = 2**depth
         return TableFunction(depth, tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n)))
 
-    return st.integers(0, max_depth).flatmap(
+    return st.integers(min_depth, max_depth).flatmap(
         lambda d: st.lists(st.sampled_from(pool), min_size=4**d, max_size=4**d).map(
             lambda cells: build(d, cells)
         )
@@ -294,44 +294,40 @@ def brute_raw_sup(f, g):
     return max(raws), pairs[raws.index(max(raws))]
 
 
-def brute_tail_containment(pipe, l, start, grid_pts):
-    one = pipe.group.identity()
-    tol = Fraction(1, 2**l)
-    for n in range(start, pipe.n_max + 1):
-        if n < l + 1:
-            continue
-        stages = factor_approximants(pipe, n)[l + 1 : n + 1]
-        for x in grid_pts:
-            for y in grid_pts:
-                acc = one
-                for g in stages:
-                    acc = pipe.group.mul(acc, g.eval(x, y))
-                if pipe.group.dist(one, acc) > tol:
-                    return False
-    return True
-
-
 def brute_diagonal(pipe, probes, levels):
     """ZerodimPipeline.diagonal evaluated point by point, on a grid deep
     enough for f and every stage table, and on each probe rectangle's
-    points of that grid."""
+    points of that grid.  Each stage f_{n,m} is the left-to-right product
+    of the factors' stage-m approximants at the point, as the paper builds
+    it, so a factor replaced in ``pipe`` is read through ``pipe.factor``
+    alone; the tail g_{l+1,n} ... g_{n,n} is multiplied out the same way.
+    Each point's values and each group operation are computed once."""
     group, n_max, f = pipe.group, pipe.n_max, pipe.f
-    diagonals = [pipe.stage_function(n, n) for n in range(n_max + 1)]
-    depth = max(deep_enough((f, *diagonals), p) for p in [None, *probes])
-    grid_pts = grid_points(depth)
+    one, mul, dist = group.identity(), lru_cache(None)(group.mul), lru_cache(None)(group.dist)
+    approximants = [factor_approximants(pipe, m) for m in range(n_max + 1)]
+    value = lru_cache(None)(f.eval)
+
+    @lru_cache(maxsize=None)
+    def factors(m, x, y):
+        return tuple(g.eval(x, y) for g in approximants[m])
+
+    def stage(n, m, x, y):
+        return reduce(mul, factors(m, x, y)[: n + 1])
+
+    depth = max(deep_enough((f, *(g for gs in approximants for g in gs)), p) for p in [None, *probes])
+    grid_pts = [(x, y) for x in grid_points(depth) for y in grid_points(depth)]
     rects = [[(x, y) for x in side_points(p.kx, depth) for y in side_points(p.ky, depth)]
              for p in probes]
     results, stage_of_level = [], {}
     for l in levels:
-        target = pipe.quantized(l + 1)
+        r = pipe.tower[l + 1]
         tol, budget = Fraction(1, 2**l), Fraction(4, 2**l)
         level_stage = None
         for probe, pairs in zip(probes, rects):
             sup_at = {}
             for n in range(l, n_max + 1):
-                f_ln = pipe.stage_function(l, n)
                 sup_at[n] = max(
-                    (group.dist(f_ln.eval(x, y), target.eval(x, y)) for x, y in pairs),
+                    (dist(stage(l, n, x, y), r[value(x, y)]) for x, y in pairs),
                     default=Fraction(0),
                 )
             m_l = next(
@@ -344,14 +340,17 @@ def brute_diagonal(pipe, probes, levels):
                 for n in range(m_l, n_max + 1):
                     failing = []
                     for x, y in pairs:
-                        d = group.dist(f.eval(x, y), diagonals[n].eval(x, y))
+                        d = dist(value(x, y), stage(n, n, x, y))
                         final_sup = max(final_sup, d)
                         if d >= budget:
                             failing.append((x, y))
                     if failing:
                         final_ok = False
                         witness = f"n={n} ({failing[0][0]},{failing[0][1]})"
-                tail_ok = brute_tail_containment(pipe, l, max(m_l, l + 1), grid_pts)
+                tail_ok = all(
+                    dist(one, reduce(mul, factors(n, x, y)[l + 1 : n + 1], one)) <= tol
+                    for n in range(max(m_l, l + 1), n_max + 1) for x, y in grid_pts
+                )
                 level_stage = m_l if level_stage is None else max(level_stage, m_l)
             results.append(
                 DiagonalLevelResult(
@@ -362,9 +361,8 @@ def brute_diagonal(pipe, probes, levels):
         stage_of_level[l] = level_stage
     stage_sups = []
     for n in range(n_max + 1):
-        pairs = [(x, y) for x in grid_pts for y in grid_pts] + [p for r in rects for p in r]
-        sup = max(group.dist(f.eval(x, y), diagonals[n].eval(x, y)) for x, y in pairs)
-        stage_sups.append((n, sup))
+        pairs = grid_pts + [p for r in rects for p in r]
+        stage_sups.append((n, max(dist(value(x, y), stage(n, n, x, y)) for x, y in pairs)))
     passed = all(r.layer_ok and r.final_ok and r.tail_ok for r in results)
     return DiagonalReport(tuple(results), tuple(stage_sups), stage_of_level, passed)
 
@@ -546,20 +544,10 @@ ACC_Y = SubbasicNbhd(WHOLE, ALL_ONES, frozenset(), "acc_y")
 
 
 def with_wrong_factor(f, c):
-    """ZerodimPipeline(f, 5) with factor 4 right-multiplied by c, so each of
-    its stage tables is too.  Each stage f_{n,m} with n >= 4 is then the
-    product of the factors' stage-m tables, left to right, as the paper
-    builds it."""
+    """ZerodimPipeline(f, 5) with factor 4 right-multiplied by c, value by
+    value, so the quantizers r_5 and r_6 are too (``replace_factor``)."""
     pipe = ZerodimPipeline(f, 5)
-    factor, stage, g4 = pipe.factor, pipe.stage_function, pipe.factor(4)
-    wrong = PostCompose(f, {z: f.group.mul(v, c) for z, v in g4.mapping.items()})
-    pipe.factor = lambda k: wrong if k == 4 else factor(k)
-
-    @lru_cache(maxsize=None)
-    def wrong_stage(n, m):
-        return stage(n, m) if n < 4 else reduce(PointwiseProduct, factor_approximants(pipe, m)[: n + 1])
-
-    pipe.stage_function = wrong_stage
+    replace_factor(pipe, 4, {z: f.group.mul(v, c) for z, v in pipe.factor(4).mapping.items()})
     return pipe
 
 
@@ -594,10 +582,10 @@ class TestSweepsMatchBruteForce:
         assert rep == brute_diagonal(ZerodimPipeline(f, 4), probes, levels)
 
     def test_diagonal_with_a_wrong_late_factor(self):
-        # The injected-factor control of test_zerodim: factor 4's stage tables
-        # multiplied by A fail the level-3 final budget at every point of each
-        # probe; the witness is the first of them, x-major, at the last
-        # failing stage.
+        # An injected-factor control: factor 4 multiplied by A at every value
+        # of f, so r_5 and r_6 with it, fails the level-3 final budget at
+        # every point of each probe; the witness is the first of them,
+        # x-major, at the last failing stage.
         a, b, c = (DYADIC.parse_element(t) for t in ["1(0)", "01(0)", "001(0)"])
         f = OnesDiagonal((a, b, c))
         probes = [ACC_X, SubbasicNbhd(CantorPoint.parse("(0)"), WHOLE, frozenset(), "zero_x"), ACC_Y]
@@ -619,6 +607,42 @@ class TestSweepsMatchBruteForce:
         rep = with_wrong_factor(f, c).diagonal(probes, levels)
         assert rep == brute_diagonal(with_wrong_factor(f, c), probes, levels)
         assert [int(row.tail_ok) for row in rep.results] == [ok for ok in tail_ok for _ in probes]
+
+
+# Dyadic diag ones, diag cyl and table trees and S3_LEFT depth-2 tables, as
+# in test_zerodim's TestStageFunction, and point x clopen probes on both axes.
+diagonal_functions = st.one_of(
+    st.recursive(
+        st.one_of(
+            st.lists(st.sampled_from(POOLS[0]), min_size=1, max_size=3).map(tuple).map(OnesDiagonal),
+            _family(POOLS[0]),
+            _table(POOLS[0], 2),
+        ),
+        lambda kids: st.one_of(
+            st.tuples(kids, kids).map(lambda lr: PointwiseProduct(*lr)), kids.map(PointwiseInverse)
+        ),
+        max_leaves=3,
+    ),
+    _table(POOLS[3], 2, 2),
+)
+diagonal_probes = st.lists(
+    st.builds(
+        lambda axis, fixed, region: SubbasicNbhd(
+            *((fixed, region) if axis == "x" else (region, fixed)), frozenset(), f"{axis}{fixed}"
+        ),
+        st.sampled_from(["x", "y"]), st.sampled_from(OFF_GRID + grid_points(2)),
+        st.sampled_from(REGIONS),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+class TestDiagonalMatchesBruteForce:
+    @given(diagonal_functions, diagonal_probes, st.integers(3, 6),
+           st.sets(st.integers(1, 3), min_size=1).map(sorted))
+    def test_diagonal_is_the_brute_diagonal(self, f, probes, n_max, levels):
+        pipe = ZerodimPipeline(f, n_max)
+        assert pipe.diagonal(probes, levels) == brute_diagonal(pipe, probes, levels)
 
 
 class TestTwoSidedMember:
@@ -736,6 +760,26 @@ class TestWorkCounts:
         # Every stage is a quantizer of f's table, so the diagonal multiplies
         # no two values.
         assert mul_calls[0] == 0
+
+    def test_diagonal_lowers_f_and_each_table_once_per_rectangle_and_depth(self, monkeypatch):
+        # The rectangles are the square and each probe's; the tables are
+        # built first, so every lowering counted is one the diagonal reads.
+        exp = load_experiment(CONFIGS / "diag-multi.cfg")
+        pipe = ZerodimPipeline(exp.function, exp.n_max)
+        tables = {pipe._engine.approximant(n) for n in range(exp.n_max + 1)}
+        lowerings = []
+        for cls in (type(pipe.f), TableFunction):
+            def counted(fn, xs, ys, memo, lower=cls.grid_values):
+                lowerings.append((fn, xs, ys))
+                return lower(fn, xs, ys, memo)
+
+            monkeypatch.setattr(cls, "grid_values", counted)
+        assert pipe.diagonal(exp.probes, exp.levels).passed
+        assert len(lowerings) == 2 * (1 + len(exp.probes)) * len(tables)
+        pairs = list(zip(lowerings[::2], lowerings[1::2]))
+        assert all(f is pipe.f and t in tables and f_rect == t_rect
+                   for (f, *f_rect), (t, *t_rect) in pairs)
+        assert {t for _, (t, *_) in pairs} == tables
 
 
 class TestConstantProducts:

@@ -501,6 +501,7 @@ def test_unread_field_is_reported():
 # The attribute stores outside an ``__init__``, as (function, attribute).
 ALLOWED_STORES = {
     ("load_experiment", "optionxform"),  # configparser's hook for case-sensitive keys
+    ("__hash__", "_hash"),  # CantorPoint's hash, kept on first use so construction pays nothing
 }
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -24,7 +24,7 @@ from sepcont.functions import (
 from sepcont import zerodim
 from sepcont.groups import SeparatedNet, ball_net, get_group
 from sepcont.zerodim import ZerodimPipeline, _cover, build_tower
-from grid import factor_approximants, grid_points
+from grid import factor_approximants, grid_points, replace_factor
 from sym3 import S3_LEFT
 
 DYADIC = get_group("dyadic")
@@ -39,10 +39,11 @@ MULTI = OnesDiagonal(
 C5 = get_group("cyclic:5")
 C5_CYCLE = OnesDiagonal((C5.element(1), C5.element(3), C5.element(2)))
 WHOLE = ClopenSet.whole()
+ZERO = CantorPoint.parse("(0)")
 
 STANDARD_PROBES = [
     SubbasicNbhd(ALL_ONES, WHOLE, frozenset(), "acc_x"),
-    SubbasicNbhd(CantorPoint.parse("(0)"), WHOLE, frozenset(), "zero_x"),
+    SubbasicNbhd(ZERO, WHOLE, frozenset(), "zero_x"),
     SubbasicNbhd(WHOLE, ALL_ONES, frozenset(), "acc_y"),
 ]
 
@@ -83,11 +84,12 @@ def _first_failing_witness(pipe, probe, m_l, budget):
     """The witness the diagonal writes for a probe: at the last stage
     n >= m_l where d(f, f_{n,n}) >= budget somewhere on the probe
     rectangle, the first such exact point, x-major (one side is the fixed
-    point, so the other side's order is x-major)."""
+    point, so the other side's order is x-major).  f_{n,n} is the product
+    of the factors' stage-n approximants, as the paper builds it."""
     f, dist = pipe.f, pipe.group.dist
     _, fixed, other = probe.sides()
     for n in reversed(range(m_l, pipe.n_max + 1)):
-        diag = pipe.stage_function(n, n)
+        diag = reduce(PointwiseProduct, factor_approximants(pipe, n)[: n + 1])
         points = map(probe.point, GridMemo().exact_points((f, diag), other, fixed))
         failing = [(x, y) for x, y in points if dist(f.eval(x, y), diag.eval(x, y)) >= budget]
         if failing:
@@ -398,11 +400,14 @@ class TestDiagonal:
 
     def test_levels_are_checked_before_any_sweep(self, monkeypatch):
         pipe, sweeps = ZerodimPipeline(DIAG, n_max=3), []
-        sup = zerodim.exact_sup
-        monkeypatch.setattr(zerodim, "exact_sup", lambda *a: sweeps.append(a) or sup(*a))
+        for name in ("exact_sup", "value_pairs"):
+            sweep = getattr(zerodim, name)
+            monkeypatch.setattr(zerodim, name, lambda *a, sweep=sweep: sweeps.append(a) or sweep(*a))
         with pytest.raises(ValueError, match="level 4 needs factors up to 4; raise n_max"):
             pipe.diagonal(STANDARD_PROBES, [1, 4])
         assert sweeps == []
+        pipe.diagonal(STANDARD_PROBES, [1, 3])
+        assert sweeps
 
     def test_budget_l1_vacuous_but_sup_recorded(self):
         pipe = ZerodimPipeline(DIAG, n_max=3)
@@ -428,31 +433,16 @@ class TestDiagonal:
                     assert DYADIC.dist(one, acc) <= Fraction(1, 2**l)
 
     @staticmethod
-    def _diagonal_with_wrong_factor(monkeypatch, l, wrong_k):
+    def _diagonal_with_wrong_factor(l, wrong_k):
         # At l = 3 the budget 4 * 2^-l is 1/2, so a stage value at distance
-        # 1/2 from the true one must fail it.  Only this pipeline's stage
-        # tables of factor wrong_k are altered: every odd column is
-        # multiplied by A, which flips the first bit of each value there.
-        # Each stage f_{n,m} with n >= wrong_k is then the product of the
-        # factors' stage-m tables, left to right, as the paper builds it.
-        # The first point of an x probe, y = 0^w, lies in column 0, so its
-        # witness is not the probe's first point.
+        # 1/2 from the true one must fail it.  Factor wrong_k is multiplied
+        # by A, which flips the first bit, at the identity alone: the value
+        # f takes off the family's blocks.  On zero_x the first points,
+        # y in [0], lie in the block of member 0, so its witness is not the
+        # probe's first point.
         pipe = ZerodimPipeline(MULTI, n_max=5)
-        stage = pipe.stage_function
-
-        @lru_cache(maxsize=None)
-        def wrong_stage(n, m):
-            if n < wrong_k:
-                return stage(n, m)
-            tables = factor_approximants(pipe, m)[: n + 1]
-            g = tables[wrong_k]
-            tables[wrong_k] = TableFunction(g.depth, tuple(
-                tuple(DYADIC.mul(v, A) if j % 2 else v for j, v in enumerate(row))
-                for row in g.values
-            ))
-            return reduce(PointwiseProduct, tables)
-
-        monkeypatch.setattr(pipe, "stage_function", wrong_stage)
+        phi = pipe.factor(wrong_k).mapping
+        replace_factor(pipe, wrong_k, {**phi, E: DYADIC.mul(phi[E], A)})
         return pipe, pipe.diagonal(STANDARD_PROBES, [l])
 
     def test_budget_and_tail_pass_before_the_substitution(self):
@@ -460,18 +450,19 @@ class TestDiagonal:
         assert rep.passed
         assert all(r.budget == Fraction(1, 2) and r.final_ok and r.tail_ok for r in rep.results)
 
-    def test_wrong_late_factor_fails_final_budget(self, monkeypatch):
-        pipe, rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
+    def test_wrong_late_factor_fails_final_budget(self):
+        pipe, rep = self._diagonal_with_wrong_factor(3, 4)
         assert not rep.passed
         for probe, r in zip(STANDARD_PROBES, rep.results):
             assert r.layer_ok and r.m_l == 3  # factors k <= l are untouched
             assert r.budget == Fraction(1, 2) == r.final_sup
             assert not r.final_ok
             assert r.witness == _first_failing_witness(pipe, probe, r.m_l, r.budget)
-        assert rep.results[0].witness == "n=5 ((1),01(0))"
+        assert rep.results[1].witness == "n=5 ((0),1(0))"
+        assert GridMemo().exact_points((MULTI,), WHOLE, ZERO)[0] == ZERO
 
-    def test_wrong_late_factor_fails_tail_containment(self, monkeypatch):
-        _, rep = self._diagonal_with_wrong_factor(monkeypatch, 3, 4)
+    def test_wrong_late_factor_fails_tail_containment(self):
+        _, rep = self._diagonal_with_wrong_factor(3, 4)
         assert not rep.passed
         for r in rep.results:
             assert r.layer_ok and not r.tail_ok
