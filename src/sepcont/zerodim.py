@@ -1,23 +1,26 @@
 """Approximation engine for zero-dimensional image: quantizer tower over
-refining image covers, factor functions with net-valued image, per-factor
-delegation to the discrete engine, and the diagonal sequence with its
-exact error budget.
+refining image covers, its net-valued factors as finite maps on f's image,
+and the diagonal sequence with its exact error budget, read off f's one
+discrete engine.
 
 Conventions (recorded in every run manifest): cover level n has cell
 diameter <= 2^-(n+1); net(k) is the greedy maximal 2^-(k+2)-separated
 subset of B[2^-k]; the quantizer step n -> n+1 draws its increment from
 net(n).  The image sample is f's image f(X x Y) itself (``image``), so
-each quantizer r_n is one finite map on it and every check below is exact
-at every point.  The covers are built inside ``build_tower``, only to
-assign r_n; both ways of building them (``_cover``) give the diameter and
-the refinement by construction, so the exact checks are ``condition_rows``'s
-cond2 and cond3 below.  The quantizer conditions per level n are
+each quantizer r_n and each factor phi_n is one finite map on it and every
+check below is exact at every point.  The covers are built inside
+``build_tower``, only to assign r_n and phi_n; both ways of building them
+(``_cover``) give the diameter by construction, so the exact checks are
+``condition_rows``'s cond2 and cond3 below.  The quantizer conditions per
+level n are
 
 * (1) the quantizer is constant on each cover cell: its map is built from
   one value per cell, so it holds by construction and is not checked;
 * (2) sup over the image sample of d(r_n(z), z) <= 2^-n, exactly;
 * (3) r_n(z) lies in r_{n-1}(z) * net(n-1) for every sampled z, exactly:
-  the factor g_{n-1} takes its values in net(n-1).
+  r_{n-1}(z) phi_{n-1}(z) = r_n(z) with phi_{n-1}(z) in net(n-1), so the
+  factor g_{n-1} = phi_{n-1} o f takes its values in net(n-1).  Since
+  r_0 = 1, the rows up to n give phi_0(z) ... phi_{n-1}(z) = r_n(z).
 
 The diagonal sequence f_{n,n} is checked on stage tables alone: each
 f_{l,n} = g_{0,n} ... g_{l,n} is r_{l+1} of f's stage-n table T, the tail
@@ -75,22 +78,22 @@ class DiagonalReport(NamedTuple):
     passed: bool
 
 
-def build_tower(f: SepFunction, top: int, memo: GridMemo | None = None):
-    """(sample, nets, tower) for f up to level ``top``: f's image in
-    canonical order, nets 0..top-1 and r_0..r_top, each r_n one value per
-    level-n cell (``_cover``).  r_0 is identically the group identity; the
-    step n -> n+1 picks, per level-(n+1) cell, its canonical-first point z',
-    shifts it to g_W^-1 z' with g_W = r_n(z') (in B[2^-n] by condition (2),
-    which ``condition_rows`` checks), and multiplies g_W by the nearest
-    net(n) element (ties by canonical order, required distance < 2^-(n+2)).
-    ``memo`` is the one ``image`` reads; a fresh memo gives the same tower."""
-    group = f.group
+def build_tower(sample: tuple, top: int):
+    """(nets, tower, factors) on ``sample``, f's image in canonical order, up
+    to level ``top``: nets 0..top-1, r_0..r_top and phi_0..phi_{top-1}, each
+    r_{n+1} and phi_n one value per level-(n+1) cell (``_cover``).  r_0 is
+    identically the group identity; the step n -> n+1 picks, per
+    level-(n+1) cell, its canonical-first point z', shifts it to g_W^-1 z'
+    with g_W = r_n(z') (in B[2^-n] by condition (2), which
+    ``condition_rows`` checks), and takes the nearest net(n) element eps
+    (ties by canonical order, required distance < 2^-(n+2)): phi_n is eps
+    and r_{n+1} is g_W eps on the cell."""
+    group = sample[0].group
     one = group.identity()
-    sample = image(f, memo)
     nets = [ball_net(group, k, group.net_enumeration_depth(k, sample)) for k in range(top)]
-    tower, cells = [dict.fromkeys(sample, one)], [list(sample)]
+    tower, factors, cells = [dict.fromkeys(sample, one)], [], [list(sample)]
     for n in range(top):
-        prev, r = tower[n], {}
+        prev, r, phi = tower[n], {}, {}
         cells = _cover(group, sample, cells, n + 1)
         for cell in cells:
             g_w = prev[cell[0]]
@@ -101,14 +104,18 @@ def build_tower(f: SepFunction, top: int, memo: GridMemo | None = None):
                     f"enumeration depth {nets[n].enumeration_depth} too small"
                 )
             r.update(dict.fromkeys(cell, group.mul(g_w, eps)))
+            phi.update(dict.fromkeys(cell, eps))
         tower.append(r)
-    return sample, nets, tower
+        factors.append(phi)
+    return nets, tower, factors
 
 
 def _cover(group: GroupSpec, sample: tuple, coarser: list, n: int) -> list[list[GroupElement]]:
-    """The level-n cells, each in canonical order: the group's ``cover_key``
-    classes when it has them, otherwise each ``coarser`` cell split greedily
-    into cells of diameter <= 2^-(n+1)."""
+    """The level-n cells, each in canonical order and of diameter
+    <= 2^-(n+1): the group's ``cover_key`` classes when it has them,
+    otherwise each ``coarser`` cell split greedily.  A greedy cell lies in
+    one coarser cell; key classes nest when the keys do, and a cell across
+    two r_{n-1} values fails condition (3)."""
     if group.cover_key(sample[0], n) is not None:
         by_key: dict[object, list[GroupElement]] = {}
         for z in sample:
@@ -131,28 +138,27 @@ def _cover(group: GroupSpec, sample: tuple, coarser: list, n: int) -> list[list[
 
 def quantize(f: SepFunction, n: int) -> PostCompose:
     """f_n = r_n o f, building the tower up to r_n only."""
-    return PostCompose(f, build_tower(f, n)[2][n])
+    return PostCompose(f, build_tower(image(f), n)[1][n])
 
 
 class ZerodimPipeline:
     """End-to-end construction for one function: sample (f's image), nets,
     quantizer tower, factors, and the diagonal sequence.  One memo serves
-    every sweep, the image and the one discrete engine, f's, whose tables
-    every stage reads."""
+    every sweep and the one discrete engine, f's, which reads the image
+    once and whose tables every stage reads."""
 
     def __init__(self, f: SepFunction, n_max: int):
         self.f = f
         self.group = f.group
         self.n_max = n_max
         self._memo = GridMemo()
-        self.sample, self.nets, self.tower = build_tower(f, n_max + 1, self._memo)
-        self._factor_cache: dict[int, PostCompose] = {}
         self._engine = DiscreteApproximator(f, self._memo)
+        self.sample = self._engine.image
+        self.nets, self.tower, self.factors = build_tower(self.sample, n_max + 1)
 
     def condition_rows(self) -> list[ConditionRow]:
         """Conditions (2) and (3) per level of the tower.  Condition (3) at
-        level n >= 1 is ``factor_discreteness(n - 1)``: r_{n-1}(z)^-1 r_n(z)
-        is phi_{n-1}(z)."""
+        level n >= 1 is ``factor_discreteness(n - 1)``."""
         rows = []
         for n, r in enumerate(self.tower):
             sup = max(self.group.dist(r[z], z) for z in self.sample)
@@ -164,15 +170,6 @@ class ZerodimPipeline:
         """f_n = r_n o f."""
         return PostCompose(self.f, self.tower[n])
 
-    def factor(self, n: int) -> PostCompose:
-        """g_n = f_n^-1 * f_{n+1}, built as one finite map of f: g_n = phi_n o f
-        with phi_n(z) = r_n(z)^-1 r_{n+1}(z); its image lies in net(n) by construction."""
-        if n not in self._factor_cache:
-            r_n, r_n1 = self.tower[n], self.tower[n + 1]
-            phi = {z: self.group.mul(self.group.inv(r_n[z]), r_n1[z]) for z in self.sample}
-            self._factor_cache[n] = PostCompose(self.f, phi)
-        return self._factor_cache[n]
-
     def uniform_rate(self, n: int) -> DistResult:
         """Sup of d(f_n, f).  Condition (2) bounds d(f_n, f) by 2^-n at
         every point, since every value of f lies in the sample, so the CLI
@@ -180,29 +177,22 @@ class ZerodimPipeline:
         return uniform_dist(self.quantized(n), self.f, "l", self._memo)
 
     def factor_discreteness(self, n: int) -> bool:
-        """g_n takes its values in net(n), exactly: they are phi_n of f's
-        image, the sample."""
-        phi = self.factor(n).mapping
-        return {phi[z] for z in self.sample} <= set(self.nets[n].elements)
-
-    def telescoping_ok(self) -> bool:
-        """g_0 g_1 ... g_n == f_{n+1} as finite maps of f, exactly:
-        phi_0(z) ... phi_n(z) = r_{n+1}(z) at every value z of f,
-        so at every point, not only on a grid."""
-        prod = {z: self.group.identity() for z in self.sample}
-        for n in range(self.n_max + 1):
-            phi = self.factor(n).mapping
-            prod = {z: self.group.mul(prod[z], phi[z]) for z in self.sample}
-            if prod != self.tower[n + 1]:
-                return False
-        return True
+        """Condition (3) at level n + 1, exactly: r_n(z) phi_n(z) = r_{n+1}(z)
+        and phi_n(z) in net(n) at every value z of f, the sample, so the
+        factor g_n = f_n^-1 f_{n+1} = phi_n o f takes its values in net(n)
+        at every point.  One ``mul`` per distinct (r_n(z), phi_n(z))."""
+        r, phi, nxt = self.tower[n], self.factors[n], self.tower[n + 1]
+        net = set(self.nets[n].elements)
+        products = self._memo.pairwise(self.group.mul, map(r.__getitem__, self.sample),
+                                       map(phi.__getitem__, self.sample))
+        return all(p == nxt[z] and phi[z] in net for z, p in zip(self.sample, products))
 
     def stage_function(self, n: int, m: int) -> SepFunction:
         """f_{n,m} = g_{0,m} * ... * g_{n,m}, each factor's stage-m approximant,
         as r_{n+1} of f's stage-m table.  An approximant is its function at
         the limit points of the stage's cells, so g_{k,m} is phi_k of f's
-        table, and phi_0(z) ... phi_n(z) = r_{n+1}(z), which ``telescoping_ok``
-        checks."""
+        table, and phi_0(z) ... phi_n(z) = r_{n+1}(z), which the cond3 rows
+        of ``condition_rows`` give."""
         return PostCompose(self._engine.approximant(m), self.tower[n + 1])
 
     def diagonal(self, probes: list[SubbasicNbhd], levels: list[int]) -> DiagonalReport:

@@ -2,8 +2,8 @@
 library itself reads only exact point sets.  Also the canonical base of
 cylinders, the pointwise oracle for "f is constant on a pair of cells",
 which the discrete engine's references read, the zero-dimensional
-pipeline's factor approximants as the paper builds them, and a pipeline
-with one factor replaced, the injected-factor controls' input."""
+pipeline's factors and their approximants as the paper builds them, and a
+pipeline with one factor replaced, the injected-factor controls' input."""
 
 from functools import lru_cache
 
@@ -68,23 +68,24 @@ def cell_pair_values(f, d: int) -> dict[tuple[int, int], frozenset]:
     return {key: frozenset(values) for key, values in out.items()}
 
 
+def factor(pipe, n: int) -> PostCompose:
+    """g_n = phi_n o f, ``pipe``'s factor n as one finite map of f."""
+    return PostCompose(pipe.f, pipe.factors[n])
+
+
 def factor_approximants(pipe, m: int) -> list:
     """g_{0,m}, ..., g_{n_max,m}: the stage-m approximant of each factor of
     ``pipe``, each from a discrete engine of its own.  Their pointwise
     product g_{0,m} ... g_{n,m}, left to right, is the paper's f_{n,m}."""
-    return [DiscreteApproximator(pipe.factor(k)).approximant(m) for k in range(pipe.n_max + 1)]
+    return [DiscreteApproximator(factor(pipe, k)).approximant(m) for k in range(pipe.n_max + 1)]
 
 
 def replace_factor(pipe, k: int, phi: dict) -> None:
     """Replace ``pipe``'s factor k by ``phi`` o f, for ``phi`` a map on f's
     image.  Every factor is a finite map of f, so a wrong factor is a wrong
     tower: r'_{n+1} = r'_n phi'_n for n >= k, which every stage
-    f_{n,m} = r'_{n+1} o (f's stage-m table) then reads.  Every phi_n is
-    read first, since ``factor`` is lazy and reads the tower."""
-    group, factor = pipe.group, pipe.factor
-    phis = [factor(n).mapping for n in range(pipe.n_max + 1)]
-    phis[k] = phi
-    wrong = PostCompose(pipe.f, phi)
-    pipe.factor = lambda n: wrong if n == k else factor(n)
+    f_{n,m} = r'_{n+1} o (f's stage-m table) then reads."""
+    group, tower = pipe.group, pipe.tower
+    pipe.factors[k] = phi
     for n in range(k, pipe.n_max + 1):
-        pipe.tower[n + 1] = {z: group.mul(pipe.tower[n][z], phis[n][z]) for z in pipe.sample}
+        tower[n + 1] = {z: group.mul(tower[n][z], pipe.factors[n][z]) for z in pipe.sample}

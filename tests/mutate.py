@@ -1,4 +1,5 @@
-"""Mutation check of the discrete and zero-dimensional engines.
+"""Mutation check of the discrete and zero-dimensional engines and the
+uniform-topology harness.
 
 Each order comparison in a module of ``TARGETS`` is swapped with its
 strict or non-strict twin (``<`` and ``<=``, ``>`` and ``>=``), and each
@@ -32,6 +33,7 @@ PACKAGE = REPO / "src" / "sepcont"
 TARGETS = {
     "discrete.py": ("test_discrete.py",),
     "zerodim.py": ("test_zerodim.py", "test_grid_values.py"),
+    "uniform.py": ("test_uniform.py",),
 }
 TIMEOUT_S = 600
 
@@ -44,6 +46,7 @@ EQUIVALENT = {
         "memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
     },
     "zerodim.py": {},
+    "uniform.py": {},
 }
 
 

@@ -20,10 +20,10 @@ from sepcont.functions import (
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
-    PostCompose,
 )
 from sepcont.groups import SeparatedNet, get_group
 from sepcont.uniform import BallQuery, ball_membership
+from sepcont import zerodim
 from sepcont.zerodim import ZerodimPipeline
 from grid import grid_points
 from test_shipped_reports import CASES
@@ -309,50 +309,49 @@ class TestExitCodes:
             runs.append((reports, summary))
         assert runs[0] == runs[1] == runs[2]
 
+    @staticmethod
+    def _zerodim_with_factor_2_altered(tmp_path, monkeypatch, by, in_net):
+        """approx-zerodim's exit code and rows for diag cyl 0:1(0),11111:01(0)
+        at n_max 3, with phi_2 right-multiplied by ``by`` at b = 01(0), a
+        value f takes only on [11111] x [11111]; ``by`` None alters nothing.
+        ``in_net`` is whether the altered value lies in net(2)."""
+        b, build_tower, in_nets = DYADIC.parse_element("01(0)"), zerodim.build_tower, []
+
+        def altered(sample, top):
+            nets, tower, factors = build_tower(sample, top)
+            factors[2] = {**factors[2], b: DYADIC.mul(factors[2][b], by)}
+            in_nets.append(factors[2][b] in nets[2].elements)
+            return nets, tower, factors
+
+        if by is not None:
+            monkeypatch.setattr(zerodim, "build_tower", altered)
+        text = (MINIMAL.replace("const 1(0)", "diag cyl 0:1(0),11111:01(0)")
+                .replace("n_max = 2", "n_max = 3"))
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "rep"
+        code = main(["approx-zerodim", "--config", str(cfg), "--out", str(out)])
+        assert in_nets == ([] if by is None else [in_net])
+        return code, list(csv.DictReader(open(out / "zerodim.csv")))
+
     @pytest.mark.parametrize("alter, code", [(False, 0), (True, 1)])
     def test_zerodim_verdict_checks_telescoping(self, tmp_path, monkeypatch, alter, code):
-        # b is taken only on [11111] x [11111].  Factor 2 altered there to
-        # g_2(b) b, which stays in net(2), passes every row's check; only the
-        # identity g_0 ... g_n = f_{n+1} of finite maps sees it.
-        b = DYADIC.parse_element("01(0)")
-        factor = ZerodimPipeline.factor
-
-        def altered(pipe, n):
-            g = factor(pipe, n)
-            if n != 2:
-                return g
-            return PostCompose(g.inner, {**g.mapping, b: DYADIC.mul(g.mapping[b], b)})
-
-        if alter:
-            monkeypatch.setattr(ZerodimPipeline, "factor", altered)
-        text = (MINIMAL.replace("const 1(0)", "diag cyl 0:1(0),11111:01(0)")
-                .replace("n_max = 2", "n_max = 3"))
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "rep"
-        assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == code
-        rows = list(csv.DictReader(open(out / "zerodim.csv")))
-        assert all(r["pass"] == "1" for r in rows)
+        # Factor 2 altered at b to phi_2(b) b, another element of net(2):
+        # r_2(b) phi_2(b) is no longer r_3(b), so g_0 ... g_2 = f_3 fails,
+        # and condition (3) of row 3 sees it.
+        by = DYADIC.parse_element("01(0)") if alter else None
+        got, rows = self._zerodim_with_factor_2_altered(tmp_path, monkeypatch, by, True)
+        assert got == code
+        assert [r["cond3"] for r in rows] == (["1", "1", "1", "0"] if alter else ["1"] * 4)
+        assert [r["pass"] for r in rows] == (["1", "1", "0", "0"] if alter else ["1"] * 4)
 
     def test_factor_outside_its_net_fails_its_two_rows(self, tmp_path, monkeypatch):
-        # Factor 2 altered at b to g_2(b) a, which lies 1/2 from the identity
-        # and so outside net(2).  Condition (3) of row 3 reads g_2's values,
-        # and row 2 also needs row 3's condition (3); rows 0 and 1 pass.
-        a, b = DYADIC.parse_element("1(0)"), DYADIC.parse_element("01(0)")
-        factor = ZerodimPipeline.factor
-
-        def altered(pipe, n):
-            g = factor(pipe, n)
-            if n != 2:
-                return g
-            return PostCompose(g.inner, {**g.mapping, b: DYADIC.mul(g.mapping[b], a)})
-
-        monkeypatch.setattr(ZerodimPipeline, "factor", altered)
-        text = (MINIMAL.replace("const 1(0)", "diag cyl 0:1(0),11111:01(0)")
-                .replace("n_max = 2", "n_max = 3"))
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "rep"
-        assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 1
-        rows = list(csv.DictReader(open(out / "zerodim.csv")))
+        # Factor 2 altered at b to phi_2(b) a, which lies 1/2 from the
+        # identity and so outside net(2).  Condition (3) of row 3 reads
+        # phi_2's values, and row 2 also needs row 3's condition (3); rows 0
+        # and 1 pass.
+        a = DYADIC.parse_element("1(0)")
+        code, rows = self._zerodim_with_factor_2_altered(tmp_path, monkeypatch, a, False)
+        assert code == 1
         assert [r["cond3"] for r in rows] == ["1", "1", "1", "0"]
         assert [r["pass"] for r in rows] == ["1", "1", "0", "0"]
 

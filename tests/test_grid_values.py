@@ -299,7 +299,7 @@ def brute_diagonal(pipe, probes, levels):
     enough for f and every stage table, and on each probe rectangle's
     points of that grid.  Each stage f_{n,m} is the left-to-right product
     of the factors' stage-m approximants at the point, as the paper builds
-    it, so a factor replaced in ``pipe`` is read through ``pipe.factor``
+    it, so a factor replaced in ``pipe`` is read through ``pipe.factors``
     alone; the tail g_{l+1,n} ... g_{n,n} is multiplied out the same way.
     Each point's values and each group operation are computed once."""
     group, n_max, f = pipe.group, pipe.n_max, pipe.f
@@ -547,7 +547,7 @@ def with_wrong_factor(f, c):
     """ZerodimPipeline(f, 5) with factor 4 right-multiplied by c, value by
     value, so the quantizers r_5 and r_6 are too (``replace_factor``)."""
     pipe = ZerodimPipeline(f, 5)
-    replace_factor(pipe, 4, {z: f.group.mul(v, c) for z, v in pipe.factor(4).mapping.items()})
+    replace_factor(pipe, 4, {z: f.group.mul(v, c) for z, v in pipe.factors[4].items()})
     return pipe
 
 
@@ -865,9 +865,10 @@ class TestChecksDecidedOnce:
         group = f.group
         assert len(rows) == n_max + 2 and rows[0].cond3
         for n in range(1, n_max + 2):
-            prev, cur = pipe.tower[n - 1], pipe.tower[n]
+            prev, cur, phi = pipe.tower[n - 1], pipe.tower[n], pipe.factors[n - 1]
             net = set(pipe.nets[n - 1].elements)
-            direct = all(group.mul(group.inv(prev[z]), cur[z]) in net for z in pipe.sample)
+            direct = all(group.mul(prev[z], phi[z]) == cur[z] and phi[z] in net
+                         for z in pipe.sample)
             assert rows[n].cond3 == pipe.factor_discreteness(n - 1) == direct
 
     @settings(max_examples=100)

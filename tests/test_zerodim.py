@@ -16,15 +16,14 @@ from sepcont.functions import (
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
-    PostCompose,
     SubbasicNbhd,
     TableFunction,
     image,
 )
 from sepcont import zerodim
-from sepcont.groups import SeparatedNet, ball_net, get_group
+from sepcont.groups import DyadicGroup, SeparatedNet, ball_net, get_group
 from sepcont.zerodim import ZerodimPipeline, _cover, build_tower
-from grid import factor_approximants, grid_points, replace_factor
+from grid import factor, factor_approximants, grid_points, replace_factor
 from sym3 import S3_LEFT
 
 DYADIC = get_group("dyadic")
@@ -99,31 +98,35 @@ def _first_failing_witness(pipe, probe, m_l, budget):
 
 class TestCovers:
     def test_level_zero_single_cell(self):
-        sample, _, tower = build_tower(DIAG, 3)
+        sample = image(DIAG)
+        _, tower, _ = build_tower(sample, 3)
         levels = assert_cover_contract(DYADIC, sample, tower)
         assert levels[0] == [list(sample)]
         assert set(tower[0].values()) == {E}
 
     def test_two_far_elements_split_at_level_one(self):
-        sample, _, tower = build_tower(_table((E, A)), 1)  # distance 1/2 > 1/4
+        sample = image(_table((E, A)))
+        _, tower, _ = build_tower(sample, 1)  # distance 1/2 > 1/4
         levels = assert_cover_contract(DYADIC, sample, tower)
         assert levels[1] == [[E], [A]]
         assert tower[1] == {E: E, A: A}
 
     def test_refinement_chain(self):
-        sample, _, tower = build_tower(MULTI, 5)
-        assert sample == image(MULTI)
+        sample = image(MULTI)
+        _, tower, _ = build_tower(sample, 5)
         assert_cover_contract(DYADIC, sample, tower)
 
     def test_greedy_covers_real_group(self):
         values = tuple(REAL.parse_element(t) for t in ["0/2^0", "1/2^3", "3/2^3", "-1/2^2"])
-        sample, _, tower = build_tower(_table(values), 4)
+        sample = image(_table(values))
+        _, tower, _ = build_tower(sample, 4)
         assert sample == tuple(REAL.sort_canonically(values))
         levels = assert_cover_contract(REAL, sample, tower)
         assert len(levels[4]) == 4
 
     def test_greedy_covers_c3(self):
-        sample, _, tower = build_tower(_table(tuple(C3.element(i) for i in range(3))), 2)
+        sample = image(_table(tuple(C3.element(i) for i in range(3))))
+        _, tower, _ = build_tower(sample, 2)
         levels = assert_cover_contract(C3, sample, tower)
         assert levels[1] == [[z] for z in sample]  # discrete metric forces singletons
         assert levels[2] == levels[1]
@@ -141,14 +144,15 @@ class TestCovers:
     ))
     def test_cover_contract_on_random_samples(self, values):
         group = values[0].group
-        sample, _, tower = build_tower(_table(tuple(values)), 4)
+        sample = image(_table(tuple(values)))
+        _, tower, _ = build_tower(sample, 4)
         assert sample == tuple(group.sort_canonically(values))
         assert_cover_contract(group, sample, tower)
 
 
 class TestQuantizerTower:
     def make(self, sample, levels):
-        _, nets, tower = build_tower(_table(sample), levels)
+        nets, tower, _ = build_tower(image(_table(sample)), levels)
         return tower, nets
 
     def test_r0_is_identity_map(self):
@@ -198,7 +202,7 @@ class TestQuantizerTower:
         # 0 and 1/4 lie at distance 2^-2, the level-1 cell diameter bound, so
         # one cell holds both and r_1 maps both to 0.
         z0, q = REAL.parse_element("0/2^0"), REAL.parse_element("1/2^2")
-        _, _, tower = build_tower(_table((z0, q)), 1)
+        _, tower, _ = build_tower(image(_table((z0, q))), 1)
         assert tower[1] == {z0: z0, q: z0}
 
     def test_c3_tower(self):
@@ -228,10 +232,10 @@ class TestPipeline:
         pipe = ZerodimPipeline(MULTI, n_max=3)
         pts = grid_points(5)
         for n in range(4):
-            g = pipe.factor(n)
+            g = factor(pipe, n)
             assert {g.eval(x, y) for x, y in product(pts, repeat=2)} == set(image(g))
 
-    def test_factor_discreteness_sees_a_factor_altered_off_the_grid(self, monkeypatch):
+    def test_factor_discreteness_sees_a_factor_altered_off_the_grid(self):
         # b is taken only on [11111] x [11111], which no point of the depth-4
         # grid reaches; the altered factor maps b, a value of f, to A, which
         # is not in net(2).
@@ -241,16 +245,14 @@ class TestPipeline:
         pts = grid_points(4)
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
         assert pipe.factor_discreteness(2) and A not in pipe.nets[2].elements
-        factor, g2 = pipe.factor, pipe.factor(2)
-        altered = PostCompose(f, {**g2.mapping, b: A})
-        monkeypatch.setattr(pipe, "factor", lambda n: altered if n == 2 else factor(n))
+        pipe.factors[2] = {**pipe.factors[2], b: A}
         assert not pipe.factor_discreteness(2)
 
     def test_constant_function_factors_trivial(self):
         pipe = ZerodimPipeline(Constant(A), n_max=3)
         pts = grid_points(3)
         for n in range(1, 4):
-            g = pipe.factor(n)
+            g = factor(pipe, n)
             assert all(g.eval(x, y) == E for x, y in product(pts, repeat=2))
 
     def test_product_with_its_inverse_has_a_trivial_tower(self):
@@ -263,30 +265,38 @@ class TestPipeline:
     def test_g0_equals_f1(self):
         # r_0 is constant identity, so the first factor equals f_1 pointwise
         pipe = ZerodimPipeline(MULTI, n_max=3)
-        g0, f1 = pipe.factor(0), pipe.quantized(1)
+        g0, f1 = factor(pipe, 0), pipe.quantized(1)
         pts = grid_points(4)
         assert all(g0.eval(x, y) == f1.eval(x, y) for x, y in product(pts, repeat=2))
 
     def test_telescoping(self):
+        # Every cond3 row holds, so phi_0 ... phi_n = r_{n+1} by induction
+        # from r_0 = 1.
         for f in [DIAG, MULTI]:
             pipe = ZerodimPipeline(f, n_max=3)
-            assert pipe.telescoping_ok()
+            assert all(r.cond3 for r in pipe.condition_rows())
+            prod = dict.fromkeys(pipe.sample, E)
+            for phi, r in zip(pipe.factors, pipe.tower[1:]):
+                prod = {z: DYADIC.mul(prod[z], phi[z]) for z in pipe.sample}
+                assert prod == r
 
-    def test_telescoping_fails_on_a_factor_altered_off_the_grid(self, monkeypatch):
+    def test_telescoping_fails_on_a_factor_altered_off_the_grid(self):
         # b is taken only on [11111] x [11111], which no point of the depth-4
-        # grid reaches; the identity of finite maps still sees a factor map
-        # altered at b.
+        # grid reaches.  phi_2(b) replaced by phi_2(b) b, another element of
+        # net(2): every value of phi_2 stays in net(2), but r_2(b) phi_2(b)
+        # is no longer r_3(b), so condition (3) fails at level 3 alone.
         b = DYADIC.parse_element("01(0)")
         f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
         pipe = ZerodimPipeline(f, n_max=3)
         pts = grid_points(4)
         assert b in image(f)
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
-        assert pipe.telescoping_ok()
-        factor, g2 = pipe.factor, pipe.factor(2)
-        altered = PostCompose(f, {**g2.mapping, b: DYADIC.mul(g2.mapping[b], A)})
-        monkeypatch.setattr(pipe, "factor", lambda n: altered if n == 2 else factor(n))
-        assert not pipe.telescoping_ok()
+        assert all(r.cond3 for r in pipe.condition_rows())
+        altered = DYADIC.mul(pipe.factors[2][b], b)
+        assert altered != pipe.factors[2][b] and altered in pipe.nets[2].elements
+        pipe.factors[2] = {**pipe.factors[2], b: altered}
+        assert not pipe.factor_discreteness(2)
+        assert [r.cond3 for r in pipe.condition_rows()] == [True, True, True, False, True]
 
 
 def _phi(pipe, n, z):
@@ -314,7 +324,7 @@ class TestFactorAsMap:
         pairs = [*product(pts, repeat=2), *((ALL_ONES, p) for p in pts),
                  *((p, ALL_ONES) for p in pts), (ALL_ONES, ALL_ONES)]
         for n in range(pipe.n_max + 1):
-            g, f_n, f_n1 = pipe.factor(n), pipe.quantized(n), pipe.quantized(n + 1)
+            g, f_n, f_n1 = factor(pipe, n), pipe.quantized(n), pipe.quantized(n + 1)
             for x, y in pairs:
                 assert g.eval(x, y) == group.mul(group.inv(f_n.eval(x, y)), f_n1.eval(x, y))
 
@@ -322,7 +332,7 @@ class TestFactorAsMap:
         pipe = factor_pipe
         for n in range(pipe.n_max + 1):
             expected = tuple(pipe.group.sort_canonically({_phi(pipe, n, z) for z in pipe.sample}))
-            assert image(pipe.factor(n)) == expected
+            assert image(factor(pipe, n)) == expected
 
     def test_grid_values_are_phi_of_f_values(self, factor_pipe):
         # On the exact points of the square and on the limit representatives
@@ -333,7 +343,7 @@ class TestFactorAsMap:
         for pts in (memo.exact_points((pipe.f,)), limits):
             f_vals = pipe.f.grid_values(pts, pts, memo)
             for n in range(pipe.n_max + 1):
-                g = pipe.factor(n)
+                g = factor(pipe, n)
                 assert g.grid_values(pts, pts, memo) == [_phi(pipe, n, w) for w in f_vals]
 
 
@@ -371,6 +381,46 @@ class TestStageFunction:
                 stage, paper = pipe.stage_function(n, m), reduce(PointwiseProduct, tables[: n + 1])
                 for x, y in product(pts, repeat=2):
                     assert stage.eval(x, y) == paper.eval(x, y), (n, m, str(x), str(y))
+
+
+c5_families = st.lists(
+    st.sampled_from([C5.element(i) for i in range(5)]), min_size=1, max_size=3,
+).map(tuple).map(OnesDiagonal)
+
+
+class BitCoverDyadic(DyadicGroup):
+    """The dyadic group with its level-n cover cells keyed by bit n alone,
+    so the cells of two levels need not nest."""
+
+    name = "dyadic-bit-cover"
+
+    def cover_key(self, a, level):
+        return a.payload.prefix(level + 1)[level]
+
+
+class TestFactors:
+    @given(st.one_of(dyadic_trees, c5_families, s3_tables))
+    def test_factors_are_the_quotients_and_telescope(self, f):
+        # phi_n = r_n^-1 r_{n+1} and phi_0 ... phi_n = r_{n+1} as maps on
+        # f's image, left to right: S3 is not abelian.
+        pipe, group = ZerodimPipeline(f, n_max=4), f.group
+        assert len(pipe.factors) == pipe.n_max + 1
+        prod = dict.fromkeys(pipe.sample, group.identity())
+        for n, phi in enumerate(pipe.factors):
+            assert phi == {z: _phi(pipe, n, z) for z in pipe.sample}
+            prod = {z: group.mul(prod[z], phi[z]) for z in pipe.sample}
+            assert prod == pipe.tower[n + 1]
+
+    def test_cond3_fails_where_the_covers_stop_nesting(self):
+        group = BitCoverDyadic()
+        sample = group.dense_enumeration(3)
+        pipe = ZerodimPipeline(_table(sample), n_max=3)
+        levels = _cells(group, pipe.sample, len(pipe.tower) - 1)
+        first = next(n for n in range(1, len(levels))
+                     if any(sum(set(c) <= set(p) for p in levels[n - 1]) != 1 for c in levels[n]))
+        rows = pipe.condition_rows()
+        assert first == 2
+        assert all(r.cond3 for r in rows[:first]) and not rows[first].cond3
 
 
 class TestDiagonal:
@@ -441,7 +491,7 @@ class TestDiagonal:
         # y in [0], lie in the block of member 0, so its witness is not the
         # probe's first point.
         pipe = ZerodimPipeline(MULTI, n_max=5)
-        phi = pipe.factor(wrong_k).mapping
+        phi = pipe.factors[wrong_k]
         replace_factor(pipe, wrong_k, {**phi, E: DYADIC.mul(phi[E], A)})
         return pipe, pipe.diagonal(STANDARD_PROBES, [l])
 
@@ -494,7 +544,7 @@ class TestErrorPaths:
         # net(0) enumerates [-1, 1], so no element of it serves the value 3
         values = (REAL.parse_element("0/2^0"), REAL.parse_element("3/2^0"))
         with pytest.raises(NetMaximalityError, match="step 0: nearest net element at distance 1/2"):
-            build_tower(_table(values), 2)
+            build_tower(image(_table(values)), 2)
 
     @staticmethod
     def _net_zero(monkeypatch, net0):
@@ -522,4 +572,4 @@ class TestErrorPaths:
         assert DYADIC.dist(E, v) == Fraction(1, 4)
         self._net_zero(monkeypatch, SeparatedNet(DYADIC, 0, Fraction(1), Fraction(1, 4), (E,), 4))
         with pytest.raises(NetMaximalityError, match="step 0: nearest net element at distance 1/4 >= 2"):
-            build_tower(Constant(v), 1)
+            build_tower(image(Constant(v)), 1)
