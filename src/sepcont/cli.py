@@ -50,7 +50,7 @@ def cmd_nets(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     ok = True
     with _timed(timings, "nets"):
         for k in range(exp.n_max + 1):
-            depth = exp.group.net_enumeration_depth(k, ())
+            depth = exp.group.net_enumeration_depth(k)
             net = ball_net(exp.group, k, depth)
             checks = (
                 net.check_ball_containment(),
@@ -197,7 +197,7 @@ def _fault_constant(exp: Experiment) -> GroupElement:
 def cmd_closure_probe(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     with _timed(timings, "stages"):
         sample = image(exp.function)
-        _, stages, _ = build_tower(sample, exp.n_max)
+        stages, _ = build_tower(sample, exp.n_max)
         schedule = [Fraction(1, 2**n) for n in range(exp.n_max + 1)]
         if exp.inject_fault_at is not None:
             stages[exp.inject_fault_at] = dict.fromkeys(sample, _fault_constant(exp))

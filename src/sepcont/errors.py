@@ -13,7 +13,3 @@ class ConfigError(SepcontError):
 
 class GroupMismatchError(SepcontError):
     """Operands belong to different group instances."""
-
-
-class NetMaximalityError(SepcontError):
-    """No net element within the required radius; enumeration depth too small."""

@@ -2,8 +2,8 @@
 
 Every group ships exact element arithmetic, a metric valued in dyadic
 rationals and bounded by 1/2, a monotone dense enumeration, its part
-inside closed balls around the identity, and greedy maximal separated
-nets there.
+inside closed balls around the identity, greedy maximal separated nets
+there, and the nearest point of such a net to any element.
 
 Shipped instances: the dyadic group (coordinatewise XOR on eventually
 periodic bit sequences, bi-invariant first-difference metric), finite
@@ -23,7 +23,7 @@ from math import lcm
 from typing import Any, Iterable, NamedTuple
 
 from sepcont.cantor import ALL_ZEROS, CantorPoint, point_dist
-from sepcont.errors import GroupMismatchError, NetMaximalityError
+from sepcont.errors import GroupMismatchError
 
 
 class GroupElement:
@@ -123,9 +123,15 @@ class GroupSpec:
         """
         return None
 
-    def net_enumeration_depth(self, k: int, sample: tuple[GroupElement, ...]) -> int:
-        """Default enumeration depth for nets serving a quantizer step at scale k."""
+    def net_enumeration_depth(self, k: int) -> int:
+        """Enumeration depth of the ``nets`` report's check of net(k)."""
         return k + 4
+
+    def net_nearest(self, k: int, t: GroupElement) -> GroupElement:
+        """The element of net(k) (``ball_net``) nearest to t, ties by canonical
+        order; here net(k) is ``ball_enumeration(k, k + 2)``, a finite group's."""
+        return min(self.ball_enumeration(k, k + 2),
+                   key=lambda e: (self.dist(e, t), self.canonical_key(e)))
 
     # payload-level hooks
     def _mul(self, a, b):
@@ -206,6 +212,15 @@ class DyadicGroup(GroupSpec):
         # Same first level+1 coordinates => distance <= 2^-(level+2).
         return a.payload.prefix(level + 1)
 
+    def net_nearest(self, k, t):
+        # net(k) is the ball's points of support in [0, k+2).  The metric is
+        # an ultrametric: a point of the ball is nearest to its (k+2)-bit
+        # truncation, and one outside is equally far from every net point.
+        bits = t.payload.prefix(k + 2)
+        if "1" in bits[: max(k - 1, 0)]:
+            return self.identity()
+        return self.element(CantorPoint(bits, "0"))
+
 
 class FiniteTableGroup(GroupSpec):
     """A finite group given by its multiplication table, with the discrete metric 1/2."""
@@ -281,7 +296,7 @@ class FiniteTableGroup(GroupSpec):
             return self.element(self._labels.index(s))
         raise ValueError(f"unknown element {text!r} of group {self.name}")
 
-    def net_enumeration_depth(self, k: int, sample) -> int:
+    def net_enumeration_depth(self, k: int) -> int:
         return 0
 
 
@@ -348,11 +363,15 @@ class RealBoundedGroup(GroupSpec):
 
         return self.element(self._check_dyadic(parse_dyadic(text)))
 
-    def net_enumeration_depth(self, k: int, sample) -> int:
-        depth = k + 4
-        for e in sample:
-            depth = max(depth, e.payload.denominator.bit_length() + 1)
-        return depth
+    def net_nearest(self, k, t):
+        # net(k) is the multiples of 2^-(k+2) in B[2^-k], which is all of R
+        # for k <= 1.  round() ties go to the even multiple, canonically the
+        # first, as does 0 when every net point is 1/2 away.
+        step = Fraction(1, 2 ** (k + 2))
+        a = round(t.payload / step) * step
+        if k >= 2:
+            a = min(max(a, -4 * step), 4 * step)
+        return self.element(a) if abs(a - t.payload) < Fraction(1, 2) else self.identity()
 
 
 _DYADIC = DyadicGroup()
@@ -416,18 +435,6 @@ class SeparatedNet(NamedTuple):
                 return False
         return True
 
-    def nearest(self, target: GroupElement) -> tuple[GroupElement, Fraction]:
-        """Closest net element to target and its distance: target itself when
-        it is a member, else the first closest one in element order, which
-        is canonical order."""
-        if not self.elements:
-            raise NetMaximalityError("net is empty")
-        if target in self.elements:
-            return target, Fraction(0)
-        dists = [self.group.dist(e, target) for e in self.elements]
-        best = min(dists)
-        return self.elements[dists.index(best)], best
-
 
 def ball_net(group: GroupSpec, k: int, enumeration_depth: int) -> SeparatedNet:
     """Greedy maximal 2^-(k+2)-separated subset of B[2^-k], relative to the
@@ -444,7 +451,8 @@ def ball_net(group: GroupSpec, k: int, enumeration_depth: int) -> SeparatedNet:
     which lies in the ball because the ball's ends are multiples.  Finite
     groups enumerate every element at every depth, 1/2 apart.
     ``SeparatedNet.check_pairwise_separation`` and ``check_maximality``
-    still check the result, the latter at the full enumeration depth.
+    still check the result, the latter at the full enumeration depth.  The
+    quantizer tower reads ``GroupSpec.net_nearest`` instead.
     """
     if not group.dense_enumeration(0):
         raise ValueError("dense enumeration is empty")

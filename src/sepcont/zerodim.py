@@ -6,13 +6,14 @@ discrete engine.
 Conventions (recorded in every run manifest): cover level n has cell
 diameter <= 2^-(n+1); net(k) is the greedy maximal 2^-(k+2)-separated
 subset of B[2^-k]; the quantizer step n -> n+1 draws its increment from
-net(n).  The image sample is f's image f(X x Y) itself (``image``), so
-each quantizer r_n and each factor phi_n is one finite map on it and every
-check below is exact at every point.  The covers are built inside
-``build_tower``, only to assign r_n and phi_n; both ways of building them
-(``_cover``) give the diameter by construction, so the exact checks are
-``condition_rows``'s cond2 and cond3 below.  The quantizer conditions per
-level n are
+net(n), whose point nearest to any element each group names in closed
+form (``GroupSpec.net_nearest``), so no net is listed.  The image sample
+is f's image f(X x Y) itself (``image``), so each quantizer r_n and each
+factor phi_n is one finite map on it and every check below is exact at
+every point.  The covers are built inside ``build_tower``, only to assign
+r_n and phi_n; both ways of building them (``_cover``) give the diameter
+by construction, so the exact checks are ``condition_rows``'s cond2 and
+cond3 below.  The quantizer conditions per level n are
 
 * (1) the quantizer is constant on each cover cell: its map is built from
   one value per cell, so it holds by construction and is not checked;
@@ -35,7 +36,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from sepcont.errors import NetMaximalityError
 from sepcont.functions import (
     DistResult,
     GridMemo,
@@ -49,7 +49,7 @@ from sepcont.functions import (
     value_pairs,
 )
 from sepcont.discrete import DiscreteApproximator
-from sepcont.groups import GroupElement, GroupSpec, ball_net
+from sepcont.groups import GroupElement, GroupSpec
 
 
 class ConditionRow(NamedTuple):
@@ -79,35 +79,28 @@ class DiagonalReport(NamedTuple):
 
 
 def build_tower(sample: tuple, top: int):
-    """(nets, tower, factors) on ``sample``, f's image in canonical order, up
-    to level ``top``: nets 0..top-1, r_0..r_top and phi_0..phi_{top-1}, each
-    r_{n+1} and phi_n one value per level-(n+1) cell (``_cover``).  r_0 is
-    identically the group identity; the step n -> n+1 picks, per
-    level-(n+1) cell, its canonical-first point z', shifts it to g_W^-1 z'
-    with g_W = r_n(z') (in B[2^-n] by condition (2), which
-    ``condition_rows`` checks), and takes the nearest net(n) element eps
-    (ties by canonical order, required distance < 2^-(n+2)): phi_n is eps
-    and r_{n+1} is g_W eps on the cell."""
+    """(tower, factors) on ``sample``, f's image in canonical order, up to
+    level ``top``: r_0..r_top and phi_0..phi_{top-1}, each r_{n+1} and
+    phi_n one value per level-(n+1) cell (``_cover``).  r_0 is identically
+    the group identity; the step n -> n+1 picks, per level-(n+1) cell, its
+    canonical-first point z', shifts it to g_W^-1 z' with g_W = r_n(z'),
+    and takes the net(n) element eps nearest to that (``net_nearest``):
+    phi_n is eps and r_{n+1} is g_W eps on the cell.  A step is checked
+    only by ``condition_rows``: a far net point fails a cond2 row, and a
+    point outside net(n) a cond3 row."""
     group = sample[0].group
-    one = group.identity()
-    nets = [ball_net(group, k, group.net_enumeration_depth(k, sample)) for k in range(top)]
-    tower, factors, cells = [dict.fromkeys(sample, one)], [], [list(sample)]
+    tower, factors, cells = [dict.fromkeys(sample, group.identity())], [], [list(sample)]
     for n in range(top):
         prev, r, phi = tower[n], {}, {}
         cells = _cover(group, sample, cells, n + 1)
         for cell in cells:
             g_w = prev[cell[0]]
-            eps, d = nets[n].nearest(group.mul(group.inv(g_w), cell[0]))
-            if d >= Fraction(1, 2 ** (n + 2)):
-                raise NetMaximalityError(
-                    f"step {n}: nearest net element at distance {d} >= 2^-{n + 2}; "
-                    f"enumeration depth {nets[n].enumeration_depth} too small"
-                )
+            eps = group.net_nearest(n, group.mul(group.inv(g_w), cell[0]))
             r.update(dict.fromkeys(cell, group.mul(g_w, eps)))
             phi.update(dict.fromkeys(cell, eps))
         tower.append(r)
         factors.append(phi)
-    return nets, tower, factors
+    return tower, factors
 
 
 def _cover(group: GroupSpec, sample: tuple, coarser: list, n: int) -> list[list[GroupElement]]:
@@ -138,11 +131,11 @@ def _cover(group: GroupSpec, sample: tuple, coarser: list, n: int) -> list[list[
 
 def quantize(f: SepFunction, n: int) -> PostCompose:
     """f_n = r_n o f, building the tower up to r_n only."""
-    return PostCompose(f, build_tower(image(f), n)[1][n])
+    return PostCompose(f, build_tower(image(f), n)[0][n])
 
 
 class ZerodimPipeline:
-    """End-to-end construction for one function: sample (f's image), nets,
+    """End-to-end construction for one function: sample (f's image),
     quantizer tower, factors, and the diagonal sequence.  One memo serves
     every sweep and the one discrete engine, f's, which reads the image
     once and whose tables every stage reads."""
@@ -154,7 +147,7 @@ class ZerodimPipeline:
         self._memo = GridMemo()
         self._engine = DiscreteApproximator(f, self._memo)
         self.sample = self._engine.image
-        self.nets, self.tower, self.factors = build_tower(self.sample, n_max + 1)
+        self.tower, self.factors = build_tower(self.sample, n_max + 1)
 
     def condition_rows(self) -> list[ConditionRow]:
         """Conditions (2) and (3) per level of the tower.  Condition (3) at
@@ -180,12 +173,14 @@ class ZerodimPipeline:
         """Condition (3) at level n + 1, exactly: r_n(z) phi_n(z) = r_{n+1}(z)
         and phi_n(z) in net(n) at every value z of f, the sample, so the
         factor g_n = f_n^-1 f_{n+1} = phi_n o f takes its values in net(n)
-        at every point.  One ``mul`` per distinct (r_n(z), phi_n(z))."""
-        r, phi, nxt = self.tower[n], self.factors[n], self.tower[n + 1]
-        net = set(self.nets[n].elements)
-        products = self._memo.pairwise(self.group.mul, map(r.__getitem__, self.sample),
+        at every point.  One ``mul`` per distinct (r_n(z), phi_n(z)); a
+        distinct value e of phi_n is in net(n) when it is its own nearest
+        point there."""
+        group, r, phi, nxt = self.group, self.tower[n], self.factors[n], self.tower[n + 1]
+        products = self._memo.pairwise(group.mul, map(r.__getitem__, self.sample),
                                        map(phi.__getitem__, self.sample))
-        return all(p == nxt[z] and phi[z] in net for z, p in zip(self.sample, products))
+        return (all(p == nxt[z] for z, p in zip(self.sample, products))
+                and all(group.net_nearest(n, e) is e for e in dict.fromkeys(phi.values())))
 
     def stage_function(self, n: int, m: int) -> SepFunction:
         """f_{n,m} = g_{0,m} * ... * g_{n,m}, each factor's stage-m approximant,

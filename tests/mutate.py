@@ -1,5 +1,5 @@
-"""Mutation check of the discrete and zero-dimensional engines and the
-uniform-topology harness.
+"""Mutation check of the discrete and zero-dimensional engines, the
+uniform-topology harness and the metric groups.
 
 Each order comparison in a module of ``TARGETS`` is swapped with its
 strict or non-strict twin (``<`` and ``<=``, ``>`` and ``>=``), and each
@@ -34,30 +34,38 @@ TARGETS = {
     "discrete.py": ("test_discrete.py",),
     "zerodim.py": ("test_zerodim.py", "test_grid_values.py"),
     "uniform.py": ("test_uniform.py",),
+    "groups.py": ("test_groups.py", "test_grid_values.py"),
 }
 TIMEOUT_S = 600
 
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.And: ast.Or, ast.Or: ast.And}
 
-# Per target, each key is a mutant's label, "function: mutated expression".
+# Per target, each key is a mutant's label, "scope: mutated expression",
+# where the scope is the enclosing function, qualified by its class.
 EQUIVALENT = {
     "discrete.py": {
-        "memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
+        "DiscreteApproximator.memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
     },
     "zerodim.py": {},
     "uniform.py": {},
+    "groups.py": {
+        "DyadicGroup.ball_enumeration: k < 1": "at k == 1 both branches give dense_enumeration(depth) in its order (no leading zeros)",
+    },
 }
 
 
 def _sites(tree: ast.Module) -> list[tuple[int, int, str]]:
     """(position in ast.walk order, operator index or -1 for a BoolOp,
-    enclosing function) of each operator a mutant swaps."""
+    enclosing scope) of each operator a mutant swaps.  A scope is a def or a
+    class, named with the scopes around it (``Class.method``)."""
     functions = {}
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                functions[id(node)] = fn.name  # the innermost def wins: walked last
+    for scope in ast.walk(tree):  # breadth first: outer scopes come first
+        if isinstance(scope, (ast.FunctionDef, ast.ClassDef)):
+            outer = functions.get(id(scope))
+            name = f"{outer}.{scope.name}" if outer else scope.name
+            for node in ast.walk(scope):
+                functions[id(node)] = name  # the innermost scope wins: walked last
     out = []
     for pos, node in enumerate(ast.walk(tree)):
         name = functions.get(id(node), "<module>")

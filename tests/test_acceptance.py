@@ -196,14 +196,17 @@ def test_criterion_7_net_properties():
     ok = True
     for group in (DYADIC, C3):
         for k in range(4):
-            net = ball_net(group, k, group.net_enumeration_depth(k, ()))
+            net = ball_net(group, k, group.net_enumeration_depth(k))
             ok = ok and net.check_ball_containment() and net.check_pairwise_separation()
             ok = ok and net.check_maximality()
+            # The quantizer tower's closed form names the same net.
+            ok = ok and all(group.net_nearest(k, e) is e for e in net.elements)
     size = len(ball_net(DYADIC, 1, 6).elements)
     ok = ok and size == 8
     elapsed = time.perf_counter() - t0
     report(7, ok and elapsed < 1,
-           f"net containment/separation/maximality exact; dyadic k=1 net size {size} ({elapsed:.2f}s)")
+           f"net containment/separation/maximality exact, each net point its own net_nearest; "
+           f"dyadic k=1 net size {size} ({elapsed:.2f}s)")
 
 
 def test_criterion_8_ball_algebra():

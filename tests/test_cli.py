@@ -199,14 +199,23 @@ class TestConfigParsing:
         f = parse_function(f"quant({text}, {n})", built.group, CONFIGS)
         assert f.mapping == ZerodimPipeline(built, n_max=n).quantized(n).mapping
 
-    def test_quant_builds_only_the_level_it_returns(self):
-        # Step 0 of the tower, which builds r_1, fails on this table's value 3.
-        real = get_group("real")
+    def test_quant_builds_only_the_level_it_returns(self, monkeypatch):
+        # quant(f, n) builds the tower up to r_n alone.  From r_1 on it keeps
+        # this table's values 0 and 3: net(0) holds every multiple of 1/4.
+        real, build_tower, tops = get_group("real"), zerodim.build_tower, []
+
+        def recorded(sample, top):
+            tops.append(top)
+            return build_tower(sample, top)
+
+        monkeypatch.setattr(zerodim, "build_tower", recorded)
         f = parse_function("quant(table 1 table-real-wild.csv, 0)", real, CONFIGS)
         assert set(f.mapping.values()) == {real.identity()}
+        z0, z3 = real.parse_element("0/2^0"), real.parse_element("3/2^0")
         for n in (1, 2):
-            with pytest.raises(ConfigError, match="step 0: nearest net element at distance 1/2"):
-                parse_function(f"quant(table 1 table-real-wild.csv, {n})", real, CONFIGS)
+            f = parse_function(f"quant(table 1 table-real-wild.csv, {n})", real, CONFIGS)
+            assert f.mapping == {z0: z0, z3: z3}
+        assert tops == [0, 1, 2]
 
     def test_probe_parsing(self):
         p = parse_probe("p", "(1) ; !{}")
@@ -318,10 +327,10 @@ class TestExitCodes:
         b, build_tower, in_nets = DYADIC.parse_element("01(0)"), zerodim.build_tower, []
 
         def altered(sample, top):
-            nets, tower, factors = build_tower(sample, top)
+            tower, factors = build_tower(sample, top)
             factors[2] = {**factors[2], b: DYADIC.mul(factors[2][b], by)}
-            in_nets.append(factors[2][b] in nets[2].elements)
-            return nets, tower, factors
+            in_nets.append(DYADIC.net_nearest(2, factors[2][b]) is factors[2][b])
+            return tower, factors
 
         if by is not None:
             monkeypatch.setattr(zerodim, "build_tower", altered)
@@ -557,12 +566,13 @@ class TestExitCodes:
 def test_manifest_ends_every_run(case, tmp_path):
     # main alone writes the manifest: it lists exactly the reports beside
     # it, and its summary passes exactly when the run exits 0.  A run that
-    # an error ends writes none.
+    # an error ends writes none; on the shipped configs that error is a
+    # config error.
     cfg, cmd = case.split("/")
     out = tmp_path / "out"
     code = main([cmd, "--config", str(CONFIGS / cfg), "--out", str(out)])
     if not (out / "manifest.json").exists():
-        assert code != 0
+        assert code == 2
         return
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert code in (0, 1) and manifest["summary"]["passed"] is (code == 0)

@@ -50,7 +50,7 @@ from sepcont.functions import (
     resolution,
     uniform_dist,
 )
-from sepcont.groups import get_group
+from sepcont.groups import ball_net, get_group
 from sepcont.uniform import BallQuery, BallResult, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
 from grid import factor_approximants, grid_points, replace_factor
@@ -866,7 +866,7 @@ class TestChecksDecidedOnce:
         assert len(rows) == n_max + 2 and rows[0].cond3
         for n in range(1, n_max + 2):
             prev, cur, phi = pipe.tower[n - 1], pipe.tower[n], pipe.factors[n - 1]
-            net = set(pipe.nets[n - 1].elements)
+            net = ball_net(group, n - 1, group.net_enumeration_depth(n - 1)).elements
             direct = all(group.mul(prev[z], phi[z]) == cur[z] and phi[z] in net
                          for z in pipe.sample)
             assert rows[n].cond3 == pipe.factor_discreteness(n - 1) == direct

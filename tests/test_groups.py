@@ -1,15 +1,18 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import floor
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sepcont.cantor import CantorPoint
 from sepcont.errors import GroupMismatchError
+from sepcont.functions import TableFunction
 from sepcont.groups import ball_net, cyclic_group, get_group
-from sym3 import symmetric_group_3
+from sepcont.zerodim import ZerodimPipeline
+from sym3 import S3_LEFT, symmetric_group_3
 
 DYADIC = get_group("dyadic")
 C3 = get_group("cyclic:3")
@@ -163,6 +166,15 @@ class TestBallNet:
         for cand in DYADIC.dense_enumeration(6):
             assert any(DYADIC.dist(cand, e) < Fraction(1, 8) for e in els)
 
+    def test_candidate_at_exactly_the_separation_breaks_maximality(self):
+        # net(0) without 01(0): every point starting 01 lies exactly 2^-2,
+        # the separation, from the identity and 1/2 from the rest.
+        gap = DYADIC.parse_element("01(0)")
+        full = ball_net(DYADIC, 0, 4)
+        net = full._replace(elements=tuple(e for e in full.elements if e is not gap))
+        assert len(net.elements) == 3 and full.check_maximality()
+        assert not net.check_maximality()
+
     def test_singleton_when_ball_tiny(self):
         # C3 with k = 2: ball radius 1/4 contains only the identity
         net = ball_net(C3, 2, 0)
@@ -232,20 +244,11 @@ class TestGreedySeparation:
         # while the full enumeration stays small (2^(k+6) dyadic points).
         depths = {k - 1, k, k + 1, k + 2}
         if k < 6:
-            depths |= {group.net_enumeration_depth(k, ()), k + 3, k + 6}
+            depths |= {group.net_enumeration_depth(k), k + 3, k + 6}
         for depth in sorted(d for d in depths if d >= 0):
             net = ball_net(group, k, depth)
             assert net.elements == brute_ball_net_elements(group, k, depth), depth
             assert net.check_pairwise_separation() and net.check_maximality()
-
-    @pytest.mark.parametrize("k", range(4))
-    def test_real_net_at_a_sample_depth(self, k):
-        # A sample value 1/2^9 raises the real group's enumeration depth to 11.
-        depth = REAL.net_enumeration_depth(k, (REAL.element(Fraction(1, 2**9)),))
-        assert depth == 11
-        net = ball_net(REAL, k, depth)
-        assert net.elements == brute_ball_net_elements(REAL, k, depth)
-        assert net.enumeration_depth == depth and net.check_maximality()
 
     def test_deep_dyadic_net_is_the_shallow_ball(self):
         net = ball_net(DYADIC, 12, 16)
@@ -255,34 +258,119 @@ class TestGreedySeparation:
 
 
 C5 = get_group("cyclic:5")
-NET_GROUPS = [DYADIC, REAL, C5, S3]
+NET_GROUPS = [DYADIC, REAL, C5, S3, S3_LEFT]
 
 
-def _targets(group):
-    """Elements of group, within and beyond the shallow enumerations."""
+def _targets(group, top=3 * 2**12, zeros=0):
+    """Elements of group, within and beyond the shallow enumerations: real
+    values j/2^e with |j/2^e| <= top, dyadic points whose first ``zeros``
+    bits are 0."""
     if group is DYADIC:
         bits = st.text("01", max_size=12)
-        return st.tuples(bits, bits.filter(bool)).map(lambda t: group.element(CantorPoint(*t)))
+        return st.tuples(bits, bits.filter(bool)).map(
+            lambda t: group.element(CantorPoint("0" * zeros + t[0], t[1])))
     if group is REAL:
-        return st.builds(lambda j, e: group.element(Fraction(j, 2**e)),
-                         st.integers(-3 * 2**12, 3 * 2**12), st.integers(0, 12))
+        return st.integers(0, 12).flatmap(lambda e: st.integers(
+            -floor(top * 2**e), floor(top * 2**e)).map(lambda j: group.element(Fraction(j, 2**e))))
     return st.sampled_from(group.dense_enumeration(0))
+
+
+def nearest(net, target):
+    """The element of an enumerated net closest to target, and its
+    distance: target itself when it is a member, else the first closest in
+    element order, which is canonical order.  The oracle for
+    ``GroupSpec.net_nearest`` wherever target lies in the net's window."""
+    if target in net.elements:
+        return target, Fraction(0)
+    dists = [net.group.dist(e, target) for e in net.elements]
+    best = min(dists)
+    return net.elements[dists.index(best)], best
+
+
+def _ball_targets(group, k):
+    """Elements of B[2^-k], within and beyond the shallow enumerations."""
+    if group is DYADIC:
+        return _targets(group, zeros=max(k - 1, 0))
+    if group is REAL:
+        return _targets(group, top=2**8 if k <= 1 else Fraction(1, 2**k))
+    return st.sampled_from(group.ball_enumeration(k, 0))
 
 
 class TestNearest:
     @pytest.mark.parametrize("group", NET_GROUPS, ids=lambda g: g.name)
     @pytest.mark.parametrize("k", range(9))
     def test_net_elements_in_canonical_order(self, group, k):
-        for depth in sorted({*range(k + 3), group.net_enumeration_depth(k, ())}):
+        for depth in sorted({*range(k + 3), group.net_enumeration_depth(k)}):
             net = ball_net(group, k, depth)
             assert list(net.elements) == group.sort_canonically(net.elements), depth
 
     @given(st.sampled_from(NET_GROUPS), st.integers(0, 8), st.data())
     def test_nearest_is_the_least_distance_then_canonical_key(self, group, k, data):
-        net = ball_net(group, k, group.net_enumeration_depth(k, ()))
+        net = ball_net(group, k, group.net_enumeration_depth(k))
         target = data.draw(st.one_of(_targets(group), st.sampled_from(net.elements)))
         old = min(net.elements, key=lambda e: (group.dist(e, target), group.canonical_key(e)))
-        assert net.nearest(target) == (old, group.dist(old, target))
+        assert nearest(net, target) == (old, group.dist(old, target))
+
+    @given(st.sampled_from(NET_GROUPS), st.integers(0, 8), st.data())
+    def test_net_nearest_is_the_enumerated_nets_nearest(self, group, k, data):
+        # The enumerated real net(k) ends at +-1 for k <= 1, where the ball
+        # is all of R; every other enumerated net is the whole net.
+        net = ball_net(group, k, group.net_enumeration_depth(k))
+        window = _targets(group, top=1 if k <= 1 else 3 * 2**12)
+        target = data.draw(st.one_of(window, st.sampled_from(net.elements)))
+        assert group.net_nearest(k, target) is nearest(net, target)[0]
+
+    @given(st.sampled_from(NET_GROUPS), st.integers(0, 8), st.data())
+    def test_net_nearest_serves_every_point_of_the_ball(self, group, k, data):
+        # The step of the quantizer tower: a point of B[2^-k] lies within
+        # 2^-(k+3) of a point of net(k), and a net point is its own nearest.
+        one, target = group.identity(), data.draw(_ball_targets(group, k))
+        assert group.dist(one, target) <= Fraction(1, 2**k)
+        near = group.net_nearest(k, target)
+        assert group.dist(near, target) <= Fraction(1, 2 ** (k + 3))
+        assert group.dist(one, near) <= Fraction(1, 2**k) and group.net_nearest(k, near) is near
+
+    @given(st.integers(0, 8), _targets(REAL, top=2**8))
+    def test_real_net_nearest_is_the_nearest_multiple(self, k, target):
+        # net(k) is the multiples of 2^-(k+2): all of them for k <= 1, those
+        # in [-2^-k, 2^-k] above.
+        step = Fraction(1, 2 ** (k + 2))
+        j = floor(target.payload / step)
+        candidates = [REAL.element(i * step) for i in (range(-4, 5) if k >= 2 else range(j - 1, j + 3))]
+        expected = min(candidates, key=lambda e: (REAL.dist(e, target), REAL.canonical_key(e)))
+        assert REAL.net_nearest(k, target) is expected
+
+    @pytest.mark.parametrize("k, target, expected", [
+        (0, "1/2^3", "0/2^0"),  # a tie between 0 and 1/4: 0 comes first
+        (0, "3/2^3", "1/2^1"),  # a tie between 1/4 and 1/2: 1/2 comes first
+        (1, "-517/2^3", "-517/2^3"),  # the ball is all of R
+        (2, "1/2^1", "1/2^2"),  # clipped to the ball
+        (2, "47/2^6", "1/2^2"),  # 31/2^6 from the ball's end
+        (2, "3/2^2", "0/2^0"),  # every net point at least 1/2 away: a tie
+        (3, "-3/2^0", "0/2^0"),
+    ])
+    def test_real_net_nearest_at_ties_and_far_targets(self, k, target, expected):
+        assert REAL.net_nearest(k, REAL.parse_element(target)) is REAL.parse_element(expected)
+
+    @pytest.mark.parametrize("k, target, expected", [
+        (0, "1111(01)", "11(0)"),
+        (2, "0101(1)", "0101(0)"),
+        (2, "1(0)", "(0)"),  # outside the ball: every net point is 1/2 away
+        (4, "0001(1)", "000111(0)"),
+        (4, "001(1)", "(0)"),
+    ])
+    def test_dyadic_net_nearest_truncates_in_the_ball(self, k, target, expected):
+        assert DYADIC.net_nearest(k, DYADIC.parse_element(target)) is DYADIC.parse_element(expected)
+
+    @given(st.lists(_targets(REAL, top=2**8), min_size=2, max_size=6, unique=True),
+           st.integers(0, 4))
+    def test_real_images_pass_every_condition_row(self, values, n_max):
+        # Values far outside [-1, 1], of both signs, in the image of a table.
+        assume(min(v.payload for v in values) < 0 < max(v.payload for v in values))
+        cells = [values[i % len(values)] for i in range(16)]
+        f = TableFunction(2, tuple(tuple(cells[4 * i : 4 * i + 4]) for i in range(4)))
+        rows = ZerodimPipeline(f, n_max).condition_rows()
+        assert all(r.cond2_ok and r.cond3 for r in rows)
 
 
 class TestElementHash:
@@ -342,6 +430,24 @@ class TestRealGroup:
 class TestTableGroupValidation:
     def test_cyclic_table_valid(self):
         cyclic_group(5)
+
+    @pytest.mark.parametrize("order", [1, 64])
+    def test_cyclic_orders_at_the_bounds(self, order):
+        group = get_group(f"cyclic:{order}")
+        assert len(group.dense_enumeration(0)) == order
+        assert group.mul(group.element(order - 1), group.element(1 % order)) is group.identity()
+
+    def test_cyclic_order_above_the_bound_rejected(self):
+        with pytest.raises(ValueError, match="cyclic group order 65 exceeds 64"):
+            get_group("cyclic:65")
+
+    def test_left_identities_are_not_an_identity(self):
+        # Every element e has e x = x, but x e = e, so no element is an
+        # identity; the table is associative, and its rows permutations.
+        from sepcont.groups import FiniteTableGroup
+
+        with pytest.raises(ValueError, match="no identity"):
+            FiniteTableGroup("left", [[0, 1], [0, 1]])
 
     def test_non_associative_rejected(self):
         with pytest.raises(ValueError):

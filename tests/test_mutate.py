@@ -36,3 +36,10 @@ def test_sites_cover_comparisons_and_boolean_operators():
         "f: a >= b and a == b",
         "f: a > b",
     ]
+
+
+def test_labels_name_the_class_of_a_method():
+    source = ("class A:\n    def f(self, a):\n        return a < 1\n"
+              "class B:\n    def f(self, a):\n        def g():\n            return a < 1\n"
+              "        return g\n")
+    assert [label for label, _ in mutants(source)] == ["A.f: a <= 1", "B.f.g: a <= 1"]

@@ -184,7 +184,7 @@ def stage_maps(draw, cases=GROUP_CASES):
 
 class TestClosureProbe:
     def make_stages(self, f, n_max=4):
-        stages = build_tower(image(f), n_max)[1]
+        stages = build_tower(image(f), n_max)[0]
         schedule = [Fraction(1, 2**n) for n in range(n_max + 1)]
         return stages, schedule
 

@@ -1,14 +1,13 @@
+import csv
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, partition_at_depth
-from sepcont.errors import NetMaximalityError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -20,8 +19,9 @@ from sepcont.functions import (
     TableFunction,
     image,
 )
-from sepcont import zerodim
-from sepcont.groups import DyadicGroup, SeparatedNet, ball_net, get_group
+from sepcont import config, zerodim
+from sepcont.cli import main
+from sepcont.groups import DyadicGroup, get_group
 from sepcont.zerodim import ZerodimPipeline, _cover, build_tower
 from grid import factor, factor_approximants, grid_points, replace_factor
 from sym3 import S3_LEFT
@@ -99,34 +99,34 @@ def _first_failing_witness(pipe, probe, m_l, budget):
 class TestCovers:
     def test_level_zero_single_cell(self):
         sample = image(DIAG)
-        _, tower, _ = build_tower(sample, 3)
+        tower, _ = build_tower(sample, 3)
         levels = assert_cover_contract(DYADIC, sample, tower)
         assert levels[0] == [list(sample)]
         assert set(tower[0].values()) == {E}
 
     def test_two_far_elements_split_at_level_one(self):
         sample = image(_table((E, A)))
-        _, tower, _ = build_tower(sample, 1)  # distance 1/2 > 1/4
+        tower, _ = build_tower(sample, 1)  # distance 1/2 > 1/4
         levels = assert_cover_contract(DYADIC, sample, tower)
         assert levels[1] == [[E], [A]]
         assert tower[1] == {E: E, A: A}
 
     def test_refinement_chain(self):
         sample = image(MULTI)
-        _, tower, _ = build_tower(sample, 5)
+        tower, _ = build_tower(sample, 5)
         assert_cover_contract(DYADIC, sample, tower)
 
     def test_greedy_covers_real_group(self):
         values = tuple(REAL.parse_element(t) for t in ["0/2^0", "1/2^3", "3/2^3", "-1/2^2"])
         sample = image(_table(values))
-        _, tower, _ = build_tower(sample, 4)
+        tower, _ = build_tower(sample, 4)
         assert sample == tuple(REAL.sort_canonically(values))
         levels = assert_cover_contract(REAL, sample, tower)
         assert len(levels[4]) == 4
 
     def test_greedy_covers_c3(self):
         sample = image(_table(tuple(C3.element(i) for i in range(3))))
-        _, tower, _ = build_tower(sample, 2)
+        tower, _ = build_tower(sample, 2)
         levels = assert_cover_contract(C3, sample, tower)
         assert levels[1] == [[z] for z in sample]  # discrete metric forces singletons
         assert levels[2] == levels[1]
@@ -145,21 +145,20 @@ class TestCovers:
     def test_cover_contract_on_random_samples(self, values):
         group = values[0].group
         sample = image(_table(tuple(values)))
-        _, tower, _ = build_tower(sample, 4)
+        tower, _ = build_tower(sample, 4)
         assert sample == tuple(group.sort_canonically(values))
         assert_cover_contract(group, sample, tower)
 
 
 class TestQuantizerTower:
     def make(self, sample, levels):
-        nets, tower, _ = build_tower(image(_table(sample)), levels)
-        return tower, nets
+        return build_tower(image(_table(sample)), levels)
 
     def test_r0_is_identity_map(self):
         sample = (E, A)
-        tower, nets = self.make(sample, 3)
+        tower, factors = self.make(sample, 3)
         assert tower[0] == {E: E, A: E}
-        assert len(tower) == 4 and len(nets) == 3
+        assert len(tower) == 4 and len(factors) == 3
 
     def test_identity_image_stays_identity(self):
         sample = (E,)
@@ -202,7 +201,7 @@ class TestQuantizerTower:
         # 0 and 1/4 lie at distance 2^-2, the level-1 cell diameter bound, so
         # one cell holds both and r_1 maps both to 0.
         z0, q = REAL.parse_element("0/2^0"), REAL.parse_element("1/2^2")
-        _, tower, _ = build_tower(image(_table((z0, q))), 1)
+        tower, _ = build_tower(image(_table((z0, q))), 1)
         assert tower[1] == {z0: z0, q: z0}
 
     def test_c3_tower(self):
@@ -244,7 +243,7 @@ class TestPipeline:
         pipe = ZerodimPipeline(f, n_max=3)
         pts = grid_points(4)
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
-        assert pipe.factor_discreteness(2) and A not in pipe.nets[2].elements
+        assert pipe.factor_discreteness(2) and DYADIC.net_nearest(2, A) is not A
         pipe.factors[2] = {**pipe.factors[2], b: A}
         assert not pipe.factor_discreteness(2)
 
@@ -293,7 +292,7 @@ class TestPipeline:
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
         assert all(r.cond3 for r in pipe.condition_rows())
         altered = DYADIC.mul(pipe.factors[2][b], b)
-        assert altered != pipe.factors[2][b] and altered in pipe.nets[2].elements
+        assert altered != pipe.factors[2][b] and DYADIC.net_nearest(2, altered) is altered
         pipe.factors[2] = {**pipe.factors[2], b: altered}
         assert not pipe.factor_discreteness(2)
         assert [r.cond3 for r in pipe.condition_rows()] == [True, True, True, False, True]
@@ -539,37 +538,53 @@ class TestRealGroupPipeline:
         assert rep.passed
 
 
+class NetAnswerDyadic(DyadicGroup):
+    """The dyadic group whose net(k) is the one point ``answer`` at every
+    level k in ``levels``; the other levels keep the closed form."""
+
+    name = "dyadic-net-answer"
+
+    def __init__(self, answer, levels):
+        self.answer, self.levels = CantorPoint.parse(answer), levels
+
+    def net_nearest(self, k, t):
+        return self.element(self.answer) if k in self.levels else super().net_nearest(k, t)
+
+
 class TestErrorPaths:
-    def test_net_maximality_error_far_from_the_ball(self):
-        # net(0) enumerates [-1, 1], so no element of it serves the value 3
-        values = (REAL.parse_element("0/2^0"), REAL.parse_element("3/2^0"))
-        with pytest.raises(NetMaximalityError, match="step 0: nearest net element at distance 1/2"):
-            build_tower(image(_table(values)), 2)
+    def test_value_far_from_the_ball_passes_its_rows(self):
+        # net(0) holds every multiple of 1/4 on the reals, so r_1 keeps the
+        # value 3, outside the window [-1, 1] of the enumerated nets.
+        z0, z3 = REAL.parse_element("0/2^0"), REAL.parse_element("3/2^0")
+        pipe = ZerodimPipeline(_table((z0, z3)), 2)
+        assert pipe.tower[1] == {z0: z0, z3: z3}
+        assert all(r.cond2_ok and r.cond3 for r in pipe.condition_rows())
 
-    @staticmethod
-    def _net_zero(monkeypatch, net0):
-        """Let build_tower draw net(0) from ``net0`` and every other net as
-        usual."""
-        monkeypatch.setattr(
-            zerodim, "ball_net", lambda group, k, depth: net0 if k == 0 else ball_net(group, k, depth)
-        )
-
-    def test_quantizer_at_the_ball_radius_passes_condition_two(self, monkeypatch):
-        # A net(0) that answers A at distance 0 for every point makes r_1 = A
-        # on the image {E}, at distance 1/2 = 2^-1 from E: condition (2) at
-        # level 1 holds on the closed ball, and its row says so.
-        net0 = SimpleNamespace(nearest=lambda z: (A, Fraction(0)), elements=(A,))
-        self._net_zero(monkeypatch, net0)
-        pipe = ZerodimPipeline(Constant(E), 1)
-        assert pipe.sample == (E,) and pipe.tower[1][E] is A
+    def test_quantizer_at_the_ball_radius_passes_condition_two(self):
+        # A net(0) that answers 1(0) for every point makes r_1 = 1(0) on the
+        # image {1}, at distance 1/2 = 2^-1 from it: condition (2) at level 1
+        # holds on the closed ball, and its row says so.
+        group = NetAnswerDyadic("1(0)", {0})
+        one, a = group.identity(), group.parse_element("1(0)")
+        pipe = ZerodimPipeline(Constant(one), 1)
+        assert pipe.sample == (one,) and pipe.tower[1][one] is a
         row = pipe.condition_rows()[1]
         assert row.level == 1 and row.cond2_sup == Fraction(1, 2) and row.cond2_ok
 
-    def test_nearest_net_element_at_the_separation_fails(self, monkeypatch):
-        # A net(0) of the identity alone leaves 01(0) at distance exactly
-        # 2^-2, the separation, from its nearest element: not maximal.
-        v = DYADIC.parse_element("01(0)")
-        assert DYADIC.dist(E, v) == Fraction(1, 4)
-        self._net_zero(monkeypatch, SeparatedNet(DYADIC, 0, Fraction(1), Fraction(1, 4), (E,), 4))
-        with pytest.raises(NetMaximalityError, match="step 0: nearest net element at distance 1/4 >= 2"):
-            build_tower(image(Constant(v)), 1)
+    def test_a_net_that_is_not_maximal_fails_condition_two(self, tmp_path, monkeypatch):
+        # net(k) of the identity alone at every level is not maximal: 01(0)
+        # lies 2^-2 from it, at least the separation 2^-(k+2).  Every r_n
+        # maps f's one value 01(0) to the identity, so condition (2) fails
+        # from level 3 on; the run writes its rows and exits 1.
+        group = NetAnswerDyadic("(0)", range(64))
+        monkeypatch.setattr(config, "get_group", lambda name: group)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[experiment]\ngroup = dyadic\nfunction = const 01(0)\nn_max = 3\n")
+        out = tmp_path / "rep"
+        assert main(["approx-zerodim", "--config", str(cfg), "--out", str(out)]) == 1
+        with open(out / "zerodim.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["cond2_sup"] for r in rows] == ["1/2^2"] * 4
+        assert [r["cond3"] for r in rows] == ["1"] * 4
+        assert [r["pass"] for r in rows] == ["1", "1", "1", "0"]
+        assert (out / "manifest.json").exists()
