@@ -129,7 +129,7 @@ class GroupSpec:
 
     def net_nearest(self, k: int, t: GroupElement) -> GroupElement:
         """The element of net(k) (``ball_net``) nearest to t, ties by canonical
-        order; here net(k) is ``ball_enumeration(k, k + 2)``, a finite group's."""
+        order, from ``ball_enumeration(k, k + 2)``: all of a finite group's net."""
         return min(self.ball_enumeration(k, k + 2),
                    key=lambda e: (self.dist(e, t), self.canonical_key(e)))
 
@@ -365,8 +365,8 @@ class RealBoundedGroup(GroupSpec):
 
     def net_nearest(self, k, t):
         # net(k) is the multiples of 2^-(k+2) in B[2^-k], which is all of R
-        # for k <= 1.  round() ties go to the even multiple, canonically the
-        # first, as does 0 when every net point is 1/2 away.
+        # for k <= 1.  Ties go to the canonically first point: round() picks
+        # the even multiple, and 0 wins when every net point is 1/2 away.
         step = Fraction(1, 2 ** (k + 2))
         a = round(t.payload / step) * step
         if k >= 2:
