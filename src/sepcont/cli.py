@@ -58,20 +58,12 @@ def cmd_nets(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
                 net.check_maximality(),
             )
             ok = ok and all(checks)
-            rows.append(
-                {
-                    "k": k,
-                    "radius": dyadic_str(net.radius),
-                    "separation": dyadic_str(net.separation),
-                    "size": len(net.elements),
-                    "enumeration_depth": depth,
-                    "ball_ok": int(checks[0]),
-                    "separation_ok": int(checks[1]),
-                    "maximality_ok": int(checks[2]),
-                }
-            )
+            rows.append((k, dyadic_str(net.radius), dyadic_str(net.separation),
+                         len(net.elements), depth, *map(int, checks)))
     report = exp.out / "nets.csv"
-    data = write_csv(report, list(rows[0].keys()), rows)
+    header = ["k", "radius", "separation", "size", "enumeration_depth",
+              "ball_ok", "separation_ok", "maximality_ok"]
+    data = write_csv(report, header, rows)
     return {report.name: data}, {"passed": ok}
 
 
@@ -85,15 +77,7 @@ def cmd_approx_discrete(exp: Experiment, timings: dict[str, float]) -> tuple[dic
             cert = engine.certificate(probe, exp.n_max)
             stage_of_probe[probe.probe_id] = cert.m
             ok = ok and cert.passed
-            for n, member, witness in cert.checks:
-                rows.append(
-                    {
-                        "n": n,
-                        "probe_id": probe.probe_id,
-                        "in_nbhd": int(member),
-                        "violation_witness": witness,
-                    }
-                )
+            rows += [(n, probe.probe_id, int(member), note) for n, member, note in cert.checks]
     report = exp.out / "certificate.csv"
     data = write_csv(report, ["n", "probe_id", "in_nbhd", "violation_witness"], rows)
     return {report.name: data}, {"passed": ok, "stage_of_probe": stage_of_probe}
@@ -127,17 +111,9 @@ def cmd_approx_zerodim(exp: Experiment, timings: dict[str, float]) -> tuple[dict
                 budget = min(budgets)
                 budget_txt = dyadic_str(budget)
                 row_ok = row_ok and dict(rep.stage_sups)[n] < budget
-        rows.append(
-            {
-                "level": n,
-                "cond1": 1,  # constant by representation
-                "cond2_sup": dyadic_str(c.cond2_sup),
-                "cond3": int(c.cond3),
-                "diag_dist_sup": diag_sup,
-                "budget": budget_txt,
-                "pass": int(row_ok),
-            }
-        )
+        # cond1 is 1: each r_n is constant on its classes by representation.
+        rows.append((n, 1, dyadic_str(c.cond2_sup), int(c.cond3), diag_sup, budget_txt,
+                     int(row_ok)))
         all_ok = all_ok and row_ok
     if rep is not None:
         all_ok = all_ok and rep.passed
@@ -203,17 +179,9 @@ def cmd_closure_probe(exp: Experiment, timings: dict[str, float]) -> tuple[dict,
             stages[exp.inject_fault_at] = dict.fromkeys(sample, _fault_constant(exp))
     with _timed(timings, "closure"):
         rep = closure_probe(exp.function, stages, schedule, exp.probes, exp.levels)
-    rows = [
-        {
-            "stage": r.stage,
-            "eps": dyadic_str(r.eps),
-            "dist_l": dyadic_str(r.dist_l),
-            "dist_r": dyadic_str(r.dist_r),
-            "within": int(r.within),
-            "certified": 1,  # pinned column: no stage carries a separate certificate
-        }
-        for r in rep.stages
-    ]
+    # The certified column is pinned at 1: no stage carries a separate certificate.
+    rows = [(r.stage, dyadic_str(r.eps), dyadic_str(r.dist_l), dyadic_str(r.dist_r),
+             int(r.within), 1) for r in rep.stages]
     report = exp.out / "closure.csv"
     data = write_csv(report, ["stage", "eps", "dist_l", "dist_r", "within", "certified"], rows)
     summary = {"passed": rep.passed, "failed_stage": rep.failed_stage,

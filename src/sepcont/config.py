@@ -1,6 +1,17 @@
 """Plain sectioned ``key = value`` experiment configs and the text grammars
 for points, clopen sets and function descriptions.
 
+Config syntax (``read_sections``): blank lines; full-line comments, whose
+first non-blank character is ``#`` or ``;``; headers ``[name]``, the name
+being the text between the first ``[`` and the last ``]``, unstripped; and
+``key = value`` or ``key: value`` lines, split at the first ``=`` or ``:``,
+key and value stripped, keys case-sensitive.  A line before the first
+header, a line with no delimiter or an empty key, a repeated section or
+key, a ``[DEFAULT]`` section and a continuation line (one indented deeper
+than the option line before it) are errors.  Every other text reads as
+``configparser.ConfigParser(interpolation=None)`` with keys kept as
+written reads it.
+
 Function grammar:
   const <elt>
   table <depth> <file.csv>         rows/cols = cylinder index, cells = elements
@@ -15,7 +26,6 @@ Function grammar:
 
 from __future__ import annotations
 
-import configparser
 import csv
 from fractions import Fraction
 from pathlib import Path
@@ -131,12 +141,10 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
 
 
 def load_table(path: Path, depth: int, group: GroupSpec) -> TableFunction:
-    n = 2**depth
+    """The table in a CSV file; ``TableFunction`` checks its shape."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [[group.parse_element(cell) for cell in row] for row in csv.reader(fh)]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ConfigError(f"table {path} must be {n} x {n}")
-    return TableFunction(depth, tuple(tuple(r) for r in rows))
+        rows = [tuple(group.parse_element(cell) for cell in row) for row in csv.reader(fh)]
+    return TableFunction(depth, tuple(rows))
 
 
 def parse_side(text: str) -> CantorPoint | ClopenSet:
@@ -223,6 +231,39 @@ def _random_probes(count: int, seed: int) -> list[SubbasicNbhd]:
     return probes
 
 
+def read_sections(text: str, path: Path) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` of a config text, in file order."""
+    sections: dict[str, dict[str, str]] = {}
+    section = option_indent = None  # the indent of the option line before, if any
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        s = line.strip()
+        if not s or s[0] in "#;":
+            continue
+        indent, end = len(line) - len(line.lstrip()), s.rfind("]")
+        header = s[1:end] if s[0] == "[" and end > 1 else None
+        eq, colon = s.find("="), s.find(":")
+        cut = min(eq, colon) if eq >= 0 and colon >= 0 else max(eq, colon)
+        if option_indent is not None and indent > option_indent:
+            problem = "continuation line"
+        elif header == "DEFAULT" or header in sections:
+            problem = "a [DEFAULT] section" if header == "DEFAULT" else "repeated section"
+        elif header is not None:
+            section = sections[header] = {}
+            option_indent = None
+            continue
+        elif section is None:
+            problem = "line before the first section header"
+        elif cut <= 0:
+            problem = "no key before '=' or ':'"
+        elif (key := s[:cut].rstrip()) in section:
+            problem = f"repeated key {key!r}"
+        else:
+            section[key], option_indent = s[cut + 1 :].strip(), indent
+            continue
+        raise ConfigError(f"config parse error in {path}: line {lineno}: {problem}: {s!r}")
+    return sections
+
+
 def load_experiment(
     path: str | Path,
     out_override: str | None = None,
@@ -233,20 +274,15 @@ def load_experiment(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep keys case-sensitive
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    if not parser.has_section("experiment"):
+    sections = read_sections(text, path)
+    if "experiment" not in sections:
         raise ConfigError(f"{path}: missing [experiment] section")
-    unknown = [name for name in parser.sections() if name not in _SECTIONS]
+    unknown = [name for name in sections if name not in _SECTIONS]
     if unknown:
         raise ConfigError(
             f"{path}: unknown section [{unknown[0]}]; known sections: {', '.join(_SECTIONS)}"
         )
-    exp = _known(dict(parser.items("experiment")), _EXPERIMENT_KEYS, "[experiment]")
+    exp = _known(sections["experiment"], _EXPERIMENT_KEYS, "[experiment]")
     try:
         group = get_group(exp["group"])
     except (KeyError, ValueError) as exc:
@@ -267,13 +303,11 @@ def load_experiment(
         raise ConfigError(f"{path}: [experiment] needs a function")
     function = parse_function(exp["function"], group, path.parent)
     probes = []
-    if parser.has_section("probes"):
-        for name, value in parser.items("probes"):
-            if name == "random":
-                probes.extend(_random_probes(parse_int(value, "random"), seed))
-            else:
-                probes.append(parse_probe(name, value))
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    for name, value in sections.get("probes", {}).items():
+        if name == "random":
+            probes.extend(_random_probes(parse_int(value, "random"), seed))
+        else:
+            probes.append(parse_probe(name, value))
     ball_queries = [
         _ball_query(name, value, function, path.parent)
         for name, value in sorted(sections.get("ball", {}).items())

@@ -12,8 +12,10 @@ z and takes f at the cell pair's limit representatives elsewhere.  A cell
 pair is only painted with the one value f takes on all of it, which is
 also f's value at its limit representatives, so the painting changes no
 value: g_n is f at the limit representatives of the depth-d cells, one
-table per working depth, which ``approximant(n)`` and every certificate
-stage read.  The tests keep the painted construction as the reference.
+table per working depth, which ``approximant(n)`` returns.  A certificate
+reads each working depth once too: one verdict on the probe's line of the
+table, and for a failing depth one witness, shared by all its stages.  The
+tests keep the painted construction as the reference.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class DiscreteApproximator:
         the fixed point's row (axis 'x') or column.  g_n lies in the probe
         when each of them has its value in U."""
         axis, fixed, other = probe.sides()
+        allowed = probe.allowed.__contains__
         verdicts: dict[int, bool] = {}
         out = []
         for n in stages:
@@ -99,13 +102,13 @@ class DiscreteApproximator:
                 else:
                     depth, cells = other.own_cells
                     if depth >= d:
-                        js = sorted({j >> (depth - d) for j in cells})
+                        js = {j >> (depth - d) for j in cells}
                     else:
                         w = 1 << (d - depth)
                         js = [c for j in cells for c in range(j * w, (j + 1) * w)]
                 i, rows = int(fixed.prefix(d), 2), self._table(d).values
-                line = (rows[i][j] if axis == "x" else rows[j][i] for j in js)
-                verdicts[d] = all(z in probe.allowed for z in line)
+                line = map(rows[i].__getitem__, js) if axis == "x" else (rows[j][i] for j in js)
+                verdicts[d] = all(map(allowed, line))
             out.append(verdicts[d])
         return out
 
@@ -116,21 +119,25 @@ class DiscreteApproximator:
         every n in [m, n_max].  The target set W = f(K_X x K_Y) and the
         pieces to cover are the probe's ``pieces`` of f.
 
-        Each stage is read off its table's line (``memberships``); only a
-        failing stage reads g_n whole, for ``in_subbasic`` to name its
-        witness."""
+        Each working depth of [m, n_max] is read once: one line verdict
+        (``memberships`` of the depths' first stages) and, when it fails,
+        one ``in_subbasic`` witness on g_n whole, which every stage of the
+        depth shares.  Depth d >= 2 holds stages 2^d - 1 .. 2^(d+1) - 2,
+        and depth 1 also stage 0."""
         pieces = nbhd.pieces(self.f)
         w = tuple(self.group.sort_canonically(pieces))
         cover = (basis_index(pieces[z].last_leaf()) for z in w)
         m = max((*map(self.image.index, w), *cover), default=0)
         probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(w), nbhd.probe_id)
-        stages = range(m, n_max + 1)
-        checks = []
-        for n, member in zip(stages, self.memberships(probe, stages)):
+        top = self.working_depth(n_max) if m <= n_max else 0
+        depths = range(self.working_depth(m), top + 1)
+        firsts = [max(m, (1 << d) - 1 if d > 1 else 0) for d in depths]
+        members = self.memberships(probe, firsts)
+        checks: list[tuple[int, bool, str]] = []
+        for d, first, member in zip(depths, firsts, members):
             note = ""
             if not member:
-                res = in_subbasic(self.approximant(n), probe)
+                res = in_subbasic(self.approximant(first), probe)
                 note = "({},{})->{}".format(*res.witness)  # type: ignore[misc]
-            checks.append((n, member, note))
-        passed = all(member for _, member, _ in checks)
-        return ConvergenceCertificate(w, m, tuple(checks), passed)
+            checks += [(n, member, note) for n in range(first, min(n_max, (2 << d) - 2) + 1)]
+        return ConvergenceCertificate(w, m, tuple(checks), all(members))

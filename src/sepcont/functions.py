@@ -422,12 +422,15 @@ class GridMemo:
 
     def leaf_values(self, leaf: DiagonalIndicator, xs, ys) -> list[GroupElement]:
         """leaf's values on xs x ys, x-major, once per (leaf, xs, ys): its
-        axis key at each point, then its value at each pair of keys."""
+        axis key at each point, its value once per distinct key of xs, and
+        the identity wherever the two keys differ (``pair_value``)."""
         key = (id(leaf), id(xs), id(ys))
         if key not in self._leaf_values:
             kx = list(map(leaf.axis_key, xs))
             ky = kx if ys is xs else list(map(leaf.axis_key, ys))
-            values = [leaf.pair_value(a, b) for a in kx for b in ky]
+            one = leaf.group.identity()
+            at = {a: leaf.value_at(a) for a in set(kx) - {None}}
+            values = [at[a] if a == b and a is not None else one for a in kx for b in ky]
             self._leaf_values[key] = leaf, xs, ys, values
         return self._leaf_values[key][3]
 

@@ -25,6 +25,9 @@ from typing import Any, Iterable, NamedTuple
 from sepcont.cantor import ALL_ZEROS, CantorPoint, point_dist
 from sepcont.errors import GroupMismatchError
 
+# The metric's values 0 and 1/2, shared by every distance that takes them.
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
+
 
 class GroupElement:
     """Opaque element handle, the one object of its value (``GroupSpec.element``);
@@ -129,9 +132,8 @@ class GroupSpec:
 
     def net_nearest(self, k: int, t: GroupElement) -> GroupElement:
         """The element of net(k) (``ball_net``) nearest to t, ties by canonical
-        order, from ``ball_enumeration(k, k + 2)``: all of a finite group's net."""
-        return min(self.ball_enumeration(k, k + 2),
-                   key=lambda e: (self.dist(e, t), self.canonical_key(e)))
+        order; each group writes it in closed form."""
+        raise NotImplementedError
 
     # payload-level hooks
     def _mul(self, a, b):
@@ -271,7 +273,7 @@ class FiniteTableGroup(GroupSpec):
         return self._inverse[a]
 
     def _dist(self, a: int, b: int) -> Fraction:
-        return Fraction(0) if a == b else Fraction(1, 2)
+        return _ZERO if a == b else _HALF
 
     def _enumerate(self, depth: int) -> list[int]:
         return list(range(len(self._table)))
@@ -280,12 +282,14 @@ class FiniteTableGroup(GroupSpec):
         return a
 
     def two_sided_member(self, a, b, eps):
-        # The group is finite, so a search over every element is exact.
-        one = self.identity()
-        return any(
-            self.dist(one, u) < eps and self.dist(self.mul(u, a), b) < eps
-            for u in self.dense_enumeration(0)
-        )
+        # The open eps-ball is the whole group for eps > 1/2 and the
+        # identity alone otherwise.
+        return eps > _HALF or a is b
+
+    def net_nearest(self, k, t):
+        # B[2^-k] is the whole group for k <= 1, whose points are 1/2 apart,
+        # and the identity alone for k >= 2.
+        return t if k <= 1 else self.identity()
 
     def format_element(self, a: GroupElement) -> str:
         return self._labels[a.payload]
@@ -311,7 +315,7 @@ class RealBoundedGroup(GroupSpec):
     """(dyadic rationals, +) with metric min(|a - b|, 1/2)."""
 
     name = "real"
-    _identity_payload = Fraction(0)
+    _identity_payload = _ZERO
 
     @staticmethod
     def _check_dyadic(q: Fraction) -> Fraction:
@@ -326,7 +330,7 @@ class RealBoundedGroup(GroupSpec):
         return -a
 
     def _dist(self, a: Fraction, b: Fraction) -> Fraction:
-        return min(abs(a - b), Fraction(1, 2))
+        return min(abs(a - b), _HALF)
 
     def _enumerate(self, depth: int) -> list[Fraction]:
         return self._sorted_multiples(2**depth, depth)
@@ -347,7 +351,7 @@ class RealBoundedGroup(GroupSpec):
     def two_sided_member(self, a, b, eps):
         # For eps <= 1/2 the ball is the open interval (-eps, eps), which holds
         # dyadics u, u' with u + u' = b - a exactly when |b - a| < 2 eps.
-        return eps > Fraction(1, 2) or abs(b.payload - a.payload) < 2 * eps
+        return eps > _HALF or abs(b.payload - a.payload) < 2 * eps
 
     def _key(self, a: Fraction):
         e = a.denominator.bit_length() - 1
@@ -371,7 +375,7 @@ class RealBoundedGroup(GroupSpec):
         a = round(t.payload / step) * step
         if k >= 2:
             a = min(max(a, -4 * step), 4 * step)
-        return self.element(a) if abs(a - t.payload) < Fraction(1, 2) else self.identity()
+        return self.element(a) if abs(a - t.payload) < _HALF else self.identity()
 
 
 _DYADIC = DyadicGroup()

@@ -43,12 +43,13 @@ def _write(path: Path, text: str) -> bytes:
     return data
 
 
-def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> bytes:
-    """Write the rows and return the bytes written; so do the writers below."""
+def write_csv(path: Path, fieldnames: list[str], rows: list[tuple]) -> bytes:
+    """Write the header and the rows, each a tuple in header order, and
+    return the bytes written; so do the writers below."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
+    writer.writerows(rows)
     return _write(path, buf.getvalue())
 
 

@@ -1,5 +1,5 @@
 """Mutation check of the discrete and zero-dimensional engines, the
-uniform-topology harness and the metric groups.
+uniform-topology harness, the metric groups and the config reader.
 
 Each order comparison in a module of ``TARGETS`` is swapped with its
 strict or non-strict twin (``<`` and ``<=``, ``>`` and ``>=``), and each
@@ -35,6 +35,7 @@ TARGETS = {
     "zerodim.py": ("test_zerodim.py", "test_grid_values.py"),
     "uniform.py": ("test_uniform.py",),
     "groups.py": ("test_groups.py", "test_grid_values.py"),
+    "config.py": ("test_cli.py",),
 }
 TIMEOUT_S = 600
 
@@ -51,6 +52,9 @@ EQUIVALENT = {
     "uniform.py": {},
     "groups.py": {
         "DyadicGroup.ball_enumeration: k < 1": "at k == 1 both branches give dense_enumeration(depth) in its order (no leading zeros)",
+    },
+    "config.py": {
+        "_random_probes: rng.random() <= 0.5": "random() returns exactly 0.5 with probability 2^-53; no seed a test uses draws it",
     },
 }
 

@@ -20,13 +20,28 @@ class LeftInvariantS3(FiniteTableGroup):
     """S3 with a left-invariant metric that is not right-invariant: d(a, b)
     is 1/8 when a^-1 b is the reflection s, else 1/2 (0 on the diagonal).
     The shipped groups are bi-invariant, so only here do the l and r
-    tests of a ball query disagree."""
+    tests of a ball query disagree.  The metric is not discrete, so the
+    closed forms of a table group do not hold: its nets and two-sided
+    balls are searched over every element."""
 
     def _dist(self, a: int, b: int) -> Fraction:
         c = self._mul(self._inv(a), b)
         if c == self.identity().payload:
             return Fraction(0)
         return Fraction(1, 8) if self._labels[c] == "s" else Fraction(1, 2)
+
+    def two_sided_member(self, a, b, eps):
+        one = self.identity()
+        return any(
+            self.dist(one, u) < eps and self.dist(self.mul(u, a), b) < eps
+            for u in self.dense_enumeration(0)
+        )
+
+    def net_nearest(self, k, t):
+        """The element of net(k), the ball's part of the enumeration, nearest
+        to t, ties by canonical order."""
+        return min(self.ball_enumeration(k, k + 2),
+                   key=lambda e: (self.dist(e, t), self.canonical_key(e)))
 
 
 _S3 = symmetric_group_3()

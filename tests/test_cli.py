@@ -1,6 +1,8 @@
+import configparser
 import csv
 import hashlib
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
 from sepcont.cli import build_parser, main
-from sepcont.config import MAX_N, load_experiment, parse_function, parse_probe
+from sepcont.config import MAX_N, load_experiment, parse_function, parse_probe, read_sections
 from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
@@ -269,6 +271,134 @@ class TestConfigParsing:
         (tmp_path / "t.csv").write_text("(0),1(0)\n1(0),(0)\n", encoding="utf-8")
         f = parse_function("table 1 t.csv", DYADIC, tmp_path)
         assert f.depth == 1
+
+    @pytest.mark.parametrize("cells", ["(0),1(0)\n1(0)\n", "(0),1(0)\n", "(0),1(0),(0)\n1(0),(0),(0)\n"],
+                             ids=["short-row", "one-row", "long-rows"])
+    def test_table_of_the_wrong_shape_is_rejected(self, tmp_path, cells):
+        (tmp_path / "t.csv").write_text(cells, encoding="utf-8")
+        with pytest.raises(ConfigError, match="'table 1 t.csv': table must be 2 x 2"):
+            parse_function("table 1 t.csv", DYADIC, tmp_path)
+
+    def test_each_range_holds_its_ends(self, tmp_path):
+        # n_max 0, a quant level of MAX_N and a fault at stage 0 load; a
+        # zero problem3 bound does not.
+        text = MINIMAL.replace("n_max = 2", "n_max = 0").replace("levels = 1", "levels = 0")
+        text = text.replace("const 1(0)", f"quant(const 1(0), {MAX_N})")
+        exp = load_experiment(write_config(tmp_path, text + "[closure]\ninject_fault_at = 0\n"))
+        assert (exp.n_max, exp.levels, exp.inject_fault_at) == (0, [0], 0)
+        text = REAL_MINIMAL + "[problem3]\ncandidate = const 0/2^0\nbound = 0\n"
+        with pytest.raises(ConfigError, match="radius must be positive: '0'"):
+            load_experiment(write_config(tmp_path, text))
+
+
+def configparser_sections(text):
+    """The sections configparser reads from text, keys kept as written and
+    no interpolation, or None where it fails: the reader's oracle."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def read_or_error(text):
+    try:
+        return read_sections(text, Path("x.cfg")), ""
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+_HEADERS = st.builds(
+    lambda name, tail: f"[{name}]{tail}",
+    st.sampled_from(["a", "b", "A", " a ", "a]b", "[a", "", "]", "DEFAULT"]),
+    st.sampled_from(["", "]", " tail", " # note"]),
+)
+_OPTIONS = st.builds(
+    lambda key, gap, delim, value: f"{key}{gap}{delim}{gap}{value}",
+    st.sampled_from(["k", "K", "key", "a b", "", "[k"]),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["=", ":", "==", ":="]),
+    st.sampled_from(["", "v", "1,2", "a = b", "x: y", ";v", "v ; w", "v # w", "=", "[v]"]),
+)
+_OTHER_LINES = st.sampled_from(["", "  ", "\t", "# note", "; note", "  # note", "stray", "a b", "\r"])
+_LINES = st.tuples(st.sampled_from(["", "", "", " ", "\t"]), st.one_of(_HEADERS, _OPTIONS, _OTHER_LINES))
+# Two soups in three open with a header, so that most get past their first line.
+_SOUPS = st.tuples(st.sampled_from(["", "[a]\n", "[b]\n"]), st.lists(_LINES, max_size=10)).map(
+    lambda soup: soup[0] + "\n".join(i + line for i, line in soup[1]))
+README = Path(__file__).parent.parent / "README.md"
+
+
+class TestConfigReader:
+    @settings(max_examples=400)  # about a millisecond each
+    @given(_SOUPS)
+    def test_reader_is_configparser_on_its_syntax(self, text):
+        # Equal sections, or a parse error on both sides; the reader alone
+        # rejects a [DEFAULT] section and a continuation line, which
+        # configparser reads as defaults and as a multi-line value.
+        got, error = read_or_error(text)
+        expected = configparser_sections(text)
+        multi_line = expected is not None and any(
+            "\n" in value for section in expected.values() for value in section.values()
+        )
+        if "continuation line" in error:
+            assert expected is None or multi_line
+        elif "[DEFAULT]" in error:
+            assert expected is None or re.search(r"^\s*\[DEFAULT\]", text, re.M)
+        else:
+            assert got == expected, error
+            assert not error or error.startswith("config parse error in x.cfg: line ")
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_reads_as_configparser_reads_it(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert read_sections(text, path) == configparser_sections(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("[s]\nk = v\n", {"s": {"k": "v"}}),
+        ("[s] tail\nk: a = b\nK=:x\n", {"s": {"k": "a = b", "K": ":x"}}),
+        ("[s]]\n  k = v ; w # x\n\n; c\n# c\n  k2 = v\n[t]\n", {"s]": {"k": "v ; w # x", "k2": "v"}, "t": {}}),
+        ("[ s ]\nk:=v\nk2==\n", {" s ": {"k": "=v", "k2": "="}}),
+    ])
+    def test_reader_examples(self, text, expected):
+        assert read_sections(text, Path("x.cfg")) == expected == configparser_sections(text)
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("k = v\n[s]\n", 1, "line before the first section header"),
+        ("[s]\nk = v\n\n[]\n", 4, "no key before '=' or ':'"),
+        ("[s]\n= v\n", 2, "no key before '=' or ':'"),
+        ("[s]\nstray\n", 2, "no key before '=' or ':'"),
+        ("[s]\n= k: v\n", 2, "no key before '=' or ':'"),
+        ("[s]\n: k = v\n", 2, "no key before '=' or ':'"),
+        ("[s]\n[t]\n[s]\n", 3, "repeated section"),
+        ("[s]\nk = v\nk: w\n", 3, "repeated key 'k'"),
+        ("[DEFAULT]\nk = v\n", 1, "a [DEFAULT] section"),
+        ("[s]\n  k = v\n  # c\n    w\n", 4, "continuation line"),
+        ("[s]\nk = v\n\n [t]\n", 4, "continuation line"),
+    ])
+    def test_reader_errors_name_their_line(self, text, line, problem):
+        with pytest.raises(ConfigError, match=re.escape(f"config parse error in x.cfg: line {line}: {problem}:")):
+            read_sections(text, Path("x.cfg"))
+
+    @pytest.mark.parametrize("extra", ["[DEFAULT]\nn_max = 2\n", "p1 = (1) ; !{}\n  {0}\n"])
+    def test_default_section_and_continuation_exit_two(self, tmp_path, extra, capsys):
+        # configparser would read both: as a default for every section and
+        # as the value "(1) ; !{}\n{0}".
+        assert configparser_sections(MINIMAL + extra) is not None
+        cfg = write_config(tmp_path, MINIMAL + extra)
+        assert main(["approx-discrete", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert "config error: config parse error in" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_readme_config_example_runs(self, tmp_path):
+        (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        cfg = write_config(tmp_path, block)
+        exp = load_experiment(cfg)
+        assert (exp.group.name, exp.n_max, exp.levels, exp.inject_fault_at) == ("dyadic", 3, [1, 2], 3)
+        assert [p.probe_id for p in exp.probes[:2]] == ["acc_x", "blocks"] and len(exp.probes) == 6
+        assert main(["approx-discrete", "--config", str(cfg)]) == 0
+        assert (tmp_path / "reports" / "certificate.csv").exists()
 
 
 class TestArgumentParser:

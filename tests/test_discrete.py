@@ -648,6 +648,16 @@ class TestStageTableCertificates:
         n = data.draw(st.integers(0, max(stages)))
         assert engine.approximant(n).values == brute_approximant(f, n).values, n
 
+    @given(families, probes)
+    def test_each_n_max_reads_a_prefix_of_the_rows(self, f, nbhd):
+        # n_max below m, at m and past it, inside a working depth and at
+        # its ends: the rows are those of the n <= n_max.
+        engine = DiscreteApproximator(f)
+        full = engine.certificate(nbhd, 12)
+        for n_max in range(13):
+            cert = engine.certificate(nbhd, n_max)
+            assert cert.m == full.m and cert.checks == tuple(c for c in full.checks if c[0] <= n_max)
+
     def test_failing_stages_match_per_stage_oracle(self):
         engine = DiscreteApproximator(WITNESS_F)
         gs = [brute_approximant(WITNESS_F, n) for n in range(13)]
