@@ -8,13 +8,12 @@ exact values, never a floating-point comparison.
 
 __version__ = "0.1.0"
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import CantorPoint, ClopenSet
 from sepcont.groups import GroupElement, GroupSpec, SeparatedNet, ball_net, get_group
 
 __all__ = [
     "CantorPoint",
     "ClopenSet",
-    "Cylinder",
     "GroupElement",
     "GroupSpec",
     "SeparatedNet",

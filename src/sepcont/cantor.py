@@ -2,10 +2,11 @@
 
 Points are eventually periodic binary sequences kept in canonical form
 (minimal period, then minimal preperiod), so equality is decidable and
-every bit is computable.  Clopen sets are finite unions of cylinders,
-stored as canonical binary tries closed under union, intersection and
-complement.  The metric is d(x, y) = 2^-(i+1) with i the first index
-where x and y differ.
+every bit is computable.  A cylinder [s], the sequences that extend a
+finite word s, is named by s itself, a plain ``str`` of 0/1 characters.
+Clopen sets are finite unions of cylinders, stored as canonical binary
+tries closed under union, intersection and complement.  The metric is
+d(x, y) = 2^-(i+1) with i the first index where x and y differ.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from math import lcm
 _POINT_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
 
 
-def _check_bits(s: str, what: str) -> None:
+def check_bits(s: str, what: str) -> None:
+    """Reject ``s``, named ``what`` in the error, unless it is all 0/1."""
     if s.strip("01"):
         raise ValueError(f"{what} must consist of 0/1 characters, got {s!r}")
 
@@ -38,8 +40,8 @@ class CantorPoint:
     __slots__ = ("preperiod", "period", "_hash")
 
     def __init__(self, preperiod: str = "", period: str = "0") -> None:
-        _check_bits(preperiod, "preperiod")
-        _check_bits(period, "period")
+        check_bits(preperiod, "preperiod")
+        check_bits(period, "period")
         if not period:
             raise ValueError("period must be nonempty")
         pre, per = preperiod, _minimal_period(period)
@@ -123,63 +125,14 @@ def point_dist(x: CantorPoint, y: CantorPoint) -> Fraction:
     return Fraction(1, 2 ** (i + 1))
 
 
-class Cylinder:
-    """All sequences extending a fixed finite prefix; the empty prefix is the whole space."""
-
-    __slots__ = ("prefix",)
-
-    def __init__(self, prefix: str = "") -> None:
-        _check_bits(prefix, "prefix")
-        self.prefix = prefix
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.prefix == other.prefix
-
-    def __hash__(self) -> int:
-        return hash((self.prefix,))
-
-    def depth(self) -> int:
-        return len(self.prefix)
-
-    def contains(self, p: CantorPoint) -> bool:
-        return p.starts_with(self.prefix)
-
-    def representative(self) -> CantorPoint:
-        """Canonical sample point: the prefix followed by zeros."""
-        return CantorPoint(self.prefix, "0")
-
-    def limit_representative(self) -> CantorPoint:
-        """The prefix followed by its own last bit forever.
-
-        For an all-ones prefix this is the accumulation point of the cylinder
-        that a zero-tail sample would never see.
-        """
-        tail = self.prefix[-1] if self.prefix else "0"
-        return CantorPoint(self.prefix, tail)
-
-    def overlaps(self, other: "Cylinder") -> bool:
-        return self.prefix.startswith(other.prefix) or other.prefix.startswith(self.prefix)
-
-
 def basis_index(prefix: str) -> int:
     """The index of [prefix] in the canonical base of cylinders, ordered by
     prefix length, then lexicographically: V_k is cell k + 1 - 2^l at depth
     l = floor(log2(k + 1))."""
-    _check_bits(prefix, "prefix")
+    check_bits(prefix, "prefix")
     if not prefix:
         return 0
     return 2 ** len(prefix) - 1 + int(prefix, 2)
-
-
-def partition_at_depth(d: int) -> list[Cylinder]:
-    """The 2^d depth-d cylinders, pairwise disjoint, covering the space."""
-    if d < 0:
-        raise ValueError("depth must be nonnegative")
-    if d == 0:
-        return [Cylinder("")]
-    return [Cylinder(format(i, f"0{d}b")) for i in range(2**d)]
 
 
 # A clopen set is stored as a binary trie: True = full subtree, False = empty,
@@ -303,7 +256,7 @@ class ClopenSet:
     def from_prefixes(prefixes) -> "ClopenSet":
         t = False
         for p in prefixes:
-            _check_bits(p, "prefix")
+            check_bits(p, "prefix")
             t = _union(t, _from_prefix(p))
         return ClopenSet(t)
 
@@ -315,10 +268,6 @@ class ClopenSet:
         if cells and (cells[0] < 0 or cells[-1] >= 1 << d):
             raise ValueError(f"cell indices at depth {d} lie in [0, {1 << d})")
         return ClopenSet(_from_cells(cells, d, 0))
-
-    @staticmethod
-    def from_cylinder(c: Cylinder) -> "ClopenSet":
-        return ClopenSet(_from_prefix(c.prefix))
 
     @staticmethod
     def parse(text: str) -> "ClopenSet":
@@ -363,17 +312,13 @@ class ClopenSet:
     def depth(self) -> int:
         return _depth(self.trie)
 
-    def cylinders(self) -> tuple[Cylinder, ...]:
+    def prefixes(self) -> tuple[str, ...]:
+        """The prefixes of the set's maximal cylinders, sorted by
+        ``(len, prefix)``, which is ``basis_index`` order: the last has the
+        largest index."""
         out: list[str] = []
         _leaves(self.trie, "", out)
-        return tuple(Cylinder(p) for p in sorted(out, key=lambda p: (len(p), p)))
-
-    def last_leaf(self) -> str:
-        """The prefix of ``cylinders()[-1]``, the one of largest ``basis_index``:
-        the deepest leaf, the largest of those.  The set must not be empty."""
-        out: list[str] = []
-        _leaves(self.trie, "", out)
-        return max(out, key=lambda p: (len(p), p))
+        return tuple(sorted(out, key=lambda p: (len(p), p)))
 
     def cell_indices(self, d: int) -> list[int]:
         """Ascending indices ``int(prefix, 2)`` of the depth-d cylinders
@@ -394,5 +339,5 @@ class ClopenSet:
             return "{}"
         if self.is_whole():
             return "!{}"
-        return "{" + ",".join(c.prefix for c in self.cylinders()) + "}"
+        return "{" + ",".join(self.prefixes()) + "}"
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import CantorPoint, ClopenSet
 from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
@@ -134,7 +134,7 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
             pairs = []
             for item in vals.split(","):
                 prefix, _, lit = item.partition(":")
-                pairs.append((Cylinder(prefix.strip()), group.parse_element(lit.strip())))
+                pairs.append((prefix.strip(), group.parse_element(lit.strip())))
             return CylinderDiagonal(tuple(pairs))
         raise ConfigError(f"unknown diag family {kind!r}")
     raise ConfigError(f"unknown function head {head!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from sepcont.cantor import CantorPoint, basis_index, partition_at_depth
+from sepcont.cantor import CantorPoint, basis_index
 from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
 from sepcont.groups import GroupElement
 
@@ -39,10 +39,13 @@ class ConvergenceCertificate(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _limit_points(d: int) -> tuple[CantorPoint, ...]:
-    """The limit representatives of the depth-d cells, in cell-index order.
+    """The limit representatives of the depth-d cells, in cell-index order:
+    each cell's prefix followed by its own last bit forever, so the all-ones
+    cell gives the all-ones point, which a zero tail would never reach.
     Each engine builds a depth's table once, so the tuple is kept only for
     the next engine that reads the depth."""
-    return tuple(c.limit_representative() for c in partition_at_depth(d))
+    prefixes = [format(i, f"0{d}b") for i in range(1 << d)] if d else [""]
+    return tuple(CantorPoint(s, s[-1:] or "0") for s in prefixes)
 
 
 class DiscreteApproximator:
@@ -126,7 +129,7 @@ class DiscreteApproximator:
         and depth 1 also stage 0."""
         pieces = nbhd.pieces(self.f)
         w = tuple(self.group.sort_canonically(pieces))
-        cover = (basis_index(pieces[z].last_leaf()) for z in w)
+        cover = (basis_index(pieces[z].prefixes()[-1]) for z in w)
         m = max((*map(self.image.index, w), *cover), default=0)
         probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(w), nbhd.probe_id)
         top = self.working_depth(n_max) if m <= n_max else 0

@@ -40,7 +40,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Literal, NamedTuple
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import CantorPoint, ClopenSet, check_bits
 from sepcont.errors import ConfigError
 from sepcont.groups import GroupElement, GroupSpec
 
@@ -176,7 +176,7 @@ class DiagonalIndicator(SepFunction):
         n = self.axis_key(fixed)
         if n is None or self.value_at(n) == identity:
             return {identity: ClopenSet.whole()}
-        member = ClopenSet.from_cylinder(self.member(n))
+        member = ClopenSet.from_prefixes((self.member(n),))
         parts = {self.value_at(n): member, identity: member.complement()}
         return {z: piece for z, piece in parts.items() if not piece.is_empty()}
 
@@ -200,8 +200,8 @@ class OnesDiagonal(DiagonalIndicator):
     def axis_key(self, p: CantorPoint) -> int | None:
         return p.leading_ones()
 
-    def member(self, n: int) -> Cylinder:
-        return Cylinder("1" * n + "0")
+    def member(self, n: int) -> str:
+        return "1" * n + "0"
 
     def value_at(self, n: int) -> GroupElement:
         if n < len(self.prefix):
@@ -214,21 +214,22 @@ class CylinderDiagonal(DiagonalIndicator):
 
     __slots__ = ("members",)
 
-    def __init__(self, members: tuple[tuple[Cylinder, GroupElement], ...]) -> None:
-        cyls = [c for c, _ in members]
-        for i in range(len(cyls)):
-            for j in range(i + 1, len(cyls)):
-                if cyls[i].overlaps(cyls[j]):
+    def __init__(self, members: tuple[tuple[str, GroupElement], ...]) -> None:
+        prefixes = [s for s, _ in members]
+        for s in prefixes:
+            check_bits(s, "prefix")
+        for i, s in enumerate(prefixes):
+            for t in prefixes[i + 1 :]:
+                if s.startswith(t) or t.startswith(s):
                     raise ValueError(
-                        f"family cylinders must be pairwise disjoint: "
-                        f"{cyls[i].prefix!r} overlaps {cyls[j].prefix!r}"
+                        f"family cylinders must be pairwise disjoint: {s!r} overlaps {t!r}"
                     )
         self.members = members
 
     def axis_key(self, p: CantorPoint) -> int | None:
-        return next((n for n, (c, _) in enumerate(self.members) if c.contains(p)), None)
+        return next((n for n, (s, _) in enumerate(self.members) if p.starts_with(s)), None)
 
-    def member(self, n: int) -> Cylinder:
+    def member(self, n: int) -> str:
         return self.members[n][0]
 
     def value_at(self, n: int) -> GroupElement:
@@ -333,7 +334,7 @@ def resolution(fns: Iterable[SepFunction]) -> tuple[int, int]:
         if isinstance(leaf, TableFunction):
             depth = max(depth, leaf.depth)
         elif isinstance(leaf, CylinderDiagonal):
-            depth = max([depth, *(c.depth() for c, _ in leaf.members)])
+            depth = max([depth, *(len(s) for s, _ in leaf.members)])
         elif isinstance(leaf, OnesDiagonal):
             depth, period = max(depth, len(leaf.prefix)), lcm(period, len(leaf.period))
         elif not isinstance(leaf, Constant):
@@ -386,12 +387,12 @@ class GridMemo:
         depth, period = resolution(fns)
         key = (depth, period, side, fixed.leading_ones() if fixed is not None else None)
         if key not in self._points:
-            cylinders = side.cylinders()
-            corner = max([depth, *(c.depth() for c in cylinders if "0" not in c.prefix)])
+            prefixes = side.prefixes()
+            corner = max([depth, *(len(s) for s in prefixes if "0" not in s)])
             ones = {CantorPoint("1" * k) for k in {*range(corner, corner + period + 1), key[3]}
                     if k is not None}
-            points = {CantorPoint(c.prefix + "".join(bits)) for c in cylinders
-                      for bits in product("01", repeat=max(0, depth - c.depth()))}
+            points = {CantorPoint(s + "".join(bits)) for s in prefixes
+                      for bits in product("01", repeat=max(0, depth - len(s)))}
             points.update(p for p in ones if side.contains(p))
             top = max(len(p.preperiod) for p in points) if points else 0
             t = tuple(sorted(points, key=lambda p: _cell(p, top)))
@@ -568,6 +569,6 @@ def in_subbasic(f: SepFunction, nbhd: SubbasicNbhd) -> MembershipResult:
             violating = violating.union(piece)
     if violating.is_empty():
         return MembershipResult(True)
-    x, y = nbhd.point(violating.cylinders()[0].representative())
+    x, y = nbhd.point(CantorPoint(violating.prefixes()[0]))
     return MembershipResult(False, (x, y, f.eval(x, y)))
 

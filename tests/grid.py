@@ -1,40 +1,57 @@
 """Canonical grid points, the sample the brute-force references sweep: the
-library itself reads only exact point sets.  Also the canonical base of
-cylinders, the pointwise oracle for "f is constant on a pair of cells",
-which the discrete engine's references read, the zero-dimensional
-pipeline's factors and their approximants as the paper builds them, and a
-pipeline with one factor replaced, the injected-factor controls' input."""
+library itself reads only exact point sets.  Also the depth-d cells and
+their limit representatives, the canonical base of cylinders (a cylinder
+is named by its prefix), the pointwise oracle for "f is constant on a
+pair of cells", which the discrete engine's references read, the
+zero-dimensional pipeline's factors and their approximants as the paper
+builds them, and a pipeline with one factor replaced, the injected-factor
+controls' input."""
 
 from functools import lru_cache
 
-from sepcont.cantor import ALL_ONES, CantorPoint, Cylinder, partition_at_depth
+from sepcont.cantor import ALL_ONES, CantorPoint
 from sepcont.discrete import DiscreteApproximator
 from sepcont.functions import PostCompose, resolution
+
+
+def cell_prefixes(d: int) -> list[str]:
+    """The prefixes of the 2^d depth-d cells, pairwise disjoint and covering
+    the space, in cell-index order: cell i is ``format(i, f"0{d}b")``."""
+    return [format(i, f"0{d}b") for i in range(1 << d)] if d else [""]
+
+
+def limit_point(prefix: str) -> CantorPoint:
+    """The limit representative of the cylinder [prefix]: the prefix followed
+    by its own last bit forever.  For an all-ones prefix this is the
+    accumulation point that a zero-tail sample would never see."""
+    return CantorPoint(prefix, prefix[-1:] or "0")
 
 
 def grid_points(d: int) -> tuple[CantorPoint, ...]:
     """The 2^d canonical grid points: the representative (depth-d prefix +
     zero tail) of each depth-d cell, in cell-index order."""
-    return tuple(c.representative() for c in partition_at_depth(d))
+    return tuple(map(CantorPoint, cell_prefixes(d)))
 
 
-def basis_cylinder(k: int) -> Cylinder:
-    """The k-th cylinder V_k in the canonical base (by prefix length, then
-    lexicographic): cell k + 1 - 2^l at depth l = floor(log2(k + 1))."""
+def basis_prefix(k: int) -> str:
+    """The prefix of the k-th cylinder V_k in the canonical base (by prefix
+    length, then lexicographic): cell k + 1 - 2^l at depth
+    l = floor(log2(k + 1))."""
     if k < 0:
         raise ValueError("basis index must be nonnegative")
     l = (k + 1).bit_length() - 1
-    return Cylinder(format(k + 1 - (1 << l), f"0{l}b") if l else "")
+    return format(k + 1 - (1 << l), f"0{l}b") if l else ""
 
 
-def cell_range(c: Cylinder, d: int) -> range:
-    """Indices ``int(prefix, 2)`` of the depth-d cells meeting the cylinder:
-    the cells inside it, or the one cell containing it when it is deeper."""
-    if len(c.prefix) >= d:
-        i = int(c.prefix[:d], 2) if d else 0
+def cell_range(prefix: str, d: int) -> range:
+    """Indices ``int(prefix, 2)`` of the depth-d cells meeting the cylinder
+    [prefix]: the cells inside it, or the one cell containing it when it is
+    deeper."""
+    if len(prefix) >= d:
+        i = int(prefix[:d], 2) if d else 0
         return range(i, i + 1)
-    shift = d - len(c.prefix)
-    start = int(c.prefix, 2) << shift if c.prefix else 0
+    shift = d - len(prefix)
+    start = int(prefix, 2) << shift if prefix else 0
     return range(start, start + (1 << shift))
 
 
@@ -47,8 +64,8 @@ def sample_points(f, d: int) -> tuple[CantorPoint, ...]:
     tail, which no exact point set holds."""
     depth, period = resolution((f,))
     top = max(depth, d)
-    cells = partition_at_depth(top + 2)
-    points = {c.representative() for c in cells} | {c.limit_representative() for c in cells}
+    fine = cell_prefixes(top + 2)
+    points = {*map(CantorPoint, fine), *map(limit_point, fine)}
     points |= {CantorPoint("1" * k) for k in range(top + 2 * period + 3)}
     points.add(ALL_ONES)
     return tuple(sorted(points, key=str))

@@ -1,5 +1,6 @@
 """Mutation check of the discrete and zero-dimensional engines, the
-uniform-topology harness, the metric groups and the config reader.
+uniform-topology harness, the metric groups, the config reader and the
+Cantor layer.
 
 Each order comparison in a module of ``TARGETS`` is swapped with its
 strict or non-strict twin (``<`` and ``<=``, ``>`` and ``>=``), and each
@@ -36,6 +37,7 @@ TARGETS = {
     "uniform.py": ("test_uniform.py",),
     "groups.py": ("test_groups.py", "test_grid_values.py"),
     "config.py": ("test_cli.py",),
+    "cantor.py": ("test_cantor.py",),
 }
 TIMEOUT_S = 600
 
@@ -56,6 +58,7 @@ EQUIVALENT = {
     "config.py": {
         "_random_probes: rng.random() <= 0.5": "random() returns exactly 0.5 with probability 2^-53; no seed a test uses draws it",
     },
+    "cantor.py": {},
 }
 
 

@@ -8,13 +8,11 @@ from sepcont.cantor import (
     ALL_ONES,
     CantorPoint,
     ClopenSet,
-    Cylinder,
     basis_index,
     first_difference,
-    partition_at_depth,
     point_dist,
 )
-from grid import basis_cylinder, cell_range, grid_points
+from grid import basis_prefix, cell_prefixes, cell_range, grid_points
 
 bits = st.text(alphabet="01", max_size=6)
 nonempty_bits = st.text(alphabet="01", min_size=1, max_size=3)
@@ -62,7 +60,8 @@ class TestCantorPoint:
         # The full-width 1 is a digit to str.isdigit, but not a bit.
         for build, what in [(lambda s: CantorPoint(s, "0"), "preperiod"),
                             (lambda s: CantorPoint("", s), "period"),
-                            (Cylinder, "prefix")]:
+                            (basis_index, "prefix"),
+                            (lambda s: ClopenSet.from_prefixes([s]), "prefix")]:
             with pytest.raises(ValueError) as err:
                 build(bad)
             assert str(err.value) == f"{what} must consist of 0/1 characters, got {bad!r}"
@@ -146,51 +145,51 @@ class TestPointDist:
 
 class TestBasis:
     def test_first_elements(self):
-        assert basis_cylinder(0).prefix == ""
-        assert basis_cylinder(1).prefix == "0"
-        assert basis_cylinder(2).prefix == "1"
-        assert basis_cylinder(4).prefix == "01"
+        assert basis_prefix(0) == ""
+        assert basis_prefix(1) == "0"
+        assert basis_prefix(2) == "1"
+        assert basis_prefix(4) == "01"
 
     def test_enumeration_order(self):
-        prefixes = [basis_cylinder(k).prefix for k in range(15)]
+        prefixes = [basis_prefix(k) for k in range(15)]
         assert prefixes == ["", "0", "1", "00", "01", "10", "11",
                             "000", "001", "010", "011", "100", "101", "110", "111"]
 
     @given(st.integers(min_value=0, max_value=2000))
     def test_index_roundtrip(self, k):
-        assert basis_index(basis_cylinder(k).prefix) == k
+        assert basis_index(basis_prefix(k)) == k
 
 
 class TestPartition:
     def test_depth_zero(self):
-        assert partition_at_depth(0) == [Cylinder("")]
+        assert cell_prefixes(0) == [""]
 
     def test_depth_two(self):
-        assert [c.prefix for c in partition_at_depth(2)] == ["00", "01", "10", "11"]
+        assert cell_prefixes(2) == ["00", "01", "10", "11"]
 
     @pytest.mark.parametrize("d", range(13))
     def test_partition_covers_grid_once(self, d):
-        cells = partition_at_depth(d)
+        cells = cell_prefixes(d)
         assert len(cells) == 2**d
-        assert len({c.prefix for c in cells}) == len(cells)  # pairwise disjoint
-        by_prefix = {c.prefix: 0 for c in cells}
+        assert len(set(cells)) == len(cells)  # pairwise disjoint
+        by_prefix = {c: 0 for c in cells}
         for p in grid_points(d):
             by_prefix[p.prefix(d)] += 1  # exactly one cell contains p
         assert all(count == 1 for count in by_prefix.values())
 
     @pytest.mark.parametrize("d", range(6))
     def test_refinement(self, d):
-        coarse = partition_at_depth(d)
-        for cell in partition_at_depth(d + 1):
-            parents = [c for c in coarse if cell.prefix.startswith(c.prefix)]
+        coarse = cell_prefixes(d)
+        for cell in cell_prefixes(d + 1):
+            parents = [c for c in coarse if cell.startswith(c)]
             assert len(parents) == 1
 
     @pytest.mark.parametrize("d", range(8))
     def test_probe_grid_hits_every_shallow_cylinder(self, d):
         grid = grid_points(d)
         for k in range(2 ** (d + 1) - 1):
-            c = basis_cylinder(k)
-            assert any(c.contains(p) for p in grid)
+            c = basis_prefix(k)
+            assert any(p.starts_with(c) for p in grid)
 
 
 class TestClopenSet:
@@ -213,9 +212,13 @@ class TestClopenSet:
         assert ClopenSet.parse("{}").is_empty()
         assert ClopenSet.parse("!{0}") == ClopenSet.from_prefixes(["1"])
 
-    def test_cylinders_are_canonical_antichain(self):
-        cyls = ClopenSet.from_prefixes(["10", "11", "0101"]).cylinders()
-        assert [c.prefix for c in cyls] == ["1", "0101"]
+    def test_parse_rejects_an_unbalanced_brace(self):
+        for text in ["{0", "0}", "!{0", "0"]:
+            with pytest.raises(ValueError):
+                ClopenSet.parse(text)
+
+    def test_prefixes_are_canonical_antichain(self):
+        assert ClopenSet.from_prefixes(["10", "11", "0101"]).prefixes() == ("1", "0101")
 
     @given(clopens)
     def test_double_complement(self, a):
@@ -236,21 +239,20 @@ class TestClopenSet:
         assert a.complement().contains(p) == (not a.contains(p))
 
     @given(clopens)
-    def test_cylinders_reassemble(self, a):
-        assert ClopenSet.from_prefixes([c.prefix for c in a.cylinders()]) == a
-
-    @given(clopens)
-    def test_last_leaf_has_the_largest_basis_index(self, a):
-        if a.is_empty():
-            return
-        assert a.last_leaf() == a.cylinders()[-1].prefix
-        assert basis_index(a.last_leaf()) == max(basis_index(c.prefix) for c in a.cylinders())
+    def test_prefixes_reassemble_in_basis_order(self, a):
+        # The last prefix, which a certificate's cover reads, has the largest
+        # basis index.
+        prefixes = a.prefixes()
+        assert ClopenSet.from_prefixes(prefixes) == a
+        assert list(prefixes) == sorted(prefixes, key=basis_index)
+        if not a.is_empty():
+            assert basis_index(prefixes[-1]) == max(map(basis_index, prefixes))
 
     @given(clopens, st.integers(0, 2))
     def test_cell_indices_by_membership(self, a, extra):
         d = a.depth() + extra
-        cells = partition_at_depth(d)
-        assert a.cell_indices(d) == [i for i, c in enumerate(cells) if a.contains(c.representative())]
+        cells = cell_prefixes(d)
+        assert a.cell_indices(d) == [i for i, c in enumerate(cells) if a.contains(CantorPoint(c))]
         if a.depth() > 0:
             with pytest.raises(ValueError):
                 a.cell_indices(a.depth() - 1)
@@ -280,16 +282,7 @@ class TestClopenSet:
 
     @given(bits, st.integers(0, 6))
     def test_cell_range_by_overlap(self, prefix, d):
-        c = Cylinder(prefix)
-        cells = partition_at_depth(d)
-        assert list(cell_range(c, d)) == [i for i, u in enumerate(cells) if u.overlaps(c)]
+        cells = cell_prefixes(d)
+        overlapping = [i for i, u in enumerate(cells) if u.startswith(prefix) or prefix.startswith(u)]
+        assert list(cell_range(prefix, d)) == overlapping
 
-
-class TestRepresentatives:
-    def test_zero_tail(self):
-        assert Cylinder("110").representative() == CantorPoint("110", "0")
-
-    def test_limit_representative(self):
-        assert Cylinder("11").limit_representative() == ALL_ONES
-        assert Cylinder("10").limit_representative() == CantorPoint("10", "0")
-        assert Cylinder("").limit_representative() == CantorPoint("", "0")

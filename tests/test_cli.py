@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcont.cantor import CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import CantorPoint, ClopenSet
 from sepcont.cli import build_parser, main
 from sepcont.config import MAX_N, load_experiment, parse_function, parse_probe, read_sections
 from sepcont.errors import ConfigError
@@ -108,7 +108,7 @@ def _described_functions(group, pool=None):
         vals = st.lists(st.sampled_from(pool), min_size=len(prefixes), max_size=len(prefixes))
         return vals.map(lambda vs: (
             "diag cyl " + ",".join(f"{p}:{v}" for p, v in zip(prefixes, vs)),
-            CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), vs))),
+            CylinderDiagonal(tuple(zip(prefixes, vs))),
         ))
 
     leaves = st.one_of(
@@ -515,6 +515,22 @@ class TestExitCodes:
         assert "config error: levels must list at least one level" in capsys.readouterr().err
         cfg = write_config(tmp_path, text.replace("levels =", "levels = 1"))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+
+    @pytest.mark.parametrize("family, problem", [
+        ("diag cyl 0x:1(0),10:01(0)", "prefix must consist of 0/1 characters, got '0x'"),
+        ("diag cyl 10:1(0), 1 0:01(0)", "prefix must consist of 0/1 characters, got '1 0'"),
+        ("diag cyl 0:1(0),01:01(0)", "family cylinders must be pairwise disjoint: '0' overlaps '01'"),
+        ("diag cyl 1:1(0),0:01(0),:1(0)", "family cylinders must be pairwise disjoint: '1' overlaps ''"),
+    ])
+    def test_bad_cylinder_family_exits_two(self, tmp_path, family, problem, capsys):
+        # A diag cyl member is its prefix; the family checks the bits and the
+        # disjointness of its prefixes itself.
+        cfg = write_config(tmp_path, MINIMAL.replace("const 1(0)", family))
+        assert main(["approx-discrete", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: bad function description {family!r}: {problem}\n"
+        )
+        assert not (tmp_path / "rep").exists()
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = write_config(tmp_path, "not a config at all [")

@@ -4,16 +4,9 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcont.cantor import (
-    ALL_ONES,
-    CantorPoint,
-    ClopenSet,
-    Cylinder,
-    basis_index,
-    partition_at_depth,
-)
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, basis_index
 from sepcont.config import MAX_N
-from sepcont.discrete import DiscreteApproximator
+from sepcont.discrete import DiscreteApproximator, _limit_points
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -26,7 +19,14 @@ from sepcont.functions import (
     in_subbasic,
 )
 from sepcont.groups import get_group
-from grid import basis_cylinder, cell_pair_values, cell_range, grid_points
+from grid import (
+    basis_prefix,
+    cell_pair_values,
+    cell_prefixes,
+    cell_range,
+    grid_points,
+    limit_point,
+)
 from sym3 import symmetric_group_3
 from test_grid_values import functions as trees
 
@@ -52,7 +52,7 @@ def strip_cells(f, k, d):
     """The strip oracle, from pointwise evaluation: the indices of the
     depth-d cells u grouped by the value f takes alone at the sample points
     of u x V_k (x side) and of V_k x u (y side), V_k no deeper than d."""
-    band = cell_range(basis_cylinder(k), d)
+    band = cell_range(basis_prefix(k), d)
     values = cell_pair_values(f, d)
     x_cells, y_cells = {}, {}
     for i in range(1 << d):
@@ -77,7 +77,7 @@ def patch_cells(f, z, n, d):
     cells of V_k and the cells of V_k times y-strip cells, over k <= n."""
     out = set()
     for k in range(n + 1):
-        band = cell_range(basis_cylinder(k), d)
+        band = cell_range(basis_prefix(k), d)
         x_cells, y_cells = strip_cells(f, k, d)
         out |= {(i, j) for i in x_cells.get(z, ()) for j in band}
         out |= {(i, j) for i in band for j in y_cells.get(z, ())}
@@ -103,16 +103,16 @@ class TestStrips:
     def test_strip_soundness_by_sampling(self):
         # every (x, y) in X(z,k) x V_k and in V_k x Y(z,k) evaluates to z,
         # including limit points
-        cells = partition_at_depth(4)
+        cells = cell_prefixes(4)
         for k in range(7):
-            v = basis_cylinder(k)
-            vs = [cells[i].representative() for i in ClopenSet.from_cylinder(v).cell_indices(4)]
-            vs += [Cylinder(v.prefix + "1" * 3).limit_representative()]
+            v = basis_prefix(k)
+            vs = [CantorPoint(cells[i]) for i in ClopenSet.from_prefixes([v]).cell_indices(4)]
+            vs += [limit_point(v + "1" * 3)]
             x_sets, y_sets = strip_sets(DIAG, k, 3)
             for strips, at in ((x_sets, DIAG.eval), (y_sets, lambda u, w: DIAG.eval(w, u))):
                 for z, strip in strips.items():
-                    us = [cells[i].representative() for i in strip.cell_indices(4)]
-                    us += [cells[i].limit_representative() for i in strip.cell_indices(4)]
+                    us = [CantorPoint(cells[i]) for i in strip.cell_indices(4)]
+                    us += [limit_point(cells[i]) for i in strip.cell_indices(4)]
                     for u in us:
                         for w in vs:
                             assert at(u, w) == z
@@ -137,7 +137,7 @@ class TestPatches:
         engine = DiscreteApproximator(DIAG)
         n = basis_index("110")
         d = engine.working_depth(n)
-        square = set(product(cell_range(Cylinder("110"), d), repeat=2))
+        square = set(product(cell_range("110", d), repeat=2))
         assert square and square <= patch_cells(DIAG, A, n, d)
         g = engine.approximant(n)
         assert all(g.values[i][j] == A for i, j in square)
@@ -150,7 +150,7 @@ class TestPatches:
         for n in [6, 12]:
             d = engine.working_depth(n)
             g = engine.approximant(n)
-            cells = partition_at_depth(d)
+            cells = cell_prefixes(d)
             for z in engine.image[: n + 1]:
                 for i, j in patch_cells(DIAG, z, n, d):
                     for a in cell_range(cells[i], 4):
@@ -191,10 +191,10 @@ class TestApproximants:
         for n in [0, 4, 9]:
             g = engine.approximant(n)
             d = g.depth
-            for cell_x in partition_at_depth(d)[:4]:
-                for cell_y in partition_at_depth(d)[:4]:
-                    v1 = g.eval(cell_x.representative(), cell_y.representative())
-                    v2 = g.eval(cell_x.limit_representative(), cell_y.limit_representative())
+            for cell_x in cell_prefixes(d)[:4]:
+                for cell_y in cell_prefixes(d)[:4]:
+                    v1 = g.eval(CantorPoint(cell_x), CantorPoint(cell_y))
+                    v2 = g.eval(limit_point(cell_x), limit_point(cell_y))
                     assert v1 == v2
 
 
@@ -291,7 +291,7 @@ class TestC3Tables:
 # strips swept once per target value z, the working depth as a max over the
 # basis cylinders, and every depth-d cell tested against every patch rectangle.
 def brute_working_depth(n):
-    return max(1, max(basis_cylinder(k).depth() for k in range(n + 1)))
+    return max(1, max(len(basis_prefix(k)) for k in range(n + 1)))
 
 
 def brute_strips(f, z, k, d):
@@ -305,7 +305,7 @@ def brute_patch(f, z, n, d):
     rects = []
     for k in range(n + 1):
         x_strip, y_strip = brute_strips(f, z, k, d)
-        v = ClopenSet.from_cylinder(basis_cylinder(k))
+        v = ClopenSet.from_prefixes([basis_prefix(k)])
         if not x_strip.is_empty():
             rects.append((x_strip, v))
         if not y_strip.is_empty():
@@ -314,7 +314,7 @@ def brute_patch(f, z, n, d):
 
 
 def brute_meets(rects, u, v):
-    cu, cv = ClopenSet.from_cylinder(u), ClopenSet.from_cylinder(v)
+    cu, cv = ClopenSet.from_prefixes([u]), ClopenSet.from_prefixes([v])
     return any(
         not cu.intersect(a).is_empty() and not cv.intersect(b).is_empty() for a, b in rects
     )
@@ -325,7 +325,7 @@ def brute_approximant(f, n):
     level = image(f)[: n + 1]
     patches = [(z, brute_patch(f, z, n, d)) for z in level]
     patches = [(z, p) for z, p in patches if p]
-    cells = partition_at_depth(d)
+    cells = cell_prefixes(d)
     rows = []
     for u in cells:
         row = []
@@ -334,7 +334,7 @@ def brute_approximant(f, n):
             if hits:
                 row.append(hits[0])
             else:
-                row.append(f.eval(u.limit_representative(), v.limit_representative()))
+                row.append(f.eval(limit_point(u), limit_point(v)))
         rows.append(tuple(row))
     return TableFunction(d, tuple(rows))
 
@@ -362,7 +362,7 @@ dyadic_families = st.one_of(
     _cyl_prefixes.flatmap(
         lambda prefixes: st.lists(
             st.sampled_from(DYADIC_POOL), min_size=len(prefixes), max_size=len(prefixes)
-        ).map(lambda vals: CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), vals))))
+        ).map(lambda vals: CylinderDiagonal(tuple(zip(prefixes, vals))))
     ),
 )
 
@@ -383,6 +383,16 @@ families = st.one_of(dyadic_families, tables(C3_POOL, 2), tables(S3_POOL, 2))
 
 
 class TestLimitTables:
+    def test_limit_points_end_in_their_last_bit(self):
+        # Each depth-d cell's prefix followed by its last bit forever: the
+        # all-ones cell gives the all-ones point, and depth 0 the zero point.
+        assert _limit_points(0) == (CantorPoint("", "0"),)
+        assert _limit_points(2) == (
+            CantorPoint("", "0"), CantorPoint("01", "1"), CantorPoint("1", "0"), ALL_ONES,
+        )
+        for d in range(7):
+            assert _limit_points(d) == tuple(map(limit_point, cell_prefixes(d)))
+
     def test_diag_tables_at_depths_one_and_three(self):
         # [0] x [0] lies in member 0, where f is A; the cross pairs are off
         # every block and the corner is the identity.  At depth 3, [110] x
@@ -398,9 +408,9 @@ class TestLimitTables:
         # Against pointwise evaluation, through one depth change past MAX_N.
         engine = DiscreteApproximator(f)
         for n in range(MAX_N + 4):
-            cells = partition_at_depth(brute_working_depth(n))
+            cells = cell_prefixes(brute_working_depth(n))
             expected = tuple(
-                tuple(f.eval(u.limit_representative(), v.limit_representative()) for v in cells)
+                tuple(f.eval(limit_point(u), limit_point(v)) for v in cells)
                 for u in cells
             )
             assert engine.approximant(n).values == expected, n
@@ -451,9 +461,9 @@ class TestMonotonePainting:
         # A painted cell pair carries f's value at its limit representatives,
         # so g_n is that table whatever the patches.
         for n in range(MAX_N + 1):
-            cells = partition_at_depth(brute_working_depth(n))
+            cells = cell_prefixes(brute_working_depth(n))
             for (i, j), z in painted(f, n).items():
-                u, v = cells[i].limit_representative(), cells[j].limit_representative()
+                u, v = limit_point(cells[i]), limit_point(cells[j])
                 assert f.eval(u, v) == z, (n, i, j)
 
     @given(st.one_of(families, trees))
@@ -497,8 +507,8 @@ class TestTableSectionPartition:
         # cells of each value united, keyed in canonical order.
         at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
         cells: dict = {}
-        for u in partition_at_depth(f.depth):
-            cells.setdefault(at(u.representative()), []).append(u.prefix)
+        for u in cell_prefixes(f.depth):
+            cells.setdefault(at(CantorPoint(u)), []).append(u)
         slow = {z: ClopenSet.from_prefixes(cells[z]) for z in f.group.sort_canonically(cells)}
         fast = f.section_partition(axis, fixed)
         assert list(fast) == list(slow)
@@ -513,12 +523,12 @@ def trie_in_subbasic(f, nbhd):
     axis, fixed, region = nbhd.sides()
     at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
     allowed_region = ClopenSet.from_prefixes(
-        u.prefix for u in partition_at_depth(f.depth) if at(u.representative()) in nbhd.allowed
+        u for u in cell_prefixes(f.depth) if at(CantorPoint(u)) in nbhd.allowed
     )
     violating = region.intersect(allowed_region.complement())
     if violating.is_empty():
         return MembershipResult(True)
-    t = violating.cylinders()[0].representative()
+    t = CantorPoint(violating.prefixes()[0])
     fx, fy = (fixed, t) if axis == "x" else (t, fixed)
     return MembershipResult(False, (fx, fy, f.eval(fx, fy)))
 
@@ -553,9 +563,9 @@ class TestTableMembership:
         # U is the section's values on the region (a member), those less
         # one value (a near miss), or a random set.
         d = max(f.depth, region.depth())
-        cells = partition_at_depth(d)
+        cells = cell_prefixes(d)
         at = (lambda t: f.eval(fixed, t)) if axis == "x" else (lambda t: f.eval(t, fixed))
-        hit = frozenset(at(cells[i].representative()) for i in region.cell_indices(d))
+        hit = frozenset(at(CantorPoint(cells[i])) for i in region.cell_indices(d))
         near = [hit - {z} for z in sorted(hit, key=str)]
         allowed = data.draw(
             st.one_of(
@@ -591,7 +601,7 @@ class TestTableMembership:
 # The failing probes of configs/discrete-witness.cfg: each fails at its
 # first stages and names a witness there.
 WITNESS_F = CylinderDiagonal(
-    ((Cylinder("11"), DYADIC.parse_element("1101(100)")), (Cylinder("00"), A))
+    (("11", DYADIC.parse_element("1101(100)")), ("00", A))
 )
 WITNESS_PROBES = (
     SubbasicNbhd(ClopenSet.parse("{0}"), CantorPoint.parse("01(0)"), frozenset(), "p01"),

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.config import parse_function
 from sepcont.functions import (
     Constant,
@@ -33,7 +33,7 @@ B = DYADIC.parse_element("01(0)")
 
 DIAG = OnesDiagonal((A,))
 MULTI = OnesDiagonal((A, B, DYADIC.parse_element("001(0)")))
-FINITE_DIAG = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("10"), B)))
+FINITE_DIAG = CylinderDiagonal((("0", A), ("10", B)))
 
 PROBE_POINTS = [CantorPoint.parse(s) for s in ["(0)", "(1)", "10(0)", "110(0)", "01(1)", "1(10)"]]
 
@@ -84,7 +84,7 @@ class TestEval:
 
     def test_disjointness_validated(self):
         with pytest.raises(ValueError):
-            CylinderDiagonal(((Cylinder("0"), A), (Cylinder("01"), B)))
+            CylinderDiagonal((("0", A), ("01", B)))
 
     def test_table_lookup(self):
         t = TableFunction(1, ((E, A), (A, E)))
@@ -124,7 +124,7 @@ class TestOnesSchedule:
                     value = vals[n] if n < len(vals) else e
                     tail = frozenset(vals[n:]) | {e}
                 point, memo = CantorPoint("1" * n, "0"), GridMemo()
-                ones = memo.exact_points((f,), ClopenSet.from_cylinder(Cylinder("1" * n)))
+                ones = memo.exact_points((f,), ClopenSet.from_prefixes(["1" * n]))
                 assert f.value_at(n) == value
                 assert set(f.grid_values(ones, ones, memo)) == tail | {e}
                 assert f.eval(point, point) == value
@@ -196,7 +196,7 @@ class TestSectionPreimage:
         assert preimage(DIAG, "x", x, E) == ClopenSet.parse("{110}").complement()
 
     def test_diag_member_covering_the_line_has_no_identity_piece(self):
-        whole = CylinderDiagonal(((Cylinder(""), A),))
+        whole = CylinderDiagonal((("", A),))
         assert whole.section_partition("y", PROBE_POINTS[2]) == {A: ClopenSet.whole()}
         assert DIAG.section_partition("x", ALL_ONES) == {E: ClopenSet.whole()}
 
@@ -328,7 +328,7 @@ class TestInSubbasic:
         res = in_subbasic(DIAG, nb)
         assert not res.member
         wx, wy, val = res.witness
-        assert val == A and Cylinder("110").contains(wy)
+        assert val == A and wy.starts_with("110")
 
     def test_singleton_both_sides(self):
         nb = SubbasicNbhd(CantorPoint.parse("0(0)"), CantorPoint.parse("0(0)"), frozenset([A]))

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, partition_at_depth
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.config import load_experiment, parse_function
 from sepcont.errors import ConfigError
 from sepcont.functions import (
@@ -53,7 +53,7 @@ from sepcont.functions import (
 from sepcont.groups import ball_net, get_group
 from sepcont.uniform import BallQuery, BallResult, ball_membership, problem3_check
 from sepcont.zerodim import DiagonalLevelResult, DiagonalReport, ZerodimPipeline
-from grid import factor_approximants, grid_points, replace_factor
+from grid import cell_prefixes, factor_approximants, grid_points, replace_factor
 from sym3 import S3_LEFT, symmetric_group_3
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -91,7 +91,7 @@ def _family(pool):
     return st.sampled_from(FAMILY_PREFIXES).flatmap(
         lambda prefixes: st.lists(
             st.sampled_from(pool), min_size=len(prefixes), max_size=len(prefixes)
-        ).map(lambda vals: CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), vals))))
+        ).map(lambda vals: CylinderDiagonal(tuple(zip(prefixes, vals))))
     )
 
 
@@ -233,8 +233,8 @@ def side_points(side, depth):
     if isinstance(side, CantorPoint):
         return (side,)
     d = max(depth, side.depth())
-    cells = partition_at_depth(d)
-    return tuple(cells[i].representative() for i in side.cell_indices(d))
+    cells = cell_prefixes(d)
+    return tuple(CantorPoint(cells[i]) for i in side.cell_indices(d))
 
 
 def brute_uniform_dist(f, g, side):
@@ -394,7 +394,7 @@ class TestGridValues:
             identity = pool[0].group.identity()
             f = OnesDiagonal((identity,), prefix=tuple(pool[: len(prefixes)]))
         else:
-            f = CylinderDiagonal(tuple(zip(map(Cylinder, prefixes), pool)))
+            f = CylinderDiagonal(tuple(zip(prefixes, pool)))
         calls = []
         axis_key = f.axis_key
         object.__setattr__(f, "axis_key", lambda p: calls.append(p) or axis_key(p))
@@ -697,7 +697,7 @@ class TestUniformChecksMatchBruteForce:
         # f^-1 g = s everywhere, so g is in the l-ball; g f^-1 is the
         # reflection r s r^-1 on [1] x [1], so it is not in the r-ball.
         r, s = (S3_LEFT.parse_element(t) for t in ("r", "s"))
-        f = CylinderDiagonal(((Cylinder("1"), r),))
+        f = CylinderDiagonal((("1", r),))
         g = PointwiseProduct(f, Constant(s))
         got = {}
         for side in ("l", "r", "lr", "rl"):
@@ -999,7 +999,7 @@ class TestExactPoints:
         # Two pairs with one resolution (D, P) = (2, 2) share the tuple, so
         # the leaf values over it are found again; so do two probe sides.
         a, b = POOLS[0][1:3]
-        f, g = OnesDiagonal((a, b)), CylinderDiagonal(((Cylinder("01"), a),))
+        f, g = OnesDiagonal((a, b)), CylinderDiagonal((("01", a),))
         h = TableFunction(2, ((b,) * 4,) * 4)
         memo = GridMemo()
         pts = memo.exact_points((f, g))

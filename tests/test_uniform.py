@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -126,7 +126,7 @@ S3_R, S3_S, S3_SR = (S3_LEFT.parse_element(t) for t in ("r", "s", "sr"))
 S3_POOL = (
     OnesDiagonal((S3_R,), prefix=(S3_S,)),
     OnesDiagonal((S3_S, S3_SR)),
-    CylinderDiagonal(((Cylinder("1"), S3_R),)),
+    CylinderDiagonal((("1", S3_R),)),
     TableFunction(1, ((S3_R, S3_LEFT.identity()), (S3_S, S3_SR))),
     Constant(S3_SR),
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet, Cylinder, partition_at_depth
+from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
@@ -23,7 +23,14 @@ from sepcont import config, zerodim
 from sepcont.cli import main
 from sepcont.groups import DyadicGroup, get_group
 from sepcont.zerodim import ZerodimPipeline, _cover, build_tower
-from grid import factor, factor_approximants, grid_points, replace_factor
+from grid import (
+    cell_prefixes,
+    factor,
+    factor_approximants,
+    grid_points,
+    limit_point,
+    replace_factor,
+)
 from sym3 import S3_LEFT
 
 DYADIC = get_group("dyadic")
@@ -239,7 +246,7 @@ class TestPipeline:
         # grid reaches; the altered factor maps b, a value of f, to A, which
         # is not in net(2).
         b = DYADIC.parse_element("01(0)")
-        f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
+        f = CylinderDiagonal((("0", A), ("11111", b)))
         pipe = ZerodimPipeline(f, n_max=3)
         pts = grid_points(4)
         assert b not in {f.eval(x, y) for x, y in product(pts, repeat=2)}
@@ -285,7 +292,7 @@ class TestPipeline:
         # net(2): every value of phi_2 stays in net(2), but r_2(b) phi_2(b)
         # is no longer r_3(b), so condition (3) fails at level 3 alone.
         b = DYADIC.parse_element("01(0)")
-        f = CylinderDiagonal(((Cylinder("0"), A), (Cylinder("11111"), b)))
+        f = CylinderDiagonal((("0", A), ("11111", b)))
         pipe = ZerodimPipeline(f, n_max=3)
         pts = grid_points(4)
         assert b in image(f)
@@ -338,7 +345,7 @@ class TestFactorAsMap:
         # of the depth-3 cells, where a factor's approximants of working
         # depth 3 read it.
         pipe, memo = factor_pipe, GridMemo()
-        limits = tuple(c.limit_representative() for c in partition_at_depth(3))
+        limits = tuple(map(limit_point, cell_prefixes(3)))
         for pts in (memo.exact_points((pipe.f,)), limits):
             f_vals = pipe.f.grid_values(pts, pts, memo)
             for n in range(pipe.n_max + 1):
@@ -351,7 +358,7 @@ dyadic_trees = st.recursive(
     st.one_of(
         st.lists(st.sampled_from(DYADIC_POOL), min_size=1, max_size=3).map(tuple).map(OnesDiagonal),
         st.lists(st.sampled_from(DYADIC_POOL), min_size=2, max_size=2).map(
-            lambda vals: CylinderDiagonal(tuple(zip((Cylinder("0"), Cylinder("11")), vals)))
+            lambda vals: CylinderDiagonal(tuple(zip(("0", "11"), vals)))
         ),
         st.lists(st.sampled_from(DYADIC_POOL), min_size=16, max_size=16).map(_table),
     ),
