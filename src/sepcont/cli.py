@@ -24,7 +24,7 @@ from sepcont.cantor import CantorPoint
 from sepcont.config import Experiment, load_experiment
 from sepcont.discrete import DiscreteApproximator
 from sepcont.errors import ConfigError, SepcontError
-from sepcont.functions import GridMemo, image
+from sepcont.functions import image
 from sepcont.groups import GroupElement, ball_net
 from sepcont.reports import (
     build_manifest,
@@ -139,10 +139,9 @@ def cmd_approx_zerodim(exp: Experiment, timings: dict[str, float]) -> tuple[dict
 
 def cmd_ball(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
     records = []
-    memo = GridMemo()
     with _timed(timings, "ball"):
         for q in exp.ball_queries:
-            res = ball_membership(q, memo)
+            res = ball_membership(q)
             records.append(
                 {
                     "probe_id": q.probe_id,

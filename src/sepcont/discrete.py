@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from sepcont.cantor import CantorPoint, basis_index
-from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
+from sepcont.functions import SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
 from sepcont.groups import GroupElement
 
 
@@ -49,15 +49,12 @@ def _limit_points(d: int) -> tuple[CantorPoint, ...]:
 
 
 class DiscreteApproximator:
-    """Builds and caches the locally constant approximants of one function.
-    ``memo`` is the one ``image`` and the approximants read; a fresh memo
-    gives the same engine."""
+    """Builds and caches the locally constant approximants of one function."""
 
-    def __init__(self, f: SepFunction, memo: GridMemo | None = None):
+    def __init__(self, f: SepFunction):
         self.f = f
         self.group = f.group
-        self.memo = memo if memo is not None else GridMemo()
-        self.image = image(f, self.memo)
+        self.image = image(f)
         self._tables: dict[int, TableFunction] = {}
 
     def working_depth(self, n: int) -> int:
@@ -75,7 +72,7 @@ class DiscreteApproximator:
         ``grid_values`` call per depth."""
         if d not in self._tables:
             pts, size = _limit_points(d), 1 << d
-            values = self.f.grid_values(pts, pts, self.memo)
+            values = self.f.grid_values(pts, pts)
             rows = (tuple(values[i : i + size]) for i in range(0, size * size, size))
             self._tables[d] = TableFunction(d, tuple(rows))
         return self._tables[d]

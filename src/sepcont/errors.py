@@ -9,7 +9,3 @@ class SepcontError(Exception):
 
 class ConfigError(SepcontError):
     """Config file failed to parse or validate (CLI exit 2)."""
-
-
-class GroupMismatchError(SepcontError):
-    """Operands belong to different group instances."""

@@ -14,29 +14,32 @@ Also houses the subbasic neighbourhoods [K_X x K_Y, U] (one side a
 singleton, so every probe reads one section partition), the uniform
 distance and the kernel behind every sup a check takes:
 
-* ``GridMemo.exact_points`` — a finite point set, read off the leaves,
-  that meets every value class of a check's functions on a side: a few
-  points per side, 2^D + P on the whole square;
+* ``exact_points`` — a finite point set, read off the leaves, that meets
+  every value class of a check's functions on a side: a few points per
+  side, 2^D + P on the whole square;
 * ``SepFunction.grid_values`` — a function's values on the points of a
   rectangle xs x ys, x-major, the one lowering of a combinator tree onto
   a grid;
 * ``DiagonalIndicator.axis_key`` and ``pair_value`` — a diagonal leaf
   read one axis at a time, through the index of the member holding each
   coordinate, so its values on a rectangle take one key per point;
-* ``GridMemo.pairwise`` — an operation on two zipped value lists, run
-  once per distinct pair of values;
+* ``pairwise`` — an operation on two zipped value lists, run once per
+  distinct pair of values in the call;
 * ``value_pairs`` — the distinct pairs of two zipped value lists, in the
   order of their first points; ``grid_sup`` — the max of an operation over
   them, witnessed by the first point of the first pair attaining it, which
   ``exact_sup`` takes over the square's or a probe's ``exact_rectangle``;
 * ``image`` — the values a function takes, f(X x Y) itself, read off the
   exact points of the square.
+
+Each of these is a function of its arguments alone: nothing is kept
+between calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, starmap
 from math import lcm
 from typing import Iterable, Literal, NamedTuple
 
@@ -71,9 +74,8 @@ class SepFunction:
         """The leaves of the combinator tree, left to right."""
         return (self,)
 
-    def grid_values(self, xs, ys, memo: "GridMemo") -> list[GroupElement]:
-        """The value at each point of xs x ys, x-major.  The list may be
-        one the memo keeps, so do not mutate it."""
+    def grid_values(self, xs, ys) -> list[GroupElement]:
+        """The value at each point of xs x ys, x-major."""
         raise NotImplementedError
 
 
@@ -101,7 +103,7 @@ class Constant(SepFunction):
     def section_partition(self, axis, fixed):
         return {self.value: ClopenSet.whole()}
 
-    def grid_values(self, xs, ys, memo):
+    def grid_values(self, xs, ys):
         return [self.value] * (len(xs) * len(ys))
 
 
@@ -135,10 +137,11 @@ class TableFunction(SepFunction):
             z: ClopenSet.from_cells(cells[z], self.depth) for z in self.group.sort_canonically(cells)
         }
 
-    def grid_values(self, xs, ys, memo):
-        cols = memo.cells(ys, self.depth)
-        return [row[j] for row in map(self.values.__getitem__, memo.cells(xs, self.depth))
-                for j in cols]
+    def grid_values(self, xs, ys):
+        depth = self.depth
+        cols = [_cell(p, depth) for p in ys]
+        rows = cols if xs is ys else [_cell(p, depth) for p in xs]
+        return [row[j] for row in map(self.values.__getitem__, rows) for j in cols]
 
 
 class DiagonalIndicator(SepFunction):
@@ -159,8 +162,15 @@ class DiagonalIndicator(SepFunction):
     def eval(self, x: CantorPoint, y: CantorPoint) -> GroupElement:
         return self.pair_value(self.axis_key(x), self.axis_key(y))
 
-    def grid_values(self, xs, ys, memo):
-        return memo.leaf_values(self, xs, ys)
+    def grid_values(self, xs, ys):
+        """The axis key of each point, the value once per distinct key of
+        xs, and the identity wherever the two keys differ (``pair_value``);
+        two all-ones coordinates, both keyed None, take the identity too."""
+        kx = list(map(self.axis_key, xs))
+        ky = kx if ys is xs else list(map(self.axis_key, ys))
+        one = self.group.identity()
+        at = {a: one if a is None else self.value_at(a) for a in set(kx)}
+        return [at[a] if a == b else one for a in kx for b in ky]
 
     def pair_value(self, a: int | None, b: int | None) -> GroupElement:
         """The value at points whose axis keys, member indices or None, are a
@@ -258,8 +268,8 @@ class PostCompose(SepFunction):
     def _leaves(self):
         return self.inner._leaves()
 
-    def grid_values(self, xs, ys, memo):
-        return list(map(self.mapping.__getitem__, self.inner.grid_values(xs, ys, memo)))
+    def grid_values(self, xs, ys):
+        return list(map(self.mapping.__getitem__, self.inner.grid_values(xs, ys)))
 
 
 class PointwiseInverse(SepFunction):
@@ -282,9 +292,9 @@ class PointwiseInverse(SepFunction):
     def _leaves(self):
         return self.inner._leaves()
 
-    def grid_values(self, xs, ys, memo):
+    def grid_values(self, xs, ys):
         """inv runs once per distinct value, however many points take it."""
-        inner = self.inner.grid_values(xs, ys, memo)
+        inner = self.inner.grid_values(xs, ys)
         inverse = {z: self.group.inv(z) for z in set(inner)}
         return list(map(inverse.__getitem__, inner))
 
@@ -318,9 +328,10 @@ class PointwiseProduct(SepFunction):
     def _leaves(self):
         return self.left._leaves() + self.right._leaves()
 
-    def grid_values(self, xs, ys, memo):
-        left, right = self.left.grid_values(xs, ys, memo), self.right.grid_values(xs, ys, memo)
-        return memo.pairwise(self.group.mul, left, right)
+    def grid_values(self, xs, ys):
+        """mul runs once per distinct pair of values (``pairwise``)."""
+        return pairwise(self.group.mul, self.left.grid_values(xs, ys),
+                        self.right.grid_values(xs, ys))
 
 
 def resolution(fns: Iterable[SepFunction]) -> tuple[int, int]:
@@ -342,98 +353,45 @@ def resolution(fns: Iterable[SepFunction]) -> tuple[int, int]:
     return depth, period
 
 
-class GridMemo:
-    """Memo tables for the sweeps.
+def exact_points(fns: Iterable[SepFunction], side: ClopenSet | CantorPoint = ClopenSet.whole(),
+                 fixed: CantorPoint | None = None) -> tuple[CantorPoint, ...]:
+    """Points of ``side`` that meet every value class of fns on it, in
+    lexicographic order, so a max over them is the sup over the side.
 
-    A sweep meets only a few distinct group elements, so every binary
-    operation a sweep runs (group ``mul``, ``dist``, a ball test) goes
-    through ``pairwise``, which keeps one table per operation and runs it
-    once per distinct pair of values.  ``cells`` keeps the cell indices of
-    a point tuple per depth and ``leaf_values`` a diagonal leaf's values
-    per rectangle, and ``exact_points`` hands out one point tuple per point
-    set so those are found again.  A memo lives on one pipeline, one call
-    or one ``ball`` job and is never shared across jobs.
+    A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``:
+    the representative (prefix, then 0^w) of each cylinder of side, cut
+    into its depth-D cells where it is shallower, and the points 1^k 0^w in
+    side for k in [C, C + P], C = max(D, depth of the all-ones cylinder of
+    side), and, for a probe's fixed point with j leading ones, k = j.  Each
+    is the first point of its class on any grid that holds them all, and
+    their number grows with the cylinders of side, not with its depth."""
+    if isinstance(side, CantorPoint):
+        return (side,)
+    depth, period = resolution(fns)
+    prefixes = side.prefixes()
+    corner = max([depth, *(len(s) for s in prefixes if "0" not in s)])
+    matched = fixed.leading_ones() if fixed is not None else None
+    ones = {CantorPoint("1" * k) for k in {*range(corner, corner + period + 1), matched}
+            if k is not None}
+    points = {CantorPoint(s + "".join(bits)) for s in prefixes
+              for bits in product("01", repeat=max(0, depth - len(s)))}
+    points.update(p for p in ones if side.contains(p))
+    # Each point is its preperiod, empty or ending in a 1, then 0^w, so the
+    # order of the preperiods is the lexicographic order of the points.
+    return tuple(sorted(points, key=lambda p: p.preperiod))
 
-    The op tables are keyed by value; elements are canonical, so a lookup
-    compares pointers.  Cell and leaf value lists are keyed on the identity
-    of the leaves and point tuples they were built from, which their
-    entries hold, so no id is reused while the memo lives.
-    """
 
-    def __init__(self):
-        self._points: dict[tuple, tuple[CantorPoint, ...]] = {}
-        self._tables: dict[object, dict[tuple, object]] = {}
-        self._cells: dict[tuple[int, int], tuple] = {}
-        self._leaf_values: dict[tuple[int, int, int], tuple] = {}
-
-    def exact_points(self, fns: Iterable[SepFunction],
-                     side: ClopenSet | CantorPoint = ClopenSet.whole(),
-                     fixed: CantorPoint | None = None) -> tuple[CantorPoint, ...]:
-        """Points of ``side`` that meet every value class of fns on it, in
-        lexicographic order, so a max over them is the sup over the side;
-        one kept tuple per point set, so its cell and leaf value lists are
-        found again.
-
-        A point side is itself.  Otherwise, with (D, P) = ``resolution(fns)``:
-        the representative (prefix, then 0^w) of
-        each cylinder of side, cut into its depth-D cells where it is
-        shallower, and the points 1^k 0^w in side for k in [C, C + P],
-        C = max(D, depth of the all-ones cylinder of side), and, for a
-        probe's fixed point with j leading ones, k = j.  Each is the first
-        point of its class on any grid that holds them all, and their number
-        grows with the cylinders of side, not with its depth."""
-        if isinstance(side, CantorPoint):
-            return self._points.setdefault((side,), (side,))
-        depth, period = resolution(fns)
-        key = (depth, period, side, fixed.leading_ones() if fixed is not None else None)
-        if key not in self._points:
-            prefixes = side.prefixes()
-            corner = max([depth, *(len(s) for s in prefixes if "0" not in s)])
-            ones = {CantorPoint("1" * k) for k in {*range(corner, corner + period + 1), key[3]}
-                    if k is not None}
-            points = {CantorPoint(s + "".join(bits)) for s in prefixes
-                      for bits in product("01", repeat=max(0, depth - len(s)))}
-            points.update(p for p in ones if side.contains(p))
-            top = max(len(p.preperiod) for p in points) if points else 0
-            t = tuple(sorted(points, key=lambda p: _cell(p, top)))
-            # Keyed by the points too, so equal point sets share one tuple.
-            self._points[key] = self._points.setdefault(t, t)
-        return self._points[key]
-
-    def pairwise(self, op, left: Iterable, right: Iterable) -> list:
-        """op(a, b) for each zipped pair, run once per distinct value pair
-        for as long as the memo lives; each op has its own table, so equal
-        values of two types, as ``False == Fraction(0)``, never meet."""
-        table = self._tables.setdefault(op, {})
-        out = []
-        for key in zip(left, right):
-            c = table.get(key)
-            if c is None:
-                c = table[key] = op(*key)
-            out.append(c)
-        return out
-
-    def cells(self, pts, depth: int) -> list[int]:
-        """The index of the depth-``depth`` cell holding each point of pts,
-        once per (pts, depth)."""
-        key = (id(pts), depth)
-        if key not in self._cells:
-            self._cells[key] = pts, [_cell(p, depth) for p in pts]
-        return self._cells[key][1]
-
-    def leaf_values(self, leaf: DiagonalIndicator, xs, ys) -> list[GroupElement]:
-        """leaf's values on xs x ys, x-major, once per (leaf, xs, ys): its
-        axis key at each point, its value once per distinct key of xs, and
-        the identity wherever the two keys differ (``pair_value``)."""
-        key = (id(leaf), id(xs), id(ys))
-        if key not in self._leaf_values:
-            kx = list(map(leaf.axis_key, xs))
-            ky = kx if ys is xs else list(map(leaf.axis_key, ys))
-            one = leaf.group.identity()
-            at = {a: leaf.value_at(a) for a in set(kx) - {None}}
-            values = [at[a] if a == b and a is not None else one for a in kx for b in ky]
-            self._leaf_values[key] = leaf, xs, ys, values
-        return self._leaf_values[key][3]
+def pairwise(op, left: Iterable, right: Iterable) -> list:
+    """op(a, b) for each zipped pair, run once per distinct pair of values
+    in this call."""
+    table: dict[tuple, object] = {}
+    out = []
+    for key in zip(left, right):
+        c = table.get(key)
+        if c is None:
+            c = table[key] = op(*key)
+        out.append(c)
+    return out
 
 
 class SubbasicNbhd:
@@ -490,61 +448,51 @@ def value_pairs(left: list, right: list) -> list[tuple]:
 
 
 def grid_sup(op, f: SepFunction, g: SepFunction, xs: tuple[CantorPoint, ...],
-             ys: tuple[CantorPoint, ...], memo: GridMemo) -> tuple:
+             ys: tuple[CantorPoint, ...]) -> tuple:
     """The max of op(f(p), g(p)) over p in xs x ys, op run once per distinct
-    pair (``value_pairs``, ``memo.pairwise``), and the first point, x-major,
-    of the first pair attaining it; (0, None) on an empty rectangle."""
-    fv, gv = f.grid_values(xs, ys, memo), g.grid_values(xs, ys, memo)
+    pair (``value_pairs``), and the first point, x-major, of the first pair
+    attaining it; (0, None) on an empty rectangle."""
+    fv, gv = f.grid_values(xs, ys), g.grid_values(xs, ys)
     pairs = value_pairs(fv, gv)
     if not pairs:
         return Fraction(0), None
-    values = memo.pairwise(op, *zip(*pairs))
+    values = list(starmap(op, pairs))
     best = max(values)
     i, j = divmod(list(zip(fv, gv)).index(pairs[values.index(best)]), len(ys))
     return best, (xs[i], ys[j])
 
 
-def exact_rectangle(fns: tuple, memo: GridMemo, probe: SubbasicNbhd | None = None) -> tuple:
+def exact_rectangle(fns: tuple, probe: SubbasicNbhd | None = None) -> tuple:
     """(xs, ys): the exact points of fns on the whole square or the probe rectangle."""
     if probe is None:
-        return (memo.exact_points(fns),) * 2
+        return (exact_points(fns),) * 2
     axis, fixed, other = probe.sides()
-    one, side = memo.exact_points((), fixed), memo.exact_points(fns, other, fixed)
+    one, side = (fixed,), exact_points(fns, other, fixed)
     return (one, side) if axis == "x" else (side, one)
 
 
-def exact_sup(op, f: SepFunction, g: SepFunction, memo: GridMemo,
-              probe: SubbasicNbhd | None = None) -> tuple:
+def exact_sup(op, f: SepFunction, g: SepFunction, probe: SubbasicNbhd | None = None) -> tuple:
     """``grid_sup`` over the ``exact_rectangle`` of f and g."""
-    return grid_sup(op, f, g, *exact_rectangle((f, g), memo, probe), memo)
+    return grid_sup(op, f, g, *exact_rectangle((f, g), probe))
 
 
-def image(f: SepFunction, memo: GridMemo | None = None) -> tuple[GroupElement, ...]:
+def image(f: SepFunction) -> tuple[GroupElement, ...]:
     """f(X x Y) in canonical order: f's values on the exact points of the
-    square, which meet every value class of f.  ``memo`` may be shared with
-    the checks of one pipeline or job, which then find its points and leaf
-    values again; a fresh memo gives the same image."""
-    memo = memo if memo is not None else GridMemo()
-    pts = memo.exact_points((f,))
-    return tuple(f.group.sort_canonically(set(f.grid_values(pts, pts, memo))))
+    square, which meet every value class of f."""
+    pts = exact_points((f,))
+    return tuple(f.group.sort_canonically(set(f.grid_values(pts, pts))))
 
 
-def uniform_dist(
-    f: SepFunction,
-    g: SepFunction,
-    side: Literal["l", "r"],
-    memo: GridMemo | None = None,
-) -> DistResult:
+def uniform_dist(f: SepFunction, g: SepFunction, side: Literal["l", "r"]) -> DistResult:
     """Sup over Cantor x Cantor of d(1, f^-1 g) (side l) or d(1, g f^-1)
     (side r), with its first witness.  The metric is left-invariant, so
     these are d(f, g) and d(g^-1, f^-1)."""
-    memo = memo if memo is not None else GridMemo()
-    best, point = exact_sup(f.group.dist if side == "l" else _inverse_dist, f, g, memo)
+    best, point = exact_sup(f.group.dist if side == "l" else _inverse_dist, f, g)
     return DistResult(best, point if best > 0 else None)
 
 
 def _inverse_dist(a: GroupElement, b: GroupElement) -> Fraction:
-    """d(b^-1, a^-1), side r of ``uniform_dist``: one op, so one memo table."""
+    """d(b^-1, a^-1), side r of ``uniform_dist``."""
     group = a.group
     return group.dist(group.inv(b), group.inv(a))
 

@@ -16,12 +16,11 @@ closure distance is a max over the map's items, with no sweep.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
 from sepcont.cantor import CantorPoint
-from sepcont.functions import GridMemo, SepFunction, SubbasicNbhd, exact_sup, image, uniform_dist
+from sepcont.functions import SepFunction, SubbasicNbhd, exact_sup, image, uniform_dist
 from sepcont.groups import GroupElement
 
 # uniform_dist is only re-exported: the benchmark's tracer test reads it here.
@@ -49,28 +48,23 @@ class BallResult(NamedTuple):
     witness: tuple[CantorPoint, CantorPoint] | None
 
 
-def ball_membership(q: BallQuery, memo: GridMemo | None = None) -> BallResult:
+def ball_membership(q: BallQuery) -> BallResult:
     """Exact decision of candidate in B_side[center, eps].
 
     l: d(1, f^-1 g) < eps everywhere; r: with g f^-1; lr: both; rl: some
     u, u' with d(1, u), d(1, u') < eps and g = u f u', decided exactly by
     ``two_sided_member``.  The test runs once per distinct pair of values
     (see ``exact_sup``); the witness is the first failing exact point,
-    x-major.  ``memo`` may be shared by the queries of one job, which then
-    build each point set and each leaf's values on it once; a fresh memo
-    gives the same result.
+    x-major.
     """
-    memo = memo if memo is not None else GridMemo()
     # True > False, so the max is True when some point fails, and the
     # witness is the first failing point.
-    outside, witness = exact_sup(_outside(q.side, q.eps), q.center, q.candidate, memo)
+    outside, witness = exact_sup(_outside(q.side, q.eps), q.center, q.candidate)
     return BallResult(False, witness) if outside else BallResult(True, None)
 
 
-@functools.cache
 def _outside(side: Side, eps: Fraction):
-    """Whether a pair (f's value, g's value) fails the ball test: one op per
-    (side, eps), so equal queries on one memo share its table."""
+    """The test whether a pair (f's value, g's value) fails the ball."""
     # By left invariance d(1, f^-1 g) = d(f, g) and d(1, g f^-1) = d(g^-1, f^-1).
     def op(fv, gv) -> bool:
         group = fv.group
@@ -153,9 +147,8 @@ def problem3_check(
 
     if not isinstance(f.group, RealBoundedGroup):
         raise ValueError("candidate verifier runs over the bounded-real group")
-    memo = GridMemo()
-    sup_raw, witness = exact_sup(lambda a, b: abs(a.payload - b.payload), f, g, memo)
-    values = sorted(z.payload for z in image(g, memo))
+    sup_raw, witness = exact_sup(lambda a, b: abs(a.payload - b.payload), f, g)
+    values = sorted(z.payload for z in image(g))
     gaps = [b - a for a, b in zip(values, values[1:])]
     return Problem3Report(
         sup_raw=sup_raw,

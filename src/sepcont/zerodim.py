@@ -38,13 +38,13 @@ from typing import Iterable, NamedTuple
 
 from sepcont.functions import (
     DistResult,
-    GridMemo,
     PostCompose,
     SepFunction,
     SubbasicNbhd,
     exact_rectangle,
     exact_sup,
     image,
+    pairwise,
     uniform_dist,
     value_pairs,
 )
@@ -136,16 +136,15 @@ def quantize(f: SepFunction, n: int) -> PostCompose:
 
 class ZerodimPipeline:
     """End-to-end construction for one function: sample (f's image),
-    quantizer tower, factors, and the diagonal sequence.  One memo serves
-    every sweep and the one discrete engine, f's, which reads the image
-    once and whose tables every stage reads."""
+    quantizer tower, factors, and the diagonal sequence.  It holds one
+    discrete engine, f's, which reads the image once and whose tables
+    every stage reads."""
 
     def __init__(self, f: SepFunction, n_max: int):
         self.f = f
         self.group = f.group
         self.n_max = n_max
-        self._memo = GridMemo()
-        self._engine = DiscreteApproximator(f, self._memo)
+        self._engine = DiscreteApproximator(f)
         self.sample = self._engine.image
         self.tower, self.factors = build_tower(self.sample, n_max + 1)
 
@@ -167,7 +166,7 @@ class ZerodimPipeline:
         """Sup of d(f_n, f).  Condition (2) bounds d(f_n, f) by 2^-n at
         every point, since every value of f lies in the sample, so the CLI
         does not sweep it; the benchmark's tracer wraps it by name."""
-        return uniform_dist(self.quantized(n), self.f, "l", self._memo)
+        return uniform_dist(self.quantized(n), self.f, "l")
 
     def factor_discreteness(self, n: int) -> bool:
         """Condition (3) at level n + 1, exactly: r_n(z) phi_n(z) = r_{n+1}(z)
@@ -177,8 +176,8 @@ class ZerodimPipeline:
         distinct value e of phi_n is in net(n) when it is its own nearest
         point there."""
         group, r, phi, nxt = self.group, self.tower[n], self.factors[n], self.tower[n + 1]
-        products = self._memo.pairwise(group.mul, map(r.__getitem__, self.sample),
-                                       map(phi.__getitem__, self.sample))
+        products = pairwise(group.mul, map(r.__getitem__, self.sample),
+                            map(phi.__getitem__, self.sample))
         return (all(p == nxt[z] for z, p in zip(self.sample, products))
                 and all(group.net_nearest(n, e) is e for e in dict.fromkeys(phi.values())))
 
@@ -200,23 +199,24 @@ class ZerodimPipeline:
         distance from 1 is d(f_{l,n}, f_{n,n}).  At p, with z = f(p) and
         t = T(p) for f's table T at n's working depth, f_{l,n}(p) = r_{l+1}(t)
         and f_{l+1}(p) = r_{l+1}(z).  So each sup is a max over the distinct
-        pairs (z, t) on the square (rectangle 0) or a probe's, kept per
-        rectangle and depth, on the exact points of f and the deepest table:
-        d(z, r_{n+1}(t)) for the final budgets and stage sups,
-        d(r_{l+1}(t), r_{n+1}(t)) for the tail and d(r_{l+1}(t), r_{l+1}(z))
-        for m(l), read at the last stage of each depth."""
-        n_max, memo, dist, tower = self.n_max, self._memo, self.group.dist, self.tower
+        pairs (z, t) on the square (rectangle 0) or a probe's, on the exact
+        points of f and the deepest table: d(z, r_{n+1}(t)) for the final
+        budgets and stage sups, d(r_{l+1}(t), r_{n+1}(t)) for the tail and
+        d(r_{l+1}(t), r_{l+1}(z)) for m(l), read at the last stage of each
+        depth.  f is lowered once per rectangle, the pairs are kept per
+        rectangle and depth, and each distance is taken once per call."""
+        n_max, dist, tower, engine = self.n_max, self.group.dist, self.tower, self._engine
         for l in levels:
             if l > n_max:
                 raise ValueError(f"level {l} needs factors up to {l}; raise n_max")
-        deepest, kept, zero = self._engine.approximant(n_max), {}, Fraction(0)
-        rects = [exact_rectangle((self.f, deepest), memo, probe) for probe in (None, *probes)]
+        deepest, kept, dists, zero = engine.approximant(n_max), {}, {}, Fraction(0)
+        rects = [exact_rectangle((self.f, deepest), probe) for probe in (None, *probes)]
+        f_values = [self.f.grid_values(*rect) for rect in rects]
 
         def pairs(i: int, n: int) -> tuple[tuple, tuple]:
-            key = (i, self._engine.working_depth(n))
+            key = (i, engine.working_depth(n))
             if key not in kept:
-                rect, t = rects[i], self._engine.approximant(n)
-                found = value_pairs(self.f.grid_values(*rect, memo), t.grid_values(*rect, memo))
+                found = value_pairs(f_values[i], engine.approximant(n).grid_values(*rects[i]))
                 kept[key] = tuple(zip(*found)) or ((), ())
             return kept[key]
 
@@ -224,7 +224,10 @@ class ZerodimPipeline:
             return map(tower[k].__getitem__, values)
 
         def sup(left: Iterable[GroupElement], right: Iterable[GroupElement]) -> Fraction:
-            return max(memo.pairwise(dist, left, right), default=zero)
+            keys = list(zip(left, right))
+            for key in set(keys).difference(dists):
+                dists[key] = dist(*key)
+            return max(map(dists.__getitem__, keys), default=zero)
 
         final = [[sup(pairs(i, n)[0], r(n + 1, pairs(i, n)[1])) for n in range(n_max + 1)]
                  for i in range(len(rects))]
@@ -255,7 +258,7 @@ class ZerodimPipeline:
                         # the last failing stage.
                         _, (x, y) = exact_sup(
                             lambda a, b: dist(a, b) >= budget,
-                            self.f, self.stage_function(failing[-1], failing[-1]), memo, probe,
+                            self.f, self.stage_function(failing[-1], failing[-1]), probe,
                         )
                         witness = f"n={failing[-1]} ({x},{y})"
                 results.append(DiagonalLevelResult(

@@ -1,6 +1,6 @@
-"""Mutation check of the discrete and zero-dimensional engines, the
-uniform-topology harness, the metric groups, the config reader and the
-Cantor layer.
+"""Mutation check of the function combinators and grid kernel, the
+discrete and zero-dimensional engines, the uniform-topology harness, the
+metric groups, the config reader and the Cantor layer.
 
 Each order comparison in a module of ``TARGETS`` is swapped with its
 strict or non-strict twin (``<`` and ``<=``, ``>`` and ``>=``), and each
@@ -32,6 +32,7 @@ PACKAGE = REPO / "src" / "sepcont"
 # Each target module and the test modules that cover it, fastest first:
 # pytest stops at the first failure.
 TARGETS = {
+    "functions.py": ("test_functions.py", "test_grid_values.py"),
     "discrete.py": ("test_discrete.py",),
     "zerodim.py": ("test_zerodim.py", "test_grid_values.py"),
     "uniform.py": ("test_uniform.py",),
@@ -47,6 +48,7 @@ SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 # Per target, each key is a mutant's label, "scope: mutated expression",
 # where the scope is the enclosing function, qualified by its class.
 EQUIVALENT = {
+    "functions.py": {},
     "discrete.py": {
         "DiscreteApproximator.memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
     },

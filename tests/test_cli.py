@@ -18,7 +18,6 @@ from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
-    GridMemo,
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
@@ -753,11 +752,11 @@ def _ball_jobs():
     )
 
 
-class TestBallMemo:
-    """A ball job shares one memo over its queries."""
+class TestBallJob:
+    """A ball job writes each query's ``ball_membership``."""
 
-    @given(_ball_jobs(), st.data())
-    def test_shared_memo_gives_the_fresh_memo_records(self, job, data):
+    @given(_ball_jobs())
+    def test_records_are_the_ball_membership_results(self, job):
         group, center_text, queries = job
         center = parse_function(center_text, group, CONFIGS)
         built = [
@@ -765,12 +764,8 @@ class TestBallMemo:
             for side, k, text in queries
         ]
         fresh = [ball_membership(q) for q in built]
-        memo = GridMemo()
-        order = data.draw(st.permutations(range(len(built))))
-        shared = {i: ball_membership(built[i], memo) for i in order}
-        assert [shared[i] for i in range(len(built))] == fresh
 
-        # The CLI runs the queries in name order on one memo.
+        # The CLI runs the queries in name order.
         lines = [f"b{i} = side={side}; eps=1/2^{k}; candidate={text}"
                  for i, (side, k, text) in enumerate(queries)]
         cfg_text = (f"[experiment]\ngroup = {group.name}\nfunction = {center_text}\n"

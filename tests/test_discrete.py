@@ -10,7 +10,6 @@ from sepcont.discrete import DiscreteApproximator, _limit_points
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
-    GridMemo,
     MembershipResult,
     OnesDiagonal,
     SubbasicNbhd,
@@ -434,14 +433,12 @@ class TestLimitTables:
         assert len(calls) == 3
 
     @given(trees, trees)
-    def test_engines_on_one_memo_read_the_same_tables(self, f, g):
-        # Two engines on one memo: the limit points are one tuple per
-        # depth, so leaf values and cell lists kept for one engine are
-        # found by the other, and neither reads the other's values.
-        memo = GridMemo()
-        shared = DiscreteApproximator(f, memo), DiscreteApproximator(g, memo)
+    def test_interleaved_engines_read_their_own_tables(self, f, g):
+        # Two engines built in turn read the same kept limit points of each
+        # depth, and neither reads the other's values.
+        engines = DiscreteApproximator(f), DiscreteApproximator(g)
         for n in range(MAX_N + 1):
-            for engine in shared:
+            for engine in engines:
                 alone = DiscreteApproximator(engine.f)
                 assert engine.approximant(n).values == alone.approximant(n).values, n
 

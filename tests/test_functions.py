@@ -9,13 +9,13 @@ from sepcont.functions import (
     Constant,
     CylinderDiagonal,
     DiagonalIndicator,
-    GridMemo,
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
     SepFunction,
     SubbasicNbhd,
     TableFunction,
+    exact_points,
     exact_sup,
     image,
     in_subbasic,
@@ -86,6 +86,12 @@ class TestEval:
         with pytest.raises(ValueError):
             CylinderDiagonal((("0", A), ("01", B)))
 
+    def test_table_shape_validated(self):
+        # A short row or a missing row is rejected, not only both.
+        for rows in (((E, A), (A,)), ((E, A),), ((E,),)):
+            with pytest.raises(ValueError, match="table must be 2 x 2"):
+                TableFunction(1, rows)
+
     def test_table_lookup(self):
         t = TableFunction(1, ((E, A), (A, E)))
         assert t.eval(CantorPoint.parse("0(0)"), CantorPoint.parse("1(0)")) == A
@@ -123,10 +129,10 @@ class TestOnesSchedule:
                 else:
                     value = vals[n] if n < len(vals) else e
                     tail = frozenset(vals[n:]) | {e}
-                point, memo = CantorPoint("1" * n, "0"), GridMemo()
-                ones = memo.exact_points((f,), ClopenSet.from_prefixes(["1" * n]))
+                point = CantorPoint("1" * n, "0")
+                ones = exact_points((f,), ClopenSet.from_prefixes(["1" * n]))
                 assert f.value_at(n) == value
-                assert set(f.grid_values(ones, ones, memo)) == tail | {e}
+                assert set(f.grid_values(ones, ones)) == tail | {e}
                 assert f.eval(point, point) == value
                 assert f.eval(point, ALL_ONES) == f.eval(ALL_ONES, point) == e
             assert f.eval(ALL_ONES, ALL_ONES) == e
@@ -247,7 +253,7 @@ def section_sup(f, g, axis, fixed, region):
     """The sup of d(f, g) over the section at ``fixed`` (axis 'x' fixes x),
     on ``region``: the layer-wise distance."""
     sides = (fixed, region) if axis == "x" else (region, fixed)
-    return exact_sup(f.group.dist, f, g, GridMemo(), SubbasicNbhd(*sides, frozenset()))[0]
+    return exact_sup(f.group.dist, f, g, SubbasicNbhd(*sides, frozenset()))[0]
 
 
 # Off the zero-tail grids: 1^w, 1^k 0 1^w and the deep members 1^k 0^w.

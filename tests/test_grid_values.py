@@ -36,7 +36,6 @@ from sepcont.errors import ConfigError
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
-    GridMemo,
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
@@ -44,9 +43,11 @@ from sepcont.functions import (
     SepFunction,
     SubbasicNbhd,
     TableFunction,
+    exact_points,
     exact_sup,
     grid_sup,
     image,
+    pairwise,
     resolution,
     uniform_dist,
 )
@@ -183,10 +184,10 @@ def brute_values(f, xs, ys):
     return [f.eval(x, y) for x in xs for y in ys]
 
 
-def check_values(fns, xs, ys, memo):
+def check_values(fns, xs, ys):
     """Each function's grid values on xs x ys are its pointwise values."""
     for f in fns:
-        assert f.grid_values(xs, ys, memo) == brute_values(f, xs, ys)
+        assert f.grid_values(xs, ys) == brute_values(f, xs, ys)
 
 
 def brute_two_sided(group, a, b, eps):
@@ -370,16 +371,7 @@ def brute_diagonal(pipe, probes, levels):
 class TestGridValues:
     @given(functions, point_lists, point_lists)
     def test_equals_pointwise_eval(self, f, xs, ys):
-        check_values((f,), xs, ys, GridMemo())
-
-    @given(function_pairs, point_lists)
-    def test_shared_memo_keeps_values_apart(self, fg, pts):
-        f, g = fg
-        memo = GridMemo()
-        check_values((PointwiseProduct(f, g),), pts, OFF_GRID, memo)
-        check_values((f,), pts, OFF_GRID, memo)
-        check_values((g,), OFF_GRID, pts, memo)
-        check_values((f, g), pts, pts, memo)
+        check_values((f,), xs, ys)
 
     @given(
         st.sampled_from(POOLS),
@@ -399,27 +391,14 @@ class TestGridValues:
         axis_key = f.axis_key
         object.__setattr__(f, "axis_key", lambda p: calls.append(p) or axis_key(p))
         xs, ys = grid_points(3), (y,) + OFF_GRID
-        memo = GridMemo()
-        values = f.grid_values(xs, ys, memo)
-        assert f.grid_values(xs, ys, memo) is values
+        values = f.grid_values(xs, ys)
         assert len(calls) == len(xs) + len(ys)
         assert values == brute_values(f, xs, ys)
-
-    def test_values_computed_once_per_memo(self):
-        # axis_key runs once per point per memo: a product with a table over
-        # the same points reuses the leaf's values.
-        f = OnesDiagonal(tuple(POOLS[0][1:3]))
-        calls = []
-        axis_key = f.axis_key
-        object.__setattr__(f, "axis_key", lambda p: calls.append(p) or axis_key(p))
-        memo = GridMemo()
-        pts = memo.exact_points((f, OnesDiagonal(tuple(POOLS[0][:2]))))
-        assert memo.exact_points((f,)) is pts
-        table = TableFunction(1, ((POOLS[0][0],) * 2,) * 2)
-        assert f.grid_values(pts, pts, memo) is f.grid_values(pts, pts, memo)
-        product_values = PointwiseProduct(f, table).grid_values(pts, pts, memo)
-        assert len(calls) == len(pts)
-        assert product_values == brute_values(PointwiseProduct(f, table), pts, pts)
+        # On the square, xs is ys, so each point's key is read once.
+        calls.clear()
+        square = f.grid_values(xs, xs)
+        assert len(calls) == len(xs)
+        assert square == brute_values(f, xs, xs)
 
     def test_equal_values_share_a_class(self):
         # The schedule repeats 1(0) and 01(0), parsed apart; elements are
@@ -427,10 +406,9 @@ class TestGridValues:
         # values: the identity off the diagonal blocks, and one per value on
         # them.
         f = parse_function("diag ones 1(0),01(0),1(0),01(0)", DYADIC, CONFIGS)
-        memo = GridMemo()
-        pts = memo.exact_points((f,))
+        pts = exact_points((f,))
         assert pts == tuple(CantorPoint("1" * k) for k in range(5))
-        values = f.grid_values(pts, pts, memo)
+        values = f.grid_values(pts, pts)
         assert values == brute_values(f, pts, pts)
         assert len(set(values)) == 3
 
@@ -483,37 +461,33 @@ class TestKernel:
                 assert dist(one, mul(inv(f), g)) == dist(f, g)
                 assert dist(one, mul(g, inv(f))) == dist(inv(g), inv(f))
 
-    def test_pairwise_runs_each_op_once_per_distinct_pair(self):
+    def test_pairwise_runs_op_once_per_distinct_pair_in_a_call(self):
         a, b, c = POOLS[0][:3]
-        twin = DYADIC.element(a.payload)  # equal to a, another object
-        memo = GridMemo()
-        calls = {"mul": [], "dist": []}
+        twin = DYADIC.element(a.payload)  # the one element of a's value
+        calls = []
 
-        def counted(name, op):
-            return lambda x, y: calls[name].append((x, y)) or op(x, y)
+        def mul(x, y):
+            calls.append((x, y))
+            return DYADIC.mul(x, y)
 
-        mul, dist = counted("mul", DYADIC.mul), counted("dist", DYADIC.dist)
         sweeps = [([a, b, a, a, c], [b, b, b, c, c]), ([c, twin, a, b], [c, b, b, a])]
         for left, right in sweeps:
-            assert memo.pairwise(mul, left, right) == list(map(DYADIC.mul, left, right))
-        # twin is a's value, so its pairs share a's entries.
-        pairs = {(x, y) for left, right in sweeps for x, y in zip(left, right)}
-        assert len(calls["mul"]) == len(pairs) == 5
-        # A second op on the same lists has a table of its own.
-        for left, right in sweeps:
-            assert memo.pairwise(dist, left, right) == list(map(DYADIC.dist, left, right))
-        assert len(calls["dist"]) == len(pairs)
-        assert len(calls["mul"]) == len(pairs)
+            calls.clear()
+            assert pairwise(mul, left, right) == list(map(DYADIC.mul, left, right))
+            # Each distinct pair once, in the order of its first index.
+            assert calls == list(dict.fromkeys(zip(left, right)))
+        # twin is a, so (twin, b) and (a, b) are one pair; the second call
+        # keeps nothing of the first and runs its pairs again.
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("bool_first", [True, False])
-    def test_per_op_tables_keep_false_and_zero_apart(self, bool_first):
-        # False == Fraction(0), so one table shared by both ops would hand
-        # one op's result to the other.
+    def test_calls_keep_false_and_zero_apart(self, bool_first):
+        # False == Fraction(0); each call has a table of its own, so one
+        # op's result is never handed to another.
         e = DYADIC.identity()
-        memo = GridMemo()
         ops = [(lambda a, b: False, False), (DYADIC.dist, Fraction(0))]
         for op, want in ops if bool_first else ops[::-1]:
-            got = memo.pairwise(op, [e], [e])
+            got = pairwise(op, [e], [e])
             assert got == [want] and type(got[0]) is type(want)
 
     @settings(max_examples=200)
@@ -521,8 +495,7 @@ class TestKernel:
     def test_grid_sup_of_dist_is_the_brute_max(self, fg, rect):
         f, g = fg
         xs, ys = rect
-        memo = GridMemo()
-        got = grid_sup(f.group.dist, f, g, xs, ys, memo)
+        got = grid_sup(f.group.dist, f, g, xs, ys)
         assert got == brute_sup(f.group.dist, f, g, xs, ys)
         if not (xs and ys):
             assert got == (0, None)
@@ -532,11 +505,7 @@ class TestKernel:
     def test_grid_sup_of_raw_difference_is_the_brute_max(self, fg, rect):
         f, g = fg
         xs, ys = rect
-        memo = GridMemo()
-        # The dist sweep first: both ops then share the memo's cells and
-        # leaf values.
-        grid_sup(REAL.dist, f, g, xs, ys, memo)
-        assert grid_sup(raw_diff, f, g, xs, ys, memo) == brute_sup(raw_diff, f, g, xs, ys)
+        assert grid_sup(raw_diff, f, g, xs, ys) == brute_sup(raw_diff, f, g, xs, ys)
 
 
 ACC_X = SubbasicNbhd(ALL_ONES, WHOLE, frozenset(), "acc_x")
@@ -718,7 +687,7 @@ class TestUniformChecksMatchBruteForce:
         # The layer-wise distance is an exact sup over the section rectangle.
         f, g = fg
         probe = SubbasicNbhd(*((fixed, region) if axis == "x" else (region, fixed)), frozenset())
-        value, witness = exact_sup(f.group.dist, f, g, GridMemo(), probe)
+        value, witness = exact_sup(f.group.dist, f, g, probe)
         got = (value, witness if value > 0 else None)
         assert got == brute_layerwise_dist(f, g, axis, fixed, region)
 
@@ -731,55 +700,33 @@ class TestUniformChecksMatchBruteForce:
 
 
 class TestWorkCounts:
-    def test_diagonal_builds_classes_once_per_point_set_and_multiplies_nothing(self, monkeypatch):
-        exp = load_experiment(CONFIGS / "diag-multi.cfg")
-        pipe = ZerodimPipeline(exp.function, exp.n_max)
-        reads = []
-        mul_calls = [0]
-        leaf_values, mul = GridMemo.leaf_values, type(pipe.group).mul
-
-        def counted_leaf_values(memo, leaf, xs, ys):
-            # A whole-square sweep of f: its points are one kept tuple, and a
-            # build makes a new list.
-            out = leaf_values(memo, leaf, xs, ys)
-            if xs is ys and leaf is pipe.f:
-                reads.append((xs, out))
-            return out
-
-        def counted_mul(group, x, y):
-            mul_calls[0] += 1
-            return mul(group, x, y)
-
-        monkeypatch.setattr(GridMemo, "leaf_values", counted_leaf_values)
-        monkeypatch.setattr(type(pipe.group), "mul", counted_mul)
-        pipe.diagonal(exp.probes, exp.levels)
-        # reads holds every tuple and list, so no id is reused: one list per
-        # point tuple is one build per point tuple.
-        first = {}
-        assert reads and all(first.setdefault(id(xs), out) is out for xs, out in reads)
-        # Every stage is a quantizer of f's table, so the diagonal multiplies
-        # no two values.
-        assert mul_calls[0] == 0
-
-    def test_diagonal_lowers_f_and_each_table_once_per_rectangle_and_depth(self, monkeypatch):
+    def test_diagonal_lowers_f_once_per_rectangle_and_multiplies_nothing(self, monkeypatch):
         # The rectangles are the square and each probe's; the tables are
-        # built first, so every lowering counted is one the diagonal reads.
+        # built first, so every table lowering counted is one the diagonal
+        # reads: one per (rectangle, depth), on the points f was lowered on.
         exp = load_experiment(CONFIGS / "diag-multi.cfg")
         pipe = ZerodimPipeline(exp.function, exp.n_max)
         tables = {pipe._engine.approximant(n) for n in range(exp.n_max + 1)}
-        lowerings = []
+        lowerings, mul_calls = [], []
         for cls in (type(pipe.f), TableFunction):
-            def counted(fn, xs, ys, memo, lower=cls.grid_values):
+            def counted(fn, xs, ys, lower=cls.grid_values):
                 lowerings.append((fn, xs, ys))
-                return lower(fn, xs, ys, memo)
+                return lower(fn, xs, ys)
 
             monkeypatch.setattr(cls, "grid_values", counted)
+        mul = type(pipe.group).mul
+        monkeypatch.setattr(type(pipe.group), "mul",
+                            lambda group, x, y: mul_calls.append((x, y)) or mul(group, x, y))
         assert pipe.diagonal(exp.probes, exp.levels).passed
-        assert len(lowerings) == 2 * (1 + len(exp.probes)) * len(tables)
-        pairs = list(zip(lowerings[::2], lowerings[1::2]))
-        assert all(f is pipe.f and t in tables and f_rect == t_rect
-                   for (f, *f_rect), (t, *t_rect) in pairs)
-        assert {t for _, (t, *_) in pairs} == tables
+        rects = [(xs, ys) for fn, xs, ys in lowerings if fn is pipe.f]
+        read = [(t, (xs, ys)) for t, xs, ys in lowerings if t in tables]
+        assert len(rects) == 1 + len(exp.probes)
+        assert len(lowerings) == len(rects) * (1 + len(tables))
+        assert all(rect in rects for _, rect in read)
+        assert {t for t, _ in read} == tables
+        # Every stage is a quantizer of f's table, so the diagonal multiplies
+        # no two values.
+        assert mul_calls == []
 
 
 class TestConstantProducts:
@@ -796,9 +743,8 @@ class TestConstantProducts:
             mapped = PostCompose(g, {z: mul(z, c) for z in image(g)})
         assert image(prod) == image(mapped)
         # On the exact points, on the depth-2 grid and on points off every grid.
-        memo = GridMemo()
-        for pts in (memo.exact_points((g,)), grid_points(2), OFF_GRID):
-            assert prod.grid_values(pts, pts, memo) == mapped.grid_values(pts, pts, memo)
+        for pts in (exact_points((g,)), grid_points(2), OFF_GRID):
+            assert prod.grid_values(pts, pts) == mapped.grid_values(pts, pts)
         for axis in ("x", "y"):
             assert prod.section_partition(axis, fixed) == mapped.section_partition(axis, fixed)
 
@@ -900,7 +846,7 @@ def probe_of(axis, fixed, region):
 
 
 class TestExactPoints:
-    """A sup over ``GridMemo.exact_points`` is the sup over the whole side:
+    """A sup over ``exact_points`` is the sup over the whole side:
     it equals the sup over a grid P + 3 levels deeper (the kernel there,
     which ``TestKernel`` checks against pointwise evaluation) and bounds
     every point off the grids."""
@@ -911,9 +857,9 @@ class TestExactPoints:
         f, g = fg
         depth, period = resolution(fg)
         assume(depth + period + 3 <= 9)
-        got = exact_sup(f.group.dist, f, g, GridMemo())
+        got = exact_sup(f.group.dist, f, g)
         deep = grid_points(depth + period + 3)
-        assert got == grid_sup(f.group.dist, f, g, deep, deep, GridMemo())
+        assert got == grid_sup(f.group.dist, f, g, deep, deep)
         for x, y in product(OFF_EXACT, repeat=2):
             assert got[0] >= f.group.dist(f.eval(x, y), g.eval(x, y))
 
@@ -930,10 +876,10 @@ class TestExactPoints:
         probe = probe_of(axis, fixed, region)
         depth = deep_enough(fg, probe) + 3
         assume(depth <= 9)
-        got = exact_sup(f.group.dist, f, g, GridMemo(), probe)
+        got = exact_sup(f.group.dist, f, g, probe)
         ts = side_points(region, depth)
         xs, ys = ((fixed,), ts) if axis == "x" else (ts, (fixed,))
-        assert got == grid_sup(f.group.dist, f, g, xs, ys, GridMemo())
+        assert got == grid_sup(f.group.dist, f, g, xs, ys)
         for t in OFF_EXACT:
             if region.contains(t):
                 fv, gv = f.eval(*probe.point(t)), g.eval(*probe.point(t))
@@ -951,7 +897,7 @@ class TestExactPoints:
         f, g = fg
         depth, period = resolution(fg)
         probe = probe_of(axis, fixed, region)
-        got = exact_sup(f.group.dist, f, g, GridMemo(), probe)[0]
+        got = exact_sup(f.group.dist, f, g, probe)[0]
         near = (CantorPoint("1" * k) for k in range(18, 23))
         ts = [t for t in (*side_points(region, depth + period + 3), *near, ALL_ONES)
               if region.contains(t)]
@@ -964,17 +910,17 @@ class TestExactPoints:
         # value at (1^9 0^w, 1^9 0^w); the exact points hold it.
         f, e = parse_function("diag ones 1(0)", DYADIC, CONFIGS), Constant(DYADIC.identity())
         fixed = CantorPoint("1" * 9)
-        ys = GridMemo().exact_points((f, e), WHOLE, fixed)
+        ys = exact_points((f, e), WHOLE, fixed)
         assert ys == tuple(CantorPoint("1" * k) for k in (0, 1, 9))
-        assert grid_sup(DYADIC.dist, f, e, (fixed,), grid_points(6), GridMemo())[0] == 0
-        assert exact_sup(DYADIC.dist, f, e, GridMemo(), probe_of("x", fixed, WHOLE)) == (
+        assert grid_sup(DYADIC.dist, f, e, (fixed,), grid_points(6))[0] == 0
+        assert exact_sup(DYADIC.dist, f, e, probe_of("x", fixed, WHOLE)) == (
             Fraction(1, 2), (fixed, fixed)
         )
         # On the all-ones cylinder [111] the fixed point 111(0) is matched at
         # 111(0) only; 1111(0) meets the rest of the cylinder.
         x, a = CantorPoint("111"), Constant(DYADIC.parse_element("1(0)"))
         probe = probe_of("x", x, ClopenSet.parse("{111}"))
-        assert exact_sup(DYADIC.dist, f, a, GridMemo(), probe) == (
+        assert exact_sup(DYADIC.dist, f, a, probe) == (
             Fraction(1, 2), (x, CantorPoint("1111"))
         )
 
@@ -983,7 +929,7 @@ class TestExactPoints:
         # matched block of the all-ones cylinder [1], where its cells at
         # depth 20 would be 2^20 - 1.
         f, side = OnesDiagonal((POOLS[0][1],)), ClopenSet.parse("!{" + "0" * 20 + "}")
-        pts = GridMemo().exact_points((f,), side, CantorPoint(""))
+        pts = exact_points((f,), side, CantorPoint(""))
         cells = tuple(CantorPoint("0" * i + "1") for i in reversed(range(20)))
         assert pts == cells + (CantorPoint("11"),)
 
@@ -993,23 +939,20 @@ class TestExactPoints:
         # grid_values reads every pair of them, so a change that grows the
         # point sets shows here first.
         depth, period = resolution(fns)
-        assert len(GridMemo().exact_points(fns)) == 2**depth + period
+        assert len(exact_points(fns)) == 2**depth + period
 
-    def test_one_tuple_per_point_set(self):
-        # Two pairs with one resolution (D, P) = (2, 2) share the tuple, so
-        # the leaf values over it are found again; so do two probe sides.
+    def test_one_point_set_per_resolution(self):
+        # Two pairs with one resolution (D, P) = (2, 2) have one point set,
+        # on the square and on a probe side, and a point side is itself.
         a, b = POOLS[0][1:3]
         f, g = OnesDiagonal((a, b)), CylinderDiagonal((("01", a),))
         h = TableFunction(2, ((b,) * 4,) * 4)
-        memo = GridMemo()
-        pts = memo.exact_points((f, g))
-        assert memo.exact_points((g, f)) is pts and memo.exact_points((h, f)) is pts
-        values = f.grid_values(pts, pts, memo)
-        assert f.grid_values(*[memo.exact_points((g, f))] * 2, memo) is values
+        pts = exact_points((f, g))
+        assert exact_points((g, f)) == exact_points((h, f)) == pts
+        assert f.grid_values(pts, pts) == brute_values(f, pts, pts)
         region = ClopenSet.parse("{1}")
-        side = memo.exact_points((f, g), region, ALL_ONES)
-        assert memo.exact_points((h, f), region, ALL_ONES) is side
-        assert memo.exact_points((f,), ALL_ONES) is memo.exact_points((g,), ALL_ONES) == (ALL_ONES,)
+        assert exact_points((h, f), region, ALL_ONES) == exact_points((f, g), region, ALL_ONES)
+        assert exact_points((f,), ALL_ONES) == exact_points((g,), ALL_ONES) == (ALL_ONES,)
 
     def test_a_leaf_without_a_resolution_is_a_config_error(self):
         class Opaque(SepFunction):
@@ -1017,7 +960,7 @@ class TestExactPoints:
 
         leaf = PointwiseProduct(OnesDiagonal((POOLS[0][1],)), Opaque())
         with pytest.raises(ConfigError, match="no exact point set for a Opaque leaf"):
-            GridMemo().exact_points((leaf,))
+            exact_points((leaf,))
 
 
 # Points on no grid: 1^w, (01), and 1^k 0 1^w and 1^k 0^w for k <= 12.
@@ -1040,13 +983,12 @@ class TestImage:
     deeper (the kernel there) and at points off every grid, no more."""
 
     @settings(max_examples=100)
-    @given(function_pairs)
-    def test_image_is_every_value_taken(self, fg):
-        f, g = fg
+    @given(functions)
+    def test_image_is_every_value_taken(self, f):
         depth, period = resolution((f,))
         assume(depth + period + 3 <= 9)
-        deep, memo = grid_points(depth + period + 3), GridMemo()
-        taken = {*f.grid_values(deep, deep, memo), *brute_values(f, OFF_IMAGE, OFF_IMAGE)}
+        deep = grid_points(depth + period + 3)
+        taken = {*f.grid_values(deep, deep), *brute_values(f, OFF_IMAGE, OFF_IMAGE)}
         got = image(f)
         assert got == tuple(f.group.sort_canonically(taken))
         mul, inv = f.group.mul, f.group.inv
@@ -1057,9 +999,3 @@ class TestImage:
                 assert set(image(t)) == set(map(inv, image(t.inner)))
             elif isinstance(t, PostCompose):
                 assert set(image(t)) == {t.mapping[z] for z in image(t.inner)}
-        # A memo that already holds g's and every subtree's points and leaf
-        # values gives the same image.
-        shared = GridMemo()
-        for h in (g, *subtrees(f)[::-1]):
-            image(h, shared)
-        assert image(f, shared) == got

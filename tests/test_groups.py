@@ -8,7 +8,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sepcont.cantor import CantorPoint
-from sepcont.errors import GroupMismatchError
 from sepcont.functions import TableFunction
 from sepcont.groups import ball_net, cyclic_group, get_group
 from sepcont.zerodim import ZerodimPipeline
@@ -44,12 +43,6 @@ class TestDist:
     def test_cyclic_discrete(self):
         assert C3.dist(C3.element(1), C3.element(2)) == Fraction(1, 2)
         assert C3.dist(C3.element(1), C3.element(1)) == 0
-
-    def test_mixed_groups_rejected(self):
-        with pytest.raises(GroupMismatchError):
-            DYADIC.dist(DYADIC.identity(), C3.identity())
-        with pytest.raises(GroupMismatchError):
-            C3.mul(C3.identity(), DYADIC.identity())
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
     def test_metric_axioms_exhaustive_small(self, group):
@@ -112,6 +105,16 @@ class TestEnumeration:
     def test_monotone(self, group):
         for d in range(5):
             assert set(group.dense_enumeration(d)) <= set(group.dense_enumeration(d + 1))
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+    def test_every_depth_enumerates_the_identity(self, group):
+        # So no ball is empty: ball_net's scan always has the identity to
+        # keep, at every radius and depth.
+        one = group.identity()
+        for d in range(5):
+            assert one in group.dense_enumeration(d)
+        for k in range(4):
+            assert one in ball_net(group, k, k + 2).elements
 
     def test_dyadic_sizes(self):
         for d in range(7):
@@ -198,14 +201,6 @@ class TestBallNet:
         assert net.check_ball_containment()
         assert net.check_pairwise_separation()
         assert net.check_maximality()
-
-    def test_empty_enumeration_rejected(self):
-        class Empty(type(DYADIC)):
-            def _enumerate(self, depth):
-                return []
-
-        with pytest.raises(ValueError):
-            ball_net(Empty(), 0, 2)
 
     @pytest.mark.parametrize("l", range(3))
     def test_product_containment(self, l):
@@ -404,6 +399,14 @@ class TestIdentity:
         assert group.element(payload) is e
         assert str(e) == text and repr(e) == f"<{group.name}:{text}>"
         assert group.mul(e, e) == e
+
+    @pytest.mark.parametrize("name", ["dyadic", "real", "cyclic:3", "cyclic:64"])
+    def test_one_group_object_per_name(self, name):
+        # A config names one group and parses every element with it, so
+        # mul, inv and dist never see the elements of two groups.
+        group = get_group(name)
+        assert get_group(f" {name} ") is group and group.name == name
+        assert group.parse_element(str(group.identity())) is group.identity()
 
     def test_groups_do_not_share_an_identity(self):
         c5 = get_group("cyclic:5")

@@ -8,7 +8,6 @@ from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
-    GridMemo,
     OnesDiagonal,
     PostCompose,
     SubbasicNbhd,
@@ -80,13 +79,18 @@ class TestBallMembership:
             large = ball_membership(BallQuery(DIAG, Constant(E), side, Fraction(1, 2) + Fraction(1, 4))).member
             assert (not small) or large
 
-    def test_equal_queries_share_one_memo_table(self):
-        # The ball test is one op per (side, eps), so a second query with an
-        # equal radius on the same memo reads the first one's table.
-        memo = GridMemo()
-        for cand, eps in ((Constant(A), Fraction(1, 4)), (DIAG, Fraction(2, 8))):
-            ball_membership(BallQuery(DIAG, cand, "lr", eps), memo)
-        assert len(memo._tables) == 1
+    def test_a_query_does_not_depend_on_the_queries_before_it(self):
+        # ball_membership keeps nothing between calls: each query, asked
+        # alone or after others of equal radius, gets one answer.
+        queries = [
+            BallQuery(DIAG, cand, side, eps)
+            for side in ("l", "lr", "rl")
+            for cand, eps in ((Constant(A), Fraction(1, 4)), (DIAG, Fraction(2, 8)),
+                              (Constant(E), Fraction(1, 4)))
+        ]
+        alone = [ball_membership(q) for q in queries]
+        assert [ball_membership(q) for q in reversed(queries)] == alone[::-1]
+        assert {r.member for r in alone} == {True, False}
 
     def test_abelian_l_equals_r(self):
         for eps in [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]:

@@ -11,12 +11,12 @@ from sepcont.cantor import ALL_ONES, CantorPoint, ClopenSet
 from sepcont.functions import (
     Constant,
     CylinderDiagonal,
-    GridMemo,
     OnesDiagonal,
     PointwiseInverse,
     PointwiseProduct,
     SubbasicNbhd,
     TableFunction,
+    exact_points,
     image,
 )
 from sepcont import config, zerodim
@@ -96,7 +96,7 @@ def _first_failing_witness(pipe, probe, m_l, budget):
     _, fixed, other = probe.sides()
     for n in reversed(range(m_l, pipe.n_max + 1)):
         diag = reduce(PointwiseProduct, factor_approximants(pipe, n)[: n + 1])
-        points = map(probe.point, GridMemo().exact_points((f, diag), other, fixed))
+        points = map(probe.point, exact_points((f, diag), other, fixed))
         failing = [(x, y) for x, y in points if dist(f.eval(x, y), diag.eval(x, y)) >= budget]
         if failing:
             return f"n={n} ({failing[0][0]},{failing[0][1]})"
@@ -344,13 +344,13 @@ class TestFactorAsMap:
         # On the exact points of the square and on the limit representatives
         # of the depth-3 cells, where a factor's approximants of working
         # depth 3 read it.
-        pipe, memo = factor_pipe, GridMemo()
+        pipe = factor_pipe
         limits = tuple(map(limit_point, cell_prefixes(3)))
-        for pts in (memo.exact_points((pipe.f,)), limits):
-            f_vals = pipe.f.grid_values(pts, pts, memo)
+        for pts in (exact_points((pipe.f,)), limits):
+            f_vals = pipe.f.grid_values(pts, pts)
             for n in range(pipe.n_max + 1):
                 g = factor(pipe, n)
-                assert g.grid_values(pts, pts, memo) == [_phi(pipe, n, w) for w in f_vals]
+                assert g.grid_values(pts, pts) == [_phi(pipe, n, w) for w in f_vals]
 
 
 DYADIC_POOL = tuple(DYADIC.parse_element(t) for t in ["(0)", "1(0)", "01(0)", "11(0)", "(1)"])
@@ -515,7 +515,7 @@ class TestDiagonal:
             assert not r.final_ok
             assert r.witness == _first_failing_witness(pipe, probe, r.m_l, r.budget)
         assert rep.results[1].witness == "n=5 ((0),1(0))"
-        assert GridMemo().exact_points((MULTI,), WHOLE, ZERO)[0] == ZERO
+        assert exact_points((MULTI,), WHOLE, ZERO)[0] == ZERO
 
     def test_wrong_late_factor_fails_tail_containment(self):
         _, rep = self._diagonal_with_wrong_factor(3, 4)
