@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 _POINT_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
@@ -27,8 +26,10 @@ def check_bits(s: str, what: str) -> None:
 
 
 def _minimal_period(period: str) -> str:
+    if not period.strip(period[0]):  # one bit repeated
+        return period[0]
     n = len(period)
-    for d in range(1, n):
+    for d in range(2, n):
         if n % d == 0 and period == period[:d] * (n // d):
             return period[:d]
     return period
@@ -45,10 +46,14 @@ class CantorPoint:
         if not period:
             raise ValueError("period must be nonempty")
         pre, per = preperiod, _minimal_period(period)
-        # Absorb preperiod bits that already follow the cycle.
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1] + per[:-1]
+        # Absorb preperiod bits that already follow the cycle; a one-bit
+        # cycle turns into itself.
+        if len(per) == 1:
+            pre = pre.rstrip(per)
+        else:
+            while pre and pre[-1] == per[-1]:
+                pre = pre[:-1]
+                per = per[-1] + per[:-1]
         self.preperiod, self.period, self._hash = pre, per, None
 
     def __eq__(self, other):
@@ -230,8 +235,7 @@ def _leaves(a, path: str, out: list[str]) -> None:
 class ClopenSet:
     """A clopen subset of Cantor space with exact set algebra."""
 
-    # ``own_cells`` is a cached_property, which needs a __dict__.
-    __slots__ = ("trie", "__dict__")
+    __slots__ = ("trie",)
 
     def __init__(self, trie: object = False) -> None:
         self.trie = trie
@@ -327,12 +331,6 @@ class ClopenSet:
         if not _cell_indices(self.trie, d, 0, out):
             raise ValueError(f"cells at depth {d} need depth >= {self.depth()}")
         return out
-
-    @cached_property
-    def own_cells(self) -> tuple[int, tuple[int, ...]]:
-        """``(depth(), cell_indices(depth()))``, computed once per set."""
-        d = self.depth()
-        return d, tuple(self.cell_indices(d))
 
     def __str__(self) -> str:
         if self.is_empty():

@@ -2,22 +2,22 @@
 
 Subcommands: nets, approx-discrete, approx-zerodim, ball, closure-probe,
 problem3.  Exit codes: 0 all certificates pass, 1 certificate failure
-(witness in the report) or internal error, 2 config error, 3 I/O error.
-Each handler returns the reports it wrote, by file name, and a summary;
-``main`` alone writes manifest.json and exits 0 exactly when the summary
-passed.
+(witness in the report) or internal error, 2 config or command-line
+error, 3 I/O error.  Each handler returns the reports it wrote, by file
+name, and a summary; ``main`` alone writes manifest.json, one line of
+sorted-key JSON, and exits 0 exactly when the summary passed.
 Reports are byte-identical across runs of the same config; wall-clock
 timings live only in manifest.json.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
+import os
 import sys
 import time
 from fractions import Fraction
+from typing import NoReturn
 
 import sepcont
 from sepcont.cantor import CantorPoint
@@ -60,11 +60,10 @@ def cmd_nets(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
             ok = ok and all(checks)
             rows.append((k, dyadic_str(net.radius), dyadic_str(net.separation),
                          len(net.elements), depth, *map(int, checks)))
-    report = exp.out / "nets.csv"
     header = ["k", "radius", "separation", "size", "enumeration_depth",
               "ball_ok", "separation_ok", "maximality_ok"]
-    data = write_csv(report, header, rows)
-    return {report.name: data}, {"passed": ok}
+    data = write_csv(os.path.join(exp.out, "nets.csv"), header, rows)
+    return {"nets.csv": data}, {"passed": ok}
 
 
 def cmd_approx_discrete(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
@@ -78,9 +77,9 @@ def cmd_approx_discrete(exp: Experiment, timings: dict[str, float]) -> tuple[dic
             stage_of_probe[probe.probe_id] = cert.m
             ok = ok and cert.passed
             rows += [(n, probe.probe_id, int(member), note) for n, member, note in cert.checks]
-    report = exp.out / "certificate.csv"
-    data = write_csv(report, ["n", "probe_id", "in_nbhd", "violation_witness"], rows)
-    return {report.name: data}, {"passed": ok, "stage_of_probe": stage_of_probe}
+    header = ["n", "probe_id", "in_nbhd", "violation_witness"]
+    data = write_csv(os.path.join(exp.out, "certificate.csv"), header, rows)
+    return {"certificate.csv": data}, {"passed": ok, "stage_of_probe": stage_of_probe}
 
 
 def cmd_approx_zerodim(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
@@ -117,9 +116,8 @@ def cmd_approx_zerodim(exp: Experiment, timings: dict[str, float]) -> tuple[dict
         all_ok = all_ok and row_ok
     if rep is not None:
         all_ok = all_ok and rep.passed
-    report = exp.out / "zerodim.csv"
     data = write_csv(
-        report,
+        os.path.join(exp.out, "zerodim.csv"),
         ["level", "cond1", "cond2_sup", "cond3", "diag_dist_sup", "budget", "pass"],
         rows,
     )
@@ -134,7 +132,7 @@ def cmd_approx_zerodim(exp: Experiment, timings: dict[str, float]) -> tuple[dict
     }
     if rep is not None:
         summary["stage_of_level"] = {str(k): v for k, v in rep.stage_of_level.items()}
-    return {report.name: data}, summary
+    return {"zerodim.csv": data}, summary
 
 
 def cmd_ball(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
@@ -153,9 +151,8 @@ def cmd_ball(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
                     "witness_y": str(res.witness[1]) if res.witness else "",
                 }
             )
-    report = exp.out / "ball.jsonl"
-    data = write_jsonl(report, records)
-    return {report.name: data}, {"passed": True, "queries": len(records)}
+    data = write_jsonl(os.path.join(exp.out, "ball.jsonl"), records)
+    return {"ball.jsonl": data}, {"passed": True, "queries": len(records)}
 
 
 def _fault_constant(exp: Experiment) -> GroupElement:
@@ -181,11 +178,11 @@ def cmd_closure_probe(exp: Experiment, timings: dict[str, float]) -> tuple[dict,
     # The certified column is pinned at 1: no stage carries a separate certificate.
     rows = [(r.stage, dyadic_str(r.eps), dyadic_str(r.dist_l), dyadic_str(r.dist_r),
              int(r.within), 1) for r in rep.stages]
-    report = exp.out / "closure.csv"
-    data = write_csv(report, ["stage", "eps", "dist_l", "dist_r", "within", "certified"], rows)
+    header = ["stage", "eps", "dist_l", "dist_r", "within", "certified"]
+    data = write_csv(os.path.join(exp.out, "closure.csv"), header, rows)
     summary = {"passed": rep.passed, "failed_stage": rep.failed_stage,
                "diagonal_passed": rep.diagonal_passed}
-    return {report.name: data}, summary
+    return {"closure.csv": data}, summary
 
 
 def cmd_problem3(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict]:
@@ -205,9 +202,8 @@ def cmd_problem3(exp: Experiment, timings: dict[str, float]) -> tuple[dict, dict
         "witness_x": str(rep.witness[0]) if rep.witness else "",
         "witness_y": str(rep.witness[1]) if rep.witness else "",
     }
-    report = exp.out / "problem3.json"
-    data = write_json(report, payload)
-    return {report.name: data}, {"passed": rep.within}
+    data = write_json(os.path.join(exp.out, "problem3.json"), payload)
+    return {"problem3.json": data}, {"passed": rep.within}
 
 
 _HANDLERS = {
@@ -220,32 +216,55 @@ _HANDLERS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for every subcommand; the subcommand is a positional choice.
-    Built on first use and kept: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="sepcont",
-        description="Finite-resolution approximation of separately continuous functions "
-        "on Cantor-space products, with exact certificates.",
-    )
-    parser.add_argument("command", choices=_HANDLERS)
-    parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--out", help="report directory (default: config's out)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random probe generation")
-    return parser
+USAGE = ("usage: sepcont [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+         "               {" + ",".join(_HANDLERS) + "}")
+_OPTIONS = ("--config", "--out", "--seed")
+
+
+def _argv_error(message: str) -> NoReturn:
+    print(f"{USAGE}\nsepcont: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_argv(argv: list[str]) -> tuple[str, str, str | None, int]:
+    """(command, config, out, seed) of a command line: one command and the
+    options, each ``--name value`` or ``--name=value``, in any order.  -h or
+    --help prints the usage and exits 0; any other fault exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        raise SystemExit(0)
+    command, options, args = None, {}, iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name in _OPTIONS:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    _argv_error(f"{name} needs a value")
+            options[name] = value
+        elif command is None and arg in _HANDLERS:
+            command = arg
+        else:
+            _argv_error(f"unrecognized argument {arg!r}")
+    if command is None or "--config" not in options:
+        _argv_error("a command and --config are required")
+    try:
+        seed = int(options.get("--seed", "0"))
+    except ValueError:
+        _argv_error(f"--seed must be an integer, not {options['--seed']!r}")
+    return command, options["--config"], options.get("--out"), seed
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    command, config, out, seed = parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        exp = load_experiment(args.config, args.out, args.seed)
-        exp.out.mkdir(parents=True, exist_ok=True)
+        exp = load_experiment(config, out, seed)
+        os.makedirs(exp.out, exist_ok=True)
         timings: dict[str, float] = {}
-        reports, summary = _HANDLERS[args.command](exp, timings)
+        reports, summary = _HANDLERS[command](exp, timings)
         manifest = build_manifest(config_text=exp.text, version=sepcont.__version__,
                                   reports=reports, timings=timings, summary=summary)
-        write_json(exp.out / "manifest.json", manifest)
+        write_jsonl(os.path.join(exp.out, "manifest.json"), [manifest])
         return 0 if summary["passed"] else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

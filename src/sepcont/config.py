@@ -27,8 +27,8 @@ Function grammar:
 from __future__ import annotations
 
 import csv
+import os
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 from sepcont.cantor import CantorPoint, ClopenSet
@@ -69,7 +69,7 @@ def _top_level_commas(text: str) -> list[int]:
     return commas
 
 
-def parse_function(text: str, group: GroupSpec, base_dir: Path) -> SepFunction:
+def parse_function(text: str, group: GroupSpec, base_dir: str) -> SepFunction:
     s = text.strip()
     try:
         return _parse_function(s, group, base_dir)
@@ -79,7 +79,7 @@ def parse_function(text: str, group: GroupSpec, base_dir: Path) -> SepFunction:
         raise ConfigError(f"bad function description {text!r}: {exc}") from exc
 
 
-def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
+def _parse_function(s: str, group: GroupSpec, base_dir: str) -> SepFunction:
     if s.startswith("prod(") and s.endswith(")"):
         # A value list holds commas too, so try every top-level comma and
         # keep the one split at which both sides parse.  A wrong split may
@@ -121,7 +121,7 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
         return Constant(group.parse_element(rest))
     if head == "table":
         depth_text, _, file_text = rest.partition(" ")
-        return load_table(base_dir / file_text.strip(), int(depth_text), group)
+        return load_table(os.path.join(base_dir, file_text.strip()), int(depth_text), group)
     if head == "diag":
         kind, _, vals = rest.partition(" ")
         vals = vals.strip()
@@ -140,7 +140,7 @@ def _parse_function(s: str, group: GroupSpec, base_dir: Path) -> SepFunction:
     raise ConfigError(f"unknown function head {head!r}")
 
 
-def load_table(path: Path, depth: int, group: GroupSpec) -> TableFunction:
+def load_table(path: str, depth: int, group: GroupSpec) -> TableFunction:
     """The table in a CSV file; ``TableFunction`` checks its shape."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [tuple(group.parse_element(cell) for cell in row) for row in csv.reader(fh)]
@@ -169,7 +169,7 @@ class Experiment(NamedTuple):
     function: SepFunction
     n_max: int
     levels: list[int]
-    out: Path
+    out: str
     probes: list[SubbasicNbhd]
     ball_queries: list[BallQuery]
     inject_fault_at: int | None
@@ -191,7 +191,7 @@ def _known(items: dict[str, str], keys: tuple[str, ...], where: str) -> dict[str
     return items
 
 
-def _ball_query(name: str, text: str, function: SepFunction, base_dir: Path) -> BallQuery:
+def _ball_query(name: str, text: str, function: SepFunction, base_dir: str) -> BallQuery:
     """The query ``side=<side>; eps=<radius>; candidate=<function>``."""
     fields = {}
     for item in text.split(";"):
@@ -231,7 +231,7 @@ def _random_probes(count: int, seed: int) -> list[SubbasicNbhd]:
     return probes
 
 
-def read_sections(text: str, path: Path) -> dict[str, dict[str, str]]:
+def read_sections(text: str, path: str) -> dict[str, dict[str, str]]:
     """``{section: {key: value}}`` of a config text, in file order."""
     sections: dict[str, dict[str, str]] = {}
     section = option_indent = None  # the indent of the option line before, if any
@@ -265,13 +265,13 @@ def read_sections(text: str, path: Path) -> dict[str, dict[str, str]]:
 
 
 def load_experiment(
-    path: str | Path,
+    path: str,
     out_override: str | None = None,
     seed: int = 0,
 ) -> Experiment:
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     sections = read_sections(text, path)
@@ -301,7 +301,8 @@ def load_experiment(
         raise ConfigError(f"levels must be in [0, {MAX_N}]: {levels_text!r}")
     if "function" not in exp:
         raise ConfigError(f"{path}: [experiment] needs a function")
-    function = parse_function(exp["function"], group, path.parent)
+    base_dir = os.path.dirname(path)
+    function = parse_function(exp["function"], group, base_dir)
     probes = []
     for name, value in sections.get("probes", {}).items():
         if name == "random":
@@ -309,7 +310,7 @@ def load_experiment(
         else:
             probes.append(parse_probe(name, value))
     ball_queries = [
-        _ball_query(name, value, function, path.parent)
+        _ball_query(name, value, function, base_dir)
         for name, value in sorted(sections.get("ball", {}).items())
     ]
     closure = _known(sections.get("closure", {}), ("inject_fault_at",), "[closure]")
@@ -326,8 +327,8 @@ def load_experiment(
         if not isinstance(group, RealBoundedGroup):
             raise ConfigError("[problem3] runs over the real group")
         bound = parse_eps(p3["bound"]) if "bound" in p3 else Fraction(1)
-        problem3 = (parse_function(p3["candidate"], group, path.parent), bound)
-    out = Path(out_override) if out_override else path.parent / exp.get("out", "reports")
+        problem3 = (parse_function(p3["candidate"], group, base_dir), bound)
+    out = out_override or os.path.join(base_dir, exp.get("out", "reports")) or "."
     return Experiment(
         group=group,
         function=function,

@@ -21,7 +21,7 @@ tests keep the painted construction as the reference.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from sepcont.cantor import CantorPoint, basis_index
 from sepcont.functions import SepFunction, SubbasicNbhd, TableFunction, image, in_subbasic
@@ -53,7 +53,6 @@ class DiscreteApproximator:
 
     def __init__(self, f: SepFunction):
         self.f = f
-        self.group = f.group
         self.image = image(f)
         self._tables: dict[int, TableFunction] = {}
 
@@ -83,61 +82,51 @@ class DiscreteApproximator:
         depth; locally constant by construction."""
         return self._table(self.working_depth(n))
 
-    def memberships(self, probe: SubbasicNbhd, stages: Iterable[int]) -> list[bool]:
-        """Whether g_n lies in ``probe``, for each n in ``stages``.
-
-        g_n is the table of its working depth, so each depth is read once,
-        on the probe's line there: the cells of K shifted to depth d, in
-        the fixed point's row (axis 'x') or column.  g_n lies in the probe
-        when each of them has its value in U."""
-        axis, fixed, other = probe.sides()
-        allowed = probe.allowed.__contains__
-        verdicts: dict[int, bool] = {}
-        out = []
-        for n in stages:
-            d = self.working_depth(n)
-            if d not in verdicts:
-                if isinstance(other, CantorPoint):
-                    js = [int(other.prefix(d), 2)]
-                else:
-                    depth, cells = other.own_cells
-                    if depth >= d:
-                        js = {j >> (depth - d) for j in cells}
-                    else:
-                        w = 1 << (d - depth)
-                        js = [c for j in cells for c in range(j * w, (j + 1) * w)]
-                i, rows = int(fixed.prefix(d), 2), self._table(d).values
-                line = map(rows[i].__getitem__, js) if axis == "x" else (rows[j][i] for j in js)
-                verdicts[d] = all(map(allowed, line))
-            out.append(verdicts[d])
-        return out
-
     def certificate(self, nbhd: SubbasicNbhd, n_max: int) -> ConvergenceCertificate:
         """Stage recipe: per target value z, cover K ∩ section^-1(z) by basis
         cylinders inside the preimage; m caps the filtration entry of the
         target set and all cover indices; then verify membership exactly for
         every n in [m, n_max].  The target set W = f(K_X x K_Y) and the
-        pieces to cover are the probe's ``pieces`` of f.
+        pieces to cover are the probe's ``pieces`` of f; one walk over the
+        image, in canonical order, gives W, the filtration entries and the
+        covers.
 
-        Each working depth of [m, n_max] is read once: one line verdict
-        (``memberships`` of the depths' first stages) and, when it fails,
-        one ``in_subbasic`` witness on g_n whole, which every stage of the
-        depth shares.  Depth d >= 2 holds stages 2^d - 1 .. 2^(d+1) - 2,
-        and depth 1 also stage 0."""
+        Each working depth d of [m, n_max] is read once, on the probe's line
+        of the table: the cells of K shifted to depth d, in the fixed
+        point's row (axis 'x') or column.  The depth passes when each of
+        them has its value in W; when it fails, one ``in_subbasic`` witness
+        on g_n whole, which every stage of the depth shares.  Depth d >= 2
+        holds stages 2^d - 1 .. 2^(d+1) - 2, and depth 1 also stage 0."""
         pieces = nbhd.pieces(self.f)
-        w = tuple(self.group.sort_canonically(pieces))
-        cover = (basis_index(pieces[z].prefixes()[-1]) for z in w)
-        m = max((*map(self.image.index, w), *cover), default=0)
-        probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(w), nbhd.probe_id)
+        w, m = [], 0
+        for index, z in enumerate(self.image):
+            if z in pieces:
+                w.append(z)
+                m = max(m, index, basis_index(pieces[z].prefixes()[-1]))
         top = self.working_depth(n_max) if m <= n_max else 0
-        depths = range(self.working_depth(m), top + 1)
-        firsts = [max(m, (1 << d) - 1 if d > 1 else 0) for d in depths]
-        members = self.memberships(probe, firsts)
+        axis, fixed, other = nbhd.sides()
+        # K's cells at its own depth: a point's one cell at depth top (0 at top 0).
+        if isinstance(other, CantorPoint):
+            depth, cells = top, [int("0" + other.prefix(top), 2)]
+        else:
+            depth = other.depth()
+            cells = other.cell_indices(depth)
         checks: list[tuple[int, bool, str]] = []
-        for d, first, member in zip(depths, firsts, members):
-            note = ""
+        passed = True
+        for d in range(self.working_depth(m), top + 1):
+            if depth >= d:
+                js = {j >> (depth - d) for j in cells}
+            else:
+                width = 1 << (d - depth)
+                js = [c for j in cells for c in range(j * width, (j + 1) * width)]
+            i, rows = int(fixed.prefix(d), 2), self._table(d).values
+            line = map(rows[i].__getitem__, js) if axis == "x" else (rows[j][i] for j in js)
+            member = all(map(pieces.__contains__, line))
+            first, note = max(m, (1 << d) - 1 if d > 1 else 0), ""
             if not member:
+                probe = SubbasicNbhd(nbhd.kx, nbhd.ky, frozenset(w), nbhd.probe_id)
                 res = in_subbasic(self.approximant(first), probe)
                 note = "({},{})->{}".format(*res.witness)  # type: ignore[misc]
+                passed = False
             checks += [(n, member, note) for n in range(first, min(n_max, (2 << d) - 2) + 1)]
-        return ConvergenceCertificate(w, m, tuple(checks), all(members))
+        return ConvergenceCertificate(tuple(w), m, tuple(checks), passed)

@@ -9,7 +9,6 @@ import io
 import json
 import re
 from fractions import Fraction
-from pathlib import Path
 
 NET_INDEXING_NOTE = (
     "net(k) is the greedy maximal 2^-(k+2)-separated subset of the closed "
@@ -32,18 +31,18 @@ def parse_dyadic(text: str) -> Fraction:
     m = _DYADIC_RE.match(text.strip())
     if m is None:
         raise ValueError(f"bad dyadic literal: {text!r}")
-    num = int(m.group(1))
-    exp = int(m.group(2)) if m.group(2) is not None else 0
-    return Fraction(num, 2**exp)
+    num, exp = m.groups()
+    return Fraction(int(num), 2 ** int(exp or 0))
 
 
-def _write(path: Path, text: str) -> bytes:
+def _write(path: str, text: str) -> bytes:
     data = text.encode("utf-8")
-    path.write_bytes(data)
+    with open(path, "wb") as fh:
+        fh.write(data)
     return data
 
 
-def write_csv(path: Path, fieldnames: list[str], rows: list[tuple]) -> bytes:
+def write_csv(path: str, fieldnames: list[str], rows: list[tuple]) -> bytes:
     """Write the header and the rows, each a tuple in header order, and
     return the bytes written; so do the writers below."""
     buf = io.StringIO()
@@ -53,12 +52,13 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[tuple]) -> bytes:
     return _write(path, buf.getvalue())
 
 
-def write_jsonl(path: Path, records: list[dict]) -> bytes:
+def write_jsonl(path: str, records: list[dict]) -> bytes:
+    """One line of sorted-key JSON per record, unindented: the C encoder."""
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
     return _write(path, "".join(line + "\n" for line in lines))
 
 
-def write_json(path: Path, obj) -> bytes:
+def write_json(path: str, obj) -> bytes:
     return _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 

@@ -1,6 +1,6 @@
 """Mutation check of the function combinators and grid kernel, the
 discrete and zero-dimensional engines, the uniform-topology harness, the
-metric groups, the config reader and the Cantor layer.
+metric groups, the config reader, the Cantor layer and the report writers.
 
 Each order comparison in a module of ``TARGETS`` is swapped with its
 strict or non-strict twin (``<`` and ``<=``, ``>`` and ``>=``), and each
@@ -39,6 +39,7 @@ TARGETS = {
     "groups.py": ("test_groups.py", "test_grid_values.py"),
     "config.py": ("test_cli.py",),
     "cantor.py": ("test_cantor.py",),
+    "reports.py": ("test_cli.py", "test_shipped_reports.py"),
 }
 TIMEOUT_S = 600
 
@@ -50,7 +51,7 @@ SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 EQUIVALENT = {
     "functions.py": {},
     "discrete.py": {
-        "DiscreteApproximator.memberships: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
+        "DiscreteApproximator.certificate: depth > d": "at depth == d both branches list K's own cells (j >> 0 and range(j, j + 1))",
     },
     "zerodim.py": {},
     "uniform.py": {},
@@ -61,6 +62,7 @@ EQUIVALENT = {
         "_random_probes: rng.random() <= 0.5": "random() returns exactly 0.5 with probability 2^-53; no seed a test uses draws it",
     },
     "cantor.py": {},
+    "reports.py": {},
 }
 
 

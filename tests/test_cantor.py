@@ -20,6 +20,20 @@ points = st.builds(CantorPoint, bits, nonempty_bits)
 clopens = st.lists(bits, max_size=4).map(ClopenSet.from_prefixes)
 
 
+def loop_canonical_form(preperiod: str, period: str) -> tuple[str, str]:
+    """Oracle for ``CantorPoint``'s canonical form: the minimal period found
+    by trying every divisor length, then the preperiod's last bit absorbed
+    into the cycle, one bit and one rotation at a time."""
+    n = len(period)
+    per = next((period[:d] for d in range(1, n) if n % d == 0 and period == period[:d] * (n // d)),
+               period)
+    pre = preperiod
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = per[-1] + per[:-1]
+    return pre, per
+
+
 def bitwise_prefix(p: CantorPoint, n: int) -> str:
     """Oracle for ``CantorPoint.prefix``: the first n bits read one by one."""
     return "".join(str(p.bit(i)) for i in range(n))
@@ -75,6 +89,14 @@ class TestCantorPoint:
         p = CantorPoint(preperiod, period)
         assert p.prefix(n) == bitwise_prefix(p, n)
         assert len(p.prefix(n)) == n
+
+    @given(st.text(alphabet="01", max_size=12), st.text(alphabet="01", min_size=1, max_size=4),
+           st.integers(1, 3))
+    def test_canonical_form_matches_loop_oracle(self, preperiod, unit, reps):
+        # A repeated unit makes the period's minimal form shorter than it.
+        period = unit * reps
+        p = CantorPoint(preperiod, period)
+        assert (p.preperiod, p.period) == loop_canonical_form(preperiod, period)
 
     @given(points)
     def test_canonical_preserves_bits(self, p):
@@ -274,11 +296,6 @@ class TestClopenSet:
             ClopenSet.from_cells([-1], 2)
         assert ClopenSet.from_cells([], 0).is_empty()
         assert ClopenSet.from_cells([0], 0).is_whole()
-
-    @given(clopens)
-    def test_own_cells(self, a):
-        assert a.own_cells == (a.depth(), tuple(a.cell_indices(a.depth())))
-        assert a.own_cells is a.own_cells
 
     @given(bits, st.integers(0, 6))
     def test_cell_range_by_overlap(self, prefix, d):

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcont.cantor import CantorPoint, ClopenSet
-from sepcont.cli import build_parser, main
+from sepcont import cli
+from sepcont.cli import USAGE, main, parse_argv
 from sepcont.config import MAX_N, load_experiment, parse_function, parse_probe, read_sections
 from sepcont.errors import ConfigError
 from sepcont.functions import (
@@ -403,22 +404,63 @@ class TestConfigReader:
 class TestArgumentParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_each_subcommand_parses(self, command):
-        args = build_parser().parse_args(
-            [command, "--config", "a.cfg", "--out", "rep", "--seed", "7"]
-        )
-        assert (args.command, args.config, args.out, args.seed) == (command, "a.cfg", "rep", 7)
-        defaults = build_parser().parse_args([command, "--config", "a.cfg"])
-        assert (defaults.out, defaults.seed) == (None, 0)
+        argv = [command, "--config", "a.cfg", "--out", "rep", "--seed", "7"]
+        assert parse_argv(argv) == (command, "a.cfg", "rep", 7)
+        assert parse_argv([command, "--config", "a.cfg"]) == (command, "a.cfg", None, 0)
 
-    def test_unknown_command_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["approx-everything", "--config", "a.cfg"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed=7", "--out", "{out}", "approx-zerodim", "--config={cfg}"],
+            ["--config", "{cfg}", "approx-zerodim", "--seed", "7", "--out={out}"],
+            ["--out={out}", "--config={cfg}", "--seed=7", "approx-zerodim"],
+            ["approx-zerodim", "--out", "{out}", "--seed", "7", "--config", "{cfg}"],
+        ],
+    )
+    def test_both_spellings_in_any_order_through_main(self, argv, tmp_path):
+        cfg, out = write_config(tmp_path, MINIMAL), tmp_path / "rep"
+        argv = [a.format(cfg=cfg, out=out) for a in argv]
+        assert parse_argv(argv) == ("approx-zerodim", str(cfg), str(out), 7)
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "zerodim.csv"]
 
-    def test_missing_config_exits_two(self):
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_zero_with_the_usage_on_stdout(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["nets"])
+            main(["nets", flag, "--config", "a.cfg"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (USAGE + "\n", "")
+        assert USAGE.splitlines()[0] == "usage: sepcont [-h] --config CONFIG [--out OUT] [--seed SEED]"
+        assert USAGE.splitlines()[1].strip() == "{" + ",".join(COMMANDS) + "}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx-everything", "--config", "{cfg}", "--out", "{out}"],
+            ["nets", "--config", "{cfg}", "--out", "{out}", "--verbose"],
+            ["nets", "--conf", "{cfg}", "--out", "{out}"],
+            ["nets", "--out", "{out}", "--config"],
+            ["nets", "--config", "--out", "{out}"],
+            ["nets", "--out", "{out}"],
+            ["--config", "{cfg}", "--out", "{out}"],
+            ["nets", "--config", "{cfg}", "--out", "{out}", "--seed", "seven"],
+            ["nets", "--config", "{cfg}", "--out", "{out}", "--seed=1.5"],
+            ["nets", "ball", "--config", "{cfg}", "--out", "{out}"],
+            ["nets", "--config", "{cfg}", "--out", "{out}", "nets"],
+        ],
+        ids=["unknown-command", "unknown-option", "abbreviated-option", "missing-value-at-end",
+             "missing-value-before-option", "missing-config", "missing-command", "seed-word",
+             "seed-fraction", "second-command", "repeated-command"],
+    )
+    def test_argv_error_exits_two_before_any_file(self, argv, tmp_path, monkeypatch, capsys):
+        cfg, out = write_config(tmp_path, MINIMAL), tmp_path / "rep"
+        monkeypatch.setattr(cli, "load_experiment", lambda *a: pytest.fail("config read"))
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(cfg=cfg, out=out) for a in argv])
         assert exc.value.code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(USAGE + "\nsepcont: error: ")
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -537,6 +579,13 @@ class TestExitCodes:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["nets", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    def test_empty_out_beside_a_bare_config_name_is_the_working_directory(self, tmp_path, monkeypatch):
+        # The config's directory is the empty path; so is its out.
+        write_config(tmp_path, MINIMAL.replace("levels = 1", "levels = 1\nout ="))
+        monkeypatch.chdir(tmp_path)
+        assert main(["approx-zerodim", "--config", "exp.cfg"]) == 0
+        assert (tmp_path / "zerodim.csv").is_file() and (tmp_path / "manifest.json").is_file()
 
     def test_unwritable_out_exits_three(self, tmp_path, capsys):
         # The report directory is a file, so it cannot be made.

@@ -26,6 +26,11 @@ No module names the retired ``grid_depth`` setting, in code or in a
 docstring, apart from its entry among the accepted config keys, so it
 cannot come back through a single call site.
 
+No module imports ``argparse`` or ``pathlib``: a job parses its command
+line and names its files with plain strings, so neither is loaded for it.
+The check reads the source, since the interpreter's start-up may load
+pathlib already.
+
 The package's classes are immutable by convention: every attribute store
 is in an ``__init__``, apart from a short allow-list.  Importing the CLI
 loads neither ``dataclasses`` nor ``inspect``, nor ``traceback``, which only
@@ -85,6 +90,40 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+BANNED_MODULES = {"argparse", "pathlib"}
+
+
+def banned_imports(source):
+    """(module, line) for each import of a banned module or of a name from one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module]
+        else:
+            continue
+        out += [(m, node.lineno) for m in modules if m.split(".")[0] in BANNED_MODULES]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_argparse_or_pathlib(path):
+    assert banned_imports(path.read_text()) == []
+
+
+def test_banned_import_is_reported():
+    source = (
+        "import os, argparse\n"
+        "from pathlib import Path\n"
+        "def f():\n"
+        "    import pathlib as p\n"
+        "from os import path\n"
+        "from . import argparse_like\n"
+    )
+    assert banned_imports(source) == [("argparse", 1), ("pathlib", 2), ("pathlib", 4)]
 
 
 def test_unused_import_is_reported():
